@@ -15,7 +15,7 @@ from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, scalar_one, scalar_zero, svec
+from weakhopf.linalg import sadd_into, scalar_one, svec
 
 
 class WellDefinednessFailure(ValueError):
@@ -366,7 +366,7 @@ def smash(M, counital_data=None):
         zt_acts.append((z, z_dot_one))
 
     # the stated right action a . z = a (z . 1) agrees with S^-1(z) . a
-    s_inv = _invert_rows(H.s, H.dim, H.p)
+    s_inv = ag.invert_rows(H.s, H.dim, H.p)
     ok = True
     for z, z1 in zt_acts:
         for a in range(dA):
@@ -441,21 +441,6 @@ def smash(M, counital_data=None):
     return Smash(M, q, alg, inc_a, inc_h, cl)
 
 
-def _invert_rows(rows, n, p):
-    mat = la.Mat.from_rows([la.dense(dict(r), n, p) for r in rows], p)
-    tr = mat.transpose()
-    cols = []
-    one = scalar_one(p)
-    zero = scalar_zero(p)
-    for i in range(n):
-        e = [zero] * n
-        e[i] = one
-        cols.append(la.solve(tr, tuple(e)))
-    # cols[i] solves M^T x = e_i, i.e. rows of the inverse map
-    return tuple(svec({j: cols[i][j] for j in range(n) if cols[i][j]})
-                 for i in range(n))
-
-
 def smash_dual_action(M, sm, Hd=None):
     """H* acting on A # H by phi . (a # h) = a # (phi -> h)."""
     H = M.H
@@ -525,9 +510,6 @@ def duality_dimension_check(M, Hd=None):
            sm2.alg.dim == end_dim,
            witness="%d vs %d" % (sm2.alg.dim, end_dim))
 
-    ech = la.make_echelon(n * n, M.A.p)
-    for row in eqs:
-        ech.insert(row)
     commutant = la.kernel(la.Mat.from_rows(
         [la.dense(r, n * n, M.A.p) for r in eqs], M.A.p)) if eqs else \
         la.Subspace.full(n * n, M.A.p)

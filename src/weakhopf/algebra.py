@@ -398,34 +398,33 @@ def find_dual_bases(E, within=None):
             row2 = {ab: v[k] for ab, v in enumerate(lhs2) if k in v}
             eqs.append((row1, tgt))
             eqs.append((row2, tgt))
+    # adjoin lam at column n*n and ask for x_i y_i = lam 1 = y_i x_i
+    aug = list(eqs)
+    zero = scalar_zero(p)
+    fwd = [dict() for _ in range(big.dim)]
+    bwd = [dict() for _ in range(big.dim)]
+    for a in range(n):
+        for b in range(n):
+            for k, v in big.mul(cands[a], cands[b]).items():
+                fwd[k][a * n + b] = fwd[k].get(a * n + b, zero) + v
+            for k, v in big.mul(cands[b], cands[a]).items():
+                bwd[k][a * n + b] = bwd[k].get(a * n + b, zero) + v
+    for k in range(big.dim):
+        u = big.unit[k]
+        r1 = dict(fwd[k])
+        r2 = dict(bwd[k])
+        if u != 0:
+            r1[n * n] = -u
+            r2[n * n] = -u
+        aug.append((r1, zero))
+        aug.append((r2, zero))
     t = None
-    if True:
-        # adjoin lam at column n*n and ask for x_i y_i = lam 1 = y_i x_i
-        aug = list(eqs)
-        zero = scalar_zero(p)
-        fwd = [dict() for _ in range(big.dim)]
-        bwd = [dict() for _ in range(big.dim)]
-        for a in range(n):
-            for b in range(n):
-                for k, v in big.mul(cands[a], cands[b]).items():
-                    fwd[k][a * n + b] = fwd[k].get(a * n + b, zero) + v
-                for k, v in big.mul(cands[b], cands[a]).items():
-                    bwd[k][a * n + b] = bwd[k].get(a * n + b, zero) + v
-        for k in range(big.dim):
-            u = big.unit[k]
-            r1 = dict(fwd[k])
-            r2 = dict(bwd[k])
-            if u != 0:
-                r1[n * n] = -u
-                r2[n * n] = -u
-            aug.append((r1, zero))
-            aug.append((r2, zero))
-        try:
-            sol = la.solve_sparse(aug, n * n + 1, p)
-            if sol[n * n] != 0:
-                t = sol[:n * n]
-        except la.NoSolution:
-            t = None
+    try:
+        sol = la.solve_sparse(aug, n * n + 1, p)
+        if sol[n * n] != 0:
+            t = sol[:n * n]
+    except la.NoSolution:
+        pass
     if t is None:
         try:
             t = la.solve_sparse(eqs, n * n, p)

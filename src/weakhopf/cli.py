@@ -94,7 +94,6 @@ def cmd_verify_wha(args):
             raise sf.SpecFileError(
                 "kind 'algebra' only verifies as a weak Hopf algebra in "
                 "dimension 1; got dim %d" % alg.dim)
-        one = [alg.unit]
         H = wha.make_weakhopf(alg, [{0: alg.unit[0]}], (alg.unit[0],),
                               [{0: alg.unit[0]}])
     else:

@@ -110,7 +110,7 @@ def composite_idempotent(tower, n, dim_budget=64):
     cl.add("contraction", "f_n x f_n = f_n F_n(x) = F_n(x) f_n on M_n",
            ok_contract)
 
-    ech = la.make_echelon(M_top.dim, p)
+    ech = la.Echelon(M_top.dim, p)
     for x in range(M_n.dim):
         xf = M_top.mul(lift_n(M_n.basis_vec(x)), f)
         for y in range(M_n.dim):
@@ -150,7 +150,7 @@ def _word_basis(tower, gens, level):
     membership queries can reuse the expression tracker.
     """
     alg = tower.alg(level)
-    ech = la.EchelonExpr(alg.dim)
+    ech = la.EchelonExpr(alg.dim, alg.p)
     words = []
     vals = {}
     kind, _ = ech.insert(alg.unit_sparse())

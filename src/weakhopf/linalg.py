@@ -6,8 +6,10 @@ prime field F_p.  Everything is deterministic (leftmost-nonzero pivoting,
 canonical reduced echelon bases) and exact; there is no floating point
 anywhere.
 
-Rational vectors are reduced through the fraction-free integer kernel in
-`_backend`; prime-field vectors go through a small generic eliminator.
+Both fields share one eliminator: `Echelon` and `EchelonExpr` turn
+vectors into integer rows (rationals scaled by their common denominator,
+residues mod p as they are) and reduce them with the kernel in `_backend`,
+fraction-free over Q and in leading-1 form over F_p.
 Sparse vectors are plain dicts {index: scalar} with no stored zeros.
 """
 
@@ -204,10 +206,19 @@ def tensor_sparse(a, b, dim2):
 
 
 # ---------------------------------------------------------------------------
-# rational echelon (integer-kernel backed)
+# echelon forms (integer-kernel backed, over Q or F_p)
 
-def _int_row(vec, width):
-    """Fractions -> primitive-denominator integer row of given width."""
+def _int_row(vec, width, p=None):
+    """Scalars -> (integer row of the given width, scale of the row).
+
+    Over Q the row is den * vec, den the lcm of the denominators; over F_p
+    it holds the residues and the scale is 1.
+    """
+    if p is not None:
+        row = [0] * width
+        for i, c in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+            row[i] = c.v if isinstance(c, Fp) else _fpval(c, p)
+        return row, 1
     if isinstance(vec, dict):
         den = 1
         for c in vec.values():
@@ -215,25 +226,33 @@ def _int_row(vec, width):
         row = [0] * width
         for i, c in vec.items():
             row[i] = c.numerator * (den // c.denominator)
-        return row
+        return row, den
     den = 1
     for c in vec:
         den = lcm(den, c.denominator)
     row = [c.numerator * (den // c.denominator) for c in vec]
     row.extend([0] * (width - len(row)))
-    return row
+    return row, den
+
+
+def _quot(a, b, p):
+    """The scalar a/b of two integers, in Q or in F_p."""
+    if p is None:
+        return Fraction(a, b)
+    return Fp(a * pow(b, -1, p), p)
 
 
 class Echelon:
-    """Incremental reduced echelon basis over the rationals.
+    """Incremental reduced echelon basis over Q (p=None) or F_p.
 
     Rows live in a pivot zone of `ncols` columns; `aux` extra columns ride
     along (augmented right-hand sides).  One hidden trailing slot tracks
     reduction scales so canonical residuals come back unscaled.
     """
 
-    def __init__(self, ncols, aux=0):
+    def __init__(self, ncols, p=None, aux=0):
         self.ncols = ncols
+        self.p = p
         self.aux = aux
         self.rows = []
         self.pivots = []
@@ -242,31 +261,30 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def _row(self, vec, scale_slot=0):
-        row = _int_row(vec, self.ncols + self.aux)
-        row.append(scale_slot)
-        return row
+    def _row(self, vec):
+        row, den = _int_row(vec, self.ncols + self.aux, self.p)
+        row.append(0)
+        return row, den
 
     def insert(self, vec):
-        """Insert a vector (sparse dict or dense Fractions). True if rank grew."""
-        return insert_row(self.rows, self.pivots, self._row(vec), self.ncols) >= 0
+        """Insert a vector (sparse dict or dense scalars). True if rank grew."""
+        row, _ = self._row(vec)
+        return insert_row(self.rows, self.pivots, row, self.ncols, self.p) >= 0
 
     def insert_reduced(self, vec):
         """Insert; on dependence the returned reduced row keeps its aux zone."""
-        row = self._row(vec)
-        pos = insert_row(self.rows, self.pivots, row, self.ncols)
+        row, _ = self._row(vec)
+        pos = insert_row(self.rows, self.pivots, row, self.ncols, self.p)
         return pos, row
 
     def reduce(self, vec):
         """Canonical residual of vec modulo the row space, as a sparse dict."""
-        scale0 = 1
-        vals = vec.values() if isinstance(vec, dict) else vec
-        for c in vals:
-            scale0 = lcm(scale0, c.denominator)
-        row = self._row(vec, scale_slot=scale0)
-        reduce_row(self.rows, self.pivots, row, self.ncols)
+        row, den = self._row(vec)
+        row[-1] = den
+        p = self.p
+        reduce_row(self.rows, self.pivots, row, self.ncols, p)
         s = row[-1]
-        return {i: Fraction(row[i], s)
+        return {i: _quot(row[i], s, p)
                 for i in range(self.ncols + self.aux) if row[i]}
 
     def contains(self, vec):
@@ -274,10 +292,11 @@ class Echelon:
 
     def frac_rows(self):
         """Canonical RREF rows (leading coefficient 1) as sparse dicts."""
+        p = self.p
         out = []
-        for r, p in zip(self.rows, self.pivots):
-            lead = r[p]
-            out.append({i: Fraction(x, lead)
+        for r, c in zip(self.rows, self.pivots):
+            lead = r[c]
+            out.append({i: _quot(x, lead, p)
                         for i, x in enumerate(r[:self.ncols + self.aux]) if x})
         return out
 
@@ -289,24 +308,21 @@ class EchelonExpr:
     ('dep', coeffs) with vec == sum(coeffs[k] * kept_k).
     """
 
-    def __init__(self, ncols):
+    def __init__(self, ncols, p=None):
         self.ncols = ncols
+        self.p = p
         self.rows = []
         self.pivots = []
         self.nkept = 0
 
     def insert(self, vec):
-        width = self.ncols + self.nkept + 1
-        row = _int_row(vec, self.ncols)
-        den = 1
-        vals = vec.values() if isinstance(vec, dict) else vec
-        for c in vals:
-            den = lcm(den, c.denominator)
+        p = self.p
+        row, den = _int_row(vec, self.ncols, p)
         row.extend([0] * (self.nkept + 1))
         row[-1] = den
         for r in self.rows:
             r.append(0)
-        pos = insert_row(self.rows, self.pivots, row, self.ncols)
+        pos = insert_row(self.rows, self.pivots, row, self.ncols, p)
         if pos >= 0:
             self.nkept += 1
             return ("kept", self.nkept - 1)
@@ -316,75 +332,10 @@ class EchelonExpr:
         for k in range(self.nkept):
             x = row[self.ncols + k]
             if x:
-                coeffs[k] = Fraction(-x, s)
+                coeffs[k] = _quot(-x, s, p)
         for r in self.rows:
             r.pop()
         return ("dep", coeffs)
-
-
-class FieldEchelon:
-    """Dense reduced echelon over F_p (small systems only)."""
-
-    def __init__(self, ncols, p, aux=0):
-        self.ncols = ncols
-        self.aux = aux
-        self.p = p
-        self.rows = []
-        self.pivots = []
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def _dense(self, vec):
-        width = self.ncols + self.aux
-        if isinstance(vec, dict):
-            row = [Fp(0, self.p)] * width
-            for i, c in vec.items():
-                row[i] = as_scalar(c, self.p)
-            return row
-        row = [as_scalar(c, self.p) for c in vec]
-        row.extend([Fp(0, self.p)] * (width - len(row)))
-        return row
-
-    def _reduce(self, row):
-        for r, c in zip(self.rows, self.pivots):
-            if row[c]:
-                f = row[c]
-                for j in range(len(row)):
-                    row[j] = row[j] - f * r[j]
-        return row
-
-    def insert(self, vec):
-        row = self._reduce(self._dense(vec))
-        lead = next((j for j in range(self.ncols) if row[j]), -1)
-        if lead < 0:
-            return False
-        inv = scalar_one(self.p) / row[lead]
-        row = [inv * x for x in row]
-        pos = sum(1 for c in self.pivots if c < lead)
-        self.rows.insert(pos, row)
-        self.pivots.insert(pos, lead)
-        for i, r in enumerate(self.rows):
-            if i != pos and r[lead]:
-                f = r[lead]
-                for j in range(len(r)):
-                    r[j] = r[j] - f * row[j]
-        return True
-
-    def reduce(self, vec):
-        row = self._reduce(self._dense(vec))
-        return {i: c for i, c in enumerate(row) if c}
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-    def frac_rows(self):
-        return [{i: c for i, c in enumerate(r) if c} for r in self.rows]
-
-
-def make_echelon(ncols, p=None, aux=0):
-    return Echelon(ncols, aux) if p is None else FieldEchelon(ncols, p, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +383,7 @@ class Mat:
                    tuple(zip(*self.entries)) if self.entries else (), self.p)
 
     def rank(self):
-        ech = make_echelon(self.cols, self.p)
+        ech = Echelon(self.cols, self.p)
         for r in self.entries:
             ech.insert(r)
         return ech.rank
@@ -446,29 +397,9 @@ def solve(a, b):
     """
     if len(b) != a.rows:
         raise DimensionMismatch("solve: rhs length %d != %d" % (len(b), a.rows))
-    p = a.p
-    ech = make_echelon(a.cols, p, aux=1)
-    for row, rhs in zip(a.entries, b):
-        aug = list(row) + [as_scalar(rhs, p)]
-        if p is None:
-            pos, red = ech.insert_reduced(aug)
-            if pos < 0 and red[a.cols] != 0:
-                raise NoSolution("inconsistent system")
-        else:
-            before = ech.rank
-            ech.insert(aug)
-            if ech.rank == before:
-                res = ech.reduce(aug)
-                if res:
-                    raise NoSolution("inconsistent system")
-    x = [scalar_zero(p)] * a.cols
-    if p is None:
-        for r, c in zip(ech.rows, ech.pivots):
-            x[c] = Fraction(r[a.cols], r[c])
-    else:
-        for r, c in zip(ech.rows, ech.pivots):
-            x[c] = r[a.cols] / r[c]
-    return tuple(x)
+    return _solve_augmented(
+        [list(row) + [as_scalar(rhs, a.p)] for row, rhs in zip(a.entries, b)],
+        a.cols, a.p)
 
 
 def solve_sparse(equations, ncols, p=None):
@@ -477,31 +408,31 @@ def solve_sparse(equations, ncols, p=None):
     Same canonical solution as solve(): zero at non-pivot coordinates.
     Raises NoSolution when inconsistent.
     """
-    ech = make_echelon(ncols, p, aux=1)
+    rows = []
     for row, rhs in equations:
         aug = dict(row)
         if rhs != 0:
             aug[ncols] = as_scalar(rhs, p)
-        if p is None:
-            pos, red = ech.insert_reduced(aug)
-            if pos < 0 and red[ncols] != 0:
-                raise NoSolution("inconsistent system")
-        else:
-            if not ech.insert(aug) and ech.reduce(aug):
-                raise NoSolution("inconsistent system")
+        rows.append(aug)
+    return _solve_augmented(rows, ncols, p)
+
+
+def _solve_augmented(rows, ncols, p):
+    """Solve the system whose augmented rows carry the rhs at column ncols."""
+    ech = Echelon(ncols, p, aux=1)
+    for aug in rows:
+        pos, red = ech.insert_reduced(aug)
+        if pos < 0 and red[ncols] != 0:
+            raise NoSolution("inconsistent system")
     x = [scalar_zero(p)] * ncols
-    if p is None:
-        for r, c in zip(ech.rows, ech.pivots):
-            x[c] = Fraction(r[ncols], r[c])
-    else:
-        for r, c in zip(ech.rows, ech.pivots):
-            x[c] = r[ncols] / r[c]
+    for r, c in zip(ech.rows, ech.pivots):
+        x[c] = _quot(r[ncols], r[c], p)
     return tuple(x)
 
 
 def solution_space_dim(rows, ncols, p=None):
     """Dimension of the solution space of a homogeneous sparse system."""
-    ech = make_echelon(ncols, p)
+    ech = Echelon(ncols, p)
     for row in rows:
         ech.insert(row if isinstance(row, dict) else dict(row))
     return ncols - ech.rank
@@ -509,7 +440,7 @@ def solution_space_dim(rows, ncols, p=None):
 
 def kernel(a):
     """Exact null space of a, as a canonical echelon Subspace."""
-    ech = make_echelon(a.cols, a.p)
+    ech = Echelon(a.cols, a.p)
     for r in a.entries:
         ech.insert(r)
     piv = set(ech.pivots)
@@ -545,7 +476,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim, vecs, p=None):
-        ech = make_echelon(ambient_dim, p)
+        ech = Echelon(ambient_dim, p)
         for v in vecs:
             ech.insert(v)
         return Subspace(ambient_dim, tuple(ech.pivots),
@@ -569,7 +500,7 @@ class Subspace:
         return tuple(dense(dict(r), self.ambient_dim, self.p) for r in self.basis)
 
     def _echelon(self):
-        ech = make_echelon(self.ambient_dim, self.p)
+        ech = Echelon(self.ambient_dim, self.p)
         for r in self.basis:
             ech.insert(dict(r))
         return ech
@@ -674,11 +605,6 @@ class Quotient:
                 rows[i][c] = x
         return Mat.from_rows([dense(r, self.ambient_dim, self.p) for r in rows], self.p)
 
-    def representative_basis(self):
-        one = scalar_one(self.p)
-        return tuple(dense({c: one}, self.ambient_dim, self.p)
-                     for c in self.section_cols)
-
 
 def quotient(ambient_dim, relations):
     """Quotient of k^n by an echelonized relations subspace."""
@@ -710,9 +636,7 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
     canonical section is found by a right-to-left independence scan, and the
     RREF rows of the relations are read off the coset representatives.
     """
-    if p is not None:
-        return _quotient_from_projection_field(ambient_dim, pi_col, p)
-    ech = EchelonExpr(ambient_dim)
+    ech = EchelonExpr(ambient_dim, p)
     kept = []  # columns, in right-to-left discovery order
     exprs = [None] * ambient_dim
     for c in range(ambient_dim - 1, -1, -1):
@@ -724,9 +648,10 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
     section = tuple(sorted(kept))
     index = {c: i for i, c in enumerate(section)}
     remap = {k: index[c] for k, c in enumerate(kept)}
+    one = scalar_one(p)
     proj = [None] * ambient_dim
     for i, c in enumerate(section):
-        proj[c] = {i: Q1}
+        proj[c] = {i: one}
     rel_rows = []
     rel_pivots = []
     for c in range(ambient_dim):
@@ -734,42 +659,11 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
             continue
         coords = {remap[k]: v for k, v in exprs[c].items()}
         proj[c] = coords
-        row = {c: Q1}
+        row = {c: one}
         for i, v in coords.items():
             fcol = section[i]
             assert fcol > c, "canonical section violated"
             row[fcol] = -v
-        rel_pivots.append(c)
-        rel_rows.append(svec(row))
-    relations = Subspace(ambient_dim, tuple(rel_pivots), tuple(rel_rows), p)
-    return Quotient(ambient_dim, relations, section, tuple(proj), p)
-
-
-def _quotient_from_projection_field(ambient_dim, pi_col, p):
-    # prime-field twin of the rational path
-    ech = FieldEchelon(ambient_dim, p)
-    cols = [pi_col(c) for c in range(ambient_dim)]
-    kept = []
-    for c in range(ambient_dim - 1, -1, -1):
-        if ech.insert(cols[c]):
-            kept.append(c)
-    section = tuple(sorted(kept))
-    index = {c: i for i, c in enumerate(section)}
-    mat = Mat.from_rows([dense(cols[c], ambient_dim, p) for c in section],
-                        p).transpose()
-    proj = [None] * ambient_dim
-    rel_pivots = []
-    rel_rows = []
-    one = scalar_one(p)
-    for c in range(ambient_dim):
-        if c in index:
-            proj[c] = {index[c]: one}
-            continue
-        co = solve(mat, dense(cols[c], ambient_dim, p))
-        proj[c] = {k: x for k, x in enumerate(co) if x}
-        row = {c: one}
-        for k, x in proj[c].items():
-            row[section[k]] = -x
         rel_pivots.append(c)
         rel_rows.append(svec(row))
     relations = Subspace(ambient_dim, tuple(rel_pivots), tuple(rel_rows), p)

@@ -42,10 +42,25 @@ def _field(label):
         return None
     if label.startswith("prime"):
         try:
-            return int(label.split()[1])
+            p = int(label.split()[1])
         except (IndexError, ValueError):
             raise SpecFileError("bad field label %r" % label)
+        if not _is_prime(p):
+            raise SpecFileError("field label %r: %d is not a prime" % (label, p))
+        return p
     raise SpecFileError("unknown field %r" % label)
+
+
+def _is_prime(n):
+    """Trial division; field labels carry small moduli."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def load(path):

@@ -123,7 +123,7 @@ def basic_construction(cert):
 
     cl = CheckList("basic-construction")
 
-    ech = la.make_echelon(n1, p)
+    ech = la.Echelon(n1, p)
     emb = lambda x: ag.apply_map(embed_rows, x)
     for a in range(m):
         ea1 = emb(M.basis_vec(a))
@@ -377,11 +377,6 @@ class DepthTwoContext:
     def E_M1(self, x):
         return self.t.embed(1, 2, ag.apply_map(self.lv2.E_down, x))
 
-    def E_M_emb(self, x1):
-        """E_M on M1 coords, embedded back into M1."""
-        return ag.apply_map(self.lv1.embed_prev,
-                            ag.apply_map(self.lv1.E_down, x1))
-
     def T(self, x):
         return ag.trace_of(self.T2, x)
 
@@ -555,8 +550,8 @@ def conditional_expectations(ctx, d2):
            ok, witness=wit)
 
     # symmetric square: AB = BA = C, and A (x)_V B = C as vector spaces
-    echAB = la.make_echelon(M2.dim, ctx.p)
-    echBA = la.make_echelon(M2.dim, ctx.p)
+    echAB = la.Echelon(M2.dim, ctx.p)
+    echBA = la.Echelon(M2.dim, ctx.p)
     for ra in ctx.A.basis:
         for rb in ctx.B.basis:
             echAB.insert(ctx.mul(dict(ra), dict(rb)))
@@ -645,13 +640,13 @@ def conditional_expectations(ctx, d2):
            span_eq([ctx.mul(ctx.e1, c) for c in Cb],
                    [ctx.mul(ctx.e1, b) for b in Bb]))
 
-    ech = la.make_echelon(M2.dim, ctx.p)
+    ech = la.Echelon(M2.dim, ctx.p)
     for a in Ab:
         ae2 = ctx.mul(a, ctx.e2)
         for a2 in Ab:
             ech.insert(ctx.mul(ae2, a2))
     cl.add("C_is_Ae2A", "C = A e2 A", ech.rank == C.dim)
-    ech = la.make_echelon(M2.dim, ctx.p)
+    ech = la.Echelon(M2.dim, ctx.p)
     for b in Bb:
         be1 = ctx.mul(b, ctx.e1)
         for b2 in Bb:
@@ -1509,7 +1504,7 @@ def action_A_on_M(ctx, dw, MB):
             lhs = {}
             for kl, c in A.delta[i]:
                 k, l = divmod(kl, nA)
-                term = A_mul3(A, {k: one}, eta, ag.apply_map(sA, {l: one}))
+                term = A.alg.mulm({k: one}, eta, ag.apply_map(sA, {l: one}))
                 sadd_into(lhs, term, c)
             rhs = ag.apply_map(est, A.alg.mul({i: one}, {i2: one}))
             if lhs != rhs:
@@ -1549,10 +1544,6 @@ def action_A_on_M(ctx, dw, MB):
             break
     cl.add("coaction_is_delta", "the coaction restricted to A is Delta_A", ok)
     return MA, cl
-
-
-def A_mul3(A, x, y, z):
-    return A.alg.mulm(x, y, z)
 
 
 def _coords_in(basis_vecs, x, p):

@@ -117,10 +117,6 @@ def tensor13(H, x, side):
     return out
 
 
-def swap2(x, d):
-    return {(ij % d) * d + ij // d: c for ij, c in x.items()}
-
-
 def eps_t(H, x):
     """Target counital map: (eps (x) id)(Delta(1)(h (x) 1))."""
     d1 = H.delta_one()
@@ -573,13 +569,8 @@ def integrals(H):
 
 def _kernel_of_column_maps(rows, d, p):
     """rows: (input basis index j, sparse output) pairs; kernel in the j's."""
-    by_coord = {}
-    for j, out in rows:
-        for k, c in out.items():
-            by_coord.setdefault(k, {})[j] = c
-    # each output coordinate gives one linear equation, but rows above are
-    # grouped per (h, j); regroup per (h-block, output coord)
-    # simpler: treat every (j, out) pair list as columns of one big matrix
+    # rows come in blocks of d, one per basis element h; each
+    # (block, output coord) pair gives one linear equation in the j's
     eqs = {}
     for idx, (j, out) in enumerate(rows):
         blk = idx // d

@@ -15,6 +15,22 @@ def pair2_file(tmp_path):
     return str(path)
 
 
+def with_field(path, tmp_path, label):
+    """Copy of a spec file with its field label replaced."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["field"] = label
+    out = tmp_path / ("field-%s.json" % label.replace(" ", "-"))
+    out.write_text(json.dumps(raw))
+    return str(out)
+
+
+def machine_verdicts(out):
+    """(name, passed) per identity of a machine report, in report order."""
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    return [(r["name"], r["passed"]) for r in records if "name" in r]
+
+
 @pytest.fixture()
 def markov_file(tmp_path):
     cert = corpus.ext_q_q2()
@@ -104,6 +120,18 @@ def test_tower_appendix(markov_file, capsys):
     assert "PASS f1_idempotent" in out
 
 
+def test_tower_appendix_over_prime_field(markov_file, tmp_path, capsys):
+    # the composite idempotents' word basis is echelonized over F_13 too
+    assert cli.main(["--format", "machine", "tower", markov_file,
+                     "--appendix-fn", "1"]) == 0
+    rational = machine_verdicts(capsys.readouterr().out)
+    f13 = with_field(markov_file, tmp_path, "prime 13")
+    assert cli.main(["--format", "machine", "tower", f13,
+                     "--appendix-fn", "1"]) == 0
+    assert machine_verdicts(capsys.readouterr().out) == rational
+    assert ("f1_idempotent", True) in rational
+
+
 def test_tower_rejects_skewed_expectation(tmp_path, capsys):
     incl, E = corpus.skewed_expectation()
     from fractions import Fraction as F
@@ -145,6 +173,13 @@ def test_input_error_exit_code(tmp_path, capsys):
     path2.write_text(json.dumps({"kind": "nonsense", "name": "x",
                                  "field": "rational", "payload": {}}))
     assert cli.main(["verify-wha", str(path2)]) == 2
+
+
+@pytest.mark.parametrize("p, rc", [(0, 2), (1, 2), (6, 2), (9, 2), (15, 2),
+                                   (13, 0)])
+def test_field_modulus_must_be_prime(pair2_file, tmp_path, p, rc):
+    path = with_field(pair2_file, tmp_path, "prime %d" % p)
+    assert cli.main(["groupoid", path, "--dual", "--integrals"]) == rc
 
 
 def test_malformed_scalar_rejected(tmp_path):

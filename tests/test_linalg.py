@@ -4,11 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhopf import _rowred_py
+import weakhopf
 from weakhopf import linalg as la
-from weakhopf._backend import BACKEND, insert_row
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+# every property test runs over Q and over F_13 (denominators 1..4 are units)
+FIELDS = (None, 13)
+
+
+def in_field(x, p):
+    """A rational test scalar read in Q (p=None) or in F_p."""
+    return la.parse_scalar(str(x), p)
+
+
+def field_rows(rows, p):
+    return [[in_field(x, p) for x in r] for r in rows]
 
 
 def mat(rows):
@@ -71,67 +82,88 @@ def test_quotient_plane_by_line():
                 min_size=1, max_size=4),
        st.lists(rationals, min_size=3, max_size=3))
 def test_solve_reapplication(rows, x):
-    a = la.Mat.from_rows(rows)
-    b = a.apply(tuple(x))
-    got = la.solve(a, b)
-    assert a.apply(got) == b
+    for p in FIELDS:
+        a = la.Mat.from_rows(field_rows(rows, p), p)
+        b = a.apply(tuple(in_field(c, p) for c in x))
+        got = la.solve(a, b)
+        assert a.apply(got) == b
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
                 min_size=1, max_size=4))
 def test_kernel_annihilates(rows):
-    a = la.Mat.from_rows(rows)
-    ker = la.kernel(a)
-    zero = tuple(F(0) for _ in range(a.rows))
-    for v in ker.dense_basis():
-        assert a.apply(v) == zero
-    assert ker.dim + a.rank() == a.cols
+    for p in FIELDS:
+        a = la.Mat.from_rows(field_rows(rows, p), p)
+        ker = la.kernel(a)
+        zero = tuple(la.scalar_zero(p) for _ in range(a.rows))
+        for v in ker.dense_basis():
+            assert a.apply(v) == zero
+        assert ker.dim + a.rank() == a.cols
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
                 min_size=0, max_size=3))
 def test_quotient_properties(rel_rows):
-    rel = la.Subspace.from_vectors(4, [la.sparse(r) for r in rel_rows])
-    q = la.quotient(4, rel)
-    assert q.dim == 4 - rel.dim
-    # project annihilates exactly the relations
-    for r in rel.basis:
-        assert q.project(dict(r)) == {}
-    # project o section = id on quotient coordinates
-    for i in range(q.dim):
-        assert q.project(q.section({i: F(1)})) == {i: F(1)}
-    assert q.project_matrix().rank() == q.dim
+    for p in FIELDS:
+        one = la.scalar_one(p)
+        rel = la.Subspace.from_vectors(
+            4, [la.sparse(r) for r in field_rows(rel_rows, p)], p)
+        q = la.quotient(4, rel)
+        assert q.dim == 4 - rel.dim
+        # project annihilates exactly the relations
+        for r in rel.basis:
+            assert q.project(dict(r)) == {}
+        # project o section = id on quotient coordinates
+        for i in range(q.dim):
+            assert q.project(q.section({i: one})) == {i: one}
+        assert q.project_matrix().rank() == q.dim
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
                 min_size=0, max_size=4))
 def test_echelon_deterministic_and_canonical(rows):
-    s1 = la.Subspace.from_vectors(4, [la.sparse(r) for r in rows])
-    s2 = la.Subspace.from_vectors(4, [la.sparse(r) for r in rows])
-    assert s1 == s2
-    # scaled spanning set gives the identical canonical basis
-    s3 = la.Subspace.from_vectors(
-        4, [la.sparse([F(3) * x for x in r]) for r in rows])
-    assert s1 == s3
+    for p in FIELDS:
+        vecs = [la.sparse(r) for r in field_rows(rows, p)]
+        s1 = la.Subspace.from_vectors(4, vecs, p)
+        s2 = la.Subspace.from_vectors(4, vecs, p)
+        assert s1 == s2
+        # scaled spanning set gives the identical canonical basis
+        s3 = la.Subspace.from_vectors(
+            4, [la.sscale(v, in_field(3, p)) for v in vecs], p)
+        assert s1 == s3
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=5, max_size=5),
-                min_size=1, max_size=6))
-def test_backend_matches_pure_python(rows):
-    rows_a, piv_a = [], []
-    rows_b, piv_b = [], []
-    for r in rows:
-        insert_row(rows_a, piv_a, list(r), 5)
-        _rowred_py.insert_row(rows_b, piv_b, list(r), 5)
-    assert rows_a == rows_b and piv_a == piv_b
+@pytest.mark.parametrize("p", FIELDS, ids=["Q", "F13"])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+       st.integers(0, 4))
+def test_quotient_from_projection_matches_quotient(p, entries, rank):
+    n = 4
+    one, zero = la.scalar_one(p), la.scalar_zero(p)
+    # T = L U with unit triangular factors is invertible over every field
+    it = iter(entries)
+    lower = [[one if i == j else in_field(next(it), p) if j < i else zero
+              for j in range(n)] for i in range(n)]
+    upper = [[one if i == j else in_field(next(it), p) if j > i else zero
+              for j in range(n)] for i in range(n)]
+    t = la.Mat.from_rows(lower, p).mul(la.Mat.from_rows(upper, p))
+    unit = la.Mat.identity(n, p).entries
+    t_inv = la.Mat.from_rows([la.solve(t, e) for e in unit], p).transpose()
+    d = la.Mat.from_rows([[one if i == j < rank else zero for j in range(n)]
+                          for i in range(n)], p)
+    proj = t.mul(d).mul(t_inv)
+    assert proj.mul(proj) == proj
+    cols = proj.transpose().entries
+    got = la.quotient_from_projection(n, lambda c: la.sparse(cols[c]), p)
+    assert got == la.quotient(n, la.kernel(proj))
+    assert got.dim == rank
 
 
 def test_backend_is_reported():
-    assert BACKEND in ("c", "python")
+    assert weakhopf.BACKEND == "python"
 
 
 def test_prime_field_arithmetic():
