@@ -68,62 +68,42 @@ def verify_module_algebra(M):
     cl = CheckList("module-algebra")
     dH, dA = H.dim, A.dim
 
-    ok, wit = True, None
     one_h = H.alg.unit_sparse()
-    for a in range(dA):
-        if M.apply(one_h, A.basis_vec(a)) != A.basis_vec(a):
-            ok, wit = False, "basis %d" % a
-            break
-    cl.add("module_unit", "1 . a = a", ok, witness=wit)
+    with cl.holds("module_unit", "1 . a = a") as law:
+        for a in law.over(range(dA)):
+            law.check((a,), M.apply(one_h, A.basis_vec(a)), A.basis_vec(a))
 
-    ok, wit = True, None
-    for h in range(dH):
-        for g in range(dH):
-            hg = H.alg.mul(H.alg.basis_vec(h), H.alg.basis_vec(g))
-            for a in range(dA):
-                lhs = M.apply(hg, A.basis_vec(a))
-                rhs = M.apply(H.alg.basis_vec(h),
-                              M.apply(H.alg.basis_vec(g), A.basis_vec(a)))
-                if lhs != rhs:
-                    ok, wit = False, "(%d, %d, %d)" % (h, g, a)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cl.add("module_associative", "(hg) . a = h . (g . a)", ok, witness=wit)
+    with cl.holds("module_associative", "(hg) . a = h . (g . a)") as law:
+        for h in law.over(range(dH)):
+            for g in law.over(range(dH)):
+                hg = H.alg.mul(H.alg.basis_vec(h), H.alg.basis_vec(g))
+                for a in law.over(range(dA)):
+                    lhs = M.apply(hg, A.basis_vec(a))
+                    rhs = M.apply(H.alg.basis_vec(h),
+                                  M.apply(H.alg.basis_vec(g), A.basis_vec(a)))
+                    law.check((h, g, a), lhs, rhs)
 
-    ok, wit = True, None
-    for h in range(dH):
-        dh = H.d(H.alg.basis_vec(h))
-        for a in range(dA):
-            for b in range(dA):
-                lhs = M.apply(H.alg.basis_vec(h),
-                              A.mul(A.basis_vec(a), A.basis_vec(b)))
-                rhs = {}
-                for uv, c in dh.items():
-                    u, v = divmod(uv, dH)
-                    term = A.mul(M.apply({u: scalar_one(H.p)}, A.basis_vec(a)),
-                                 M.apply({v: scalar_one(H.p)}, A.basis_vec(b)))
-                    sadd_into(rhs, term, c)
-                if lhs != rhs:
-                    ok, wit = False, "(%d, %d, %d)" % (h, a, b)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cl.add("measuring", "h . (ab) = (h1 . a)(h2 . b)", ok, witness=wit)
+    with cl.holds("measuring", "h . (ab) = (h1 . a)(h2 . b)") as law:
+        for h in law.over(range(dH)):
+            dh = H.d(H.alg.basis_vec(h))
+            for a in law.over(range(dA)):
+                for b in law.over(range(dA)):
+                    lhs = M.apply(H.alg.basis_vec(h),
+                                  A.mul(A.basis_vec(a), A.basis_vec(b)))
+                    rhs = {}
+                    for uv, c in dh.items():
+                        u, v = divmod(uv, dH)
+                        term = A.mul(M.apply({u: scalar_one(H.p)}, A.basis_vec(a)),
+                                     M.apply({v: scalar_one(H.p)}, A.basis_vec(b)))
+                        sadd_into(rhs, term, c)
+                    law.check((h, a, b), lhs, rhs)
 
-    ok, wit = True, None
     one_a = A.unit_sparse()
-    for h in range(dH):
-        lhs = M.apply(H.alg.basis_vec(h), one_a)
-        rhs = M.apply(wha.eps_t(H, H.alg.basis_vec(h)), one_a)
-        if lhs != rhs:
-            ok, wit = False, "basis %d" % h
-            break
-    cl.add("unit_axiom", "h . 1 = eps_t(h) . 1", ok, witness=wit)
+    with cl.holds("unit_axiom", "h . 1 = eps_t(h) . 1") as law:
+        for h in law.over(range(dH)):
+            lhs = M.apply(H.alg.basis_vec(h), one_a)
+            rhs = M.apply(wha.eps_t(H, H.alg.basis_vec(h)), one_a)
+            law.check((h,), lhs, rhs)
     return cl
 
 
@@ -249,40 +229,30 @@ def action_comodule_bridge(M, Hd=None):
     def rho_of(x):
         return ag.apply_map(rho, x)
 
-    ok, wit = True, None
-    for a in range(dA):
-        for b in range(dA):
-            lhs = rho_of(A.mul(A.basis_vec(a), A.basis_vec(b)))
-            rhs = _mul_AH(A, Hd.alg, rho_of(A.basis_vec(a)),
-                          rho_of(A.basis_vec(b)))
-            if lhs != rhs:
-                ok, wit = False, "(%d, %d)" % (a, b)
-                break
-        if not ok:
-            break
-    cl.add("comodule_multiplicative", "rho(ab) = a0 b0 (x) a1 b1",
-           ok, witness=wit)
+    with cl.holds("comodule_multiplicative", "rho(ab) = a0 b0 (x) a1 b1") as law:
+        for a in law.over(range(dA)):
+            for b in law.over(range(dA)):
+                lhs = rho_of(A.mul(A.basis_vec(a), A.basis_vec(b)))
+                rhs = _mul_AH(A, Hd.alg, rho_of(A.basis_vec(a)),
+                              rho_of(A.basis_vec(b)))
+                law.check((a, b), lhs, rhs)
 
     r1 = rho_of(A.unit_sparse())
     cl.add("comodule_unit", "rho(1) = (id (x) eps_t) rho(1)",
            r1 == _apply_right_eps_t(Hd, r1, dH))
 
-    ok = True
-    for a in range(dA):
-        ra = dict(rho[a])
-        for h in range(dH):
-            got = {}
-            for jk, c in ra.items():
-                j, k = divmod(jk, dH)
-                if k == h:
-                    got[j] = got.get(j, 0) + c
-            got = {k: v for k, v in got.items() if v != 0}
-            if got != M.apply(H.alg.basis_vec(h), A.basis_vec(a)):
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("bridge_roundtrip", "a0 <a1, h> recovers h . a", ok)
+    with cl.holds("bridge_roundtrip", "a0 <a1, h> recovers h . a") as law:
+        for a in law.over(range(dA)):
+            ra = dict(rho[a])
+            for h in law.over(range(dH)):
+                got = {}
+                for jk, c in ra.items():
+                    j, k = divmod(jk, dH)
+                    if k == h:
+                        got[j] = got.get(j, 0) + c
+                got = {k: v for k, v in got.items() if v != 0}
+                law.check((a, h), got,
+                          M.apply(H.alg.basis_vec(h), A.basis_vec(a)))
 
     rows = []
     for a in range(dA):
@@ -367,17 +337,12 @@ def smash(M, counital_data=None):
 
     # the stated right action a . z = a (z . 1) agrees with S^-1(z) . a
     s_inv = ag.invert_rows(H.s, H.dim, H.p)
-    ok = True
-    for z, z1 in zt_acts:
-        for a in range(dA):
-            lhs = A.mul(A.basis_vec(a), z1)
-            rhs = M.apply(ag.apply_map(s_inv, z), A.basis_vec(a))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("right_Ht_action", "a . z = a (z . 1) = S^-1(z) . a", ok)
+    with cl.holds("right_Ht_action", "a . z = a (z . 1) = S^-1(z) . a") as law:
+        for zi, (z, z1) in law.over(enumerate(zt_acts)):
+            for a in law.over(range(dA)):
+                lhs = A.mul(A.basis_vec(a), z1)
+                rhs = M.apply(ag.apply_map(s_inv, z), A.basis_vec(a))
+                law.check((zi, a), lhs, rhs)
 
     rel_vecs = []
     for z, z1 in zt_acts:

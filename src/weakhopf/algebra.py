@@ -652,18 +652,12 @@ def certify_markov(incl, E, db, trace):
 
     t0 = tuple(trace_of(trace, E.E_small(big.basis_vec(j)))
                for j in range(big.dim))
-    is_trace = True
-    wit = None
-    for i in range(big.dim):
-        for j in range(big.dim):
-            ab = trace_of(t0, big.mul(big.basis_vec(i), big.basis_vec(j)))
-            ba = trace_of(t0, big.mul(big.basis_vec(j), big.basis_vec(i)))
-            if ab != ba:
-                is_trace, wit = False, "(%d, %d)" % (i, j)
-                break
-        if not is_trace:
-            break
-    cl.add("T0_trace", "T0(ab) = T0(ba), T0 = T o E", is_trace, witness=wit)
+    with cl.holds("T0_trace", "T0(ab) = T0(ba), T0 = T o E") as law:
+        for i in law.over(range(big.dim)):
+            for j in law.over(range(big.dim)):
+                ab = trace_of(t0, big.mul(big.basis_vec(i), big.basis_vec(j)))
+                ba = trace_of(t0, big.mul(big.basis_vec(j), big.basis_vec(i)))
+                law.check((i, j), ab, ba)
 
     # E is (left) non-degenerate: x -> (E(x e_j))_j has full rank
     nd_rows = []

@@ -3,6 +3,10 @@
 Every verification stage appends Check records (name, defining law, result,
 witness on failure) to a CheckList; the CLI renders these directly and exit
 status is derived from them.  Failures are report entries, never silent.
+
+A law checked on basis tuples goes through CheckList.holds, the one way to
+do so: it stops at the first tuple where the two sides differ and records
+that tuple as the witness.
 """
 
 from __future__ import annotations
@@ -38,6 +42,20 @@ class CheckList:
                                 None if passed else witness))
         return bool(passed)
 
+    def holds(self, name, law):
+        """Check `law` on basis tuples: ``with cl.holds(name, law) as law:``.
+
+        Inside the block, loop over ``law.over(...)`` and end each case with
+        ``law.check(where, lhs, rhs)``, `where` being the tuple of basis
+        indices (or side labels) of the case.  The first case with
+        lhs != rhs fails the law with `where` as its witness, "basis 3" for
+        a single index and "(1, 2, 0)" for a longer tuple; every
+        ``law.over`` loop then stops without drawing another item, so
+        nothing past the first mismatch is computed.  The Check is recorded
+        when the block ends; an exception inside it records nothing.
+        """
+        return _Law(self, name, law)
+
     def extend(self, other):
         self.items.extend(other.items)
 
@@ -59,3 +77,36 @@ class CheckList:
         if not self.ok:
             raise VerificationError(self.items)
         return self
+
+
+class _Law:
+    """One law being checked on basis tuples; see CheckList.holds."""
+
+    def __init__(self, checks, name, law):
+        self.checks, self.name, self.law = checks, name, law
+        self.witness = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.checks.add(self.name, self.law, self.witness is None,
+                            self.witness)
+
+    def over(self, items):
+        """The items, until a case fails; the next one is then not drawn."""
+        if self.witness is None:
+            for item in items:
+                yield item
+                if self.witness is not None:
+                    return
+
+    def check(self, where, lhs, rhs):
+        """One case; the first with lhs != rhs fails the law at `where`."""
+        if self.witness is None and lhs != rhs:
+            if len(where) == 1:
+                self.witness = "basis %s" % where
+            else:
+                self.witness = "(%s)" % ", ".join(map(str, where))
+        return self.witness is None

@@ -97,18 +97,14 @@ def composite_idempotent(tower, n, dim_budget=64):
     def lift_N(x_small):
         return tower.embed(0, top, tower.base.incl.emb(x_small))
 
-    ok_contract = True
-    for x in range(M_n.dim):
-        xe = lift_n(M_n.basis_vec(x))
-        Fx = lift_N(ag.apply_map(F_n, M_n.basis_vec(x)))
-        lhs = M_top.mulm(f, xe, f)
-        mid1 = M_top.mul(f, Fx)
-        mid2 = M_top.mul(Fx, f)
-        if not (lhs == mid1 == mid2):
-            ok_contract = False
-            break
-    cl.add("contraction", "f_n x f_n = f_n F_n(x) = F_n(x) f_n on M_n",
-           ok_contract)
+    with cl.holds("contraction",
+                  "f_n x f_n = f_n F_n(x) = F_n(x) f_n on M_n") as law:
+        for x in law.over(range(M_n.dim)):
+            xe = lift_n(M_n.basis_vec(x))
+            Fx = lift_N(ag.apply_map(F_n, M_n.basis_vec(x)))
+            lhs = M_top.mulm(f, xe, f)
+            if law.check((x,), lhs, M_top.mul(f, Fx)):
+                law.check((x,), lhs, M_top.mul(Fx, f))
 
     ech = la.Echelon(M_top.dim, p)
     for x in range(M_n.dim):

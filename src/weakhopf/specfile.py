@@ -100,7 +100,7 @@ def dump(spec, path):
 def _scal(x, p, where):
     try:
         return parse_scalar(x, p)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SpecFileError("%s: bad scalar %r (%s)" % (where, x, exc))
 
 
@@ -121,6 +121,11 @@ def parse_algebra(payload, p, where="algebra"):
         unit = payload["unit"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError("%s: %s" % (where, exc))
+    if not (isinstance(unit, list) and isinstance(structure, list) and
+            all(isinstance(r, list) and all(isinstance(c, list) for c in r)
+                for r in structure)):
+        raise SpecFileError("%s: structure and unit must be nested lists"
+                            % where)
     if len(structure) != dim or any(len(r) != dim for r in structure):
         raise SpecFileError("%s: structure tensor is not %d x %d x %d"
                             % (where, dim, dim, dim))

@@ -20,8 +20,8 @@ from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
 from weakhopf.checks import CheckList
-from weakhopf.linalg import (sadd_into, scalar_one, scalar_zero, sparse,
-                             svec, tensor_sparse)
+from weakhopf.linalg import (sadd_into, scalar_one, scalar_zero, svec,
+                             tensor_sparse)
 
 
 @dataclass(frozen=True)
@@ -136,17 +136,13 @@ def basic_construction(cert):
     cl.add("expectation_of_jones", "E_M(e1) = lambda 1",
            ag.apply_map(E_down, e1) == la.sscale(M.unit_sparse(), lam))
 
-    ok = True
-    for x in range(m):
-        ex = emb(M.basis_vec(x))
-        exE = emb(E.E(M.basis_vec(x)))
-        lhs = alg1.mulm(e1, ex, e1)
-        mid = alg1.mul(e1, exE)
-        mid2 = alg1.mul(exE, e1)
-        if not (lhs == mid == mid2):
-            ok = False
-            break
-    cl.add("jones_contraction", "e1 x e1 = e1 E(x) = E(x) e1", ok)
+    with cl.holds("jones_contraction", "e1 x e1 = e1 E(x) = E(x) e1") as law:
+        for x in law.over(range(m)):
+            ex = emb(M.basis_vec(x))
+            exE = emb(E.E(M.basis_vec(x)))
+            lhs = alg1.mulm(e1, ex, e1)
+            if law.check((x,), lhs, alg1.mul(e1, exE)):
+                law.check((x,), lhs, alg1.mul(exE, e1))
 
     incl1 = ag.make_inclusion(M, alg1, embed_rows)
     E1 = ag.make_cond_expectation(incl1, E_down)
@@ -171,55 +167,42 @@ def basic_construction(cert):
             sadd_into(img, cls(M.mul(x, u), y), 1)
         phi_rows.append(img)
     phi = ag.map_rows(phi_rows)
-    ok = all(V.contains(dict(rw)) for rw in phi)
-    cl.add("phi_into_V", "phi(U) lies in C_M1(M)", ok)
+    with cl.holds("phi_into_V", "phi(U) lies in C_M1(M)") as law:
+        for i, rw in law.over(enumerate(phi)):
+            law.check((i,), V.contains(dict(rw)), True)
     pm = la.Mat.from_rows([la.dense(dict(rw), n1, p) for rw in phi], p)
     cl.add("phi_bijective", "phi: U -> V bijective",
            pm.rank() == U.dim == V.dim)
 
-    ok = True
-    for i in range(U.dim):
-        for j in range(U.dim):
-            ui, uj = dict(U.basis[i]), dict(U.basis[j])
-            prod = M.mul(ui, uj)
-            co = U.coords(prod)
-            lhs = ag.apply_map(phi, {k: c for k, c in enumerate(co) if c})
-            rhs = alg1.mul(ag.apply_map(phi, {j: one}),
-                           ag.apply_map(phi, {i: one}))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("phi_antimultiplicative", "phi(u u') = phi(u') phi(u)", ok)
+    with cl.holds("phi_antimultiplicative",
+                  "phi(u u') = phi(u') phi(u)") as law:
+        for i in law.over(range(U.dim)):
+            for j in law.over(range(U.dim)):
+                ui, uj = dict(U.basis[i]), dict(U.basis[j])
+                co = U.coords(M.mul(ui, uj))
+                lhs = ag.apply_map(phi, {k: c for k, c in enumerate(co) if c})
+                rhs = alg1.mul(ag.apply_map(phi, {j: one}),
+                               ag.apply_map(phi, {i: one}))
+                law.check((i, j), lhs, rhs)
 
-    ok = True
-    for i in range(U.dim):
-        v = ag.apply_map(phi, {i: one})
-        back = la.sscale(ag.apply_map(E_down, alg1.mul(v, e1)), lam_inv)
-        if back != dict(U.basis[i]):
-            ok = False
-            break
-    cl.add("phi_inverse", "lambda^-1 E_M(phi(u) e1) = u", ok)
+    with cl.holds("phi_inverse", "lambda^-1 E_M(phi(u) e1) = u") as law:
+        for i in law.over(range(U.dim)):
+            v = ag.apply_map(phi, {i: one})
+            back = la.sscale(ag.apply_map(E_down, alg1.mul(v, e1)), lam_inv)
+            law.check((i,), back, dict(U.basis[i]))
 
-    ok = True
-    for r in V.basis:
-        v = dict(r)
-        if ag.apply_map(E_down, alg1.mul(v, e1)) != \
-                ag.apply_map(E_down, alg1.mul(e1, v)):
-            ok = False
-            break
-    cl.add("E_of_ve1", "E_M(v e1) = E_M(e1 v) for v in V", ok)
+    with cl.holds("E_of_ve1", "E_M(v e1) = E_M(e1 v) for v in V") as law:
+        for i, r in law.over(enumerate(V.basis)):
+            v = dict(r)
+            law.check((i,), ag.apply_map(E_down, alg1.mul(v, e1)),
+                      ag.apply_map(E_down, alg1.mul(e1, v)))
 
     t1 = tuple(ag.trace_of(t0, ag.apply_map(E_down, alg1.basis_vec(j)))
                for j in range(n1))
-    ok = True
-    for i in range(U.dim):
-        u = dict(U.basis[i])
-        if ag.trace_of(t1, ag.apply_map(phi, {i: one})) != ag.trace_of(t0, u):
-            ok = False
-            break
-    cl.add("trace_compatibility", "T1 o phi = T0 on U", ok)
+    with cl.holds("trace_compatibility", "T1 o phi = T0 on U") as law:
+        for i in law.over(range(U.dim)):
+            law.check((i,), ag.trace_of(t1, ag.apply_map(phi, {i: one})),
+                      ag.trace_of(t0, dict(U.basis[i])))
 
     return TowerLevel(alg1, q, e1, embed_rows, E_down, db1, phi, cert1, cl)
 
@@ -270,24 +253,20 @@ def build_tower(cert, depth):
         lvl = levels[k - 1]
         top = lvl.alg
         ek = lvl.e
-        lam_inv = cert.lambda_inv
-        ok_r = ok_l = True
-        for x in range(top.dim):
-            ex = top.basis_vec(x)
-            xe = top.mul(ex, ek)
-            down = ag.apply_map(lvl.embed_prev, ag.apply_map(lvl.E_down, xe))
-            if top.mul(la.sscale(down, lam_inv), ek) != xe:
-                ok_r = False
-            exx = top.mul(ek, ex)
-            down = ag.apply_map(lvl.embed_prev, ag.apply_map(lvl.E_down, exx))
-            if top.mul(ek, la.sscale(down, lam_inv)) != exx:
-                ok_l = False
-            if not (ok_r and ok_l):
-                break
-        cl.add("pimsner_popa_right_e%d" % k,
-               "x e%d = lambda^-1 E(x e%d) e%d" % (k, k, k), ok_r)
-        cl.add("pimsner_popa_left_e%d" % k,
-               "e%d x = lambda^-1 e%d E(e%d x)" % (k, k, k), ok_l)
+        # mul(x, e) = x e for the right identity, e x for the left one
+        for name, text, mul in (
+                ("pimsner_popa_right_e%d" % k,
+                 "x e%d = lambda^-1 E(x e%d) e%d" % (k, k, k), top.mul),
+                ("pimsner_popa_left_e%d" % k,
+                 "e%d x = lambda^-1 e%d E(e%d x)" % (k, k, k),
+                 lambda x, e: top.mul(e, x))):
+            with cl.holds(name, text) as law:
+                for x in law.over(range(top.dim)):
+                    xe = mul(top.basis_vec(x), ek)
+                    down = ag.apply_map(lvl.embed_prev,
+                                        ag.apply_map(lvl.E_down, xe))
+                    law.check((x,), mul(la.sscale(down, cert.lambda_inv), ek),
+                              xe)
 
     if depth >= 2:
         t2 = t.trace(2)
@@ -459,16 +438,13 @@ def conditional_expectations(ctx, d2):
     c_i = [phi_of(dict(a)) for a in ctx.t.base.trace_duals[0]]
     d_i = [phi_of(dict(b)) for b in ctx.t.base.trace_duals[1]]
 
-    ok = True
-    for r in ctx.V.basis:
-        v = dict(r)
-        acc = {}
-        for ci, di in zip(c_i, d_i):
-            sadd_into(acc, ci, T(ctx.mul(di, v)))
-        if acc != v:
-            ok = False
-            break
-    cl.add("V_trace_duals", "c_i T(d_i v) = v on V", ok)
+    with cl.holds("V_trace_duals", "c_i T(d_i v) = v on V") as law:
+        for k, r in law.over(enumerate(ctx.V.basis)):
+            v = dict(r)
+            acc = {}
+            for ci, di in zip(c_i, d_i):
+                sadd_into(acc, ci, T(ctx.mul(di, v)))
+            law.check((k,), acc, v)
 
     # E_B(c) = T(c u_j c_i) d_i v_j on the C basis
     C = ctx.C
@@ -494,60 +470,46 @@ def conditional_expectations(ctx, d2):
     def E_A(x):
         return ctx.E_M1(x)
 
-    ok = all(E_B(dict(r)) == dict(r) for r in ctx.B.basis)
-    cl.add("E_B_restricts_to_id", "E_B(b) = b on B", ok)
+    Bb = [dict(r) for r in ctx.B.basis]
+    Cb = [dict(r) for r in C.basis]
+    with cl.holds("E_B_restricts_to_id", "E_B(b) = b on B") as law:
+        for i, b in law.over(enumerate(Bb)):
+            law.check((i,), E_B(b), b)
 
-    ok = all(ctx.B.contains(E_B(dict(r))) for r in C.basis)
-    cl.add("E_B_into_B", "E_B(C) lies in B", ok)
+    with cl.holds("E_B_into_B", "E_B(C) lies in B") as law:
+        for i, c in law.over(enumerate(Cb)):
+            law.check((i,), ctx.B.contains(E_B(c)), True)
 
-    ok, wit = True, None
-    for bi, rb in enumerate(ctx.B.basis):
-        b = dict(rb)
-        for cidx, rc in enumerate(C.basis):
-            c = dict(rc)
-            lhs = E_B(ctx.mul(b, c))
-            if lhs != ctx.mul(b, E_B(c)):
-                ok, wit = False, "left (%d, %d)" % (bi, cidx)
-                break
-            rhs = E_B(ctx.mul(c, b))
-            if rhs != ctx.mul(E_B(c), b):
-                ok, wit = False, "right (%d, %d)" % (bi, cidx)
-                break
-        if not ok:
-            break
-    cl.add("E_B_bimodular", "E_B(b c b') = b E_B(c) b'", ok, witness=wit)
+    with cl.holds("E_B_bimodular", "E_B(b c b') = b E_B(c) b'") as law:
+        for bi, b in law.over(enumerate(Bb)):
+            for ci, c in law.over(enumerate(Cb)):
+                if law.check(("left", bi, ci), E_B(ctx.mul(b, c)),
+                             ctx.mul(b, E_B(c))):
+                    law.check(("right", bi, ci), E_B(ctx.mul(c, b)),
+                              ctx.mul(E_B(c), b))
 
     cl.add("E_B_of_e1", "E_B(e1) = lambda 1",
            E_B(ctx.e1) == ctx.scal(M2.unit_sparse(), lam))
 
-    ok = True
-    for rc in C.basis:
-        c = dict(rc)
-        for rb in ctx.B.basis:
-            b = dict(rb)
-            if T(ctx.mul(E_B(c), b)) != T(ctx.mul(b, c)):
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("E_B_trace_compatible", "T(E_B(c) b) = T(b c)", ok)
+    with cl.holds("E_B_trace_compatible", "T(E_B(c) b) = T(b c)") as law:
+        for ci, c in law.over(enumerate(Cb)):
+            for bi, b in law.over(enumerate(Bb)):
+                law.check((ci, bi), T(ctx.mul(E_B(c), b)), T(ctx.mul(b, c)))
 
-    ok = all(T(E_B(dict(rc))) == T(dict(rc)) for rc in C.basis)
-    cl.add("E_B_preserves_T", "T o E_B = T on C", ok)
+    with cl.holds("E_B_preserves_T", "T o E_B = T on C") as law:
+        for i, c in law.over(enumerate(Cb)):
+            law.check((i,), T(E_B(c)), T(c))
 
-    ok, wit = True, None
-    for rc in C.basis:
-        c = dict(rc)
-        lhs = E_A(E_B(c))
-        rhs = E_B(E_A(c))
-        direct = {}
-        for ci, di in zip(c_i, d_i):
-            sadd_into(direct, di, T(ctx.mul(c, ci)))
-        if not (lhs == rhs == direct):
-            ok, wit = False, "commuting square at a C basis vector"
-            break
-    cl.add("commuting_square", "E_A E_B = E_B E_A = T(c c_i) d_i",
-           ok, witness=wit)
+    with cl.holds("commuting_square",
+                  "E_A E_B = E_B E_A = T(c c_i) d_i") as law:
+        for i, c in law.over(enumerate(Cb)):
+            lhs = E_A(E_B(c))
+            rhs = E_B(E_A(c))
+            direct = {}
+            for ci, di in zip(c_i, d_i):
+                sadd_into(direct, di, T(ctx.mul(c, ci)))
+            if law.check((i,), lhs, rhs):
+                law.check((i,), lhs, direct)
 
     # symmetric square: AB = BA = C, and A (x)_V B = C as vector spaces
     echAB = la.Echelon(M2.dim, ctx.p)
@@ -597,26 +559,20 @@ def conditional_expectations(ctx, d2):
            qAB.dim == C.dim and rk == C.dim,
            witness="dim %d vs %d, rank %d" % (qAB.dim, C.dim, rk))
 
-    # Pimsner-Popa identities for E_A and E_B
-    ok1 = ok2 = ok3 = ok4 = True
-    for rc in C.basis:
-        c = dict(rc)
-        e2c = ctx.mul(ctx.e2, c)
-        if ctx.scal(ctx.mul(ctx.e2, E_A(e2c)), lam_inv) != e2c:
-            ok1 = False
-        ce2 = ctx.mul(c, ctx.e2)
-        if ctx.scal(ctx.mul(E_A(ce2), ctx.e2), lam_inv) != ce2:
-            ok2 = False
-        e1c = ctx.mul(ctx.e1, c)
-        if ctx.scal(ctx.mul(ctx.e1, E_B(e1c)), lam_inv) != e1c:
-            ok3 = False
-        ce1 = ctx.mul(c, ctx.e1)
-        if ctx.scal(ctx.mul(E_B(ce1), ctx.e1), lam_inv) != ce1:
-            ok4 = False
-    cl.add("pp_e2_left", "lambda^-1 e2 E_A(e2 c) = e2 c", ok1)
-    cl.add("pp_e2_right", "lambda^-1 E_A(c e2) e2 = c e2", ok2)
-    cl.add("pp_e1_left", "lambda^-1 e1 E_B(e1 c) = e1 c", ok3)
-    cl.add("pp_e1_right", "lambda^-1 E_B(c e1) e1 = c e1", ok4)
+    # Pimsner-Popa identities for E_A and E_B; mul(e, c) = e c for the
+    # left identities, c e for the right ones
+    def flip(x, y):
+        return ctx.mul(y, x)
+
+    for name, text, e, E, mul in (
+            ("pp_e2_left", "lambda^-1 e2 E_A(e2 c) = e2 c", ctx.e2, E_A, ctx.mul),
+            ("pp_e2_right", "lambda^-1 E_A(c e2) e2 = c e2", ctx.e2, E_A, flip),
+            ("pp_e1_left", "lambda^-1 e1 E_B(e1 c) = e1 c", ctx.e1, E_B, ctx.mul),
+            ("pp_e1_right", "lambda^-1 E_B(c e1) e1 = c e1", ctx.e1, E_B, flip)):
+        with cl.holds(name, text) as law:
+            for i, c in law.over(enumerate(Cb)):
+                ec = mul(e, c)
+                law.check((i,), ctx.scal(mul(e, E(ec)), lam_inv), ec)
 
     # span consequences
     def span_eq(vecs1, vecs2):
@@ -624,9 +580,7 @@ def conditional_expectations(ctx, d2):
         s2 = la.Subspace.from_vectors(M2.dim, vecs2, ctx.p)
         return s1 == s2
 
-    Cb = [dict(r) for r in C.basis]
     Ab = [dict(r) for r in ctx.A.basis]
-    Bb = [dict(r) for r in ctx.B.basis]
     cl.add("Ce2_eq_Ae2", "C e2 = A e2",
            span_eq([ctx.mul(c, ctx.e2) for c in Cb],
                    [ctx.mul(a, ctx.e2) for a in Ab]))
@@ -654,19 +608,15 @@ def conditional_expectations(ctx, d2):
     cl.add("C_is_Be1B", "C = B e1 B", ech.rank == C.dim)
 
     # the second trace formula for E_B
-    ok = True
-    for rc in C.basis:
-        c = dict(rc)
-        alt = {}
-        for uj, vj in zip(us, vs):
-            for ci, di in zip(c_i, d_i):
-                coef = T(ctx.mul(ctx.mul(di, vj), c))
-                if coef != 0:
-                    sadd_into(alt, ctx.mul(uj, ci), coef)
-        if alt != E_B(c):
-            ok = False
-            break
-    cl.add("E_B_alternative", "E_B(c) = u_j c_i T(d_i v_j c)", ok)
+    with cl.holds("E_B_alternative", "E_B(c) = u_j c_i T(d_i v_j c)") as law:
+        for i, c in law.over(enumerate(Cb)):
+            alt = {}
+            for uj, vj in zip(us, vs):
+                for ci, di in zip(c_i, d_i):
+                    coef = T(ctx.mul(ctx.mul(di, vj), c))
+                    if coef != 0:
+                        sadd_into(alt, ctx.mul(uj, ci), coef)
+            law.check((i,), alt, E_B(c))
 
     return ExpectationPair(E_B_rows, (tuple(map(svec, c_i)),
                                       tuple(map(svec, d_i))), cl)
@@ -717,22 +667,20 @@ def pairing(ctx, d2, ep):
     cl.add("w_inverts", "w [f1 T(f2)] = 1 = [f1 T(f2)] w",
            ctx.mul(w, s) == M2.unit_sparse() and
            ctx.mul(s, w) == M2.unit_sparse())
-    ok = all(not M2.commutator(w, vh) for vh in vhat)
-    cl.add("w_central", "w lies in Z(V)", ok)
+    with cl.holds("w_central", "w lies in Z(V)") as law:
+        for i, vh in law.over(enumerate(vhat)):
+            law.check((i,), M2.commutator(w, vh), {})
 
-    ok = True
-    for rv in ctx.V.basis:
-        v = dict(rv)
-        acc = {}
-        for ij, c in f.items():
-            i, j = divmod(ij, nV)
-            acc_c = T(ctx.mulm(v, w, vhat[j]))
-            if acc_c != 0:
-                sadd_into(acc, vhat[i], c * acc_c)
-        if acc != v:
-            ok = False
-            break
-    cl.add("w_duality", "f1 T(v w f2) = v on V", ok)
+    with cl.holds("w_duality", "f1 T(v w f2) = v on V") as law:
+        for k, rv in law.over(enumerate(ctx.V.basis)):
+            v = dict(rv)
+            acc = {}
+            for ij, c in f.items():
+                i, j = divmod(ij, nV)
+                acc_c = T(ctx.mulm(v, w, vhat[j]))
+                if acc_c != 0:
+                    sadd_into(acc, vhat[i], c * acc_c)
+            law.check((k,), acc, v)
 
     lam2 = ctx.lam_inv * ctx.lam_inv
     Ab = [dict(r) for r in ctx.A.basis]
@@ -861,12 +809,14 @@ class DerivedWeakHopf:
             return [(divmod(kl, nB), c) for kl, c in B.delta[j]]
 
         # eps(b) = lambda^-1 T(e2 w b)
-        ok = all(eps_vec[j] == lam_inv * T(ctx.mulm(e2, w, bhat[j]))
-                 for j in range(nB))
-        cl.add("eps_formula", "eps(b) = lambda^-1 T(e2 w b)", ok)
+        with cl.holds("eps_formula", "eps(b) = lambda^-1 T(e2 w b)") as law:
+            for j in law.over(range(nB)):
+                law.check((j,), eps_vec[j],
+                          lam_inv * T(ctx.mulm(e2, w, bhat[j])))
 
-        ok = all(B.e(S({j: one})) == eps_vec[j] for j in range(nB))
-        cl.add("eps_S_invariant", "eps(S(b)) = eps(b)", ok)
+        with cl.holds("eps_S_invariant", "eps(S(b)) = eps(b)") as law:
+            for j in law.over(range(nB)):
+                law.check((j,), B.e(S({j: one})), eps_vec[j])
 
         # Delta(1) = S^-1(f1) (x) f2, legs through V -> B coordinates
         V_alg, injV, expV = ag.subalgebra(M2, ctx.V, "V")
@@ -898,15 +848,14 @@ class DerivedWeakHopf:
 
         # Lemma: S^-1(b) = lambda^-3 w^-1 E_B(e1 e2 E_A(b e1 e2)) w
         lam3 = lam_inv * lam_inv * lam_inv
-        ok = True
-        for j in range(nB):
-            inner = E_A(ctx.mulm(bhat[j], e1, e2))
-            val = ctx.mulm(w_inv, E_B(ctx.mulm(e1, e2, inner)), w)
-            if expB(la.sscale(val, lam3)) != S_inv({j: one}):
-                ok = False
-                break
-        cl.add("s_inverse_formula",
-               "S^-1(b) = lambda^-3 w^-1 E_B(e1 e2 E_A(b e1 e2)) w", ok)
+
+        with cl.holds("s_inverse_formula",
+                      "S^-1(b) = lambda^-3 w^-1 E_B(e1 e2 E_A(b e1 e2)) w"
+                      ) as law:
+            for j in law.over(range(nB)):
+                inner = E_A(ctx.mulm(bhat[j], e1, e2))
+                val = ctx.mulm(w_inv, E_B(ctx.mulm(e1, e2, inner)), w)
+                law.check((j,), expB(la.sscale(val, lam3)), S_inv({j: one}))
 
         VB_sub = la.Subspace.from_vectors(nB, vB, ctx.p)
         WB = la.Subspace.from_vectors(
@@ -914,15 +863,13 @@ class DerivedWeakHopf:
         s_of_V = la.Subspace.from_vectors(nB, [S(v) for v in vB], ctx.p)
         cl.add("S_V_is_W", "S(V) = W", s_of_V == WB)
 
-        ok = True
-        for j in range(nB):
-            b = {j: one}
-            val = expB(ctx.mulm(w, injB(S_inv(expB(
-                ctx.mulm(w, injB(S_inv(b)), w_inv)))), w_inv))
-            if val != b:
-                ok = False
-                break
-        cl.add("double_twist", "b = w S^-1(w S^-1(b) w^-1) w^-1", ok)
+        with cl.holds("double_twist",
+                      "b = w S^-1(w S^-1(b) w^-1) w^-1") as law:
+            for j in law.over(range(nB)):
+                b = {j: one}
+                val = expB(ctx.mulm(w, injB(S_inv(expB(
+                    ctx.mulm(w, injB(S_inv(b)), w_inv)))), w_inv))
+                law.check((j,), val, b)
 
         g = ctx.mul(injB(S(expB(w_inv))), w)
         g_coords = expB(g)
@@ -933,37 +880,27 @@ class DerivedWeakHopf:
         g_inv_co = {i: c for i, c in enumerate(g_inv_vec) if c}
         self.g = g
         self.g_inv = injB(g_inv_co)
-        ok = True
-        for j in range(nB):
-            lhs = S(S({j: one}))
-            rhs = expB(ctx.mulm(g, bhat[j], self.g_inv))
-            if lhs != rhs:
-                ok = False
-                break
-        cl.add("s_squared_conjugation", "S^2(b) = g b g^-1, g = S(w^-1) w", ok)
+        with cl.holds("s_squared_conjugation",
+                      "S^2(b) = g b g^-1, g = S(w^-1) w") as law:
+            for j in law.over(range(nB)):
+                law.check((j,), S(S({j: one})),
+                          expB(ctx.mulm(g, bhat[j], self.g_inv)))
 
-        ok = all(S(S(v)) == v for v in vB)
-        okw = True
-        for r in ctx.W.basis:
-            wb = expB(dict(r))
-            if S(S(wb)) != wb:
-                okw = False
-                break
-        cl.add("s_squared_counital", "S^2 = id on V and on W", ok and okw)
+        with cl.holds("s_squared_counital", "S^2 = id on V and on W") as law:
+            for i, v in law.over(enumerate(vB)):
+                law.check(("V", i), S(S(v)), v)
+            for i, r in law.over(enumerate(ctx.W.basis)):
+                wb = expB(dict(r))
+                law.check(("W", i), S(S(wb)), wb)
 
-        ok = True
-        for j in range(nB):
-            for v in vB:
-                bv = B_alg.mul({j: one}, v)
-                lhs = ag.apply_map(B.delta, bv)
-                rhs = wha.mul2(B_alg, dict(B.delta[j]),
-                               la.tensor_sparse(v, B_alg.unit_sparse(), nB))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        cl.add("delta_right_V", "Delta(b v) = Delta(b)(v (x) 1)", ok)
+        one_B = B_alg.unit_sparse()
+        with cl.holds("delta_right_V", "Delta(b v) = Delta(b)(v (x) 1)") as law:
+            for j in law.over(range(nB)):
+                for i, v in law.over(enumerate(vB)):
+                    bv = B_alg.mul({j: one}, v)
+                    law.check((j, i), ag.apply_map(B.delta, bv),
+                              wha.mul2(B_alg, dict(B.delta[j]),
+                                       la.tensor_sparse(v, one_B, nB)))
 
         d1 = B.delta_one()
         left_legs, right_legs = {}, {}
@@ -971,193 +908,159 @@ class DerivedWeakHopf:
             k, l = divmod(kl, nB)
             left_legs.setdefault(l, {})[k] = c
             right_legs.setdefault(k, {})[l] = c
-        ok = all(WB.contains(v) for v in left_legs.values()) and \
-            all(VB_sub.contains(v) for v in right_legs.values())
-        cl.add("delta_one_legs", "Delta(1) lies in W (x) V", ok)
+
+        with cl.holds("delta_one_legs", "Delta(1) lies in W (x) V") as law:
+            for l, v in law.over(left_legs.items()):
+                law.check(("left", l), WB.contains(v), True)
+            for k, v in law.over(right_legs.items()):
+                law.check(("right", k), VB_sub.contains(v), True)
 
         cl.add("s_inv_e2", "S^-1(e2) = w^-1 e2 w",
                S_inv(expB(e2)) == expB(ctx.mulm(w_inv, e2, w)))
-        ok = True
-        for v in vB:
-            if ctx.mul(injB(v), e2) != ctx.mul(injB(S(v)), e2):
-                ok = False
-                break
-        cl.add("v_e2", "v e2 = S(v) e2 for v in V", ok)
+        with cl.holds("v_e2", "v e2 = S(v) e2 for v in V") as law:
+            for i, v in law.over(enumerate(vB)):
+                law.check((i,), ctx.mul(injB(v), e2), ctx.mul(injB(S(v)), e2))
 
-        ok = True
-        for j in range(nB):
-            lhs = la.sscale(ctx.mul(E_A(ctx.mulm(e2, w, bhat[j])), w_inv),
-                            lam_inv)
-            rhs = {}
-            for kl, c in d1.items():
-                k, l = divmod(kl, nB)
-                coef = c * B.e(B_alg.mul({j: one}, {k: one}))
-                if coef != 0:
-                    sadd_into(rhs, bhat[l], coef)
-            if lhs != rhs:
-                ok = False
-                break
-        cl.add("lemma_c", "lambda^-1 E_A(e2 w b) w^-1 = eps(b 1(1)) 1(2)", ok)
+        with cl.holds("lemma_c",
+                      "lambda^-1 E_A(e2 w b) w^-1 = eps(b 1(1)) 1(2)") as law:
+            for j in law.over(range(nB)):
+                lhs = la.sscale(ctx.mul(E_A(ctx.mulm(e2, w, bhat[j])), w_inv),
+                                lam_inv)
+                rhs = {}
+                for kl, c in d1.items():
+                    k, l = divmod(kl, nB)
+                    coef = c * B.e(B_alg.mul({j: one}, {k: one}))
+                    if coef != 0:
+                        sadd_into(rhs, bhat[l], coef)
+                law.check((j,), lhs, rhs)
 
-        ok = True
-        for j in range(nB):
-            dj = dict(B.delta[j])
-            for v in vB:
-                rhs1 = wha.mul2(B_alg, dj,
-                                la.tensor_sparse(B_alg.unit_sparse(), v, nB))
-                rhs2 = wha.mul2(B_alg, dj,
-                                la.tensor_sparse(S(v), B_alg.unit_sparse(), nB))
-                if rhs1 != rhs2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        cl.add("lemma_d", "Delta(b)(1 (x) v) = Delta(b)(S(v) (x) 1)", ok)
+        with cl.holds("lemma_d",
+                      "Delta(b)(1 (x) v) = Delta(b)(S(v) (x) 1)") as law:
+            for j in law.over(range(nB)):
+                dj = dict(B.delta[j])
+                for i, v in law.over(enumerate(vB)):
+                    law.check((j, i),
+                              wha.mul2(B_alg, dj, la.tensor_sparse(one_B, v, nB)),
+                              wha.mul2(B_alg, dj,
+                                       la.tensor_sparse(S(v), one_B, nB)))
 
-        ok = True
-        for j in range(nB):
-            dj = dict(B.delta[j])
-            if wha.mul2(B_alg, dj, d1) != dj:
-                ok = False
-                break
-        cl.add("lemma_e", "Delta(b) Delta(1) = Delta(b)", ok)
+        with cl.holds("lemma_e", "Delta(b) Delta(1) = Delta(b)") as law:
+            for j in law.over(range(nB)):
+                dj = dict(B.delta[j])
+                law.check((j,), wha.mul2(B_alg, dj, d1), dj)
 
         cl.add("s_e2", "S(e2) = w^-1 e2 w",
                S(expB(e2)) == expB(ctx.mulm(w_inv, e2, w)))
 
         # Prop: lambda^-1 E_B(e1 w b a) = <a, b1> w b2 and the recovery identity
-        ok = True
-        for j in range(nB):
-            lj = legs(j)
-            for i in range(nA):
-                lhs = la.sscale(E_B(ctx.mulm(e1, w, bhat[j], ahat[i])),
-                                lam_inv)
+        with cl.holds("pairing_slice",
+                      "lambda^-1 E_B(e1 w b a) = <a, b1> w b2") as law:
+            for j in law.over(range(nB)):
+                lj = legs(j)
+                for i in law.over(range(nA)):
+                    lhs = la.sscale(E_B(ctx.mulm(e1, w, bhat[j], ahat[i])),
+                                    lam_inv)
+                    rhs = {}
+                    for (k, l), c in lj:
+                        coef = c * G.entries[i][k]
+                        if coef != 0:
+                            sadd_into(rhs, ctx.mul(w, bhat[l]), coef)
+                    law.check((j, i), lhs, rhs)
+
+        with cl.holds("sweedler_recovery",
+                      "lambda^-1 b2 E_A(e2 w b1) w^-1 = b") as law:
+            for j in law.over(range(nB)):
+                acc = {}
+                for (k, l), c in legs(j):
+                    term = ctx.mulm(bhat[l], E_A(ctx.mulm(e2, w, bhat[k])),
+                                    w_inv)
+                    sadd_into(acc, term, c * lam_inv)
+                law.check((j,), acc, bhat[j])
+
+        with cl.holds("heart",
+                      "w^-1 e1 w b = lambda^-1 b2 w^-1 E_A(e2 e1 w b1)") as law:
+            for j in law.over(range(nB)):
+                lhs = ctx.mulm(w_inv, e1, w, bhat[j])
                 rhs = {}
-                for (k, l), c in lj:
-                    coef = c * G.entries[i][k]
-                    if coef != 0:
-                        sadd_into(rhs, ctx.mul(w, bhat[l]), coef)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        cl.add("pairing_slice", "lambda^-1 E_B(e1 w b a) = <a, b1> w b2", ok)
-
-        ok = True
-        for j in range(nB):
-            acc = {}
-            for (k, l), c in legs(j):
-                term = ctx.mulm(bhat[l], E_A(ctx.mulm(e2, w, bhat[k])), w_inv)
-                sadd_into(acc, term, c * lam_inv)
-            if acc != bhat[j]:
-                ok = False
-                break
-        cl.add("sweedler_recovery", "lambda^-1 b2 E_A(e2 w b1) w^-1 = b", ok)
-
-        ok = True
-        for j in range(nB):
-            lhs = ctx.mulm(w_inv, e1, w, bhat[j])
-            rhs = {}
-            for (k, l), c in legs(j):
-                term = ctx.mulm(bhat[l], w_inv, E_A(ctx.mulm(e2, e1, w,
-                                                             bhat[k])))
-                sadd_into(rhs, term, c * lam_inv)
-            if lhs != rhs:
-                ok = False
-                break
-        cl.add("heart", "w^-1 e1 w b = lambda^-1 b2 w^-1 E_A(e2 e1 w b1)", ok)
+                for (k, l), c in legs(j):
+                    term = ctx.mulm(bhat[l], w_inv,
+                                    E_A(ctx.mulm(e2, e1, w, bhat[k])))
+                    sadd_into(rhs, term, c * lam_inv)
+                law.check((j,), lhs, rhs)
 
         M1b = ctx.M1_in_M2
-        ok = True
-        for j in range(nB):
-            lj = legs(j)
-            for x in M1b:
-                lhs = ctx.mulm(w_inv, x, bhat[j])
-                rhs = {}
-                for (k, l), c in lj:
-                    term = ctx.mulm(bhat[l], w_inv,
-                                    ctx.E_M1(ctx.mulm(e2, x, bhat[k])))
-                    sadd_into(rhs, term, c * lam_inv)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        cl.add("m1_slice", "w^-1 x b = lambda^-1 b2 w^-1 E_M1(e2 x b1)", ok)
+        with cl.holds("m1_slice",
+                      "w^-1 x b = lambda^-1 b2 w^-1 E_M1(e2 x b1)") as law:
+            for j in law.over(range(nB)):
+                lj = legs(j)
+                for i, x in law.over(enumerate(M1b)):
+                    lhs = ctx.mulm(w_inv, x, bhat[j])
+                    rhs = {}
+                    for (k, l), c in lj:
+                        term = ctx.mulm(bhat[l], w_inv,
+                                        ctx.E_M1(ctx.mulm(e2, x, bhat[k])))
+                        sadd_into(rhs, term, c * lam_inv)
+                    law.check((j, i), lhs, rhs)
 
         # E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1)
         nM1 = len(M1b)
         q_tab = [[ctx.E_M1(ctx.mulm(e2, w, M1b[x], bhat[k]))
                   for k in range(nB)] for x in range(nM1)]
         e2w = ctx.mul(e2, w)
-        ok = True
-        for y in range(nM1):
-            e2wy = ctx.mul(e2w, M1b[y])
-            for x in range(nM1):
-                e2wyx = ctx.mul(e2wy, M1b[x])
-                for j in range(nB):
-                    lhs = ctx.E_M1(ctx.mul(e2wyx, bhat[j]))
-                    rhs = {}
-                    for (k, l), c in legs(j):
-                        term = ctx.mulm(q_tab[y][l], w_inv, q_tab[x][k])
-                        sadd_into(rhs, term, c * lam_inv)
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        cl.add("expectation_measuring",
-               "E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 "
-               "E_M1(e2 w x b1)", ok)
+
+        with cl.holds("expectation_measuring",
+                      "E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 "
+                      "E_M1(e2 w x b1)") as law:
+            for y in law.over(range(nM1)):
+                e2wy = ctx.mul(e2w, M1b[y])
+                for x in law.over(range(nM1)):
+                    e2wyx = ctx.mul(e2wy, M1b[x])
+                    for j in law.over(range(nB)):
+                        lhs = ctx.E_M1(ctx.mul(e2wyx, bhat[j]))
+                        rhs = {}
+                        for (k, l), c in legs(j):
+                            term = ctx.mulm(q_tab[y][l], w_inv, q_tab[x][k])
+                            sadd_into(rhs, term, c * lam_inv)
+                        law.check((y, x, j), lhs, rhs)
 
         # counital formulas
         est = wha.eps_t_rows(B)
         ess = wha.eps_s_rows(B)
-        ok_t = ok_s = True
-        for j in range(nB):
-            acc_t, acc_s = {}, {}
-            for (k, l), c in legs(j):
-                sadd_into(acc_t, B_alg.mul({k: one}, S({l: one})), c)
-                sadd_into(acc_s, B_alg.mul(S({k: one}), {l: one}), c)
-            rhs_t = {}
-            rhs_s = {}
-            for kl, c in d1.items():
-                k, l = divmod(kl, nB)
-                coef = c * B.e(B_alg.mul({k: one}, {j: one}))
-                if coef != 0:
-                    sadd_into(rhs_t, {l: one}, coef)
-                coef = c * B.e(B_alg.mul({j: one}, {l: one}))
-                if coef != 0:
-                    sadd_into(rhs_s, {k: one}, coef)
-            if acc_t != rhs_t:
-                ok_t = False
-            if acc_s != rhs_s:
-                ok_s = False
-        cl.add("counital_target_formula", "b1 S(b2) = eps(1(1) b) 1(2)", ok_t)
-        cl.add("counital_source_formula", "S(b1) b2 = 1(1) eps(b 1(2))", ok_s)
 
-        ok = True
-        for j in range(nB):
-            lhs = ag.apply_map(est, {j: one})
-            rhs = expB(la.sscale(E_A(ctx.mul(bhat[j], e2)), lam_inv))
-            if lhs != rhs:
-                ok = False
-                break
-        cl.add("eps_t_formula", "eps_t(b) = lambda^-1 E_A(b e2)", ok)
+        for target, name, text in (
+                (True, "counital_target_formula", "b1 S(b2) = eps(1(1) b) 1(2)"),
+                (False, "counital_source_formula",
+                 "S(b1) b2 = 1(1) eps(b 1(2))")):
+            with cl.holds(name, text) as law:
+                for j in law.over(range(nB)):
+                    acc, rhs = {}, {}
+                    for (k, l), c in legs(j):
+                        if target:
+                            sadd_into(acc, B_alg.mul({k: one}, S({l: one})), c)
+                        else:
+                            sadd_into(acc, B_alg.mul(S({k: one}), {l: one}), c)
+                    for kl, c in d1.items():
+                        k, l = divmod(kl, nB)
+                        if target:
+                            sadd_into(rhs, {l: one},
+                                      c * B.e(B_alg.mul({k: one}, {j: one})))
+                        else:
+                            sadd_into(rhs, {k: one},
+                                      c * B.e(B_alg.mul({j: one}, {l: one})))
+                    law.check((j,), acc, rhs)
+
+        with cl.holds("eps_t_formula", "eps_t(b) = lambda^-1 E_A(b e2)") as law:
+            for j in law.over(range(nB)):
+                lhs = ag.apply_map(est, {j: one})
+                rhs = expB(la.sscale(E_A(ctx.mul(bhat[j], e2)), lam_inv))
+                law.check((j,), lhs, rhs)
 
         # integrals: e2 is a normalized left integral, l = e2 w is Haar
         e2B = expB(e2)
-        ok = True
-        for j in range(nB):
-            lhs = B_alg.mul({j: one}, e2B)
-            rhs = B_alg.mul(ag.apply_map(est, {j: one}), e2B)
-            if lhs != rhs:
-                ok = False
-                break
-        cl.add("e2_left_integral", "b e2 = eps_t(b) e2", ok)
+        with cl.holds("e2_left_integral", "b e2 = eps_t(b) e2") as law:
+            for j in law.over(range(nB)):
+                law.check((j,), B_alg.mul({j: one}, e2B),
+                          B_alg.mul(ag.apply_map(est, {j: one}), e2B))
         cl.add("e2_normalized", "eps_t(e2) = 1",
                ag.apply_map(est, e2B) == B_alg.unit_sparse())
 
@@ -1175,17 +1078,15 @@ class DerivedWeakHopf:
         cl.add("haar_form", "e2 S^-1(e2) = e2 w^-1 e2 w = E_M(w^-1) e2 w",
                haar == ctx.mulm(EMw_inv, e2, w))
         e2wB = expB(ctx.mul(e2, w))
-        ok_l = ok_r = True
-        for j in range(nB):
-            for cand in (hB, e2wB):
-                if B_alg.mul({j: one}, cand) != \
-                        B_alg.mul(ag.apply_map(est, {j: one}), cand):
-                    ok_l = False
-                if B_alg.mul(cand, {j: one}) != \
-                        B_alg.mul(cand, ag.apply_map(ess, {j: one})):
-                    ok_r = False
-        cl.add("haar_two_sided", "l = e2 S^-1(e2) and e2 w are two-sided "
-               "integrals", ok_l and ok_r)
+
+        with cl.holds("haar_two_sided", "l = e2 S^-1(e2) and e2 w are "
+                      "two-sided integrals") as law:
+            for j in law.over(range(nB)):
+                for i, cand in law.over(enumerate((hB, e2wB))):
+                    if law.check(("left", j, i), B_alg.mul({j: one}, cand),
+                                 B_alg.mul(ag.apply_map(est, {j: one}), cand)):
+                        law.check(("right", j, i), B_alg.mul(cand, {j: one}),
+                                  B_alg.mul(cand, ag.apply_map(ess, {j: one})))
         cl.add("haar_s_invariant", "S(l) = l and S(e2 w) = e2 w",
                S(hB) == hB and S(e2wB) == e2wB)
         cl.add("haar_normalized", "eps_t(l) = 1 and eps_s(l) = 1",
@@ -1203,25 +1104,20 @@ class DerivedWeakHopf:
         cl.add("dims_match", "dim A = dim B", nA == nB)
 
         # the dual structure on A, transported through the Gram matrix
-        ok = True
-        for i in range(nA):
-            for k in range(nA):
-                prod = expA(ctx.mul(ahat[i], ahat[k]))
-                lhs = [sum((c * G.entries[t][j] for t, c in prod.items()),
-                           ctx.one - ctx.one) for j in range(nB)]
-                rhs = []
-                for j in range(nB):
-                    acc = ctx.one - ctx.one
-                    for (u, v_), c in legs(j):
-                        acc = acc + c * G.entries[i][u] * G.entries[k][v_]
-                    rhs.append(acc)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        cl.add("gram_algebra_iso",
-               "<a a', b> = <a, b1><a', b2> identifies A with B*", ok)
+        with cl.holds("gram_algebra_iso",
+                      "<a a', b> = <a, b1><a', b2> identifies A with B*") as law:
+            for i in law.over(range(nA)):
+                for k in law.over(range(nA)):
+                    prod = expA(ctx.mul(ahat[i], ahat[k]))
+                    lhs = [sum((c * G.entries[t][j] for t, c in prod.items()),
+                               ctx.one - ctx.one) for j in range(nB)]
+                    rhs = []
+                    for j in range(nB):
+                        acc = ctx.one - ctx.one
+                        for (u, v_), c in legs(j):
+                            acc = acc + c * G.entries[i][u] * G.entries[k][v_]
+                        rhs.append(acc)
+                    law.check((i, k), lhs, rhs)
 
         Bd = wha.dual(B)
         Gt = G.transpose()
@@ -1271,15 +1167,14 @@ class DerivedWeakHopf:
         for kl, c in dA1.items():
             k, l = divmod(kl, nA)
             right.setdefault(k, {})[l] = c
-        ok = True
-        for v in right.values():
-            amb = {}
-            for l, c in v.items():
-                sadd_into(amb, ahat[l], c)
-            if not ctx.U.contains(amb):
-                ok = False
-                break
-        cl.add("delta_one_A_legs", "Delta_A(1) lies in A (x) C_M(N)", ok)
+
+        with cl.holds("delta_one_A_legs",
+                      "Delta_A(1) lies in A (x) C_M(N)") as law:
+            for k, v in law.over(right.items()):
+                amb = {}
+                for l, c in v.items():
+                    sadd_into(amb, ahat[l], c)
+                law.check((k,), ctx.U.contains(amb), True)
 
 
 # ---------------------------------------------------------------------------
@@ -1318,70 +1213,54 @@ def action_B_on_M1(ctx, dw):
     G = dw.pd.gram
     a_in_M1 = [unemb2(a) for a in dw.ahat]
     m_in_M1 = [ctx.t.embed(0, 1, ctx.M.basis_vec(i)) for i in range(ctx.M.dim)]
-    ok = True
-    for mi in range(ctx.M.dim):
-        for ai in range(nA):
-            ma = M1.mul(m_in_M1[mi], a_in_M1[ai])
-            for j in range(nB):
-                lhs = MB.apply({j: one}, ma)
-                rhs = {}
-                for kl, c in A.delta[ai]:
-                    k, l = divmod(kl, nA)
-                    coef = c * G.entries[l][j]
-                    if coef != 0:
-                        sadd_into(rhs, M1.mul(m_in_M1[mi], a_in_M1[k]), coef)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cl.add("standard_action_form", "b . (m a) = m <a2, b> a1", ok)
 
-    ok = True
-    for j in range(nB):
-        lj = [(divmod(kl, nB), c) for kl, c in B.delta[j]]
-        for x in range(M1.dim):
-            lhs = ctx.t.embed(1, 2, MB.apply({j: one}, M1.basis_vec(x)))
-            rhs = {}
-            for (k, l), c in lj:
-                term = ctx.mulm(bhat[k], ctx.M1_in_M2[x],
-                                dw.injB(ag.apply_map(B.s, {l: one})))
-                sadd_into(rhs, term, c)
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("conjugation_form", "b . x = b1 x S(b2)", ok)
+    with cl.holds("standard_action_form", "b . (m a) = m <a2, b> a1") as law:
+        for mi in law.over(range(ctx.M.dim)):
+            for ai in law.over(range(nA)):
+                ma = M1.mul(m_in_M1[mi], a_in_M1[ai])
+                for j in law.over(range(nB)):
+                    lhs = MB.apply({j: one}, ma)
+                    rhs = {}
+                    for kl, c in A.delta[ai]:
+                        k, l = divmod(kl, nA)
+                        coef = c * G.entries[l][j]
+                        if coef != 0:
+                            sadd_into(rhs, M1.mul(m_in_M1[mi], a_in_M1[k]),
+                                      coef)
+                    law.check((mi, ai, j), lhs, rhs)
+
+    with cl.holds("conjugation_form", "b . x = b1 x S(b2)") as law:
+        for j in law.over(range(nB)):
+            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j]]
+            for x in law.over(range(M1.dim)):
+                lhs = ctx.t.embed(1, 2, MB.apply({j: one}, M1.basis_vec(x)))
+                rhs = {}
+                for (k, l), c in lj:
+                    term = ctx.mulm(bhat[k], ctx.M1_in_M2[x],
+                                    dw.injB(ag.apply_map(B.s, {l: one})))
+                    sadd_into(rhs, term, c)
+                law.check((j, x), lhs, rhs)
 
     # measuring through the expectation
-    ok = True
     r_tab = [[ag.apply_map(ctx.lv2.E_down,
                            ctx.mulm(bhat[k], ctx.M1_in_M2[x], ctx.e2))
               for x in range(M1.dim)] for k in range(nB)]
-    for j in range(nB):
-        lj = [(divmod(kl, nB), c) for kl, c in B.delta[j]]
-        for x in range(M1.dim):
-            for y in range(M1.dim):
-                xy = M1.mul(M1.basis_vec(x), M1.basis_vec(y))
-                lhs = ag.apply_map(
-                    ctx.lv2.E_down,
-                    ctx.mulm(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2))
-                rhs = {}
-                for (k, l), c in lj:
-                    sadd_into(rhs, M1.mul(r_tab[k][x], r_tab[l][y]),
-                              c * ctx.lam_inv)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cl.add("expectation_measuring_form",
-           "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)", ok)
+    with cl.holds("expectation_measuring_form",
+                  "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)"
+                  ) as law:
+        for j in law.over(range(nB)):
+            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j]]
+            for x in law.over(range(M1.dim)):
+                for y in law.over(range(M1.dim)):
+                    xy = M1.mul(M1.basis_vec(x), M1.basis_vec(y))
+                    lhs = ag.apply_map(
+                        ctx.lv2.E_down,
+                        ctx.mulm(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2))
+                    rhs = {}
+                    for (k, l), c in lj:
+                        sadd_into(rhs, M1.mul(r_tab[k][x], r_tab[l][y]),
+                                  c * ctx.lam_inv)
+                    law.check((j, x, y), lhs, rhs)
 
     inv = ac.invariants(MB)
     M_in_M1 = la.Subspace.from_vectors(M1.dim, m_in_M1, ctx.p)
@@ -1414,44 +1293,35 @@ def psi_iso(ctx, dw, MB, d2):
     cl.add("bijective", "psi is a linear isomorphism", rk == M2.dim)
     cl.add("unital", "psi(1 # 1) = 1",
            ag.apply_map(psi, sm.alg.unit_sparse()) == M2.unit_sparse())
-    ok = True
-    for i in range(sm.alg.dim):
-        for j in range(sm.alg.dim):
-            lhs = ag.apply_map(psi, sm.alg.mul({i: ctx.one}, {j: ctx.one}))
-            rhs = ctx.mul(ag.apply_map(psi, {i: ctx.one}),
-                          ag.apply_map(psi, {j: ctx.one}))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("multiplicative", "psi((x#b)(y#b')) = psi(x#b) psi(y#b')", ok)
+    with cl.holds("multiplicative",
+                  "psi((x#b)(y#b')) = psi(x#b) psi(y#b')") as law:
+        for i in law.over(range(sm.alg.dim)):
+            for j in law.over(range(sm.alg.dim)):
+                lhs = ag.apply_map(psi, sm.alg.mul({i: ctx.one}, {j: ctx.one}))
+                rhs = ctx.mul(ag.apply_map(psi, {i: ctx.one}),
+                              ag.apply_map(psi, {j: ctx.one}))
+                law.check((i, j), lhs, rhs)
 
     # inverse x -> E_M1(x u_j) (x) v_j
     us = [dict(u) for u in d2.us]
     vsB = [dw.expB(dict(v)) for v in d2.vs]
-    ok = True
-    for x in range(M2.dim):
-        acc = {}
-        for u, vB in zip(us, vsB):
-            em = ag.apply_map(ctx.lv2.E_down, ctx.mul(M2.basis_vec(x), u))
-            for xi, c in em.items():
-                for bi, cb in vB.items():
-                    sadd_into(acc, q.proj_cols[xi * nB + bi], c * cb)
-        if ag.apply_map(psi, acc) != M2.basis_vec(x):
-            ok = False
-            break
-    cl.add("inverse_formula", "x -> E_M1(x u_j) # v_j inverts psi", ok)
+    with cl.holds("inverse_formula",
+                  "x -> E_M1(x u_j) # v_j inverts psi") as law:
+        for x in law.over(range(M2.dim)):
+            acc = {}
+            for u, vB in zip(us, vsB):
+                em = ag.apply_map(ctx.lv2.E_down, ctx.mul(M2.basis_vec(x), u))
+                for xi, c in em.items():
+                    for bi, cb in vB.items():
+                        sadd_into(acc, q.proj_cols[xi * nB + bi], c * cb)
+            law.check((x,), ag.apply_map(psi, acc), M2.basis_vec(x))
 
-    ok = True
-    for x in range(ctx.M1.dim):
-        cls_x1 = q.project(la.tensor_sparse(ctx.M1.basis_vec(x),
-                                            dw.B_alg.unit_sparse(), nB))
-        if ag.apply_map(psi, cls_x1) != ctx.M1_in_M2[x]:
-            ok = False
-            break
-    cl.add("tower_compatible", "psi(x # 1) = x recovers the inclusion "
-           "M1 into M2", ok)
+    with cl.holds("tower_compatible", "psi(x # 1) = x recovers the "
+                  "inclusion M1 into M2") as law:
+        for x in law.over(range(ctx.M1.dim)):
+            cls_x1 = q.project(la.tensor_sparse(ctx.M1.basis_vec(x),
+                                                dw.B_alg.unit_sparse(), nB))
+            law.check((x,), ag.apply_map(psi, cls_x1), ctx.M1_in_M2[x])
     return sm, psi, cl
 
 
@@ -1471,48 +1341,43 @@ def action_A_on_M(ctx, dw, MB):
     M_img = la.Subspace.from_vectors(M1.dim, m_in_M1, ctx.p)
 
     sA = A.s
-    ok_in_M = True
     act = []
-    for i in range(nA):
-        rows = []
-        for mi in range(M.dim):
-            out = {}
-            for kl, c in A.delta[i]:
-                k, l = divmod(kl, nA)
-                sa = ag.apply_map(sA, {l: one})
-                right = {}
-                for t_, ct in sa.items():
-                    sadd_into(right, a_in_M1[t_], ct)
-                term = M1.mulm(a_in_M1[k], m_in_M1[mi], right)
-                sadd_into(out, term, c)
-            if not M_img.contains(out):
-                ok_in_M = False
-                rows.append({})
-            else:
-                rows.append(unemb1(out))
-        act.append(rows)
-    cl.add("lands_in_M", "a1 m S(a2) lies in M", ok_in_M)
+    # every row is built, so the law's loops do not stop at a failure
+    with cl.holds("lands_in_M", "a1 m S(a2) lies in M") as law:
+        for i in range(nA):
+            rows = []
+            for mi in range(M.dim):
+                out = {}
+                for kl, c in A.delta[i]:
+                    k, l = divmod(kl, nA)
+                    sa = ag.apply_map(sA, {l: one})
+                    right = {}
+                    for t_, ct in sa.items():
+                        sadd_into(right, a_in_M1[t_], ct)
+                    term = M1.mulm(a_in_M1[k], m_in_M1[mi], right)
+                    sadd_into(out, term, c)
+                inside = M_img.contains(out)
+                law.check((i, mi), inside, True)
+                rows.append(unemb1(out) if inside else {})
+            act.append(rows)
     MA, mcl = ac.make_module_algebra(A, M, act)
     cl.extend(mcl)
 
     # eps_t is a module map from the regular to the adjoint action
     est = wha.eps_t_rows(A)
-    ok = True
-    for i in range(nA):
-        for i2 in range(nA):
-            eta = ag.apply_map(est, {i2: one})
-            lhs = {}
-            for kl, c in A.delta[i]:
-                k, l = divmod(kl, nA)
-                term = A.alg.mulm({k: one}, eta, ag.apply_map(sA, {l: one}))
-                sadd_into(lhs, term, c)
-            rhs = ag.apply_map(est, A.alg.mul({i: one}, {i2: one}))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("eps_t_module_map", "a1 eps_t(a') S(a2) = eps_t(a a')", ok)
+
+    with cl.holds("eps_t_module_map",
+                  "a1 eps_t(a') S(a2) = eps_t(a a')") as law:
+        for i in law.over(range(nA)):
+            for i2 in law.over(range(nA)):
+                eta = ag.apply_map(est, {i2: one})
+                lhs = {}
+                for kl, c in A.delta[i]:
+                    k, l = divmod(kl, nA)
+                    term = A.alg.mulm({k: one}, eta, ag.apply_map(sA, {l: one}))
+                    sadd_into(lhs, term, c)
+                rhs = ag.apply_map(est, A.alg.mul({i: one}, {i2: one}))
+                law.check((i, i2), lhs, rhs)
 
     inv = ac.invariants(MA)
     N_in_M = ag.embedded_image(ctx.t.base.incl)
@@ -1521,28 +1386,25 @@ def action_A_on_M(ctx, dw, MB):
     # the coaction of the B-action restricted to A is the comultiplication
     Ginv = dw.gram_inv
     nB = dw.B.dim
-    ok = True
-    for ai in range(nA):
-        rho = {}
-        for k in range(nB):
-            img = MB.apply({k: one}, a_in_M1[ai])
-            co = _coords_in(a_in_M1, img, ctx.p)
-            if co is None:
-                ok = False
-                break
-            for t_, c in co.items():
-                for i2 in range(nA):
-                    v = c * Ginv.entries[k][i2]
-                    if v != 0:
-                        key = t_ * nA + i2
-                        rho[key] = rho.get(key, 0) + v
-        if not ok:
-            break
-        rho = {k: v for k, v in rho.items() if v != 0}
-        if rho != dict(A.delta[ai]):
-            ok = False
-            break
-    cl.add("coaction_is_delta", "the coaction restricted to A is Delta_A", ok)
+
+    with cl.holds("coaction_is_delta",
+                  "the coaction restricted to A is Delta_A") as law:
+        for ai in law.over(range(nA)):
+            rho = {}
+            for k in law.over(range(nB)):
+                img = MB.apply({k: one}, a_in_M1[ai])
+                co = _coords_in(a_in_M1, img, ctx.p)
+                # b . a must lie in A
+                if not law.check((ai, k), co is not None, True):
+                    continue
+                for t_, c in co.items():
+                    for i2 in range(nA):
+                        v = c * Ginv.entries[k][i2]
+                        if v != 0:
+                            key = t_ * nA + i2
+                            rho[key] = rho.get(key, 0) + v
+            rho = {k: v for k, v in rho.items() if v != 0}
+            law.check((ai,), rho, dict(A.delta[ai]))
     return MA, cl
 
 
@@ -1589,28 +1451,21 @@ def phi_iso(ctx, dw, MA):
     cl.add("bijective", "phi is a linear isomorphism", rk == M1.dim)
     cl.add("unital", "phi(1 # 1) = 1",
            ag.apply_map(phi, sm.alg.unit_sparse()) == M1.unit_sparse())
-    ok = True
-    for i in range(sm.alg.dim):
-        for j in range(sm.alg.dim):
-            lhs = ag.apply_map(phi, sm.alg.mul({i: ctx.one}, {j: ctx.one}))
-            rhs = M1.mul(ag.apply_map(phi, {i: ctx.one}),
-                         ag.apply_map(phi, {j: ctx.one}))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("multiplicative", "phi((m#a)(m'#a')) = phi(m#a) phi(m'#a')", ok)
+    with cl.holds("multiplicative",
+                  "phi((m#a)(m'#a')) = phi(m#a) phi(m'#a')") as law:
+        for i in law.over(range(sm.alg.dim)):
+            for j in law.over(range(sm.alg.dim)):
+                lhs = ag.apply_map(phi, sm.alg.mul({i: ctx.one}, {j: ctx.one}))
+                rhs = M1.mul(ag.apply_map(phi, {i: ctx.one}),
+                             ag.apply_map(phi, {j: ctx.one}))
+                law.check((i, j), lhs, rhs)
 
-    ok = True
-    for mi in range(ctx.M.dim):
-        cls_m1 = q.project(la.tensor_sparse(ctx.M.basis_vec(mi),
-                                            dw.A_alg.unit_sparse(), nA))
-        if ag.apply_map(phi, cls_m1) != m_in_M1[mi]:
-            ok = False
-            break
-    cl.add("tower_compatible", "phi(m # 1) = m recovers the inclusion "
-           "M into M1", ok)
+    with cl.holds("tower_compatible", "phi(m # 1) = m recovers the "
+                  "inclusion M into M1") as law:
+        for mi in law.over(range(ctx.M.dim)):
+            cls_m1 = q.project(la.tensor_sparse(ctx.M.basis_vec(mi),
+                                                dw.A_alg.unit_sparse(), nA))
+            law.check((mi,), ag.apply_map(phi, cls_m1), m_in_M1[mi])
 
     HtA = la.Subspace.from_vectors(
         ctx.M1.dim, [_inj_A(dw, unemb2, dict(r)) for r in Acd.Ht.basis],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, scalar_one, scalar_zero, sparse, svec
+from weakhopf.linalg import sadd_into, scalar_one, scalar_zero, svec
 
 
 class EquivalenceViolation(AssertionError):
@@ -182,42 +182,28 @@ def convolve(H, f_rows, g_rows):
 def coalgebra_checks(H):
     cl = CheckList("coalgebra")
     d = H.dim
-    ok = True
-    wit = None
-    for h in range(d):
-        dh = H.d(H.alg.basis_vec(h))
-        if tensor13(H, dh, "left") != tensor13(H, dh, "right"):
-            ok, wit = False, "basis %d" % h
-            break
-    cl.add("coassociativity", "(Delta (x) id)Delta = (id (x) Delta)Delta",
-           ok, witness=wit)
-    okl = okr = True
-    witl = witr = None
-    for h in range(d):
-        dh = H.d(H.alg.basis_vec(h))
-        left, right = {}, {}
-        for ij, c in dh.items():
-            i, j = divmod(ij, d)
-            v = c * H.eps[i]
-            if v:
-                w = left.get(j, 0) + v
-                if w == 0:
-                    left.pop(j, None)
-                else:
-                    left[j] = w
-            v = c * H.eps[j]
-            if v:
-                w = right.get(i, 0) + v
-                if w == 0:
-                    right.pop(i, None)
-                else:
-                    right[i] = w
-        if okl and left != H.alg.basis_vec(h):
-            okl, witl = False, "basis %d" % h
-        if okr and right != H.alg.basis_vec(h):
-            okr, witr = False, "basis %d" % h
-    cl.add("counit_left", "(eps (x) id)Delta = id", okl, witness=witl)
-    cl.add("counit_right", "(id (x) eps)Delta = id", okr, witness=witr)
+    with cl.holds("coassociativity",
+                  "(Delta (x) id)Delta = (id (x) Delta)Delta") as law:
+        for h in law.over(range(d)):
+            dh = H.d(H.alg.basis_vec(h))
+            law.check((h,), tensor13(H, dh, "left"), tensor13(H, dh, "right"))
+    # eps applied to tensor leg 0, then to tensor leg 1, of each Delta(e_h)
+    for leg, name, text in ((0, "counit_left", "(eps (x) id)Delta = id"),
+                            (1, "counit_right", "(id (x) eps)Delta = id")):
+        with cl.holds(name, text) as law:
+            for h in law.over(range(d)):
+                out = {}
+                for ij, c in H.d(H.alg.basis_vec(h)).items():
+                    pair = divmod(ij, d)
+                    v = c * H.eps[pair[leg]]
+                    if v:
+                        k = pair[1 - leg]
+                        w = out.get(k, 0) + v
+                        if w == 0:
+                            out.pop(k, None)
+                        else:
+                            out[k] = w
+                law.check((h,), out, H.alg.basis_vec(h))
     return cl
 
 
@@ -227,44 +213,35 @@ def verify_axioms(H):
     alg = H.alg
     d = H.dim
 
-    ok, wit = True, None
-    for i in range(d):
-        for j in range(d):
-            lhs = H.d(alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
-            rhs = mul2(alg, H.d(alg.basis_vec(i)), H.d(alg.basis_vec(j)))
-            if lhs != rhs:
-                ok, wit = False, "(%d, %d)" % (i, j)
-                break
-        if not ok:
-            break
-    cl.add("delta_multiplicative", "Delta(hg) = Delta(h)Delta(g)", ok, witness=wit)
+    with cl.holds("delta_multiplicative",
+                  "Delta(hg) = Delta(h)Delta(g)") as law:
+        for i in law.over(range(d)):
+            for j in law.over(range(d)):
+                law.check((i, j),
+                          H.d(alg.mul(alg.basis_vec(i), alg.basis_vec(j))),
+                          mul2(alg, H.d(alg.basis_vec(i)),
+                               H.d(alg.basis_vec(j))))
 
     em = [[H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
            for j in range(d)] for i in range(d)]
     prods = [[dict(alg.table[i][j]) for j in range(d)] for i in range(d)]
-    ok, wit = True, None
-    for h in range(d):
-        for g in range(d):
-            dg = H.d(alg.basis_vec(g))
-            for f in range(d):
-                lhs = scalar_zero(H.p)
-                for l, c in prods[g][f].items():
-                    lhs = lhs + c * em[h][l]
-                r1 = scalar_zero(H.p)
-                r2 = scalar_zero(H.p)
-                for uv, c in dg.items():
-                    u, v = divmod(uv, d)
-                    r1 = r1 + c * em[h][u] * em[v][f]
-                    r2 = r2 + c * em[h][v] * em[u][f]
-                if lhs != r1 or lhs != r2:
-                    ok, wit = False, "(%d, %d, %d)" % (h, g, f)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    cl.add("eps_weak_multiplicative",
-           "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)", ok, witness=wit)
+    with cl.holds("eps_weak_multiplicative",
+                  "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)") as law:
+        for h in law.over(range(d)):
+            for g in law.over(range(d)):
+                dg = H.d(alg.basis_vec(g))
+                for f in law.over(range(d)):
+                    lhs = scalar_zero(H.p)
+                    for l, c in prods[g][f].items():
+                        lhs = lhs + c * em[h][l]
+                    r1 = scalar_zero(H.p)
+                    r2 = scalar_zero(H.p)
+                    for uv, c in dg.items():
+                        u, v = divmod(uv, d)
+                        r1 = r1 + c * em[h][u] * em[v][f]
+                        r2 = r2 + c * em[h][v] * em[u][f]
+                    if law.check((h, g, f), lhs, r1):
+                        law.check((h, g, f), lhs, r2)
 
     # With Delta(1) = sum c_uv u (x) v, the unit law (checked by
     # make_algebra) gives (Delta(1) (x) 1)(1 (x) Delta(1)) =
@@ -279,68 +256,56 @@ def verify_axioms(H):
                               for m, w in alg.table[v][x]}, a * b)
             sadd_into(prod2, {(u * d + m) * d + y: w
                               for m, w in alg.table[x][v]}, a * b)
-    cl.add("delta_one",
-           "(Delta (x) id)Delta(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) "
-           "= (1 (x) Delta(1))(Delta(1) (x) 1)",
-           t_left == prod1 == prod2,
-           witness=None if t_left == prod1 == prod2 else "tensor mismatch")
+    # key by key, so that the witness is the first differing (u, m, y)
+    with cl.holds("delta_one",
+                  "(Delta (x) id)Delta(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) "
+                  "= (1 (x) Delta(1))(Delta(1) (x) 1)") as law:
+        for key in law.over(sorted(t_left.keys() | prod1.keys() |
+                                   prod2.keys())):
+            um, y = divmod(key, d)
+            where = divmod(um, d) + (y,)
+            if law.check(where, t_left.get(key), prod1.get(key)):
+                law.check(where, t_left.get(key), prod2.get(key))
 
-    ok_t, wit_t = True, None
-    ok_s, wit_s = True, None
-    for h in range(d):
-        dh = H.d(alg.basis_vec(h))
-        lhs_t, lhs_s = {}, {}
-        for ij, c in dh.items():
-            i, j = divmod(ij, d)
-            sadd_into(lhs_t, alg.mul(alg.basis_vec(i), H.S(alg.basis_vec(j))), c)
-            sadd_into(lhs_s, alg.mul(H.S(alg.basis_vec(i)), alg.basis_vec(j)), c)
-        if ok_t and lhs_t != eps_t(H, alg.basis_vec(h)):
-            ok_t, wit_t = False, "basis %d" % h
-        if ok_s and lhs_s != eps_s(H, alg.basis_vec(h)):
-            ok_s, wit_s = False, "basis %d" % h
-    cl.add("antipode_target", "h1 S(h2) = eps_t(h)", ok_t, witness=wit_t)
-    cl.add("antipode_source", "S(h1) h2 = eps_s(h)", ok_s, witness=wit_s)
+    for target, name, text in ((True, "antipode_target", "h1 S(h2) = eps_t(h)"),
+                               (False, "antipode_source", "S(h1) h2 = eps_s(h)")):
+        with cl.holds(name, text) as law:
+            for h in law.over(range(d)):
+                lhs = {}
+                for ij, c in H.d(alg.basis_vec(h)).items():
+                    x, y = map(alg.basis_vec, divmod(ij, d))
+                    sadd_into(lhs, alg.mul(x, H.S(y)) if target else
+                              alg.mul(H.S(x), y), c)
+                law.check((h,), lhs,
+                          (eps_t if target else eps_s)(H, alg.basis_vec(h)))
 
-    ok, wit = True, None
-    for h in range(d):
-        t3 = tensor13(H, H.d(alg.basis_vec(h)), "left")
-        acc = {}
-        for t, c in t3.items():
-            i, jk = divmod(t, d * d)
-            j, k = divmod(jk, d)
-            term = alg.mulm(H.S(alg.basis_vec(i)), alg.basis_vec(j),
-                            H.S(alg.basis_vec(k)))
-            sadd_into(acc, term, c)
-        if acc != H.S(alg.basis_vec(h)):
-            ok, wit = False, "basis %d" % h
-            break
-    cl.add("antipode_sandwich", "S(h1) h2 S(h3) = S(h)", ok, witness=wit)
+    with cl.holds("antipode_sandwich", "S(h1) h2 S(h3) = S(h)") as law:
+        for h in law.over(range(d)):
+            acc = {}
+            for t, c in tensor13(H, H.d(alg.basis_vec(h)), "left").items():
+                i, jk = divmod(t, d * d)
+                j, k = divmod(jk, d)
+                term = alg.mulm(H.S(alg.basis_vec(i)), alg.basis_vec(j),
+                                H.S(alg.basis_vec(k)))
+                sadd_into(acc, term, c)
+            law.check((h,), acc, H.S(alg.basis_vec(h)))
 
-    ok, wit = True, None
-    for i in range(d):
-        for j in range(d):
-            lhs = H.S(alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
-            rhs = alg.mul(H.S(alg.basis_vec(j)), H.S(alg.basis_vec(i)))
-            if lhs != rhs:
-                ok, wit = False, "(%d, %d)" % (i, j)
-                break
-        if not ok:
-            break
-    cl.add("s_anti_multiplicative", "S(hg) = S(g)S(h)", ok, witness=wit)
+    with cl.holds("s_anti_multiplicative", "S(hg) = S(g)S(h)") as law:
+        for i in law.over(range(d)):
+            for j in law.over(range(d)):
+                law.check((i, j),
+                          H.S(alg.mul(alg.basis_vec(i), alg.basis_vec(j))),
+                          alg.mul(H.S(alg.basis_vec(j)), H.S(alg.basis_vec(i))))
 
-    ok, wit = True, None
-    for h in range(d):
-        sh = H.d(H.S(alg.basis_vec(h)))
-        rhs = {}
-        for ij, c in H.d(alg.basis_vec(h)).items():
-            i, j = divmod(ij, d)
-            t = la.tensor_sparse(H.S(alg.basis_vec(j)), H.S(alg.basis_vec(i)), d)
-            sadd_into(rhs, t, c)
-        if sh != rhs:
-            ok, wit = False, "basis %d" % h
-            break
-    cl.add("s_anti_comultiplicative", "Delta(S(h)) = S(h2) (x) S(h1)",
-           ok, witness=wit)
+    with cl.holds("s_anti_comultiplicative",
+                  "Delta(S(h)) = S(h2) (x) S(h1)") as law:
+        for h in law.over(range(d)):
+            rhs = {}
+            for ij, c in H.d(alg.basis_vec(h)).items():
+                i, j = divmod(ij, d)
+                sadd_into(rhs, la.tensor_sparse(H.S(alg.basis_vec(j)),
+                                                H.S(alg.basis_vec(i)), d), c)
+            law.check((h,), H.d(H.S(alg.basis_vec(h))), rhs)
 
     smat = la.Mat.from_rows([la.dense(dict(r), d, H.p) for r in H.s], H.p)
     cl.add("s_bijective", "S is bijective in finite dimension",
@@ -408,26 +373,20 @@ def counital(H):
            ag.compose_maps(est, H.s) == ag.compose_maps(H.s, ess)
            and ag.compose_maps(ess, H.s) == ag.compose_maps(H.s, est))
 
-    ok = True
-    for rt in Ht.basis:
-        for rs in Hs.basis:
-            if alg.commutator(dict(rt), dict(rs)):
-                ok = False
-                break
-        if not ok:
-            break
-    cl.add("counitals_commute", "zy = yz for z in Ht, y in Hs", ok)
+    with cl.holds("counitals_commute", "zy = yz for z in Ht, y in Hs") as law:
+        for a, rt in law.over(enumerate(Ht.basis)):
+            for b, rs in law.over(enumerate(Hs.basis)):
+                law.check((a, b), alg.commutator(dict(rt), dict(rs)), {})
 
     s_img = la.Subspace.from_vectors(
         d, [H.S(dict(r)) for r in Ht.basis], H.p)
-    anti = s_img == Hs
-    for r1 in Ht.basis:
-        for r2 in Ht.basis:
-            if H.S(alg.mul(dict(r1), dict(r2))) != \
-                    alg.mul(H.S(dict(r2)), H.S(dict(r1))):
-                anti = False
-    cl.add("s_anti_iso_bases", "S restricts to an anti-isomorphism Ht -> Hs",
-           anti and Ht.dim == Hs.dim)
+    with cl.holds("s_anti_iso_bases",
+                  "S restricts to an anti-isomorphism Ht -> Hs") as law:
+        law.check(("S(Ht)", "Hs"), (s_img, Ht.dim), (Hs, Hs.dim))
+        for a, r1 in law.over(enumerate(Ht.basis)):
+            for b, r2 in law.over(enumerate(Ht.basis)):
+                law.check((a, b), H.S(alg.mul(dict(r1), dict(r2))),
+                          alg.mul(H.S(dict(r2)), H.S(dict(r1))))
 
     e_t = {}
     e_s = {}
@@ -588,15 +547,9 @@ def is_hopf(H):
     alg = H.alg
     one2 = la.tensor_sparse(alg.unit_sparse(), alg.unit_sparse(), d)
     t1 = H.delta_one() == one2
-    t2 = True
-    for i in range(d):
-        for j in range(d):
-            if H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j))) != \
-                    H.e(alg.basis_vec(i)) * H.e(alg.basis_vec(j)):
-                t2 = False
-                break
-        if not t2:
-            break
+    t2 = all(H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j))) ==
+             H.e(alg.basis_vec(i)) * H.e(alg.basis_vec(j))
+             for i in range(d) for j in range(d))
     Ht = la.Subspace.from_vectors(d, [dict(r) for r in eps_t_rows(H)], H.p)
     one_span = la.Subspace.from_vectors(d, [alg.unit_sparse()], H.p)
     t3 = Ht == one_span

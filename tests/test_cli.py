@@ -88,6 +88,8 @@ def test_corrupted_antipode_fails_sandwich(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL antipode_sandwich" in out
+    sandwich = [l for l in out.splitlines() if "FAIL antipode_sandwich" in l]
+    assert "witness: basis" in sandwich[0]
     for upstream in ("coassociativity", "counit_left", "delta_multiplicative",
                      "eps_weak_multiplicative", "delta_one",
                      "antipode_target", "antipode_source"):
@@ -187,6 +189,16 @@ def test_malformed_scalar_rejected(tmp_path):
     payload = dict(spec.payload)
     payload["unit"] = ["1/0x"]
     path = tmp_path / "badscalar.json"
+    sf.dump(sf.SpecFile("algebra", "k", None, payload), path)
+    assert cli.main(["verify-wha", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("unit", ["1/0"]), ("unit", 5),
+                                        ("structure", 5)])
+def test_bad_algebra_payload_is_an_input_error(tmp_path, key, value):
+    spec = sf.specfile_for(corpus.field_algebra(), "k")
+    payload = dict(spec.payload, **{key: value})
+    path = tmp_path / "bad.json"
     sf.dump(sf.SpecFile("algebra", "k", None, payload), path)
     assert cli.main(["verify-wha", str(path)]) == 2
 

@@ -97,6 +97,7 @@ def test_delta_one_rejects_a_bad_unit_coproduct():
     for name in ("coassociativity", "counit_left", "counit_right"):
         assert rep.get(name).passed, name
     assert not rep.get("delta_one").passed
+    assert rep.get("delta_one").witness == "(1, 0, 1)"  # e101, as (u, m, y)
 
 
 def test_dual_of_z2_is_z2_shaped():
