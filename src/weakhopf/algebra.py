@@ -96,16 +96,8 @@ def compose_maps(first, second):
 
 def invert_rows(rows, n, p=None):
     """Inverse of a bijective sparse-rows endomorphism."""
-    mat = la.Mat.from_rows([dense(dict(r), n, p) for r in rows], p)
-    tr = mat.transpose()
-    one, zero = scalar_one(p), scalar_zero(p)
-    out = []
-    for i in range(n):
-        e = [zero] * n
-        e[i] = one
-        col = la.solve(tr, tuple(e))
-        out.append(svec({j: col[j] for j in range(n) if col[j]}))
-    return tuple(out)
+    inv = la.Mat.from_rows([dense(dict(r), n, p) for r in rows], p).inverse()
+    return tuple(svec(sparse(r)) for r in inv.entries)
 
 
 def section_of_inclusion(incl):
@@ -332,30 +324,37 @@ def make_inclusion(small, big, embed):
             rhs = big.mul(incl.emb(small.basis_vec(i)), incl.emb(small.basis_vec(j)))
             if lhs != rhs:
                 raise ValueError("embedding not multiplicative at (%d, %d)" % (i, j))
-    if la.Mat.from_rows([dense(dict(r), big.dim, big.p) for r in embed],
-                        big.p).rank() != small.dim:
+    if embedded_image(incl).dim != small.dim:
         raise ValueError("embedding not injective")
     return incl
 
 
 def make_cond_expectation(incl, rows):
+    """E: big -> small, verified to fix N and to be an N-bimodule map.
+
+    Bimodularity E(a x b) = a E(x) b is decided on basis pairs: left
+    linearity E(a x) = a E(x) and right linearity E(x a) = E(x) a for every
+    basis a of N and x of M, 2 dim N dim M cases instead of dim N^2 dim M
+    triples.  The two forms agree: by associativity the pair laws give
+    E(a x b) = a E(x b) = a E(x) b, and b = 1 or a = 1 in the triple law
+    gives the pair laws back (make_inclusion checks that 1_N embeds as 1_M).
+    """
     rows = map_rows(rows)
     E = CondExpectation(incl, rows)
     small, big = incl.small, incl.big
-    for i in range(small.dim):
-        got = E.E_small(incl.emb(small.basis_vec(i)))
-        if got != small.basis_vec(i):
-            raise ValueError("E o embed != id at basis %d" % i)
+    emb = [incl.emb(small.basis_vec(a)) for a in range(small.dim)]
     for a in range(small.dim):
-        ea = incl.emb(small.basis_vec(a))
-        for x in range(big.dim):
-            ex = big.basis_vec(x)
-            for b in range(small.dim):
-                eb = incl.emb(small.basis_vec(b))
-                lhs = E.E_small(big.mulm(ea, ex, eb))
-                rhs = small.mulm(small.basis_vec(a), E.E_small(ex), small.basis_vec(b))
-                if lhs != rhs:
-                    raise ValueError("E not a bimodule map at (%d, %d, %d)" % (a, x, b))
+        if E.E_small(emb[a]) != small.basis_vec(a):
+            raise ValueError("E o embed != id at basis %d" % a)
+    for x in range(big.dim):
+        ex = big.basis_vec(x)
+        Ex = E.E_small(ex)
+        for a in range(small.dim):
+            ea = small.basis_vec(a)
+            if E.E_small(big.mul(emb[a], ex)) != small.mul(ea, Ex):
+                raise ValueError("E not left N-linear at (%d, %d)" % (a, x))
+            if E.E_small(big.mul(ex, emb[a])) != small.mul(Ex, ea):
+                raise ValueError("E not right N-linear at (%d, %d)" % (x, a))
     return E
 
 
@@ -565,18 +564,12 @@ def trace_dual_bases(A, trace):
             row.append(sum((v * trace[k] for k, v in prod.items()),
                            scalar_zero(A.p)))
         gram.append(row)
-    g = la.Mat.from_rows(gram, A.p)
-    if g.rank() != n:
+    try:
+        g_inv = la.Mat.from_rows(gram, A.p).inverse()
+    except la.NoSolution:
         return None
-    cols = []
-    one = scalar_one(A.p)
-    for i in range(n):
-        e = [scalar_zero(A.p)] * n
-        e[i] = one
-        cols.append(la.solve(g, tuple(e)))
     a_s = tuple(svec(A.basis_vec(i)) for i in range(n))
-    b_s = tuple(svec({j: cols[i][j] for j in range(n) if cols[i][j]})
-                for i in range(n))
+    b_s = tuple(svec(sparse(col)) for col in g_inv.transpose().entries)
     return a_s, b_s
 
 
@@ -604,17 +597,29 @@ class MarkovCertificate:
     weakly_irreducible: bool
     kanzaki: dict | None  # symmetric separability element of U (flat tensor)
     trace_duals: tuple | None  # dual bases of T0 restricted to U
+    t0: tuple  # T0 = T o E as a functional on big
     checks: CheckList
 
     @property
     def incl(self):
         return self.E.incl
 
-    def trace0(self):
-        """T0 = T o E as a functional on big."""
-        big = self.incl.big
-        return tuple(trace_of(self.trace, self.E.E_small(big.basis_vec(j)))
-                     for j in range(big.dim))
+
+def nondegeneracy_rank(E):
+    """Rank of x -> (E(x e_j))_j; E is (left) non-degenerate iff it is dim M.
+
+    Each row goes into one echelon as a sparse vector on dim M x dim N
+    columns, column j dim N + k holding the e_k coordinate of E(x e_j).
+    """
+    small, big = E.incl.small, E.incl.big
+    ech = la.Echelon(big.dim * small.dim, big.p)
+    for x in range(big.dim):
+        row = {}
+        for j in range(big.dim):
+            v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
+            row.update((j * small.dim + k, c) for k, c in v.items())
+        ech.insert(row)
+    return ech.rank
 
 
 def certify_markov(incl, E, db, trace):
@@ -659,16 +664,8 @@ def certify_markov(incl, E, db, trace):
                 ba = trace_of(t0, big.mul(big.basis_vec(j), big.basis_vec(i)))
                 law.check((i, j), ab, ba)
 
-    # E is (left) non-degenerate: x -> (E(x e_j))_j has full rank
-    nd_rows = []
-    for x in range(big.dim):
-        row = []
-        for j in range(big.dim):
-            v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
-            row.extend(dense(v, small.dim, p))
-        nd_rows.append(row)
     cl.add("E_nondegenerate", "E(xM) = 0 => x = 0",
-           la.Mat.from_rows(nd_rows, p).rank() == big.dim)
+           nondegeneracy_rank(E) == big.dim)
 
     U = centralizer(big, embedded_image(incl))
     sym, witness = is_symmetric(E, U)
@@ -700,7 +697,7 @@ def certify_markov(incl, E, db, trace):
         E=E, dual_bases=db, trace=tuple(trace), lambda_inv=lam_inv, U=U,
         symmetric=sym, strongly_separable=strongly,
         symmetric_product=sym_prod, weakly_irreducible=weakly,
-        kanzaki=kanz, trace_duals=tdu, checks=cl)
+        kanzaki=kanz, trace_duals=tdu, t0=t0, checks=cl)
 
 
 def relative_tensor_square(cert):

@@ -109,9 +109,10 @@ def cmd_groupoid(args):
     G = sf.build(spec)
     H = gp.groupoid_algebra(G, spec.p)
     items = list(wha.verify_axioms(H).items)
+    Hd = None
     if args.dual:
         try:
-            gp.groupoid_dual(G, spec.p)
+            Hd = gp.groupoid_dual(G, spec.p, H)
             items.append(Check("dual_formulas", "the function-algebra dual "
                                "matches the transpose dual", True))
         except AssertionError as exc:
@@ -119,7 +120,7 @@ def cmd_groupoid(args):
                                "matches the transpose dual", False, str(exc)))
     if args.integrals:
         try:
-            gp.groupoid_integrals(G, spec.p)
+            gp.groupoid_integrals(G, spec.p, H, Hd)
             items.append(Check("integral_spans", "unit-indexed sums span "
                                "the integral spaces", True))
         except AssertionError as exc:
@@ -165,14 +166,16 @@ def cmd_tower(args):
             items.append(Check("depth2", "depth-2 condition holds", False,
                                str(exc)))
     if args.appendix_fn is not None:
+        data = None
         for n in range(args.appendix_fn + 1):
             try:
-                data = cp.composite_idempotent(t, n)
+                data = cp.composite_idempotent(t, n, prev=data)
                 items.extend(
                     Check("f%d_%s" % (n, c.name), c.law, c.passed, c.witness)
                     for c in data.checks.items if not c.name.startswith(
                         "previous_level"))
             except cp.DimensionBudget as exc:
+                data = None
                 items.append(Check("f%d" % n, "composite idempotent within "
                                    "the dimension budget", False, str(exc)))
     return Report("tower %s" % spec.name, items)

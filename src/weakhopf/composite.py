@@ -57,11 +57,12 @@ def jones_word(tower, word, level):
     return out
 
 
-def composite_idempotent(tower, n, dim_budget=64):
+def composite_idempotent(tower, n, dim_budget=64, prev=None):
     """f_n with its characterizing identities, verified on a full basis.
 
     Requires the tower built to level 2n+1 of ambient dimension within the
-    budget (the identities themselves are dimension independent).
+    budget (the identities themselves are dimension independent).  `prev`
+    is the CompositeData of f_{n-1}, built here when not given.
     """
     top = 2 * n + 1
     if len(tower.levels) < top:
@@ -79,11 +80,7 @@ def composite_idempotent(tower, n, dim_budget=64):
     word = []
     for r in range(n + 1):
         word.extend(range(n + 1 + r, r, -1))
-    f = jones_word(tower, word, top)
-    scale = one
-    for _ in range(n * (n + 1) // 2):
-        scale = scale * lam_inv
-    f = la.sscale(f, scale)
+    f = la.sscale(jones_word(tower, word, top), lam_inv ** (n * (n + 1) // 2))
 
     cl.add("idempotent", "f_n^2 = f_n", M_top.mul(f, f) == f)
 
@@ -113,23 +110,17 @@ def composite_idempotent(tower, n, dim_budget=64):
             ech.insert(M_top.mul(xf, lift_n(M_n.basis_vec(y))))
     cl.add("span", "M_n f_n M_n = M_{2n+1}", ech.rank == M_top.dim)
 
-    target = M_n.unit_sparse()
-    scale = one
-    for _ in range(n + 1):
-        scale = scale * lam
     cl.add("composite_expectation", "F_{M_n}(f_n) = lambda^{n+1} 1",
-           ag.apply_map(F_Mn, f) == la.sscale(target, scale))
+           ag.apply_map(F_Mn, f)
+           == la.sscale(M_n.unit_sparse(), lam ** (n + 1)))
 
     if n >= 1:
-        prev = composite_idempotent(tower, n - 1, dim_budget)
+        prev = prev or composite_idempotent(tower, n - 1, dim_budget)
         prev_f_top = tower.embed(2 * n - 1, top, prev.f_n)
         shifted = shift_tau2(tower, prev_f_top, 2 * n - 1, level=top)
         head = jones_word(tower, list(range(n + 1, 0, -1)), top)
         tail = jones_word(tower, list(range(2, n + 2)), top)
-        scale = one
-        for _ in range(n):
-            scale = scale * lam_inv
-        recursive = la.sscale(M_top.mulm(head, shifted, tail), scale)
+        recursive = la.sscale(M_top.mulm(head, shifted, tail), lam_inv ** n)
         cl.add("recursive_form",
                "f_n = lambda^-n (e_{n+1}..e_1) tau^2(f_{n-1}) "
                "(e_2..e_{n+1})", recursive == f)

@@ -150,10 +150,11 @@ def groupoid_algebra(G, p=None):
     return wha.make_weakhopf(alg, delta, eps, s)
 
 
-def groupoid_dual(G, p=None):
+def groupoid_dual(G, p=None, H=None):
     """(kG)* built directly from its own formulas, on the p_g basis.
 
-    Verified to coincide, matrix for matrix, with the transpose dual of kG.
+    Verified to coincide, matrix for matrix, with the transpose dual of kG
+    (of H when given, which must be groupoid_algebra(G, p)).
     """
     n = len(G.morphisms)
     one = scalar_one(p)
@@ -174,14 +175,14 @@ def groupoid_dual(G, p=None):
     alg = ag.make_algebra(table, unit, labels=tuple("p_" + g for g in G.morphisms),
                           p=p)
     Hd = wha.make_weakhopf(alg, delta, eps, s)
-    transposed = wha.dual(groupoid_algebra(G, p))
+    transposed = wha.dual(H or groupoid_algebra(G, p))
     if (Hd.alg.table, Hd.delta, Hd.eps, Hd.s) != \
             (transposed.alg.table, transposed.delta, transposed.eps, transposed.s):
         raise AssertionError("explicit dual disagrees with the transpose dual")
     return Hd
 
 
-def groupoid_integrals(G, p=None):
+def groupoid_integrals(G, p=None, H=None, Hd=None):
     """Unit-indexed spanning sets of the integral spaces of kG.
 
     With the function-order product used here (g h defined when
@@ -192,6 +193,7 @@ def groupoid_integrals(G, p=None):
 
     Returns (left_spans, right_spans) and asserts they span the computed
     integral spaces of kG; for (kG)*, asserts both spaces equal span{p_e}.
+    H and Hd, when given, are kG and groupoid_dual(G, p).
     """
     n = len(G.morphisms)
     one = scalar_one(p)
@@ -207,14 +209,14 @@ def groupoid_integrals(G, p=None):
         left_spans.append(l)
         right_spans.append(r)
 
-    H = groupoid_algebra(G, p)
+    H = H or groupoid_algebra(G, p)
     ints = wha.integrals(H)
     if la.Subspace.from_vectors(n, left_spans, p) != ints.left:
         raise AssertionError("left integral spans disagree with the solver")
     if la.Subspace.from_vectors(n, right_spans, p) != ints.right:
         raise AssertionError("right integral spans disagree with the solver")
 
-    Hd = groupoid_dual(G, p)
+    Hd = Hd or groupoid_dual(G, p, H)
     ints_d = wha.integrals(Hd)
     p_units = la.Subspace.from_vectors(
         n, [{G.index[e]: one} for e in G.units], p)

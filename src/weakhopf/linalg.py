@@ -72,6 +72,9 @@ class Fp:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
         return Fp(_fpval(other, self.p) * pow(self.v, self.p - 2, self.p), self.p)
 
+    def __pow__(self, k):
+        return Fp(pow(self.v, k, self.p), self.p)
+
     def __neg__(self):
         return Fp(-self.v, self.p)
 
@@ -387,6 +390,20 @@ class Mat:
         for r in self.entries:
             ech.insert(r)
         return ech.rank
+
+    def inverse(self):
+        """The inverse of a square matrix; raises NoSolution when singular."""
+        n, p = self.rows, self.p
+        one, zero = scalar_one(p), scalar_zero(p)
+        ech = Echelon(n, p, aux=n)
+        for i, r in enumerate(self.entries):
+            unit = [one if j == i else zero for j in range(n)]
+            if ech.insert_reduced(list(r) + unit)[0] < 0:
+                raise NoSolution("singular matrix")
+        inv = [None] * n
+        for r, c in zip(ech.rows, ech.pivots):
+            inv[c] = tuple(_quot(x, r[c], p) for x in r[n:2 * n])
+        return Mat(n, n, tuple(inv), p)
 
 
 def solve(a, b):

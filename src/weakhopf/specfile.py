@@ -104,13 +104,23 @@ def _scal(x, p, where):
         raise SpecFileError("%s: bad scalar %r (%s)" % (where, x, exc))
 
 
-def _matrix(rows, p, where, width=None):
+def _vector(xs, p, where):
+    if not isinstance(xs, list):
+        raise SpecFileError("%s: expected a list, got %r" % (where, xs))
+    return tuple(_scal(x, p, where) for x in xs)
+
+
+def _matrix(rows, p, where, width):
+    if not isinstance(rows, list):
+        raise SpecFileError("%s: expected a list of rows, got %r"
+                            % (where, rows))
     out = []
     for i, row in enumerate(rows):
-        if width is not None and len(row) != width:
+        row = _vector(row, p, "%s[%d]" % (where, i))
+        if len(row) != width:
             raise SpecFileError("%s: row %d has %d entries, expected %d"
                                 % (where, i, len(row), width))
-        out.append(tuple(_scal(x, p, "%s[%d]" % (where, i)) for x in row))
+        out.append(row)
     return out
 
 
@@ -151,7 +161,7 @@ def parse_weakhopf(payload, p):
     alg = parse_algebra(payload.get("algebra", {}), p, "weak-hopf.algebra")
     n = alg.dim
     delta = _matrix(payload.get("delta", []), p, "delta", width=n * n)
-    eps = tuple(_scal(x, p, "eps") for x in payload.get("eps", []))
+    eps = _vector(payload.get("eps", []), p, "eps")
     s = _matrix(payload.get("s", []), p, "s", width=n)
     if len(delta) != n or len(eps) != n or len(s) != n:
         raise SpecFileError("delta/eps/s must each have %d rows" % n)
@@ -195,7 +205,7 @@ def parse_markov(payload, p):
     embed = _matrix(payload.get("embed", []), p, "embed", width=big.dim)
     erows = _matrix(payload.get("expectation", []), p, "expectation",
                     width=small.dim)
-    trace = tuple(_scal(x, p, "trace") for x in payload.get("trace", []))
+    trace = _vector(payload.get("trace", []), p, "trace")
     if len(embed) != small.dim or len(erows) != big.dim or \
             len(trace) != small.dim:
         raise SpecFileError("embed/expectation/trace row counts are off")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from weakhopf import algebra as ag
 from weakhopf import corpus
 from weakhopf import linalg as la
+from weakhopf import tower as tw
 
 
 def test_field_algebra_valid():
@@ -157,3 +159,130 @@ def test_subalgebra_requires_closure():
     not_closed = la.Subspace.from_vectors(4, [{1: F(1)}, {2: F(1)}])
     with pytest.raises(ag.NotClosed):
         ag.subalgebra(m2, not_closed)
+
+
+# ---------------------------------------------------------------------------
+# the conditional-expectation laws: pair form against the triple form
+
+
+def diagonal_in_m2():
+    """Q^2 inside M2(Q) as the diagonal (matrix units e11, e12, e21, e22)."""
+    return ag.make_inclusion(corpus.diagonal_algebra(2),
+                             corpus.matrix_algebra(2), [{0: F(1)}, {3: F(1)}])
+
+
+def test_expectation_not_right_linear_is_rejected():
+    # fixes the diagonal, sends e12 to e11: E(e12 e11) = 0 != E(e12) e11
+    rows = [{0: F(1)}, {0: F(1)}, {}, {1: F(1)}]
+    with pytest.raises(ValueError, match=r"not right N-linear at \(1, 0\)"):
+        ag.make_cond_expectation(diagonal_in_m2(), rows)
+
+
+def test_expectation_not_left_linear_is_rejected():
+    # the mirror: e21 to e11, so E(e11 e21) = 0 != e11 E(e21)
+    rows = [{0: F(1)}, {}, {0: F(1)}, {1: F(1)}]
+    with pytest.raises(ValueError, match=r"not left N-linear at \(0, 2\)"):
+        ag.make_cond_expectation(diagonal_in_m2(), rows)
+
+
+def fixes_small(incl, rows):
+    E = ag.CondExpectation(incl, ag.map_rows(rows))
+    return all(E.E_small(incl.emb(incl.small.basis_vec(i)))
+               == incl.small.basis_vec(i) for i in range(incl.small.dim))
+
+
+def accepted_by_triples(incl, rows):
+    """The former check: E fixes N and E(a x b) = a E(x) b on every triple."""
+    if not fixes_small(incl, rows):
+        return False
+    E = ag.CondExpectation(incl, ag.map_rows(rows))
+    small, big = incl.small, incl.big
+    for a in range(small.dim):
+        ea = incl.emb(small.basis_vec(a))
+        for x in range(big.dim):
+            ex = big.basis_vec(x)
+            for b in range(small.dim):
+                eb = incl.emb(small.basis_vec(b))
+                lhs = E.E_small(big.mulm(ea, ex, eb))
+                rhs = small.mulm(small.basis_vec(a), E.E_small(ex),
+                                 small.basis_vec(b))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def accepted_by_pairs(incl, rows):
+    try:
+        ag.make_cond_expectation(incl, rows)
+    except ValueError:
+        return False
+    return True
+
+
+def corpus_expectations():
+    """(name, inclusion, E rows) of the corpus and of their first towers."""
+    out = []
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2(),
+                 trivial_m2=corpus.ext_trivial_m2())
+    for name, cert in certs.items():
+        out.append((name, cert.incl, cert.E.rows))
+    for name, cert in corpus.standing_extensions().items():
+        lvl = tw.basic_construction(cert)
+        out.append((name + ":M1", lvl.cert.incl, lvl.E_down))
+    incl, E = corpus.skewed_expectation()
+    out.append(("skewed", incl, E.rows))
+    return out
+
+
+def perturbed(rows, small_dim, rng):
+    """E rows with one or two entries shifted by a small nonzero integer."""
+    rows = [dict(r) for r in rows]
+    for _ in range(rng.choice((1, 2))):
+        r = rows[rng.randrange(len(rows))]
+        k = rng.randrange(small_dim)
+        r[k] = r.get(k, F(0)) + rng.choice((-2, -1, 1, 2))
+        if r[k] == 0:
+            del r[k]
+    return rows
+
+
+def test_pair_form_agrees_with_triple_form():
+    rng = random.Random(5)
+    verdicts = set()
+    for name, incl, rows in corpus_expectations():
+        assert accepted_by_pairs(incl, rows) and \
+            accepted_by_triples(incl, rows), name
+        for trial in range(6):
+            bad = perturbed(rows, incl.small.dim, rng)
+            want = accepted_by_triples(incl, bad)
+            assert accepted_by_pairs(incl, bad) == want, (name, trial)
+            verdicts.add((fixes_small(incl, bad), want))
+    # some perturbations fix N and still fail bimodularity, some pass
+    assert {(True, True), (True, False)} <= verdicts
+
+
+def nondegeneracy_rank_dense(E):
+    """The former check: rank of the dense dim M x (dim M dim N) matrix."""
+    small, big = E.incl.small, E.incl.big
+    rows = []
+    for x in range(big.dim):
+        row = []
+        for j in range(big.dim):
+            v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
+            row.extend(la.dense(v, small.dim, big.p))
+        rows.append(row)
+    return la.Mat.from_rows(rows, big.p).rank()
+
+
+def test_nondegeneracy_rank_matches_dense_rank():
+    ranks = []
+    for name, incl, rows in corpus_expectations():
+        E = ag.CondExpectation(incl, ag.map_rows(rows))
+        ranks.append(ag.nondegeneracy_rank(E))
+        assert ranks[-1] == nondegeneracy_rank_dense(E), name
+        assert ranks[-1] == incl.big.dim, name
+    # a degenerate E on Q in Q^2: E(e1 M) = 0
+    incl = ag.make_inclusion(corpus.field_algebra(),
+                             corpus.diagonal_algebra(2), [{0: F(1), 1: F(1)}])
+    E = ag.CondExpectation(incl, ag.map_rows([{0: F(1)}, {}]))
+    assert ag.nondegeneracy_rank(E) == nondegeneracy_rank_dense(E) == 1

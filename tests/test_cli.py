@@ -3,9 +3,11 @@ import json
 import pytest
 
 from weakhopf import cli
+from weakhopf import composite as cp
 from weakhopf import corpus
 from weakhopf import groupoid as gp
 from weakhopf import specfile as sf
+from weakhopf import wha
 
 
 @pytest.fixture()
@@ -149,6 +151,32 @@ def test_groupoid_command(pair2_file):
     assert cli.main(["groupoid", pair2_file, "--dual", "--integrals"]) == 0
 
 
+def counting(monkeypatch, module, name):
+    """Record the positional arguments of every call to module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_groupoid_builds_kG_and_its_dual_once(pair2_file, monkeypatch):
+    built = counting(monkeypatch, gp, "groupoid_algebra")
+    duals = counting(monkeypatch, wha, "dual")
+    assert cli.main(["groupoid", pair2_file, "--dual", "--integrals"]) == 0
+    assert (len(built), len(duals)) == (1, 1)
+
+
+def test_appendix_builds_each_f_n_once(markov_file, monkeypatch):
+    calls = counting(monkeypatch, cp, "composite_idempotent")
+    assert cli.main(["tower", markov_file, "--appendix-fn", "2"]) == 0
+    assert [args[1] for args in calls] == [0, 1, 2]
+
+
 def test_machine_format_and_report_roundtrip(pair2_file, tmp_path, capsys):
     assert cli.main(["--format", "machine", "verify-wha", pair2_file]) == 0
     out = capsys.readouterr().out
@@ -201,6 +229,29 @@ def test_bad_algebra_payload_is_an_input_error(tmp_path, key, value):
     path = tmp_path / "bad.json"
     sf.dump(sf.SpecFile("algebra", "k", None, payload), path)
     assert cli.main(["verify-wha", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("delta", 5), ("eps", 5),
+                                        ("s", [5, 5, 5, 5])])
+def test_bad_weakhopf_payload_is_an_input_error(tmp_path, key, value):
+    spec = sf.specfile_for(gp.groupoid_algebra(gp.pair(2)), "pair2")
+    payload = dict(spec.payload, **{key: value})
+    path = tmp_path / "bad.json"
+    sf.dump(sf.SpecFile("weak-hopf", "pair2", None, payload), path)
+    assert cli.main(["verify-wha", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("expectation", 5),
+                                        ("expectation", [5, 5]),
+                                        ("embed", 5), ("trace", 5)])
+def test_bad_markov_payload_is_an_input_error(markov_file, tmp_path, key,
+                                              value):
+    with open(markov_file) as fh:
+        raw = json.load(fh)
+    raw["payload"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["tower", str(path)]) == 2
 
 
 def test_tower_non_depth2_fails_at_depth2_stage(tmp_path, capsys):

@@ -90,6 +90,23 @@ def test_solve_reapplication(rows, x):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3),
+                min_size=3, max_size=3))
+def test_inverse_matches_solve_per_column(rows):
+    for p in FIELDS:
+        a = la.Mat.from_rows(field_rows(rows, p), p)
+        if a.rank() < 3:
+            with pytest.raises(la.NoSolution):
+                a.inverse()
+            continue
+        one, zero = la.scalar_one(p), la.scalar_zero(p)
+        cols = [la.solve(a, tuple(one if j == i else zero for j in range(3)))
+                for i in range(3)]
+        assert a.inverse() == la.Mat.from_rows(list(zip(*cols)), p)
+        assert a.mul(a.inverse()) == la.Mat.identity(3, p)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
                 min_size=1, max_size=4))
 def test_kernel_annihilates(rows):
