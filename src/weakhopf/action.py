@@ -15,7 +15,7 @@ from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, scalar_one, svec
+from weakhopf.linalg import sadd_into, svec
 
 
 class WellDefinednessFailure(ValueError):
@@ -57,7 +57,7 @@ def make_module_algebra(H, A, act):
     form.  Returns (ModuleAlgebra, CheckList).
     """
     act = tuple(ag.map_rows(rows if not isinstance(rows, tuple) else
-                            [dict(r) for r in rows]) for rows in act)
+                            [dict(r) for r in rows], A.p) for rows in act)
     M = ModuleAlgebra(H, A, act)
     cl = verify_module_algebra(M)
     return M, cl
@@ -93,8 +93,8 @@ def verify_module_algebra(M):
                     rhs = {}
                     for uv, c in dh.items():
                         u, v = divmod(uv, dH)
-                        term = A.mul(M.apply({u: scalar_one(H.p)}, A.basis_vec(a)),
-                                     M.apply({v: scalar_one(H.p)}, A.basis_vec(b)))
+                        term = A.mul(M.apply(H.alg.basis_vec(u), A.basis_vec(a)),
+                                     M.apply(H.alg.basis_vec(v), A.basis_vec(b)))
                         sadd_into(rhs, term, c)
                     law.check((h, a, b), lhs, rhs)
 
@@ -115,7 +115,7 @@ def invariants(M):
         eth = wha.eps_t(H, H.alg.basis_vec(h))
         for a in range(A.dim):
             diff = M.apply(H.alg.basis_vec(h), A.basis_vec(a))
-            sadd_into(diff, M.apply(eth, A.basis_vec(a)), -scalar_one(H.p))
+            sadd_into(diff, M.apply(eth, A.basis_vec(a)), -1)
             rows.append((a, diff))
     sub = _kernel_in_inputs(rows, A.dim, A.p)
     if not sub.contains(A.unit_sparse()):
@@ -195,7 +195,7 @@ def adjoint_action(H):
             out = {}
             for uv, c in dh.items():
                 u, v = divmod(uv, d)
-                term = H.alg.mulm({u: scalar_one(H.p)}, aa,
+                term = H.alg.mulm(H.alg.basis_vec(u), aa,
                                   H.S(H.alg.basis_vec(v)))
                 sadd_into(out, term, c)
             rows.append(express(out))
@@ -258,7 +258,7 @@ def action_comodule_bridge(M, Hd=None):
     for a in range(dA):
         diff = dict(rho[a])
         et = _apply_right_eps_t(Hd, dict(rho[a]), dH)
-        sadd_into(diff, et, -scalar_one(H.p))
+        sadd_into(diff, et, -1)
         rows.append((a, diff))
     coinv = _kernel_in_inputs(rows, dA, A.p)
     cl.add("coinvariants_equal_invariants", "A^{co H*} = A^H",
@@ -326,6 +326,7 @@ def smash(M, counital_data=None):
     cd = counital_data if counital_data is not None else wha.counital(H)
     dH, dA = H.dim, A.dim
     amb = dA * dH
+    one = la.as_scalar(1, H.p)
     cl = CheckList("smash")
 
     one_a = A.unit_sparse()
@@ -349,10 +350,10 @@ def smash(M, counital_data=None):
         for a in range(dA):
             az = A.mul(A.basis_vec(a), z1)
             for h in range(dH):
-                vec = la.tensor_sparse(az, {h: scalar_one(H.p)}, dH)
+                vec = la.tensor_sparse(az, H.alg.basis_vec(h), dH)
                 zh = H.alg.mul(z, H.alg.basis_vec(h))
                 sadd_into(vec, la.tensor_sparse(A.basis_vec(a), zh, dH),
-                          -scalar_one(H.p))
+                          -1)
                 if vec:
                     rel_vecs.append(vec)
     relations = la.Subspace.from_vectors(amb, rel_vecs, A.p)
@@ -369,8 +370,8 @@ def smash(M, counital_data=None):
                 for uv, cd_ in dh.items():
                     u, v = divmod(uv, dH)
                     left = A.mul(A.basis_vec(a),
-                                 M.apply({u: scalar_one(H.p)}, A.basis_vec(b)))
-                    right = H.alg.mul({v: scalar_one(H.p)}, H.alg.basis_vec(g))
+                                 M.apply(H.alg.basis_vec(u), A.basis_vec(b)))
+                    right = H.alg.mul(H.alg.basis_vec(v), H.alg.basis_vec(g))
                     sadd_into(out, la.tensor_sparse(left, right, dH), ce * cd_)
         return out
 
@@ -378,10 +379,10 @@ def smash(M, counital_data=None):
     for r in relations.basis:
         rd = dict(r)
         for c in q.section_cols:
-            if q.project(mul_amb(rd, {c: scalar_one(H.p)})):
+            if q.project(mul_amb(rd, {c: one})):
                 raise WellDefinednessFailure(
                     "left product of a relation witness is nonzero")
-            if q.project(mul_amb({c: scalar_one(H.p)}, rd)):
+            if q.project(mul_amb({c: one}, rd)):
                 raise WellDefinednessFailure(
                     "right product of a relation witness is nonzero")
     cl.add("well_defined", "(a#h)(b#g) respects the Ht-balancing", True)
@@ -389,10 +390,10 @@ def smash(M, counital_data=None):
     n = q.dim
     table = []
     for i in range(n):
-        si = q.section({i: scalar_one(H.p)})
+        si = q.section({i: one})
         row = []
         for j in range(n):
-            sj = q.section({j: scalar_one(H.p)})
+            sj = q.section({j: one})
             row.append(q.project(mul_amb(si, sj)))
         table.append(row)
     unit = q.project(la.tensor_sparse(one_a, H.alg.unit_sparse(), dH))
@@ -412,12 +413,13 @@ def smash_dual_action(M, sm, Hd=None):
     if Hd is None:
         Hd = wha.dual(H)
     dH = H.dim
+    one = la.as_scalar(1, H.p)
     q = sm.quotient
     act = []
     for k in range(dH):
         rows = []
         for i in range(q.dim):
-            amb = q.section({i: scalar_one(H.p)})
+            amb = q.section({i: one})
             out = {}
             for ah, c in amb.items():
                 a, h = divmod(ah, dH)
@@ -449,7 +451,7 @@ def duality_dimension_check(M, Hd=None):
     n = sm.alg.dim
 
     # commutant of right multiplication
-    rmuls = [sm.alg.rmul_rows(ag.apply_map(sm.include_A, {a: scalar_one(H.p)}))
+    rmuls = [sm.alg.rmul_rows(ag.apply_map(sm.include_A, M.A.basis_vec(a)))
              for a in range(M.A.dim)]
     eqs = []
     for ra in rmuls:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
-from weakhopf.linalg import (Subspace, dense, sadd_into, scalar_one,
+from weakhopf.linalg import (Subspace, dense, format_vector, sadd_into,
                              scalar_zero, sparse, svec, tindex)
 
 
@@ -74,19 +74,26 @@ def apply_map(rows, x):
     return out
 
 
-def map_rows(images):
-    """Normalize a list of images (sparse rows, dicts or dense) to svec rows."""
+def map_rows(images, p=None):
+    """Normalize a list of images (sparse rows, dicts or dense) to svec rows
+    of scalars in the `la.as_scalar` form."""
     out = []
     for im in images:
         if isinstance(im, dict):
-            out.append(svec(im))
+            out.append(_srow(im.items(), p))
         elif isinstance(im, tuple) and all(
                 isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int)
                 for e in im):
-            out.append(im)
+            out.append(_srow(im, p))
         else:
-            out.append(svec(sparse(im)))
+            out.append(_srow(enumerate(im), p))
     return tuple(out)
+
+
+def _srow(pairs, p):
+    """svec of (index, scalar) pairs, each through as_scalar, zeros dropped."""
+    row = ((i, la.as_scalar(c, p)) for i, c in pairs)
+    return tuple(sorted((i, c) for i, c in row if c != 0))
 
 
 def compose_maps(first, second):
@@ -159,7 +166,7 @@ class Algebra:
         return sparse(self.unit)
 
     def basis_vec(self, i):
-        return {i: scalar_one(self.p)}
+        return {i: 1 if self.p is None else la.Fp(1, self.p)}
 
     def commutator(self, x, y):
         out = self.mul(x, y)
@@ -179,7 +186,7 @@ class Algebra:
         k, v = next(iter(x.items()))
         if ud.get(k) is None:
             return None
-        c = v / ud[k]
+        c = la.div(v, ud[k])
         return c if x == la.sscale(ud, c) else None
 
     def lmul_rows(self, x):
@@ -202,8 +209,8 @@ def make_algebra(structure, unit, labels=None, p=None):
         row = []
         for j in range(dim):
             cell = structure[i][j]
-            d = cell if isinstance(cell, dict) else sparse(cell)
-            row.append(svec(d))
+            row.append(_srow(cell.items() if isinstance(cell, dict)
+                             else enumerate(cell), p))
         table.append(tuple(row))
     table = tuple(table)
     unit = tuple(la.as_scalar(c, p) for c in unit)
@@ -314,7 +321,7 @@ class DualBases:
 
 
 def make_inclusion(small, big, embed):
-    embed = map_rows(embed)
+    embed = map_rows(embed, big.p)
     incl = Inclusion(small, big, embed)
     if incl.emb(small.unit_sparse()) != big.unit_sparse():
         raise ValueError("inclusion does not preserve the unit")
@@ -339,7 +346,7 @@ def make_cond_expectation(incl, rows):
     E(a x b) = a E(x b) = a E(x) b, and b = 1 or a = 1 in the triple law
     gives the pair laws back (make_inclusion checks that 1_N embeds as 1_M).
     """
-    rows = map_rows(rows)
+    rows = map_rows(rows, incl.big.p)
     E = CondExpectation(incl, rows)
     small, big = incl.small, incl.big
     emb = [incl.emb(small.basis_vec(a)) for a in range(small.dim)]
@@ -515,10 +522,9 @@ def separability_element(A, symmetric=False, require_unique=False):
                     eqs.append((row, zero))
                     hom_rows.append(row)
     if symmetric:
-        one = scalar_one(p)
         for i in range(n):
             for j in range(i + 1, n):
-                row = {tindex(i, j, n): one, tindex(j, i, n): -one}
+                row = {tindex(i, j, n): 1, tindex(j, i, n): -1}
                 eqs.append((row, zero))
                 hom_rows.append(row)
     # normalization mu(f) = 1
@@ -629,7 +635,7 @@ def certify_markov(incl, E, db, trace):
     basis; the CheckList records each with a witness on failure.
     """
     small, big = incl.small, incl.big
-    p = big.p
+    trace = tuple(la.as_scalar(c, big.p) for c in trace)
     cl = CheckList("markov-certificate")
     verify_dual_bases(E, db)
     cl.add("dual_bases", "E(m x_i) y_i = m = x_i E(y_i m)", True)
@@ -647,13 +653,13 @@ def certify_markov(incl, E, db, trace):
     lam_inv = big.scalar_of(xy)
     strongly = lam_inv is not None and lam_inv != 0
     cl.add("strongly_separable", "x_i y_i = lambda^-1 1",
-           strongly, witness=str(xy))
+           strongly, witness=format_vector(xy))
     sym_prod = strongly and big.scalar_of(yx) == lam_inv
     cl.add("symmetric_product", "y_i x_i = lambda^-1 1 = x_i y_i",
-           sym_prod, witness=str(yx))
+           sym_prod, witness=format_vector(yx))
 
     cl.add("trace_normalized", "T(1) = 1",
-           trace_of(trace, one_small) == scalar_one(p))
+           trace_of(trace, one_small) == 1)
 
     t0 = tuple(trace_of(trace, E.E_small(big.basis_vec(j)))
                for j in range(big.dim))
@@ -694,7 +700,7 @@ def certify_markov(incl, E, db, trace):
 
     weakly = cl.get("U_kanzaki").passed and cl.get("T0_U_nondegenerate").passed
     return MarkovCertificate(
-        E=E, dual_bases=db, trace=tuple(trace), lambda_inv=lam_inv, U=U,
+        E=E, dual_bases=db, trace=trace, lambda_inv=lam_inv, U=U,
         symmetric=sym, strongly_separable=strongly,
         symmetric_product=sym_prod, weakly_irreducible=weakly,
         kanzaki=kanz, trace_duals=tdu, t0=t0, checks=cl)

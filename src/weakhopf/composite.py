@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, scalar_one
+from weakhopf.linalg import sadd_into
 
 
 class NotInTLSubalgebra(ValueError):
@@ -46,7 +46,7 @@ def composite_expectation_down(tower, hi, lo):
     if lo == -1:
         E0 = tower.base.E.rows
         rows = [ag.apply_map(E0, r) for r in rows]
-    return ag.map_rows(rows)
+    return ag.map_rows(rows, alg.p)
 
 
 def jones_word(tower, word, level):
@@ -73,9 +73,8 @@ def composite_idempotent(tower, n, dim_budget=64, prev=None):
     cl = CheckList("composite-idempotent")
     M_top = tower.alg(top)
     p = M_top.p
-    one = scalar_one(p)
     lam_inv = tower.base.lambda_inv
-    lam = one / lam_inv
+    lam = la.div(1, lam_inv)
 
     word = []
     for r in range(n + 1):
@@ -171,9 +170,7 @@ def shift_tau2(tower, element, n, level=None):
     if level is None:
         level = len(tower.levels)
     alg = tower.alg(level)
-    p = alg.p
-    one = scalar_one(p)
-    lam = one / tower.base.lambda_inv
+    lam = la.div(1, tower.base.lambda_inv)
     if n + 2 > level:
         raise DimensionBudget("tower too short for the shift target e_%d"
                               % (n + 2))
@@ -237,7 +234,7 @@ def depth2_example(kind, n=None, p=None, budget=64):
             acc = acc + dict(U.table[j][k]).get(k, la.scalar_zero(U.p))
         t_reg.append(acc)
     lam_inv = ag.trace_of(tuple(t_reg), U.unit_sparse())
-    lam = la.scalar_one(U.p) / lam_inv
+    lam = la.div(1, lam_inv)
 
     M = corpus.tensor_algebra(N, U)
     nb = U.dim
@@ -257,7 +254,7 @@ def depth2_example(kind, n=None, p=None, budget=64):
             acc = acc + dict(N.table[j][k]).get(k, la.scalar_zero(N.p))
         tN.append(acc)
     norm = ag.trace_of(tuple(tN), N.unit_sparse())
-    trace = tuple(x / norm for x in tN)
+    trace = tuple(la.div(x, norm) for x in tN)
     db = ag.find_dual_bases(E, within=ag.centralizer(
         M, ag.embedded_image(incl)))
     cert = ag.certify_markov(incl, E, db, trace)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
-from weakhopf.linalg import sadd_into, scalar_one, scalar_zero
+from weakhopf.linalg import sadd_into, scalar_zero
 
 
 class Groupoid:
@@ -136,7 +136,7 @@ def corpus():
 def groupoid_algebra(G, p=None):
     """kG as a weak Hopf algebra on the morphism basis."""
     n = len(G.morphisms)
-    one = scalar_one(p)
+    one = la.as_scalar(1, p)
     table = [[{} for _ in range(n)] for _ in range(n)]
     for (g, h), gh in G.compose.items():
         table[G.index[g]][G.index[h]] = {G.index[gh]: one}
@@ -157,7 +157,7 @@ def groupoid_dual(G, p=None, H=None):
     (of H when given, which must be groupoid_algebra(G, p)).
     """
     n = len(G.morphisms)
-    one = scalar_one(p)
+    one = la.as_scalar(1, p)
     table = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
         table[i][i] = {i: one}
@@ -196,7 +196,7 @@ def groupoid_integrals(G, p=None, H=None, Hd=None):
     H and Hd, when given, are kG and groupoid_dual(G, p).
     """
     n = len(G.morphisms)
-    one = scalar_one(p)
+    one = la.as_scalar(1, p)
     left_spans, right_spans = [], []
     for e in G.units:
         l = {}

@@ -11,6 +11,15 @@ vectors into integer rows (rationals scaled by their common denominator,
 residues mod p as they are) and reduce them with the kernel in `_backend`,
 fraction-free over Q and in leading-1 form over F_p.
 Sparse vectors are plain dicts {index: scalar} with no stored zeros.
+
+Scalars over Q: an integral value is a plain `int` and any other value a
+`Fraction`, so the integer arithmetic that decides most identities skips
+Fraction's normalisation; values, equality and hashing are those of the
+rationals either way.  `as_scalar` and `parse_scalar` bring values into
+that form (floats are refused), and every constructor of a stored object
+passes its scalars through `as_scalar`.  `scalar_one` stays a Fraction:
+it is the public constructor that callers divide.  Divide scalars with
+`div`, never with `/`, which turns two ints into a float.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from math import lcm
 
 from weakhopf._backend import insert_row, reduce_row
 
-Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
@@ -105,17 +113,26 @@ def _fpval(x, p):
     raise TypeError("cannot coerce %r into F_%d" % (x, p))
 
 
+def _qnorm(x):
+    """An int or Fraction as a Q scalar: int when integral, else Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def scalar_zero(p=None):
-    return Q0 if p is None else Fp(0, p)
+    return 0 if p is None else Fp(0, p)
 
 
 def scalar_one(p=None):
+    """The unit as a Fraction over Q, so that callers may divide it."""
     return Q1 if p is None else Fp(1, p)
 
 
 def as_scalar(x, p=None):
+    if isinstance(x, float):
+        raise TypeError("inexact scalar %r: write it as an integer or a "
+                        "Fraction" % x)
     if p is None:
-        return Fraction(x)
+        return _qnorm(x if isinstance(x, (int, Fraction)) else Fraction(x))
     if isinstance(x, Fp):
         if x.p != p:
             raise ValueError("mixed prime fields")
@@ -132,16 +149,29 @@ def parse_scalar(text, p=None):
     else:
         val = Fraction(int(text))
     if p is None:
-        return val
+        return _qnorm(val)
     if val.denominator % p == 0:
         raise ValueError("denominator of %s not invertible mod %d" % (text, p))
     return Fp(val.numerator * pow(val.denominator, p - 2, p), p)
+
+
+def div(a, b):
+    """The exact quotient a / b of two scalars of one field."""
+    if isinstance(a, Fp) or isinstance(b, Fp):
+        return a / b
+    return _qnorm(Fraction(a) / b)
 
 
 def format_scalar(x):
     if isinstance(x, Fp):
         return str(x.v)
     return str(x)
+
+
+def format_vector(d):
+    """A sparse vector as text, "{0: 1, 3: -1/2}", whatever its scalar types."""
+    return "{%s}" % ", ".join("%d: %s" % (i, format_scalar(c))
+                              for i, c in sorted(d.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +271,7 @@ def _int_row(vec, width, p=None):
 def _quot(a, b, p):
     """The scalar a/b of two integers, in Q or in F_p."""
     if p is None:
-        return Fraction(a, b)
+        return a // b if a % b == 0 else Fraction(a, b)
     return Fp(a * pow(b, -1, p), p)
 
 
@@ -362,7 +392,7 @@ class Mat:
 
     @staticmethod
     def identity(n, p=None):
-        one, zero = scalar_one(p), scalar_zero(p)
+        one, zero = as_scalar(1, p), scalar_zero(p)
         return Mat(n, n, tuple(tuple(one if i == j else zero for j in range(n))
                                for i in range(n)), p)
 
@@ -394,7 +424,7 @@ class Mat:
     def inverse(self):
         """The inverse of a square matrix; raises NoSolution when singular."""
         n, p = self.rows, self.p
-        one, zero = scalar_one(p), scalar_zero(p)
+        one, zero = as_scalar(1, p), scalar_zero(p)
         ech = Echelon(n, p, aux=n)
         for i, r in enumerate(self.entries):
             unit = [one if j == i else zero for j in range(n)]
@@ -466,7 +496,7 @@ def kernel(a):
     for f in range(a.cols):
         if f in piv:
             continue
-        v = {f: scalar_one(a.p)}
+        v = {f: as_scalar(1, a.p)}
         for r, c in zip(rows, ech.pivots):
             x = r.get(f)
             if x:
@@ -505,7 +535,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim, p=None):
-        one = scalar_one(p)
+        one = as_scalar(1, p)
         return Subspace(ambient_dim, tuple(range(ambient_dim)),
                         tuple(((i, one),) for i in range(ambient_dim)), p)
 
@@ -567,7 +597,7 @@ class Subspace:
         for r in rows1:
             cols.append(dense(r, self.ambient_dim, self.p))
         for r in rows2:
-            cols.append(dense(sscale(r, -scalar_one(self.p)), self.ambient_dim, self.p))
+            cols.append(dense(sscale(r, -1), self.ambient_dim, self.p))
         if not cols:
             return Subspace.zero(self.ambient_dim, self.p)
         m = Mat.from_rows(list(zip(*cols)), self.p)
@@ -632,7 +662,7 @@ def quotient(ambient_dim, relations):
     section = tuple(c for c in range(ambient_dim) if c not in piv)
     index = {c: i for i, c in enumerate(section)}
     proj = [None] * ambient_dim
-    one = scalar_one(p)
+    one = as_scalar(1, p)
     for c in section:
         proj[c] = {index[c]: one}
     for pc, row in zip(relations.pivots, relations.basis):
@@ -665,7 +695,7 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
     section = tuple(sorted(kept))
     index = {c: i for i, c in enumerate(section)}
     remap = {k: index[c] for k, c in enumerate(kept)}
-    one = scalar_one(p)
+    one = as_scalar(1, p)
     proj = [None] * ambient_dim
     for i, c in enumerate(section):
         proj[c] = {i: one}

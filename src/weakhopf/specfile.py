@@ -75,6 +75,8 @@ def load(path):
 
 
 def loads(raw):
+    if not isinstance(raw, dict):
+        raise SpecFileError("a spec file is a JSON object")
     for key in ("kind", "name", "field", "payload"):
         if key not in raw:
             raise SpecFileError("missing top-level field %r" % key)
@@ -82,6 +84,9 @@ def loads(raw):
     if kind not in KINDS:
         raise SpecFileError("unknown kind %r (expected one of %s)"
                             % (kind, ", ".join(KINDS)))
+    if not isinstance(raw["payload"], dict):
+        raise SpecFileError("payload must be an object, got %r"
+                            % (raw["payload"],))
     return SpecFile(kind, str(raw["name"]), _field(raw["field"]),
                     raw["payload"])
 
@@ -151,6 +156,9 @@ def parse_algebra(payload, p, where="algebra"):
     if len(unit) != dim:
         raise SpecFileError("%s.unit: wrong length" % where)
     labels = payload.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise SpecFileError("%s.labels: expected a list, got %r"
+                            % (where, labels))
     try:
         return ag.make_algebra(table, unit, labels=labels, p=p)
     except (ag.NotAssociative, ag.BadUnit) as exc:
@@ -178,20 +186,27 @@ def parse_groupoid(payload):
         compose = payload["compose"]
     except (KeyError, TypeError) as exc:
         raise SpecFileError("groupoid: %s" % exc)
+    if not (isinstance(morphisms, list) and isinstance(compose, list)):
+        raise SpecFileError("groupoid: morphisms and compose must be lists")
     names = []
     src, tgt = {}, {}
     for m in morphisms:
         try:
-            names.append(m["name"])
-            src[m["name"]] = m["source"]
-            tgt[m["name"]] = m["target"]
+            name, source, target = m["name"], m["source"], m["target"]
         except (KeyError, TypeError):
-            raise SpecFileError("groupoid.morphisms entries need "
-                                "name/source/target")
+            name = None
+        if not isinstance(name, str):
+            raise SpecFileError("groupoid.morphisms entries need a string "
+                                "name, a source and a target")
+        names.append(name)
+        src[name] = source
+        tgt[name] = target
     comp = {}
     for entry in compose:
-        if len(entry) != 3:
-            raise SpecFileError("groupoid.compose entries are [g, h, gh]")
+        if not (isinstance(entry, list) and len(entry) == 3 and
+                all(isinstance(x, str) and x in src for x in entry)):
+            raise SpecFileError("groupoid.compose entries are [g, h, gh] "
+                                "of named morphisms")
         comp[(entry[0], entry[1])] = entry[2]
     try:
         return gp.Groupoid(objects, names, src, tgt, comp)

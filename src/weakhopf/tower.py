@@ -20,7 +20,7 @@ from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, scalar_one, svec, tensor_sparse
+from weakhopf.linalg import sadd_into, svec, tensor_sparse
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ def basic_construction(cert):
     M = cert.incl.big
     m = M.dim
     p = M.p
-    one = scalar_one(p)
+    one = la.as_scalar(1, p)
     lam_inv = cert.lambda_inv
-    lam = one / lam_inv
+    lam = la.div(1, lam_inv)
     E = cert.E
     xs = [dict(x) for x in cert.dual_bases.xs]
     ys = [dict(y) for y in cert.dual_bases.ys]
@@ -104,10 +104,10 @@ def basic_construction(cert):
 
     e1 = cls(M.unit_sparse(), M.unit_sparse())
     embed_rows = ag.map_rows(
-        [_embed_vec(M, xs, ys, cls, M.basis_vec(a)) for a in range(m)])
+        [_embed_vec(M, xs, ys, cls, M.basis_vec(a)) for a in range(m)], p)
     E_down = ag.map_rows(
         [la.sscale(M.mul(M.basis_vec(a), M.basis_vec(b)), lam)
-         for (a, b) in reps])
+         for (a, b) in reps], p)
     xs1 = tuple(svec(la.sscale(cls(x, M.unit_sparse()), lam_inv)) for x in xs)
     ys1 = tuple(svec(cls(M.unit_sparse(), y)) for y in ys)
     db1 = ag.DualBases(xs1, ys1, lam_inv)
@@ -157,7 +157,7 @@ def basic_construction(cert):
         for x, y in zip(xs, ys):
             sadd_into(img, cls(M.mul(x, u), y), 1)
         phi_rows.append(img)
-    phi = ag.map_rows(phi_rows)
+    phi = ag.map_rows(phi_rows, p)
     with cl.holds("phi_into_V", "phi(U) lies in C_M1(M)") as law:
         for i, rw in law.over(enumerate(phi)):
             law.check((i,), V.contains(dict(rw)), True)
@@ -224,8 +224,8 @@ def build_tower(cert, depth):
         cur = lvl.cert
     t = Tower(cert, levels, cl)
     p = cert.incl.big.p
-    one = scalar_one(p)
-    lam = one / cert.lambda_inv
+    one = la.as_scalar(1, p)
+    lam = la.div(1, cert.lambda_inv)
 
     for k in range(1, depth):
         # e_k and e_{k+1} inside M_{k+1}
@@ -302,9 +302,9 @@ class DepthTwoContext:
         self.t = tower
         base = tower.base
         self.p = base.incl.big.p
-        self.one = scalar_one(self.p)
+        self.one = la.as_scalar(1, self.p)
         self.lam_inv = base.lambda_inv
-        self.lam = self.one / self.lam_inv
+        self.lam = la.div(1, self.lam_inv)
         self.M = base.incl.big
         self.M1 = tower.alg(1)
         self.M2 = tower.alg(2)
@@ -449,7 +449,7 @@ def conditional_expectations(ctx, d2):
                 if coef != 0:
                     sadd_into(out, ctx.mul(di, vj), coef)
         ebays.append(out)
-    E_B_rows = ag.map_rows(ebays)
+    E_B_rows = ag.map_rows(ebays, ctx.p)
 
     def E_B(x):
         co = C.coords(x)
@@ -1264,7 +1264,7 @@ def psi_iso(ctx, dw, MB, d2):
             x, h = divmod(xh, nB)
             sadd_into(out, ctx.mul(ctx.M1_in_M2[x], dw.bhat[h]), c)
         psi_rows.append(out)
-    psi = ag.map_rows(psi_rows)
+    psi = ag.map_rows(psi_rows, ctx.p)
     cl.add("dimension", "dim(M1 # B) = dim M2", sm.alg.dim == M2.dim,
            witness="%d vs %d" % (sm.alg.dim, M2.dim))
     rk = la.Mat.from_rows([la.dense(dict(r), M2.dim, ctx.p) for r in psi],
@@ -1422,7 +1422,7 @@ def phi_iso(ctx, dw, MA):
             mi, ai = divmod(ma, nA)
             sadd_into(out, M1.mul(m_in_M1[mi], a_in_M1[ai]), c)
         phi_rows.append(out)
-    phi = ag.map_rows(phi_rows)
+    phi = ag.map_rows(phi_rows, ctx.p)
     cl.add("dimension", "dim(M # A) = dim M1", sm.alg.dim == M1.dim,
            witness="%d vs %d" % (sm.alg.dim, M1.dim))
     rk = la.Mat.from_rows([la.dense(dict(r), M1.dim, ctx.p) for r in phi],

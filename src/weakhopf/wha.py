@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, scalar_one, scalar_zero, svec
+from weakhopf.linalg import sadd_into, scalar_zero, svec
 
 
 class EquivalenceViolation(AssertionError):
@@ -57,9 +57,9 @@ class WeakHopf:
 
 
 def make_weakhopf(alg, delta, eps, s):
-    H = WeakHopf(alg, ag.map_rows(delta),
+    H = WeakHopf(alg, ag.map_rows(delta, alg.p),
                  tuple(la.as_scalar(c, alg.p) for c in eps),
-                 ag.map_rows(s))
+                 ag.map_rows(s, alg.p))
     cl = coalgebra_checks(H)
     cl.require()
     return H
@@ -125,7 +125,8 @@ def eps_t(H, x):
     for uv, c in d1.items():
         u, v = divmod(uv, d)
         for h, xh in x.items():
-            coef = c * xh * H.e(H.alg.mul({u: scalar_one(H.p)}, {h: scalar_one(H.p)}))
+            coef = c * xh * H.e(H.alg.mul(H.alg.basis_vec(u),
+                                          H.alg.basis_vec(h)))
             if coef != 0:
                 w = out.get(v, 0) + coef
                 if w == 0:
@@ -143,7 +144,8 @@ def eps_s(H, x):
     for uv, c in d1.items():
         u, v = divmod(uv, d)
         for h, xh in x.items():
-            coef = c * xh * H.e(H.alg.mul({h: scalar_one(H.p)}, {v: scalar_one(H.p)}))
+            coef = c * xh * H.e(H.alg.mul(H.alg.basis_vec(h),
+                                          H.alg.basis_vec(v)))
             if coef != 0:
                 w = out.get(u, 0) + coef
                 if w == 0:
@@ -491,9 +493,9 @@ def integrals(H):
         esh = eps_s(H, eh)
         for j in range(d):
             diff_l = alg.mul(eh, alg.basis_vec(j))
-            sadd_into(diff_l, alg.mul(eth, alg.basis_vec(j)), -scalar_one(H.p))
+            sadd_into(diff_l, alg.mul(eth, alg.basis_vec(j)), -1)
             diff_r = alg.mul(alg.basis_vec(j), eh)
-            sadd_into(diff_r, alg.mul(alg.basis_vec(j), esh), -scalar_one(H.p))
+            sadd_into(diff_r, alg.mul(alg.basis_vec(j), esh), -1)
             rows_l.append((j, diff_l))
             rows_r.append((j, diff_r))
     left = _kernel_of_column_maps(rows_l, d, H.p)

@@ -91,6 +91,18 @@ def test_is_symmetric_diag_projection():
     assert ok and witness is None
 
 
+def test_markov_witness_text_ignores_the_scalar_type():
+    # the same dual bases with int and with Fraction(n, 1) coefficients
+    incl, E = corpus.skewed_expectation()
+    db = ag.find_dual_bases(E)
+    frac = [tuple(tuple((i, F(c)) for i, c in r) for r in rows)
+            for rows in (db.xs, db.ys)]
+    witnesses = [ag.certify_markov(incl, E, d, (F(1),)).checks.get(
+        "symmetric_product").witness
+        for d in (db, ag.DualBases(frac[0], frac[1], db.lambda_inv))]
+    assert witnesses == ["{0: 6, 3: 3}"] * 2
+
+
 def test_skewed_expectation_not_symmetric():
     incl, E = corpus.skewed_expectation()
     U = ag.centralizer(incl.big, ag.embedded_image(incl))

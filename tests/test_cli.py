@@ -222,7 +222,7 @@ def test_malformed_scalar_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("unit", ["1/0"]), ("unit", 5),
-                                        ("structure", 5)])
+                                        ("structure", 5), ("labels", 5)])
 def test_bad_algebra_payload_is_an_input_error(tmp_path, key, value):
     spec = sf.specfile_for(corpus.field_algebra(), "k")
     payload = dict(spec.payload, **{key: value})
@@ -252,6 +252,42 @@ def test_bad_markov_payload_is_an_input_error(markov_file, tmp_path, key,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["tower", str(path)]) == 2
+
+
+@pytest.mark.parametrize("raw", [5, [1], "kind name field payload"])
+def test_spec_must_be_an_object(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["verify-wha", str(path)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["weak-hopf", "markov-extension"])
+@pytest.mark.parametrize("payload", [5, [], "x"])
+def test_payload_must_be_an_object(markov_file, tmp_path, kind, payload):
+    with open(markov_file) as fh:
+        raw = json.load(fh)
+    raw.update(kind=kind, payload=payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    command = "tower" if kind == "markov-extension" else "verify-wha"
+    assert cli.main([command, str(path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("compose", 5), ("compose", [5]),
+                                        ("compose", None), ("morphisms", 5),
+                                        ("morphisms", None),
+                                        ("compose", [["zz", "g00", "g00"]]),
+                                        ("morphisms", [{"name": 1,
+                                                        "source": "X0",
+                                                        "target": "X0"}])])
+def test_bad_groupoid_payload_is_an_input_error(pair2_file, tmp_path, key,
+                                                value):
+    with open(pair2_file) as fh:
+        raw = json.load(fh)
+    raw["payload"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["groupoid", str(path), "--dual", "--integrals"]) == 2
 
 
 def test_tower_non_depth2_fails_at_depth2_stage(tmp_path, capsys):

@@ -205,3 +205,33 @@ def test_subspace_ops():
     assert s1.sum_with(s2) == la.Subspace.full(3)
     assert s1.coords({0: F(2), 1: F(-1)}) == (F(2), F(-1))
     assert s1.coords({2: F(1)}) is None
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_as_scalar_refuses_floats(p):
+    with pytest.raises(TypeError):
+        la.as_scalar(0.1, p)
+    with pytest.raises(TypeError):
+        la.as_scalar(2.0, p)
+
+
+def test_integral_rationals_are_ints():
+    for x in (la.as_scalar(F(6, 3)), la.as_scalar(3), la.parse_scalar("6/2"),
+              la.parse_scalar("-4"), la.div(6, 3), la.div(F(1, 2), F(1, 4)),
+              la.scalar_zero()):
+        assert type(x) is int
+    for x in (la.as_scalar(F(1, 2)), la.parse_scalar("2/4"), la.div(1, 2)):
+        assert x == F(1, 2) and type(x) is F
+
+
+def test_div_is_exact_in_both_fields():
+    assert la.div(1, 3) == F(1, 3)
+    assert la.div(la.Fp(1, 13), 2) == la.div(1, la.Fp(2, 13)) == la.Fp(7, 13)
+    with pytest.raises(ZeroDivisionError):
+        la.div(1, 0)
+
+
+def test_format_vector_ignores_the_scalar_type():
+    assert la.format_vector({0: 1}) == la.format_vector({0: F(1)}) == "{0: 1}"
+    assert la.format_vector({3: F(-1, 2), 0: 2}) == "{0: 2, 3: -1/2}"
+    assert la.format_vector({1: la.Fp(12, 13)}) == "{1: 12}"
