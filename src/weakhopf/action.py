@@ -117,7 +117,7 @@ def invariants(M):
             diff = M.apply(H.alg.basis_vec(h), A.basis_vec(a))
             sadd_into(diff, M.apply(eth, A.basis_vec(a)), -1)
             rows.append((a, diff))
-    sub = _kernel_in_inputs(rows, A.dim, A.p)
+    sub = wha.kernel_of_column_maps(rows, A.dim, A.p)
     if not sub.contains(A.unit_sparse()):
         raise AssertionError("invariants do not contain the unit")
     for r1 in sub.basis:
@@ -125,18 +125,6 @@ def invariants(M):
             if not sub.contains(A.mul(dict(r1), dict(r2))):
                 raise AssertionError("invariants not closed under product")
     return sub
-
-
-def _kernel_in_inputs(rows, n, p):
-    eqs = {}
-    for idx, (j, out) in enumerate(rows):
-        blk = idx // n
-        for k, c in out.items():
-            eqs.setdefault((blk, k), {})[j] = c
-    if not eqs:
-        return la.Subspace.full(n, p)
-    mat = la.Mat.from_rows([la.dense(r, n, p) for r in eqs.values()], p)
-    return la.kernel(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +248,7 @@ def action_comodule_bridge(M, Hd=None):
         et = _apply_right_eps_t(Hd, dict(rho[a]), dH)
         sadd_into(diff, et, -1)
         rows.append((a, diff))
-    coinv = _kernel_in_inputs(rows, dA, A.p)
+    coinv = wha.kernel_of_column_maps(rows, dA, A.p)
     cl.add("coinvariants_equal_invariants", "A^{co H*} = A^H",
            coinv == invariants(M))
     return C, cl

@@ -287,6 +287,13 @@ def subalgebra(big, sub, name="subalgebra"):
     return alg, inject, express
 
 
+def right_inverse(alg, x):
+    """The y with x y = 1 in alg, as sparse coords; raises la.NoSolution."""
+    lmul = la.Mat.from_rows(
+        [dense(dict(r), alg.dim, alg.p) for r in alg.lmul_rows(x)], alg.p)
+    return sparse(la.solve(lmul.transpose(), alg.unit))
+
+
 # ---------------------------------------------------------------------------
 # inclusions and conditional expectations
 

@@ -15,6 +15,7 @@ import sys
 from weakhopf import algebra as ag
 from weakhopf import composite as cp
 from weakhopf import groupoid as gp
+from weakhopf import linalg as la
 from weakhopf import specfile as sf
 from weakhopf import tower as tw
 from weakhopf import wha
@@ -154,17 +155,23 @@ def cmd_tower(args):
     items.extend(t.checks.items)
 
     if args.derive:
+        from weakhopf import action as ac
         if not t.checks.ok:
             items.append(Check("derivation", "stage skipped: tower checks "
                                "failed", False))
             return Report("tower %s" % spec.name, items)
         try:
-            _, lat, _, full = tw.derive(t)
+            _, _, _, full = tw.derive(t)
             seen = {id(c) for c in t.checks.items}
             items.extend(c for c in full.items if id(c) not in seen)
         except (tw.Depth2Failure, tw.SingularGram) as exc:
             items.append(Check("depth2", "depth-2 condition holds", False,
                                str(exc)))
+        except (ag.NotClosed, ag.NotKanzaki, la.NoSolution,
+                ac.WellDefinednessFailure) as exc:
+            items.append(Check("derivation", "every derivation stage runs "
+                               "to its end", False,
+                               "%s: %s" % (type(exc).__name__, exc)))
     if args.appendix_fn is not None:
         data = None
         for n in range(args.appendix_fn + 1):

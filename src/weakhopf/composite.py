@@ -175,7 +175,7 @@ def shift_tau2(tower, element, n, level=None):
         raise DimensionBudget("tower too short for the shift target e_%d"
                               % (n + 2))
     gens = list(range(1, n + 1))
-    words, vals, ech = _word_basis(tower, gens, level)
+    words, _, ech = _word_basis(tower, gens, level)
     kind, data = ech.insert(element if isinstance(element, dict)
                             else la.sparse(element))
     if kind == "kept":

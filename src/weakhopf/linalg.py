@@ -214,16 +214,8 @@ def svec(d):
     return tuple(sorted(d.items()))
 
 
-def sfrom(sv):
-    return dict(sv)
-
-
 def tindex(i, j, dim2):
     return i * dim2 + j
-
-
-def tsplit(k, dim2):
-    return divmod(k, dim2)
 
 
 def tensor_sparse(a, b, dim2):
@@ -416,10 +408,7 @@ class Mat:
                    tuple(zip(*self.entries)) if self.entries else (), self.p)
 
     def rank(self):
-        ech = Echelon(self.cols, self.p)
-        for r in self.entries:
-            ech.insert(r)
-        return ech.rank
+        return rank(self.entries, self.cols, self.p)
 
     def inverse(self):
         """The inverse of a square matrix; raises NoSolution when singular."""
@@ -434,6 +423,14 @@ class Mat:
         for r, c in zip(ech.rows, ech.pivots):
             inv[c] = tuple(_quot(x, r[c], p) for x in r[n:2 * n])
         return Mat(n, n, tuple(inv), p)
+
+
+def rank(vecs, ncols, p=None):
+    """Rank of vectors in ncols coordinates, sparse dicts or dense scalars."""
+    ech = Echelon(ncols, p)
+    for v in vecs:
+        ech.insert(v)
+    return ech.rank
 
 
 def solve(a, b):
@@ -591,7 +588,7 @@ class Subspace:
         """Subspace intersection via the kernel of the stacked coordinates."""
         rows1 = [dict(r) for r in self.basis]
         rows2 = [dict(r) for r in other.basis]
-        n1, n2 = len(rows1), len(rows2)
+        n1 = len(rows1)
         # columns: coefficients on basis1 then basis2; rows: ambient coords
         cols = []
         for r in rows1:

@@ -9,7 +9,11 @@ anti-isomorphism between the first two relative commutants.
 The depth-2 machinery keeps every element in the coordinates of the top
 level M2, where all six centralizers live; the derived weak Hopf structure
 on B is solved from the duality pairing and then every identity of the
-derivation chain is re-verified one by one on full bases.
+derivation chain is re-verified one by one on full bases.  Each shared
+object is built once and read by every later stage: the context holds the
+embeddings of N, M and M1, the pairing the subalgebra V, and the derived
+structure the section of M1 in M2 with A and M inside M1.  One routine,
+`_smash_iso`, verifies both smash isomorphisms M1 # B -> M2 and M # A -> M1.
 """
 
 from __future__ import annotations
@@ -161,9 +165,8 @@ def basic_construction(cert):
     with cl.holds("phi_into_V", "phi(U) lies in C_M1(M)") as law:
         for i, rw in law.over(enumerate(phi)):
             law.check((i,), V.contains(dict(rw)), True)
-    pm = la.Mat.from_rows([la.dense(dict(rw), n1, p) for rw in phi], p)
     cl.add("phi_bijective", "phi: U -> V bijective",
-           pm.rank() == U.dim == V.dim)
+           la.rank([dict(rw) for rw in phi], n1, p) == U.dim == V.dim)
 
     with cl.holds("phi_antimultiplicative",
                   "phi(u u') = phi(u') phi(u)") as law:
@@ -320,14 +323,14 @@ class DepthTwoContext:
         N = base.incl.small
         self.N_in_M2 = [tower.embed(0, 2, base.incl.emb(N.basis_vec(i)))
                         for i in range(N.dim)]
-        self.M_in_M2 = [tower.embed(0, 2, self.M.basis_vec(i))
+        self.M_in_M1 = [tower.embed(0, 1, self.M.basis_vec(i))
                         for i in range(self.M.dim)]
+        self.M_in_M2 = [tower.embed(1, 2, x) for x in self.M_in_M1]
         self.M1_in_M2 = [tower.embed(1, 2, self.M1.basis_vec(i))
                          for i in range(self.M1.dim)]
 
         nsub = la.Subspace.from_vectors(m2, self.N_in_M2, self.p)
         msub = la.Subspace.from_vectors(m2, self.M_in_M2, self.p)
-        m1sub = la.Subspace.from_vectors(m2, self.M1_in_M2, self.p)
         self.U = la.Subspace.from_vectors(
             m2, [tower.embed(0, 2, dict(r)) for r in base.U.basis], self.p)
         self.A1 = ag.centralizer(self.M1, la.Subspace.from_vectors(
@@ -351,11 +354,6 @@ class DepthTwoContext:
 
     def mul(self, *xs):
         return self.M2.mulm(*xs)
-
-    mulm = mul
-
-    def scal(self, x, c):
-        return la.sscale(x, c)
 
 
 def centralizers(tower):
@@ -403,16 +401,24 @@ def depth2_check(ctx):
 class ExpectationPair:
     """E_A = E_M1 restricted to C, and the trace-built E_B: C -> B."""
 
+    C: la.Subspace
     E_B_rows: tuple  # C coords -> M2 sparse
     c_duals: tuple  # (c_i, d_i): dual bases of the trace on V (M2 sparse)
     checks: CheckList
+
+    def E_B(self, x):
+        """E_B of an M2 element of C; NotClosed outside C."""
+        co = self.C.coords(x)
+        if co is None:
+            raise ag.NotClosed("E_B applied outside C")
+        return ag.apply_map(self.E_B_rows,
+                            {i: c for i, c in enumerate(co) if c})
 
 
 def conditional_expectations(ctx, d2):
     """Build E_A, E_B and verify the whole depth-2 identity suite."""
     cl = CheckList("expectations")
     M2 = ctx.M2
-    one = ctx.one
     lam, lam_inv = ctx.lam, ctx.lam_inv
     T = ctx.T
     us = [dict(u) for u in d2.us]
@@ -449,17 +455,11 @@ def conditional_expectations(ctx, d2):
                 if coef != 0:
                     sadd_into(out, ctx.mul(di, vj), coef)
         ebays.append(out)
-    E_B_rows = ag.map_rows(ebays, ctx.p)
+    ep = ExpectationPair(C, ag.map_rows(ebays, ctx.p),
+                         (tuple(map(svec, c_i)), tuple(map(svec, d_i))), cl)
+    E_B, E_A = ep.E_B, ctx.E_M1
 
-    def E_B(x):
-        co = C.coords(x)
-        if co is None:
-            raise ag.NotClosed("E_B applied outside C")
-        return ag.apply_map(E_B_rows, {i: c for i, c in enumerate(co) if c})
-
-    def E_A(x):
-        return ctx.E_M1(x)
-
+    Ab = [dict(r) for r in ctx.A.basis]
     Bb = [dict(r) for r in ctx.B.basis]
     Cb = [dict(r) for r in C.basis]
     with cl.holds("E_B_restricts_to_id", "E_B(b) = b on B") as law:
@@ -479,7 +479,7 @@ def conditional_expectations(ctx, d2):
                               ctx.mul(E_B(c), b))
 
     cl.add("E_B_of_e1", "E_B(e1) = lambda 1",
-           E_B(ctx.e1) == ctx.scal(M2.unit_sparse(), lam))
+           E_B(ctx.e1) == la.sscale(M2.unit_sparse(), lam))
 
     with cl.holds("E_B_trace_compatible", "T(E_B(c) b) = T(b c)") as law:
         for ci, c in law.over(enumerate(Cb)):
@@ -502,49 +502,28 @@ def conditional_expectations(ctx, d2):
                 law.check((i,), lhs, direct)
 
     # symmetric square: AB = BA = C, and A (x)_V B = C as vector spaces
-    echAB = la.Echelon(M2.dim, ctx.p)
-    echBA = la.Echelon(M2.dim, ctx.p)
-    for ra in ctx.A.basis:
-        for rb in ctx.B.basis:
-            echAB.insert(ctx.mul(dict(ra), dict(rb)))
-            echBA.insert(ctx.mul(dict(rb), dict(ra)))
-    spanAB = la.Subspace(M2.dim, tuple(echAB.pivots),
-                         tuple(svec(r) for r in echAB.frac_rows()), ctx.p)
-    spanBA = la.Subspace(M2.dim, tuple(echBA.pivots),
-                         tuple(svec(r) for r in echBA.frac_rows()), ctx.p)
+    spanAB = la.Subspace.from_vectors(
+        M2.dim, [ctx.mul(a, b) for a in Ab for b in Bb], ctx.p)
+    spanBA = la.Subspace.from_vectors(
+        M2.dim, [ctx.mul(b, a) for a in Ab for b in Bb], ctx.p)
     cl.add("symmetric_square_spans", "AB = BA = C",
            spanAB == C and spanBA == C)
 
     nA, nB = ctx.A.dim, ctx.B.dim
-    rel = []
+    rel = []  # (a v) (x) b - a (x) (v b) in A (x) B coordinates
     for rv in ctx.V.basis:
         v = dict(rv)
-        for i, ra in enumerate(ctx.A.basis):
-            av = ctx.mul(dict(ra), v)
-            av_co = ctx.A.coords(av)
+        vb_co = [la.sparse(ctx.B.coords(ctx.mul(v, b))) for b in Bb]
+        for i, a in enumerate(Ab):
+            av_co = la.sparse(ctx.A.coords(ctx.mul(a, v)))
             for j in range(nB):
-                vec = {}
-                for k, c in enumerate(av_co):
-                    if c:
-                        vec[k * nB + j] = c
-                vb = ctx.mul(v, dict(ctx.B.basis[j]))
-                vb_co = ctx.B.coords(vb)
-                for l, c in enumerate(vb_co):
-                    if c:
-                        w = vec.get(i * nB + l, 0) - c
-                        if w == 0:
-                            vec.pop(i * nB + l, None)
-                        else:
-                            vec[i * nB + l] = w
+                vec = tensor_sparse(av_co, {j: ctx.one}, nB)
+                sadd_into(vec, tensor_sparse({i: ctx.one}, vb_co[j], nB), -1)
                 if vec:
                     rel.append(vec)
     qAB = la.quotient(nA * nB, la.Subspace.from_vectors(nA * nB, rel, ctx.p))
-    mul_map_rows = []
-    for c in qAB.section_cols:
-        i, j = divmod(c, nB)
-        mul_map_rows.append(ctx.mul(dict(ctx.A.basis[i]), dict(ctx.B.basis[j])))
-    rk = la.Mat.from_rows([la.dense(r, M2.dim, ctx.p) for r in mul_map_rows],
-                          ctx.p).rank()
+    rk = la.rank([ctx.mul(Ab[c // nB], Bb[c % nB]) for c in qAB.section_cols],
+                 M2.dim, ctx.p)
     cl.add("relative_tensor_AB", "A (x)_V B = C as vector spaces",
            qAB.dim == C.dim and rk == C.dim,
            witness="dim %d vs %d, rank %d" % (qAB.dim, C.dim, rk))
@@ -562,7 +541,7 @@ def conditional_expectations(ctx, d2):
         with cl.holds(name, text) as law:
             for i, c in law.over(enumerate(Cb)):
                 ec = mul(e, c)
-                law.check((i,), ctx.scal(mul(e, E(ec)), lam_inv), ec)
+                law.check((i,), la.sscale(mul(e, E(ec)), lam_inv), ec)
 
     # span consequences
     def span_eq(vecs1, vecs2):
@@ -570,7 +549,6 @@ def conditional_expectations(ctx, d2):
         s2 = la.Subspace.from_vectors(M2.dim, vecs2, ctx.p)
         return s1 == s2
 
-    Ab = [dict(r) for r in ctx.A.basis]
     cl.add("Ce2_eq_Ae2", "C e2 = A e2",
            span_eq([ctx.mul(c, ctx.e2) for c in Cb],
                    [ctx.mul(a, ctx.e2) for a in Ab]))
@@ -584,18 +562,11 @@ def conditional_expectations(ctx, d2):
            span_eq([ctx.mul(ctx.e1, c) for c in Cb],
                    [ctx.mul(ctx.e1, b) for b in Bb]))
 
-    ech = la.Echelon(M2.dim, ctx.p)
-    for a in Ab:
-        ae2 = ctx.mul(a, ctx.e2)
-        for a2 in Ab:
-            ech.insert(ctx.mul(ae2, a2))
-    cl.add("C_is_Ae2A", "C = A e2 A", ech.rank == C.dim)
-    ech = la.Echelon(M2.dim, ctx.p)
-    for b in Bb:
-        be1 = ctx.mul(b, ctx.e1)
-        for b2 in Bb:
-            ech.insert(ctx.mul(be1, b2))
-    cl.add("C_is_Be1B", "C = B e1 B", ech.rank == C.dim)
+    for name, text, X, e in (("C_is_Ae2A", "C = A e2 A", Ab, ctx.e2),
+                             ("C_is_Be1B", "C = B e1 B", Bb, ctx.e1)):
+        xes = [ctx.mul(x, e) for x in X]
+        cl.add(name, text, la.rank((ctx.mul(xe, x2) for xe in xes
+                                    for x2 in X), M2.dim, ctx.p) == C.dim)
 
     # the second trace formula for E_B
     with cl.holds("E_B_alternative", "E_B(c) = u_j c_i T(d_i v_j c)") as law:
@@ -608,8 +579,7 @@ def conditional_expectations(ctx, d2):
                         sadd_into(alt, ctx.mul(uj, ci), coef)
             law.check((i,), alt, E_B(c))
 
-    return ExpectationPair(E_B_rows, (tuple(map(svec, c_i)),
-                                      tuple(map(svec, d_i))), cl)
+    return ep
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +592,7 @@ class SingularGram(Exception):
 @dataclass(frozen=True)
 class PairingData:
     f: dict  # symmetric separability element of V, flat V-basis tensor
+    vhat: tuple  # the basis of the subalgebra V, M2 sparse
     w: dict  # M2 sparse, the trace-normalizing unit of Z(V)
     w_inv: dict
     gram: la.Mat  # <a_i, b_j> = lambda^-2 T(a_i e2 e1 w b_j)
@@ -643,16 +614,10 @@ def pairing(ctx, d2, ep):
     for ij, c in f.items():
         i, j = divmod(ij, nV)
         sadd_into(s, vhat[i], c * T(vhat[j]))
-    s_co = expV(s)
-    lm = V_alg.lmul_rows(s_co)
-    unit_co = V_alg.unit_sparse()
     try:
-        w_co_vec = la.solve(la.Mat.from_rows(
-            [la.dense(dict(r), nV, ctx.p) for r in lm], ctx.p).transpose(),
-            la.dense(unit_co, nV, ctx.p))
+        w_co = ag.right_inverse(V_alg, expV(s))
     except la.NoSolution:
         raise SingularGram("f^(1) T(f^(2)) is not invertible in V")
-    w_co = {i: c for i, c in enumerate(w_co_vec) if c}
     w = injV(w_co)
     cl.add("w_inverts", "w [f1 T(f2)] = 1 = [f1 T(f2)] w",
            ctx.mul(w, s) == M2.unit_sparse() and
@@ -667,7 +632,7 @@ def pairing(ctx, d2, ep):
             acc = {}
             for ij, c in f.items():
                 i, j = divmod(ij, nV)
-                acc_c = T(ctx.mulm(v, w, vhat[j]))
+                acc_c = T(ctx.mul(v, w, vhat[j]))
                 if acc_c != 0:
                     sadd_into(acc, vhat[i], c * acc_c)
             law.check((k,), acc, v)
@@ -675,8 +640,8 @@ def pairing(ctx, d2, ep):
     lam2 = ctx.lam_inv * ctx.lam_inv
     Ab = [dict(r) for r in ctx.A.basis]
     Bb = [dict(r) for r in ctx.B.basis]
-    mid = ctx.mulm(ctx.e2, ctx.e1, w)
-    mid2 = ctx.mulm(ctx.e1, ctx.e2, w)
+    mid = ctx.mul(ctx.e2, ctx.e1, w)
+    mid2 = ctx.mul(ctx.e1, ctx.e2, w)
     gram = []
     for a in Ab:
         amid = ctx.mul(a, mid)
@@ -686,7 +651,7 @@ def pairing(ctx, d2, ep):
     for a in Ab:
         g2row = []
         for b in Bb:
-            g2row.append(lam2 * T(ctx.mulm(b, mid2, a)))
+            g2row.append(lam2 * T(ctx.mul(b, mid2, a)))
         gram2.append(g2row)
     gram2 = la.Mat.from_rows(gram2, ctx.p)
     nd = gram.rank() == ctx.A.dim == ctx.B.dim
@@ -697,11 +662,8 @@ def pairing(ctx, d2, ep):
            "<a, b>' = lambda^-2 T(b e1 e2 w a) is non-degenerate", nd2)
     if not (nd and nd2):
         raise SingularGram("duality pairing degenerate")
-    w_inv_co_vec = la.solve(la.Mat.from_rows(
-        [la.dense(dict(r), nV, ctx.p) for r in V_alg.lmul_rows(w_co)],
-        ctx.p).transpose(), la.dense(unit_co, nV, ctx.p))
-    w_inv = injV({i: c for i, c in enumerate(w_inv_co_vec) if c})
-    return PairingData(f, w, w_inv, gram, gram2, cl)
+    w_inv = injV(ag.right_inverse(V_alg, w_co))
+    return PairingData(f, tuple(vhat), w, w_inv, gram, gram2, cl)
 
 
 class DerivedWeakHopf:
@@ -735,8 +697,8 @@ class DerivedWeakHopf:
         G2inv = pd.gram2.inverse()
         self.gram_inv = Ginv
 
-        mid = ctx.mulm(ctx.e2, ctx.e1, pd.w)
-        P = [[ctx.mulm(ahat[i], ahat[k], mid) for k in range(nA)]
+        mid = ctx.mul(ctx.e2, ctx.e1, pd.w)
+        P = [[ctx.mul(ahat[i], ahat[k], mid) for k in range(nA)]
              for i in range(nA)]
         delta_rows = []
         for j in range(nB):
@@ -766,15 +728,9 @@ class DerivedWeakHopf:
         # support tables
         w, w_inv = pd.w, pd.w_inv
         e1, e2 = ctx.e1, ctx.e2
-        lam_inv, lam = ctx.lam_inv, ctx.lam
+        lam_inv = ctx.lam_inv
         one = ctx.one
-        E_A = ctx.E_M1
-        C = ctx.C
-
-        def E_B(x):
-            co = C.coords(x)
-            return ag.apply_map(ep.E_B_rows,
-                                {i: c for i, c in enumerate(co) if c})
+        E_A, E_B = ctx.E_M1, ep.E_B
 
         def S(x_co):
             return ag.apply_map(B.s, x_co)
@@ -791,39 +747,30 @@ class DerivedWeakHopf:
         with cl.holds("eps_formula", "eps(b) = lambda^-1 T(e2 w b)") as law:
             for j in law.over(range(nB)):
                 law.check((j,), eps_vec[j],
-                          lam_inv * T(ctx.mulm(e2, w, bhat[j])))
+                          lam_inv * T(ctx.mul(e2, w, bhat[j])))
 
         with cl.holds("eps_S_invariant", "eps(S(b)) = eps(b)") as law:
             for j in law.over(range(nB)):
                 law.check((j,), B.e(S({j: one})), eps_vec[j])
 
-        # Delta(1) = S^-1(f1) (x) f2, legs through V -> B coordinates
-        V_alg, injV, expV = ag.subalgebra(M2, ctx.V, "V")
-        nV = V_alg.dim
-        vB = [expB(injV(V_alg.basis_vec(i))) for i in range(nV)]
-        d1_target = {}
-        for ij, c in pd.f.items():
-            i, j = divmod(ij, nV)
-            left = S_inv(vB[i])
-            for k, ck in left.items():
-                for l, cl_ in vB[j].items():
-                    key = k * nB + l
-                    d1_target[key] = d1_target.get(key, 0) + c * ck * cl_
-        d1_target = {k: v for k, v in d1_target.items() if v != 0}
-        cl.add("delta_one_formula", "Delta(1) = S^-1(f1) (x) f2",
-               B.delta_one() == d1_target)
+        # Delta(1) = S^-1(f1) (x) f2 = S(f1) (x) f2, legs in B coordinates
+        nV = len(pd.vhat)
+        vB = [expB(v) for v in pd.vhat]
 
-        d1_target2 = {}
-        for ij, c in pd.f.items():
-            i, j = divmod(ij, nV)
-            left = S(vB[i])
-            for k, ck in left.items():
-                for l, cl_ in vB[j].items():
-                    key = k * nB + l
-                    d1_target2[key] = d1_target2.get(key, 0) + c * ck * cl_
-        d1_target2 = {k: v for k, v in d1_target2.items() if v != 0}
+        def first_leg_through(F):
+            out = {}
+            for ij, c in pd.f.items():
+                i, j = divmod(ij, nV)
+                for k, ck in F(vB[i]).items():
+                    for l, cl_ in vB[j].items():
+                        key = k * nB + l
+                        out[key] = out.get(key, 0) + c * ck * cl_
+            return {k: v for k, v in out.items() if v != 0}
+
+        cl.add("delta_one_formula", "Delta(1) = S^-1(f1) (x) f2",
+               B.delta_one() == first_leg_through(S_inv))
         cl.add("delta_one_symmetric", "Delta(1) = S(f1) (x) f2",
-               B.delta_one() == d1_target2)
+               B.delta_one() == first_leg_through(S))
 
         # Lemma: S^-1(b) = lambda^-3 w^-1 E_B(e1 e2 E_A(b e1 e2)) w
         lam3 = lam_inv * lam_inv * lam_inv
@@ -832,8 +779,8 @@ class DerivedWeakHopf:
                       "S^-1(b) = lambda^-3 w^-1 E_B(e1 e2 E_A(b e1 e2)) w"
                       ) as law:
             for j in law.over(range(nB)):
-                inner = E_A(ctx.mulm(bhat[j], e1, e2))
-                val = ctx.mulm(w_inv, E_B(ctx.mulm(e1, e2, inner)), w)
+                inner = E_A(ctx.mul(bhat[j], e1, e2))
+                val = ctx.mul(w_inv, E_B(ctx.mul(e1, e2, inner)), w)
                 law.check((j,), expB(la.sscale(val, lam3)), S_inv({j: one}))
 
         VB_sub = la.Subspace.from_vectors(nB, vB, ctx.p)
@@ -846,24 +793,18 @@ class DerivedWeakHopf:
                       "b = w S^-1(w S^-1(b) w^-1) w^-1") as law:
             for j in law.over(range(nB)):
                 b = {j: one}
-                val = expB(ctx.mulm(w, injB(S_inv(expB(
-                    ctx.mulm(w, injB(S_inv(b)), w_inv)))), w_inv))
+                val = expB(ctx.mul(w, injB(S_inv(expB(
+                    ctx.mul(w, injB(S_inv(b)), w_inv)))), w_inv))
                 law.check((j,), val, b)
 
         g = ctx.mul(injB(S(expB(w_inv))), w)
-        g_coords = expB(g)
-        glm = B_alg.lmul_rows(g_coords)
-        g_inv_vec = la.solve(la.Mat.from_rows(
-            [la.dense(dict(r), nB, ctx.p) for r in glm],
-            ctx.p).transpose(), la.dense(B_alg.unit_sparse(), nB, ctx.p))
-        g_inv_co = {i: c for i, c in enumerate(g_inv_vec) if c}
         self.g = g
-        self.g_inv = injB(g_inv_co)
+        self.g_inv = injB(ag.right_inverse(B_alg, expB(g)))
         with cl.holds("s_squared_conjugation",
                       "S^2(b) = g b g^-1, g = S(w^-1) w") as law:
             for j in law.over(range(nB)):
                 law.check((j,), S(S({j: one})),
-                          expB(ctx.mulm(g, bhat[j], self.g_inv)))
+                          expB(ctx.mul(g, bhat[j], self.g_inv)))
 
         with cl.holds("s_squared_counital", "S^2 = id on V and on W") as law:
             for i, v in law.over(enumerate(vB)):
@@ -895,7 +836,7 @@ class DerivedWeakHopf:
                 law.check(("right", k), VB_sub.contains(v), True)
 
         cl.add("s_inv_e2", "S^-1(e2) = w^-1 e2 w",
-               S_inv(expB(e2)) == expB(ctx.mulm(w_inv, e2, w)))
+               S_inv(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
         with cl.holds("v_e2", "v e2 = S(v) e2 for v in V") as law:
             for i, v in law.over(enumerate(vB)):
                 law.check((i,), ctx.mul(injB(v), e2), ctx.mul(injB(S(v)), e2))
@@ -903,7 +844,7 @@ class DerivedWeakHopf:
         with cl.holds("lemma_c",
                       "lambda^-1 E_A(e2 w b) w^-1 = eps(b 1(1)) 1(2)") as law:
             for j in law.over(range(nB)):
-                lhs = la.sscale(ctx.mul(E_A(ctx.mulm(e2, w, bhat[j])), w_inv),
+                lhs = la.sscale(ctx.mul(E_A(ctx.mul(e2, w, bhat[j])), w_inv),
                                 lam_inv)
                 rhs = {}
                 for kl, c in d1.items():
@@ -929,7 +870,7 @@ class DerivedWeakHopf:
                 law.check((j,), wha.mul2(B_alg, dj, d1), dj)
 
         cl.add("s_e2", "S(e2) = w^-1 e2 w",
-               S(expB(e2)) == expB(ctx.mulm(w_inv, e2, w)))
+               S(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
 
         # Prop: lambda^-1 E_B(e1 w b a) = <a, b1> w b2 and the recovery identity
         with cl.holds("pairing_slice",
@@ -937,7 +878,7 @@ class DerivedWeakHopf:
             for j in law.over(range(nB)):
                 lj = legs(j)
                 for i in law.over(range(nA)):
-                    lhs = la.sscale(E_B(ctx.mulm(e1, w, bhat[j], ahat[i])),
+                    lhs = la.sscale(E_B(ctx.mul(e1, w, bhat[j], ahat[i])),
                                     lam_inv)
                     rhs = {}
                     for (k, l), c in lj:
@@ -951,19 +892,19 @@ class DerivedWeakHopf:
             for j in law.over(range(nB)):
                 acc = {}
                 for (k, l), c in legs(j):
-                    term = ctx.mulm(bhat[l], E_A(ctx.mulm(e2, w, bhat[k])),
-                                    w_inv)
+                    term = ctx.mul(bhat[l], E_A(ctx.mul(e2, w, bhat[k])),
+                                   w_inv)
                     sadd_into(acc, term, c * lam_inv)
                 law.check((j,), acc, bhat[j])
 
         with cl.holds("heart",
                       "w^-1 e1 w b = lambda^-1 b2 w^-1 E_A(e2 e1 w b1)") as law:
             for j in law.over(range(nB)):
-                lhs = ctx.mulm(w_inv, e1, w, bhat[j])
+                lhs = ctx.mul(w_inv, e1, w, bhat[j])
                 rhs = {}
                 for (k, l), c in legs(j):
-                    term = ctx.mulm(bhat[l], w_inv,
-                                    E_A(ctx.mulm(e2, e1, w, bhat[k])))
+                    term = ctx.mul(bhat[l], w_inv,
+                                   E_A(ctx.mul(e2, e1, w, bhat[k])))
                     sadd_into(rhs, term, c * lam_inv)
                 law.check((j,), lhs, rhs)
 
@@ -973,17 +914,17 @@ class DerivedWeakHopf:
             for j in law.over(range(nB)):
                 lj = legs(j)
                 for i, x in law.over(enumerate(M1b)):
-                    lhs = ctx.mulm(w_inv, x, bhat[j])
+                    lhs = ctx.mul(w_inv, x, bhat[j])
                     rhs = {}
                     for (k, l), c in lj:
-                        term = ctx.mulm(bhat[l], w_inv,
-                                        ctx.E_M1(ctx.mulm(e2, x, bhat[k])))
+                        term = ctx.mul(bhat[l], w_inv,
+                                       ctx.E_M1(ctx.mul(e2, x, bhat[k])))
                         sadd_into(rhs, term, c * lam_inv)
                     law.check((j, i), lhs, rhs)
 
         # E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1)
         nM1 = len(M1b)
-        q_tab = [[ctx.E_M1(ctx.mulm(e2, w, M1b[x], bhat[k]))
+        q_tab = [[ctx.E_M1(ctx.mul(e2, w, M1b[x], bhat[k]))
                   for k in range(nB)] for x in range(nM1)]
         e2w = ctx.mul(e2, w)
 
@@ -998,7 +939,7 @@ class DerivedWeakHopf:
                         lhs = ctx.E_M1(ctx.mul(e2wyx, bhat[j]))
                         rhs = {}
                         for (k, l), c in legs(j):
-                            term = ctx.mulm(q_tab[y][l], w_inv, q_tab[x][k])
+                            term = ctx.mul(q_tab[y][l], w_inv, q_tab[x][k])
                             sadd_into(rhs, term, c * lam_inv)
                         law.check((y, x, j), lhs, rhs)
 
@@ -1049,13 +990,15 @@ class DerivedWeakHopf:
         haar = ctx.mul(e2, injB(S_inv(expB(e2))))
         hB = expB(haar)
         self.haar = haar
-        unemb2 = ag.section_of_inclusion(ctx.lv2.cert.incl)
+        # the section of M1 in M2, and A inside M1, for the later stages too
+        self.unemb2 = unemb2 = ag.section_of_inclusion(ctx.lv2.cert.incl)
+        self.a_in_M1 = [unemb2(a) for a in ahat]
         w_inv_M1 = unemb2(w_inv)
         w_M1 = unemb2(w)
         EMw_inv = ctx.t.embed(0, 2, ag.apply_map(ctx.lv1.E_down, w_inv_M1))
         EMw = ctx.t.embed(0, 2, ag.apply_map(ctx.lv1.E_down, w_M1))
         cl.add("haar_form", "e2 S^-1(e2) = e2 w^-1 e2 w = E_M(w^-1) e2 w",
-               haar == ctx.mulm(EMw_inv, e2, w))
+               haar == ctx.mul(EMw_inv, e2, w))
         e2wB = expB(ctx.mul(e2, w))
 
         with cl.holds("haar_two_sided", "l = e2 S^-1(e2) and e2 w are "
@@ -1098,41 +1041,22 @@ class DerivedWeakHopf:
                         rhs.append(acc)
                     law.check((i, k), lhs, rhs)
 
+        # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1
         Bd = wha.dual(B)
-        Gt = G.transpose()
-        Gt_inv = Ginv.transpose()
-
-        def kappa(a_co):  # A coords -> B* coords
-            out = {}
-            for i, c in a_co.items():
-                for j in range(nB):
-                    v = c * Gt.entries[j][i]
-                    if v != 0:
-                        out[j] = out.get(j, 0) + v
-            return {k: v for k, v in out.items() if v != 0}
-
-        def kappa_inv(phi_co):
-            out = {}
-            for j, c in phi_co.items():
-                for i in range(nA):
-                    v = c * Gt_inv.entries[i][j]
-                    if v != 0:
-                        out[i] = out.get(i, 0) + v
-            return {k: v for k, v in out.items() if v != 0}
-
         deltaA = []
         for i in range(nA):
-            img = ag.apply_map(Bd.delta, kappa({i: one}))
+            img = ag.apply_map(Bd.delta, _combine_rows(G, {i: one}))
             row = {}
             for kl, c in img.items():
                 k, l = divmod(kl, nB)
-                for k2, c2 in kappa_inv({k: one}).items():
-                    for l2, c3 in kappa_inv({l: one}).items():
+                for k2, c2 in _combine_rows(Ginv, {k: one}).items():
+                    for l2, c3 in _combine_rows(Ginv, {l: one}).items():
                         key = k2 * nA + l2
                         row[key] = row.get(key, 0) + c * c2 * c3
             deltaA.append({k: v for k, v in row.items() if v != 0})
-        epsA = [Bd.e(kappa({i: one})) for i in range(nA)]
-        sA = [kappa_inv(ag.apply_map(Bd.s, kappa({i: one})))
+        epsA = [Bd.e(_combine_rows(G, {i: one})) for i in range(nA)]
+        sA = [_combine_rows(Ginv, ag.apply_map(Bd.s,
+                                               _combine_rows(G, {i: one})))
               for i in range(nA)]
         A = wha.make_weakhopf(A_alg, deltaA, epsA, sA)
         self.A = A
@@ -1156,6 +1080,17 @@ class DerivedWeakHopf:
                 law.check((k,), ctx.U.contains(amb), True)
 
 
+def _combine_rows(mat, co):
+    """sum_i co[i] (row i of mat), as a sparse dict."""
+    out = {}
+    for i, c in co.items():
+        for j, x in enumerate(mat.entries[i]):
+            v = c * x
+            if v != 0:
+                out[j] = out.get(j, 0) + v
+    return {k: v for k, v in out.items() if v != 0}
+
+
 # ---------------------------------------------------------------------------
 # section-4: actions and the two smash-product isomorphisms
 
@@ -1173,16 +1108,12 @@ def action_B_on_M1(ctx, dw):
     one = ctx.one
     bhat = dw.bhat
     M1 = ctx.M1
-    unemb2 = ag.section_of_inclusion(ctx.lv2.cert.incl)
 
-    act = []
-    for j in range(nB):
-        rows = []
-        for x in range(M1.dim):
-            img = ag.apply_map(ctx.lv2.E_down,
-                               ctx.mulm(bhat[j], ctx.M1_in_M2[x], ctx.e2))
-            rows.append(la.sscale(img, ctx.lam_inv))
-        act.append(rows)
+    # r_tab[j][x] = E_M1(b_j x e2), M1 coords
+    r_tab = [[ag.apply_map(ctx.lv2.E_down,
+                           ctx.mul(bhat[j], ctx.M1_in_M2[x], ctx.e2))
+              for x in range(M1.dim)] for j in range(nB)]
+    act = [[la.sscale(r, ctx.lam_inv) for r in row] for row in r_tab]
     MB, mcl = ac.make_module_algebra(B, M1, act)
     cl.extend(mcl)
 
@@ -1190,8 +1121,7 @@ def action_B_on_M1(ctx, dw):
     A = dw.A
     nA = A.dim
     G = dw.pd.gram
-    a_in_M1 = [unemb2(a) for a in dw.ahat]
-    m_in_M1 = [ctx.t.embed(0, 1, ctx.M.basis_vec(i)) for i in range(ctx.M.dim)]
+    a_in_M1, m_in_M1 = dw.a_in_M1, ctx.M_in_M1
 
     with cl.holds("standard_action_form", "b . (m a) = m <a2, b> a1") as law:
         for mi in law.over(range(ctx.M.dim)):
@@ -1215,15 +1145,12 @@ def action_B_on_M1(ctx, dw):
                 lhs = ctx.t.embed(1, 2, MB.apply({j: one}, M1.basis_vec(x)))
                 rhs = {}
                 for (k, l), c in lj:
-                    term = ctx.mulm(bhat[k], ctx.M1_in_M2[x],
-                                    dw.injB(ag.apply_map(B.s, {l: one})))
+                    term = ctx.mul(bhat[k], ctx.M1_in_M2[x],
+                                   dw.injB(ag.apply_map(B.s, {l: one})))
                     sadd_into(rhs, term, c)
                 law.check((j, x), lhs, rhs)
 
     # measuring through the expectation
-    r_tab = [[ag.apply_map(ctx.lv2.E_down,
-                           ctx.mulm(bhat[k], ctx.M1_in_M2[x], ctx.e2))
-              for x in range(M1.dim)] for k in range(nB)]
     with cl.holds("expectation_measuring_form",
                   "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)"
                   ) as law:
@@ -1234,7 +1161,7 @@ def action_B_on_M1(ctx, dw):
                     xy = M1.mul(M1.basis_vec(x), M1.basis_vec(y))
                     lhs = ag.apply_map(
                         ctx.lv2.E_down,
-                        ctx.mulm(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2))
+                        ctx.mul(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2))
                     rhs = {}
                     for (k, l), c in lj:
                         sadd_into(rhs, M1.mul(r_tab[k][x], r_tab[l][y]),
@@ -1247,6 +1174,53 @@ def action_B_on_M1(ctx, dw):
     return MB, cl
 
 
+def _smash_iso(cl, sm, target, left, right, laws, inverse=None):
+    """Verify x # h -> left[x] right[h] as an isomorphism sm.alg -> target.
+
+    `left` and `right` are the two legs embedded in `target`; `laws` holds
+    the texts of the dimension, bijective, unital, multiplicative and
+    tower_compatible laws.  `inverse`, when given, is (text, fn) with fn
+    mapping a target basis index to the smash coordinates of its preimage,
+    checked before tower_compatible.  Returns the sparse rows of the map.
+    """
+    one = la.as_scalar(1, target.p)
+    q = sm.quotient
+    nR = len(right)
+    rows = []
+    for i in range(q.dim):
+        out = {}
+        for xh, c in q.section({i: one}).items():
+            x, h = divmod(xh, nR)
+            sadd_into(out, target.mul(left[x], right[h]), c)
+        rows.append(out)
+    iso = ag.map_rows(rows, target.p)
+    dim_text, bij_text, unit_text, mult_text, tower_text = laws
+    cl.add("dimension", dim_text, sm.alg.dim == target.dim,
+           witness="%d vs %d" % (sm.alg.dim, target.dim))
+    cl.add("bijective", bij_text,
+           la.rank([dict(r) for r in iso], target.dim, target.p) == target.dim)
+    cl.add("unital", unit_text,
+           ag.apply_map(iso, sm.alg.unit_sparse()) == target.unit_sparse())
+    with cl.holds("multiplicative", mult_text) as law:
+        for i in law.over(range(sm.alg.dim)):
+            for j in law.over(range(sm.alg.dim)):
+                lhs = ag.apply_map(iso, sm.alg.mul({i: one}, {j: one}))
+                rhs = target.mul(ag.apply_map(iso, {i: one}),
+                                 ag.apply_map(iso, {j: one}))
+                law.check((i, j), lhs, rhs)
+    if inverse is not None:
+        with cl.holds("inverse_formula", inverse[0]) as law:
+            for x in law.over(range(target.dim)):
+                law.check((x,), ag.apply_map(iso, inverse[1](x)),
+                          target.basis_vec(x))
+    unit_h = sm.module.H.alg.unit_sparse()
+    with cl.holds("tower_compatible", tower_text) as law:
+        for x, leg in law.over(enumerate(left)):
+            cls = q.project(la.tensor_sparse({x: one}, unit_h, nR))
+            law.check((x,), ag.apply_map(iso, cls), leg)
+    return iso
+
+
 def psi_iso(ctx, dw, MB, d2):
     """psi: M1 # B -> M2, x # b -> x b, verified as an algebra isomorphism."""
     from weakhopf import action as ac
@@ -1256,51 +1230,26 @@ def psi_iso(ctx, dw, MB, d2):
     M2 = ctx.M2
     nB = dw.B.dim
     q = sm.quotient
-    psi_rows = []
-    for i in range(q.dim):
-        amb = q.section({i: ctx.one})
-        out = {}
-        for xh, c in amb.items():
-            x, h = divmod(xh, nB)
-            sadd_into(out, ctx.mul(ctx.M1_in_M2[x], dw.bhat[h]), c)
-        psi_rows.append(out)
-    psi = ag.map_rows(psi_rows, ctx.p)
-    cl.add("dimension", "dim(M1 # B) = dim M2", sm.alg.dim == M2.dim,
-           witness="%d vs %d" % (sm.alg.dim, M2.dim))
-    rk = la.Mat.from_rows([la.dense(dict(r), M2.dim, ctx.p) for r in psi],
-                          ctx.p).rank()
-    cl.add("bijective", "psi is a linear isomorphism", rk == M2.dim)
-    cl.add("unital", "psi(1 # 1) = 1",
-           ag.apply_map(psi, sm.alg.unit_sparse()) == M2.unit_sparse())
-    with cl.holds("multiplicative",
-                  "psi((x#b)(y#b')) = psi(x#b) psi(y#b')") as law:
-        for i in law.over(range(sm.alg.dim)):
-            for j in law.over(range(sm.alg.dim)):
-                lhs = ag.apply_map(psi, sm.alg.mul({i: ctx.one}, {j: ctx.one}))
-                rhs = ctx.mul(ag.apply_map(psi, {i: ctx.one}),
-                              ag.apply_map(psi, {j: ctx.one}))
-                law.check((i, j), lhs, rhs)
 
     # inverse x -> E_M1(x u_j) (x) v_j
     us = [dict(u) for u in d2.us]
     vsB = [dw.expB(dict(v)) for v in d2.vs]
-    with cl.holds("inverse_formula",
-                  "x -> E_M1(x u_j) # v_j inverts psi") as law:
-        for x in law.over(range(M2.dim)):
-            acc = {}
-            for u, vB in zip(us, vsB):
-                em = ag.apply_map(ctx.lv2.E_down, ctx.mul(M2.basis_vec(x), u))
-                for xi, c in em.items():
-                    for bi, cb in vB.items():
-                        sadd_into(acc, q.proj_cols[xi * nB + bi], c * cb)
-            law.check((x,), ag.apply_map(psi, acc), M2.basis_vec(x))
 
-    with cl.holds("tower_compatible", "psi(x # 1) = x recovers the "
-                  "inclusion M1 into M2") as law:
-        for x in law.over(range(ctx.M1.dim)):
-            cls_x1 = q.project(la.tensor_sparse(ctx.M1.basis_vec(x),
-                                                dw.B_alg.unit_sparse(), nB))
-            law.check((x,), ag.apply_map(psi, cls_x1), ctx.M1_in_M2[x])
+    def preimage(x):
+        acc = {}
+        for u, vB in zip(us, vsB):
+            em = ag.apply_map(ctx.lv2.E_down, ctx.mul(M2.basis_vec(x), u))
+            for xi, c in em.items():
+                for bi, cb in vB.items():
+                    sadd_into(acc, q.proj_cols[xi * nB + bi], c * cb)
+        return acc
+
+    psi = _smash_iso(
+        cl, sm, M2, ctx.M1_in_M2, dw.bhat,
+        ("dim(M1 # B) = dim M2", "psi is a linear isomorphism",
+         "psi(1 # 1) = 1", "psi((x#b)(y#b')) = psi(x#b) psi(y#b')",
+         "psi(x # 1) = x recovers the inclusion M1 into M2"),
+        inverse=("x -> E_M1(x u_j) # v_j inverts psi", preimage))
     return sm, psi, cl
 
 
@@ -1313,10 +1262,8 @@ def action_A_on_M(ctx, dw, MB):
     one = ctx.one
     M = ctx.M
     M1 = ctx.M1
-    unemb2 = ag.section_of_inclusion(ctx.lv2.cert.incl)
     unemb1 = ag.section_of_inclusion(ctx.lv1.cert.incl)
-    a_in_M1 = [unemb2(a) for a in dw.ahat]
-    m_in_M1 = [ctx.t.embed(0, 1, M.basis_vec(i)) for i in range(M.dim)]
+    a_in_M1, m_in_M1 = dw.a_in_M1, ctx.M_in_M1
     M_img = la.Subspace.from_vectors(M1.dim, m_in_M1, ctx.p)
 
     sA = A.s
@@ -1371,10 +1318,11 @@ def action_A_on_M(ctx, dw, MB):
         for ai in law.over(range(nA)):
             rho = {}
             for k in law.over(range(nB)):
-                img = MB.apply({k: one}, a_in_M1[ai])
-                co = _coords_in(a_in_M1, img, ctx.p)
-                # b . a must lie in A
-                if not law.check((ai, k), co is not None, True):
+                img = ctx.t.embed(1, 2, MB.apply({k: one}, a_in_M1[ai]))
+                try:
+                    co = dw.expA(img)
+                except ag.NotClosed:  # b . a must lie in A
+                    law.check((ai, k), False, True)
                     continue
                 for t_, c in co.items():
                     for i2 in range(nA):
@@ -1387,19 +1335,6 @@ def action_A_on_M(ctx, dw, MB):
     return MA, cl
 
 
-def _coords_in(basis_vecs, x, p):
-    """Solve x = sum c_i basis_vecs[i]; None when x is outside the span."""
-    n = max((max(b) for b in basis_vecs if b), default=-1) + 1
-    n = max(n, max(x) + 1 if x else 0)
-    mat = la.Mat.from_rows(
-        [la.dense(b, n, p) for b in basis_vecs], p).transpose()
-    try:
-        co = la.solve(mat, la.dense(x, n, p))
-    except la.NoSolution:
-        return None
-    return {i: c for i, c in enumerate(co) if c}
-
-
 def phi_iso(ctx, dw, MA):
     """phi: M # A -> M1, m # a -> m a, verified as an algebra isomorphism."""
     from weakhopf import action as ac
@@ -1407,47 +1342,13 @@ def phi_iso(ctx, dw, MA):
     Acd = wha.counital(dw.A)
     sm = ac.smash(MA, counital_data=Acd)
     cl.extend(sm.checks)
-    M1 = ctx.M1
-    nA = dw.A.dim
-    unemb2 = ag.section_of_inclusion(ctx.lv2.cert.incl)
-    a_in_M1 = [unemb2(a) for a in dw.ahat]
-    m_in_M1 = [ctx.t.embed(0, 1, ctx.M.basis_vec(i))
-               for i in range(ctx.M.dim)]
-    q = sm.quotient
-    phi_rows = []
-    for i in range(q.dim):
-        amb = q.section({i: ctx.one})
-        out = {}
-        for ma, c in amb.items():
-            mi, ai = divmod(ma, nA)
-            sadd_into(out, M1.mul(m_in_M1[mi], a_in_M1[ai]), c)
-        phi_rows.append(out)
-    phi = ag.map_rows(phi_rows, ctx.p)
-    cl.add("dimension", "dim(M # A) = dim M1", sm.alg.dim == M1.dim,
-           witness="%d vs %d" % (sm.alg.dim, M1.dim))
-    rk = la.Mat.from_rows([la.dense(dict(r), M1.dim, ctx.p) for r in phi],
-                          ctx.p).rank()
-    cl.add("bijective", "phi is a linear isomorphism", rk == M1.dim)
-    cl.add("unital", "phi(1 # 1) = 1",
-           ag.apply_map(phi, sm.alg.unit_sparse()) == M1.unit_sparse())
-    with cl.holds("multiplicative",
-                  "phi((m#a)(m'#a')) = phi(m#a) phi(m'#a')") as law:
-        for i in law.over(range(sm.alg.dim)):
-            for j in law.over(range(sm.alg.dim)):
-                lhs = ag.apply_map(phi, sm.alg.mul({i: ctx.one}, {j: ctx.one}))
-                rhs = M1.mul(ag.apply_map(phi, {i: ctx.one}),
-                             ag.apply_map(phi, {j: ctx.one}))
-                law.check((i, j), lhs, rhs)
-
-    with cl.holds("tower_compatible", "phi(m # 1) = m recovers the "
-                  "inclusion M into M1") as law:
-        for mi in law.over(range(ctx.M.dim)):
-            cls_m1 = q.project(la.tensor_sparse(ctx.M.basis_vec(mi),
-                                                dw.A_alg.unit_sparse(), nA))
-            law.check((mi,), ag.apply_map(phi, cls_m1), m_in_M1[mi])
-
+    phi = _smash_iso(
+        cl, sm, ctx.M1, ctx.M_in_M1, dw.a_in_M1,
+        ("dim(M # A) = dim M1", "phi is a linear isomorphism",
+         "phi(1 # 1) = 1", "phi((m#a)(m'#a')) = phi(m#a) phi(m'#a')",
+         "phi(m # 1) = m recovers the inclusion M into M1"))
     HtA = la.Subspace.from_vectors(
-        ctx.M1.dim, [_inj_A(dw, unemb2, dict(r)) for r in Acd.Ht.basis],
+        ctx.M1.dim, [dw.unemb2(dw.injA(dict(r))) for r in Acd.Ht.basis],
         ctx.p)
     U_in_M1 = la.Subspace.from_vectors(
         ctx.M1.dim, [ctx.t.embed(0, 1, dict(r))
@@ -1455,13 +1356,6 @@ def phi_iso(ctx, dw, MA):
     cl.add("Ht_A_is_U", "the target counital subalgebra of A is C_M(N)",
            HtA == U_in_M1)
     return sm, phi, cl
-
-
-def _inj_A(dw, unemb2, a_co):
-    out = {}
-    for i, c in a_co.items():
-        sadd_into(out, unemb2(dw.ahat[i]), c)
-    return out
 
 
 def derive(tower):

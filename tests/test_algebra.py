@@ -53,6 +53,15 @@ def test_centralizer_of_diagonal():
     assert ag.centralizer(m2, diag) == diag
 
 
+@pytest.mark.parametrize("p", [None, 13], ids=["Q", "F13"])
+def test_right_inverse(p):
+    m2 = corpus.matrix_algebra(2, p)
+    x = {i: la.as_scalar(c, p) for i, c in enumerate((1, 2, 3, 4))}
+    assert m2.mul(x, ag.right_inverse(m2, x)) == m2.unit_sparse()
+    with pytest.raises(la.NoSolution):
+        ag.right_inverse(m2, m2.basis_vec(0))
+
+
 def test_dual_bases_q2():
     cert = corpus.ext_q_q2()
     assert cert.lambda_inv == 2

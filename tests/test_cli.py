@@ -1,12 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
+from weakhopf import action as ac
+from weakhopf import algebra as ag
 from weakhopf import cli
 from weakhopf import composite as cp
 from weakhopf import corpus
 from weakhopf import groupoid as gp
+from weakhopf import linalg as la
 from weakhopf import specfile as sf
+from weakhopf import tower as tw
 from weakhopf import wha
 
 
@@ -171,6 +176,17 @@ def test_groupoid_builds_kG_and_its_dual_once(pair2_file, monkeypatch):
     assert (len(built), len(duals)) == (1, 1)
 
 
+def test_derivation_builds_shared_objects_once(markov_file, monkeypatch):
+    sections = counting(monkeypatch, ag, "section_of_inclusion")
+    subalgebras = counting(monkeypatch, ag, "subalgebra")
+    assert cli.main(["tower", markov_file, "--derive"]) == 0
+    # q_in_q2: M1 and M2 are the only levels of dimension 4 and 8
+    m1_in_m2 = [args for args in sections
+                if (args[0].small.dim, args[0].big.dim) == (4, 8)]
+    assert len(m1_in_m2) == 1
+    assert [args[2] for args in subalgebras].count("V") == 1
+
+
 def test_appendix_builds_each_f_n_once(markov_file, monkeypatch):
     calls = counting(monkeypatch, cp, "composite_idempotent")
     assert cli.main(["tower", markov_file, "--appendix-fn", "2"]) == 0
@@ -302,3 +318,55 @@ def test_tower_non_depth2_fails_at_depth2_stage(tmp_path, capsys):
     for law in ("symmetric", "strongly_separable", "braid_1_2_1",
                 "pimsner_popa_right_e2", "level_1", "level_2"):
         assert "PASS %s " % law in out
+
+
+@pytest.mark.parametrize("stage, exc", [
+    ("conditional_expectations", ag.NotClosed("E_B applied outside C")),
+    ("pairing", ag.NotKanzaki("no symmetric separability element")),
+    ("DerivedWeakHopf", la.NoSolution("singular matrix")),
+    ("psi_iso", ac.WellDefinednessFailure("relation 0 not respected")),
+], ids=["NotClosed", "NotKanzaki", "NoSolution", "WellDefinednessFailure"])
+def test_derivation_stage_exception_is_a_failed_entry(markov_file, monkeypatch,
+                                                      capsys, stage, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(tw, stage, fail)
+    rc = cli.main(["--format", "machine", "tower", markov_file, "--derive"])
+    assert rc == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    failed = [r for r in records if r.get("passed") is False]
+    assert [(r["name"], r["witness"]) for r in failed] == [
+        ("derivation", "%s: %s" % (type(exc).__name__, exc))]
+    assert records[-1]["failed"] == 1
+
+
+# sha256 of the `tower --derive --format machine` report of each extension,
+# recorded before the depth-2 pipeline was refactored to build each shared
+# object once: the refactor keeps every byte
+DERIVE_DIGESTS = {
+    "q_in_q2":
+        "7e95dfcff4404f0ce077814268f80a8dae29dd93742a3deeb4d61a189f466180",
+    "q2_in_m2":
+        "686139c7b89c1082c3830bf74e571e4e8527ea72a394bdf94d49e7947ba91e41",
+    "trivial_m2":
+        "ccdfbb39e0d45822c449acdab46f831d8e2a868b9d686b5805959986ff9e8f17",
+}
+EXTENSIONS = {"q_in_q2": corpus.ext_q_q2, "q2_in_m2": corpus.ext_q2_m2,
+              "trivial_m2": corpus.ext_trivial_m2}
+
+
+@pytest.mark.parametrize("name, field", [
+    ("q_in_q2", None), ("q2_in_m2", None), ("trivial_m2", None),
+    ("q_in_q2", "prime 13")])
+def test_derive_reports_are_pinned(tmp_path, capsys, name, field):
+    cert = EXTENSIONS[name]()
+    path = tmp_path / (name + ".json")
+    sf.dump(sf.specfile_for((cert.incl, cert.E, cert.trace), name), path)
+    path = str(path)
+    if field is not None:
+        path = with_field(path, tmp_path, field)
+    assert cli.main(["--format", "machine", "tower", path, "--derive"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_DIGESTS[name]

@@ -1,4 +1,4 @@
-"""Every name a weakhopf module imports is used in that module."""
+"""Every name a weakhopf module imports, or a function assigns, is read."""
 
 import ast
 import pathlib
@@ -36,6 +36,75 @@ def test_no_unused_imports_in_weakhopf():
     found = {}
     for path in sorted(SRC.glob("*.py")):
         bad = unused_imports(ast.parse(path.read_text()))
+        if bad:
+            found[path.name] = bad
+    assert not found, found
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The nodes of a function body outside any nested function or class."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree):
+    """(line, name) of each local assigned in a function and never read.
+
+    Assignment targets count, tuple targets included; a read anywhere in
+    the function, nested functions too, uses the name.  Names that start
+    with an underscore are exempt, as are global and nonlocal names.
+    """
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        stored, declared = {}, set()
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+                continue
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx,
+                                                              ast.Store):
+                        stored.setdefault(n.id, n.lineno)
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.extend((line, name) for name, line in stored.items()
+                     if name not in read and name not in declared
+                     and not name.startswith("_"))
+    return sorted(found)
+
+
+def test_scan_flags_an_unread_local():
+    tree = ast.parse("def f(y):\n"
+                     "    a, b = y\n"
+                     "    _c = 1\n"
+                     "    d = 2\n"
+                     "    e = 3\n"
+                     "    def g():\n"
+                     "        return d\n"
+                     "    return a + g()\n")
+    assert unread_locals(tree) == [(2, "b"), (5, "e")]
+
+
+def test_no_unread_locals_in_weakhopf():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        bad = unread_locals(ast.parse(path.read_text()))
         if bad:
             found[path.name] = bad
     assert not found, found
