@@ -325,7 +325,7 @@ def smash(M, counital_data=None):
         zt_acts.append((z, z_dot_one))
 
     # the stated right action a . z = a (z . 1) agrees with S^-1(z) . a
-    s_inv = ag.invert_rows(H.s, H.dim, H.p)
+    s_inv = la.inverse(H.s, H.dim, H.p)
     with cl.holds("right_Ht_action", "a . z = a (z . 1) = S^-1(z) . a") as law:
         for zi, (z, z1) in law.over(enumerate(zt_acts)):
             for a in law.over(range(dA)):
@@ -460,14 +460,12 @@ def duality_dimension_check(M, Hd=None):
                             row[key] = w
                 if row:
                     eqs.append(row)
-    end_dim = la.solution_space_dim(eqs, n * n, M.A.p)
+    commutant = la.kernel(eqs, n * n, M.A.p)
+    end_dim = commutant.dim
     cl.add("duality_dimension", "dim((A#H)#H*) = dim(End(A#H)_A)",
            sm2.alg.dim == end_dim,
            witness="%d vs %d" % (sm2.alg.dim, end_dim))
 
-    commutant = la.kernel(la.Mat.from_rows(
-        [la.dense(r, n * n, M.A.p) for r in eqs], M.A.p)) if eqs else \
-        la.Subspace.full(n * n, M.A.p)
     from weakhopf.corpus import matrix_algebra
     mat_alg = matrix_algebra(n, M.A.p)
     comm_alg, _, _ = ag.subalgebra(mat_alg, commutant, "End(A#H)_A")

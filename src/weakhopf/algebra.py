@@ -101,22 +101,21 @@ def compose_maps(first, second):
     return tuple(svec(apply_map(second, dict(r))) for r in first)
 
 
-def invert_rows(rows, n, p=None):
-    """Inverse of a bijective sparse-rows endomorphism."""
-    inv = la.Mat.from_rows([dense(dict(r), n, p) for r in rows], p).inverse()
-    return tuple(svec(sparse(r)) for r in inv.entries)
-
-
 def section_of_inclusion(incl):
     """Rows of a left inverse of the embedding, valid on its image."""
+    big = incl.big
     img = embedded_image(incl)
+    # one equation per big coordinate k: sum_i c_i emb(e_i)_k = r_k
+    cols = [{} for _ in range(big.dim)]
+    for i, r in enumerate(incl.embed):
+        for k, x in r:
+            cols[k][i] = x
     basis_in_small = []
-    emb_mat = la.Mat.from_rows(
-        [dense(dict(r), incl.big.dim, incl.big.p) for r in incl.embed],
-        incl.big.p).transpose()
     for r in img.basis:
-        co = la.solve(emb_mat, dense(dict(r), incl.big.dim, incl.big.p))
-        basis_in_small.append({i: c for i, c in enumerate(co) if c})
+        rd = dict(r)
+        basis_in_small.append(la.solve(
+            [(cols[k], rd.get(k, 0)) for k in range(big.dim)],
+            incl.small.dim, big.p))
 
     def unembed(x):
         co = img.coords(x)
@@ -248,10 +247,8 @@ def centralizer(big, sub):
         for k in range(big.dim):
             row = {j: cols[j][k] for j in range(big.dim) if k in cols[j]}
             if row:
-                rows.append(dense(row, big.dim, big.p))
-    if not rows:
-        return Subspace.full(big.dim, big.p)
-    return la.kernel(la.Mat.from_rows(rows, big.p))
+                rows.append(row)
+    return la.kernel(rows, big.dim, big.p)
 
 
 def subalgebra(big, sub, name="subalgebra"):
@@ -289,9 +286,12 @@ def subalgebra(big, sub, name="subalgebra"):
 
 def right_inverse(alg, x):
     """The y with x y = 1 in alg, as sparse coords; raises la.NoSolution."""
-    lmul = la.Mat.from_rows(
-        [dense(dict(r), alg.dim, alg.p) for r in alg.lmul_rows(x)], alg.p)
-    return sparse(la.solve(lmul.transpose(), alg.unit))
+    # coordinate k of x y = sum_j y_j (x e_j)_k
+    eqs = [({}, u) for u in alg.unit]
+    for j, r in enumerate(alg.lmul_rows(x)):
+        for k, c in r:
+            eqs[k][0][j] = c
+    return la.solve(eqs, alg.dim, alg.p)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +433,14 @@ def find_dual_bases(E, within=None):
         aug.append((r2, zero))
     t = None
     try:
-        sol = la.solve_sparse(aug, n * n + 1, p)
-        if sol[n * n] != 0:
-            t = sol[:n * n]
+        sol = la.solve(aug, n * n + 1, p)
+        if sol.pop(n * n, 0) != 0:
+            t = sol
     except la.NoSolution:
         pass
     if t is None:
         try:
-            t = la.solve_sparse(eqs, n * n, p)
+            t = la.solve(eqs, n * n, p)
         except la.NoSolution:
             raise NoDualBases("dual-bases system infeasible",
                               within_dim=None if within is None else within.dim)
@@ -448,7 +448,7 @@ def find_dual_bases(E, within=None):
     for a in range(n):
         y = {}
         for b in range(n):
-            sadd_into(y, cands[b], t[a * n + b])
+            sadd_into(y, cands[b], t.get(a * n + b, 0))
         if y:
             xs.append(dict(cands[a]))
             ys.append(y)
@@ -546,16 +546,16 @@ def separability_element(A, symmetric=False, require_unique=False):
         eqs.append((mu_rows[k], A.unit[k]))
         hom_rows.append(mu_rows[k])
     try:
-        t = la.solve_sparse(eqs, n * n, p)
+        t = la.solve(eqs, n * n, p)
     except la.NoSolution:
         raise NotKanzaki("no %sseparability element" %
                          ("symmetric " if symmetric else ""))
     if require_unique:
-        ker_dim = la.solution_space_dim(hom_rows, n * n, p)
+        ker_dim = n * n - la.rank(hom_rows, n * n, p)
         if ker_dim != 0:
             raise NotKanzaki("separability element not unique "
                              "(solution space dim %d)" % ker_dim)
-    return {i: c for i, c in enumerate(t) if c}
+    return t
 
 
 def kanzaki_element(A):
@@ -569,20 +569,19 @@ def trace_dual_bases(A, trace):
     Returns None when the trace form is degenerate.
     """
     n = A.dim
-    gram = []
+    # b_i is column i of the inverse Gram matrix t(e_i e_j): row i of the
+    # inverse of its transpose, whose row j holds t(e_i e_j) at i
+    gram_t = [{} for _ in range(n)]
     for i in range(n):
-        row = []
         for j in range(n):
-            prod = A.mul(A.basis_vec(i), A.basis_vec(j))
-            row.append(sum((v * trace[k] for k, v in prod.items()),
-                           scalar_zero(A.p)))
-        gram.append(row)
+            v = trace_of(trace, A.mul(A.basis_vec(i), A.basis_vec(j)))
+            if v != 0:
+                gram_t[j][i] = v
     try:
-        g_inv = la.Mat.from_rows(gram, A.p).inverse()
+        b_s = la.inverse(gram_t, n, A.p)
     except la.NoSolution:
         return None
     a_s = tuple(svec(A.basis_vec(i)) for i in range(n))
-    b_s = tuple(svec(sparse(col)) for col in g_inv.transpose().entries)
     return a_s, b_s
 
 
@@ -621,18 +620,18 @@ class MarkovCertificate:
 def nondegeneracy_rank(E):
     """Rank of x -> (E(x e_j))_j; E is (left) non-degenerate iff it is dim M.
 
-    Each row goes into one echelon as a sparse vector on dim M x dim N
-    columns, column j dim N + k holding the e_k coordinate of E(x e_j).
+    Each row is a sparse vector on dim M x dim N columns, column
+    j dim N + k holding the e_k coordinate of E(x e_j).
     """
     small, big = E.incl.small, E.incl.big
-    ech = la.Echelon(big.dim * small.dim, big.p)
+    rows = []
     for x in range(big.dim):
         row = {}
         for j in range(big.dim):
             v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
             row.update((j * small.dim + k, c) for k, c in v.items())
-        ech.insert(row)
-    return ech.rank
+        rows.append(row)
+    return la.rank(rows, big.dim * small.dim, big.p)
 
 
 def certify_markov(incl, E, db, trace):

@@ -208,6 +208,18 @@ def cmd_report(args):
     return Report(pipeline, items)
 
 
+def _count(text):
+    """A non-negative integer argument; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return n
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="weakhopf",
@@ -230,10 +242,10 @@ def main(argv=None):
     p = sub.add_parser("tower", help="certify a Markov extension and build "
                        "its Jones tower")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_count, default=2)
     p.add_argument("--derive", action="store_true",
                    help="run the full depth-2 derivation pipeline")
-    p.add_argument("--appendix-fn", type=int, default=None, metavar="N",
+    p.add_argument("--appendix-fn", type=_count, default=None, metavar="N",
                    help="verify the composite idempotents f_0..f_N")
     p.set_defaults(fn=cmd_tower)
 

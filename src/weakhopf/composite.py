@@ -102,12 +102,10 @@ def composite_idempotent(tower, n, dim_budget=64, prev=None):
             if law.check((x,), lhs, M_top.mul(f, Fx)):
                 law.check((x,), lhs, M_top.mul(Fx, f))
 
-    ech = la.Echelon(M_top.dim, p)
-    for x in range(M_n.dim):
-        xf = M_top.mul(lift_n(M_n.basis_vec(x)), f)
-        for y in range(M_n.dim):
-            ech.insert(M_top.mul(xf, lift_n(M_n.basis_vec(y))))
-    cl.add("span", "M_n f_n M_n = M_{2n+1}", ech.rank == M_top.dim)
+    xfs = [M_top.mul(lift_n(M_n.basis_vec(x)), f) for x in range(M_n.dim)]
+    cl.add("span", "M_n f_n M_n = M_{2n+1}", la.rank(
+        (M_top.mul(xf, lift_n(M_n.basis_vec(y))) for xf in xfs
+         for y in range(M_n.dim)), M_top.dim, p) == M_top.dim)
 
     cl.add("composite_expectation", "F_{M_n}(f_n) = lambda^{n+1} 1",
            ag.apply_map(F_Mn, f)

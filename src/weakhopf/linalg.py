@@ -1,16 +1,19 @@
 """Exact linear algebra substrate.
 
-Vectors, dense matrices, canonical echelon subspaces, quotient spaces and
-tensor bookkeeping over an exact field: the rationals by default, or a
-prime field F_p.  Everything is deterministic (leftmost-nonzero pivoting,
-canonical reduced echelon bases) and exact; there is no floating point
-anywhere.
+Sparse vectors and rows, one exact eliminator, canonical echelon
+subspaces, quotient spaces and tensor bookkeeping over an exact field: the
+rationals by default, or a prime field F_p.  Everything is deterministic
+(leftmost-nonzero pivoting, canonical reduced echelon bases) and exact;
+there is no floating point anywhere.
 
 Both fields share one eliminator: `Echelon` and `EchelonExpr` turn
 vectors into integer rows (rationals scaled by their common denominator,
 residues mod p as they are) and reduce them with the kernel in `_backend`,
 fraction-free over Q and in leading-1 form over F_p.
 Sparse vectors are plain dicts {index: scalar} with no stored zeros.
+Systems go into elimination as sparse rows, through `solve`, `kernel`,
+`rank` and `inverse`; a `Subspace` decides membership by reading
+coordinates off its RREF basis, with no elimination at all.
 
 Scalars over Q: an integral value is a plain `int` and any other value a
 `Fraction`, so the integer arithmetic that decides most identities skips
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from weakhopf._backend import insert_row, reduce_row
+from weakhopf._backend import insert_row
 
 Q1 = Fraction(1)
 
@@ -271,8 +274,7 @@ class Echelon:
     """Incremental reduced echelon basis over Q (p=None) or F_p.
 
     Rows live in a pivot zone of `ncols` columns; `aux` extra columns ride
-    along (augmented right-hand sides).  One hidden trailing slot tracks
-    reduction scales so canonical residuals come back unscaled.
+    along (augmented right-hand sides).
     """
 
     def __init__(self, ncols, p=None, aux=0):
@@ -286,34 +288,16 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def _row(self, vec):
-        row, den = _int_row(vec, self.ncols + self.aux, self.p)
-        row.append(0)
-        return row, den
-
     def insert(self, vec):
         """Insert a vector (sparse dict or dense scalars). True if rank grew."""
-        row, _ = self._row(vec)
+        row, _ = _int_row(vec, self.ncols + self.aux, self.p)
         return insert_row(self.rows, self.pivots, row, self.ncols, self.p) >= 0
 
     def insert_reduced(self, vec):
         """Insert; on dependence the returned reduced row keeps its aux zone."""
-        row, _ = self._row(vec)
+        row, _ = _int_row(vec, self.ncols + self.aux, self.p)
         pos = insert_row(self.rows, self.pivots, row, self.ncols, self.p)
         return pos, row
-
-    def reduce(self, vec):
-        """Canonical residual of vec modulo the row space, as a sparse dict."""
-        row, den = self._row(vec)
-        row[-1] = den
-        p = self.p
-        reduce_row(self.rows, self.pivots, row, self.ncols, p)
-        s = row[-1]
-        return {i: _quot(row[i], s, p)
-                for i in range(self.ncols + self.aux) if row[i]}
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
     def frac_rows(self):
         """Canonical RREF rows (leading coefficient 1) as sparse dicts."""
@@ -321,8 +305,7 @@ class Echelon:
         out = []
         for r, c in zip(self.rows, self.pivots):
             lead = r[c]
-            out.append({i: _quot(x, lead, p)
-                        for i, x in enumerate(r[:self.ncols + self.aux]) if x})
+            out.append({i: _quot(x, lead, p) for i, x in enumerate(r) if x})
         return out
 
 
@@ -364,66 +347,7 @@ class EchelonExpr:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
-
-@dataclass(frozen=True)
-class Mat:
-    rows: int
-    cols: int
-    entries: tuple
-    p: int | None = None
-
-    @staticmethod
-    def from_rows(rows, p=None):
-        rows = tuple(tuple(as_scalar(x, p) for x in r) for r in rows)
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged matrix")
-        return Mat(len(rows), ncols, rows, p)
-
-    @staticmethod
-    def identity(n, p=None):
-        one, zero = as_scalar(1, p), scalar_zero(p)
-        return Mat(n, n, tuple(tuple(one if i == j else zero for j in range(n))
-                               for i in range(n)), p)
-
-    def apply(self, vec):
-        if len(vec) != self.cols:
-            raise DimensionMismatch("Mat.apply: expected %d entries" % self.cols)
-        return tuple(sum((row[j] * vec[j] for j in range(self.cols)),
-                         scalar_zero(self.p)) for row in self.entries)
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise DimensionMismatch("Mat.mul shape mismatch")
-        t = other.transpose()
-        return Mat(self.rows, other.cols,
-                   tuple(tuple(sum((r[k] * c[k] for k in range(self.cols)),
-                                   scalar_zero(self.p)) for c in t.entries)
-                         for r in self.entries), self.p)
-
-    def transpose(self):
-        return Mat(self.cols, self.rows,
-                   tuple(zip(*self.entries)) if self.entries else (), self.p)
-
-    def rank(self):
-        return rank(self.entries, self.cols, self.p)
-
-    def inverse(self):
-        """The inverse of a square matrix; raises NoSolution when singular."""
-        n, p = self.rows, self.p
-        one, zero = as_scalar(1, p), scalar_zero(p)
-        ech = Echelon(n, p, aux=n)
-        for i, r in enumerate(self.entries):
-            unit = [one if j == i else zero for j in range(n)]
-            if ech.insert_reduced(list(r) + unit)[0] < 0:
-                raise NoSolution("singular matrix")
-        inv = [None] * n
-        for r, c in zip(ech.rows, ech.pivots):
-            inv[c] = tuple(_quot(x, r[c], p) for x in r[n:2 * n])
-        return Mat(n, n, tuple(inv), p)
-
+# systems of sparse rows
 
 def rank(vecs, ncols, p=None):
     """Rank of vectors in ncols coordinates, sparse dicts or dense scalars."""
@@ -433,73 +357,66 @@ def rank(vecs, ncols, p=None):
     return ech.rank
 
 
-def solve(a, b):
-    """Exact solve of a x = b; zero at non-pivot coordinates (deterministic).
+def solve(equations, ncols, p=None):
+    """Exact solve from (sparse row, rhs scalar) pairs in ncols unknowns.
 
-    Raises NoSolution when the system is inconsistent, DimensionMismatch on
-    shape errors.
+    Returns the canonical solution as a sparse dict: zero at non-pivot
+    coordinates.  Raises NoSolution when the system is inconsistent.
     """
-    if len(b) != a.rows:
-        raise DimensionMismatch("solve: rhs length %d != %d" % (len(b), a.rows))
-    return _solve_augmented(
-        [list(row) + [as_scalar(rhs, a.p)] for row, rhs in zip(a.entries, b)],
-        a.cols, a.p)
-
-
-def solve_sparse(equations, ncols, p=None):
-    """Exact solve from (sparse lhs row, rhs scalar) pairs.
-
-    Same canonical solution as solve(): zero at non-pivot coordinates.
-    Raises NoSolution when inconsistent.
-    """
-    rows = []
+    ech = Echelon(ncols, p, aux=1)
     for row, rhs in equations:
         aug = dict(row)
         if rhs != 0:
             aug[ncols] = as_scalar(rhs, p)
-        rows.append(aug)
-    return _solve_augmented(rows, ncols, p)
-
-
-def _solve_augmented(rows, ncols, p):
-    """Solve the system whose augmented rows carry the rhs at column ncols."""
-    ech = Echelon(ncols, p, aux=1)
-    for aug in rows:
         pos, red = ech.insert_reduced(aug)
         if pos < 0 and red[ncols] != 0:
             raise NoSolution("inconsistent system")
-    x = [scalar_zero(p)] * ncols
-    for r, c in zip(ech.rows, ech.pivots):
-        x[c] = _quot(r[ncols], r[c], p)
-    return tuple(x)
+    return {c: _quot(r[ncols], r[c], p)
+            for r, c in zip(ech.rows, ech.pivots) if r[ncols]}
 
 
-def solution_space_dim(rows, ncols, p=None):
-    """Dimension of the solution space of a homogeneous sparse system."""
+def kernel(rows, ncols, p=None):
+    """Null space of sparse rows in ncols unknowns, as a canonical Subspace.
+
+    No rows at all leave every unknown free: the full space.
+    """
     ech = Echelon(ncols, p)
-    for row in rows:
-        ech.insert(row if isinstance(row, dict) else dict(row))
-    return ncols - ech.rank
-
-
-def kernel(a):
-    """Exact null space of a, as a canonical echelon Subspace."""
-    ech = Echelon(a.cols, a.p)
-    for r in a.entries:
+    for r in rows:
         ech.insert(r)
     piv = set(ech.pivots)
-    rows = ech.frac_rows()
+    frac = ech.frac_rows()
+    one = as_scalar(1, p)
     vecs = []
-    for f in range(a.cols):
+    for f in range(ncols):
         if f in piv:
             continue
-        v = {f: as_scalar(1, a.p)}
-        for r, c in zip(rows, ech.pivots):
+        v = {f: one}
+        for r, c in zip(frac, ech.pivots):
             x = r.get(f)
             if x:
                 v[c] = -x
         vecs.append(v)
-    return Subspace.from_vectors(a.cols, vecs, a.p)
+    return Subspace.from_vectors(ncols, vecs, p)
+
+
+def inverse(rows, n, p=None):
+    """Inverse of the n x n matrix with the given sparse rows, as sorted
+    sparse rows (the form `algebra.apply_map` reads).
+
+    Raises NoSolution when the matrix is singular.
+    """
+    one = as_scalar(1, p)
+    ech = Echelon(n, p, aux=n)
+    for i, r in enumerate(rows):
+        aug = dict(r)
+        aug[n + i] = one
+        if ech.insert_reduced(aug)[0] < 0:
+            raise NoSolution("singular matrix")
+    inv = [None] * n
+    for r, c in zip(ech.rows, ech.pivots):
+        inv[c] = tuple((j - n, _quot(x, r[c], p))
+                       for j, x in enumerate(r[n:], n) if x)
+    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -540,24 +457,11 @@ class Subspace:
     def dim(self):
         return len(self.pivots)
 
-    def dense_basis(self):
-        return tuple(dense(dict(r), self.ambient_dim, self.p) for r in self.basis)
-
-    def _echelon(self):
-        ech = Echelon(self.ambient_dim, self.p)
-        for r in self.basis:
-            ech.insert(dict(r))
-        return ech
-
-    def reduce(self, vec):
-        return self._echelon().reduce(vec)
-
     def contains(self, vec):
-        return not self.reduce(vec)
+        return self.coords(vec) is not None
 
     def contains_subspace(self, other):
-        ech = self._echelon()
-        return all(ech.contains(dict(r)) for r in other.basis)
+        return all(self.coords(dict(r)) is not None for r in other.basis)
 
     def coords(self, vec):
         """Coordinates of vec in the RREF basis, or None if not a member.
@@ -565,46 +469,34 @@ class Subspace:
         RREF makes this a direct read-off at the pivot columns.
         """
         d = vec if isinstance(vec, dict) else sparse(vec)
-        cs = [d.get(c, scalar_zero(self.p)) for c in self.pivots]
+        zero = scalar_zero(self.p)
+        cs = [d.get(c, zero) for c in self.pivots]
         chk = dict(d)
         for c, r in zip(cs, self.basis):
-            sadd_into(chk, dict(r), -c)
+            if c:
+                sadd_into(chk, dict(r), -c)
         if chk:
             return None
         return tuple(cs)
 
-    def member(self, coords):
-        """Inverse of coords(): sparse ambient vector from basis coordinates."""
-        out = {}
-        for c, r in zip(coords, self.basis):
-            sadd_into(out, dict(r), c)
-        return out
-
-    def sum_with(self, other):
-        vecs = [dict(r) for r in self.basis] + [dict(r) for r in other.basis]
-        return Subspace.from_vectors(self.ambient_dim, vecs, self.p)
-
     def intersect(self, other):
         """Subspace intersection via the kernel of the stacked coordinates."""
-        rows1 = [dict(r) for r in self.basis]
-        rows2 = [dict(r) for r in other.basis]
-        n1 = len(rows1)
-        # columns: coefficients on basis1 then basis2; rows: ambient coords
-        cols = []
-        for r in rows1:
-            cols.append(dense(r, self.ambient_dim, self.p))
-        for r in rows2:
-            cols.append(dense(sscale(r, -1), self.ambient_dim, self.p))
-        if not cols:
-            return Subspace.zero(self.ambient_dim, self.p)
-        m = Mat.from_rows(list(zip(*cols)), self.p)
-        ker = kernel(m)
+        n1 = self.dim
+        # unknowns: coefficients on basis1 then basis2; rows: ambient coords
+        stacked = [{} for _ in range(self.ambient_dim)]
+        for i, r in enumerate(self.basis):
+            for k, x in r:
+                stacked[k][i] = x
+        for j, r in enumerate(other.basis):
+            for k, x in r:
+                stacked[k][n1 + j] = -x
+        ker = kernel(stacked, n1 + other.dim, self.p)
         vecs = []
         for kr in ker.basis:
-            kd = dict(kr)
             v = {}
-            for k in range(n1):
-                sadd_into(v, rows1[k], kd.get(k, scalar_zero(self.p)))
+            for k, c in kr:
+                if k < n1:
+                    sadd_into(v, dict(self.basis[k]), c)
             vecs.append(v)
         return Subspace.from_vectors(self.ambient_dim, vecs, self.p)
 
@@ -641,13 +533,6 @@ class Quotient:
     def section(self, coords):
         d = coords if isinstance(coords, dict) else sparse(coords)
         return {self.section_cols[i]: x for i, x in d.items()}
-
-    def project_matrix(self):
-        rows = [{} for _ in range(self.dim)]
-        for c, col in enumerate(self.proj_cols):
-            for i, x in col.items():
-                rows[i][c] = x
-        return Mat.from_rows([dense(r, self.ambient_dim, self.p) for r in rows], self.p)
 
 
 def quotient(ambient_dim, relations):

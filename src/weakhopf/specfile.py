@@ -181,11 +181,14 @@ def parse_weakhopf(payload, p):
 
 def parse_groupoid(payload):
     try:
-        objects = list(payload["objects"])
+        objects = payload["objects"]
         morphisms = payload["morphisms"]
         compose = payload["compose"]
     except (KeyError, TypeError) as exc:
         raise SpecFileError("groupoid: %s" % exc)
+    if not (isinstance(objects, list) and
+            all(isinstance(x, str) for x in objects)):
+        raise SpecFileError("groupoid.objects must be a list of names")
     if not (isinstance(morphisms, list) and isinstance(compose, list)):
         raise SpecFileError("groupoid: morphisms and compose must be lists")
     names = []
@@ -194,10 +197,13 @@ def parse_groupoid(payload):
         try:
             name, source, target = m["name"], m["source"], m["target"]
         except (KeyError, TypeError):
-            name = None
-        if not isinstance(name, str):
+            name = source = target = None
+        if not (isinstance(name, str) and
+                all(isinstance(x, str) and x in objects
+                    for x in (source, target))):
             raise SpecFileError("groupoid.morphisms entries need a string "
-                                "name, a source and a target")
+                                "name and a source and a target among the "
+                                "objects")
         names.append(name)
         src[name] = source
         tgt[name] = target

@@ -118,14 +118,11 @@ def basic_construction(cert):
 
     cl = CheckList("basic-construction")
 
-    ech = la.Echelon(n1, p)
     emb = lambda x: ag.apply_map(embed_rows, x)
-    for a in range(m):
-        ea1 = emb(M.basis_vec(a))
-        left = alg1.mul(ea1, e1)
-        for b in range(m):
-            ech.insert(alg1.mul(left, emb(M.basis_vec(b))))
-    cl.add("span", "M1 = M e1 M", ech.rank == n1)
+    lefts = [alg1.mul(emb(M.basis_vec(a)), e1) for a in range(m)]
+    cl.add("span", "M1 = M e1 M", la.rank(
+        (alg1.mul(left, emb(M.basis_vec(b))) for left in lefts
+         for b in range(m)), n1, p) == n1)
 
     cl.add("jones_idempotent", "e1^2 = e1", alg1.mul(e1, e1) == e1)
     cl.add("expectation_of_jones", "E_M(e1) = lambda 1",
@@ -595,8 +592,10 @@ class PairingData:
     vhat: tuple  # the basis of the subalgebra V, M2 sparse
     w: dict  # M2 sparse, the trace-normalizing unit of Z(V)
     w_inv: dict
-    gram: la.Mat  # <a_i, b_j> = lambda^-2 T(a_i e2 e1 w b_j)
-    gram2: la.Mat  # second pairing lambda^-2 T(b_j e1 e2 w a_i)
+    # Gram matrices as sparse rows; <a_i, b_j> = lambda^-2 T(a_i e2 e1 w b_j)
+    gram: tuple  # row i holds <a_i, b_j> at j
+    gram_t: tuple  # its transpose: row j holds <a_i, b_j> at i
+    gram2: tuple  # row j holds the second pairing lambda^-2 T(b_j e1 e2 w a_i)
     checks: CheckList
 
 
@@ -642,28 +641,31 @@ def pairing(ctx, d2, ep):
     Bb = [dict(r) for r in ctx.B.basis]
     mid = ctx.mul(ctx.e2, ctx.e1, w)
     mid2 = ctx.mul(ctx.e1, ctx.e2, w)
-    gram = []
-    for a in Ab:
+    gram = [{} for _ in Ab]
+    gram_t = [{} for _ in Bb]
+    gram2 = [{} for _ in Bb]
+    for i, a in enumerate(Ab):
         amid = ctx.mul(a, mid)
-        gram.append([lam2 * T(ctx.mul(amid, b)) for b in Bb])
-    gram = la.Mat.from_rows(gram, ctx.p)
-    gram2 = []
-    for a in Ab:
-        g2row = []
-        for b in Bb:
-            g2row.append(lam2 * T(ctx.mul(b, mid2, a)))
-        gram2.append(g2row)
-    gram2 = la.Mat.from_rows(gram2, ctx.p)
-    nd = gram.rank() == ctx.A.dim == ctx.B.dim
+        for j, b in enumerate(Bb):
+            v = lam2 * T(ctx.mul(amid, b))
+            if v != 0:
+                gram[i][j] = gram_t[j][i] = v
+    for i, a in enumerate(Ab):
+        for j, b in enumerate(Bb):
+            v = lam2 * T(ctx.mul(b, mid2, a))
+            if v != 0:
+                gram2[j][i] = v
+    nd = la.rank(gram, len(Bb), ctx.p) == ctx.A.dim == ctx.B.dim
     cl.add("pairing_nondegenerate",
            "<a, b> = lambda^-2 T(a e2 e1 w b) is non-degenerate", nd)
-    nd2 = gram2.rank() == ctx.A.dim
+    nd2 = la.rank(gram2, len(Ab), ctx.p) == ctx.A.dim
     cl.add("second_pairing_nondegenerate",
            "<a, b>' = lambda^-2 T(b e1 e2 w a) is non-degenerate", nd2)
     if not (nd and nd2):
         raise SingularGram("duality pairing degenerate")
     w_inv = injV(ag.right_inverse(V_alg, w_co))
-    return PairingData(f, tuple(vhat), w, w_inv, gram, gram2, cl)
+    return PairingData(f, tuple(vhat), w, w_inv, *(
+        ag.map_rows(g, ctx.p) for g in (gram, gram_t, gram2)), cl)
 
 
 class DerivedWeakHopf:
@@ -693,32 +695,29 @@ class DerivedWeakHopf:
         self.bhat, self.ahat = bhat, ahat
 
         G = pd.gram
-        Ginv = G.inverse()
-        G2inv = pd.gram2.inverse()
+        Gd = [dict(r) for r in G]
+        Ginv = la.inverse(G, nA, ctx.p)
         self.gram_inv = Ginv
 
+        # Delta_B(b_j) = (G^-1 (x) G^-1) applied to <a_i a_k, b_j>, read
+        # through the transposed inverse G^-T = (G^T)^-1
+        Ginv_t = la.inverse(pd.gram_t, nB, ctx.p)
         mid = ctx.mul(ctx.e2, ctx.e1, pd.w)
         P = [[ctx.mul(ahat[i], ahat[k], mid) for k in range(nA)]
              for i in range(nA)]
         delta_rows = []
         for j in range(nB):
-            R = la.Mat.from_rows(
-                [[lam2 * T(ctx.mul(P[i][k], bhat[j])) for k in range(nA)]
-                 for i in range(nA)], ctx.p)
-            D = Ginv.mul(R).mul(Ginv.transpose())
-            row = {}
-            for k in range(nB):
-                for l in range(nB):
-                    c = D.entries[k][l]
+            R = {}
+            for i in range(nA):
+                for k in range(nA):
+                    c = lam2 * T(ctx.mul(P[i][k], bhat[j]))
                     if c != 0:
-                        row[k * nB + l] = c
-            delta_rows.append(row)
+                        R[i * nA + k] = c
+            delta_rows.append(_tensor_map(Ginv_t, R, nA, nB))
         eps_vec = [lam2 * T(ctx.mul(mid, bhat[j])) for j in range(nB)]
-        Scol = G2inv.mul(G)
-        s_rows = []
-        for j in range(nB):
-            s_rows.append({k: Scol.entries[k][j] for k in range(nB)
-                           if Scol.entries[k][j] != 0})
+        # S(b_j) = G2^-1 G e_j: column j of G through the second inverse
+        s_rows = ag.compose_maps(pd.gram_t,
+                                 la.inverse(pd.gram2, nA, ctx.p))
         B = wha.make_weakhopf(B_alg, delta_rows, eps_vec, s_rows)
         self.B = B
         for c in wha.verify_axioms(B).items:
@@ -735,7 +734,7 @@ class DerivedWeakHopf:
         def S(x_co):
             return ag.apply_map(B.s, x_co)
 
-        s_inv_rows = ag.invert_rows(B.s, nB, ctx.p)
+        s_inv_rows = la.inverse(B.s, nB, ctx.p)
 
         def S_inv(x_co):
             return ag.apply_map(s_inv_rows, x_co)
@@ -882,7 +881,7 @@ class DerivedWeakHopf:
                                     lam_inv)
                     rhs = {}
                     for (k, l), c in lj:
-                        coef = c * G.entries[i][k]
+                        coef = c * Gd[i].get(k, 0)
                         if coef != 0:
                             sadd_into(rhs, ctx.mul(w, bhat[l]), coef)
                     law.check((j, i), lhs, rhs)
@@ -1030,34 +1029,22 @@ class DerivedWeakHopf:
                       "<a a', b> = <a, b1><a', b2> identifies A with B*") as law:
             for i in law.over(range(nA)):
                 for k in law.over(range(nA)):
-                    prod = expA(ctx.mul(ahat[i], ahat[k]))
-                    lhs = [sum((c * G.entries[t][j] for t, c in prod.items()),
-                               ctx.one - ctx.one) for j in range(nB)]
-                    rhs = []
+                    lhs = ag.apply_map(G, expA(ctx.mul(ahat[i], ahat[k])))
+                    rhs = {}
                     for j in range(nB):
-                        acc = ctx.one - ctx.one
+                        acc = 0
                         for (u, v_), c in legs(j):
-                            acc = acc + c * G.entries[i][u] * G.entries[k][v_]
-                        rhs.append(acc)
+                            acc = acc + c * Gd[i].get(u, 0) * Gd[k].get(v_, 0)
+                        if acc != 0:
+                            rhs[j] = acc
                     law.check((i, k), lhs, rhs)
 
         # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1
         Bd = wha.dual(B)
-        deltaA = []
-        for i in range(nA):
-            img = ag.apply_map(Bd.delta, _combine_rows(G, {i: one}))
-            row = {}
-            for kl, c in img.items():
-                k, l = divmod(kl, nB)
-                for k2, c2 in _combine_rows(Ginv, {k: one}).items():
-                    for l2, c3 in _combine_rows(Ginv, {l: one}).items():
-                        key = k2 * nA + l2
-                        row[key] = row.get(key, 0) + c * c2 * c3
-            deltaA.append({k: v for k, v in row.items() if v != 0})
-        epsA = [Bd.e(_combine_rows(G, {i: one})) for i in range(nA)]
-        sA = [_combine_rows(Ginv, ag.apply_map(Bd.s,
-                                               _combine_rows(G, {i: one})))
-              for i in range(nA)]
+        deltaA = [_tensor_map(Ginv, ag.apply_map(Bd.delta, Gd[i]), nB, nA)
+                  for i in range(nA)]
+        epsA = [Bd.e(Gd[i]) for i in range(nA)]
+        sA = [ag.apply_map(Ginv, ag.apply_map(Bd.s, Gd[i])) for i in range(nA)]
         A = wha.make_weakhopf(A_alg, deltaA, epsA, sA)
         self.A = A
         for c in wha.verify_axioms(A).items:
@@ -1080,15 +1067,23 @@ class DerivedWeakHopf:
                 law.check((k,), ctx.U.contains(amb), True)
 
 
-def _combine_rows(mat, co):
-    """sum_i co[i] (row i of mat), as a sparse dict."""
+def _tensor_map(rows, x, n_in, n_out):
+    """(f (x) f)(x) for the sparse-rows map f: x on flat indices
+    k n_in + l, the image on k' n_out + l'."""
     out = {}
-    for i, c in co.items():
-        for j, x in enumerate(mat.entries[i]):
-            v = c * x
-            if v != 0:
-                out[j] = out.get(j, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
+    for kl, c in x.items():
+        k, l = divmod(kl, n_in)
+        for k2, c2 in rows[k]:
+            base = k2 * n_out
+            cc2 = c * c2
+            for l2, c3 in rows[l]:
+                key = base + l2
+                w = out.get(key, 0) + cc2 * c3
+                if w == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1115,7 @@ def action_B_on_M1(ctx, dw):
     # characterization b . (m a) = m <a2, b> a1 on M x A basis pairs
     A = dw.A
     nA = A.dim
-    G = dw.pd.gram
+    Gt = [dict(r) for r in dw.pd.gram_t]
     a_in_M1, m_in_M1 = dw.a_in_M1, ctx.M_in_M1
 
     with cl.holds("standard_action_form", "b . (m a) = m <a2, b> a1") as law:
@@ -1132,7 +1127,7 @@ def action_B_on_M1(ctx, dw):
                     rhs = {}
                     for kl, c in A.delta[ai]:
                         k, l = divmod(kl, nA)
-                        coef = c * G.entries[l][j]
+                        coef = c * Gt[j].get(l, 0)
                         if coef != 0:
                             sadd_into(rhs, M1.mul(m_in_M1[mi], a_in_M1[k]),
                                       coef)
@@ -1325,8 +1320,8 @@ def action_A_on_M(ctx, dw, MB):
                     law.check((ai, k), False, True)
                     continue
                 for t_, c in co.items():
-                    for i2 in range(nA):
-                        v = c * Ginv.entries[k][i2]
+                    for i2, g in Ginv[k]:
+                        v = c * g
                         if v != 0:
                             key = t_ * nA + i2
                             rho[key] = rho.get(key, 0) + v

@@ -511,9 +511,9 @@ def integrals(H):
             row = {i: im[k] for i, im in enumerate(images) if k in im}
             eqs.append((row, one.get(k, scalar_zero(H.p))))
         try:
-            co = la.solve_sparse(eqs, left.dim, H.p)
+            co = la.solve(eqs, left.dim, H.p)
             normalized = {}
-            for i, c in enumerate(co):
+            for i, c in co.items():
                 sadd_into(normalized, basis[i], c)
         except la.NoSolution:
             normalized = None
@@ -536,10 +536,7 @@ def kernel_of_column_maps(rows, d, p):
         blk = idx // d
         for k, c in out.items():
             eqs.setdefault((blk, k), {})[j] = c
-    ech_rows = [la.dense(r, d, p) for r in eqs.values()]
-    if not ech_rows:
-        return la.Subspace.full(d, p)
-    return la.kernel(la.Mat.from_rows(ech_rows, p))
+    return la.kernel(list(eqs.values()), d, p)
 
 
 def is_hopf(H):

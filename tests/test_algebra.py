@@ -292,7 +292,7 @@ def nondegeneracy_rank_dense(E):
             v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
             row.extend(la.dense(v, small.dim, big.p))
         rows.append(row)
-    return la.Mat.from_rows(rows, big.p).rank()
+    return la.rank(rows, big.dim * small.dim, big.p)
 
 
 def test_nondegeneracy_rank_matches_dense_rank():

@@ -295,7 +295,16 @@ def test_payload_must_be_an_object(markov_file, tmp_path, kind, payload):
                                         ("compose", [["zz", "g00", "g00"]]),
                                         ("morphisms", [{"name": 1,
                                                         "source": "X0",
-                                                        "target": "X0"}])])
+                                                        "target": "X0"}]),
+                                        ("objects", [["X0"], ["X1"]]),
+                                        ("objects", "XY"),
+                                        ("objects", None),
+                                        ("morphisms", [{"name": "g",
+                                                        "source": ["X0"],
+                                                        "target": "X0"}]),
+                                        ("morphisms", [{"name": "g",
+                                                        "source": "X0",
+                                                        "target": "nowhere"}])])
 def test_bad_groupoid_payload_is_an_input_error(pair2_file, tmp_path, key,
                                                 value):
     with open(pair2_file) as fh:
@@ -304,6 +313,32 @@ def test_bad_groupoid_payload_is_an_input_error(pair2_file, tmp_path, key,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["groupoid", str(path), "--dual", "--integrals"]) == 2
+
+
+@pytest.mark.parametrize("objects, endpoint", [
+    ([["X0"], ["X1"]], lambda x: [x]),           # list names, matched
+    ("XY", {"X0": "X", "X1": "Y"}.get),          # a string, not a list
+], ids=["list-names", "string"])
+def test_groupoid_objects_must_be_a_list_of_names(pair2_file, tmp_path,
+                                                  objects, endpoint):
+    # the endpoints match the objects, so only the shape check can refuse
+    with open(pair2_file) as fh:
+        raw = json.load(fh)
+    pay = raw["payload"]
+    pay["objects"] = objects
+    for m in pay["morphisms"]:
+        m["source"], m["target"] = endpoint(m["source"]), endpoint(m["target"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["groupoid", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--appendix-fn"])
+def test_negative_tower_argument_is_a_usage_error(markov_file, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tower", markov_file, flag, "-3"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_tower_non_depth2_fails_at_depth2_stage(tmp_path, capsys):

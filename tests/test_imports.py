@@ -1,4 +1,5 @@
-"""Every name a weakhopf module imports, or a function assigns, is read."""
+"""Every name a weakhopf module imports, or a function assigns, is read,
+and every function it defines is referenced."""
 
 import ast
 import pathlib
@@ -6,6 +7,7 @@ import pathlib
 import weakhopf
 
 SRC = pathlib.Path(weakhopf.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def unused_imports(tree):
@@ -107,4 +109,58 @@ def test_no_unread_locals_in_weakhopf():
         bad = unread_locals(ast.parse(path.read_text()))
         if bad:
             found[path.name] = bad
+    assert not found, found
+
+
+def referenced_names(trees):
+    """Every name read in the trees, bare or as an attribute."""
+    out = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx,
+                                                             ast.Load):
+                out.add(n.attr)
+    return out
+
+
+def unreferenced_functions(tree, names):
+    """(line, name) of each function or method defined in tree whose name
+    is not in `names`.  Dunder methods are exempt: Python calls them."""
+    return sorted((fn.lineno, fn.name) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and fn.name not in names
+                  and not (fn.name.startswith("__") and
+                           fn.name.endswith("__")))
+
+
+def test_scan_flags_an_unreferenced_function():
+    lib = ast.parse("def used():\n"
+                    "    pass\n"
+                    "def dead():\n"
+                    "    pass\n"
+                    "class K:\n"
+                    "    def __init__(self):\n"
+                    "        pass\n"
+                    "    def m(self):\n"
+                    "        return used\n"
+                    "    def gone(self):\n"
+                    "        pass\n")
+    # assigning a name, or an attribute, does not reference it
+    user = ast.parse("K().m()\ndead = 1\nK().gone = 2\n")
+    names = referenced_names([lib, user])
+    assert unreferenced_functions(lib, names) == [(3, "dead"), (10, "gone")]
+
+
+def test_every_weakhopf_function_is_referenced():
+    paths = sorted(SRC.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    names = referenced_names(list(trees.values()) + [
+        ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))])
+    found = {}
+    for name, tree in trees.items():
+        bad = unreferenced_functions(tree, names)
+        if bad:
+            found[name] = bad
     assert not found, found

@@ -22,43 +22,62 @@ def field_rows(rows, p):
     return [[in_field(x, p) for x in r] for r in rows]
 
 
-def mat(rows):
-    return la.Mat.from_rows([[F(x) for x in r] for r in rows])
+def sparse_rows(rows, p=None):
+    """Dense test rows of rationals as sparse rows over Q or F_p."""
+    return [la.sparse(r) for r in field_rows(rows, p)]
+
+
+def unit_rows(n, p=None):
+    return [{i: la.scalar_one(p)} for i in range(n)]
+
+
+# dense reference arithmetic that the sparse API is compared against
+
+def dense_apply(rows, x, p=None):
+    """A x for dense rows A and a dense vector x."""
+    return tuple(sum((r[j] * x[j] for j in range(len(x))), la.scalar_zero(p))
+                 for r in rows)
+
+
+def dense_matmul(a, b, p=None):
+    return [list(dense_apply(list(zip(*b)), r, p)) for r in a]
+
+
+def to_dense(rows, n, p=None):
+    """Sparse rows (dicts or sorted pairs) as dense rows of width n."""
+    return [list(la.dense(dict(r), n, p)) for r in rows]
 
 
 def test_solve_identity():
-    a = la.Mat.identity(3)
-    b = (F(1), F(2), F(3))
-    assert la.solve(a, b) == b
+    b = {0: F(1), 1: F(2), 2: F(3)}
+    assert la.solve(zip(unit_rows(3), b.values()), 3) == b
 
 
 def test_solve_scalar_inverse():
-    assert la.solve(mat([[2]]), (F(1),)) == (F(1, 2),)
+    assert la.solve([({0: 2}, 1)], 1) == {0: F(1, 2)}
 
 
 def test_solve_inconsistent():
-    a = mat([[1, 1], [1, 1]])
-    with pytest.raises(la.NoSolution):
-        la.solve(a, (F(0), F(1)))
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(la.DimensionMismatch):
-        la.solve(la.Mat.identity(2), (F(1),))
+    for equations in ([({0: 1, 1: 1}, 0), ({0: 1, 1: 1}, 1)],
+                      [({}, 1)]):  # an empty row, a nonzero right-hand side
+        with pytest.raises(la.NoSolution, match="inconsistent system"):
+            la.solve(equations, 2)
 
 
 def test_solve_underdetermined_canonical():
     # free variables are pinned to zero
-    a = mat([[1, 1, 0]])
-    assert la.solve(a, (F(5),)) == (F(5), F(0), F(0))
+    assert la.solve([({0: 1, 1: 1}, 5)], 3) == {0: 5}
 
 
 def test_kernel_zero_matrix_full():
-    assert la.kernel(mat([[0, 0], [0, 0]])).dim == 2
+    assert la.kernel([{}, {}], 2) == la.Subspace.full(2)
+    # no equations at all leave every unknown free
+    for p in FIELDS:
+        assert la.kernel([], 3, p) == la.Subspace.full(3, p)
 
 
 def test_kernel_identity_trivial():
-    assert la.kernel(la.Mat.identity(4)).dim == 0
+    assert la.kernel(unit_rows(4), 4).dim == 0
 
 
 def test_quotient_trivial_relations():
@@ -83,10 +102,10 @@ def test_quotient_plane_by_line():
        st.lists(rationals, min_size=3, max_size=3))
 def test_solve_reapplication(rows, x):
     for p in FIELDS:
-        a = la.Mat.from_rows(field_rows(rows, p), p)
-        b = a.apply(tuple(in_field(c, p) for c in x))
-        got = la.solve(a, b)
-        assert a.apply(got) == b
+        a = field_rows(rows, p)
+        b = dense_apply(a, tuple(in_field(c, p) for c in x), p)
+        got = la.solve(zip(sparse_rows(rows, p), b), 3, p)
+        assert dense_apply(a, la.dense(got, 3, p), p) == b
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,16 +113,23 @@ def test_solve_reapplication(rows, x):
                 min_size=3, max_size=3))
 def test_inverse_matches_solve_per_column(rows):
     for p in FIELDS:
-        a = la.Mat.from_rows(field_rows(rows, p), p)
-        if a.rank() < 3:
-            with pytest.raises(la.NoSolution):
-                a.inverse()
+        a = sparse_rows(rows, p)
+        if la.rank(a, 3, p) < 3:
+            with pytest.raises(la.NoSolution, match="singular matrix"):
+                la.inverse(a, 3, p)
             continue
-        one, zero = la.scalar_one(p), la.scalar_zero(p)
-        cols = [la.solve(a, tuple(one if j == i else zero for j in range(3)))
-                for i in range(3)]
-        assert a.inverse() == la.Mat.from_rows(list(zip(*cols)), p)
-        assert a.mul(a.inverse()) == la.Mat.identity(3, p)
+        inv = la.inverse(a, 3, p)
+        one = la.scalar_one(p)
+        # column i of the inverse solves a x = e_i
+        for i in range(3):
+            col = la.solve([(r, one if k == i else 0)
+                            for k, r in enumerate(a)], 3, p)
+            assert col == {k: dict(r)[i] for k, r in enumerate(inv)
+                           if i in dict(r)}
+        assert dense_matmul(field_rows(rows, p), to_dense(inv, 3, p), p) == \
+            to_dense(unit_rows(3, p), 3, p)
+        # inverse rows are sorted sparse rows, ready for apply_map
+        assert all(list(r) == sorted(r) for r in inv)
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,12 +137,12 @@ def test_inverse_matches_solve_per_column(rows):
                 min_size=1, max_size=4))
 def test_kernel_annihilates(rows):
     for p in FIELDS:
-        a = la.Mat.from_rows(field_rows(rows, p), p)
-        ker = la.kernel(a)
-        zero = tuple(la.scalar_zero(p) for _ in range(a.rows))
-        for v in ker.dense_basis():
-            assert a.apply(v) == zero
-        assert ker.dim + a.rank() == a.cols
+        a = field_rows(rows, p)
+        ker = la.kernel(sparse_rows(rows, p), 4, p)
+        zero = tuple(la.scalar_zero(p) for _ in a)
+        for v in to_dense(ker.basis, 4, p):
+            assert dense_apply(a, v, p) == zero
+        assert ker.dim + la.rank(a, 4, p) == 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +161,9 @@ def test_quotient_properties(rel_rows):
         # project o section = id on quotient coordinates
         for i in range(q.dim):
             assert q.project(q.section({i: one})) == {i: one}
-        assert q.project_matrix().rank() == q.dim
+        # project is onto
+        assert la.rank([q.project({c: one}) for c in range(4)], q.dim,
+                       p) == q.dim
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,16 +194,14 @@ def test_quotient_from_projection_matches_quotient(p, entries, rank):
               for j in range(n)] for i in range(n)]
     upper = [[one if i == j else in_field(next(it), p) if j > i else zero
               for j in range(n)] for i in range(n)]
-    t = la.Mat.from_rows(lower, p).mul(la.Mat.from_rows(upper, p))
-    unit = la.Mat.identity(n, p).entries
-    t_inv = la.Mat.from_rows([la.solve(t, e) for e in unit], p).transpose()
-    d = la.Mat.from_rows([[one if i == j < rank else zero for j in range(n)]
-                          for i in range(n)], p)
-    proj = t.mul(d).mul(t_inv)
-    assert proj.mul(proj) == proj
-    cols = proj.transpose().entries
+    t = dense_matmul(lower, upper, p)
+    t_inv = to_dense(la.inverse([la.sparse(r) for r in t], n, p), n, p)
+    d = [[one if i == j < rank else zero for j in range(n)] for i in range(n)]
+    proj = dense_matmul(dense_matmul(t, d, p), t_inv, p)
+    assert dense_matmul(proj, proj, p) == proj
+    cols = list(zip(*proj))
     got = la.quotient_from_projection(n, lambda c: la.sparse(cols[c]), p)
-    assert got == la.quotient(n, la.kernel(proj))
+    assert got == la.quotient(n, la.kernel([la.sparse(r) for r in proj], n, p))
     assert got.dim == rank
 
 
@@ -192,9 +218,8 @@ def test_prime_field_arithmetic():
 
 
 def test_prime_field_solve():
-    a = la.Mat.from_rows([[1, 1], [0, 1]], p=2)
-    got = la.solve(a, (la.Fp(1, 2), la.Fp(1, 2)))
-    assert got == (la.Fp(0, 2), la.Fp(1, 2))
+    got = la.solve([({0: 1, 1: 1}, la.Fp(1, 2)), ({1: 1}, la.Fp(1, 2))], 2, 2)
+    assert got == {1: la.Fp(1, 2)}
 
 
 def test_subspace_ops():
@@ -202,7 +227,10 @@ def test_subspace_ops():
     s2 = la.Subspace.from_vectors(3, [{1: F(1)}, {2: F(1)}])
     inter = s1.intersect(s2)
     assert inter.dim == 1 and inter.contains({1: F(5)})
-    assert s1.sum_with(s2) == la.Subspace.full(3)
+    assert la.Subspace.from_vectors(
+        3, [dict(r) for r in s1.basis + s2.basis]) == la.Subspace.full(3)
+    assert s1.contains_subspace(inter) and not s1.contains_subspace(s2)
+    assert s1.intersect(la.Subspace.zero(3)) == la.Subspace.zero(3)
     assert s1.coords({0: F(2), 1: F(-1)}) == (F(2), F(-1))
     assert s1.coords({2: F(1)}) is None
 
@@ -235,3 +263,49 @@ def test_format_vector_ignores_the_scalar_type():
     assert la.format_vector({0: 1}) == la.format_vector({0: F(1)}) == "{0: 1}"
     assert la.format_vector({3: F(-1, 2), 0: 2}) == "{0: 2, 3: -1/2}"
     assert la.format_vector({1: la.Fp(12, 13)}) == "{1: 12}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(rationals, min_size=4, max_size=4),
+                min_size=0, max_size=3),
+       st.lists(rationals, min_size=4, max_size=4))
+def test_membership_matches_the_rank_criterion(rows, v):
+    for p in FIELDS:
+        sub = la.Subspace.from_vectors(4, sparse_rows(rows, p), p)
+        vec = la.sparse(tuple(in_field(c, p) for c in v))
+        inside = la.rank([dict(r) for r in sub.basis] + [vec], 4,
+                         p) == sub.dim
+        assert sub.contains(vec) == inside
+        co = sub.coords(vec)
+        assert (co is not None) == inside
+        if inside:
+            acc = {}
+            for c, r in zip(co, sub.basis):
+                la.sadd_into(acc, dict(r), c)
+            assert acc == vec
+        assert sub.contains_subspace(
+            la.Subspace.from_vectors(4, [vec], p)) == inside
+        # every combination of the basis is a member, with its coefficients
+        # as coordinates
+        coeffs = tuple(in_field(k + 2, p) for k in range(sub.dim))
+        combo = {}
+        for c, r in zip(coeffs, sub.basis):
+            la.sadd_into(combo, dict(r), c)
+        assert sub.contains(combo) and sub.coords(combo) == coeffs
+
+
+def test_membership_builds_no_echelon(monkeypatch):
+    sub = la.Subspace.from_vectors(3, [{0: 1, 1: 2}, {2: 1}])
+    built = []
+
+    class Counting(la.Echelon):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(la, "Echelon", Counting)
+    assert sub.contains({0: 2, 1: 4, 2: F(1, 2)})
+    assert not sub.contains({1: 1})
+    assert sub.contains_subspace(la.Subspace.zero(3))
+    assert not sub.contains_subspace(la.Subspace.full(3))
+    assert built == []

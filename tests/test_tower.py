@@ -115,7 +115,12 @@ def test_E_B_of_e1_value():
 def test_pairing_rank(pipelines):
     for name, (ctx, lat, res, full) in pipelines.items():
         pd = res["pairing"]
-        assert pd.gram.rank() == lat.A.dim == lat.B.dim, name
+        nA, nB = lat.A.dim, lat.B.dim
+        assert la.rank([dict(r) for r in pd.gram], nB, ctx.p) == nA == nB, name
+        assert la.rank([dict(r) for r in pd.gram2], nA, ctx.p) == nA, name
+        # gram_t is the transpose of gram, entry for entry
+        assert {(j, i, c) for i, r in enumerate(pd.gram) for j, c in r} == \
+            {(j, i, c) for j, r in enumerate(pd.gram_t) for i, c in r}, name
 
 
 def test_derived_axioms_and_counitals(pipelines):
