@@ -2,6 +2,10 @@
 
 An Algebra is a basis, a structure-constant table and a unit vector;
 construction verifies associativity and the unit law on every basis tuple.
+Associativity is decided on an integer copy of the table (over Q scaled by
+the lcm of its denominators, which scales both sides of the law by the
+same nonzero square; over F_p the residues), summing only the nonzero
+terms of each side, so every triple is decided exactly.
 On top of that sit inclusions, conditional expectations, dual-bases
 solvers, Kanzaki separability and the certification of symmetric Markov
 extensions.
@@ -20,7 +24,9 @@ identity by identity, so the choice never matters.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import lcm
 
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
@@ -197,10 +203,13 @@ class Algebra:
 
 
 def make_algebra(structure, unit, labels=None, p=None):
-    """Build an Algebra after verifying associativity and the unit law.
+    """Build an Algebra after verifying the unit law and associativity.
 
     `structure` is either a dim x dim nested sequence of dense product
-    vectors or a table of sparse dicts.
+    vectors or a table of sparse dicts.  `check_associative` decides every
+    basis triple on the table times d, the lcm of its denominators (over
+    F_p, on the residues): both sides of the law are quadratic in the
+    table, so they scale by the same d^2 and the law is the same.
     """
     dim = len(structure)
     table = []
@@ -221,21 +230,57 @@ def make_algebra(structure, unit, labels=None, p=None):
             raise BadUnit(i, "left")
         if alg.mul(ei, ud) != ei:
             raise BadUnit(i, "right")
-    # associativity on all basis triples, through the cached pair products
-    prods = [[dict(table[i][j]) for j in range(dim)] for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            pij = prods[i][j]
-            for k in range(dim):
-                lhs = {}
-                for l, c in pij.items():
-                    sadd_into(lhs, prods[l][k], c)
-                rhs = {}
-                for m, c in prods[j][k].items():
-                    sadd_into(rhs, prods[i][m], c)
-                if lhs != rhs:
-                    raise NotAssociative(i, j, k, lhs, rhs)
+    check_associative(alg)
     return alg
+
+
+def check_associative(alg):
+    """Raise NotAssociative at the first basis triple (i, j, k) where
+    (e_i e_j) e_k != e_i (e_j e_k).
+
+    Per row i, both sides go into one map of d^2 (lhs - rhs) keyed by
+    (j, k, n), summed over nonzero cells only, so a triple with no term is
+    zero on both sides; over F_p the sums are compared mod p.  A failing
+    row is rescanned with `Algebra.mul` for the witness.
+    """
+    dim, p = alg.dim, alg.p
+    d = 1 if p else lcm(*(c.denominator for row in alg.table
+                          for cell in row for _, c in cell))
+    rows = [[(j, [(n, c.v if p else c.numerator * (d // c.denominator))
+                  for n, c in cell])
+             for j, cell in enumerate(row) if cell] for row in alg.table]
+    holding = [[] for _ in range(dim)]  # m -> (key of (j, k, 0), coeff)
+    for j, row in enumerate(rows):
+        for k, cell in row:
+            for m, c in cell:
+                holding[m].append(((j * dim + k) * dim, c))
+    for i in range(dim):
+        diff = defaultdict(int)  # (j, k, n) -> d^2 (lhs - rhs)_n
+        for j, cell in rows[i]:
+            for l, a in cell:
+                for k, lcell in rows[l]:
+                    key = (j * dim + k) * dim
+                    for n, b in lcell:
+                        diff[key + n] += a * b
+        for m, cell in rows[i]:
+            for key, a in holding[m]:
+                for n, b in cell:
+                    diff[key + n] -= a * b
+        if any(v % p if p else v for v in diff.values()):
+            raise _first_failure(alg, i)
+
+
+def _first_failure(alg, i):
+    """NotAssociative at the first failing (j, k) of row i."""
+    ei = alg.basis_vec(i)
+    for j in range(alg.dim):
+        ej = alg.basis_vec(j)
+        eij = alg.mul(ei, ej)
+        for k in range(alg.dim):
+            ek = alg.basis_vec(k)
+            lhs, rhs = alg.mul(eij, ek), alg.mul(ei, alg.mul(ej, ek))
+            if lhs != rhs:
+                return NotAssociative(i, j, k, lhs, rhs)
 
 
 def centralizer(big, sub):

@@ -253,7 +253,10 @@ def main(argv=None):
     p.add_argument("file")
     p.set_defaults(fn=cmd_report)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage error (2, text on stderr) or --help
+        return exc.code
     try:
         report = args.fn(args)
     except sf.SpecFileError as exc:

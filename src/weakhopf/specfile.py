@@ -45,21 +45,40 @@ def _field(label):
             p = int(label.split()[1])
         except (IndexError, ValueError):
             raise SpecFileError("bad field label %r" % label)
+        if p >= _MR_LIMIT:
+            raise SpecFileError("field label %r: modulus too large (at most "
+                                "%d)" % (label, _MR_LIMIT - 1))
         if not _is_prime(p):
             raise SpecFileError("field label %r: %d is not a prime" % (label, p))
         return p
     raise SpecFileError("unknown field %r" % label)
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n):
-    """Trial division; field labels carry small moduli."""
-    if n < 2 or n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin, exact for n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

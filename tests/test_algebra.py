@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhopf import algebra as ag
 from weakhopf import corpus
@@ -24,8 +26,52 @@ def test_rejects_non_associative():
     bad = [[{0: F(1)}, {1: F(1)}, {2: F(1)}],
            [{1: F(1)}, {2: F(1)}, {}],
            [{2: F(1)}, {1: F(1)}, {}]]
-    with pytest.raises(ag.NotAssociative):
+    with pytest.raises(ag.NotAssociative) as exc:
         ag.make_algebra(bad, (F(1), F(0), F(0)))
+    assert exc.value.witness == (1, 1, 1, {1: 1}, {})
+
+
+def unital(products, dim, p=None):
+    """make_algebra on e_0 = 1 and the given products of e_1.. e_{dim-1},
+    written as {(i, j): {n: "a/b"}}; missing products are zero."""
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        table[0][i] = table[i][0] = {i: 1}
+    for (i, j), cell in products.items():
+        table[i][j] = {n: la.parse_scalar(c, p) for n, c in cell.items()}
+    return ag.make_algebra(table, [1] + [0] * (dim - 1), p=p)
+
+
+def test_rejects_a_triple_with_a_structurally_empty_side():
+    # a a = b, a b = c, all else zero: only (a a) a = 0 != c = a (a a),
+    # and no term of (a a) a exists at all (b a is an empty cell)
+    with pytest.raises(ag.NotAssociative) as exc:
+        unital({(1, 1): {2: "1"}, (1, 2): {3: "1"}}, 4)
+    assert exc.value.witness == (1, 1, 1, {}, {3: 1})
+
+
+def fractional_diagonal(c, p=None):
+    """Q^3 in the basis 1, f1/2 + f2/3, f2 when c = -1/18: then
+    e1 e1 = e1/2 + c e2 and (e1 e1) e2 = (1/6 + c) e2 = e2/9 = e1 (e1 e2)
+    only through exact cancellation of 1/6 against 1/18."""
+    return unital({(1, 1): {1: "1/2", 2: c}, (1, 2): {2: "1/3"},
+                   (2, 1): {2: "1/3"}, (2, 2): {2: "1"}}, 3, p)
+
+
+def test_fractional_terms_cancel_exactly():
+    assert fractional_diagonal("-1/18").dim == 3
+    off = "-%d/%d" % (10 ** 12 + 18, 18 * 10 ** 12)  # -1/18 - 10^-12
+    with pytest.raises(ag.NotAssociative) as exc:
+        fractional_diagonal(off)
+    assert exc.value.witness[:3] == (1, 1, 2)
+
+
+def test_associative_mod_13_only():
+    # -1/18 + 13 is -1/18 in F_13 and not in Q
+    assert fractional_diagonal("233/18", 13).dim == 3
+    with pytest.raises(ag.NotAssociative) as exc:
+        fractional_diagonal("233/18")
+    assert exc.value.witness == (1, 1, 2, {2: F(118, 9)}, {2: F(1, 9)})
 
 
 def test_rejects_bad_unit():
@@ -307,3 +353,118 @@ def test_nondegeneracy_rank_matches_dense_rank():
                              corpus.diagonal_algebra(2), [{0: F(1), 1: F(1)}])
     E = ag.CondExpectation(incl, ag.map_rows([{0: F(1)}, {}]))
     assert ag.nondegeneracy_rank(E) == nondegeneracy_rank_dense(E) == 1
+
+
+def associativity_by_triples(alg):
+    """The former check: the first failing (i, j, k, lhs, rhs), or None."""
+    dim = alg.dim
+    prods = [[dict(alg.table[i][j]) for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = {}
+                for l, c in prods[i][j].items():
+                    la.sadd_into(lhs, prods[l][k], c)
+                rhs = {}
+                for m, c in prods[j][k].items():
+                    la.sadd_into(rhs, prods[i][m], c)
+                if lhs != rhs:
+                    return i, j, k, lhs, rhs
+    return None
+
+
+def associativity_witness(alg):
+    try:
+        ag.check_associative(alg)
+    except ag.NotAssociative as exc:
+        return exc.witness
+    return None
+
+
+def mod_p(c, p):
+    """A p-integral rational as a residue mod p."""
+    c = F(c)
+    return la.Fp(c.numerator * pow(c.denominator, -1, p), p)
+
+
+def reduced(alg, p):
+    """A rational algebra with p-integral structure constants, mod p."""
+    table = [[{n: mod_p(c, p) for n, c in cell} for cell in row]
+             for row in alg.table]
+    return ag.make_algebra(table, [mod_p(c, p) for c in alg.unit], p=p)
+
+
+def corpus_algebras():
+    """(name, algebra) of the corpus and of the M1, M2 of every standing
+    extension and of s3_z2, over Q and F_13."""
+    out = []
+    for p in (None, 13):
+        m2, k2 = corpus.matrix_algebra(2, p), corpus.diagonal_algebra(2, p)
+        out += [("k", corpus.field_algebra(p)), ("m2", m2),
+                ("m3", corpus.matrix_algebra(3, p)),
+                ("m2(x)k2", corpus.tensor_algebra(m2, k2))]
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2())
+    for name, cert in certs.items():
+        algs = [cert.incl.big] + [lvl.alg for lvl in
+                                  tw.build_tower(cert, 2).levels]
+        for k, alg in enumerate(algs):
+            out.append(("%s:M%d" % (name, k), alg))
+            out.append(("%s:M%d mod 13" % (name, k), reduced(alg, 13)))
+    return out
+
+
+def perturbed_table(alg, rng):
+    """alg with one structure constant shifted, unchecked."""
+    dim, p = alg.dim, alg.p
+    table = [list(row) for row in alg.table]
+    i, j, n = (rng.randrange(dim) for _ in range(3))
+    cell = dict(table[i][j])
+    shift = la.div(la.as_scalar(rng.choice((-2, -1, 1, 2)), p),
+                   la.as_scalar(rng.choice((1, 2, 3)), p))
+    cell[n] = cell.get(n, 0) + shift
+    if cell[n] == 0:
+        del cell[n]
+    table[i][j] = la.svec(cell)
+    return ag.Algebra(dim, tuple(map(tuple, table)), alg.unit, None, p)
+
+
+def test_sparse_associativity_agrees_with_triple_loop():
+    rng = random.Random(9)
+    failed = 0
+    for name, alg in corpus_algebras():
+        assert associativity_by_triples(alg) is None, name
+        for trial in range(3):
+            bad = perturbed_table(alg, rng)
+            want = associativity_by_triples(bad)
+            assert associativity_witness(bad) == want, (name, trial)
+            failed += want is not None
+    assert failed > 0
+
+
+ENTRIES = [0] * 6 + [1, -1, 2, F(2), F(1, 2), F(-1, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([None, 13]), st.data())
+def test_sparse_associativity_on_random_unital_tables(dim, p, data):
+    def scalar(c):  # over Q the raw mixed int / Fraction entry
+        return c if p is None else mod_p(c, p)
+    one = scalar(F(1))
+    table = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        table[0][i] = table[i][0] = ((i, one),)
+    for i in range(1, dim):
+        for j in range(1, dim):
+            vec = data.draw(st.lists(st.sampled_from(ENTRIES),
+                                     min_size=dim, max_size=dim))
+            table[i][j] = tuple((n, scalar(c))
+                                for n, c in enumerate(vec) if c != 0)
+    unit = (one,) + (scalar(0),) * (dim - 1)
+    alg = ag.Algebra(dim, tuple(map(tuple, table)), unit, None, p)
+    want = associativity_by_triples(alg)
+    assert associativity_witness(alg) == want
+    try:
+        ag.make_algebra([[dict(c) for c in row] for row in table], unit, p=p)
+        assert want is None
+    except ag.NotAssociative as exc:
+        assert exc.witness == want

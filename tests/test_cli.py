@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -222,10 +223,23 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("p, rc", [(0, 2), (1, 2), (6, 2), (9, 2), (15, 2),
-                                   (13, 0)])
+                                   (13, 0), (561, 2), (41041, 2),
+                                   (3215031751, 2), (2 ** 61 - 1, 0)])
 def test_field_modulus_must_be_prime(pair2_file, tmp_path, p, rc):
     path = with_field(pair2_file, tmp_path, "prime %d" % p)
     assert cli.main(["groupoid", path, "--dual", "--integrals"]) == rc
+
+
+def test_primality_is_fast_and_bounded(pair2_file, tmp_path, capsys):
+    t0 = time.perf_counter()
+    assert sf._field("prime %d" % (2 ** 61 - 1)) == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 1.0
+    # a strong pseudoprime to all twelve bases: beyond the exact range
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    path = with_field(pair2_file, tmp_path, "prime %d" % psi12)
+    assert cli.main(["groupoid", path]) == 2
+    assert "too large" in capsys.readouterr().err
 
 
 def test_malformed_scalar_rejected(tmp_path):
@@ -335,10 +349,14 @@ def test_groupoid_objects_must_be_a_list_of_names(pair2_file, tmp_path,
 
 @pytest.mark.parametrize("flag", ["--depth", "--appendix-fn"])
 def test_negative_tower_argument_is_a_usage_error(markov_file, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["tower", markov_file, flag, "-3"])
-    assert exc.value.code == 2
-    assert "non-negative" in capsys.readouterr().err
+    assert cli.main(["tower", markov_file, flag, "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "non-negative" in err and err.startswith("usage:")
+
+
+def test_unknown_flag_is_a_usage_error(markov_file, capsys):
+    assert cli.main(["tower", markov_file, "--deep"]) == 2
+    assert "unrecognized arguments: --deep" in capsys.readouterr().err
 
 
 def test_tower_non_depth2_fails_at_depth2_stage(tmp_path, capsys):
