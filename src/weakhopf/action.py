@@ -53,11 +53,10 @@ class ComoduleAlgebra:
 def make_module_algebra(H, A, act):
     """Bundle and fully verify a module-algebra structure.
 
-    act may be given as act[h][a] images (nested) already in sparse-rows
-    form.  Returns (ModuleAlgebra, CheckList).
+    act[h][a] is the image of e_a under e_h, as a sparse dict.  Returns
+    (ModuleAlgebra, CheckList).
     """
-    act = tuple(ag.map_rows(rows if not isinstance(rows, tuple) else
-                            [dict(r) for r in rows], A.p) for rows in act)
+    act = tuple(ag.map_rows(rows, A.p) for rows in act)
     M = ModuleAlgebra(H, A, act)
     cl = verify_module_algebra(M)
     return M, cl
@@ -102,7 +101,7 @@ def verify_module_algebra(M):
     with cl.holds("unit_axiom", "h . 1 = eps_t(h) . 1") as law:
         for h in law.over(range(dH)):
             lhs = M.apply(H.alg.basis_vec(h), one_a)
-            rhs = M.apply(wha.eps_t(H, H.alg.basis_vec(h)), one_a)
+            rhs = M.apply(H.et(H.alg.basis_vec(h)), one_a)
             law.check((h,), lhs, rhs)
     return cl
 
@@ -112,7 +111,7 @@ def invariants(M):
     H, A = M.H, M.A
     rows = []
     for h in range(H.dim):
-        eth = wha.eps_t(H, H.alg.basis_vec(h))
+        eth = H.et(H.alg.basis_vec(h))
         for a in range(A.dim):
             diff = M.apply(H.alg.basis_vec(h), A.basis_vec(a))
             sadd_into(diff, M.apply(eth, A.basis_vec(a)), -1)
@@ -132,23 +131,20 @@ def invariants(M):
 
 def trivial_action(H):
     """H acting on its target counital subalgebra by h . z = eps_t(hz)."""
-    cd = wha.counital(H)
-    Ht_alg, inject, express = ag.subalgebra(H.alg, cd.Ht, "Ht")
+    Ht_alg, inject, express = ag.subalgebra(H.alg, H.counital.Ht, "Ht")
     act = []
     for h in range(H.dim):
         rows = []
         for z in range(Ht_alg.dim):
-            img = wha.eps_t(H, H.alg.mul(H.alg.basis_vec(h),
-                                         inject(Ht_alg.basis_vec(z))))
+            img = H.et(H.alg.mul(H.alg.basis_vec(h),
+                                 inject(Ht_alg.basis_vec(z))))
             rows.append(express(img))
         act.append(rows)
     return make_module_algebra(H, Ht_alg, act)
 
 
-def standard_action(H, Hd=None):
+def standard_action(H):
     """H* acting on H by phi . h = h1 <phi, h2>."""
-    if Hd is None:
-        Hd = wha.dual(H)
     d = H.dim
     act = []
     for k in range(d):
@@ -165,13 +161,12 @@ def standard_action(H, Hd=None):
                         out[u] = w
             rows.append(out)
         act.append(rows)
-    return make_module_algebra(Hd, H.alg, act)
+    return make_module_algebra(wha.dual(H), H.alg, act)
 
 
 def adjoint_action(H):
     """H acting on the centralizer of Hs by h . a = h1 a S(h2)."""
-    cd = wha.counital(H)
-    cen = ag.centralizer(H.alg, cd.Hs)
+    cen = ag.centralizer(H.alg, H.counital.Hs)
     A_alg, inject, express = ag.subalgebra(H.alg, cen, "C_H(Hs)")
     d = H.dim
     act = []
@@ -191,7 +186,7 @@ def adjoint_action(H):
     return make_module_algebra(H, A_alg, act)
 
 
-def action_comodule_bridge(M, Hd=None):
+def action_comodule_bridge(M):
     """The right H*-comodule algebra equivalent to a left H-module algebra.
 
     rho(a) = sum_h (e_h . a) (x) e^h.  Verifies the comodule-algebra axioms,
@@ -199,8 +194,7 @@ def action_comodule_bridge(M, Hd=None):
     equal invariants.  Returns (ComoduleAlgebra, CheckList).
     """
     H, A = M.H, M.A
-    if Hd is None:
-        Hd = wha.dual(H)
+    Hd = wha.dual(H)
     dH, dA = H.dim, A.dim
     cl = CheckList("comodule-bridge")
     rho = []
@@ -221,13 +215,14 @@ def action_comodule_bridge(M, Hd=None):
         for a in law.over(range(dA)):
             for b in law.over(range(dA)):
                 lhs = rho_of(A.mul(A.basis_vec(a), A.basis_vec(b)))
-                rhs = _mul_AH(A, Hd.alg, rho_of(A.basis_vec(a)),
-                              rho_of(A.basis_vec(b)))
+                rhs = ag.tensor_mul(A, Hd.alg, rho_of(A.basis_vec(a)),
+                                    rho_of(A.basis_vec(b)))
                 law.check((a, b), lhs, rhs)
 
+    est = Hd.eps_rows[0]
     r1 = rho_of(A.unit_sparse())
     cl.add("comodule_unit", "rho(1) = (id (x) eps_t) rho(1)",
-           r1 == _apply_right_eps_t(Hd, r1, dH))
+           r1 == ag.apply_tensor(None, est, r1, dH, dH))
 
     with cl.holds("bridge_roundtrip", "a0 <a1, h> recovers h . a") as law:
         for a in law.over(range(dA)):
@@ -245,47 +240,13 @@ def action_comodule_bridge(M, Hd=None):
     rows = []
     for a in range(dA):
         diff = dict(rho[a])
-        et = _apply_right_eps_t(Hd, dict(rho[a]), dH)
+        et = ag.apply_tensor(None, est, dict(rho[a]), dH, dH)
         sadd_into(diff, et, -1)
         rows.append((a, diff))
     coinv = wha.kernel_of_column_maps(rows, dA, A.p)
     cl.add("coinvariants_equal_invariants", "A^{co H*} = A^H",
            coinv == invariants(M))
     return C, cl
-
-
-def _mul_AH(A, Halg, x, y):
-    dH = Halg.dim
-    out = {}
-    for jk, c in x.items():
-        j, k = divmod(jk, dH)
-        for lm, e in y.items():
-            l, m = divmod(lm, dH)
-            ce = c * e
-            for j2, cj in A.table[j][l]:
-                for k2, ck in Halg.table[k][m]:
-                    key = j2 * dH + k2
-                    w = out.get(key, 0) + ce * cj * ck
-                    if w == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
-    return out
-
-
-def _apply_right_eps_t(Hd, x, dH):
-    out = {}
-    for jk, c in x.items():
-        j, k = divmod(jk, dH)
-        img = wha.eps_t(Hd, Hd.alg.basis_vec(k))
-        for k2, v in img.items():
-            key = j * dH + k2
-            w = out.get(key, 0) + c * v
-            if w == 0:
-                out.pop(key, None)
-            else:
-                out[key] = w
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +262,7 @@ class Smash:
     checks: CheckList
 
 
-def smash(M, counital_data=None):
+def smash(M):
     """The smash product A # H on A (x)_{Ht} H.
 
     Balancing relations: (a . z) (x) h - a (x) (z h) with a . z = a (z . 1);
@@ -311,7 +272,6 @@ def smash(M, counital_data=None):
     quotient basis by construction of the quotient algebra.
     """
     H, A = M.H, M.A
-    cd = counital_data if counital_data is not None else wha.counital(H)
     dH, dA = H.dim, A.dim
     amb = dA * dH
     one = la.as_scalar(1, H.p)
@@ -319,7 +279,7 @@ def smash(M, counital_data=None):
 
     one_a = A.unit_sparse()
     zt_acts = []
-    for r in cd.Ht.basis:
+    for r in H.counital.Ht.basis:
         z = dict(r)
         z_dot_one = M.apply(z, one_a)
         zt_acts.append((z, z_dot_one))
@@ -395,11 +355,9 @@ def smash(M, counital_data=None):
     return Smash(M, q, alg, inc_a, inc_h, cl)
 
 
-def smash_dual_action(M, sm, Hd=None):
+def smash_dual_action(M, sm):
     """H* acting on A # H by phi . (a # h) = a # (phi -> h)."""
     H = M.H
-    if Hd is None:
-        Hd = wha.dual(H)
     dH = H.dim
     one = la.as_scalar(1, H.p)
     q = sm.quotient
@@ -417,10 +375,10 @@ def smash_dual_action(M, sm, Hd=None):
                         out[a * dH + u] = out.get(a * dH + u, 0) + c * cdl
             rows.append(q.project(out))
         act.append(rows)
-    return make_module_algebra(Hd, sm.alg, act)
+    return make_module_algebra(wha.dual(H), sm.alg, act)
 
 
-def duality_dimension_check(M, Hd=None):
+def duality_dimension_check(M):
     """dim((A#H)#H*) versus dim(End(A#H)_A), plus both center dimensions.
 
     The endomorphism algebra is computed concretely as the commutant of
@@ -428,12 +386,9 @@ def duality_dimension_check(M, Hd=None):
     canonical map between the two sides is out of scope, only numerically
     checkable consequences are compared.
     """
-    H = M.H
-    if Hd is None:
-        Hd = wha.dual(H)
     cl = CheckList("duality-dimensions")
     sm = smash(M)
-    dual_act, dual_cl = smash_dual_action(M, sm, Hd)
+    dual_act, dual_cl = smash_dual_action(M, sm)
     cl.extend(dual_cl)
     sm2 = smash(dual_act)
     n = sm.alg.dim

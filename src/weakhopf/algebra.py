@@ -80,6 +80,51 @@ def apply_map(rows, x):
     return out
 
 
+def apply_tensor(f, g, x, n, m):
+    """(f (x) g)(x) for sparse-rows maps f and g, None meaning the identity.
+
+    x is a flat tensor on indices i n + j and the image is on k m + l: n and
+    m are the dimensions of the domain and the codomain of g.
+    """
+    out = {}
+    for ij, c in x.items():
+        i, j = divmod(ij, n)
+        for k, a in (f[i] if f is not None else ((i, 1),)):
+            base = k * m
+            ca = c * a
+            for l, b in (g[j] if g is not None else ((j, 1),)):
+                key = base + l
+                w = out.get(key, 0) + ca * b
+                if w == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = w
+    return out
+
+
+def tensor_mul(A, B, x, y):
+    """Product in A (x) B of flat tensors on indices a B.dim + b."""
+    n = B.dim
+    out = {}
+    for ij, a in x.items():
+        i, j = divmod(ij, n)
+        ti, tj = A.table[i], B.table[j]
+        for kl, b in y.items():
+            k, l = divmod(kl, n)
+            c = a * b
+            for m, v1 in ti[k]:
+                base = m * n
+                cv = c * v1
+                for m2, v2 in tj[l]:
+                    key = base + m2
+                    w = out.get(key, 0) + cv * v2
+                    if w == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = w
+    return out
+
+
 def map_rows(images, p=None):
     """Normalize a list of images (sparse rows, dicts or dense) to svec rows
     of scalars in the `la.as_scalar` form."""

@@ -19,7 +19,7 @@ from weakhopf import linalg as la
 from weakhopf import specfile as sf
 from weakhopf import tower as tw
 from weakhopf import wha
-from weakhopf.checks import Check
+from weakhopf.checks import Check, VerificationError
 
 
 class Report:
@@ -67,19 +67,25 @@ def _wha_report(H, name):
         items.append(Check("downstream", "counital/integral/dual stages "
                            "skipped: axioms failed", False))
         return Report(name, items)
-    cd = wha.counital(H)
-    items.extend(cd.checks.items)
+    items.extend(H.counital.checks.items)
     ints = wha.integrals(H)
     items.append(Check("maschke", "normalized left integral exists iff the "
                        "algebra is separable", ints.maschke_consistent))
-    Hd = wha.dual(H)
-    items.append(Check("dual_axioms", "the transpose dual passes every "
-                       "axiom", wha.verify_axioms(Hd).ok))
-    Hdd = wha.dual(Hd)
-    items.append(Check(
-        "dual_involution", "dual(dual(H)) = H as matrices",
-        (Hdd.alg.table, Hdd.delta, Hdd.eps, Hdd.s)
-        == (H.alg.table, H.delta, H.eps, H.s)))
+    # wha.dual runs the axiom engine on the dual it builds: a dual failing
+    # it is a failed entry of the stage that built it
+    X = H
+    for check, law in (("dual_axioms", "the transpose dual passes every "
+                        "axiom"),
+                       ("dual_involution", "dual(dual(H)) = H as matrices")):
+        try:
+            X = wha.dual(X)
+        except VerificationError as exc:
+            items.append(Check(check, law, False, ", ".join(
+                c.name for c in exc.checks if not c.passed)))
+            break
+        items.append(Check(check, law, check == "dual_axioms" or (
+            (X.alg.table, X.delta, X.eps, X.s)
+            == (H.alg.table, H.delta, H.eps, H.s))))
     return Report(name, items)
 
 
@@ -113,7 +119,7 @@ def cmd_groupoid(args):
     Hd = None
     if args.dual:
         try:
-            Hd = gp.groupoid_dual(G, spec.p, H)
+            Hd = gp.groupoid_dual(G, H)
             items.append(Check("dual_formulas", "the function-algebra dual "
                                "matches the transpose dual", True))
         except AssertionError as exc:
@@ -121,7 +127,8 @@ def cmd_groupoid(args):
                                "matches the transpose dual", False, str(exc)))
     if args.integrals:
         try:
-            gp.groupoid_integrals(G, spec.p, H, Hd)
+            gp.groupoid_integrals(
+                G, H, gp.groupoid_dual(G, H) if Hd is None else Hd)
             items.append(Check("integral_spans", "unit-indexed sums span "
                                "the integral spaces", True))
         except AssertionError as exc:

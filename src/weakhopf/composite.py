@@ -200,7 +200,7 @@ def shift_tau2(tower, element, n, level=None):
     return out
 
 
-def depth2_example(kind, n=None, p=None, budget=64):
+def depth2_example(kind, n=None, p=None):
     """Certified depth-2 extensions built from a central N and Kanzaki U.
 
     kind "tensor": M = N (x) U with E(n u) = lambda n t(u), t the trace of

@@ -150,12 +150,13 @@ def groupoid_algebra(G, p=None):
     return wha.make_weakhopf(alg, delta, eps, s)
 
 
-def groupoid_dual(G, p=None, H=None):
+def groupoid_dual(G, H):
     """(kG)* built directly from its own formulas, on the p_g basis.
 
-    Verified to coincide, matrix for matrix, with the transpose dual of kG
-    (of H when given, which must be groupoid_algebra(G, p)).
+    H is kG, groupoid_algebra(G, p); the result is verified to coincide,
+    matrix for matrix, with the transpose dual of H.
     """
+    p = H.p
     n = len(G.morphisms)
     one = la.as_scalar(1, p)
     table = [[{} for _ in range(n)] for _ in range(n)]
@@ -175,14 +176,14 @@ def groupoid_dual(G, p=None, H=None):
     alg = ag.make_algebra(table, unit, labels=tuple("p_" + g for g in G.morphisms),
                           p=p)
     Hd = wha.make_weakhopf(alg, delta, eps, s)
-    transposed = wha.dual(H or groupoid_algebra(G, p))
+    transposed = wha.dual(H)
     if (Hd.alg.table, Hd.delta, Hd.eps, Hd.s) != \
             (transposed.alg.table, transposed.delta, transposed.eps, transposed.s):
         raise AssertionError("explicit dual disagrees with the transpose dual")
     return Hd
 
 
-def groupoid_integrals(G, p=None, H=None, Hd=None):
+def groupoid_integrals(G, H, H_dual):
     """Unit-indexed spanning sets of the integral spaces of kG.
 
     With the function-order product used here (g h defined when
@@ -193,8 +194,9 @@ def groupoid_integrals(G, p=None, H=None, Hd=None):
 
     Returns (left_spans, right_spans) and asserts they span the computed
     integral spaces of kG; for (kG)*, asserts both spaces equal span{p_e}.
-    H and Hd, when given, are kG and groupoid_dual(G, p).
+    H and H_dual are kG and groupoid_dual(G, H).
     """
+    p = H.p
     n = len(G.morphisms)
     one = la.as_scalar(1, p)
     left_spans, right_spans = [], []
@@ -209,15 +211,13 @@ def groupoid_integrals(G, p=None, H=None, Hd=None):
         left_spans.append(l)
         right_spans.append(r)
 
-    H = H or groupoid_algebra(G, p)
     ints = wha.integrals(H)
     if la.Subspace.from_vectors(n, left_spans, p) != ints.left:
         raise AssertionError("left integral spans disagree with the solver")
     if la.Subspace.from_vectors(n, right_spans, p) != ints.right:
         raise AssertionError("right integral spans disagree with the solver")
 
-    Hd = Hd or groupoid_dual(G, p, H)
-    ints_d = wha.integrals(Hd)
+    ints_d = wha.integrals(H_dual)
     p_units = la.Subspace.from_vectors(
         n, [{G.index[e]: one} for e in G.units], p)
     if ints_d.left != p_units or ints_d.right != p_units:

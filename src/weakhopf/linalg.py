@@ -444,8 +444,8 @@ class Subspace:
                         tuple(svec(r) for r in ech.frac_rows()), p)
 
     @staticmethod
-    def zero(ambient_dim, p=None):
-        return Subspace(ambient_dim, (), (), p)
+    def zero(ambient_dim):
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim, p=None):

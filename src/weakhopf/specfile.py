@@ -41,10 +41,12 @@ def _field(label):
     if label == "rational":
         return None
     if label.startswith("prime"):
-        try:
-            p = int(label.split()[1])
-        except (IndexError, ValueError):
+        # the whole label is "prime <decimal digits>", nothing else
+        digits = label[len("prime "):]
+        if not (label.startswith("prime ") and digits.isascii()
+                and digits.isdigit()):
             raise SpecFileError("bad field label %r" % label)
+        p = int(digits)
         if p >= _MR_LIMIT:
             raise SpecFileError("field label %r: modulus too large (at most "
                                 "%d)" % (label, _MR_LIMIT - 1))

@@ -713,7 +713,7 @@ class DerivedWeakHopf:
                     c = lam2 * T(ctx.mul(P[i][k], bhat[j]))
                     if c != 0:
                         R[i * nA + k] = c
-            delta_rows.append(_tensor_map(Ginv_t, R, nA, nB))
+            delta_rows.append(ag.apply_tensor(Ginv_t, Ginv_t, R, nA, nB))
         eps_vec = [lam2 * T(ctx.mul(mid, bhat[j])) for j in range(nB)]
         # S(b_j) = G2^-1 G e_j: column j of G through the second inverse
         s_rows = ag.compose_maps(pd.gram_t,
@@ -766,10 +766,11 @@ class DerivedWeakHopf:
                         out[key] = out.get(key, 0) + c * ck * cl_
             return {k: v for k, v in out.items() if v != 0}
 
+        d1 = dict(B.delta_one)
         cl.add("delta_one_formula", "Delta(1) = S^-1(f1) (x) f2",
-               B.delta_one() == first_leg_through(S_inv))
+               d1 == first_leg_through(S_inv))
         cl.add("delta_one_symmetric", "Delta(1) = S(f1) (x) f2",
-               B.delta_one() == first_leg_through(S))
+               d1 == first_leg_through(S))
 
         # Lemma: S^-1(b) = lambda^-3 w^-1 E_B(e1 e2 E_A(b e1 e2)) w
         lam3 = lam_inv * lam_inv * lam_inv
@@ -818,10 +819,9 @@ class DerivedWeakHopf:
                 for i, v in law.over(enumerate(vB)):
                     bv = B_alg.mul({j: one}, v)
                     law.check((j, i), ag.apply_map(B.delta, bv),
-                              wha.mul2(B_alg, dict(B.delta[j]),
-                                       la.tensor_sparse(v, one_B, nB)))
+                              ag.tensor_mul(B_alg, B_alg, dict(B.delta[j]),
+                                            la.tensor_sparse(v, one_B, nB)))
 
-        d1 = B.delta_one()
         left_legs, right_legs = {}, {}
         for kl, c in d1.items():
             k, l = divmod(kl, nB)
@@ -859,14 +859,15 @@ class DerivedWeakHopf:
                 dj = dict(B.delta[j])
                 for i, v in law.over(enumerate(vB)):
                     law.check((j, i),
-                              wha.mul2(B_alg, dj, la.tensor_sparse(one_B, v, nB)),
-                              wha.mul2(B_alg, dj,
-                                       la.tensor_sparse(S(v), one_B, nB)))
+                              ag.tensor_mul(B_alg, B_alg, dj,
+                                            la.tensor_sparse(one_B, v, nB)),
+                              ag.tensor_mul(B_alg, B_alg, dj,
+                                            la.tensor_sparse(S(v), one_B, nB)))
 
         with cl.holds("lemma_e", "Delta(b) Delta(1) = Delta(b)") as law:
             for j in law.over(range(nB)):
                 dj = dict(B.delta[j])
-                law.check((j,), wha.mul2(B_alg, dj, d1), dj)
+                law.check((j,), ag.tensor_mul(B_alg, B_alg, dj, d1), dj)
 
         cl.add("s_e2", "S(e2) = w^-1 e2 w",
                S(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
@@ -943,8 +944,7 @@ class DerivedWeakHopf:
                         law.check((y, x, j), lhs, rhs)
 
         # counital formulas
-        est = wha.eps_t_rows(B)
-        ess = wha.eps_s_rows(B)
+        est, ess = B.eps_rows
 
         for target, name, text in (
                 (True, "counital_target_formula", "b1 S(b2) = eps(1(1) b) 1(2)"),
@@ -1016,12 +1016,10 @@ class DerivedWeakHopf:
         cl.add("e2w_counit_value", "eps_t(e2 w) = E_M(w)",
                dict(ag.apply_map(est, e2wB)) == expB(EMw))
 
-        cd = wha.counital(B)
-        self.B_counital = cd
         cl.add("Ht_is_V", "the target counital subalgebra of B is V",
-               cd.Ht == VB_sub)
+               B.counital.Ht == VB_sub)
         cl.add("Hs_is_W", "the source counital subalgebra of B is W",
-               cd.Hs == WB)
+               B.counital.Hs == WB)
         cl.add("dims_match", "dim A = dim B", nA == nB)
 
         # the dual structure on A, transported through the Gram matrix
@@ -1041,8 +1039,8 @@ class DerivedWeakHopf:
 
         # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1
         Bd = wha.dual(B)
-        deltaA = [_tensor_map(Ginv, ag.apply_map(Bd.delta, Gd[i]), nB, nA)
-                  for i in range(nA)]
+        deltaA = [ag.apply_tensor(Ginv, Ginv, ag.apply_map(Bd.delta, Gd[i]),
+                                  nB, nA) for i in range(nA)]
         epsA = [Bd.e(Gd[i]) for i in range(nA)]
         sA = [ag.apply_map(Ginv, ag.apply_map(Bd.s, Gd[i])) for i in range(nA)]
         A = wha.make_weakhopf(A_alg, deltaA, epsA, sA)
@@ -1052,9 +1050,8 @@ class DerivedWeakHopf:
                                     c.witness))
 
         # open-question check: the right legs of Delta_A(1) lie in C_M(N)
-        dA1 = A.delta_one()
         right = {}
-        for kl, c in dA1.items():
+        for kl, c in A.delta_one:
             k, l = divmod(kl, nA)
             right.setdefault(k, {})[l] = c
 
@@ -1065,25 +1062,6 @@ class DerivedWeakHopf:
                 for l, c in v.items():
                     sadd_into(amb, ahat[l], c)
                 law.check((k,), ctx.U.contains(amb), True)
-
-
-def _tensor_map(rows, x, n_in, n_out):
-    """(f (x) f)(x) for the sparse-rows map f: x on flat indices
-    k n_in + l, the image on k' n_out + l'."""
-    out = {}
-    for kl, c in x.items():
-        k, l = divmod(kl, n_in)
-        for k2, c2 in rows[k]:
-            base = k2 * n_out
-            cc2 = c * c2
-            for l2, c3 in rows[l]:
-                key = base + l2
-                w = out.get(key, 0) + cc2 * c3
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1220,7 +1198,7 @@ def psi_iso(ctx, dw, MB, d2):
     """psi: M1 # B -> M2, x # b -> x b, verified as an algebra isomorphism."""
     from weakhopf import action as ac
     cl = CheckList("psi")
-    sm = ac.smash(MB, counital_data=dw.B_counital)
+    sm = ac.smash(MB)
     cl.extend(sm.checks)
     M2 = ctx.M2
     nB = dw.B.dim
@@ -1285,7 +1263,7 @@ def action_A_on_M(ctx, dw, MB):
     cl.extend(mcl)
 
     # eps_t is a module map from the regular to the adjoint action
-    est = wha.eps_t_rows(A)
+    est = A.eps_rows[0]
 
     with cl.holds("eps_t_module_map",
                   "a1 eps_t(a') S(a2) = eps_t(a a')") as law:
@@ -1334,8 +1312,7 @@ def phi_iso(ctx, dw, MA):
     """phi: M # A -> M1, m # a -> m a, verified as an algebra isomorphism."""
     from weakhopf import action as ac
     cl = CheckList("phi")
-    Acd = wha.counital(dw.A)
-    sm = ac.smash(MA, counital_data=Acd)
+    sm = ac.smash(MA)
     cl.extend(sm.checks)
     phi = _smash_iso(
         cl, sm, ctx.M1, ctx.M_in_M1, dw.a_in_M1,
@@ -1343,7 +1320,7 @@ def phi_iso(ctx, dw, MA):
          "phi(1 # 1) = 1", "phi((m#a)(m'#a')) = phi(m#a) phi(m'#a')",
          "phi(m # 1) = m recovers the inclusion M into M1"))
     HtA = la.Subspace.from_vectors(
-        ctx.M1.dim, [dw.unemb2(dw.injA(dict(r))) for r in Acd.Ht.basis],
+        ctx.M1.dim, [dw.unemb2(dw.injA(dict(r))) for r in dw.A.counital.Ht.basis],
         ctx.p)
     U_in_M1 = la.Subspace.from_vectors(
         ctx.M1.dim, [ctx.t.embed(0, 1, dict(r))

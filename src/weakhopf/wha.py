@@ -9,11 +9,17 @@ and failures are report entries rather than exceptions.
 Comultiplication rows live on flat tensor indices: the coefficient of
 e_i (x) e_j in Delta(e_h) is delta[h][i*dim + j].  The dual pairing
 convention is <Delta(phi), h (x) g> = <phi, hg> with h the left factor.
+
+The structure derived from a WeakHopf alone lives on the object, computed
+on first use and then shared by every caller: Delta(1) (`delta_one`), the
+sparse rows of eps_t and eps_s (`eps_rows`, both read off Delta(1)) and the
+verified counital data (`counital`, the CounitalData of counital()).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
@@ -52,8 +58,36 @@ class WeakHopf:
             acc = acc + c * self.eps[i]
         return acc
 
+    def et(self, x):
+        return ag.apply_map(self.eps_rows[0], x)
+
+    @cached_property
     def delta_one(self):
-        return self.d(self.alg.unit_sparse())
+        """Delta(1), a flat tensor in svec form."""
+        return svec(self.d(self.alg.unit_sparse()))
+
+    @cached_property
+    def eps_rows(self):
+        """(eps_t, eps_s) as sparse rows.
+
+        With Delta(1) = sum c_uv u (x) v, eps_t(h) = sum c_uv eps(u h) v and
+        eps_s(h) = sum c_uv u eps(h v).
+        """
+        d = self.dim
+        table = self.alg.table
+        est = [{} for _ in range(d)]
+        ess = [{} for _ in range(d)]
+        for uv, c in self.delta_one:
+            u, v = divmod(uv, d)
+            for h in range(d):
+                sadd_into(est[h], {v: self.e(dict(table[u][h]))}, c)
+                sadd_into(ess[h], {u: self.e(dict(table[h][v]))}, c)
+        return tuple(map(svec, est)), tuple(map(svec, ess))
+
+    @cached_property
+    def counital(self):
+        """The verified CounitalData of H."""
+        return counital(self)
 
 
 def make_weakhopf(alg, delta, eps, s):
@@ -63,104 +97,6 @@ def make_weakhopf(alg, delta, eps, s):
     cl = coalgebra_checks(H)
     cl.require()
     return H
-
-
-# ---------------------------------------------------------------------------
-# tensor-leg arithmetic
-
-def mul2(alg, x, y):
-    """Product in H (x) H on flat pair indices."""
-    d = alg.dim
-    out = {}
-    for ij, a in x.items():
-        i, j = divmod(ij, d)
-        ti, tj = alg.table[i], alg.table[j]
-        for kl, b in y.items():
-            k, l = divmod(kl, d)
-            c = a * b
-            for m, v1 in ti[k]:
-                base = m * d
-                cv = c * v1
-                for n_, v2 in tj[l]:
-                    key = base + n_
-                    w = out.get(key, 0) + cv * v2
-                    if w == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
-    return out
-
-
-def tensor13(H, x, side):
-    """(Delta (x) id) or (id (x) Delta) of a sparse pair tensor."""
-    d = H.dim
-    out = {}
-    for ij, c in x.items():
-        i, j = divmod(ij, d)
-        if side == "left":
-            for kl, v in H.delta[i]:
-                k, l = divmod(kl, d)
-                key = (k * d + l) * d + j
-                w = out.get(key, 0) + c * v
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-        else:
-            for kl, v in H.delta[j]:
-                key = (i * d) * d + kl
-                w = out.get(key, 0) + c * v
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-    return out
-
-
-def eps_t(H, x):
-    """Target counital map: (eps (x) id)(Delta(1)(h (x) 1))."""
-    d1 = H.delta_one()
-    d = H.dim
-    out = {}
-    for uv, c in d1.items():
-        u, v = divmod(uv, d)
-        for h, xh in x.items():
-            coef = c * xh * H.e(H.alg.mul(H.alg.basis_vec(u),
-                                          H.alg.basis_vec(h)))
-            if coef != 0:
-                w = out.get(v, 0) + coef
-                if w == 0:
-                    out.pop(v, None)
-                else:
-                    out[v] = w
-    return out
-
-
-def eps_s(H, x):
-    """Source counital map: (id (x) eps)((1 (x) h)Delta(1))."""
-    d1 = H.delta_one()
-    d = H.dim
-    out = {}
-    for uv, c in d1.items():
-        u, v = divmod(uv, d)
-        for h, xh in x.items():
-            coef = c * xh * H.e(H.alg.mul(H.alg.basis_vec(h),
-                                          H.alg.basis_vec(v)))
-            if coef != 0:
-                w = out.get(u, 0) + coef
-                if w == 0:
-                    out.pop(u, None)
-                else:
-                    out[u] = w
-    return out
-
-
-def eps_t_rows(H):
-    return tuple(svec(eps_t(H, H.alg.basis_vec(h))) for h in range(H.dim))
-
-
-def eps_s_rows(H):
-    return tuple(svec(eps_s(H, H.alg.basis_vec(h))) for h in range(H.dim))
 
 
 def convolve(H, f_rows, g_rows):
@@ -188,7 +124,8 @@ def coalgebra_checks(H):
                   "(Delta (x) id)Delta = (id (x) Delta)Delta") as law:
         for h in law.over(range(d)):
             dh = H.d(H.alg.basis_vec(h))
-            law.check((h,), tensor13(H, dh, "left"), tensor13(H, dh, "right"))
+            law.check((h,), ag.apply_tensor(H.delta, None, dh, d, d),
+                      ag.apply_tensor(None, H.delta, dh, d, d * d))
     # eps applied to tensor leg 0, then to tensor leg 1, of each Delta(e_h)
     for leg, name, text in ((0, "counit_left", "(eps (x) id)Delta = id"),
                             (1, "counit_right", "(id (x) eps)Delta = id")):
@@ -221,8 +158,8 @@ def verify_axioms(H):
             for j in law.over(range(d)):
                 law.check((i, j),
                           H.d(alg.mul(alg.basis_vec(i), alg.basis_vec(j))),
-                          mul2(alg, H.d(alg.basis_vec(i)),
-                               H.d(alg.basis_vec(j))))
+                          ag.tensor_mul(alg, alg, H.d(alg.basis_vec(i)),
+                                        H.d(alg.basis_vec(j))))
 
     em = [[H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
            for j in range(d)] for i in range(d)]
@@ -248,9 +185,8 @@ def verify_axioms(H):
     # With Delta(1) = sum c_uv u (x) v, the unit law (checked by
     # make_algebra) gives (Delta(1) (x) 1)(1 (x) Delta(1)) =
     # sum c_uv c_xy u (x) vx (x) y and its mirror sum c_uv c_xy u (x) xv (x) y.
-    d1 = H.delta_one()
-    t_left = tensor13(H, d1, "left")
-    legs = [divmod(uv, d) + (c,) for uv, c in d1.items()]
+    t_left = ag.apply_tensor(H.delta, None, dict(H.delta_one), d, d)
+    legs = [divmod(uv, d) + (c,) for uv, c in H.delta_one]
     prod1, prod2 = {}, {}
     for u, v, a in legs:
         for x, y, b in legs:
@@ -269,8 +205,10 @@ def verify_axioms(H):
             if law.check(where, t_left.get(key), prod1.get(key)):
                 law.check(where, t_left.get(key), prod2.get(key))
 
+    est, ess = H.eps_rows
     for target, name, text in ((True, "antipode_target", "h1 S(h2) = eps_t(h)"),
                                (False, "antipode_source", "S(h1) h2 = eps_s(h)")):
+        rows = est if target else ess
         with cl.holds(name, text) as law:
             for h in law.over(range(d)):
                 lhs = {}
@@ -278,13 +216,13 @@ def verify_axioms(H):
                     x, y = map(alg.basis_vec, divmod(ij, d))
                     sadd_into(lhs, alg.mul(x, H.S(y)) if target else
                               alg.mul(H.S(x), y), c)
-                law.check((h,), lhs,
-                          (eps_t if target else eps_s)(H, alg.basis_vec(h)))
+                law.check((h,), lhs, dict(rows[h]))
 
     with cl.holds("antipode_sandwich", "S(h1) h2 S(h3) = S(h)") as law:
         for h in law.over(range(d)):
             acc = {}
-            for t, c in tensor13(H, H.d(alg.basis_vec(h)), "left").items():
+            for t, c in ag.apply_tensor(H.delta, None, H.d(alg.basis_vec(h)),
+                                        d, d).items():
                 i, jk = divmod(t, d * d)
                 j, k = divmod(jk, d)
                 term = alg.mulm(H.S(alg.basis_vec(i)), alg.basis_vec(j),
@@ -315,8 +253,6 @@ def verify_axioms(H):
     # uniqueness of the antipode, certified through the convolution algebra:
     # any S' obeying the axioms satisfies S' = S'*id*S' = S'*(id*S)
     # = (S'*id)*S = eps_s*S, and eps_s*S = S pins it to this S.
-    est = eps_t_rows(H)
-    ess = eps_s_rows(H)
     conv_l = convolve(H, ess, H.s)
     conv_r = convolve(H, H.s, est)
     cl.add("antipode_unique",
@@ -344,8 +280,7 @@ def counital(H):
     cl = CheckList("counital")
     d = H.dim
     alg = H.alg
-    est = eps_t_rows(H)
-    ess = eps_s_rows(H)
+    est, ess = H.eps_rows
     cl.add("eps_t_idempotent", "eps_t o eps_t = eps_t",
            ag.compose_maps(est, est) == est)
     cl.add("eps_s_idempotent", "eps_s o eps_s = eps_s",
@@ -355,9 +290,9 @@ def counital(H):
     Hs = la.Subspace.from_vectors(d, [dict(r) for r in ess], H.p)
     # second characterization from Delta(1): Ht = span of left-slices,
     # Hs = span of right-slices
-    d1 = H.delta_one()
+    d1 = H.delta_one
     rows_t, rows_s = {}, {}
-    for uv, c in d1.items():
+    for uv, c in d1:
         u, v = divmod(uv, d)
         rows_t.setdefault(u, {})[v] = c
         rows_s.setdefault(v, {})[u] = c
@@ -391,7 +326,7 @@ def counital(H):
 
     e_t = {}
     e_s = {}
-    for uv, c in d1.items():
+    for uv, c in d1:
         u, v = divmod(uv, d)
         sadd_into(e_t, la.tensor_sparse(H.S(alg.basis_vec(u)),
                                         alg.basis_vec(v), d), c)
@@ -429,8 +364,10 @@ def _separates(H, e, sub):
     # Casimir over the subalgebra basis
     for r in sub.basis:
         z = dict(r)
-        ze = mul2(alg, la.tensor_sparse(z, alg.unit_sparse(), d), e)
-        ez = mul2(alg, e, la.tensor_sparse(alg.unit_sparse(), z, d))
+        ze = ag.tensor_mul(alg, alg, la.tensor_sparse(z, alg.unit_sparse(), d),
+                           e)
+        ez = ag.tensor_mul(alg, alg, e,
+                           la.tensor_sparse(alg.unit_sparse(), z, d))
         if ze != ez:
             return False
     return True
@@ -485,11 +422,11 @@ def integrals(H):
     """Left/right/two-sided integral spaces and the Maschke cross-check."""
     d = H.dim
     alg = H.alg
+    est, ess = H.eps_rows
     rows_l, rows_r = [], []
     for h in range(d):
         eh = alg.basis_vec(h)
-        eth = eps_t(H, eh)
-        esh = eps_s(H, eh)
+        eth, esh = dict(est[h]), dict(ess[h])
         for j in range(d):
             diff_l = alg.mul(eh, alg.basis_vec(j))
             sadd_into(diff_l, alg.mul(eth, alg.basis_vec(j)), -1)
@@ -505,7 +442,7 @@ def integrals(H):
     if left.dim:
         eqs = []
         basis = [dict(r) for r in left.basis]
-        images = [eps_t(H, b) for b in basis]
+        images = [H.et(b) for b in basis]
         one = alg.unit_sparse()
         for k in range(d):
             row = {i: im[k] for i, im in enumerate(images) if k in im}
@@ -544,11 +481,11 @@ def is_hopf(H):
     d = H.dim
     alg = H.alg
     one2 = la.tensor_sparse(alg.unit_sparse(), alg.unit_sparse(), d)
-    t1 = H.delta_one() == one2
+    t1 = dict(H.delta_one) == one2
     t2 = all(H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j))) ==
              H.e(alg.basis_vec(i)) * H.e(alg.basis_vec(j))
              for i in range(d) for j in range(d))
-    Ht = la.Subspace.from_vectors(d, [dict(r) for r in eps_t_rows(H)], H.p)
+    Ht = la.Subspace.from_vectors(d, [dict(r) for r in H.eps_rows[0]], H.p)
     one_span = la.Subspace.from_vectors(d, [alg.unit_sparse()], H.p)
     t3 = Ht == one_span
     if not (t1 == t2 == t3):

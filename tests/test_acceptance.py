@@ -41,10 +41,10 @@ def test_axiom_suite_groupoid_corpus():
         H = gp.groupoid_algebra(G)
         assert wha.verify_axioms(H).ok, name
         assert wha.counital(H).checks.ok, name
-        Hd = gp.groupoid_dual(G)  # asserts formula dual == transpose dual
+        Hd = gp.groupoid_dual(G, H)  # asserts formula dual == transpose dual
         assert wha.verify_axioms(Hd).ok, name
         assert wha.counital(Hd).checks.ok, name
-        gp.groupoid_integrals(G)  # asserts the integral-space equalities
+        gp.groupoid_integrals(G, H, Hd)  # asserts the integral-space equalities
         worst = max(worst, time.time() - t0)
         assert time.time() - t0 < 1.0, (name, "over one second")
     _line("axiom suite on kG and (kG)* for the whole groupoid corpus", True,
@@ -54,7 +54,8 @@ def test_axiom_suite_groupoid_corpus():
 def test_dual_involution():
     ok = True
     for name, G in gp.corpus().items():
-        for H in (gp.groupoid_algebra(G), gp.groupoid_dual(G)):
+        kG = gp.groupoid_algebra(G)
+        for H in (kG, gp.groupoid_dual(G, kG)):
             Hdd = wha.dual(wha.dual(H))
             ok = ok and (Hdd.alg.table, Hdd.delta, Hdd.eps, Hdd.s) == \
                 (H.alg.table, H.delta, H.eps, H.s)

@@ -14,6 +14,7 @@ from weakhopf import linalg as la
 from weakhopf import specfile as sf
 from weakhopf import tower as tw
 from weakhopf import wha
+from weakhopf.checks import Check, VerificationError
 
 
 @pytest.fixture()
@@ -82,7 +83,8 @@ def test_verify_wha_all_pass(pair2_file, capsys):
     assert "0 failed" in out
 
 
-def test_corrupted_antipode_fails_sandwich(tmp_path, capsys):
+@pytest.fixture()
+def bad_antipode_file(tmp_path):
     spec = sf.specfile_for(gp.groupoid_algebra(gp.pair(2)), "bad")
     payload = dict(spec.payload)
     # S'(g01) += g01: passes the counital antipode axioms, breaks the
@@ -92,7 +94,11 @@ def test_corrupted_antipode_fails_sandwich(tmp_path, capsys):
     payload = dict(payload, s=srows)
     path = tmp_path / "bad.json"
     sf.dump(sf.SpecFile("weak-hopf", "bad", None, payload), path)
-    rc = cli.main(["verify-wha", str(path)])
+    return str(path)
+
+
+def test_corrupted_antipode_fails_sandwich(bad_antipode_file, capsys):
+    rc = cli.main(["verify-wha", bad_antipode_file])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL antipode_sandwich" in out
@@ -228,6 +234,15 @@ def test_input_error_exit_code(tmp_path, capsys):
 def test_field_modulus_must_be_prime(pair2_file, tmp_path, p, rc):
     path = with_field(pair2_file, tmp_path, "prime %d" % p)
     assert cli.main(["groupoid", path, "--dual", "--integrals"]) == rc
+
+
+@pytest.mark.parametrize("label", [
+    "primes 13", "prime 13 junk", "prime 1_3", "prime +13", "prime -13",
+    "prime", "prime  13", "prime 0x0d", "prime \u0661\u0663", "rationals"])
+def test_field_label_must_match_exactly(pair2_file, tmp_path, capsys, label):
+    path = with_field(pair2_file, tmp_path, label)
+    assert cli.main(["groupoid", path]) == 2
+    assert "field" in capsys.readouterr().err
 
 
 def test_primality_is_fast_and_bounded(pair2_file, tmp_path, capsys):
@@ -423,3 +438,109 @@ def test_derive_reports_are_pinned(tmp_path, capsys, name, field):
     assert cli.main(["--format", "machine", "tower", path, "--derive"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_DIGESTS[name]
+
+
+# sha256 of the machine report of verify-wha and groupoid runs on pair2,
+# recorded before the weak Hopf layer kept Delta(1), eps_t, eps_s and the
+# counital data on the object: the same bytes over Q and over F_13
+WHA_DIGESTS = {
+    ("verify-wha",):
+        "f8b8582e7801a0fbc262a51659ccfb648cd06b51b3e3d023ff75cc4cbdc96057",
+    ("verify-wha", "bad antipode"):
+        "039366840dce929d6105ddc363c03cb6a1084bae874f5e7b39aaf831410fd398",
+    ("groupoid",):
+        "3cc47f3964369c91327f30459d8ee29e7ae4d9b3bd08da232c507383126c3f16",
+    ("groupoid", "--dual"):
+        "02682e7cef6668e3dc752a84f258e58b8039246c764198654294d63a2e554e6e",
+    ("groupoid", "--integrals"):
+        "31cf792919972f171574de1db655c7f9e6371612eb18f50ced92ca579f98a3bd",
+    ("groupoid", "--dual", "--integrals"):
+        "3d2e4a6677f5402a8e9f2679ebfae2bba6bb3df9c928099af5e9c033935d502c",
+}
+
+
+@pytest.mark.parametrize("field", [None, "prime 13"])
+@pytest.mark.parametrize("run", sorted(WHA_DIGESTS), ids=" ".join)
+def test_wha_reports_are_pinned(pair2_file, bad_antipode_file, tmp_path,
+                                capsys, run, field):
+    command, flags = run[0], [f for f in run[1:] if f.startswith("--")]
+    path = bad_antipode_file if "bad antipode" in run else pair2_file
+    if field is not None:
+        path = with_field(path, tmp_path, field)
+    rc = cli.main(["--format", "machine", command, path] + flags)
+    assert rc == (1 if "bad antipode" in run else 0)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WHA_DIGESTS[run]
+
+
+def computed(monkeypatch, name):
+    """Record the object of every computation of WeakHopf.<name>."""
+    objects = []
+    prop = wha.WeakHopf.__dict__[name]
+    fn = prop.func
+
+    def wrapper(H):
+        objects.append(H)
+        return fn(H)
+
+    monkeypatch.setattr(prop, "func", wrapper)
+    return objects
+
+
+def test_verify_wha_runs_the_axiom_engine_once_per_object(pair2_file,
+                                                          monkeypatch):
+    runs = counting(monkeypatch, wha, "verify_axioms")
+    assert cli.main(["verify-wha", pair2_file]) == 0
+    # H, its dual and the dual of that, each verified once
+    assert len(runs) == 3
+    assert len({id(args[0]) for args in runs}) == 3
+
+
+def test_derivation_computes_weak_hopf_structure_once(markov_file,
+                                                      monkeypatch):
+    built = {name: computed(monkeypatch, name)
+             for name in ("delta_one", "eps_rows")}
+    counitals = counting(monkeypatch, wha, "counital")
+    derived = []
+    make = tw.DerivedWeakHopf
+    monkeypatch.setattr(tw, "DerivedWeakHopf",
+                        lambda *args: derived.append(make(*args)) or
+                        derived[-1])
+    assert cli.main(["tower", markov_file, "--derive"]) == 0
+    for name, objects in built.items():
+        assert objects, name
+        assert len({id(H) for H in objects}) == len(objects), name
+    dw, = derived
+    assert [id(args[0]) for args in counitals] == [id(dw.B), id(dw.A)]
+
+
+@pytest.mark.parametrize("failing_call, stage", [
+    (1, "dual_axioms"), (2, "dual_involution")])
+def test_dual_failing_its_axioms_is_a_failed_entry(pair2_file, monkeypatch,
+                                                   capsys, failing_call,
+                                                   stage):
+    calls = []
+    dual = wha.dual
+
+    def failing_dual(H):
+        calls.append(H)
+        if len(calls) == failing_call:
+            raise VerificationError([
+                Check("antipode_target", "h1 S(h2) = eps_t(h)", True),
+                Check("antipode_sandwich", "S(h1) h2 S(h3) = S(h)", False,
+                      "basis 1"),
+                Check("s_bijective", "S is bijective", False)])
+        return dual(H)
+
+    monkeypatch.setattr(wha, "dual", failing_dual)
+    rc = cli.main(["--format", "machine", "verify-wha", pair2_file])
+    assert rc == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    failed = [(r["name"], r["witness"]) for r in records
+              if r.get("passed") is False]
+    assert failed == [(stage, "antipode_sandwich, s_bijective")]
+    assert records[-1]["failed"] == 1
+    assert [r["name"] for r in records[-3:-1]] == (
+        ["maschke", "dual_axioms"] if stage == "dual_axioms"
+        else ["dual_axioms", "dual_involution"])

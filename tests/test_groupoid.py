@@ -48,12 +48,13 @@ def test_pair2_weak_hopf_dims():
 
 def test_dual_matches_formula_corpus():
     for name, G in gp.corpus().items():
-        Hd = gp.groupoid_dual(G)  # raises if formula and transpose differ
+        # raises if formula and transpose differ
+        Hd = gp.groupoid_dual(G, gp.groupoid_algebra(G))
         assert wha.verify_axioms(Hd).ok, name
 
 
 def test_dual_idempotent_basis():
-    Hd = gp.groupoid_dual(gp.pair(2))
+    Hd = gp.groupoid_dual(gp.pair(2), gp.groupoid_algebra(gp.pair(2)))
     for g in range(4):
         assert Hd.alg.mul({g: F(1)}, {g: F(1)}) == {g: F(1)}
         for h in range(4):
@@ -61,20 +62,25 @@ def test_dual_idempotent_basis():
                 assert Hd.alg.mul({g: F(1)}, {h: F(1)}) == {}
 
 
+def integral_spans(G):
+    H = gp.groupoid_algebra(G)
+    return gp.groupoid_integrals(G, H, gp.groupoid_dual(G, H))
+
+
 def test_integral_spans_corpus():
     for name, G in gp.corpus().items():
-        ls, rs = gp.groupoid_integrals(G)
+        ls, rs = integral_spans(G)
         assert len(ls) == len(G.objects) == len(rs), name
 
 
 def test_z2_integral_is_group_sum():
-    ls, rs = gp.groupoid_integrals(gp.cyclic(2))
+    ls, rs = integral_spans(gp.cyclic(2))
     assert ls == [{0: F(1), 1: F(1)}]
     assert rs == [{0: F(1), 1: F(1)}]
 
 
 def test_pair2_integrals_sum_two_morphisms():
-    ls, rs = gp.groupoid_integrals(gp.pair(2))
+    ls, rs = integral_spans(gp.pair(2))
     assert all(len(l) == 2 for l in ls)
     assert all(len(r) == 2 for r in rs)
 

@@ -164,3 +164,113 @@ def test_every_weakhopf_function_is_referenced():
         if bad:
             found[name] = bad
     assert not found, found
+
+
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def defaulted_parameters(tree):
+    """{(function, parameter): position} of each defaulted parameter.
+
+    A constructor counts under its class name, the name its callers use.
+    The position counts the positional parameters after a leading self or
+    cls; it is None for a keyword-only parameter.
+    """
+    owners = {fn: cls.name for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for fn in cls.body
+              if isinstance(fn, FUNCTION_DEFS) and fn.name == "__init__"}
+    out = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTION_DEFS):
+            continue
+        name = owners.get(fn, fn.name)
+        pos = fn.args.posonlyargs + fn.args.args
+        skip = 1 if pos and pos[0].arg in ("self", "cls") else 0
+        first = len(pos) - len(fn.args.defaults)
+        for i, arg in enumerate(pos[first:], first):
+            out[(name, arg.arg)] = i - skip
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                out[(name, arg.arg)] = None
+    return out
+
+
+def calls_with_callers(node, caller=None):
+    """(call, name of the function the call is in, or None) in a tree."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, caller
+        yield from calls_with_callers(
+            child, child.name if isinstance(child, FUNCTION_DEFS) else caller)
+
+
+def _called_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def unset_defaults(lib_trees, caller_trees):
+    """Sorted (function, parameter) of each defaulted parameter of lib_trees
+    that no call in caller_trees sets, by keyword or by position.
+
+    Calls match functions by name.  A call with *args or **kwargs sets
+    everything; an argument that is the bare name of a still unset
+    parameter of the calling function only forwards the default, so it
+    sets nothing.
+    """
+    params = {}
+    for tree in lib_trees:
+        params.update(defaulted_parameters(tree))
+    calls = [cc for tree in caller_trees for cc in calls_with_callers(tree)]
+    unset = set(params)
+    changed = True
+    while changed:
+        changed = False
+        for call, caller in calls:
+            for key in [k for k in unset if k[0] == _called_name(call)]:
+                pos = params[key]
+                if any(isinstance(a, ast.Starred) for a in call.args) or \
+                        any(k.arg is None for k in call.keywords):
+                    values = [None]
+                else:
+                    values = [k.value for k in call.keywords
+                              if k.arg == key[1]]
+                    if pos is not None and len(call.args) > pos:
+                        values.append(call.args[pos])
+                if any(not (isinstance(v, ast.Name)
+                            and (caller, v.id) in unset) for v in values):
+                    unset.discard(key)
+                    changed = True
+    return sorted(unset)
+
+
+def test_scan_flags_a_default_no_call_sets():
+    lib = ast.parse("def f(a, b=1, c=2, *, d=3):\n"
+                    "    return g(a, c=c) + g(a, e=b)\n"
+                    "def g(a, c=None, e=None):\n"
+                    "    pass\n"
+                    "def h(x=None, y=None):\n"
+                    "    pass\n"
+                    "class K:\n"
+                    "    def __init__(self, x=0):\n"
+                    "        pass\n"
+                    "    def m(self, y=None, z=None):\n"
+                    "        pass\n")
+    user = ast.parse("f(1, 2)\nf(1, d=4)\nK().m(5)\nh(*[1])\n")
+    # f's b and d are set by its callers; g's c only receives f's unset c,
+    # while g's e receives f's b, which is set; h is called with *args;
+    # K() sets no x; m's y is set by position, after self
+    assert unset_defaults([lib], [lib, user]) == [
+        ("K", "x"), ("f", "c"), ("g", "c"), ("m", "z")]
+
+
+def test_every_default_is_set_by_some_call():
+    """A defaulted parameter that no caller sets is a knob nothing turns.
+
+    The callers are the package, its tests and the benchmark driver.
+    """
+    lib = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    callers = lib + [ast.parse(path.read_text()) for path in sorted(
+        list(TESTS.glob("*.py")) +
+        list((TESTS.parent / "perfbench").glob("*.py")))]
+    assert unset_defaults(lib, callers) == []

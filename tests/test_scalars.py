@@ -56,7 +56,7 @@ def weakhopf_scalars(H):
 def test_stored_rationals_are_ints_or_proper_fractions():
     G = gp.pair(3)
     kG = gp.groupoid_algebra(G)
-    dual = gp.groupoid_dual(G, None, kG)
+    dual = gp.groupoid_dual(G, kG)
     level = tw.build_tower(corpus.ext_q2_m2(), 1).levels[0]
     E = level.cert.E
     _, _, res, _ = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))
