@@ -63,9 +63,14 @@ def make_module_algebra(H, A, act):
 
 
 def verify_module_algebra(M):
+    """Check the module-algebra laws on every basis tuple.
+
+    Basis inputs read the action table: e_h . e_a is the row M.act[h][a].
+    """
     H, A = M.H, M.A
     cl = CheckList("module-algebra")
     dH, dA = H.dim, A.dim
+    acts = [[dict(r) for r in rows] for rows in M.act]
 
     one_h = H.alg.unit_sparse()
     with cl.holds("module_unit", "1 . a = a") as law:
@@ -75,26 +80,23 @@ def verify_module_algebra(M):
     with cl.holds("module_associative", "(hg) . a = h . (g . a)") as law:
         for h in law.over(range(dH)):
             for g in law.over(range(dH)):
-                hg = H.alg.mul(H.alg.basis_vec(h), H.alg.basis_vec(g))
+                hg = H.alg.table[h][g]
                 for a in law.over(range(dA)):
-                    lhs = M.apply(hg, A.basis_vec(a))
-                    rhs = M.apply(H.alg.basis_vec(h),
-                                  M.apply(H.alg.basis_vec(g), A.basis_vec(a)))
+                    lhs = {}
+                    for k, c in hg:
+                        sadd_into(lhs, acts[k][a], c)
+                    rhs = ag.apply_map(M.act[h], acts[g][a])
                     law.check((h, g, a), lhs, rhs)
 
     with cl.holds("measuring", "h . (ab) = (h1 . a)(h2 . b)") as law:
         for h in law.over(range(dH)):
-            dh = H.d(H.alg.basis_vec(h))
+            legs = [divmod(uv, dH) + (c,) for uv, c in H.delta[h]]
             for a in law.over(range(dA)):
                 for b in law.over(range(dA)):
-                    lhs = M.apply(H.alg.basis_vec(h),
-                                  A.mul(A.basis_vec(a), A.basis_vec(b)))
+                    lhs = ag.apply_map(M.act[h], dict(A.table[a][b]))
                     rhs = {}
-                    for uv, c in dh.items():
-                        u, v = divmod(uv, dH)
-                        term = A.mul(M.apply(H.alg.basis_vec(u), A.basis_vec(a)),
-                                     M.apply(H.alg.basis_vec(v), A.basis_vec(b)))
-                        sadd_into(rhs, term, c)
+                    for u, v, c in legs:
+                        sadd_into(rhs, A.mul(acts[u][a], acts[v][b]), c)
                     law.check((h, a, b), lhs, rhs)
 
     one_a = A.unit_sparse()
@@ -270,6 +272,12 @@ def smash(M):
     representatives and verified well-defined on a spanning set of relation
     witnesses, then associativity and the unit law are re-verified on the
     quotient basis by construction of the quotient algebra.
+
+    The product reads tables built once per call: the legs of Delta(e_h)
+    from H.delta, e_u . e_b from M.act, and e_a w and e_v e_g from the
+    product tables of A and H.  Every relation witness is still multiplied
+    with every section column on both sides, and every pair of section
+    columns is multiplied for the table.
     """
     H, A = M.H, M.A
     dH, dA = H.dim, A.dim
@@ -307,20 +315,34 @@ def smash(M):
     relations = la.Subspace.from_vectors(amb, rel_vecs, A.p)
     q = la.quotient(amb, relations)
 
+    # (a # h)(b # g) = sum c_uv e_a (e_u . e_b) # e_v e_g over the legs
+    # (u, v, c_uv) of Delta(e_h); A.table[a] is the map w -> e_a w
+    legs = [[divmod(uv, dH) + (c,) for uv, c in row] for row in H.delta]
+    acts = [[dict(r) for r in rows] for rows in M.act]
+    htab = H.alg.table
+
     def mul_amb(x, y):
         out = {}
         for ah, c in x.items():
             a, h = divmod(ah, dH)
-            dh = H.d(H.alg.basis_vec(h))
+            ta = A.table[a]
             for bg, e in y.items():
                 b, g = divmod(bg, dH)
                 ce = c * e
-                for uv, cd_ in dh.items():
-                    u, v = divmod(uv, dH)
-                    left = A.mul(A.basis_vec(a),
-                                 M.apply(H.alg.basis_vec(u), A.basis_vec(b)))
-                    right = H.alg.mul(H.alg.basis_vec(v), H.alg.basis_vec(g))
-                    sadd_into(out, la.tensor_sparse(left, right, dH), ce * cd_)
+                for u, v, cuv in legs[h]:
+                    right = htab[v][g]
+                    if not right:
+                        continue
+                    cc = ce * cuv
+                    for m, l in ag.apply_map(ta, acts[u][b]).items():
+                        base, lc = m * dH, cc * l
+                        for n, r in right:
+                            key = base + n
+                            s = out.get(key, 0) + lc * r
+                            if s == 0:
+                                out.pop(key, None)
+                            else:
+                                out[key] = s
         return out
 
     # well-definedness against the relation witnesses

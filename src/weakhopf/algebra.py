@@ -480,6 +480,11 @@ def find_dual_bases(E, within=None):
     x_i y_i = y_i x_i in k1 (linear once the scalar is adjoined as an
     unknown), falling back to the plain system.  Raises NoDualBases when
     even that is infeasible.
+
+    Per basis element e_m, E(e_m c_a) and E(c_b e_m) are computed once per
+    candidate and then multiplied with every partner candidate, and each
+    product c_a c_b once for both symmetric-product rows, so every
+    equation of the system is still written out.
     """
     big = E.incl.big
     p = big.p
@@ -488,30 +493,37 @@ def find_dual_bases(E, within=None):
     else:
         cands = [dict(r) for r in within.basis]
     n = len(cands)
+    zero = scalar_zero(p)
     eqs = []
     for m in range(big.dim):
         em = big.basis_vec(m)
-        lhs1 = [big.mul(E.E(big.mul(em, cands[a])), cands[b])
-                for a in range(n) for b in range(n)]
-        lhs2 = [big.mul(cands[a], E.E(big.mul(cands[b], em)))
-                for a in range(n) for b in range(n)]
+        # E(e_m c_a) and E(c_b e_m), each once per candidate
+        e_mc = [E.E(big.mul(em, c)) for c in cands]
+        e_cm = [E.E(big.mul(c, em)) for c in cands]
+        rows1 = [{} for _ in range(big.dim)]
+        rows2 = [{} for _ in range(big.dim)]
+        for a in range(n):
+            for b in range(n):
+                ab = a * n + b
+                for k, v in big.mul(e_mc[a], cands[b]).items():
+                    rows1[k][ab] = v
+                for k, v in big.mul(cands[a], e_cm[b]).items():
+                    rows2[k][ab] = v
         for k in range(big.dim):
-            tgt = em.get(k, scalar_zero(p))
-            row1 = {ab: v[k] for ab, v in enumerate(lhs1) if k in v}
-            row2 = {ab: v[k] for ab, v in enumerate(lhs2) if k in v}
-            eqs.append((row1, tgt))
-            eqs.append((row2, tgt))
+            tgt = em.get(k, zero)
+            eqs.append((rows1[k], tgt))
+            eqs.append((rows2[k], tgt))
     # adjoin lam at column n*n and ask for x_i y_i = lam 1 = y_i x_i
     aug = list(eqs)
-    zero = scalar_zero(p)
     fwd = [dict() for _ in range(big.dim)]
     bwd = [dict() for _ in range(big.dim)]
+    prods = [[big.mul(x, y) for y in cands] for x in cands]
     for a in range(n):
         for b in range(n):
-            for k, v in big.mul(cands[a], cands[b]).items():
-                fwd[k][a * n + b] = fwd[k].get(a * n + b, zero) + v
-            for k, v in big.mul(cands[b], cands[a]).items():
-                bwd[k][a * n + b] = bwd[k].get(a * n + b, zero) + v
+            for k, v in prods[a][b].items():
+                fwd[k][a * n + b] = v
+            for k, v in prods[b][a].items():
+                bwd[k][a * n + b] = v
     for k in range(big.dim):
         u = big.unit[k]
         r1 = dict(fwd[k])

@@ -70,7 +70,8 @@ def _wha_report(H, name):
     items.extend(H.counital.checks.items)
     ints = wha.integrals(H)
     items.append(Check("maschke", "normalized left integral exists iff the "
-                       "algebra is separable", ints.maschke_consistent))
+                       "algebra is separable",
+                       wha.maschke_consistent(H, ints)))
     # wha.dual runs the axiom engine on the dual it builds: a dual failing
     # it is a failed entry of the stage that built it
     X = H
@@ -156,9 +157,11 @@ def cmd_tower(args):
         return Report("tower %s" % spec.name, items)
 
     depth = max(args.depth, 2 if args.derive else args.depth)
+    # f_n needs the tower up to level 2n+1
+    extra = 0
     if args.appendix_fn is not None:
-        depth = max(depth, 2 * args.appendix_fn + 1)
-    t = tw.build_tower(cert, depth)
+        extra = max(0, 2 * args.appendix_fn + 1 - depth)
+    t = tw.build_tower(cert, depth, extra)
     items.extend(t.checks.items)
 
     if args.derive:

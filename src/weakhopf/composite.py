@@ -26,6 +26,9 @@ class DimensionBudget(ValueError):
     pass
 
 
+DIM_BUDGET = 64  # largest ambient dimension f_n is verified in
+
+
 @dataclass(frozen=True)
 class CompositeData:
     n: int
@@ -57,7 +60,7 @@ def jones_word(tower, word, level):
     return out
 
 
-def composite_idempotent(tower, n, dim_budget=64, prev=None):
+def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
     """f_n with its characterizing identities, verified on a full basis.
 
     Requires the tower built to level 2n+1 of ambient dimension within the

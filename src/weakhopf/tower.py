@@ -24,6 +24,7 @@ from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
 from weakhopf.checks import CheckList
+from weakhopf.composite import DIM_BUDGET
 from weakhopf.linalg import sadd_into, svec, tensor_sparse
 
 
@@ -204,9 +205,13 @@ def _embed_vec(M, xs, ys, cls, v):
     return out
 
 
-def build_tower(cert, depth):
+def build_tower(cert, depth, extra=0):
     """Iterate the basic construction and verify the cross-level relations.
 
+    Builds `depth` levels, then up to `extra` more for the composite
+    idempotents, each only while the top level built so far is within their
+    dimension budget: dimensions grow up the tower, so every level past one
+    over the budget is over it too.
     With at least two levels, checks the braid-like relations and all four
     Pimsner-Popa identities on full bases, and that the restricted trace of
     the top level is normalized.
@@ -214,7 +219,9 @@ def build_tower(cert, depth):
     cl = CheckList("tower")
     levels = []
     cur = cert
-    for k in range(depth):
+    for k in range(depth + extra):
+        if k >= depth and cur.incl.big.dim > DIM_BUDGET:
+            break
         lvl = basic_construction(cur)
         cl.add("level_%d" % (k + 1),
                "basic construction verified at level %d" % (k + 1),
@@ -222,6 +229,7 @@ def build_tower(cert, depth):
                witness="; ".join(c.name for c in lvl.checks.failures()))
         levels.append(lvl)
         cur = lvl.cert
+    depth = len(levels)
     t = Tower(cert, levels, cl)
     p = cert.incl.big.p
     one = la.as_scalar(1, p)
@@ -1111,15 +1119,15 @@ def action_B_on_M1(ctx, dw):
                                       coef)
                     law.check((mi, ai, j), lhs, rhs)
 
+    s_hat = [dw.injB(dict(r)) for r in B.s]  # S(e_l) in M2
     with cl.holds("conjugation_form", "b . x = b1 x S(b2)") as law:
         for j in law.over(range(nB)):
             lj = [(divmod(kl, nB), c) for kl, c in B.delta[j]]
             for x in law.over(range(M1.dim)):
-                lhs = ctx.t.embed(1, 2, MB.apply({j: one}, M1.basis_vec(x)))
+                lhs = ctx.t.embed(1, 2, dict(MB.act[j][x]))
                 rhs = {}
                 for (k, l), c in lj:
-                    term = ctx.mul(bhat[k], ctx.M1_in_M2[x],
-                                   dw.injB(ag.apply_map(B.s, {l: one})))
+                    term = ctx.mul(bhat[k], ctx.M1_in_M2[x], s_hat[l])
                     sadd_into(rhs, term, c)
                 law.check((j, x), lhs, rhs)
 

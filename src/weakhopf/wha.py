@@ -415,11 +415,10 @@ class IntegralSpaces:
     right: la.Subspace
     two_sided: la.Subspace
     normalized_left: dict | None
-    maschke_consistent: bool
 
 
 def integrals(H):
-    """Left/right/two-sided integral spaces and the Maschke cross-check."""
+    """Left/right/two-sided integral spaces and a normalized left integral."""
     d = H.dim
     alg = H.alg
     est, ess = H.eps_rows
@@ -454,14 +453,17 @@ def integrals(H):
                 sadd_into(normalized, basis[i], c)
         except la.NoSolution:
             normalized = None
+    return IntegralSpaces(left, right, two, normalized)
 
+
+def maschke_consistent(H, ints):
+    """Maschke: a normalized left integral exists iff H is separable."""
     try:
-        ag.separability_element(alg)
+        ag.separability_element(H.alg)
         separable = True
     except ag.NotKanzaki:
         separable = False
-    return IntegralSpaces(left, right, two, normalized,
-                          (normalized is not None) == separable)
+    return (ints.normalized_left is not None) == separable
 
 
 def kernel_of_column_maps(rows, d, p):

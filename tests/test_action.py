@@ -1,4 +1,7 @@
+import hashlib
 from fractions import Fraction as F
+
+import pytest
 
 from weakhopf import action as ac
 from weakhopf import algebra as ag
@@ -118,3 +121,32 @@ def test_bad_action_rejected():
     rows[1][0] = {0: F(1), 1: F(1)}
     M2 = ac.ModuleAlgebra(H, M.A, tuple(ag.map_rows(r) for r in rows))
     assert not ac.verify_module_algebra(M2).ok
+
+
+def bumped(build, h, a, k):
+    """The pair2 action of `build` with coordinate k of e_h . e_a raised by
+    one, bundled without the module-algebra checks."""
+    M, _ = build(pair2())
+    rows = [list(map(dict, r)) for r in M.act]
+    rows[h][a][k] = rows[h][a].get(k, 0) + 1
+    return ac.ModuleAlgebra(M.H, M.A, tuple(ag.map_rows(r) for r in rows))
+
+
+# smash outcomes on broken actions, recorded before the smash product read
+# its basis tables: one failure in each relation-witness branch, and a
+# product that still balances (sha256 of the repr of its table)
+@pytest.mark.parametrize("build, entry, side", [
+    (ac.trivial_action, (0, 0, 0), "right"),
+    (ac.standard_action, (0, 2, 2), "left")])
+def test_smash_rejects_a_broken_action(build, entry, side):
+    with pytest.raises(ac.WellDefinednessFailure) as exc:
+        ac.smash(bumped(build, *entry))
+    assert str(exc.value) == \
+        "%s product of a relation witness is nonzero" % side
+
+
+def test_smash_of_a_broken_action_is_pinned():
+    sm = ac.smash(bumped(ac.trivial_action, 1, 0, 1))
+    assert sm.alg.dim == 4
+    assert hashlib.sha256(repr(sm.alg.table).encode()).hexdigest() == \
+        "239558381d956baaf16b227f3b3357feea44c706b9142293c3aeec8a22b5ce7e"

@@ -410,34 +410,61 @@ def test_derivation_stage_exception_is_a_failed_entry(markov_file, monkeypatch,
     assert records[-1]["failed"] == 1
 
 
-# sha256 of the `tower --derive --format machine` report of each extension,
-# recorded before the depth-2 pipeline was refactored to build each shared
-# object once: the refactor keeps every byte
+def extension_file(tmp_path, name):
+    """Spec file of the corpus Markov extension `name`."""
+    cert = EXTENSIONS[name]()
+    path = tmp_path / (name + ".json")
+    sf.dump(sf.specfile_for((cert.incl, cert.E, cert.trace), name), path)
+    return str(path)
+
+
+# exit status and sha256 of the `tower --derive --format machine` report of
+# each extension, recorded before the depth-2 pipeline was refactored to
+# build each shared object once (the first three) and before the smash
+# product read its basis tables (q_in_m2, index 4, and the non-depth-2
+# control s3_z2): the refactors keep every byte
 DERIVE_DIGESTS = {
-    "q_in_q2":
-        "7e95dfcff4404f0ce077814268f80a8dae29dd93742a3deeb4d61a189f466180",
-    "q2_in_m2":
-        "686139c7b89c1082c3830bf74e571e4e8527ea72a394bdf94d49e7947ba91e41",
-    "trivial_m2":
-        "ccdfbb39e0d45822c449acdab46f831d8e2a868b9d686b5805959986ff9e8f17",
+    "q_in_q2": (0,
+        "7e95dfcff4404f0ce077814268f80a8dae29dd93742a3deeb4d61a189f466180"),
+    "q2_in_m2": (0,
+        "686139c7b89c1082c3830bf74e571e4e8527ea72a394bdf94d49e7947ba91e41"),
+    "trivial_m2": (0,
+        "ccdfbb39e0d45822c449acdab46f831d8e2a868b9d686b5805959986ff9e8f17"),
+    "q_in_m2": (0,
+        "872333cde23356db52161788b8ec55bdc5b6c0abe9604d637161fe3618a02a8e"),
+    "s3_z2": (1,
+        "980b57225e7b08bc20a4a2a3d3f99487fa47e4a5be76137e3a547ac1f103d509"),
 }
 EXTENSIONS = {"q_in_q2": corpus.ext_q_q2, "q2_in_m2": corpus.ext_q2_m2,
-              "trivial_m2": corpus.ext_trivial_m2}
+              "trivial_m2": corpus.ext_trivial_m2, "q_in_m2": corpus.ext_q_m2,
+              "s3_z2": corpus.ext_s3_z2}
 
 
 @pytest.mark.parametrize("name, field", [
     ("q_in_q2", None), ("q2_in_m2", None), ("trivial_m2", None),
-    ("q_in_q2", "prime 13")])
+    ("q_in_q2", "prime 13"), ("q_in_m2", None), ("q_in_m2", "prime 13"),
+    ("s3_z2", None), ("s3_z2", "prime 13")])
 def test_derive_reports_are_pinned(tmp_path, capsys, name, field):
-    cert = EXTENSIONS[name]()
-    path = tmp_path / (name + ".json")
-    sf.dump(sf.specfile_for((cert.incl, cert.E, cert.trace), name), path)
-    path = str(path)
+    path = extension_file(tmp_path, name)
     if field is not None:
         path = with_field(path, tmp_path, field)
-    assert cli.main(["--format", "machine", "tower", path, "--derive"]) == 0
+    status, digest = DERIVE_DIGESTS[name]
+    assert cli.main(["--format", "machine", "tower", path, "--derive"]) \
+        == status
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_DIGESTS[name]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_appendix_depth_stays_within_the_budget(tmp_path, capsys,
+                                                monkeypatch):
+    # s3_z2 levels measure 18, 54, 162, 486, ...: M3 is already past the
+    # budget of f_n, so f1 and f2 fail and no level above M3 is built
+    built = counting(monkeypatch, tw, "basic_construction")
+    path = extension_file(tmp_path, "s3_z2")
+    assert cli.main(["tower", path, "--depth", "3", "--appendix-fn", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL f1  " in out and "FAIL f2  " in out
+    assert [args[0].incl.big.dim for args in built] == [6, 18, 54]
 
 
 # sha256 of the machine report of verify-wha and groupoid runs on pair2,

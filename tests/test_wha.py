@@ -131,7 +131,7 @@ def test_integrals_are_ideals():
     for name, G in gp.corpus().items():
         H = gp.groupoid_algebra(G)
         ints = wha.integrals(H)
-        assert ints.maschke_consistent, name
+        assert wha.maschke_consistent(H, ints), name
         for r in ints.left.basis:
             for h in range(H.dim):
                 img = H.alg.mul(dict(r), H.alg.basis_vec(h))
