@@ -40,7 +40,7 @@ class ModuleAlgebra:
                         out.pop(k, None)
                     else:
                         out[k] = w
-        return out
+        return la.residues(out, self.A.p)
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def verify_module_algebra(M):
     Basis inputs read the action table: e_h . e_a is the row M.act[h][a].
     """
     H, A = M.H, M.A
+    p = A.p
     cl = CheckList("module-algebra")
     dH, dA = H.dim, A.dim
     acts = [[dict(r) for r in rows] for rows in M.act]
@@ -84,8 +85,8 @@ def verify_module_algebra(M):
                 for a in law.over(range(dA)):
                     lhs = {}
                     for k, c in hg:
-                        sadd_into(lhs, acts[k][a], c)
-                    rhs = ag.apply_map(M.act[h], acts[g][a])
+                        sadd_into(lhs, acts[k][a], c, p)
+                    rhs = ag.apply_map(M.act[h], acts[g][a], p)
                     law.check((h, g, a), lhs, rhs)
 
     with cl.holds("measuring", "h . (ab) = (h1 . a)(h2 . b)") as law:
@@ -93,10 +94,10 @@ def verify_module_algebra(M):
             legs = [divmod(uv, dH) + (c,) for uv, c in H.delta[h]]
             for a in law.over(range(dA)):
                 for b in law.over(range(dA)):
-                    lhs = ag.apply_map(M.act[h], dict(A.table[a][b]))
+                    lhs = ag.apply_map(M.act[h], dict(A.table[a][b]), p)
                     rhs = {}
                     for u, v, c in legs:
-                        sadd_into(rhs, A.mul(acts[u][a], acts[v][b]), c)
+                        sadd_into(rhs, A.mul(acts[u][a], acts[v][b]), c, p)
                     law.check((h, a, b), lhs, rhs)
 
     one_a = A.unit_sparse()
@@ -116,7 +117,7 @@ def invariants(M):
         eth = H.et(H.alg.basis_vec(h))
         for a in range(A.dim):
             diff = M.apply(H.alg.basis_vec(h), A.basis_vec(a))
-            sadd_into(diff, M.apply(eth, A.basis_vec(a)), -1)
+            sadd_into(diff, M.apply(eth, A.basis_vec(a)), -1, A.p)
             rows.append((a, diff))
     sub = wha.kernel_of_column_maps(rows, A.dim, A.p)
     if not sub.contains(A.unit_sparse()):
@@ -182,7 +183,7 @@ def adjoint_action(H):
                 u, v = divmod(uv, d)
                 term = H.alg.mulm(H.alg.basis_vec(u), aa,
                                   H.S(H.alg.basis_vec(v)))
-                sadd_into(out, term, c)
+                sadd_into(out, term, c, H.p)
             rows.append(express(out))
         act.append(rows)
     return make_module_algebra(H, A_alg, act)
@@ -211,7 +212,7 @@ def action_comodule_bridge(M):
     C = ComoduleAlgebra(Hd, A, rho)
 
     def rho_of(x):
-        return ag.apply_map(rho, x)
+        return ag.apply_map(rho, x, A.p)
 
     with cl.holds("comodule_multiplicative", "rho(ab) = a0 b0 (x) a1 b1") as law:
         for a in law.over(range(dA)):
@@ -224,7 +225,7 @@ def action_comodule_bridge(M):
     est = Hd.eps_rows[0]
     r1 = rho_of(A.unit_sparse())
     cl.add("comodule_unit", "rho(1) = (id (x) eps_t) rho(1)",
-           r1 == ag.apply_tensor(None, est, r1, dH, dH))
+           r1 == ag.apply_tensor(None, est, r1, dH, dH, A.p))
 
     with cl.holds("bridge_roundtrip", "a0 <a1, h> recovers h . a") as law:
         for a in law.over(range(dA)):
@@ -235,15 +236,16 @@ def action_comodule_bridge(M):
                     j, k = divmod(jk, dH)
                     if k == h:
                         got[j] = got.get(j, 0) + c
-                got = {k: v for k, v in got.items() if v != 0}
+                got = {k: v for k, v in la.residues(got, A.p).items()
+                       if v != 0}
                 law.check((a, h), got,
                           M.apply(H.alg.basis_vec(h), A.basis_vec(a)))
 
     rows = []
     for a in range(dA):
         diff = dict(rho[a])
-        et = ag.apply_tensor(None, est, dict(rho[a]), dH, dH)
-        sadd_into(diff, et, -1)
+        et = ag.apply_tensor(None, est, dict(rho[a]), dH, dH, A.p)
+        sadd_into(diff, et, -1, A.p)
         rows.append((a, diff))
     coinv = wha.kernel_of_column_maps(rows, dA, A.p)
     cl.add("coinvariants_equal_invariants", "A^{co H*} = A^H",
@@ -280,9 +282,9 @@ def smash(M):
     columns is multiplied for the table.
     """
     H, A = M.H, M.A
+    p = A.p
     dH, dA = H.dim, A.dim
     amb = dA * dH
-    one = la.as_scalar(1, H.p)
     cl = CheckList("smash")
 
     one_a = A.unit_sparse()
@@ -293,12 +295,12 @@ def smash(M):
         zt_acts.append((z, z_dot_one))
 
     # the stated right action a . z = a (z . 1) agrees with S^-1(z) . a
-    s_inv = la.inverse(H.s, H.dim, H.p)
+    s_inv = la.inverse(H.s, H.dim, p)
     with cl.holds("right_Ht_action", "a . z = a (z . 1) = S^-1(z) . a") as law:
         for zi, (z, z1) in law.over(enumerate(zt_acts)):
             for a in law.over(range(dA)):
                 lhs = A.mul(A.basis_vec(a), z1)
-                rhs = M.apply(ag.apply_map(s_inv, z), A.basis_vec(a))
+                rhs = M.apply(ag.apply_map(s_inv, z, p), A.basis_vec(a))
                 law.check((zi, a), lhs, rhs)
 
     rel_vecs = []
@@ -306,13 +308,13 @@ def smash(M):
         for a in range(dA):
             az = A.mul(A.basis_vec(a), z1)
             for h in range(dH):
-                vec = la.tensor_sparse(az, H.alg.basis_vec(h), dH)
+                vec = la.tensor_sparse(az, H.alg.basis_vec(h), dH, p)
                 zh = H.alg.mul(z, H.alg.basis_vec(h))
-                sadd_into(vec, la.tensor_sparse(A.basis_vec(a), zh, dH),
-                          -1)
+                sadd_into(vec, la.tensor_sparse(A.basis_vec(a), zh, dH, p),
+                          -1, p)
                 if vec:
                     rel_vecs.append(vec)
-    relations = la.Subspace.from_vectors(amb, rel_vecs, A.p)
+    relations = la.Subspace.from_vectors(amb, rel_vecs, p)
     q = la.quotient(amb, relations)
 
     # (a # h)(b # g) = sum c_uv e_a (e_u . e_b) # e_v e_g over the legs
@@ -334,7 +336,7 @@ def smash(M):
                     if not right:
                         continue
                     cc = ce * cuv
-                    for m, l in ag.apply_map(ta, acts[u][b]).items():
+                    for m, l in ag.apply_map(ta, acts[u][b], p).items():
                         base, lc = m * dH, cc * l
                         for n, r in right:
                             key = base + n
@@ -343,16 +345,16 @@ def smash(M):
                                 out.pop(key, None)
                             else:
                                 out[key] = s
-        return out
+        return la.residues(out, p)
 
     # well-definedness against the relation witnesses
     for r in relations.basis:
         rd = dict(r)
         for c in q.section_cols:
-            if q.project(mul_amb(rd, {c: one})):
+            if q.project(mul_amb(rd, {c: 1})):
                 raise WellDefinednessFailure(
                     "left product of a relation witness is nonzero")
-            if q.project(mul_amb({c: one}, rd)):
+            if q.project(mul_amb({c: 1}, rd)):
                 raise WellDefinednessFailure(
                     "right product of a relation witness is nonzero")
     cl.add("well_defined", "(a#h)(b#g) respects the Ht-balancing", True)
@@ -360,20 +362,20 @@ def smash(M):
     n = q.dim
     table = []
     for i in range(n):
-        si = q.section({i: one})
+        si = q.section({i: 1})
         row = []
         for j in range(n):
-            sj = q.section({j: one})
+            sj = q.section({j: 1})
             row.append(q.project(mul_amb(si, sj)))
         table.append(row)
-    unit = q.project(la.tensor_sparse(one_a, H.alg.unit_sparse(), dH))
-    alg = ag.make_algebra(table, la.dense(unit, n, A.p), p=A.p)
+    unit = q.project(la.tensor_sparse(one_a, H.alg.unit_sparse(), dH, p))
+    alg = ag.make_algebra(table, la.dense(unit, n), p=p)
     cl.add("associative_unital", "A#H is associative with unit 1#1", True)
 
     inc_a = tuple(svec(q.project(la.tensor_sparse(
-        A.basis_vec(a), H.alg.unit_sparse(), dH))) for a in range(dA))
+        A.basis_vec(a), H.alg.unit_sparse(), dH, p))) for a in range(dA))
     inc_h = tuple(svec(q.project(la.tensor_sparse(
-        one_a, H.alg.basis_vec(h), dH))) for h in range(dH))
+        one_a, H.alg.basis_vec(h), dH, p))) for h in range(dH))
     return Smash(M, q, alg, inc_a, inc_h, cl)
 
 
@@ -381,13 +383,12 @@ def smash_dual_action(M, sm):
     """H* acting on A # H by phi . (a # h) = a # (phi -> h)."""
     H = M.H
     dH = H.dim
-    one = la.as_scalar(1, H.p)
     q = sm.quotient
     act = []
     for k in range(dH):
         rows = []
         for i in range(q.dim):
-            amb = q.section({i: one})
+            amb = q.section({i: 1})
             out = {}
             for ah, c in amb.items():
                 a, h = divmod(ah, dH)
@@ -416,7 +417,8 @@ def duality_dimension_check(M):
     n = sm.alg.dim
 
     # commutant of right multiplication
-    rmuls = [sm.alg.rmul_rows(ag.apply_map(sm.include_A, M.A.basis_vec(a)))
+    rmuls = [sm.alg.rmul_rows(ag.apply_map(sm.include_A, M.A.basis_vec(a),
+                                           M.A.p))
              for a in range(M.A.dim)]
     eqs = []
     for ra in rmuls:

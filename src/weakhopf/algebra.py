@@ -31,7 +31,7 @@ from math import lcm
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
 from weakhopf.linalg import (Subspace, dense, format_vector, sadd_into,
-                             scalar_zero, sparse, svec, tindex)
+                             sparse, svec, tindex)
 
 
 class NotAssociative(ValueError):
@@ -66,7 +66,7 @@ class NotKanzaki(Exception):
 
 # ---------------------------------------------------------------------------
 
-def apply_map(rows, x):
+def apply_map(rows, x, p=None):
     """Apply a sparse-rows linear map to a sparse vector."""
     out = {}
     for i, c in x.items():
@@ -77,10 +77,10 @@ def apply_map(rows, x):
                 out.pop(j, None)
             else:
                 out[j] = w
-    return out
+    return out if p is None else la.residues(out, p)
 
 
-def apply_tensor(f, g, x, n, m):
+def apply_tensor(f, g, x, n, m, p=None):
     """(f (x) g)(x) for sparse-rows maps f and g, None meaning the identity.
 
     x is a flat tensor on indices i n + j and the image is on k m + l: n and
@@ -99,7 +99,7 @@ def apply_tensor(f, g, x, n, m):
                     out.pop(key, None)
                 else:
                     out[key] = w
-    return out
+    return la.residues(out, p)
 
 
 def tensor_mul(A, B, x, y):
@@ -122,7 +122,7 @@ def tensor_mul(A, B, x, y):
                         out.pop(key, None)
                     else:
                         out[key] = w
-    return out
+    return la.residues(out, A.p)
 
 
 def map_rows(images, p=None):
@@ -147,9 +147,9 @@ def _srow(pairs, p):
     return tuple(sorted((i, c) for i, c in row if c != 0))
 
 
-def compose_maps(first, second):
+def compose_maps(first, second, p=None):
     """rows of (second o first)."""
-    return tuple(svec(apply_map(second, dict(r))) for r in first)
+    return tuple(svec(apply_map(second, dict(r), p)) for r in first)
 
 
 def section_of_inclusion(incl):
@@ -174,7 +174,7 @@ def section_of_inclusion(incl):
             raise NotClosed("element outside the embedded image")
         out = {}
         for c, b in zip(co, basis_in_small):
-            sadd_into(out, b, c)
+            sadd_into(out, b, c, big.p)
         return out
 
     return unembed
@@ -204,7 +204,7 @@ class Algebra:
                         out.pop(k, None)
                     else:
                         out[k] = w
-        return out
+        return out if self.p is None else la.residues(out, self.p)
 
     def mulm(self, *xs):
         acc = xs[0]
@@ -216,7 +216,7 @@ class Algebra:
         return sparse(self.unit)
 
     def basis_vec(self, i):
-        return {i: 1 if self.p is None else la.Fp(1, self.p)}
+        return {i: 1}
 
     def commutator(self, x, y):
         out = self.mul(x, y)
@@ -226,18 +226,18 @@ class Algebra:
                 out.pop(k, None)
             else:
                 out[k] = w
-        return out
+        return la.residues(out, self.p)
 
     def scalar_of(self, x):
         """If x is a multiple of the unit, return the multiplier, else None."""
         ud = self.unit_sparse()
         if not x:
-            return scalar_zero(self.p)
+            return 0
         k, v = next(iter(x.items()))
         if ud.get(k) is None:
             return None
-        c = la.div(v, ud[k])
-        return c if x == la.sscale(ud, c) else None
+        c = la.div(v, ud[k], self.p)
+        return c if x == la.sscale(ud, c, self.p) else None
 
     def lmul_rows(self, x):
         """Sparse rows of left multiplication by x."""
@@ -291,7 +291,7 @@ def check_associative(alg):
     dim, p = alg.dim, alg.p
     d = 1 if p else lcm(*(c.denominator for row in alg.table
                           for cell in row for _, c in cell))
-    rows = [[(j, [(n, c.v if p else c.numerator * (d // c.denominator))
+    rows = [[(j, [(n, c if p else c.numerator * (d // c.denominator))
                   for n, c in cell])
              for j, cell in enumerate(row) if cell] for row in alg.table]
     holding = [[] for _ in range(dim)]  # m -> (key of (j, k, 0), coeff)
@@ -311,7 +311,7 @@ def check_associative(alg):
             for key, a in holding[m]:
                 for n, b in cell:
                     diff[key + n] -= a * b
-        if any(v % p if p else v for v in diff.values()):
+        if any(la.residues(diff, p).values()):
             raise _first_failure(alg, i)
 
 
@@ -362,13 +362,13 @@ def subalgebra(big, sub, name="subalgebra"):
         for j in range(n):
             trow.append(express(big.mul(rows[i], rows[j])))
         table.append(trow)
-    unit = dense(express(big.unit_sparse()), n, big.p)
+    unit = dense(express(big.unit_sparse()), n)
     alg = make_algebra(table, unit, p=big.p)
 
     def inject(x):
         out = {}
         for i, c in x.items():
-            sadd_into(out, rows[i], c)
+            sadd_into(out, rows[i], c, big.p)
         return out
 
     return alg, inject, express
@@ -394,7 +394,7 @@ class Inclusion:
     embed: tuple  # sparse rows, small -> big
 
     def emb(self, x):
-        return apply_map(self.embed, x)
+        return apply_map(self.embed, x, self.big.p)
 
 
 @dataclass(frozen=True)
@@ -404,10 +404,10 @@ class CondExpectation:
 
     def E(self, x):
         """E as a map landing back inside big (embedded)."""
-        return self.incl.emb(apply_map(self.rows, x))
+        return self.incl.emb(apply_map(self.rows, x, self.incl.big.p))
 
     def E_small(self, x):
-        return apply_map(self.rows, x)
+        return apply_map(self.rows, x, self.incl.big.p)
 
 
 @dataclass(frozen=True)
@@ -493,7 +493,6 @@ def find_dual_bases(E, within=None):
     else:
         cands = [dict(r) for r in within.basis]
     n = len(cands)
-    zero = scalar_zero(p)
     eqs = []
     for m in range(big.dim):
         em = big.basis_vec(m)
@@ -510,7 +509,7 @@ def find_dual_bases(E, within=None):
                 for k, v in big.mul(cands[a], e_cm[b]).items():
                     rows2[k][ab] = v
         for k in range(big.dim):
-            tgt = em.get(k, zero)
+            tgt = em.get(k, 0)
             eqs.append((rows1[k], tgt))
             eqs.append((rows2[k], tgt))
     # adjoin lam at column n*n and ask for x_i y_i = lam 1 = y_i x_i
@@ -531,8 +530,8 @@ def find_dual_bases(E, within=None):
         if u != 0:
             r1[n * n] = -u
             r2[n * n] = -u
-        aug.append((r1, zero))
-        aug.append((r2, zero))
+        aug.append((r1, 0))
+        aug.append((r2, 0))
     t = None
     try:
         sol = la.solve(aug, n * n + 1, p)
@@ -550,7 +549,7 @@ def find_dual_bases(E, within=None):
     for a in range(n):
         y = {}
         for b in range(n):
-            sadd_into(y, cands[b], t.get(a * n + b, 0))
+            sadd_into(y, cands[b], t.get(a * n + b, 0), p)
         if y:
             xs.append(dict(cands[a]))
             ys.append(y)
@@ -558,7 +557,7 @@ def find_dual_bases(E, within=None):
     verify_dual_bases(E, db)  # re-verify Eq on the full basis before returning
     s = {}
     for x, y in zip(xs, ys):
-        sadd_into(s, big.mul(x, y), 1)
+        sadd_into(s, big.mul(x, y), 1, p)
     lam = big.scalar_of(s)
     return DualBases(db.xs, db.ys, lam)
 
@@ -571,8 +570,8 @@ def verify_dual_bases(E, db):
         em = big.basis_vec(m)
         acc1, acc2 = {}, {}
         for x, y in zip(xs, ys):
-            sadd_into(acc1, big.mul(E.E(big.mul(em, x)), y), 1)
-            sadd_into(acc2, big.mul(x, E.E(big.mul(y, em))), 1)
+            sadd_into(acc1, big.mul(E.E(big.mul(em, x)), y), 1, big.p)
+            sadd_into(acc2, big.mul(x, E.E(big.mul(y, em))), 1, big.p)
         if acc1 != em or acc2 != em:
             raise NoDualBases("dual bases fail re-verification at basis %d" % m)
     return True
@@ -604,7 +603,6 @@ def separability_element(A, symmetric=False, require_unique=False):
     p = A.p
     eqs = []
     hom_rows = []
-    zero = scalar_zero(p)
     # Casimir: for each c and tensor coordinate (k, l),
     #   sum_a f_{a l} (e_c e_a)_k  -  sum_b f_{k b} (e_b e_c)_l  =  0
     lm = [[A.mul(A.basis_vec(c), A.basis_vec(a)) for a in range(n)] for c in range(n)]
@@ -617,24 +615,24 @@ def separability_element(A, symmetric=False, require_unique=False):
                     v = lm[c][a].get(k)
                     if v:
                         key = tindex(a, l, n)
-                        row[key] = row.get(key, zero) + v
+                        row[key] = row.get(key, 0) + v
                 for b in range(n):
                     v = rm[c][b].get(l)
                     if v:
                         key = tindex(k, b, n)
-                        w = row.get(key, zero) - v
+                        w = row.get(key, 0) - v
                         if w == 0:
                             row.pop(key, None)
                         else:
                             row[key] = w
                 if row:
-                    eqs.append((row, zero))
+                    eqs.append((row, 0))
                     hom_rows.append(row)
     if symmetric:
         for i in range(n):
             for j in range(i + 1, n):
                 row = {tindex(i, j, n): 1, tindex(j, i, n): -1}
-                eqs.append((row, zero))
+                eqs.append((row, 0))
                 hom_rows.append(row)
     # normalization mu(f) = 1
     mu_rows = [dict() for _ in range(n)]
@@ -643,7 +641,7 @@ def separability_element(A, symmetric=False, require_unique=False):
             prod = A.mul(A.basis_vec(i), A.basis_vec(j))
             for k, v in prod.items():
                 key = tindex(i, j, n)
-                mu_rows[k][key] = mu_rows[k].get(key, zero) + v
+                mu_rows[k][key] = mu_rows[k].get(key, 0) + v
     for k in range(n):
         eqs.append((mu_rows[k], A.unit[k]))
         hom_rows.append(mu_rows[k])
@@ -676,7 +674,7 @@ def trace_dual_bases(A, trace):
     gram_t = [{} for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            v = trace_of(trace, A.mul(A.basis_vec(i), A.basis_vec(j)))
+            v = trace_of(trace, A.mul(A.basis_vec(i), A.basis_vec(j)), A.p)
             if v != 0:
                 gram_t[j][i] = v
     try:
@@ -687,12 +685,11 @@ def trace_dual_bases(A, trace):
     return a_s, b_s
 
 
-def trace_of(trace, x):
-    zero = trace[0] - trace[0]
-    acc = zero
+def trace_of(trace, x, p=None):
+    acc = 0
     for i, c in x.items():
         acc = acc + c * trace[i]
-    return acc
+    return la.residue(acc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +753,8 @@ def certify_markov(incl, E, db, trace):
     xy = {}
     yx = {}
     for x, y in zip(xs, ys):
-        sadd_into(xy, big.mul(x, y), 1)
-        sadd_into(yx, big.mul(y, x), 1)
+        sadd_into(xy, big.mul(x, y), 1, big.p)
+        sadd_into(yx, big.mul(y, x), 1, big.p)
     lam_inv = big.scalar_of(xy)
     strongly = lam_inv is not None and lam_inv != 0
     cl.add("strongly_separable", "x_i y_i = lambda^-1 1",
@@ -767,15 +764,17 @@ def certify_markov(incl, E, db, trace):
            sym_prod, witness=format_vector(yx))
 
     cl.add("trace_normalized", "T(1) = 1",
-           trace_of(trace, one_small) == 1)
+           trace_of(trace, one_small, big.p) == 1)
 
-    t0 = tuple(trace_of(trace, E.E_small(big.basis_vec(j)))
+    t0 = tuple(trace_of(trace, E.E_small(big.basis_vec(j)), big.p)
                for j in range(big.dim))
     with cl.holds("T0_trace", "T0(ab) = T0(ba), T0 = T o E") as law:
         for i in law.over(range(big.dim)):
             for j in law.over(range(big.dim)):
-                ab = trace_of(t0, big.mul(big.basis_vec(i), big.basis_vec(j)))
-                ba = trace_of(t0, big.mul(big.basis_vec(j), big.basis_vec(i)))
+                ab = trace_of(t0, big.mul(big.basis_vec(i), big.basis_vec(j)),
+                              big.p)
+                ba = trace_of(t0, big.mul(big.basis_vec(j), big.basis_vec(i)),
+                              big.p)
                 law.check((i, j), ab, ba)
 
     cl.add("E_nondegenerate", "E(xM) = 0 => x = 0",
@@ -798,7 +797,7 @@ def certify_markov(incl, E, db, trace):
 
     tdu = None
     if U_alg is not None:
-        t0U = tuple(trace_of(t0, dict(r)) for r in U.basis)
+        t0U = tuple(trace_of(t0, dict(r), big.p) for r in U.basis)
         tdu = trace_dual_bases(U_alg, t0U)
         cl.add("T0_U_nondegenerate", "T0 restricted to C_M(N) non-degenerate",
                tdu is not None)
@@ -830,7 +829,7 @@ def relative_tensor_square(cert):
         eb = big.basis_vec(b)
         for x, y in zip(xs, ys):
             left = big.mul(big.basis_vec(a), cert.E.E(big.mul(eb, x)))
-            sadd_into(out, la.tensor_sparse(left, y, n), 1)
+            sadd_into(out, la.tensor_sparse(left, y, n, big.p), 1, big.p)
         return out
 
     return la.quotient_from_projection(n * n, pi_col, big.p)
@@ -847,8 +846,10 @@ def casimir_shift_check(cert):
         ud = dict(u)
         lhs, rhs = {}, {}
         for x, y in zip(xs, ys):
-            sadd_into(lhs, la.tensor_sparse(big.mul(x, ud), y, n), 1)
-            sadd_into(rhs, la.tensor_sparse(x, big.mul(ud, y), n), 1)
+            sadd_into(lhs, la.tensor_sparse(big.mul(x, ud), y, n, big.p), 1,
+                      big.p)
+            sadd_into(rhs, la.tensor_sparse(x, big.mul(ud, y), n, big.p), 1,
+                      big.p)
         if q.project(lhs) != q.project(rhs):
             return False
     return True

@@ -42,14 +42,15 @@ def composite_expectation_down(tower, hi, lo):
     Level 0 is the base big algebra; lo = -1 composes all the way down to N.
     """
     alg = tower.alg(hi)
+    p = alg.p
     rows = [alg.basis_vec(j) for j in range(alg.dim)]
     for k in range(hi, max(lo, 0), -1):
         E = tower.levels[k - 1].E_down
-        rows = [ag.apply_map(E, r) for r in rows]
+        rows = [ag.apply_map(E, r, p) for r in rows]
     if lo == -1:
         E0 = tower.base.E.rows
-        rows = [ag.apply_map(E0, r) for r in rows]
-    return ag.map_rows(rows, alg.p)
+        rows = [ag.apply_map(E0, r, p) for r in rows]
+    return ag.map_rows(rows, p)
 
 
 def jones_word(tower, word, level):
@@ -77,12 +78,13 @@ def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
     M_top = tower.alg(top)
     p = M_top.p
     lam_inv = tower.base.lambda_inv
-    lam = la.div(1, lam_inv)
+    lam = la.div(1, lam_inv, p)
 
     word = []
     for r in range(n + 1):
         word.extend(range(n + 1 + r, r, -1))
-    f = la.sscale(jones_word(tower, word, top), lam_inv ** (n * (n + 1) // 2))
+    f = la.sscale(jones_word(tower, word, top),
+                  lam_inv ** (n * (n + 1) // 2), p)
 
     cl.add("idempotent", "f_n^2 = f_n", M_top.mul(f, f) == f)
 
@@ -100,7 +102,7 @@ def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
                   "f_n x f_n = f_n F_n(x) = F_n(x) f_n on M_n") as law:
         for x in law.over(range(M_n.dim)):
             xe = lift_n(M_n.basis_vec(x))
-            Fx = lift_N(ag.apply_map(F_n, M_n.basis_vec(x)))
+            Fx = lift_N(ag.apply_map(F_n, M_n.basis_vec(x), p))
             lhs = M_top.mulm(f, xe, f)
             if law.check((x,), lhs, M_top.mul(f, Fx)):
                 law.check((x,), lhs, M_top.mul(Fx, f))
@@ -111,8 +113,8 @@ def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
          for y in range(M_n.dim)), M_top.dim, p) == M_top.dim)
 
     cl.add("composite_expectation", "F_{M_n}(f_n) = lambda^{n+1} 1",
-           ag.apply_map(F_Mn, f)
-           == la.sscale(M_n.unit_sparse(), lam ** (n + 1)))
+           ag.apply_map(F_Mn, f, p)
+           == la.sscale(M_n.unit_sparse(), lam ** (n + 1), p))
 
     if n >= 1:
         prev = prev or composite_idempotent(tower, n - 1, dim_budget)
@@ -120,7 +122,8 @@ def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
         shifted = shift_tau2(tower, prev_f_top, 2 * n - 1, level=top)
         head = jones_word(tower, list(range(n + 1, 0, -1)), top)
         tail = jones_word(tower, list(range(2, n + 2)), top)
-        recursive = la.sscale(M_top.mulm(head, shifted, tail), lam_inv ** n)
+        recursive = la.sscale(M_top.mulm(head, shifted, tail), lam_inv ** n,
+                              p)
         cl.add("recursive_form",
                "f_n = lambda^-n (e_{n+1}..e_1) tau^2(f_{n-1}) "
                "(e_2..e_{n+1})", recursive == f)
@@ -171,7 +174,8 @@ def shift_tau2(tower, element, n, level=None):
     if level is None:
         level = len(tower.levels)
     alg = tower.alg(level)
-    lam = la.div(1, tower.base.lambda_inv)
+    p = alg.p
+    lam = la.div(1, tower.base.lambda_inv, p)
     if n + 2 > level:
         raise DimensionBudget("tower too short for the shift target e_%d"
                               % (n + 2))
@@ -189,8 +193,8 @@ def shift_tau2(tower, element, n, level=None):
             raise AssertionError("shifted e_%d not idempotent" % i)
         if i + 1 <= n + 2:
             ej = tower.jones(i + 1, level)
-            if alg.mulm(ei, ej, ei) != la.sscale(ei, lam) or \
-                    alg.mulm(ej, ei, ej) != la.sscale(ej, lam):
+            if alg.mulm(ei, ej, ei) != la.sscale(ei, lam, p) or \
+                    alg.mulm(ej, ei, ej) != la.sscale(ej, lam, p):
                 raise AssertionError("braid relation fails after the shift")
         for j in range(3, i - 1):
             ej = tower.jones(j, level)
@@ -199,8 +203,14 @@ def shift_tau2(tower, element, n, level=None):
     out = {}
     for k, c in data.items():
         shifted_word = tuple(i + 2 for i in words[k])
-        sadd_into(out, jones_word(tower, shifted_word, level), c)
+        sadd_into(out, jones_word(tower, shifted_word, level), c, p)
     return out
+
+
+def _regular_trace(A, j):
+    """The trace of left multiplication by e_j on A."""
+    return la.residue(sum(dict(A.table[j][k]).get(k, 0)
+                          for k in range(A.dim)), A.p)
 
 
 def depth2_example(kind, n=None, p=None):
@@ -228,14 +238,10 @@ def depth2_example(kind, n=None, p=None):
     ag.kanzaki_element(U)  # raises NotKanzaki for e.g. M_p over F_p
 
     # regular-representation trace of U
-    t_reg = []
-    for j in range(U.dim):
-        acc = la.scalar_zero(U.p)
-        for k in range(U.dim):
-            acc = acc + dict(U.table[j][k]).get(k, la.scalar_zero(U.p))
-        t_reg.append(acc)
-    lam_inv = ag.trace_of(tuple(t_reg), U.unit_sparse())
-    lam = la.div(1, lam_inv)
+    p = U.p
+    t_reg = [_regular_trace(U, j) for j in range(U.dim)]
+    lam_inv = ag.trace_of(tuple(t_reg), U.unit_sparse(), p)
+    lam = la.div(1, lam_inv, p)
 
     M = corpus.tensor_algebra(N, U)
     nb = U.dim
@@ -248,14 +254,9 @@ def depth2_example(kind, n=None, p=None):
             E_rows.append({i: lam * t_reg[j]} if t_reg[j] != 0 else {})
     E = ag.make_cond_expectation(incl, E_rows)
     # normalized regular trace on N
-    tN = []
-    for j in range(N.dim):
-        acc = la.scalar_zero(N.p)
-        for k in range(N.dim):
-            acc = acc + dict(N.table[j][k]).get(k, la.scalar_zero(N.p))
-        tN.append(acc)
-    norm = ag.trace_of(tuple(tN), N.unit_sparse())
-    trace = tuple(la.div(x, norm) for x in tN)
+    tN = [_regular_trace(N, j) for j in range(N.dim)]
+    norm = ag.trace_of(tuple(tN), N.unit_sparse(), p)
+    trace = tuple(la.div(x, norm, p) for x in tN)
     db = ag.find_dual_bases(E, within=ag.centralizer(
         M, ag.embedded_image(incl)))
     cert = ag.certify_markov(incl, E, db, trace)
@@ -283,9 +284,9 @@ def depth2_example(kind, n=None, p=None):
             yp = {}
             for j in range(len(xs)):
                 xp_term = M1.mulm(lift(M.mul(xs[j], xs[i])), e1, lift(ys[j]))
-                sadd_into(xp, xp_term, 1)
+                sadd_into(xp, xp_term, 1, p)
                 yp_term = M1.mulm(lift(M.mul(xs[j], ys[i])), e1, lift(ys[j]))
-                sadd_into(yp, yp_term, 1)
+                sadd_into(yp, yp_term, 1, p)
             xs1.append(xp)
             ys1.append(yp)
         V1 = ctx.V1

@@ -10,24 +10,20 @@ inside the 2x2 matrix algebra (index 2).
 from fractions import Fraction
 
 from weakhopf import algebra as ag
-from weakhopf.linalg import scalar_one, scalar_zero
 
 
 def field_algebra(p=None):
-    one = scalar_one(p)
-    return ag.make_algebra([[{0: one}]], (one,), p=p)
+    return ag.make_algebra([[{0: 1}]], (1,), p=p)
 
 
 def diagonal_algebra(n, p=None):
-    one = scalar_one(p)
-    table = [[{i: one} if i == j else {} for j in range(n)] for i in range(n)]
-    return ag.make_algebra(table, tuple(one for _ in range(n)), p=p,
+    table = [[{i: 1} if i == j else {} for j in range(n)] for i in range(n)]
+    return ag.make_algebra(table, (1,) * n, p=p,
                            labels=tuple("d%d" % i for i in range(n)))
 
 
 def matrix_algebra(n, p=None):
     """M_n on the matrix-unit basis e_ab at flat index a*n + b."""
-    one = scalar_one(p)
     dim = n * n
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     for a in range(n):
@@ -35,10 +31,10 @@ def matrix_algebra(n, p=None):
             for c in range(n):
                 for d in range(n):
                     if b == c:
-                        table[a * n + b][c * n + d] = {a * n + d: one}
-    unit = [scalar_zero(p)] * dim
+                        table[a * n + b][c * n + d] = {a * n + d: 1}
+    unit = [0] * dim
     for a in range(n):
-        unit[a * n + a] = one
+        unit[a * n + a] = 1
     labels = tuple("e%d%d" % (a, b) for a in range(n) for b in range(n))
     return ag.make_algebra(table, unit, labels=labels, p=p)
 
@@ -59,7 +55,7 @@ def tensor_algebra(A, B):
                         for y, cy in B.table[j][l]:
                             prod[x * nb + y] = cx * cy
                     table[i * nb + j][k * nb + l] = prod
-    unit = [scalar_zero(A.p)] * dim
+    unit = [0] * dim
     for i, ci in enumerate(A.unit):
         if ci == 0:
             continue
@@ -127,11 +123,10 @@ def ext_trivial_m2():
 
 def group_algebra(elements, compose, unit_element, p=None):
     """Group algebra on an explicit element list with a composition map."""
-    one = scalar_one(p)
     idx = {g: i for i, g in enumerate(elements)}
-    table = [[{idx[compose(g, h)]: one} for h in elements] for g in elements]
-    unit = [scalar_zero(p)] * len(elements)
-    unit[idx[unit_element]] = one
+    table = [[{idx[compose(g, h)]: 1} for h in elements] for g in elements]
+    unit = [0] * len(elements)
+    unit[idx[unit_element]] = 1
     return ag.make_algebra(table, unit,
                            labels=tuple(str(g) for g in elements), p=p)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
-from weakhopf.linalg import sadd_into, scalar_zero
 
 
 class Groupoid:
@@ -136,17 +135,16 @@ def corpus():
 def groupoid_algebra(G, p=None):
     """kG as a weak Hopf algebra on the morphism basis."""
     n = len(G.morphisms)
-    one = la.as_scalar(1, p)
     table = [[{} for _ in range(n)] for _ in range(n)]
     for (g, h), gh in G.compose.items():
-        table[G.index[g]][G.index[h]] = {G.index[gh]: one}
-    unit = [scalar_zero(p)] * n
+        table[G.index[g]][G.index[h]] = {G.index[gh]: 1}
+    unit = [0] * n
     for e in G.units:
-        unit[G.index[e]] = one
+        unit[G.index[e]] = 1
     alg = ag.make_algebra(table, unit, labels=G.morphisms, p=p)
-    delta = [{G.index[g] * n + G.index[g]: one} for g in G.morphisms]
-    eps = [one] * n
-    s = [{G.index[G.inverse[g]]: one} for g in G.morphisms]
+    delta = [{G.index[g] * n + G.index[g]: 1} for g in G.morphisms]
+    eps = [1] * n
+    s = [{G.index[G.inverse[g]]: 1} for g in G.morphisms]
     return wha.make_weakhopf(alg, delta, eps, s)
 
 
@@ -158,21 +156,20 @@ def groupoid_dual(G, H):
     """
     p = H.p
     n = len(G.morphisms)
-    one = la.as_scalar(1, p)
     table = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        table[i][i] = {i: one}
-    unit = [one] * n
+        table[i][i] = {i: 1}
+    unit = [1] * n
     delta = []
     for g in G.morphisms:
         row = {}
         for (u, v), uv in G.compose.items():
             if uv == g:
-                row[G.index[u] * n + G.index[v]] = one
+                row[G.index[u] * n + G.index[v]] = 1
         delta.append(row)
     units = set(G.units)
-    eps = [one if g in units else scalar_zero(p) for g in G.morphisms]
-    s = [{G.index[G.inverse[g]]: one} for g in G.morphisms]
+    eps = [1 if g in units else 0 for g in G.morphisms]
+    s = [{G.index[G.inverse[g]]: 1} for g in G.morphisms]
     alg = ag.make_algebra(table, unit, labels=tuple("p_" + g for g in G.morphisms),
                           p=p)
     Hd = wha.make_weakhopf(alg, delta, eps, s)
@@ -198,18 +195,12 @@ def groupoid_integrals(G, H, H_dual):
     """
     p = H.p
     n = len(G.morphisms)
-    one = la.as_scalar(1, p)
     left_spans, right_spans = [], []
     for e in G.units:
-        l = {}
-        r = {}
-        for g in G.morphisms:
-            if G.compose[(G.inverse[g], g)] == e:
-                sadd_into(l, {G.index[g]: one}, 1)
-            if G.compose[(g, G.inverse[g])] == e:
-                sadd_into(r, {G.index[g]: one}, 1)
-        left_spans.append(l)
-        right_spans.append(r)
+        left_spans.append({G.index[g]: 1 for g in G.morphisms
+                           if G.compose[(G.inverse[g], g)] == e})
+        right_spans.append({G.index[g]: 1 for g in G.morphisms
+                            if G.compose[(g, G.inverse[g])] == e})
 
     ints = wha.integrals(H)
     if la.Subspace.from_vectors(n, left_spans, p) != ints.left:
@@ -219,7 +210,7 @@ def groupoid_integrals(G, H, H_dual):
 
     ints_d = wha.integrals(H_dual)
     p_units = la.Subspace.from_vectors(
-        n, [{G.index[e]: one} for e in G.units], p)
+        n, [{G.index[e]: 1} for e in G.units], p)
     if ints_d.left != p_units or ints_d.right != p_units:
         raise AssertionError("dual integrals differ from span{p_e}")
     return left_spans, right_spans

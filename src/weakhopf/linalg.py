@@ -18,11 +18,19 @@ coordinates off its RREF basis, with no elimination at all.
 Scalars over Q: an integral value is a plain `int` and any other value a
 `Fraction`, so the integer arithmetic that decides most identities skips
 Fraction's normalisation; values, equality and hashing are those of the
-rationals either way.  `as_scalar` and `parse_scalar` bring values into
-that form (floats are refused), and every constructor of a stored object
-passes its scalars through `as_scalar`.  `scalar_one` stays a Fraction:
-it is the public constructor that callers divide.  Divide scalars with
-`div`, never with `/`, which turns two ints into a float.
+rationals either way.  Scalars over F_p: a plain `int` in [0, p).  The
+field is not carried by the scalar but by the object that holds it
+(`Algebra.p`, `WeakHopf.p`, `Subspace.p`, `Quotient.p`, `Echelon.p`), and
+the kernels that combine scalars (`sadd_into`, `sscale`, `tensor_sparse`
+here, `Algebra.mul`, `apply_map` and their kind in `algebra`) take that p
+and reduce mod p; other integer arithmetic on F_p values goes through
+`residue` or `residues`.  This module is the one place that reduces by the
+modulus.  `as_scalar` and `parse_scalar` bring values into the stored form
+(floats are refused, and over F_p any p-integral rational maps to its
+residue), and every constructor of a stored object passes its scalars
+through `as_scalar`.  `scalar_one` is a Fraction in both fields: it is
+the public constructor that callers divide.  Divide scalars with
+`div(a, b, p)`, never with `/`, which turns two ints into a float.
 """
 
 from __future__ import annotations
@@ -47,100 +55,53 @@ class NoSolution(Exception):
 # ---------------------------------------------------------------------------
 # scalars
 
-class Fp:
-    """Residue modulo a prime p.  Division by zero raises, never wraps."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return Fp(self.v + _fpval(other, self.p), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Fp(self.v - _fpval(other, self.p), self.p)
-
-    def __rsub__(self, other):
-        return Fp(_fpval(other, self.p) - self.v, self.p)
-
-    def __mul__(self, other):
-        return Fp(self.v * _fpval(other, self.p), self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = _fpval(other, self.p) % self.p
-        if w == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return Fp(self.v * pow(w, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return Fp(_fpval(other, self.p) * pow(self.v, self.p - 2, self.p), self.p)
-
-    def __pow__(self, k):
-        return Fp(pow(self.v, k, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return "Fp(%d, %d)" % (self.v, self.p)
-
-
-def _fpval(x, p):
-    if isinstance(x, Fp):
-        return x.v
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    raise TypeError("cannot coerce %r into F_%d" % (x, p))
-
-
 def _qnorm(x):
     """An int or Fraction as a Q scalar: int when integral, else Fraction."""
     return x.numerator if x.denominator == 1 else x
 
 
 def scalar_zero(p=None):
-    return 0 if p is None else Fp(0, p)
+    """Zero: the int 0 in both fields."""
+    return 0
 
 
 def scalar_one(p=None):
-    """The unit as a Fraction over Q, so that callers may divide it."""
-    return Q1 if p is None else Fp(1, p)
+    """The unit as a Fraction in both fields, so that callers may divide
+    it; `as_scalar` turns it and its quotients into stored scalars."""
+    return Q1
 
 
 def as_scalar(x, p=None):
+    """An exact value in the stored form of its field (floats are refused).
+
+    Over F_p any p-integral rational maps to its residue; a denominator
+    divisible by p raises ValueError.
+    """
     if isinstance(x, float):
         raise TypeError("inexact scalar %r: write it as an integer or a "
                         "Fraction" % x)
     if p is None:
         return _qnorm(x if isinstance(x, (int, Fraction)) else Fraction(x))
-    if isinstance(x, Fp):
-        if x.p != p:
-            raise ValueError("mixed prime fields")
-        return x
-    return Fp(_fpval(x, p), p)
+    if isinstance(x, int):
+        return x % p
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ValueError("denominator of %s not invertible mod %d" % (x, p))
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def residue(x, p):
+    """The result of integer arithmetic on F_p scalars reduced mod p; over
+    Q (p None) x itself."""
+    return x if p is None else x % p
+
+
+def residues(d, p):
+    """A sparse vector of integer F_p sums reduced mod p, zeros dropped;
+    over Q (p None) d itself."""
+    if p is None:
+        return d
+    return {i: r for i, x in d.items() if (r := x % p)}
 
 
 def parse_scalar(text, p=None):
@@ -148,33 +109,23 @@ def parse_scalar(text, p=None):
     text = str(text).strip()
     if "/" in text:
         num, den = text.split("/")
-        val = Fraction(int(num), int(den))
-    else:
-        val = Fraction(int(text))
+        return as_scalar(Fraction(int(num), int(den)), p)
+    return as_scalar(int(text), p)
+
+
+def div(a, b, p=None):
+    """The exact quotient a / b of two scalars of the field."""
     if p is None:
-        return _qnorm(val)
-    if val.denominator % p == 0:
-        raise ValueError("denominator of %s not invertible mod %d" % (text, p))
-    return Fp(val.numerator * pow(val.denominator, p - 2, p), p)
-
-
-def div(a, b):
-    """The exact quotient a / b of two scalars of one field."""
-    if isinstance(a, Fp) or isinstance(b, Fp):
-        return a / b
-    return _qnorm(Fraction(a) / b)
-
-
-def format_scalar(x):
-    if isinstance(x, Fp):
-        return str(x.v)
-    return str(x)
+        return _qnorm(Fraction(a) / b)
+    try:
+        return a * pow(b, -1, p) % p
+    except ValueError:  # b is 0 mod p
+        raise ZeroDivisionError("division by zero in F_%d" % p) from None
 
 
 def format_vector(d):
-    """A sparse vector as text, "{0: 1, 3: -1/2}", whatever its scalar types."""
-    return "{%s}" % ", ".join("%d: %s" % (i, format_scalar(c))
-                              for i, c in sorted(d.items()))
+    """A sparse vector as text, "{0: 1, 3: -1/2}"."""
+    return "{%s}" % ", ".join("%d: %s" % (i, c) for i, c in sorted(d.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +136,27 @@ def sparse(vec):
     return {i: c for i, c in enumerate(vec) if c != 0}
 
 
-def dense(d, n, p=None):
-    z = scalar_zero(p)
-    out = [z] * n
+def dense(d, n):
+    out = [0] * n
     for i, c in d.items():
         out[i] = c
     return tuple(out)
 
 
-def sadd_into(acc, d, c=1):
-    """acc += c*d, dropping zeros."""
+def sadd_into(acc, d, c=1, p=None):
+    """acc += c*d, dropping zeros; over F_p each touched entry is reduced."""
     if c == 0:
         return acc
+    if p is None:
+        for i, x in d.items():
+            v = acc.get(i, 0) + c * x
+            if v == 0:
+                acc.pop(i, None)
+            else:
+                acc[i] = v
+        return acc
     for i, x in d.items():
-        v = acc.get(i, 0) + c * x
+        v = (acc.get(i, 0) + c * x) % p
         if v == 0:
             acc.pop(i, None)
         else:
@@ -206,10 +164,11 @@ def sadd_into(acc, d, c=1):
     return acc
 
 
-def sscale(d, c):
+def sscale(d, c, p=None):
+    c = residue(c, p)
     if c == 0:
         return {}
-    return {i: c * x for i, x in d.items()}
+    return residues({i: c * x for i, x in d.items()}, p)
 
 
 def svec(d):
@@ -221,7 +180,7 @@ def tindex(i, j, dim2):
     return i * dim2 + j
 
 
-def tensor_sparse(a, b, dim2):
+def tensor_sparse(a, b, dim2, p=None):
     """Kronecker product of sparse vectors: index (i, j) -> i*dim2 + j."""
     out = {}
     for i, x in a.items():
@@ -230,7 +189,7 @@ def tensor_sparse(a, b, dim2):
             v = x * y
             if v != 0:
                 out[base + j] = v
-    return out
+    return residues(out, p)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +204,7 @@ def _int_row(vec, width, p=None):
     if p is not None:
         row = [0] * width
         for i, c in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
-            row[i] = c.v if isinstance(c, Fp) else _fpval(c, p)
+            row[i] = c
         return row, 1
     if isinstance(vec, dict):
         den = 1
@@ -267,7 +226,7 @@ def _quot(a, b, p):
     """The scalar a/b of two integers, in Q or in F_p."""
     if p is None:
         return a // b if a % b == 0 else Fraction(a, b)
-    return Fp(a * pow(b, -1, p), p)
+    return a * pow(b, -1, p) % p
 
 
 class Echelon:
@@ -385,16 +344,15 @@ def kernel(rows, ncols, p=None):
         ech.insert(r)
     piv = set(ech.pivots)
     frac = ech.frac_rows()
-    one = as_scalar(1, p)
     vecs = []
     for f in range(ncols):
         if f in piv:
             continue
-        v = {f: one}
+        v = {f: 1}
         for r, c in zip(frac, ech.pivots):
             x = r.get(f)
             if x:
-                v[c] = -x
+                v[c] = -x  # reduced by from_vectors below
         vecs.append(v)
     return Subspace.from_vectors(ncols, vecs, p)
 
@@ -405,11 +363,10 @@ def inverse(rows, n, p=None):
 
     Raises NoSolution when the matrix is singular.
     """
-    one = as_scalar(1, p)
     ech = Echelon(n, p, aux=n)
     for i, r in enumerate(rows):
         aug = dict(r)
-        aug[n + i] = one
+        aug[n + i] = 1
         if ech.insert_reduced(aug)[0] < 0:
             raise NoSolution("singular matrix")
     inv = [None] * n
@@ -444,14 +401,9 @@ class Subspace:
                         tuple(svec(r) for r in ech.frac_rows()), p)
 
     @staticmethod
-    def zero(ambient_dim):
-        return Subspace(ambient_dim, (), ())
-
-    @staticmethod
     def full(ambient_dim, p=None):
-        one = as_scalar(1, p)
         return Subspace(ambient_dim, tuple(range(ambient_dim)),
-                        tuple(((i, one),) for i in range(ambient_dim)), p)
+                        tuple(((i, 1),) for i in range(ambient_dim)), p)
 
     @property
     def dim(self):
@@ -469,12 +421,11 @@ class Subspace:
         RREF makes this a direct read-off at the pivot columns.
         """
         d = vec if isinstance(vec, dict) else sparse(vec)
-        zero = scalar_zero(self.p)
-        cs = [d.get(c, zero) for c in self.pivots]
+        cs = [d.get(c, 0) for c in self.pivots]
         chk = dict(d)
         for c, r in zip(cs, self.basis):
             if c:
-                sadd_into(chk, dict(r), -c)
+                sadd_into(chk, dict(r), -c, self.p)
         if chk:
             return None
         return tuple(cs)
@@ -496,7 +447,7 @@ class Subspace:
             v = {}
             for k, c in kr:
                 if k < n1:
-                    sadd_into(v, dict(self.basis[k]), c)
+                    sadd_into(v, dict(self.basis[k]), c, self.p)
             vecs.append(v)
         return Subspace.from_vectors(self.ambient_dim, vecs, self.p)
 
@@ -527,7 +478,7 @@ class Quotient:
         d = vec if isinstance(vec, dict) else sparse(vec)
         out = {}
         for c, x in d.items():
-            sadd_into(out, self.proj_cols[c], x)
+            sadd_into(out, self.proj_cols[c], x, self.p)
         return out
 
     def section(self, coords):
@@ -544,13 +495,12 @@ def quotient(ambient_dim, relations):
     section = tuple(c for c in range(ambient_dim) if c not in piv)
     index = {c: i for i, c in enumerate(section)}
     proj = [None] * ambient_dim
-    one = as_scalar(1, p)
     for c in section:
-        proj[c] = {index[c]: one}
+        proj[c] = {index[c]: 1}
     for pc, row in zip(relations.pivots, relations.basis):
         # RREF row: e_p + sum over non-pivot columns; the class of e_p is
         # minus that tail
-        proj[pc] = {index[j]: -x for j, x in row if j != pc}
+        proj[pc] = {index[j]: residue(-x, p) for j, x in row if j != pc}
     return Quotient(ambient_dim, relations, section, tuple(proj), p)
 
 
@@ -577,10 +527,9 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
     section = tuple(sorted(kept))
     index = {c: i for i, c in enumerate(section)}
     remap = {k: index[c] for k, c in enumerate(kept)}
-    one = as_scalar(1, p)
     proj = [None] * ambient_dim
     for i, c in enumerate(section):
-        proj[c] = {i: one}
+        proj[c] = {i: 1}
     rel_rows = []
     rel_pivots = []
     for c in range(ambient_dim):
@@ -588,11 +537,11 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
             continue
         coords = {remap[k]: v for k, v in exprs[c].items()}
         proj[c] = coords
-        row = {c: one}
+        row = {c: 1}
         for i, v in coords.items():
             fcol = section[i]
             assert fcol > c, "canonical section violated"
-            row[fcol] = -v
+            row[fcol] = residue(-v, p)
         rel_pivots.append(c)
         rel_rows.append(svec(row))
     relations = Subspace(ambient_dim, tuple(rel_pivots), tuple(rel_rows), p)

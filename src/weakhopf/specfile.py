@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from weakhopf import algebra as ag
 from weakhopf import groupoid as gp
 from weakhopf import wha
-from weakhopf.linalg import format_scalar, parse_scalar
+from weakhopf.linalg import as_scalar, dense, parse_scalar
 
 KINDS = ("algebra", "weak-hopf", "groupoid", "markov-extension")
 
@@ -274,29 +274,24 @@ def build(spec):
 # serializers (round-trip partners of the parsers)
 
 def algebra_payload(alg):
-    from weakhopf.linalg import dense
     dim = alg.dim
-    structure = [[[format_scalar(x) for x in
-                   dense(dict(alg.table[i][j]), dim, alg.p)]
+    structure = [[[str(x) for x in dense(dict(alg.table[i][j]), dim)]
                   for j in range(dim)] for i in range(dim)]
     out = {"dim": dim, "structure": structure,
-           "unit": [format_scalar(x) for x in alg.unit]}
+           "unit": [str(x) for x in alg.unit]}
     if alg.labels:
         out["labels"] = list(alg.labels)
     return out
 
 
 def weakhopf_payload(H):
-    from weakhopf.linalg import dense
     n = H.dim
     return {
         "algebra": algebra_payload(H.alg),
-        "delta": [[format_scalar(x) for x in dense(dict(H.delta[h]),
-                                                   n * n, H.p)]
+        "delta": [[str(x) for x in dense(dict(H.delta[h]), n * n)]
                   for h in range(n)],
-        "eps": [format_scalar(x) for x in H.eps],
-        "s": [[format_scalar(x) for x in dense(dict(H.s[h]), n, H.p)]
-              for h in range(n)],
+        "eps": [str(x) for x in H.eps],
+        "s": [[str(x) for x in dense(dict(H.s[h]), n)] for h in range(n)],
     }
 
 
@@ -310,17 +305,16 @@ def groupoid_payload(G):
 
 
 def markov_payload(incl, E, trace):
-    from weakhopf.linalg import dense
+    """The extension's payload; the trace, as the caller gives it, is
+    written in the stored form of the extension's field."""
     return {
         "small": algebra_payload(incl.small),
         "big": algebra_payload(incl.big),
-        "embed": [[format_scalar(x) for x in
-                   dense(dict(r), incl.big.dim, incl.big.p)]
+        "embed": [[str(x) for x in dense(dict(r), incl.big.dim)]
                   for r in incl.embed],
-        "expectation": [[format_scalar(x) for x in
-                         dense(dict(r), incl.small.dim, incl.big.p)]
+        "expectation": [[str(x) for x in dense(dict(r), incl.small.dim)]
                         for r in E.rows],
-        "trace": [format_scalar(x) for x in trace],
+        "trace": [str(as_scalar(x, incl.big.p)) for x in trace],
     }
 
 

@@ -336,7 +336,7 @@ def nondegeneracy_rank_dense(E):
         row = []
         for j in range(big.dim):
             v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
-            row.extend(la.dense(v, small.dim, big.p))
+            row.extend(la.dense(v, small.dim))
         rows.append(row)
     return la.rank(rows, big.dim * small.dim, big.p)
 
@@ -364,10 +364,10 @@ def associativity_by_triples(alg):
             for k in range(dim):
                 lhs = {}
                 for l, c in prods[i][j].items():
-                    la.sadd_into(lhs, prods[l][k], c)
+                    la.sadd_into(lhs, prods[l][k], c, alg.p)
                 rhs = {}
                 for m, c in prods[j][k].items():
-                    la.sadd_into(rhs, prods[i][m], c)
+                    la.sadd_into(rhs, prods[i][m], c, alg.p)
                 if lhs != rhs:
                     return i, j, k, lhs, rhs
     return None
@@ -382,9 +382,10 @@ def associativity_witness(alg):
 
 
 def mod_p(c, p):
-    """A p-integral rational as a residue mod p."""
-    c = F(c)
-    return la.Fp(c.numerator * pow(c.denominator, -1, p), p)
+    """A p-integral rational as a residue mod p, an int in [0, p)."""
+    r = la.as_scalar(c, p)
+    assert type(r) is int and 0 <= r < p
+    return r
 
 
 def reduced(alg, p):
@@ -420,8 +421,8 @@ def perturbed_table(alg, rng):
     i, j, n = (rng.randrange(dim) for _ in range(3))
     cell = dict(table[i][j])
     shift = la.div(la.as_scalar(rng.choice((-2, -1, 1, 2)), p),
-                   la.as_scalar(rng.choice((1, 2, 3)), p))
-    cell[n] = cell.get(n, 0) + shift
+                   la.as_scalar(rng.choice((1, 2, 3)), p), p)
+    cell[n] = la.residue(cell.get(n, 0) + shift, p)
     if cell[n] == 0:
         del cell[n]
     table[i][j] = la.svec(cell)

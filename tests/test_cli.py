@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -77,6 +78,17 @@ def test_roundtrip_markov(tmp_path):
         assert trace == cert.trace
 
 
+def test_markov_payload_writes_the_trace_in_its_field():
+    # q_in_q2 over F_13, its trace given as the rational 1/2 = 7 mod 13
+    incl = ag.make_inclusion(corpus.field_algebra(13),
+                             corpus.diagonal_algebra(2, 13),
+                             [{0: 1, 1: 1}])
+    E = ag.make_cond_expectation(incl, [{0: 7}, {0: 7}])
+    spec = sf.specfile_for((incl, E, (F(1, 2),)), "half")
+    assert spec.p == 13 and spec.payload["trace"] == ["7"]
+    assert sf.build(spec)[2] == (7,)
+
+
 def test_verify_wha_all_pass(pair2_file, capsys):
     assert cli.main(["verify-wha", pair2_file]) == 0
     out = capsys.readouterr().out
@@ -150,7 +162,6 @@ def test_tower_appendix_over_prime_field(markov_file, tmp_path, capsys):
 
 def test_tower_rejects_skewed_expectation(tmp_path, capsys):
     incl, E = corpus.skewed_expectation()
-    from fractions import Fraction as F
     path = tmp_path / "skew.json"
     sf.dump(sf.specfile_for((incl, E, (F(1),)), "skewed"), path)
     rc = cli.main(["tower", str(path)])
@@ -422,7 +433,9 @@ def extension_file(tmp_path, name):
 # each extension, recorded before the depth-2 pipeline was refactored to
 # build each shared object once (the first three) and before the smash
 # product read its basis tables (q_in_m2, index 4, and the non-depth-2
-# control s3_z2): the refactors keep every byte
+# control s3_z2): the refactors keep every byte.  The same bytes come out
+# over F_13 and over the large prime 65521, where residues near p show a
+# missed reduction mod p
 DERIVE_DIGESTS = {
     "q_in_q2": (0,
         "7e95dfcff4404f0ce077814268f80a8dae29dd93742a3deeb4d61a189f466180"),
@@ -443,7 +456,9 @@ EXTENSIONS = {"q_in_q2": corpus.ext_q_q2, "q2_in_m2": corpus.ext_q2_m2,
 @pytest.mark.parametrize("name, field", [
     ("q_in_q2", None), ("q2_in_m2", None), ("trivial_m2", None),
     ("q_in_q2", "prime 13"), ("q_in_m2", None), ("q_in_m2", "prime 13"),
-    ("s3_z2", None), ("s3_z2", "prime 13")])
+    ("s3_z2", None), ("s3_z2", "prime 13"), ("q_in_q2", "prime 65521"),
+    ("q2_in_m2", "prime 65521"), ("q_in_m2", "prime 65521"),
+    ("s3_z2", "prime 65521")])
 def test_derive_reports_are_pinned(tmp_path, capsys, name, field):
     path = extension_file(tmp_path, name)
     if field is not None:
@@ -469,7 +484,8 @@ def test_appendix_depth_stays_within_the_budget(tmp_path, capsys,
 
 # sha256 of the machine report of verify-wha and groupoid runs on pair2,
 # recorded before the weak Hopf layer kept Delta(1), eps_t, eps_s and the
-# counital data on the object: the same bytes over Q and over F_13
+# counital data on the object: the same bytes over Q, over F_13 and over
+# F_65521
 WHA_DIGESTS = {
     ("verify-wha",):
         "f8b8582e7801a0fbc262a51659ccfb648cd06b51b3e3d023ff75cc4cbdc96057",
@@ -486,7 +502,7 @@ WHA_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("field", [None, "prime 13"])
+@pytest.mark.parametrize("field", [None, "prime 13", "prime 65521"])
 @pytest.mark.parametrize("run", sorted(WHA_DIGESTS), ids=" ".join)
 def test_wha_reports_are_pinned(pair2_file, bad_antipode_file, tmp_path,
                                 capsys, run, field):

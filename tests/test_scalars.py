@@ -1,14 +1,18 @@
-"""The Q scalar rule: integral values are stored as int, and only linalg
-divides scalars (``/`` on two ints would give a float)."""
+"""The scalar rules: over Q integral values are stored as int, over F_p
+every value is an int in [0, p); only linalg divides scalars (``/`` on two
+ints would give a float), and only linalg and the row-reduction kernel
+reduce by the modulus."""
 
 import ast
 import pathlib
 from fractions import Fraction
 
 import weakhopf
+from weakhopf import algebra as ag
 from weakhopf import corpus
 from weakhopf import groupoid as gp
 from weakhopf import linalg as la
+from weakhopf import specfile as sf
 from weakhopf import tower as tw
 
 SRC = pathlib.Path(weakhopf.__file__).parent
@@ -35,8 +39,51 @@ def test_only_linalg_divides():
     assert not found, found
 
 
+def reductions(tree):
+    """Line numbers of every reduction by a modulus named p: ``x % p``,
+    ``x % obj.p``, ``x %= p`` and ``pow(x, k, p)``; ``"..." % p`` formats
+    text and is not one."""
+    def is_p(node):
+        return (isinstance(node, ast.Name) and node.id == "p") or \
+            (isinstance(node, ast.Attribute) and node.attr == "p")
+
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod) and \
+                is_p(n.right) and not (isinstance(n.left, ast.Constant) and
+                                       isinstance(n.left.value, str)):
+            found.add(n.lineno)
+        elif isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mod) \
+                and is_p(n.value):
+            found.add(n.lineno)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and \
+                n.func.id == "pow" and len(n.args) == 3 and is_p(n.args[2]):
+            found.add(n.lineno)
+    return sorted(found)
+
+
+def test_scan_flags_reduction_by_the_modulus():
+    tree = ast.parse("a = b % p\nc = d % self.p\ne %= p\n"
+                     "f = pow(g, -1, p)\nh = pow(i, 2)\nj = k % q\n"
+                     "m = 'F_%d' % p\nn = pow(o, 2, H.p)\nr = s // p\n")
+    assert reductions(tree) == [1, 2, 3, 4, 8]
+
+
+def test_only_linalg_reduces_by_the_modulus():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = reductions(ast.parse(path.read_text()))
+        if lines and path.name not in ("linalg.py", "_backend.py"):
+            found[path.name] = lines
+    assert not found, found
+
+
 def stored_form(x):
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def residue_form(p):
+    return lambda x: type(x) is int and 0 <= x < p
 
 
 def row_scalars(rows):
@@ -53,14 +100,27 @@ def weakhopf_scalars(H):
             row_scalars(H.s))
 
 
-def test_stored_rationals_are_ints_or_proper_fractions():
+def over(cert, p):
+    """A certified Markov extension read over F_p (None: as it is)."""
+    if p is None:
+        return cert
+    spec = sf.specfile_for((cert.incl, cert.E, cert.trace), "ext")
+    incl, E, trace = sf.build(sf.SpecFile(spec.kind, spec.name, p,
+                                          spec.payload))
+    return ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
+
+
+def stored_scalars(p):
+    """{object: its stored scalars} for kG and (kG)* of pair(3), M1 of
+    q2_in_m2 and the derived A and B of q_in_q2, built over Q or F_p."""
     G = gp.pair(3)
-    kG = gp.groupoid_algebra(G)
+    kG = gp.groupoid_algebra(G, p)
     dual = gp.groupoid_dual(G, kG)
-    level = tw.build_tower(corpus.ext_q2_m2(), 1).levels[0]
+    level = tw.build_tower(over(corpus.ext_q2_m2(), p), 1).levels[0]
     E = level.cert.E
-    _, _, res, _ = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))
-    scalars = {
+    _, _, res, _ = tw.derive(tw.build_tower(over(corpus.ext_q_q2(), p), 2))
+    assert E.incl.big.p == res["derived"].B.p == dual.p == p
+    return {
         "kG": weakhopf_scalars(kG),
         "(kG)*": weakhopf_scalars(dual),
         "M1 of q2_in_m2": (algebra_scalars(E.incl.big) +
@@ -68,10 +128,16 @@ def test_stored_rationals_are_ints_or_proper_fractions():
         "derived A": weakhopf_scalars(res["derived"].A),
         "derived B": weakhopf_scalars(res["derived"].B),
     }
-    bad = {name: [x for x in xs if not stored_form(x)][:3]
-           for name, xs in scalars.items()}
-    assert not any(bad.values()), bad
-    assert all(scalars.values())
+
+
+def test_stored_rationals_are_ints_or_proper_fractions():
+    # over F_13 every stored scalar is a residue, an int in [0, 13)
+    for p, ok in ((None, stored_form), (13, residue_form(13))):
+        scalars = stored_scalars(p)
+        bad = {name: [x for x in xs if not ok(x)][:3]
+               for name, xs in scalars.items()}
+        assert not any(bad.values()), (p, bad)
+        assert all(scalars.values())
 
 
 def test_scalar_one_divides_exactly():

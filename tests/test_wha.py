@@ -159,3 +159,5 @@ def test_verify_axioms_over_prime_field():
     H = gp.groupoid_algebra(gp.pair(2), p=3)
     assert wha.verify_axioms(H).ok
     assert wha.counital(H).checks.ok
+    # eps(2 g00 + 2 g11) = 4, returned as the residue 1 of F_3
+    assert H.e({0: 2, 3: 2}) == 1
