@@ -10,6 +10,16 @@ On top of that sit inclusions, conditional expectations, dual-bases
 solvers, Kanzaki separability and the certification of symmetric Markov
 extensions.
 
+Each conditional expectation keeps one read-only table,
+``E.products[i][j] = E(e_i e_j)`` in small coordinates, built once on first
+use.  The laws that take E of a product with a basis element read it
+(N-linearity, dual bases, symmetry, non-degeneracy, the trace T0 = T o E,
+the relative tensor square and the basic construction's E-multiplication).
+E is linear, so E(e_m x) = sum_k x_k E(e_m e_k) is the value that the
+product-then-E computation gives, and each law is still decided on every
+basis tuple, in the same order and with the same witness.  The table is
+shared by every reader: callers copy an entry, never mutate it.
+
 Linear maps between based spaces are stored as tuples of sparse rows:
 ``rows[i]`` is the image of the i-th basis vector as a sorted
 ``((index, coeff), ...)`` tuple.  Apply them with `apply_map`.
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from weakhopf import linalg as la
@@ -329,11 +340,24 @@ def _first_failure(alg, i):
 
 
 def centralizer(big, sub):
-    """{x in big : xs = sx for every s in the subspace}, as echelon rows."""
+    """{x in big : xs = sx for every s in the subspace}, as echelon rows.
+
+    Each [e_j, s] = sum_k s_k (e_j e_k - e_k e_j) is read from the
+    structure table.
+    """
+    table, p = big.table, big.p
     rows = []
     for s in sub.basis:
-        sd = dict(s)
-        cols = [big.commutator(big.basis_vec(j), sd) for j in range(big.dim)]
+        cols = []
+        for j in range(big.dim):
+            col = defaultdict(int)
+            for k, c in s:
+                for n, v in table[j][k]:
+                    col[n] += c * v
+                for n, v in table[k][j]:
+                    col[n] -= c * v
+            cols.append({n: r for n, v in col.items()
+                         if (r := la.residue(v, p))})
         for k in range(big.dim):
             row = {j: cols[j][k] for j in range(big.dim) if k in cols[j]}
             if row:
@@ -409,6 +433,30 @@ class CondExpectation:
     def E_small(self, x):
         return apply_map(self.rows, x, self.incl.big.p)
 
+    @cached_property
+    def products(self):
+        """products[i][j] = E(e_i e_j), a sparse dict in small coordinates
+        per basis pair of big; read-only (see the module docstring)."""
+        p = self.incl.big.p
+        return tuple(tuple(apply_map(self.rows, dict(cell), p) for cell in row)
+                     for row in self.incl.big.table)
+
+    def _E_mx(self, m, x):
+        """E(e_m x) = sum_k x_k E(e_m e_k), read from `products`."""
+        row, p = self.products[m], self.incl.big.p
+        out = {}
+        for k, c in x.items():
+            sadd_into(out, row[k], c, p)
+        return out
+
+    def _E_xm(self, x, m):
+        """E(x e_m) = sum_k x_k E(e_k e_m), read from `products`."""
+        table, p = self.products, self.incl.big.p
+        out = {}
+        for k, c in x.items():
+            sadd_into(out, table[k][m], c, p)
+        return out
+
 
 @dataclass(frozen=True)
 class DualBases:
@@ -442,6 +490,8 @@ def make_cond_expectation(incl, rows):
     triples.  The two forms agree: by associativity the pair laws give
     E(a x b) = a E(x b) = a E(x) b, and b = 1 or a = 1 in the triple law
     gives the pair laws back (make_inclusion checks that 1_N embeds as 1_M).
+    Both sides E(a e_x) and E(e_x a) are read from `E.products`, which is
+    built here, once per E, and kept for every later law on E.
     """
     rows = map_rows(rows, incl.big.p)
     E = CondExpectation(incl, rows)
@@ -451,13 +501,12 @@ def make_cond_expectation(incl, rows):
         if E.E_small(emb[a]) != small.basis_vec(a):
             raise ValueError("E o embed != id at basis %d" % a)
     for x in range(big.dim):
-        ex = big.basis_vec(x)
-        Ex = E.E_small(ex)
+        Ex = E.E_small(big.basis_vec(x))
         for a in range(small.dim):
             ea = small.basis_vec(a)
-            if E.E_small(big.mul(emb[a], ex)) != small.mul(ea, Ex):
+            if E._E_xm(emb[a], x) != small.mul(ea, Ex):
                 raise ValueError("E not left N-linear at (%d, %d)" % (a, x))
-            if E.E_small(big.mul(ex, emb[a])) != small.mul(Ex, ea):
+            if E._E_mx(x, emb[a]) != small.mul(Ex, ea):
                 raise ValueError("E not right N-linear at (%d, %d)" % (x, a))
     return E
 
@@ -481,10 +530,11 @@ def find_dual_bases(E, within=None):
     unknown), falling back to the plain system.  Raises NoDualBases when
     even that is infeasible.
 
-    Per basis element e_m, E(e_m c_a) and E(c_b e_m) are computed once per
-    candidate and then multiplied with every partner candidate, and each
-    product c_a c_b once for both symmetric-product rows, so every
-    equation of the system is still written out.
+    Per basis element e_m, E(e_m c_a) and E(c_b e_m) are read from
+    `E.products` once per candidate and then multiplied with every partner
+    candidate, and each product c_a c_b is taken once for both
+    symmetric-product rows, so every equation of the system is still
+    written out.
     """
     big = E.incl.big
     p = big.p
@@ -497,8 +547,8 @@ def find_dual_bases(E, within=None):
     for m in range(big.dim):
         em = big.basis_vec(m)
         # E(e_m c_a) and E(c_b e_m), each once per candidate
-        e_mc = [E.E(big.mul(em, c)) for c in cands]
-        e_cm = [E.E(big.mul(c, em)) for c in cands]
+        e_mc = [E.incl.emb(E._E_mx(m, c)) for c in cands]
+        e_cm = [E.incl.emb(E._E_xm(c, m)) for c in cands]
         rows1 = [{} for _ in range(big.dim)]
         rows2 = [{} for _ in range(big.dim)]
         for a in range(n):
@@ -570,8 +620,8 @@ def verify_dual_bases(E, db):
         em = big.basis_vec(m)
         acc1, acc2 = {}, {}
         for x, y in zip(xs, ys):
-            sadd_into(acc1, big.mul(E.E(big.mul(em, x)), y), 1, big.p)
-            sadd_into(acc2, big.mul(x, E.E(big.mul(y, em))), 1, big.p)
+            sadd_into(acc1, big.mul(E.incl.emb(E._E_mx(m, x)), y), 1, big.p)
+            sadd_into(acc2, big.mul(x, E.incl.emb(E._E_xm(y, m))), 1, big.p)
         if acc1 != em or acc2 != em:
             raise NoDualBases("dual bases fail re-verification at basis %d" % m)
     return True
@@ -583,9 +633,8 @@ def is_symmetric(E, U):
     for ui, u in enumerate(U.basis):
         ud = dict(u)
         for j in range(big.dim):
-            ej = big.basis_vec(j)
-            lhs = E.E_small(big.mul(ud, ej))
-            rhs = E.E_small(big.mul(ej, ud))
+            lhs = E._E_xm(ud, j)
+            rhs = E._E_mx(j, ud)
             if lhs != rhs:
                 return False, (ui, j, lhs, rhs)
     return True, None
@@ -724,10 +773,9 @@ def nondegeneracy_rank(E):
     """
     small, big = E.incl.small, E.incl.big
     rows = []
-    for x in range(big.dim):
+    for products_x in E.products:
         row = {}
-        for j in range(big.dim):
-            v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
+        for j, v in enumerate(products_x):
             row.update((j * small.dim + k, c) for k, c in v.items())
         rows.append(row)
     return la.rank(rows, big.dim * small.dim, big.p)
@@ -737,7 +785,10 @@ def certify_markov(incl, E, db, trace):
     """Verify every defining identity of a symmetric Markov extension.
 
     Flags are set only when the corresponding identity holds on a full
-    basis; the CheckList records each with a witness on failure.
+    basis; the CheckList records each with a witness on failure.  The laws
+    on E of a basis product read `E.products`: the dual bases, the trace
+    property T0(e_i e_j) = T(E(e_i e_j)) (each value once, compared with
+    its transpose), non-degeneracy and symmetry on C_M(N).
     """
     small, big = incl.small, incl.big
     trace = tuple(la.as_scalar(c, big.p) for c in trace)
@@ -768,14 +819,13 @@ def certify_markov(incl, E, db, trace):
 
     t0 = tuple(trace_of(trace, E.E_small(big.basis_vec(j)), big.p)
                for j in range(big.dim))
+    # T0(e_i e_j) = T(E(e_i e_j)), each once, compared with its transpose
+    t0_pairs = [[trace_of(trace, v, big.p) for v in row]
+                for row in E.products]
     with cl.holds("T0_trace", "T0(ab) = T0(ba), T0 = T o E") as law:
         for i in law.over(range(big.dim)):
             for j in law.over(range(big.dim)):
-                ab = trace_of(t0, big.mul(big.basis_vec(i), big.basis_vec(j)),
-                              big.p)
-                ba = trace_of(t0, big.mul(big.basis_vec(j), big.basis_vec(i)),
-                              big.p)
-                law.check((i, j), ab, ba)
+                law.check((i, j), t0_pairs[i][j], t0_pairs[j][i])
 
     cl.add("E_nondegenerate", "E(xM) = 0 => x = 0",
            nondegeneracy_rank(E) == big.dim)
@@ -817,18 +867,22 @@ def relative_tensor_square(cert):
     """M (x)_N M as a canonical Quotient of M (x) M.
 
     Uses the projection a (x) b -> a E(b x_i) (x) y_i, whose kernel is
-    exactly the N-balancing relations."""
+    exactly the N-balancing relations; E(e_b x_i) is read from
+    `E.products` once per (b, i) and shared by every a."""
     big = cert.incl.big
     n = big.dim
+    E = cert.E
     xs = [dict(x) for x in cert.dual_bases.xs]
     ys = [dict(y) for y in cert.dual_bases.ys]
+    # E(e_b x_i), embedded in big, once per (b, i)
+    e_bx = [[E.incl.emb(E._E_mx(b, x)) for x in xs] for b in range(n)]
 
     def pi_col(c):
         a, b = divmod(c, n)
         out = {}
-        eb = big.basis_vec(b)
-        for x, y in zip(xs, ys):
-            left = big.mul(big.basis_vec(a), cert.E.E(big.mul(eb, x)))
+        ea = big.basis_vec(a)
+        for ebx, y in zip(e_bx[b], ys):
+            left = big.mul(ea, ebx)
             sadd_into(out, la.tensor_sparse(left, y, n, big.p), 1, big.p)
         return out
 

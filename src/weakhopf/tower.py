@@ -92,14 +92,14 @@ def basic_construction(cert):
     # section representatives are single coordinate pairs (a, b)
     reps = [divmod(c, m) for c in q.section_cols]
 
+    # (a (x) b)(c (x) d) = a E(b c) (x) d, with E(e_b e_c) embedded in M
+    mids = [[E.incl.emb(v) for v in row] for row in E.products]
     table = []
     for (a, b) in reps:
         row = []
-        eb = M.basis_vec(b)
         ea = M.basis_vec(a)
         for (c, d) in reps:
-            mid = E.E(M.mul(eb, M.basis_vec(c)))
-            row.append(cls(M.mul(ea, mid), M.basis_vec(d)))
+            row.append(cls(M.mul(ea, mids[b][c]), M.basis_vec(d)))
         table.append(row)
     unit = {}
     for x, y in zip(xs, ys):

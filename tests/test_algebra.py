@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weakhopf import algebra as ag
 from weakhopf import corpus
 from weakhopf import linalg as la
+from weakhopf import specfile as sf
 from weakhopf import tower as tw
 
 
@@ -353,6 +354,37 @@ def test_nondegeneracy_rank_matches_dense_rank():
                              corpus.diagonal_algebra(2), [{0: F(1), 1: F(1)}])
     E = ag.CondExpectation(incl, ag.map_rows([{0: F(1)}, {}]))
     assert ag.nondegeneracy_rank(E) == nondegeneracy_rank_dense(E) == 1
+
+
+def over_field(cert, p):
+    """The certified extension of `cert` rebuilt from its spec over F_p."""
+    spec = sf.specfile_for((cert.incl, cert.E, cert.trace), "ext")
+    incl, E, trace = sf.build(sf.SpecFile(spec.kind, spec.name, p,
+                                          spec.payload))
+    return ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
+
+
+@pytest.mark.parametrize("p", [None, 13, 65521])
+def test_expectation_products_match_direct_products(p):
+    # the base extension and every tower level up to depth 3 of each
+    # corpus extension; over F_65521 the halves are residues near p, so
+    # a missed reduction mod p would show.  M3 of q_in_m2 and of s3_z2
+    # (dimension 256 and 162) takes seconds to build, so over F_p those
+    # two stop at depth 2
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2(),
+                 trivial_m2=corpus.ext_trivial_m2())
+    for name, cert in certs.items():
+        depth = 3
+        if p is not None:
+            cert = over_field(cert, p)
+            depth = 2 if name in ("q_in_m2", "s3_z2") else 3
+        levels = tw.build_tower(cert, depth).levels
+        for k, E in enumerate([cert.E] + [lvl.cert.E for lvl in levels]):
+            big = E.incl.big
+            assert big.p == p
+            want = [[E.E_small(big.mul(big.basis_vec(i), big.basis_vec(j)))
+                     for j in range(big.dim)] for i in range(big.dim)]
+            assert [list(row) for row in E.products] == want, (name, k)
 
 
 def associativity_by_triples(alg):

@@ -167,7 +167,9 @@ def test_tower_rejects_skewed_expectation(tmp_path, capsys):
     rc = cli.main(["tower", str(path)])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "FAIL symmetric" in out
+    # u = e01 in C_M(N) = M2 and x = e10: E(e01 e10) = 1/3, E(e10 e01) = 2/3
+    assert "FAIL symmetric  [E(ux) = E(xu) for u in C_M(N)]  witness: (1, 2)" \
+        in out
 
 
 def test_groupoid_command(pair2_file):
@@ -482,6 +484,35 @@ def test_appendix_depth_stays_within_the_budget(tmp_path, capsys,
     assert [args[0].incl.big.dim for args in built] == [6, 18, 54]
 
 
+# sha256 of the `tower --format machine` report of plain tower runs, each
+# exiting 0, recorded before the conditional expectations kept their
+# E(e_i e_j) table: the same bytes over Q and over F_65521
+TOWER_DIGESTS = {
+    ("q_in_q2", "--depth", "5", "--appendix-fn", "2"):
+        "236c14773581fbc7caf9619b999cab99ce8722f83d1263706a3263845d4656d1",
+    ("q2_in_m2", "--depth", "4"):
+        "7bbc32775c9acde129d298e21930d302178556c570fe567a675449c649b8b5b2",
+    ("q_in_m2", "--depth", "2"):
+        "e5968c17d7c7e2b07490fab5a692be10454367003c08a35168bb874fe65ef808",
+    ("s3_z2", "--depth", "2"):
+        "18811e69cb8ea5780cb30dfc85f22d0b314bafc688b9fb55323e7488457b3548",
+    ("trivial_m2", "--depth", "3"):
+        "22064d9a4d6b78ff9911da4f3c5938dc980fd25d78b628298afe16534eb29edc",
+}
+
+
+@pytest.mark.parametrize("field", [None, "prime 65521"])
+@pytest.mark.parametrize("run", sorted(TOWER_DIGESTS), ids=" ".join)
+def test_tower_reports_are_pinned(tmp_path, capsys, run, field):
+    path = extension_file(tmp_path, run[0])
+    if field is not None:
+        path = with_field(path, tmp_path, field)
+    assert cli.main(["--format", "machine", "tower", path] + list(run[1:])) \
+        == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TOWER_DIGESTS[run]
+
+
 # sha256 of the machine report of verify-wha and groupoid runs on pair2,
 # recorded before the weak Hopf layer kept Delta(1), eps_t, eps_s and the
 # counital data on the object: the same bytes over Q, over F_13 and over
@@ -516,10 +547,10 @@ def test_wha_reports_are_pinned(pair2_file, bad_antipode_file, tmp_path,
     assert hashlib.sha256(out.encode()).hexdigest() == WHA_DIGESTS[run]
 
 
-def computed(monkeypatch, name):
-    """Record the object of every computation of WeakHopf.<name>."""
+def computed(monkeypatch, name, owner=wha.WeakHopf):
+    """Record the object of every computation of owner.<name>."""
     objects = []
-    prop = wha.WeakHopf.__dict__[name]
+    prop = owner.__dict__[name]
     fn = prop.func
 
     def wrapper(H):
@@ -555,6 +586,38 @@ def test_derivation_computes_weak_hopf_structure_once(markov_file,
         assert len({id(H) for H in objects}) == len(objects), name
     dw, = derived
     assert [id(args[0]) for args in counitals] == [id(dw.B), id(dw.A)]
+
+
+def test_tower_builds_each_expectation_table_once(markov_file, monkeypatch):
+    tables = computed(monkeypatch, "products", ag.CondExpectation)
+    made = []
+    make = ag.make_cond_expectation
+    monkeypatch.setattr(ag, "make_cond_expectation",
+                        lambda *args: made.append(make(*args)) or made[-1])
+    assert cli.main(["tower", markov_file, "--depth", "3"]) == 0
+    # the base E and E_down of each of the three levels, one table each
+    assert len(made) == 4
+    assert [id(E) for E in tables] == [id(E) for E in made]
+
+
+@pytest.mark.parametrize("field", [None, "prime 65521"])
+@pytest.mark.parametrize("a", [F(1, 3), F(3, 4), F(2)])
+def test_skewed_markov_failures_keep_their_first_witness(tmp_path, capsys,
+                                                         a, field):
+    # Q in M2 with E(e00) = a, E(e11) = 1 - a, a != 1/2: T0 = T o E is not a
+    # trace, first at (e01, e10), and C_M(N) = M2 is not E-symmetric there
+    incl = corpus.ext_q_m2().incl
+    E = ag.make_cond_expectation(incl, [{0: a}, {}, {}, {0: 1 - a}])
+    path = tmp_path / "skew.json"
+    sf.dump(sf.specfile_for((incl, E, (1,)), "skew"), path)
+    if field is not None:
+        path = with_field(path, tmp_path, field)
+    assert cli.main(["--format", "machine", "tower", str(path)]) == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    witnesses = {r["name"]: r["witness"] for r in records
+                 if r.get("passed") is False}
+    assert witnesses["T0_trace"] == witnesses["symmetric"] == "(1, 2)"
 
 
 @pytest.mark.parametrize("failing_call, stage", [
