@@ -15,7 +15,7 @@ from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, svec
+from weakhopf.linalg import sadd_into
 
 
 class WellDefinednessFailure(ValueError):
@@ -34,7 +34,7 @@ class ModuleAlgebra:
             rows = self.act[hi]
             for ai, ac in a.items():
                 c = hc * ac
-                for k, v in rows[ai]:
+                for k, v in rows[ai].items():
                     w = out.get(k, 0) + c * v
                     if w == 0:
                         out.pop(k, None)
@@ -71,7 +71,7 @@ def verify_module_algebra(M):
     p = A.p
     cl = CheckList("module-algebra")
     dH, dA = H.dim, A.dim
-    acts = [[dict(r) for r in rows] for rows in M.act]
+    acts = M.act
 
     one_h = H.alg.unit_sparse()
     with cl.holds("module_unit", "1 . a = a") as law:
@@ -91,7 +91,7 @@ def verify_module_algebra(M):
 
     with cl.holds("measuring", "h . (ab) = (h1 . a)(h2 . b)") as law:
         for h in law.over(range(dH)):
-            legs = [divmod(uv, dH) + (c,) for uv, c in H.delta[h]]
+            legs = [divmod(uv, dH) + (c,) for uv, c in H.delta[h].items()]
             for a in law.over(range(dA)):
                 for b in law.over(range(dA)):
                     lhs = ag.apply_map(M.act[h], dict(A.table[a][b]), p)
@@ -124,7 +124,7 @@ def invariants(M):
         raise AssertionError("invariants do not contain the unit")
     for r1 in sub.basis:
         for r2 in sub.basis:
-            if not sub.contains(A.mul(dict(r1), dict(r2))):
+            if not sub.contains(A.mul(r1, r2)):
                 raise AssertionError("invariants not closed under product")
     return sub
 
@@ -154,7 +154,7 @@ def standard_action(H):
         rows = []
         for h in range(d):
             out = {}
-            for uv, c in H.delta[h]:
+            for uv, c in H.delta[h].items():
                 u, v = divmod(uv, d)
                 if v == k:
                     w = out.get(u, 0) + c
@@ -207,7 +207,7 @@ def action_comodule_bridge(M):
             img = M.apply(H.alg.basis_vec(h), A.basis_vec(a))
             for k, v in img.items():
                 out[k * dH + h] = v
-        rho.append(svec(out))
+        rho.append(out)
     rho = tuple(rho)
     C = ComoduleAlgebra(Hd, A, rho)
 
@@ -229,10 +229,9 @@ def action_comodule_bridge(M):
 
     with cl.holds("bridge_roundtrip", "a0 <a1, h> recovers h . a") as law:
         for a in law.over(range(dA)):
-            ra = dict(rho[a])
             for h in law.over(range(dH)):
                 got = {}
-                for jk, c in ra.items():
+                for jk, c in rho[a].items():
                     j, k = divmod(jk, dH)
                     if k == h:
                         got[j] = got.get(j, 0) + c
@@ -244,7 +243,7 @@ def action_comodule_bridge(M):
     rows = []
     for a in range(dA):
         diff = dict(rho[a])
-        et = ag.apply_tensor(None, est, dict(rho[a]), dH, dH, A.p)
+        et = ag.apply_tensor(None, est, rho[a], dH, dH, A.p)
         sadd_into(diff, et, -1, A.p)
         rows.append((a, diff))
     coinv = wha.kernel_of_column_maps(rows, dA, A.p)
@@ -289,8 +288,7 @@ def smash(M):
 
     one_a = A.unit_sparse()
     zt_acts = []
-    for r in H.counital.Ht.basis:
-        z = dict(r)
+    for z in H.counital.Ht.basis:
         z_dot_one = M.apply(z, one_a)
         zt_acts.append((z, z_dot_one))
 
@@ -318,16 +316,19 @@ def smash(M):
     q = la.quotient(amb, relations)
 
     # (a # h)(b # g) = sum c_uv e_a (e_u . e_b) # e_v e_g over the legs
-    # (u, v, c_uv) of Delta(e_h); A.table[a] is the map w -> e_a w
-    legs = [[divmod(uv, dH) + (c,) for uv, c in row] for row in H.delta]
-    acts = [[dict(r) for r in rows] for rows in M.act]
+    # (u, v, c_uv) of Delta(e_h); lmul[a], the table row of e_a as sparse
+    # rows, is the map w -> e_a w
+    legs = [[divmod(uv, dH) + (c,) for uv, c in row.items()]
+            for row in H.delta]
+    acts = M.act
+    lmul = [[dict(cell) for cell in row] for row in A.table]
     htab = H.alg.table
 
     def mul_amb(x, y):
         out = {}
         for ah, c in x.items():
             a, h = divmod(ah, dH)
-            ta = A.table[a]
+            ta = lmul[a]
             for bg, e in y.items():
                 b, g = divmod(bg, dH)
                 ce = c * e
@@ -349,12 +350,11 @@ def smash(M):
 
     # well-definedness against the relation witnesses
     for r in relations.basis:
-        rd = dict(r)
         for c in q.section_cols:
-            if q.project(mul_amb(rd, {c: 1})):
+            if q.project(mul_amb(r, {c: 1})):
                 raise WellDefinednessFailure(
                     "left product of a relation witness is nonzero")
-            if q.project(mul_amb({c: 1}, rd)):
+            if q.project(mul_amb({c: 1}, r)):
                 raise WellDefinednessFailure(
                     "right product of a relation witness is nonzero")
     cl.add("well_defined", "(a#h)(b#g) respects the Ht-balancing", True)
@@ -372,10 +372,10 @@ def smash(M):
     alg = ag.make_algebra(table, la.dense(unit, n), p=p)
     cl.add("associative_unital", "A#H is associative with unit 1#1", True)
 
-    inc_a = tuple(svec(q.project(la.tensor_sparse(
-        A.basis_vec(a), H.alg.unit_sparse(), dH, p))) for a in range(dA))
-    inc_h = tuple(svec(q.project(la.tensor_sparse(
-        one_a, H.alg.basis_vec(h), dH, p))) for h in range(dH))
+    inc_a = tuple(q.project(la.tensor_sparse(
+        A.basis_vec(a), H.alg.unit_sparse(), dH, p)) for a in range(dA))
+    inc_h = tuple(q.project(la.tensor_sparse(
+        one_a, H.alg.basis_vec(h), dH, p)) for h in range(dH))
     return Smash(M, q, alg, inc_a, inc_h, cl)
 
 
@@ -392,7 +392,7 @@ def smash_dual_action(M, sm):
             out = {}
             for ah, c in amb.items():
                 a, h = divmod(ah, dH)
-                for uv, cdl in H.delta[h]:
+                for uv, cdl in H.delta[h].items():
                     u, v = divmod(uv, dH)
                     if v == k:
                         out[a * dH + u] = out.get(a * dH + u, 0) + c * cdl
@@ -422,14 +422,13 @@ def duality_dimension_check(M):
              for a in range(M.A.dim)]
     eqs = []
     for ra in rmuls:
-        ra_d = [dict(r) for r in ra]
         for i in range(n):
             for j in range(n):
                 row = {}
-                for k, c in ra_d[i].items():
+                for k, c in ra[i].items():
                     row[k * n + j] = row.get(k * n + j, 0) + c
                 for v in range(n):
-                    c = ra_d[v].get(j)
+                    c = ra[v].get(j)
                     if c:
                         key = i * n + v
                         w = row.get(key, 0) - c

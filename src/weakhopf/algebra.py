@@ -21,8 +21,11 @@ basis tuple, in the same order and with the same witness.  The table is
 shared by every reader: callers copy an entry, never mutate it.
 
 Linear maps between based spaces are stored as tuples of sparse rows:
-``rows[i]`` is the image of the i-th basis vector as a sorted
-``((index, coeff), ...)`` tuple.  Apply them with `apply_map`.
+``rows[i]`` is the image of the i-th basis vector as a zero-free dict
+{index: coeff}, the one sparse form of `linalg`.  Apply them with
+`apply_map`.  The structure table is the exception: ``table[i][j]`` is the
+sorted ``((index, coeff), ...)`` tuple of e_i e_j, which the product
+kernels walk faster than a dict, and the unit is a dense tuple.
 
 Frobenius coordinate systems are never unique: two systems for the same
 inclusion differ by an invertible element d of the centralizer (the second
@@ -65,11 +68,6 @@ class NoDualBases(Exception):
     """The dual-bases system is infeasible: not Frobenius, or not depth 2
     when the solution was constrained to a centralizer."""
 
-    def __init__(self, reason, within_dim=None):
-        self.reason = reason
-        self.within_dim = within_dim
-        super().__init__(reason)
-
 
 class NotKanzaki(Exception):
     """No symmetric separability element exists."""
@@ -81,8 +79,7 @@ def apply_map(rows, x, p=None):
     """Apply a sparse-rows linear map to a sparse vector."""
     out = {}
     for i, c in x.items():
-        row = rows[i]
-        for j, v in row:
+        for j, v in rows[i].items():
             w = out.get(j, 0) + c * v
             if w == 0:
                 out.pop(j, None)
@@ -100,10 +97,10 @@ def apply_tensor(f, g, x, n, m, p=None):
     out = {}
     for ij, c in x.items():
         i, j = divmod(ij, n)
-        for k, a in (f[i] if f is not None else ((i, 1),)):
+        for k, a in (f[i] if f is not None else {i: 1}).items():
             base = k * m
             ca = c * a
-            for l, b in (g[j] if g is not None else ((j, 1),)):
+            for l, b in (g[j] if g is not None else {j: 1}).items():
                 key = base + l
                 w = out.get(key, 0) + ca * b
                 if w == 0:
@@ -137,30 +134,22 @@ def tensor_mul(A, B, x, y):
 
 
 def map_rows(images, p=None):
-    """Normalize a list of images (sparse rows, dicts or dense) to svec rows
-    of scalars in the `la.as_scalar` form."""
-    out = []
-    for im in images:
-        if isinstance(im, dict):
-            out.append(_srow(im.items(), p))
-        elif isinstance(im, tuple) and all(
-                isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int)
-                for e in im):
-            out.append(_srow(im, p))
-        else:
-            out.append(_srow(enumerate(im), p))
-    return tuple(out)
+    """Stored rows of a linear map from its images, given as sparse dicts:
+    scalars in the `la.as_scalar` form, zeros dropped, keys in sorted
+    order."""
+    return tuple(dict(_srow(im.items(), p)) for im in images)
 
 
 def _srow(pairs, p):
-    """svec of (index, scalar) pairs, each through as_scalar, zeros dropped."""
+    """svec of (index, scalar) pairs, each through as_scalar, zeros dropped:
+    a structure-table cell, or the items of a stored row."""
     row = ((i, la.as_scalar(c, p)) for i, c in pairs)
-    return tuple(sorted((i, c) for i, c in row if c != 0))
+    return svec({i: c for i, c in row if c != 0})
 
 
 def compose_maps(first, second, p=None):
     """rows of (second o first)."""
-    return tuple(svec(apply_map(second, dict(r), p)) for r in first)
+    return tuple(apply_map(second, r, p) for r in first)
 
 
 def section_of_inclusion(incl):
@@ -170,22 +159,19 @@ def section_of_inclusion(incl):
     # one equation per big coordinate k: sum_i c_i emb(e_i)_k = r_k
     cols = [{} for _ in range(big.dim)]
     for i, r in enumerate(incl.embed):
-        for k, x in r:
+        for k, x in r.items():
             cols[k][i] = x
-    basis_in_small = []
-    for r in img.basis:
-        rd = dict(r)
-        basis_in_small.append(la.solve(
-            [(cols[k], rd.get(k, 0)) for k in range(big.dim)],
-            incl.small.dim, big.p))
+    basis_in_small = [la.solve([(cols[k], r.get(k, 0))
+                                for k in range(big.dim)],
+                               incl.small.dim, big.p) for r in img.basis]
 
     def unembed(x):
         co = img.coords(x)
         if co is None:
             raise NotClosed("element outside the embedded image")
         out = {}
-        for c, b in zip(co, basis_in_small):
-            sadd_into(out, b, c, big.p)
+        for k, c in co.items():
+            sadd_into(out, basis_in_small[k], c, big.p)
         return out
 
     return unembed
@@ -252,10 +238,10 @@ class Algebra:
 
     def lmul_rows(self, x):
         """Sparse rows of left multiplication by x."""
-        return tuple(svec(self.mul(x, self.basis_vec(j))) for j in range(self.dim))
+        return tuple(self.mul(x, self.basis_vec(j)) for j in range(self.dim))
 
     def rmul_rows(self, x):
-        return tuple(svec(self.mul(self.basis_vec(j), x)) for j in range(self.dim))
+        return tuple(self.mul(self.basis_vec(j), x) for j in range(self.dim))
 
 
 def make_algebra(structure, unit, labels=None, p=None):
@@ -351,7 +337,7 @@ def centralizer(big, sub):
         cols = []
         for j in range(big.dim):
             col = defaultdict(int)
-            for k, c in s:
+            for k, c in s.items():
                 for n, v in table[j][k]:
                     col[n] += c * v
                 for n, v in table[k][j]:
@@ -372,13 +358,13 @@ def subalgebra(big, sub, name="subalgebra"):
     the ambient, express goes back (raising NotClosed off the subspace).
     """
     n = sub.dim
-    rows = [dict(r) for r in sub.basis]
+    rows = sub.basis
 
     def express(x):
         co = sub.coords(x)
         if co is None:
             raise NotClosed("%s: element leaves the subspace" % name)
-        return {i: c for i, c in enumerate(co) if c}
+        return co
 
     table = []
     for i in range(n):
@@ -403,7 +389,7 @@ def right_inverse(alg, x):
     # coordinate k of x y = sum_j y_j (x e_j)_k
     eqs = [({}, u) for u in alg.unit]
     for j, r in enumerate(alg.lmul_rows(x)):
-        for k, c in r:
+        for k, c in r.items():
             eqs[k][0][j] = c
     return la.solve(eqs, alg.dim, alg.p)
 
@@ -512,8 +498,7 @@ def make_cond_expectation(incl, rows):
 
 
 def embedded_image(incl):
-    return Subspace.from_vectors(
-        incl.big.dim, [dict(r) for r in incl.embed], incl.big.p)
+    return Subspace.from_vectors(incl.big.dim, incl.embed, incl.big.p)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +526,7 @@ def find_dual_bases(E, within=None):
     if within is None:
         cands = [big.basis_vec(i) for i in range(big.dim)]
     else:
-        cands = [dict(r) for r in within.basis]
+        cands = within.basis
     n = len(cands)
     eqs = []
     for m in range(big.dim):
@@ -593,17 +578,16 @@ def find_dual_bases(E, within=None):
         try:
             t = la.solve(eqs, n * n, p)
         except la.NoSolution:
-            raise NoDualBases("dual-bases system infeasible",
-                              within_dim=None if within is None else within.dim)
+            raise NoDualBases("dual-bases system infeasible")
     xs, ys = [], []
     for a in range(n):
         y = {}
         for b in range(n):
             sadd_into(y, cands[b], t.get(a * n + b, 0), p)
         if y:
-            xs.append(dict(cands[a]))
+            xs.append(cands[a])
             ys.append(y)
-    db = DualBases(tuple(map(svec, xs)), tuple(map(svec, ys)), None)
+    db = DualBases(tuple(xs), tuple(ys), None)
     verify_dual_bases(E, db)  # re-verify Eq on the full basis before returning
     s = {}
     for x, y in zip(xs, ys):
@@ -614,12 +598,10 @@ def find_dual_bases(E, within=None):
 
 def verify_dual_bases(E, db):
     big = E.incl.big
-    xs = [dict(x) for x in db.xs]
-    ys = [dict(y) for y in db.ys]
     for m in range(big.dim):
         em = big.basis_vec(m)
         acc1, acc2 = {}, {}
-        for x, y in zip(xs, ys):
+        for x, y in zip(db.xs, db.ys):
             sadd_into(acc1, big.mul(E.incl.emb(E._E_mx(m, x)), y), 1, big.p)
             sadd_into(acc2, big.mul(x, E.incl.emb(E._E_xm(y, m))), 1, big.p)
         if acc1 != em or acc2 != em:
@@ -631,10 +613,9 @@ def is_symmetric(E, U):
     """E(ux) = E(xu) on every basis pair; witness on failure."""
     big = E.incl.big
     for ui, u in enumerate(U.basis):
-        ud = dict(u)
         for j in range(big.dim):
-            lhs = E._E_xm(ud, j)
-            rhs = E._E_mx(j, ud)
+            lhs = E._E_xm(u, j)
+            rhs = E._E_mx(j, u)
             if lhs != rhs:
                 return False, (ui, j, lhs, rhs)
     return True, None
@@ -730,7 +711,7 @@ def trace_dual_bases(A, trace):
         b_s = la.inverse(gram_t, n, A.p)
     except la.NoSolution:
         return None
-    a_s = tuple(svec(A.basis_vec(i)) for i in range(n))
+    a_s = tuple(A.basis_vec(i) for i in range(n))
     return a_s, b_s
 
 
@@ -799,11 +780,9 @@ def certify_markov(incl, E, db, trace):
     one_small = small.unit_sparse()
     cl.add("E_unital", "E(1) = 1", E.E_small(big.unit_sparse()) == one_small)
 
-    xs = [dict(x) for x in db.xs]
-    ys = [dict(y) for y in db.ys]
     xy = {}
     yx = {}
-    for x, y in zip(xs, ys):
+    for x, y in zip(db.xs, db.ys):
         sadd_into(xy, big.mul(x, y), 1, big.p)
         sadd_into(yx, big.mul(y, x), 1, big.p)
     lam_inv = big.scalar_of(xy)
@@ -847,7 +826,7 @@ def certify_markov(incl, E, db, trace):
 
     tdu = None
     if U_alg is not None:
-        t0U = tuple(trace_of(t0, dict(r), big.p) for r in U.basis)
+        t0U = tuple(trace_of(t0, r, big.p) for r in U.basis)
         tdu = trace_dual_bases(U_alg, t0U)
         cl.add("T0_U_nondegenerate", "T0 restricted to C_M(N) non-degenerate",
                tdu is not None)
@@ -872,8 +851,7 @@ def relative_tensor_square(cert):
     big = cert.incl.big
     n = big.dim
     E = cert.E
-    xs = [dict(x) for x in cert.dual_bases.xs]
-    ys = [dict(y) for y in cert.dual_bases.ys]
+    xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
     # E(e_b x_i), embedded in big, once per (b, i)
     e_bx = [[E.incl.emb(E._E_mx(b, x)) for x in xs] for b in range(n)]
 
@@ -894,15 +872,12 @@ def casimir_shift_check(cert):
     big = cert.incl.big
     n = big.dim
     q = relative_tensor_square(cert)
-    xs = [dict(x) for x in cert.dual_bases.xs]
-    ys = [dict(y) for y in cert.dual_bases.ys]
     for u in cert.U.basis:
-        ud = dict(u)
         lhs, rhs = {}, {}
-        for x, y in zip(xs, ys):
-            sadd_into(lhs, la.tensor_sparse(big.mul(x, ud), y, n, big.p), 1,
+        for x, y in zip(cert.dual_bases.xs, cert.dual_bases.ys):
+            sadd_into(lhs, la.tensor_sparse(big.mul(x, u), y, n, big.p), 1,
                       big.p)
-            sadd_into(rhs, la.tensor_sparse(x, big.mul(ud, y), n, big.p), 1,
+            sadd_into(rhs, la.tensor_sparse(x, big.mul(u, y), n, big.p), 1,
                       big.p)
         if q.project(lhs) != q.project(rhs):
             return False

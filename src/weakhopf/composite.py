@@ -45,12 +45,12 @@ def composite_expectation_down(tower, hi, lo):
     p = alg.p
     rows = [alg.basis_vec(j) for j in range(alg.dim)]
     for k in range(hi, max(lo, 0), -1):
-        E = tower.levels[k - 1].E_down
+        E = tower.levels[k - 1].cert.E.rows
         rows = [ag.apply_map(E, r, p) for r in rows]
     if lo == -1:
         E0 = tower.base.E.rows
         rows = [ag.apply_map(E0, r, p) for r in rows]
-    return ag.map_rows(rows, p)
+    return tuple(rows)
 
 
 def jones_word(tower, word, level):
@@ -181,8 +181,7 @@ def shift_tau2(tower, element, n, level=None):
                               % (n + 2))
     gens = list(range(1, n + 1))
     words, _, ech = _word_basis(tower, gens, level)
-    kind, data = ech.insert(element if isinstance(element, dict)
-                            else la.sparse(element))
+    kind, data = ech.insert(element)
     if kind == "kept":
         raise NotInTLSubalgebra(
             "element is independent of the e-word span")
@@ -209,8 +208,8 @@ def shift_tau2(tower, element, n, level=None):
 
 def _regular_trace(A, j):
     """The trace of left multiplication by e_j on A."""
-    return la.residue(sum(dict(A.table[j][k]).get(k, 0)
-                          for k in range(A.dim)), A.p)
+    return la.residue(sum(c for k in range(A.dim)
+                          for i, c in A.table[j][k] if i == k), A.p)
 
 
 def depth2_example(kind, n=None, p=None):
@@ -273,8 +272,7 @@ def depth2_example(kind, n=None, p=None):
     # verified exactly when the hypothesis holds
     ZU = ag.centralizer(U, la.Subspace.full(U.dim, U.p))
     if ZU.dim == ZN.dim:
-        xs = [dict(x) for x in cert.dual_bases.xs]
-        ys = [dict(y) for y in cert.dual_bases.ys]
+        xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
         M1 = ctx.M1
         e1 = t.levels[0].e
         lift = lambda x: t.embed(0, 1, x)
@@ -292,7 +290,6 @@ def depth2_example(kind, n=None, p=None):
         V1 = ctx.V1
         if not all(V1.contains(v) for v in xs1 + ys1):
             raise AssertionError("explicit dual bases are not in V")
-        db1 = ag.DualBases(tuple(map(la.svec, xs1)),
-                           tuple(map(la.svec, ys1)), None)
+        db1 = ag.DualBases(tuple(xs1), tuple(ys1), None)
         ag.verify_dual_bases(t.levels[0].cert.E, db1)
     return cert

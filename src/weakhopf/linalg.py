@@ -10,7 +10,15 @@ Both fields share one eliminator: `Echelon` and `EchelonExpr` turn
 vectors into integer rows (rationals scaled by their common denominator,
 residues mod p as they are) and reduce them with the kernel in `_backend`,
 fraction-free over Q and in leading-1 form over F_p.
-Sparse vectors are plain dicts {index: scalar} with no stored zeros.
+Sparse vectors are plain dicts {index: scalar} with no stored zeros, and
+that is the one form of every vector, coordinate vector and linear-map row
+in the package, stored or passed: a `Subspace` basis, the coordinates
+`Subspace.coords` reads off it, a `Quotient`'s relations and projections,
+and the rows `inverse` returns.  Stored dicts are shared, never mutated;
+code that accumulates into a vector copies it first.  The one exception is
+`algebra.Algebra`, whose structure table keeps sorted (index, coeff) pair
+tuples (built by `svec`) and whose unit stays dense: the product kernel
+walks the table cells, and tuples walk faster there.
 Systems go into elimination as sparse rows, through `solve`, `kernel`,
 `rank` and `inverse`; a `Subspace` decides membership by reading
 coordinates off its RREF basis, with no elimination at all.
@@ -172,7 +180,8 @@ def sscale(d, c, p=None):
 
 
 def svec(d):
-    """Canonical hashable form of a sparse dict."""
+    """A sparse dict as a sorted (index, coeff) tuple: the form of a cell of
+    an algebra's structure table, and of nothing else."""
     return tuple(sorted(d.items()))
 
 
@@ -196,29 +205,21 @@ def tensor_sparse(a, b, dim2, p=None):
 # echelon forms (integer-kernel backed, over Q or F_p)
 
 def _int_row(vec, width, p=None):
-    """Scalars -> (integer row of the given width, scale of the row).
+    """A sparse vector -> (integer row of the given width, scale of the row).
 
     Over Q the row is den * vec, den the lcm of the denominators; over F_p
     it holds the residues and the scale is 1.
     """
+    row = [0] * width
     if p is not None:
-        row = [0] * width
-        for i, c in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+        for i, c in vec.items():
             row[i] = c
         return row, 1
-    if isinstance(vec, dict):
-        den = 1
-        for c in vec.values():
-            den = lcm(den, c.denominator)
-        row = [0] * width
-        for i, c in vec.items():
-            row[i] = c.numerator * (den // c.denominator)
-        return row, den
     den = 1
-    for c in vec:
+    for c in vec.values():
         den = lcm(den, c.denominator)
-    row = [c.numerator * (den // c.denominator) for c in vec]
-    row.extend([0] * (width - len(row)))
+    for i, c in vec.items():
+        row[i] = c.numerator * (den // c.denominator)
     return row, den
 
 
@@ -248,7 +249,7 @@ class Echelon:
         return len(self.pivots)
 
     def insert(self, vec):
-        """Insert a vector (sparse dict or dense scalars). True if rank grew."""
+        """Insert a sparse vector. True if rank grew."""
         row, _ = _int_row(vec, self.ncols + self.aux, self.p)
         return insert_row(self.rows, self.pivots, row, self.ncols, self.p) >= 0
 
@@ -309,7 +310,7 @@ class EchelonExpr:
 # systems of sparse rows
 
 def rank(vecs, ncols, p=None):
-    """Rank of vectors in ncols coordinates, sparse dicts or dense scalars."""
+    """Rank of sparse vectors in ncols coordinates."""
     ech = Echelon(ncols, p)
     for v in vecs:
         ech.insert(v)
@@ -358,8 +359,8 @@ def kernel(rows, ncols, p=None):
 
 
 def inverse(rows, n, p=None):
-    """Inverse of the n x n matrix with the given sparse rows, as sorted
-    sparse rows (the form `algebra.apply_map` reads).
+    """Inverse of the n x n matrix with the given sparse rows, as sparse
+    rows (the form `algebra.apply_map` reads).
 
     Raises NoSolution when the matrix is singular.
     """
@@ -371,8 +372,8 @@ def inverse(rows, n, p=None):
             raise NoSolution("singular matrix")
     inv = [None] * n
     for r, c in zip(ech.rows, ech.pivots):
-        inv[c] = tuple((j - n, _quot(x, r[c], p))
-                       for j, x in enumerate(r[n:], n) if x)
+        inv[c] = {j - n: _quot(x, r[c], p)
+                  for j, x in enumerate(r[n:], n) if x}
     return tuple(inv)
 
 
@@ -383,8 +384,8 @@ def inverse(rows, n, p=None):
 class Subspace:
     """Row space in canonical reduced echelon form.
 
-    `basis` holds the RREF rows as sparse (index, coeff) tuples with leading
-    coefficient 1; equality of subspaces is literal equality of the data.
+    `basis` holds the RREF rows as sparse dicts with leading coefficient 1;
+    equality of subspaces is literal equality of the data.
     """
 
     ambient_dim: int
@@ -398,12 +399,12 @@ class Subspace:
         for v in vecs:
             ech.insert(v)
         return Subspace(ambient_dim, tuple(ech.pivots),
-                        tuple(svec(r) for r in ech.frac_rows()), p)
+                        tuple(ech.frac_rows()), p)
 
     @staticmethod
     def full(ambient_dim, p=None):
         return Subspace(ambient_dim, tuple(range(ambient_dim)),
-                        tuple(((i, 1),) for i in range(ambient_dim)), p)
+                        tuple({i: 1} for i in range(ambient_dim)), p)
 
     @property
     def dim(self):
@@ -413,22 +414,22 @@ class Subspace:
         return self.coords(vec) is not None
 
     def contains_subspace(self, other):
-        return all(self.coords(dict(r)) is not None for r in other.basis)
+        return all(self.coords(r) is not None for r in other.basis)
 
     def coords(self, vec):
-        """Coordinates of vec in the RREF basis, or None if not a member.
+        """Sparse coordinates of vec in the RREF basis, or None if not a
+        member.
 
         RREF makes this a direct read-off at the pivot columns.
         """
-        d = vec if isinstance(vec, dict) else sparse(vec)
-        cs = [d.get(c, 0) for c in self.pivots]
-        chk = dict(d)
-        for c, r in zip(cs, self.basis):
-            if c:
-                sadd_into(chk, dict(r), -c, self.p)
+        cs = {k: c for k, piv in enumerate(self.pivots)
+              if (c := vec.get(piv, 0))}
+        chk = dict(vec)
+        for k, c in cs.items():
+            sadd_into(chk, self.basis[k], -c, self.p)
         if chk:
             return None
-        return tuple(cs)
+        return cs
 
     def intersect(self, other):
         """Subspace intersection via the kernel of the stacked coordinates."""
@@ -436,18 +437,18 @@ class Subspace:
         # unknowns: coefficients on basis1 then basis2; rows: ambient coords
         stacked = [{} for _ in range(self.ambient_dim)]
         for i, r in enumerate(self.basis):
-            for k, x in r:
+            for k, x in r.items():
                 stacked[k][i] = x
         for j, r in enumerate(other.basis):
-            for k, x in r:
+            for k, x in r.items():
                 stacked[k][n1 + j] = -x
         ker = kernel(stacked, n1 + other.dim, self.p)
         vecs = []
         for kr in ker.basis:
             v = {}
-            for k, c in kr:
+            for k, c in kr.items():
                 if k < n1:
-                    sadd_into(v, dict(self.basis[k]), c, self.p)
+                    sadd_into(v, self.basis[k], c, self.p)
             vecs.append(v)
         return Subspace.from_vectors(self.ambient_dim, vecs, self.p)
 
@@ -475,15 +476,13 @@ class Quotient:
         return len(self.section_cols)
 
     def project(self, vec):
-        d = vec if isinstance(vec, dict) else sparse(vec)
         out = {}
-        for c, x in d.items():
+        for c, x in vec.items():
             sadd_into(out, self.proj_cols[c], x, self.p)
         return out
 
     def section(self, coords):
-        d = coords if isinstance(coords, dict) else sparse(coords)
-        return {self.section_cols[i]: x for i, x in d.items()}
+        return {self.section_cols[i]: x for i, x in coords.items()}
 
 
 def quotient(ambient_dim, relations):
@@ -500,7 +499,8 @@ def quotient(ambient_dim, relations):
     for pc, row in zip(relations.pivots, relations.basis):
         # RREF row: e_p + sum over non-pivot columns; the class of e_p is
         # minus that tail
-        proj[pc] = {index[j]: residue(-x, p) for j, x in row if j != pc}
+        proj[pc] = {index[j]: residue(-x, p) for j, x in row.items()
+                    if j != pc}
     return Quotient(ambient_dim, relations, section, tuple(proj), p)
 
 
@@ -543,6 +543,6 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
             assert fcol > c, "canonical section violated"
             row[fcol] = residue(-v, p)
         rel_pivots.append(c)
-        rel_rows.append(svec(row))
+        rel_rows.append(row)
     relations = Subspace(ambient_dim, tuple(rel_pivots), tuple(rel_rows), p)
     return Quotient(ambient_dim, relations, section, tuple(proj), p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from weakhopf import algebra as ag
 from weakhopf import groupoid as gp
 from weakhopf import wha
-from weakhopf.linalg import as_scalar, dense, parse_scalar
+from weakhopf.linalg import as_scalar, dense, parse_scalar, sparse
 
 KINDS = ("algebra", "weak-hopf", "groupoid", "markov-extension")
 
@@ -137,6 +137,7 @@ def _vector(xs, p, where):
 
 
 def _matrix(rows, p, where, width):
+    """Rectangular rows of scalars, read as sparse rows."""
     if not isinstance(rows, list):
         raise SpecFileError("%s: expected a list of rows, got %r"
                             % (where, rows))
@@ -146,7 +147,7 @@ def _matrix(rows, p, where, width):
         if len(row) != width:
             raise SpecFileError("%s: row %d has %d entries, expected %d"
                                 % (where, i, len(row), width))
-        out.append(row)
+        out.append(sparse(row))
     return out
 
 
@@ -288,10 +289,10 @@ def weakhopf_payload(H):
     n = H.dim
     return {
         "algebra": algebra_payload(H.alg),
-        "delta": [[str(x) for x in dense(dict(H.delta[h]), n * n)]
+        "delta": [[str(x) for x in dense(H.delta[h], n * n)]
                   for h in range(n)],
         "eps": [str(x) for x in H.eps],
-        "s": [[str(x) for x in dense(dict(H.s[h]), n)] for h in range(n)],
+        "s": [[str(x) for x in dense(H.s[h], n)] for h in range(n)],
     }
 
 
@@ -310,9 +311,9 @@ def markov_payload(incl, E, trace):
     return {
         "small": algebra_payload(incl.small),
         "big": algebra_payload(incl.big),
-        "embed": [[str(x) for x in dense(dict(r), incl.big.dim)]
+        "embed": [[str(x) for x in dense(r, incl.big.dim)]
                   for r in incl.embed],
-        "expectation": [[str(x) for x in dense(dict(r), incl.small.dim)]
+        "expectation": [[str(x) for x in dense(r, incl.small.dim)]
                         for r in E.rows],
         "trace": [str(as_scalar(x, incl.big.p)) for x in trace],
     }

@@ -25,17 +25,17 @@ from weakhopf import linalg as la
 from weakhopf import wha
 from weakhopf.checks import CheckList
 from weakhopf.composite import DIM_BUDGET
-from weakhopf.linalg import sadd_into, svec, tensor_sparse
+from weakhopf.linalg import sadd_into, tensor_sparse
 
 
 @dataclass(frozen=True)
 class TowerLevel:
-    alg: ag.Algebra
+    """One level M_k over M_{k-1}.  The algebra, the embedding of the
+    previous level and E down to it are those of the certificate:
+    cert.incl.big, cert.incl.embed and cert.E.rows."""
+
     quotient: la.Quotient
     e: dict  # Jones idempotent, own coords
-    embed_prev: tuple  # sparse rows: previous level -> this level
-    E_down: tuple  # sparse rows: this level -> previous level coords
-    dual_bases: ag.DualBases
     phi: tuple  # sparse rows: prev centralizer coords -> this level
     cert: ag.MarkovCertificate  # certification of this/previous
     checks: CheckList
@@ -49,7 +49,7 @@ class Tower:
 
     def alg(self, k):
         """M_k as an Algebra; k = 0 is the base big algebra."""
-        return self.base.incl.big if k == 0 else self.levels[k - 1].alg
+        return (self.base if k == 0 else self.levels[k - 1].cert).incl.big
 
     def trace(self, k):
         """The normalized trace functional on M_k (T_k = T_{k-1} o E)."""
@@ -58,7 +58,8 @@ class Tower:
     def embed(self, k, to, x):
         """Lift a sparse element of M_k into M_to coordinates."""
         for lvl in self.levels[k:to]:
-            x = ag.apply_map(lvl.embed_prev, x, lvl.alg.p)
+            incl = lvl.cert.incl
+            x = ag.apply_map(incl.embed, x, incl.big.p)
         return x
 
     def jones(self, k, to=None):
@@ -80,8 +81,7 @@ def basic_construction(cert):
     lam_inv = cert.lambda_inv
     lam = la.div(1, lam_inv, p)
     E = cert.E
-    xs = [dict(x) for x in cert.dual_bases.xs]
-    ys = [dict(y) for y in cert.dual_bases.ys]
+    xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
 
     q = ag.relative_tensor_square(cert)
     n1 = q.dim
@@ -112,9 +112,8 @@ def basic_construction(cert):
     E_down = ag.map_rows(
         [la.sscale(M.mul(M.basis_vec(a), M.basis_vec(b)), lam, p)
          for (a, b) in reps], p)
-    xs1 = tuple(svec(la.sscale(cls(x, M.unit_sparse()), lam_inv, p))
-                for x in xs)
-    ys1 = tuple(svec(cls(M.unit_sparse(), y)) for y in ys)
+    xs1 = tuple(la.sscale(cls(x, M.unit_sparse()), lam_inv, p) for x in xs)
+    ys1 = tuple(cls(M.unit_sparse(), y) for y in ys)
     db1 = ag.DualBases(xs1, ys1, lam_inv)
 
     cl = CheckList("basic-construction")
@@ -153,8 +152,7 @@ def basic_construction(cert):
     U = cert.U
     V = cert1.U
     phi_rows = []
-    for r in U.basis:
-        u = dict(r)
+    for u in U.basis:
         img = {}
         for x, y in zip(xs, ys):
             sadd_into(img, cls(M.mul(x, u), y), 1, p)
@@ -162,41 +160,37 @@ def basic_construction(cert):
     phi = ag.map_rows(phi_rows, p)
     with cl.holds("phi_into_V", "phi(U) lies in C_M1(M)") as law:
         for i, rw in law.over(enumerate(phi)):
-            law.check((i,), V.contains(dict(rw)), True)
+            law.check((i,), V.contains(rw), True)
     cl.add("phi_bijective", "phi: U -> V bijective",
-           la.rank([dict(rw) for rw in phi], n1, p) == U.dim == V.dim)
+           la.rank(phi, n1, p) == U.dim == V.dim)
 
     with cl.holds("phi_antimultiplicative",
                   "phi(u u') = phi(u') phi(u)") as law:
         for i in law.over(range(U.dim)):
             for j in law.over(range(U.dim)):
-                ui, uj = dict(U.basis[i]), dict(U.basis[j])
-                co = U.coords(M.mul(ui, uj))
-                lhs = ag.apply_map(phi, {k: c for k, c in enumerate(co) if c},
-                                   p)
-                rhs = alg1.mul(dict(phi[j]), dict(phi[i]))
+                co = U.coords(M.mul(U.basis[i], U.basis[j]))
+                lhs = ag.apply_map(phi, co, p)
+                rhs = alg1.mul(phi[j], phi[i])
                 law.check((i, j), lhs, rhs)
 
     with cl.holds("phi_inverse", "lambda^-1 E_M(phi(u) e1) = u") as law:
         for i in law.over(range(U.dim)):
-            v = dict(phi[i])
-            back = la.sscale(ag.apply_map(E_down, alg1.mul(v, e1), p),
+            back = la.sscale(ag.apply_map(E_down, alg1.mul(phi[i], e1), p),
                              lam_inv, p)
-            law.check((i,), back, dict(U.basis[i]))
+            law.check((i,), back, U.basis[i])
 
     with cl.holds("E_of_ve1", "E_M(v e1) = E_M(e1 v) for v in V") as law:
-        for i, r in law.over(enumerate(V.basis)):
-            v = dict(r)
+        for i, v in law.over(enumerate(V.basis)):
             law.check((i,), ag.apply_map(E_down, alg1.mul(v, e1), p),
                       ag.apply_map(E_down, alg1.mul(e1, v), p))
 
     t1 = cert1.t0
     with cl.holds("trace_compatibility", "T1 o phi = T0 on U") as law:
         for i in law.over(range(U.dim)):
-            law.check((i,), ag.trace_of(t1, dict(phi[i]), p),
-                      ag.trace_of(t0, dict(U.basis[i]), p))
+            law.check((i,), ag.trace_of(t1, phi[i], p),
+                      ag.trace_of(t0, U.basis[i], p))
 
-    return TowerLevel(alg1, q, e1, embed_rows, E_down, db1, phi, cert1, cl)
+    return TowerLevel(q, e1, phi, cert1, cl)
 
 
 def _embed_vec(M, xs, ys, cls, v):
@@ -249,7 +243,8 @@ def build_tower(cert, depth, extra=0):
 
     for k in range(1, depth + 1):
         lvl = levels[k - 1]
-        top = lvl.alg
+        incl = lvl.cert.incl
+        top = incl.big
         ek = lvl.e
         # mul(x, e) = x e for the right identity, e x for the left one
         for name, text, mul in (
@@ -261,8 +256,9 @@ def build_tower(cert, depth, extra=0):
             with cl.holds(name, text) as law:
                 for x in law.over(range(top.dim)):
                     xe = mul(top.basis_vec(x), ek)
-                    down = ag.apply_map(lvl.embed_prev,
-                                        ag.apply_map(lvl.E_down, xe, p), p)
+                    down = ag.apply_map(incl.embed,
+                                        ag.apply_map(lvl.cert.E.rows, xe, p),
+                                        p)
                     law.check((x,),
                               mul(la.sscale(down, cert.lambda_inv, p), ek), xe)
 
@@ -297,7 +293,6 @@ class Depth2Data:
 
 class Depth2Failure(Exception):
     def __init__(self, half, reason):
-        self.half = half
         super().__init__("depth-2 fails for %s: %s" % (half, reason))
 
 
@@ -320,8 +315,6 @@ class DepthTwoContext:
         self.e1 = tower.jones(1, 2)
         self.e2 = tower.jones(2)
         self.T2 = tower.trace(2)
-        self.T1 = tower.trace(1)
-        self.T0 = base.t0
 
         m2 = self.M2.dim
         N = base.incl.small
@@ -336,22 +329,23 @@ class DepthTwoContext:
         nsub = la.Subspace.from_vectors(m2, self.N_in_M2, self.p)
         msub = la.Subspace.from_vectors(m2, self.M_in_M2, self.p)
         self.U = la.Subspace.from_vectors(
-            m2, [tower.embed(0, 2, dict(r)) for r in base.U.basis], self.p)
+            m2, [tower.embed(0, 2, r) for r in base.U.basis], self.p)
         self.A1 = ag.centralizer(self.M1, la.Subspace.from_vectors(
             self.M1.dim, [tower.embed(0, 1, base.incl.emb(N.basis_vec(i)))
                           for i in range(N.dim)], self.p))
         self.A = la.Subspace.from_vectors(
-            m2, [tower.embed(1, 2, dict(r)) for r in self.A1.basis], self.p)
+            m2, [tower.embed(1, 2, r) for r in self.A1.basis], self.p)
         self.V1 = self.lv1.cert.U  # C_M1(M), M1 coords
         self.V = la.Subspace.from_vectors(
-            m2, [tower.embed(1, 2, dict(r)) for r in self.V1.basis], self.p)
+            m2, [tower.embed(1, 2, r) for r in self.V1.basis], self.p)
         self.W = self.lv2.cert.U  # C_M2(M1)
         self.B = ag.centralizer(self.M2, msub)
         self.C = ag.centralizer(self.M2, nsub)
 
     # conditional expectations as M2-endomorphisms (landing in embedded images)
     def E_M1(self, x):
-        return self.t.embed(1, 2, ag.apply_map(self.lv2.E_down, x, self.p))
+        return self.t.embed(1, 2, ag.apply_map(self.lv2.cert.E.rows, x,
+                                               self.p))
 
     def T(self, x):
         return ag.trace_of(self.T2, x, self.p)
@@ -415,8 +409,7 @@ class ExpectationPair:
         co = self.C.coords(x)
         if co is None:
             raise ag.NotClosed("E_B applied outside C")
-        return ag.apply_map(self.E_B_rows,
-                            {i: c for i, c in enumerate(co) if c}, self.C.p)
+        return ag.apply_map(self.E_B_rows, co, self.C.p)
 
 
 def conditional_expectations(ctx, d2):
@@ -426,8 +419,7 @@ def conditional_expectations(ctx, d2):
     p = ctx.p
     lam, lam_inv = ctx.lam, ctx.lam_inv
     T = ctx.T
-    us = [dict(u) for u in d2.us]
-    vs = [dict(v) for v in d2.vs]
+    us, vs = d2.us, d2.vs
 
     # trace dual bases of U (in U-basis coordinates), pushed through phi
     # into V; phi rows are indexed by the same U basis
@@ -436,12 +428,11 @@ def conditional_expectations(ctx, d2):
     def phi_of(uco):
         return ctx.t.embed(1, 2, ag.apply_map(phi, uco, p))
 
-    c_i = [phi_of(dict(a)) for a in ctx.t.base.trace_duals[0]]
-    d_i = [phi_of(dict(b)) for b in ctx.t.base.trace_duals[1]]
+    c_i = [phi_of(a) for a in ctx.t.base.trace_duals[0]]
+    d_i = [phi_of(b) for b in ctx.t.base.trace_duals[1]]
 
     with cl.holds("V_trace_duals", "c_i T(d_i v) = v on V") as law:
-        for k, r in law.over(enumerate(ctx.V.basis)):
-            v = dict(r)
+        for k, v in law.over(enumerate(ctx.V.basis)):
             acc = {}
             for ci, di in zip(c_i, d_i):
                 sadd_into(acc, ci, T(ctx.mul(di, v)), p)
@@ -450,8 +441,7 @@ def conditional_expectations(ctx, d2):
     # E_B(c) = T(c u_j c_i) d_i v_j on the C basis
     C = ctx.C
     ebays = []
-    for r in C.basis:
-        c = dict(r)
+    for c in C.basis:
         out = {}
         for uj, vj in zip(us, vs):
             cu = ctx.mul(c, uj)
@@ -460,13 +450,11 @@ def conditional_expectations(ctx, d2):
                 if coef != 0:
                     sadd_into(out, ctx.mul(di, vj), coef, p)
         ebays.append(out)
-    ep = ExpectationPair(C, ag.map_rows(ebays, p),
-                         (tuple(map(svec, c_i)), tuple(map(svec, d_i))), cl)
+    ep = ExpectationPair(C, ag.map_rows(ebays, p), (tuple(c_i), tuple(d_i)),
+                         cl)
     E_B, E_A = ep.E_B, ctx.E_M1
 
-    Ab = [dict(r) for r in ctx.A.basis]
-    Bb = [dict(r) for r in ctx.B.basis]
-    Cb = [dict(r) for r in C.basis]
+    Ab, Bb, Cb = ctx.A.basis, ctx.B.basis, C.basis
     with cl.holds("E_B_restricts_to_id", "E_B(b) = b on B") as law:
         for i, b in law.over(enumerate(Bb)):
             law.check((i,), E_B(b), b)
@@ -516,11 +504,10 @@ def conditional_expectations(ctx, d2):
 
     nA, nB = ctx.A.dim, ctx.B.dim
     rel = []  # (a v) (x) b - a (x) (v b) in A (x) B coordinates
-    for rv in ctx.V.basis:
-        v = dict(rv)
-        vb_co = [la.sparse(ctx.B.coords(ctx.mul(v, b))) for b in Bb]
+    for v in ctx.V.basis:
+        vb_co = [ctx.B.coords(ctx.mul(v, b)) for b in Bb]
         for i, a in enumerate(Ab):
-            av_co = la.sparse(ctx.A.coords(ctx.mul(a, v)))
+            av_co = ctx.A.coords(ctx.mul(a, v))
             for j in range(nB):
                 vec = tensor_sparse(av_co, {j: 1}, nB, p)
                 sadd_into(vec, tensor_sparse({i: 1}, vb_co[j], nB, p), -1, p)
@@ -635,8 +622,7 @@ def pairing(ctx, d2, ep):
             law.check((i,), M2.commutator(w, vh), {})
 
     with cl.holds("w_duality", "f1 T(v w f2) = v on V") as law:
-        for k, rv in law.over(enumerate(ctx.V.basis)):
-            v = dict(rv)
+        for k, v in law.over(enumerate(ctx.V.basis)):
             acc = {}
             for ij, c in f.items():
                 i, j = divmod(ij, nV)
@@ -646,8 +632,7 @@ def pairing(ctx, d2, ep):
             law.check((k,), acc, v)
 
     lam2 = ctx.lam_inv * ctx.lam_inv
-    Ab = [dict(r) for r in ctx.A.basis]
-    Bb = [dict(r) for r in ctx.B.basis]
+    Ab, Bb = ctx.A.basis, ctx.B.basis
     mid = ctx.mul(ctx.e2, ctx.e1, w)
     mid2 = ctx.mul(ctx.e1, ctx.e2, w)
     gram = [{} for _ in Ab]
@@ -698,14 +683,12 @@ class DerivedWeakHopf:
 
         B_alg, injB, expB = ag.subalgebra(M2, ctx.B, "B")
         A_alg, injA, expA = ag.subalgebra(M2, ctx.A, "A")
-        self.B_alg, self.injB, self.expB = B_alg, injB, expB
-        self.A_alg, self.injA, self.expA = A_alg, injA, expA
-        bhat = [injB(B_alg.basis_vec(j)) for j in range(nB)]
+        self.injB, self.expB = injB, expB
+        self.injA, self.expA = injA, expA
+        self.bhat = bhat = [injB(B_alg.basis_vec(j)) for j in range(nB)]
         ahat = [injA(A_alg.basis_vec(i)) for i in range(nA)]
-        self.bhat, self.ahat = bhat, ahat
 
         G = pd.gram
-        Gd = [dict(r) for r in G]
         Ginv = la.inverse(G, nA, p)
         self.gram_inv = Ginv
 
@@ -749,7 +732,7 @@ class DerivedWeakHopf:
             return ag.apply_map(s_inv_rows, x_co, p)
 
         def legs(j):
-            return [(divmod(kl, nB), c) for kl, c in B.delta[j]]
+            return [(divmod(kl, nB), c) for kl, c in B.delta[j].items()]
 
         # eps(b) = lambda^-1 T(e2 w b)
         with cl.holds("eps_formula", "eps(b) = lambda^-1 T(e2 w b)") as law:
@@ -775,7 +758,7 @@ class DerivedWeakHopf:
                         out[key] = out.get(key, 0) + c * ck * cl_
             return {k: v for k, v in la.residues(out, p).items() if v != 0}
 
-        d1 = dict(B.delta_one)
+        d1 = B.delta_one
         cl.add("delta_one_formula", "Delta(1) = S^-1(f1) (x) f2",
                d1 == first_leg_through(S_inv))
         cl.add("delta_one_symmetric", "Delta(1) = S(f1) (x) f2",
@@ -794,7 +777,7 @@ class DerivedWeakHopf:
 
         VB_sub = la.Subspace.from_vectors(nB, vB, p)
         WB = la.Subspace.from_vectors(
-            nB, [expB(dict(r)) for r in ctx.W.basis], p)
+            nB, [expB(r) for r in ctx.W.basis], p)
         s_of_V = la.Subspace.from_vectors(nB, [S(v) for v in vB], p)
         cl.add("S_V_is_W", "S(V) = W", s_of_V == WB)
 
@@ -807,19 +790,18 @@ class DerivedWeakHopf:
                 law.check((j,), val, b)
 
         g = ctx.mul(injB(S(expB(w_inv))), w)
-        self.g = g
-        self.g_inv = injB(ag.right_inverse(B_alg, expB(g)))
+        g_inv = injB(ag.right_inverse(B_alg, expB(g)))
         with cl.holds("s_squared_conjugation",
                       "S^2(b) = g b g^-1, g = S(w^-1) w") as law:
             for j in law.over(range(nB)):
                 law.check((j,), S(S({j: 1})),
-                          expB(ctx.mul(g, bhat[j], self.g_inv)))
+                          expB(ctx.mul(g, bhat[j], g_inv)))
 
         with cl.holds("s_squared_counital", "S^2 = id on V and on W") as law:
             for i, v in law.over(enumerate(vB)):
                 law.check(("V", i), S(S(v)), v)
             for i, r in law.over(enumerate(ctx.W.basis)):
-                wb = expB(dict(r))
+                wb = expB(r)
                 law.check(("W", i), S(S(wb)), wb)
 
         one_B = B_alg.unit_sparse()
@@ -828,7 +810,7 @@ class DerivedWeakHopf:
                 for i, v in law.over(enumerate(vB)):
                     bv = B_alg.mul({j: 1}, v)
                     law.check((j, i), ag.apply_map(B.delta, bv, p),
-                              ag.tensor_mul(B_alg, B_alg, dict(B.delta[j]),
+                              ag.tensor_mul(B_alg, B_alg, B.delta[j],
                                             la.tensor_sparse(v, one_B, nB, p)))
 
         left_legs, right_legs = {}, {}
@@ -865,7 +847,7 @@ class DerivedWeakHopf:
         with cl.holds("lemma_d",
                       "Delta(b)(1 (x) v) = Delta(b)(S(v) (x) 1)") as law:
             for j in law.over(range(nB)):
-                dj = dict(B.delta[j])
+                dj = B.delta[j]
                 for i, v in law.over(enumerate(vB)):
                     law.check((j, i),
                               ag.tensor_mul(B_alg, B_alg, dj,
@@ -876,7 +858,7 @@ class DerivedWeakHopf:
 
         with cl.holds("lemma_e", "Delta(b) Delta(1) = Delta(b)") as law:
             for j in law.over(range(nB)):
-                dj = dict(B.delta[j])
+                dj = B.delta[j]
                 law.check((j,), ag.tensor_mul(B_alg, B_alg, dj, d1), dj)
 
         cl.add("s_e2", "S(e2) = w^-1 e2 w",
@@ -892,7 +874,7 @@ class DerivedWeakHopf:
                                     lam_inv, p)
                     rhs = {}
                     for (k, l), c in lj:
-                        coef = c * Gd[i].get(k, 0)
+                        coef = c * G[i].get(k, 0)
                         if coef != 0:
                             sadd_into(rhs, ctx.mul(w, bhat[l]), coef, p)
                     law.check((j, i), lhs, rhs)
@@ -980,7 +962,7 @@ class DerivedWeakHopf:
 
         with cl.holds("eps_t_formula", "eps_t(b) = lambda^-1 E_A(b e2)") as law:
             for j in law.over(range(nB)):
-                lhs = dict(est[j])
+                lhs = est[j]
                 rhs = expB(la.sscale(E_A(ctx.mul(bhat[j], e2)), lam_inv, p))
                 law.check((j,), lhs, rhs)
 
@@ -989,7 +971,7 @@ class DerivedWeakHopf:
         with cl.holds("e2_left_integral", "b e2 = eps_t(b) e2") as law:
             for j in law.over(range(nB)):
                 law.check((j,), B_alg.mul({j: 1}, e2B),
-                          B_alg.mul(dict(est[j]), e2B))
+                          B_alg.mul(est[j], e2B))
         cl.add("e2_normalized", "eps_t(e2) = 1",
                ag.apply_map(est, e2B, p) == B_alg.unit_sparse())
 
@@ -998,14 +980,14 @@ class DerivedWeakHopf:
         # up that factor), so it coincides with e2 w only when E_M(w) = 1.
         haar = ctx.mul(e2, injB(S_inv(expB(e2))))
         hB = expB(haar)
-        self.haar = haar
         # the section of M1 in M2, and A inside M1, for the later stages too
         self.unemb2 = unemb2 = ag.section_of_inclusion(ctx.lv2.cert.incl)
         self.a_in_M1 = [unemb2(a) for a in ahat]
         w_inv_M1 = unemb2(w_inv)
         w_M1 = unemb2(w)
-        EMw_inv = ctx.t.embed(0, 2, ag.apply_map(ctx.lv1.E_down, w_inv_M1, p))
-        EMw = ctx.t.embed(0, 2, ag.apply_map(ctx.lv1.E_down, w_M1, p))
+        E_M = ctx.lv1.cert.E.rows
+        EMw_inv = ctx.t.embed(0, 2, ag.apply_map(E_M, w_inv_M1, p))
+        EMw = ctx.t.embed(0, 2, ag.apply_map(E_M, w_M1, p))
         cl.add("haar_form", "e2 S^-1(e2) = e2 w^-1 e2 w = E_M(w^-1) e2 w",
                haar == ctx.mul(EMw_inv, e2, w))
         e2wB = expB(ctx.mul(e2, w))
@@ -1015,16 +997,16 @@ class DerivedWeakHopf:
             for j in law.over(range(nB)):
                 for i, cand in law.over(enumerate((hB, e2wB))):
                     if law.check(("left", j, i), B_alg.mul({j: 1}, cand),
-                                 B_alg.mul(dict(est[j]), cand)):
+                                 B_alg.mul(est[j], cand)):
                         law.check(("right", j, i), B_alg.mul(cand, {j: 1}),
-                                  B_alg.mul(cand, dict(ess[j])))
+                                  B_alg.mul(cand, ess[j]))
         cl.add("haar_s_invariant", "S(l) = l and S(e2 w) = e2 w",
                S(hB) == hB and S(e2wB) == e2wB)
         cl.add("haar_normalized", "eps_t(l) = 1 and eps_s(l) = 1",
                ag.apply_map(est, hB, p) == B_alg.unit_sparse()
                and ag.apply_map(ess, hB, p) == B_alg.unit_sparse())
         cl.add("e2w_counit_value", "eps_t(e2 w) = E_M(w)",
-               dict(ag.apply_map(est, e2wB, p)) == expB(EMw))
+               ag.apply_map(est, e2wB, p) == expB(EMw))
 
         cl.add("Ht_is_V", "the target counital subalgebra of B is V",
                B.counital.Ht == VB_sub)
@@ -1042,7 +1024,7 @@ class DerivedWeakHopf:
                     for j in range(nB):
                         acc = 0
                         for (u, v_), c in legs(j):
-                            acc = acc + c * Gd[i].get(u, 0) * Gd[k].get(v_, 0)
+                            acc = acc + c * G[i].get(u, 0) * G[k].get(v_, 0)
                         acc = la.residue(acc, p)
                         if acc != 0:
                             rhs[j] = acc
@@ -1050,10 +1032,10 @@ class DerivedWeakHopf:
 
         # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1
         Bd = wha.dual(B)
-        deltaA = [ag.apply_tensor(Ginv, Ginv, ag.apply_map(Bd.delta, Gd[i], p),
+        deltaA = [ag.apply_tensor(Ginv, Ginv, ag.apply_map(Bd.delta, G[i], p),
                                   nB, nA, p) for i in range(nA)]
-        epsA = [Bd.e(Gd[i]) for i in range(nA)]
-        sA = [ag.apply_map(Ginv, ag.apply_map(Bd.s, Gd[i], p), p)
+        epsA = [Bd.e(G[i]) for i in range(nA)]
+        sA = [ag.apply_map(Ginv, ag.apply_map(Bd.s, G[i], p), p)
               for i in range(nA)]
         A = wha.make_weakhopf(A_alg, deltaA, epsA, sA)
         self.A = A
@@ -1063,7 +1045,7 @@ class DerivedWeakHopf:
 
         # open-question check: the right legs of Delta_A(1) lie in C_M(N)
         right = {}
-        for kl, c in A.delta_one:
+        for kl, c in A.delta_one.items():
             k, l = divmod(kl, nA)
             right.setdefault(k, {})[l] = c
 
@@ -1095,7 +1077,8 @@ def action_B_on_M1(ctx, dw):
     M1 = ctx.M1
 
     # r_tab[j][x] = E_M1(b_j x e2), M1 coords
-    r_tab = [[ag.apply_map(ctx.lv2.E_down,
+    E_M1 = ctx.lv2.cert.E.rows
+    r_tab = [[ag.apply_map(E_M1,
                            ctx.mul(bhat[j], ctx.M1_in_M2[x], ctx.e2), p)
               for x in range(M1.dim)] for j in range(nB)]
     act = [[la.sscale(r, ctx.lam_inv, p) for r in row] for row in r_tab]
@@ -1105,7 +1088,7 @@ def action_B_on_M1(ctx, dw):
     # characterization b . (m a) = m <a2, b> a1 on M x A basis pairs
     A = dw.A
     nA = A.dim
-    Gt = [dict(r) for r in dw.pd.gram_t]
+    Gt = dw.pd.gram_t
     a_in_M1, m_in_M1 = dw.a_in_M1, ctx.M_in_M1
 
     with cl.holds("standard_action_form", "b . (m a) = m <a2, b> a1") as law:
@@ -1115,7 +1098,7 @@ def action_B_on_M1(ctx, dw):
                 for j in law.over(range(nB)):
                     lhs = MB.apply({j: 1}, ma)
                     rhs = {}
-                    for kl, c in A.delta[ai]:
+                    for kl, c in A.delta[ai].items():
                         k, l = divmod(kl, nA)
                         coef = c * Gt[j].get(l, 0)
                         if coef != 0:
@@ -1123,12 +1106,12 @@ def action_B_on_M1(ctx, dw):
                                       coef, p)
                     law.check((mi, ai, j), lhs, rhs)
 
-    s_hat = [dw.injB(dict(r)) for r in B.s]  # S(e_l) in M2
+    s_hat = [dw.injB(r) for r in B.s]  # S(e_l) in M2
     with cl.holds("conjugation_form", "b . x = b1 x S(b2)") as law:
         for j in law.over(range(nB)):
-            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j]]
+            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j].items()]
             for x in law.over(range(M1.dim)):
-                lhs = ctx.t.embed(1, 2, dict(MB.act[j][x]))
+                lhs = ctx.t.embed(1, 2, MB.act[j][x])
                 rhs = {}
                 for (k, l), c in lj:
                     term = ctx.mul(bhat[k], ctx.M1_in_M2[x], s_hat[l])
@@ -1140,12 +1123,12 @@ def action_B_on_M1(ctx, dw):
                   "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)"
                   ) as law:
         for j in law.over(range(nB)):
-            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j]]
+            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j].items()]
             for x in law.over(range(M1.dim)):
                 for y in law.over(range(M1.dim)):
                     xy = M1.mul(M1.basis_vec(x), M1.basis_vec(y))
                     lhs = ag.apply_map(
-                        ctx.lv2.E_down,
+                        E_M1,
                         ctx.mul(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2), p)
                     rhs = {}
                     for (k, l), c in lj:
@@ -1183,14 +1166,14 @@ def _smash_iso(cl, sm, target, left, right, laws, inverse=None):
     cl.add("dimension", dim_text, sm.alg.dim == target.dim,
            witness="%d vs %d" % (sm.alg.dim, target.dim))
     cl.add("bijective", bij_text,
-           la.rank([dict(r) for r in iso], target.dim, p) == target.dim)
+           la.rank(iso, target.dim, p) == target.dim)
     cl.add("unital", unit_text,
            ag.apply_map(iso, sm.alg.unit_sparse(), p) == target.unit_sparse())
     with cl.holds("multiplicative", mult_text) as law:
         for i in law.over(range(sm.alg.dim)):
             for j in law.over(range(sm.alg.dim)):
                 lhs = ag.apply_map(iso, sm.alg.mul({i: 1}, {j: 1}), p)
-                rhs = target.mul(dict(iso[i]), dict(iso[j]))
+                rhs = target.mul(iso[i], iso[j])
                 law.check((i, j), lhs, rhs)
     if inverse is not None:
         with cl.holds("inverse_formula", inverse[0]) as law:
@@ -1216,14 +1199,13 @@ def psi_iso(ctx, dw, MB, d2):
     q = sm.quotient
 
     # inverse x -> E_M1(x u_j) (x) v_j
-    us = [dict(u) for u in d2.us]
-    vsB = [dw.expB(dict(v)) for v in d2.vs]
+    vsB = [dw.expB(v) for v in d2.vs]
+    E_M1 = ctx.lv2.cert.E.rows
 
     def preimage(x):
         acc = {}
-        for u, vB in zip(us, vsB):
-            em = ag.apply_map(ctx.lv2.E_down, ctx.mul(M2.basis_vec(x), u),
-                              ctx.p)
+        for u, vB in zip(d2.us, vsB):
+            em = ag.apply_map(E_M1, ctx.mul(M2.basis_vec(x), u), ctx.p)
             for xi, c in em.items():
                 for bi, cb in vB.items():
                     sadd_into(acc, q.proj_cols[xi * nB + bi], c * cb, ctx.p)
@@ -1259,10 +1241,10 @@ def action_A_on_M(ctx, dw, MB):
             rows = []
             for mi in range(M.dim):
                 out = {}
-                for kl, c in A.delta[i]:
+                for kl, c in A.delta[i].items():
                     k, l = divmod(kl, nA)
                     right = {}
-                    for t_, ct in sA[l]:
+                    for t_, ct in sA[l].items():
                         sadd_into(right, a_in_M1[t_], ct, p)
                     term = M1.mulm(a_in_M1[k], m_in_M1[mi], right)
                     sadd_into(out, term, c, p)
@@ -1280,11 +1262,11 @@ def action_A_on_M(ctx, dw, MB):
                   "a1 eps_t(a') S(a2) = eps_t(a a')") as law:
         for i in law.over(range(nA)):
             for i2 in law.over(range(nA)):
-                eta = dict(est[i2])
+                eta = est[i2]
                 lhs = {}
-                for kl, c in A.delta[i]:
+                for kl, c in A.delta[i].items():
                     k, l = divmod(kl, nA)
-                    term = A.alg.mulm({k: 1}, eta, dict(sA[l]))
+                    term = A.alg.mulm({k: 1}, eta, sA[l])
                     sadd_into(lhs, term, c, p)
                 rhs = ag.apply_map(est, A.alg.mul({i: 1}, {i2: 1}), p)
                 law.check((i, i2), lhs, rhs)
@@ -1309,13 +1291,13 @@ def action_A_on_M(ctx, dw, MB):
                     law.check((ai, k), False, True)
                     continue
                 for t_, c in co.items():
-                    for i2, g in Ginv[k]:
+                    for i2, g in Ginv[k].items():
                         v = c * g
                         if v != 0:
                             key = t_ * nA + i2
                             rho[key] = rho.get(key, 0) + v
             rho = {k: v for k, v in la.residues(rho, p).items() if v != 0}
-            law.check((ai,), rho, dict(A.delta[ai]))
+            law.check((ai,), rho, A.delta[ai])
     return MA, cl
 
 
@@ -1331,10 +1313,10 @@ def phi_iso(ctx, dw, MA):
          "phi(1 # 1) = 1", "phi((m#a)(m'#a')) = phi(m#a) phi(m'#a')",
          "phi(m # 1) = m recovers the inclusion M into M1"))
     HtA = la.Subspace.from_vectors(
-        ctx.M1.dim, [dw.unemb2(dw.injA(dict(r))) for r in dw.A.counital.Ht.basis],
+        ctx.M1.dim, [dw.unemb2(dw.injA(r)) for r in dw.A.counital.Ht.basis],
         ctx.p)
     U_in_M1 = la.Subspace.from_vectors(
-        ctx.M1.dim, [ctx.t.embed(0, 1, dict(r))
+        ctx.M1.dim, [ctx.t.embed(0, 1, r)
                      for r in ctx.t.base.U.basis], ctx.p)
     cl.add("Ht_A_is_U", "the target counital subalgebra of A is C_M(N)",
            HtA == U_in_M1)

@@ -14,6 +14,9 @@ The structure derived from a WeakHopf alone lives on the object, computed
 on first use and then shared by every caller: Delta(1) (`delta_one`), the
 sparse rows of eps_t and eps_s (`eps_rows`, both read off Delta(1)) and the
 verified counital data (`counital`, the CounitalData of counital()).
+Like every stored row, Delta(1) is a sparse dict; its keys are in sorted
+order, so the laws that walk its legs meet them in index order and name
+the same first failing leg.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into, svec
+from weakhopf.linalg import sadd_into
 
 
 class EquivalenceViolation(AssertionError):
@@ -63,8 +66,8 @@ class WeakHopf:
 
     @cached_property
     def delta_one(self):
-        """Delta(1), a flat tensor in svec form."""
-        return svec(self.d(self.alg.unit_sparse()))
+        """Delta(1), a flat tensor as a sparse dict with sorted keys."""
+        return dict(sorted(self.d(self.alg.unit_sparse()).items()))
 
     @cached_property
     def eps_rows(self):
@@ -77,12 +80,12 @@ class WeakHopf:
         table = self.alg.table
         est = [{} for _ in range(d)]
         ess = [{} for _ in range(d)]
-        for uv, c in self.delta_one:
+        for uv, c in self.delta_one.items():
             u, v = divmod(uv, d)
             for h in range(d):
                 sadd_into(est[h], {v: self.e(dict(table[u][h]))}, c, self.p)
                 sadd_into(ess[h], {u: self.e(dict(table[h][v]))}, c, self.p)
-        return tuple(map(svec, est)), tuple(map(svec, ess))
+        return tuple(est), tuple(ess)
 
     @cached_property
     def counital(self):
@@ -105,12 +108,11 @@ def convolve(H, f_rows, g_rows):
     out = []
     for h in range(d):
         acc = {}
-        for ij, c in H.delta[h]:
+        for ij, c in H.delta[h].items():
             i, j = divmod(ij, d)
             fi = ag.apply_map(f_rows, {i: c}, H.p)
-            gj = dict(g_rows[j])
-            sadd_into(acc, H.alg.mul(fi, gj), 1, H.p)
-        out.append(svec(acc))
+            sadd_into(acc, H.alg.mul(fi, g_rows[j]), 1, H.p)
+        out.append(acc)
     return tuple(out)
 
 
@@ -163,7 +165,6 @@ def verify_axioms(H):
 
     em = [[H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
            for j in range(d)] for i in range(d)]
-    prods = [[dict(alg.table[i][j]) for j in range(d)] for i in range(d)]
     with cl.holds("eps_weak_multiplicative",
                   "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)") as law:
         for h in law.over(range(d)):
@@ -171,7 +172,7 @@ def verify_axioms(H):
                 dg = H.d(alg.basis_vec(g))
                 for f in law.over(range(d)):
                     lhs = 0
-                    for l, c in prods[g][f].items():
+                    for l, c in alg.table[g][f]:
                         lhs = lhs + c * em[h][l]
                     r1 = r2 = 0
                     for uv, c in dg.items():
@@ -187,8 +188,8 @@ def verify_axioms(H):
     # With Delta(1) = sum c_uv u (x) v, the unit law (checked by
     # make_algebra) gives (Delta(1) (x) 1)(1 (x) Delta(1)) =
     # sum c_uv c_xy u (x) vx (x) y and its mirror sum c_uv c_xy u (x) xv (x) y.
-    t_left = ag.apply_tensor(H.delta, None, dict(H.delta_one), d, d, H.p)
-    legs = [divmod(uv, d) + (c,) for uv, c in H.delta_one]
+    t_left = ag.apply_tensor(H.delta, None, H.delta_one, d, d, H.p)
+    legs = [divmod(uv, d) + (c,) for uv, c in H.delta_one.items()]
     prod1, prod2 = {}, {}
     for u, v, a in legs:
         for x, y, b in legs:
@@ -218,7 +219,7 @@ def verify_axioms(H):
                     x, y = map(alg.basis_vec, divmod(ij, d))
                     sadd_into(lhs, alg.mul(x, H.S(y)) if target else
                               alg.mul(H.S(x), y), c, H.p)
-                law.check((h,), lhs, dict(rows[h]))
+                law.check((h,), lhs, rows[h])
 
     with cl.holds("antipode_sandwich", "S(h1) h2 S(h3) = S(h)") as law:
         for h in law.over(range(d)):
@@ -251,7 +252,7 @@ def verify_axioms(H):
             law.check((h,), H.d(H.S(alg.basis_vec(h))), rhs)
 
     cl.add("s_bijective", "S is bijective in finite dimension",
-           la.rank([dict(r) for r in H.s], d, H.p) == d)
+           la.rank(H.s, d, H.p) == d)
 
     # uniqueness of the antipode, certified through the convolution algebra:
     # any S' obeying the axioms satisfies S' = S'*id*S' = S'*(id*S)
@@ -289,13 +290,13 @@ def counital(H):
     cl.add("eps_s_idempotent", "eps_s o eps_s = eps_s",
            ag.compose_maps(ess, ess, H.p) == ess)
 
-    Ht = la.Subspace.from_vectors(d, [dict(r) for r in est], H.p)
-    Hs = la.Subspace.from_vectors(d, [dict(r) for r in ess], H.p)
+    Ht = la.Subspace.from_vectors(d, est, H.p)
+    Hs = la.Subspace.from_vectors(d, ess, H.p)
     # second characterization from Delta(1): Ht = span of left-slices,
     # Hs = span of right-slices
     d1 = H.delta_one
     rows_t, rows_s = {}, {}
-    for uv, c in d1:
+    for uv, c in d1.items():
         u, v = divmod(uv, d)
         rows_t.setdefault(u, {})[v] = c
         rows_s.setdefault(v, {})[u] = c
@@ -316,21 +317,20 @@ def counital(H):
     with cl.holds("counitals_commute", "zy = yz for z in Ht, y in Hs") as law:
         for a, rt in law.over(enumerate(Ht.basis)):
             for b, rs in law.over(enumerate(Hs.basis)):
-                law.check((a, b), alg.commutator(dict(rt), dict(rs)), {})
+                law.check((a, b), alg.commutator(rt, rs), {})
 
-    s_img = la.Subspace.from_vectors(
-        d, [H.S(dict(r)) for r in Ht.basis], H.p)
+    s_img = la.Subspace.from_vectors(d, [H.S(r) for r in Ht.basis], H.p)
     with cl.holds("s_anti_iso_bases",
                   "S restricts to an anti-isomorphism Ht -> Hs") as law:
         law.check(("S(Ht)", "Hs"), (s_img, Ht.dim), (Hs, Hs.dim))
         for a, r1 in law.over(enumerate(Ht.basis)):
             for b, r2 in law.over(enumerate(Ht.basis)):
-                law.check((a, b), H.S(alg.mul(dict(r1), dict(r2))),
-                          alg.mul(H.S(dict(r2)), H.S(dict(r1))))
+                law.check((a, b), H.S(alg.mul(r1, r2)),
+                          alg.mul(H.S(r2), H.S(r1)))
 
     e_t = {}
     e_s = {}
-    for uv, c in d1:
+    for uv, c in d1.items():
         u, v = divmod(uv, d)
         sadd_into(e_t, la.tensor_sparse(H.S(alg.basis_vec(u)),
                                         alg.basis_vec(v), d, H.p), c, H.p)
@@ -366,8 +366,7 @@ def _separates(H, e, sub):
     if mu != alg.unit_sparse():
         return False
     # Casimir over the subalgebra basis
-    for r in sub.basis:
-        z = dict(r)
+    for z in sub.basis:
         ze = ag.tensor_mul(alg, alg,
                            la.tensor_sparse(z, alg.unit_sparse(), d, H.p), e)
         ez = ag.tensor_mul(alg, alg, e,
@@ -390,22 +389,18 @@ def dual(H):
     alg = H.alg
     table = [[{} for _ in range(d)] for _ in range(d)]
     for h in range(d):
-        for ij, c in H.delta[h]:
+        for ij, c in H.delta[h].items():
             i, j = divmod(ij, d)
             table[i][j][h] = c
-    delta_star = []
-    for k in range(d):
-        row = {}
-        for h in range(d):
-            for g in range(d):
-                c = dict(alg.table[h][g]).get(k)
-                if c:
-                    row[h * d + g] = c
-        delta_star.append(row)
+    delta_star = [{} for _ in range(d)]
+    for h in range(d):
+        for g in range(d):
+            for k, c in alg.table[h][g]:
+                delta_star[k][h * d + g] = c
     eps_star = tuple(alg.unit)
     s_star = [{} for _ in range(d)]
     for h in range(d):
-        for k, c in H.s[h]:
+        for k, c in H.s[h].items():
             s_star[k][h] = c
     alg_star = ag.make_algebra(table, H.eps, p=H.p)
     Hd = make_weakhopf(alg_star, delta_star, eps_star, s_star)
@@ -429,7 +424,7 @@ def integrals(H):
     rows_l, rows_r = [], []
     for h in range(d):
         eh = alg.basis_vec(h)
-        eth, esh = dict(est[h]), dict(ess[h])
+        eth, esh = est[h], ess[h]
         for j in range(d):
             diff_l = alg.mul(eh, alg.basis_vec(j))
             sadd_into(diff_l, alg.mul(eth, alg.basis_vec(j)), -1, H.p)
@@ -444,7 +439,7 @@ def integrals(H):
     normalized = None
     if left.dim:
         eqs = []
-        basis = [dict(r) for r in left.basis]
+        basis = left.basis
         images = [H.et(b) for b in basis]
         one = alg.unit_sparse()
         for k in range(d):
@@ -487,11 +482,11 @@ def is_hopf(H):
     d = H.dim
     alg = H.alg
     one2 = la.tensor_sparse(alg.unit_sparse(), alg.unit_sparse(), d, H.p)
-    t1 = dict(H.delta_one) == one2
+    t1 = H.delta_one == one2
     t2 = all(H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j))) ==
              la.residue(H.e(alg.basis_vec(i)) * H.e(alg.basis_vec(j)), H.p)
              for i in range(d) for j in range(d))
-    Ht = la.Subspace.from_vectors(d, [dict(r) for r in H.eps_rows[0]], H.p)
+    Ht = la.Subspace.from_vectors(d, H.eps_rows[0], H.p)
     one_span = la.Subspace.from_vectors(d, [alg.unit_sparse()], H.p)
     t3 = Ht == one_span
     if not (t1 == t2 == t3):

@@ -70,7 +70,7 @@ def test_tower_suite():
         t = tw.build_tower(cert, 2)
         assert t.checks.ok, (name, [c.name for c in t.checks.failures()])
         for lvl in t.levels:
-            assert lvl.alg.mul(lvl.e, lvl.e) == lvl.e, name
+            assert lvl.cert.incl.big.mul(lvl.e, lvl.e) == lvl.e, name
             for law in ("span", "expectation_of_jones", "jones_contraction",
                         "phi_into_V", "phi_bijective",
                         "phi_antimultiplicative", "phi_inverse",

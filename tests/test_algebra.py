@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -115,8 +116,8 @@ def test_dual_bases_q2():
     # the dual-bases tensor is e1 (x) e1 + e2 (x) e2 scaled by 2
     tensor = {}
     for x, y in zip(cert.dual_bases.xs, cert.dual_bases.ys):
-        for i, ci in x:
-            for j, cj in y:
+        for i, ci in x.items():
+            for j, cj in y.items():
                 tensor[(i, j)] = tensor.get((i, j), 0) + ci * cj
     assert tensor == {(0, 0): F(2), (1, 1): F(2)}
 
@@ -126,8 +127,8 @@ def test_dual_bases_m2_trace():
     assert cert.lambda_inv == 4
     tensor = {}
     for x, y in zip(cert.dual_bases.xs, cert.dual_bases.ys):
-        for i, ci in x:
-            for j, cj in y:
+        for i, ci in x.items():
+            for j, cj in y.items():
                 tensor[(i, j)] = tensor.get((i, j), 0) + ci * cj
     # 2 e_ab (x) e_ba summed over matrix units
     assert tensor == {(0, 0): F(2), (1, 2): F(2), (2, 1): F(2), (3, 3): F(2)}
@@ -151,7 +152,7 @@ def test_markov_witness_text_ignores_the_scalar_type():
     # the same dual bases with int and with Fraction(n, 1) coefficients
     incl, E = corpus.skewed_expectation()
     db = ag.find_dual_bases(E)
-    frac = [tuple(tuple((i, F(c)) for i, c in r) for r in rows)
+    frac = [tuple({i: F(c) for i, c in r.items()} for r in rows)
             for rows in (db.xs, db.ys)]
     witnesses = [ag.certify_markov(incl, E, d, (F(1),)).checks.get(
         "symmetric_product").witness
@@ -296,7 +297,7 @@ def corpus_expectations():
         out.append((name, cert.incl, cert.E.rows))
     for name, cert in corpus.standing_extensions().items():
         lvl = tw.basic_construction(cert)
-        out.append((name + ":M1", lvl.cert.incl, lvl.E_down))
+        out.append((name + ":M1", lvl.cert.incl, lvl.cert.E.rows))
     incl, E = corpus.skewed_expectation()
     out.append(("skewed", incl, E.rows))
     return out
@@ -338,7 +339,7 @@ def nondegeneracy_rank_dense(E):
         for j in range(big.dim):
             v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
             row.extend(la.dense(v, small.dim))
-        rows.append(row)
+        rows.append(la.sparse(row))
     return la.rank(rows, big.dim * small.dim, big.p)
 
 
@@ -385,6 +386,38 @@ def test_expectation_products_match_direct_products(p):
             want = [[E.E_small(big.mul(big.basis_vec(i), big.basis_vec(j)))
                      for j in range(big.dim)] for i in range(big.dim)]
             assert [list(row) for row in E.products] == want, (name, k)
+
+
+def stored_rows(t):
+    """{name: stored data} of a tower: structure tables, map rows, Subspace
+    bases, dual bases and the other sparse vectors its objects keep."""
+    out = {}
+    certs = [t.base] + [lvl.cert for lvl in t.levels]
+    for k, cert in enumerate(certs):
+        out.update({
+            "M%d tables" % k: (cert.incl.small.table, cert.incl.big.table),
+            "M%d embed" % k: cert.incl.embed,
+            "M%d E" % k: (cert.E.rows, cert.E.products),
+            "M%d dual bases" % k: (cert.dual_bases.xs, cert.dual_bases.ys),
+            "M%d U" % k: cert.U.basis,
+            "M%d trace duals" % k: (cert.trace_duals, cert.kanzaki)})
+    for k, lvl in enumerate(t.levels, 1):
+        out.update({
+            "M%d e, phi" % k: (lvl.e, lvl.phi),
+            "M%d quotient" % k: (lvl.quotient.relations.basis,
+                                 lvl.quotient.proj_cols)})
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_derivation_mutates_no_stored_row(p):
+    # stored rows are shared dicts: a reader that accumulated into one
+    # would change the tower under every later reader
+    t = tw.build_tower(over_field(corpus.ext_q2_m2(), p), 2)
+    before = copy.deepcopy(stored_rows(t))
+    assert tw.derive(t)[3].ok
+    after = stored_rows(t)
+    assert [name for name in before if before[name] != after[name]] == []
 
 
 def associativity_by_triples(alg):
@@ -438,7 +471,7 @@ def corpus_algebras():
                 ("m2(x)k2", corpus.tensor_algebra(m2, k2))]
     certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2())
     for name, cert in certs.items():
-        algs = [cert.incl.big] + [lvl.alg for lvl in
+        algs = [cert.incl.big] + [lvl.cert.incl.big for lvl in
                                   tw.build_tower(cert, 2).levels]
         for k, alg in enumerate(algs):
             out.append(("%s:M%d" % (name, k), alg))

@@ -1,9 +1,14 @@
+import copy
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhopf import action as ac
 from weakhopf import algebra as ag
@@ -650,3 +655,66 @@ def test_dual_failing_its_axioms_is_a_failed_entry(pair2_file, monkeypatch,
     assert [r["name"] for r in records[-3:-1]] == (
         ["maschke", "dual_axioms"] if stage == "dual_axioms"
         else ["dual_axioms", "dual_involution"])
+
+
+# ---------------------------------------------------------------------------
+# every mutated spec ends with a defined outcome
+
+def fuzz_specs():
+    """(raw spec, commands) of small stored specs: the pair2 groupoid, its
+    weak Hopf algebra, and q_in_q2 over Q and F_13.  No ambient space of
+    their pipelines exceeds dimension 16 (q_in_q2 reaches M2 of dimension
+    8), which bounds the time of every example."""
+    G = gp.pair(2)
+    cert = corpus.ext_q_q2()
+    markov = sf.specfile_for((cert.incl, cert.E, cert.trace), "q_in_q2")
+    specs = [(sf.specfile_for(G, "pair2"),
+              (["verify-wha"], ["groupoid", "--dual", "--integrals"])),
+             (sf.specfile_for(gp.groupoid_algebra(G), "pair2-wha"),
+              (["verify-wha"],)),
+             (markov, (["tower", "--depth", "2"], ["tower", "--derive"])),
+             (sf.SpecFile(markov.kind, markov.name, 13, markov.payload),
+              (["tower", "--depth", "2"], ["tower", "--derive"]))]
+    return [({"kind": s.kind, "name": s.name, "field": s.field_label,
+              "payload": s.payload}, cmds) for s, cmds in specs]
+
+
+FUZZ_SPECS = fuzz_specs()
+
+
+def leaf_paths(node, path=()):
+    """The key path of every leaf of a JSON value (not a list or object)."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from leaf_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(FUZZ_SPECS), st.data(),
+       st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", 0, 3,
+                        None, [], "x", 5, {}]))
+def test_mutated_specs_end_with_a_defined_outcome(tmp_path_factory, spec,
+                                                  data, value):
+    raw, commands = spec
+    raw = copy.deepcopy(raw)
+    paths = list(leaf_paths(raw["payload"]))
+    path = data.draw(st.sampled_from(paths))
+    node = raw["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    spec_path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    spec_path.write_text(json.dumps(raw))
+    for cmd in commands:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            rc = cli.main(["--format", "machine", cmd[0], str(spec_path)]
+                          + cmd[1:])
+        assert rc in (0, 1, 2), (path, value, cmd)
+        for line in out.getvalue().splitlines():
+            json.loads(line)

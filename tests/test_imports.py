@@ -1,5 +1,6 @@
 """Every name a weakhopf module imports, or a function assigns, is read,
-and every function it defines is referenced."""
+every attribute it sets on self is read, and every function it defines is
+referenced."""
 
 import ast
 import pathlib
@@ -109,6 +110,72 @@ def test_no_unread_locals_in_weakhopf():
         bad = unread_locals(ast.parse(path.read_text()))
         if bad:
             found[path.name] = bad
+    assert not found, found
+
+
+PERFBENCH = TESTS.parent / "perfbench"
+
+
+def self_attributes(tree):
+    """{attribute: line} of each attribute assigned on self in the tree."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for t in targets:
+            for n in ast.walk(t):
+                if isinstance(n, ast.Attribute) and \
+                        isinstance(n.ctx, ast.Store) and \
+                        isinstance(n.value, ast.Name) and n.value.id == "self":
+                    out.setdefault(n.attr, n.lineno)
+    return out
+
+
+def read_attributes(trees):
+    """Every attribute name read in the trees, on any object."""
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_attributes(tree, read):
+    """(line, name) of each attribute the tree sets on self that is not in
+    `read`."""
+    return sorted((line, name) for name, line in self_attributes(tree).items()
+                  if name not in read)
+
+
+def test_scan_flags_an_unread_attribute():
+    lib = ast.parse("class K:\n"
+                    "    def __init__(self, x):\n"
+                    "        self.a, self.b = x\n"
+                    "        self.c = 1\n"
+                    "        self.d: int = 2\n"
+                    "        other.e = 3\n"
+                    "    def m(self):\n"
+                    "        return self.a\n")
+    # a read on any object counts, an assignment does not
+    user = ast.parse("k.c\nk.d = 4\n")
+    read = read_attributes([lib, user])
+    assert unread_attributes(lib, read) == [(3, "b"), (5, "d")]
+
+
+def test_every_weakhopf_attribute_is_read():
+    """An attribute that src, tests and the benchmark never read is state
+    nothing uses."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read = read_attributes(list(trees.values()) + [
+        ast.parse(path.read_text()) for path in
+        sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))])
+    found = {}
+    for name, tree in trees.items():
+        bad = unread_attributes(tree, read)
+        if bad:
+            found[name] = bad
     assert not found, found
 
 
@@ -272,5 +339,5 @@ def test_every_default_is_set_by_some_call():
     lib = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     callers = lib + [ast.parse(path.read_text()) for path in sorted(
         list(TESTS.glob("*.py")) +
-        list((TESTS.parent / "perfbench").glob("*.py")))]
+        list(PERFBENCH.glob("*.py")))]
     assert unset_defaults(lib, callers) == []

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -44,8 +46,8 @@ def dense_matmul(a, b, p=None):
 
 
 def to_dense(rows, n, p=None):
-    """Sparse rows (dicts or sorted pairs) as dense rows of width n."""
-    return [list(la.dense(dict(r), n)) for r in rows]
+    """Sparse rows as dense rows of width n."""
+    return [list(la.dense(r, n)) for r in rows]
 
 
 def test_solve_identity():
@@ -124,11 +126,10 @@ def test_inverse_matches_solve_per_column(rows):
         for i in range(3):
             col = la.solve([(r, one if k == i else 0)
                             for k, r in enumerate(a)], 3, p)
-            assert col == {k: dict(r)[i] for k, r in enumerate(inv)
-                           if i in dict(r)}
+            assert col == {k: r[i] for k, r in enumerate(inv) if i in r}
         assert dense_matmul(field_rows(rows, p), to_dense(inv, 3, p), p) == \
             to_dense(unit_rows(3, p), 3, p)
-        # inverse rows are sorted sparse rows, ready for apply_map
+        # inverse rows are sparse dicts with sorted keys
         assert all(list(r) == sorted(r) for r in inv)
 
 
@@ -142,7 +143,7 @@ def test_kernel_annihilates(rows):
         zero = tuple(la.scalar_zero(p) for _ in a)
         for v in to_dense(ker.basis, 4, p):
             assert dense_apply(a, v, p) == zero
-        assert ker.dim + la.rank(a, 4, p) == 4
+        assert ker.dim + la.rank(sparse_rows(rows, p), 4, p) == 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +158,7 @@ def test_quotient_properties(rel_rows):
         assert q.dim == 4 - rel.dim
         # project annihilates exactly the relations
         for r in rel.basis:
-            assert q.project(dict(r)) == {}
+            assert q.project(r) == {}
         # project o section = id on quotient coordinates
         for i in range(q.dim):
             assert q.project(q.section({i: one})) == {i: one}
@@ -240,12 +241,13 @@ def test_subspace_ops():
     s2 = la.Subspace.from_vectors(3, [{1: F(1)}, {2: F(1)}])
     inter = s1.intersect(s2)
     assert inter.dim == 1 and inter.contains({1: F(5)})
-    assert la.Subspace.from_vectors(
-        3, [dict(r) for r in s1.basis + s2.basis]) == la.Subspace.full(3)
+    assert la.Subspace.from_vectors(3, s1.basis + s2.basis) == \
+        la.Subspace.full(3)
     assert s1.contains_subspace(inter) and not s1.contains_subspace(s2)
     zero = la.Subspace.from_vectors(3, [])
     assert s1.intersect(zero) == zero
-    assert s1.coords({0: F(2), 1: F(-1)}) == (F(2), F(-1))
+    assert s1.coords({0: F(2), 1: F(-1)}) == {0: F(2), 1: F(-1)}
+    assert s1.coords({1: F(3)}) == {1: F(3)}
     assert s1.coords({2: F(1)}) is None
 
 
@@ -289,24 +291,23 @@ def test_membership_matches_the_rank_criterion(rows, v):
     for p in FIELDS:
         sub = la.Subspace.from_vectors(4, sparse_rows(rows, p), p)
         vec = la.sparse(tuple(in_field(c, p) for c in v))
-        inside = la.rank([dict(r) for r in sub.basis] + [vec], 4,
-                         p) == sub.dim
+        inside = la.rank(sub.basis + (vec,), 4, p) == sub.dim
         assert sub.contains(vec) == inside
         co = sub.coords(vec)
         assert (co is not None) == inside
         if inside:
             acc = {}
-            for c, r in zip(co, sub.basis):
-                la.sadd_into(acc, dict(r), c, p)
+            for k, c in co.items():
+                la.sadd_into(acc, sub.basis[k], c, p)
             assert acc == vec
         assert sub.contains_subspace(
             la.Subspace.from_vectors(4, [vec], p)) == inside
         # every combination of the basis is a member, with its coefficients
         # as coordinates
-        coeffs = tuple(in_field(k + 2, p) for k in range(sub.dim))
+        coeffs = {k: in_field(k + 2, p) for k in range(sub.dim)}
         combo = {}
-        for c, r in zip(coeffs, sub.basis):
-            la.sadd_into(combo, dict(r), c, p)
+        for k, c in coeffs.items():
+            la.sadd_into(combo, sub.basis[k], c, p)
         assert sub.contains(combo) and sub.coords(combo) == coeffs
 
 
@@ -326,3 +327,46 @@ def test_membership_builds_no_echelon(monkeypatch):
     assert sub.contains_subspace(zero)
     assert not sub.contains_subspace(la.Subspace.full(3))
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# one sparse form: dicts everywhere, pair tuples only in the structure table
+
+def svec_uses(tree):
+    """(enclosing function, line) of each read of svec, bare or as an
+    attribute, called or passed on; None outside any function."""
+    found = []
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(getattr(child, "ctx", None), ast.Load) and \
+                    "svec" in (getattr(child, "id", None),
+                               getattr(child, "attr", None)):
+                found.append((fn, child.lineno))
+            walk(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    walk(tree, None)
+    return sorted(found, key=lambda c: c[1])
+
+
+def test_scan_flags_svec_uses():
+    tree = ast.parse("from weakhopf.linalg import svec\n"
+                     "def f(d):\n"
+                     "    return svec(d)\n"
+                     "x = la.svec({})\n"
+                     "def g(ds):\n"
+                     "    return tuple(map(svec, ds))\n"
+                     "def h(d):\n"
+                     "    return tuple(sorted(d.items()))\n")
+    assert svec_uses(tree) == [("f", 3), (None, 4), ("g", 6)]
+
+
+def test_only_srow_builds_pair_tuples():
+    """The pair-tuple form is the structure table's: `algebra._srow`,
+    which builds its cells, is the one user of svec."""
+    src = pathlib.Path(weakhopf.__file__).parent
+    found = [(path.name, fn, line) for path in sorted(src.glob("*.py"))
+             for fn, line in svec_uses(ast.parse(path.read_text()))]
+    assert found and all(c[:2] == ("algebra.py", "_srow")
+                         for c in found), found

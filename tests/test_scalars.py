@@ -87,7 +87,7 @@ def residue_form(p):
 
 
 def row_scalars(rows):
-    return [c for r in rows for _, c in r]
+    return [c for r in rows for c in r.values()]
 
 
 def algebra_scalars(alg):
