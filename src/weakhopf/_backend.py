@@ -8,8 +8,12 @@ by a positive rational does not change the span, so the fraction-free form
 converts to the usual leading-1 echelon form only at API boundaries.
 
 Over F_p (a prime ``p``) the entries are residues in [0, p) and every row
-is scaled to leading entry 1, so the collection is the usual RREF.  Only
-`normalize_row` looks at ``p``; the other two functions pass it on.
+is scaled to leading entry 1, so the collection is the usual RREF.  A
+pivot step then touches only the columns from the pivot on (the row is
+zero to its left), reduces each of them mod p, and needs no rescaling:
+`reduce_row` normalises once at the end, and `insert_row` leaves the
+other rows' leading 1 in place.  Over Q every step keeps the row
+primitive with `normalize_row`.
 
 ``npiv`` restricts pivot search to the leftmost ``npiv`` columns; columns to
 the right ride along as an augmented zone (right-hand sides, coordinate
@@ -78,6 +82,10 @@ def reduce_row(rows, pivots, v, npiv, p=None):
         if vc == 0:
             continue
         row = rows[r]
+        if p is not None:
+            for j in range(c, width):
+                v[j] = (v[j] - vc * row[j]) % p
+            continue
         rc = row[c]
         for j in range(c, width):
             v[j] = rc * v[j] - vc * row[j]
@@ -85,7 +93,7 @@ def reduce_row(rows, pivots, v, npiv, p=None):
         if rc != 1:
             for j in range(c):
                 v[j] = rc * v[j]
-        normalize_row(v, npiv, p)
+        normalize_row(v, npiv)
     return normalize_row(v, npiv, p)
 
 
@@ -118,7 +126,11 @@ def insert_row(rows, pivots, v, npiv, p=None):
         rc = row[lead]
         if rc == 0:
             continue
+        if p is not None:
+            for j in range(lead, width):
+                row[j] = (row[j] - rc * v[j]) % p
+            continue
         for j in range(width):
             row[j] = vc * row[j] - rc * v[j]
-        normalize_row(row, npiv, p)
+        normalize_row(row, npiv)
     return lo

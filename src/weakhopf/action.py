@@ -76,7 +76,7 @@ def verify_module_algebra(M):
     one_h = H.alg.unit_sparse()
     with cl.holds("module_unit", "1 . a = a") as law:
         for a in law.over(range(dA)):
-            law.check((a,), M.apply(one_h, A.basis_vec(a)), A.basis_vec(a))
+            law.check((a,), M.apply(one_h, {a: 1}), {a: 1})
 
     with cl.holds("module_associative", "(hg) . a = h . (g . a)") as law:
         for h in law.over(range(dH)):
@@ -101,10 +101,11 @@ def verify_module_algebra(M):
                     law.check((h, a, b), lhs, rhs)
 
     one_a = A.unit_sparse()
+    est = H.eps_rows[0]
     with cl.holds("unit_axiom", "h . 1 = eps_t(h) . 1") as law:
         for h in law.over(range(dH)):
-            lhs = M.apply(H.alg.basis_vec(h), one_a)
-            rhs = M.apply(H.et(H.alg.basis_vec(h)), one_a)
+            lhs = ag.apply_map(acts[h], one_a, p)
+            rhs = M.apply(est[h], one_a)
             law.check((h,), lhs, rhs)
     return cl
 
@@ -113,11 +114,10 @@ def invariants(M):
     """{a : h . a = eps_t(h) . a}, verified to be a unital subalgebra."""
     H, A = M.H, M.A
     rows = []
-    for h in range(H.dim):
-        eth = H.et(H.alg.basis_vec(h))
+    for h, eth in enumerate(H.eps_rows[0]):
         for a in range(A.dim):
-            diff = M.apply(H.alg.basis_vec(h), A.basis_vec(a))
-            sadd_into(diff, M.apply(eth, A.basis_vec(a)), -1, A.p)
+            diff = dict(M.act[h][a])
+            sadd_into(diff, M.apply(eth, {a: 1}), -1, A.p)
             rows.append((a, diff))
     sub = wha.kernel_of_column_maps(rows, A.dim, A.p)
     if not sub.contains(A.unit_sparse()):
@@ -139,8 +139,7 @@ def trivial_action(H):
     for h in range(H.dim):
         rows = []
         for z in range(Ht_alg.dim):
-            img = H.et(H.alg.mul(H.alg.basis_vec(h),
-                                 inject(Ht_alg.basis_vec(z))))
+            img = H.et(H.alg.mul({h: 1}, inject({z: 1})))
             rows.append(express(img))
         act.append(rows)
     return make_module_algebra(H, Ht_alg, act)
@@ -174,15 +173,13 @@ def adjoint_action(H):
     d = H.dim
     act = []
     for h in range(d):
-        dh = H.d(H.alg.basis_vec(h))
         rows = []
         for a in range(A_alg.dim):
-            aa = inject(A_alg.basis_vec(a))
+            aa = inject({a: 1})
             out = {}
-            for uv, c in dh.items():
+            for uv, c in H.delta[h].items():
                 u, v = divmod(uv, d)
-                term = H.alg.mulm(H.alg.basis_vec(u), aa,
-                                  H.S(H.alg.basis_vec(v)))
+                term = H.alg.mulm({u: 1}, aa, H.s[v])
                 sadd_into(out, term, c, H.p)
             rows.append(express(out))
         act.append(rows)
@@ -204,8 +201,7 @@ def action_comodule_bridge(M):
     for a in range(dA):
         out = {}
         for h in range(dH):
-            img = M.apply(H.alg.basis_vec(h), A.basis_vec(a))
-            for k, v in img.items():
+            for k, v in M.act[h][a].items():
                 out[k * dH + h] = v
         rho.append(out)
     rho = tuple(rho)
@@ -217,9 +213,8 @@ def action_comodule_bridge(M):
     with cl.holds("comodule_multiplicative", "rho(ab) = a0 b0 (x) a1 b1") as law:
         for a in law.over(range(dA)):
             for b in law.over(range(dA)):
-                lhs = rho_of(A.mul(A.basis_vec(a), A.basis_vec(b)))
-                rhs = ag.tensor_mul(A, Hd.alg, rho_of(A.basis_vec(a)),
-                                    rho_of(A.basis_vec(b)))
+                lhs = rho_of(dict(A.table[a][b]))
+                rhs = ag.tensor_mul(A, Hd.alg, rho[a], rho[b])
                 law.check((a, b), lhs, rhs)
 
     est = Hd.eps_rows[0]
@@ -237,8 +232,7 @@ def action_comodule_bridge(M):
                         got[j] = got.get(j, 0) + c
                 got = {k: v for k, v in la.residues(got, A.p).items()
                        if v != 0}
-                law.check((a, h), got,
-                          M.apply(H.alg.basis_vec(h), A.basis_vec(a)))
+                law.check((a, h), got, M.act[h][a])
 
     rows = []
     for a in range(dA):
@@ -297,19 +291,18 @@ def smash(M):
     with cl.holds("right_Ht_action", "a . z = a (z . 1) = S^-1(z) . a") as law:
         for zi, (z, z1) in law.over(enumerate(zt_acts)):
             for a in law.over(range(dA)):
-                lhs = A.mul(A.basis_vec(a), z1)
-                rhs = M.apply(ag.apply_map(s_inv, z, p), A.basis_vec(a))
+                lhs = A.mul({a: 1}, z1)
+                rhs = M.apply(ag.apply_map(s_inv, z, p), {a: 1})
                 law.check((zi, a), lhs, rhs)
 
     rel_vecs = []
     for z, z1 in zt_acts:
         for a in range(dA):
-            az = A.mul(A.basis_vec(a), z1)
+            az = A.mul({a: 1}, z1)
             for h in range(dH):
-                vec = la.tensor_sparse(az, H.alg.basis_vec(h), dH, p)
-                zh = H.alg.mul(z, H.alg.basis_vec(h))
-                sadd_into(vec, la.tensor_sparse(A.basis_vec(a), zh, dH, p),
-                          -1, p)
+                vec = la.tensor_sparse(az, {h: 1}, dH, p)
+                zh = H.alg.mul(z, {h: 1})
+                sadd_into(vec, la.tensor_sparse({a: 1}, zh, dH, p), -1, p)
                 if vec:
                     rel_vecs.append(vec)
     relations = la.Subspace.from_vectors(amb, rel_vecs, p)
@@ -373,9 +366,9 @@ def smash(M):
     cl.add("associative_unital", "A#H is associative with unit 1#1", True)
 
     inc_a = tuple(q.project(la.tensor_sparse(
-        A.basis_vec(a), H.alg.unit_sparse(), dH, p)) for a in range(dA))
+        {a: 1}, H.alg.unit_sparse(), dH, p)) for a in range(dA))
     inc_h = tuple(q.project(la.tensor_sparse(
-        one_a, H.alg.basis_vec(h), dH, p)) for h in range(dH))
+        one_a, {h: 1}, dH, p)) for h in range(dH))
     return Smash(M, q, alg, inc_a, inc_h, cl)
 
 
@@ -417,9 +410,7 @@ def duality_dimension_check(M):
     n = sm.alg.dim
 
     # commutant of right multiplication
-    rmuls = [sm.alg.rmul_rows(ag.apply_map(sm.include_A, M.A.basis_vec(a),
-                                           M.A.p))
-             for a in range(M.A.dim)]
+    rmuls = [sm.alg.rmul_rows(x) for x in sm.include_A]
     eqs = []
     for ra in rmuls:
         for i in range(n):

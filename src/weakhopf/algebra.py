@@ -27,6 +27,14 @@ Linear maps between based spaces are stored as tuples of sparse rows:
 sorted ``((index, coeff), ...)`` tuple of e_i e_j, which the product
 kernels walk faster than a dict, and the unit is a dense tuple.
 
+A basis element is its index.  The product of two basis elements is read
+from ``table[i][j]`` (walked as pairs where it is only summed, ``dict(cell)``
+where a vector is compared or passed on), and the image of e_i under a
+stored map is ``rows[i]``; neither is rebuilt as a vector and pushed
+through `Algebra.mul` or `apply_map`.  A one-hot ``{i: 1}`` is written only
+where a vector is needed: a basis element times another vector, or the
+right-hand side of a law.
+
 Frobenius coordinate systems are never unique: two systems for the same
 inclusion differ by an invertible element d of the centralizer (the second
 homomorphism is x -> E(dx), with dual bases transported by d^-1).  The
@@ -212,9 +220,6 @@ class Algebra:
     def unit_sparse(self):
         return sparse(self.unit)
 
-    def basis_vec(self, i):
-        return {i: 1}
-
     def commutator(self, x, y):
         out = self.mul(x, y)
         for k, v in self.mul(y, x).items():
@@ -238,36 +243,29 @@ class Algebra:
 
     def lmul_rows(self, x):
         """Sparse rows of left multiplication by x."""
-        return tuple(self.mul(x, self.basis_vec(j)) for j in range(self.dim))
+        return tuple(self.mul(x, {j: 1}) for j in range(self.dim))
 
     def rmul_rows(self, x):
-        return tuple(self.mul(self.basis_vec(j), x) for j in range(self.dim))
+        return tuple(self.mul({j: 1}, x) for j in range(self.dim))
 
 
 def make_algebra(structure, unit, labels=None, p=None):
     """Build an Algebra after verifying the unit law and associativity.
 
-    `structure` is either a dim x dim nested sequence of dense product
-    vectors or a table of sparse dicts.  `check_associative` decides every
-    basis triple on the table times d, the lcm of its denominators (over
-    F_p, on the residues): both sides of the law are quadratic in the
-    table, so they scale by the same d^2 and the law is the same.
+    `structure` is a dim x dim table of sparse dicts, cell [i][j] holding
+    e_i e_j.  `check_associative` decides every basis triple on the table
+    times d, the lcm of its denominators (over F_p, on the residues): both
+    sides of the law are quadratic in the table, so they scale by the same
+    d^2 and the law is the same.
     """
     dim = len(structure)
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            cell = structure[i][j]
-            row.append(_srow(cell.items() if isinstance(cell, dict)
-                             else enumerate(cell), p))
-        table.append(tuple(row))
-    table = tuple(table)
+    table = tuple(tuple(_srow(structure[i][j].items(), p)
+                        for j in range(dim)) for i in range(dim))
     unit = tuple(la.as_scalar(c, p) for c in unit)
     alg = Algebra(dim, table, unit, tuple(labels) if labels else None, p)
     ud = alg.unit_sparse()
     for i in range(dim):
-        ei = alg.basis_vec(i)
+        ei = {i: 1}
         if alg.mul(ud, ei) != ei:
             raise BadUnit(i, "left")
         if alg.mul(ei, ud) != ei:
@@ -314,13 +312,12 @@ def check_associative(alg):
 
 def _first_failure(alg, i):
     """NotAssociative at the first failing (j, k) of row i."""
-    ei = alg.basis_vec(i)
+    table = alg.table
     for j in range(alg.dim):
-        ej = alg.basis_vec(j)
-        eij = alg.mul(ei, ej)
+        eij = dict(table[i][j])
         for k in range(alg.dim):
-            ek = alg.basis_vec(k)
-            lhs, rhs = alg.mul(eij, ek), alg.mul(ei, alg.mul(ej, ek))
+            lhs = alg.mul(eij, {k: 1})
+            rhs = alg.mul({i: 1}, dict(table[j][k]))
             if lhs != rhs:
                 return NotAssociative(i, j, k, lhs, rhs)
 
@@ -412,10 +409,6 @@ class CondExpectation:
     incl: Inclusion
     rows: tuple  # sparse rows, big -> small coords
 
-    def E(self, x):
-        """E as a map landing back inside big (embedded)."""
-        return self.incl.emb(apply_map(self.rows, x, self.incl.big.p))
-
     def E_small(self, x):
         return apply_map(self.rows, x, self.incl.big.p)
 
@@ -458,8 +451,8 @@ def make_inclusion(small, big, embed):
         raise ValueError("inclusion does not preserve the unit")
     for i in range(small.dim):
         for j in range(small.dim):
-            lhs = incl.emb(small.mul(small.basis_vec(i), small.basis_vec(j)))
-            rhs = big.mul(incl.emb(small.basis_vec(i)), incl.emb(small.basis_vec(j)))
+            lhs = incl.emb(dict(small.table[i][j]))
+            rhs = big.mul(embed[i], embed[j])
             if lhs != rhs:
                 raise ValueError("embedding not multiplicative at (%d, %d)" % (i, j))
     if embedded_image(incl).dim != small.dim:
@@ -482,14 +475,14 @@ def make_cond_expectation(incl, rows):
     rows = map_rows(rows, incl.big.p)
     E = CondExpectation(incl, rows)
     small, big = incl.small, incl.big
-    emb = [incl.emb(small.basis_vec(a)) for a in range(small.dim)]
+    emb = incl.embed
     for a in range(small.dim):
-        if E.E_small(emb[a]) != small.basis_vec(a):
+        if E.E_small(emb[a]) != {a: 1}:
             raise ValueError("E o embed != id at basis %d" % a)
     for x in range(big.dim):
-        Ex = E.E_small(big.basis_vec(x))
+        Ex = rows[x]
         for a in range(small.dim):
-            ea = small.basis_vec(a)
+            ea = {a: 1}
             if E._E_xm(emb[a], x) != small.mul(ea, Ex):
                 raise ValueError("E not left N-linear at (%d, %d)" % (a, x))
             if E._E_mx(x, emb[a]) != small.mul(Ex, ea):
@@ -524,13 +517,14 @@ def find_dual_bases(E, within=None):
     big = E.incl.big
     p = big.p
     if within is None:
-        cands = [big.basis_vec(i) for i in range(big.dim)]
+        cands = [{i: 1} for i in range(big.dim)]
+        prods = [[dict(cell) for cell in row] for row in big.table]
     else:
         cands = within.basis
+        prods = [[big.mul(x, y) for y in cands] for x in cands]
     n = len(cands)
     eqs = []
     for m in range(big.dim):
-        em = big.basis_vec(m)
         # E(e_m c_a) and E(c_b e_m), each once per candidate
         e_mc = [E.incl.emb(E._E_mx(m, c)) for c in cands]
         e_cm = [E.incl.emb(E._E_xm(c, m)) for c in cands]
@@ -544,14 +538,13 @@ def find_dual_bases(E, within=None):
                 for k, v in big.mul(cands[a], e_cm[b]).items():
                     rows2[k][ab] = v
         for k in range(big.dim):
-            tgt = em.get(k, 0)
+            tgt = 1 if k == m else 0
             eqs.append((rows1[k], tgt))
             eqs.append((rows2[k], tgt))
     # adjoin lam at column n*n and ask for x_i y_i = lam 1 = y_i x_i
     aug = list(eqs)
     fwd = [dict() for _ in range(big.dim)]
     bwd = [dict() for _ in range(big.dim)]
-    prods = [[big.mul(x, y) for y in cands] for x in cands]
     for a in range(n):
         for b in range(n):
             for k, v in prods[a][b].items():
@@ -599,7 +592,7 @@ def find_dual_bases(E, within=None):
 def verify_dual_bases(E, db):
     big = E.incl.big
     for m in range(big.dim):
-        em = big.basis_vec(m)
+        em = {m: 1}
         acc1, acc2 = {}, {}
         for x, y in zip(db.xs, db.ys):
             sadd_into(acc1, big.mul(E.incl.emb(E._E_mx(m, x)), y), 1, big.p)
@@ -635,19 +628,18 @@ def separability_element(A, symmetric=False, require_unique=False):
     hom_rows = []
     # Casimir: for each c and tensor coordinate (k, l),
     #   sum_a f_{a l} (e_c e_a)_k  -  sum_b f_{k b} (e_b e_c)_l  =  0
-    lm = [[A.mul(A.basis_vec(c), A.basis_vec(a)) for a in range(n)] for c in range(n)]
-    rm = [[A.mul(A.basis_vec(b), A.basis_vec(c)) for b in range(n)] for c in range(n)]
+    prods = [[dict(cell) for cell in row] for row in A.table]
     for c in range(n):
         for k in range(n):
             for l in range(n):
                 row = {}
                 for a in range(n):
-                    v = lm[c][a].get(k)
+                    v = prods[c][a].get(k)
                     if v:
                         key = tindex(a, l, n)
                         row[key] = row.get(key, 0) + v
                 for b in range(n):
-                    v = rm[c][b].get(l)
+                    v = prods[b][c].get(l)
                     if v:
                         key = tindex(k, b, n)
                         w = row.get(key, 0) - v
@@ -668,8 +660,7 @@ def separability_element(A, symmetric=False, require_unique=False):
     mu_rows = [dict() for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            prod = A.mul(A.basis_vec(i), A.basis_vec(j))
-            for k, v in prod.items():
+            for k, v in A.table[i][j]:
                 key = tindex(i, j, n)
                 mu_rows[k][key] = mu_rows[k].get(key, 0) + v
     for k in range(n):
@@ -704,14 +695,14 @@ def trace_dual_bases(A, trace):
     gram_t = [{} for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            v = trace_of(trace, A.mul(A.basis_vec(i), A.basis_vec(j)), A.p)
+            v = la.residue(sum(c * trace[k] for k, c in A.table[i][j]), A.p)
             if v != 0:
                 gram_t[j][i] = v
     try:
         b_s = la.inverse(gram_t, n, A.p)
     except la.NoSolution:
         return None
-    a_s = tuple(A.basis_vec(i) for i in range(n))
+    a_s = tuple({i: 1} for i in range(n))
     return a_s, b_s
 
 
@@ -796,8 +787,7 @@ def certify_markov(incl, E, db, trace):
     cl.add("trace_normalized", "T(1) = 1",
            trace_of(trace, one_small, big.p) == 1)
 
-    t0 = tuple(trace_of(trace, E.E_small(big.basis_vec(j)), big.p)
-               for j in range(big.dim))
+    t0 = tuple(trace_of(trace, r, big.p) for r in E.rows)
     # T0(e_i e_j) = T(E(e_i e_j)), each once, compared with its transpose
     t0_pairs = [[trace_of(trace, v, big.p) for v in row]
                 for row in E.products]
@@ -858,9 +848,8 @@ def relative_tensor_square(cert):
     def pi_col(c):
         a, b = divmod(c, n)
         out = {}
-        ea = big.basis_vec(a)
         for ebx, y in zip(e_bx[b], ys):
-            left = big.mul(ea, ebx)
+            left = big.mul({a: 1}, ebx)
             sadd_into(out, la.tensor_sparse(left, y, n, big.p), 1, big.p)
         return out
 

@@ -40,17 +40,15 @@ def composite_expectation_down(tower, hi, lo):
     """Rows of E_{M_lo} o ... o E_{M_{hi-1}}: M_hi -> M_lo coordinates.
 
     Level 0 is the base big algebra; lo = -1 composes all the way down to N.
+    Requires hi > lo.  The first factor's rows are the stored rows of E.
     """
-    alg = tower.alg(hi)
-    p = alg.p
-    rows = [alg.basis_vec(j) for j in range(alg.dim)]
-    for k in range(hi, max(lo, 0), -1):
-        E = tower.levels[k - 1].cert.E.rows
-        rows = [ag.apply_map(E, r, p) for r in rows]
+    Es = [tower.levels[k - 1].cert.E.rows for k in range(hi, max(lo, 0), -1)]
     if lo == -1:
-        E0 = tower.base.E.rows
-        rows = [ag.apply_map(E0, r, p) for r in rows]
-    return tuple(rows)
+        Es.append(tower.base.E.rows)
+    rows = Es[0]
+    for E in Es[1:]:
+        rows = ag.compose_maps(rows, E, tower.alg(hi).p)
+    return rows
 
 
 def jones_word(tower, word, level):
@@ -92,8 +90,10 @@ def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
     F_n = composite_expectation_down(tower, n, -1)
     F_Mn = composite_expectation_down(tower, top, n)
 
-    def lift_n(x):
-        return tower.embed(n, top, x)
+    # the basis of M_n lifted to the top: row x of the embedding into
+    # M_{n+1}, carried up from there
+    M_n_top = [tower.embed(n + 1, top, r)
+               for r in tower.levels[n].cert.incl.embed]
 
     def lift_N(x_small):
         return tower.embed(0, top, tower.base.incl.emb(x_small))
@@ -101,16 +101,16 @@ def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
     with cl.holds("contraction",
                   "f_n x f_n = f_n F_n(x) = F_n(x) f_n on M_n") as law:
         for x in law.over(range(M_n.dim)):
-            xe = lift_n(M_n.basis_vec(x))
-            Fx = lift_N(ag.apply_map(F_n, M_n.basis_vec(x), p))
+            xe = M_n_top[x]
+            Fx = lift_N(F_n[x])
             lhs = M_top.mulm(f, xe, f)
             if law.check((x,), lhs, M_top.mul(f, Fx)):
                 law.check((x,), lhs, M_top.mul(Fx, f))
 
-    xfs = [M_top.mul(lift_n(M_n.basis_vec(x)), f) for x in range(M_n.dim)]
+    xfs = [M_top.mul(xe, f) for xe in M_n_top]
     cl.add("span", "M_n f_n M_n = M_{2n+1}", la.rank(
-        (M_top.mul(xf, lift_n(M_n.basis_vec(y))) for xf in xfs
-         for y in range(M_n.dim)), M_top.dim, p) == M_top.dim)
+        (M_top.mul(xf, ye) for xf in xfs for ye in M_n_top),
+        M_top.dim, p) == M_top.dim)
 
     cl.add("composite_expectation", "F_{M_n}(f_n) = lambda^{n+1} 1",
            ag.apply_map(F_Mn, f, p)

@@ -174,6 +174,7 @@ def parse_algebra(payload, p, where="algebra"):
             if len(table[i][j]) != dim:
                 raise SpecFileError("%s.structure[%d][%d]: wrong length"
                                     % (where, i, j))
+    table = [[sparse(cell) for cell in row] for row in table]
     unit = tuple(_scal(x, p, where + ".unit") for x in unit)
     if len(unit) != dim:
         raise SpecFileError("%s.unit: wrong length" % where)

@@ -97,9 +97,8 @@ def basic_construction(cert):
     table = []
     for (a, b) in reps:
         row = []
-        ea = M.basis_vec(a)
         for (c, d) in reps:
-            row.append(cls(M.mul(ea, mids[b][c]), M.basis_vec(d)))
+            row.append(cls(M.mul({a: 1}, mids[b][c]), {d: 1}))
         table.append(row)
     unit = {}
     for x, y in zip(xs, ys):
@@ -108,20 +107,18 @@ def basic_construction(cert):
 
     e1 = cls(M.unit_sparse(), M.unit_sparse())
     embed_rows = ag.map_rows(
-        [_embed_vec(M, xs, ys, cls, M.basis_vec(a)) for a in range(m)], p)
+        [_embed_vec(M, xs, ys, cls, {a: 1}) for a in range(m)], p)
     E_down = ag.map_rows(
-        [la.sscale(M.mul(M.basis_vec(a), M.basis_vec(b)), lam, p)
-         for (a, b) in reps], p)
+        [la.sscale(dict(M.table[a][b]), lam, p) for (a, b) in reps], p)
     xs1 = tuple(la.sscale(cls(x, M.unit_sparse()), lam_inv, p) for x in xs)
     ys1 = tuple(cls(M.unit_sparse(), y) for y in ys)
     db1 = ag.DualBases(xs1, ys1, lam_inv)
 
     cl = CheckList("basic-construction")
 
-    emb = lambda x: ag.apply_map(embed_rows, x, p)
-    lefts = [alg1.mul(emb(M.basis_vec(a)), e1) for a in range(m)]
+    lefts = [alg1.mul(embed_rows[a], e1) for a in range(m)]
     cl.add("span", "M1 = M e1 M", la.rank(
-        (alg1.mul(left, emb(M.basis_vec(b))) for left in lefts
+        (alg1.mul(left, embed_rows[b]) for left in lefts
          for b in range(m)), n1, p) == n1)
 
     cl.add("jones_idempotent", "e1^2 = e1", alg1.mul(e1, e1) == e1)
@@ -130,8 +127,8 @@ def basic_construction(cert):
 
     with cl.holds("jones_contraction", "e1 x e1 = e1 E(x) = E(x) e1") as law:
         for x in law.over(range(m)):
-            ex = emb(M.basis_vec(x))
-            exE = emb(E.E(M.basis_vec(x)))
+            ex = embed_rows[x]
+            exE = ag.apply_map(embed_rows, E.incl.emb(E.rows[x]), p)
             lhs = alg1.mulm(e1, ex, e1)
             if law.check((x,), lhs, alg1.mul(e1, exE)):
                 law.check((x,), lhs, alg1.mul(exE, e1))
@@ -255,7 +252,7 @@ def build_tower(cert, depth, extra=0):
                  lambda x, e: top.mul(e, x))):
             with cl.holds(name, text) as law:
                 for x in law.over(range(top.dim)):
-                    xe = mul(top.basis_vec(x), ek)
+                    xe = mul({x: 1}, ek)
                     down = ag.apply_map(incl.embed,
                                         ag.apply_map(lvl.cert.E.rows, xe, p),
                                         p)
@@ -317,22 +314,18 @@ class DepthTwoContext:
         self.T2 = tower.trace(2)
 
         m2 = self.M2.dim
-        N = base.incl.small
-        self.N_in_M2 = [tower.embed(0, 2, base.incl.emb(N.basis_vec(i)))
-                        for i in range(N.dim)]
-        self.M_in_M1 = [tower.embed(0, 1, self.M.basis_vec(i))
-                        for i in range(self.M.dim)]
+        N_in_M = base.incl.embed
+        self.N_in_M2 = [tower.embed(0, 2, x) for x in N_in_M]
+        self.M_in_M1 = self.lv1.cert.incl.embed
         self.M_in_M2 = [tower.embed(1, 2, x) for x in self.M_in_M1]
-        self.M1_in_M2 = [tower.embed(1, 2, self.M1.basis_vec(i))
-                         for i in range(self.M1.dim)]
+        self.M1_in_M2 = self.lv2.cert.incl.embed
 
         nsub = la.Subspace.from_vectors(m2, self.N_in_M2, self.p)
         msub = la.Subspace.from_vectors(m2, self.M_in_M2, self.p)
         self.U = la.Subspace.from_vectors(
             m2, [tower.embed(0, 2, r) for r in base.U.basis], self.p)
         self.A1 = ag.centralizer(self.M1, la.Subspace.from_vectors(
-            self.M1.dim, [tower.embed(0, 1, base.incl.emb(N.basis_vec(i)))
-                          for i in range(N.dim)], self.p))
+            self.M1.dim, [tower.embed(0, 1, x) for x in N_in_M], self.p))
         self.A = la.Subspace.from_vectors(
             m2, [tower.embed(1, 2, r) for r in self.A1.basis], self.p)
         self.V1 = self.lv1.cert.U  # C_M1(M), M1 coords
@@ -603,7 +596,7 @@ def pairing(ctx, d2, ep):
     V_alg, injV, expV = ag.subalgebra(M2, ctx.V, "V")
     f = ag.kanzaki_element(V_alg)
     nV = V_alg.dim
-    vhat = [injV(V_alg.basis_vec(i)) for i in range(nV)]
+    vhat = [injV({i: 1}) for i in range(nV)]
 
     s = {}
     for ij, c in f.items():
@@ -685,8 +678,8 @@ class DerivedWeakHopf:
         A_alg, injA, expA = ag.subalgebra(M2, ctx.A, "A")
         self.injB, self.expB = injB, expB
         self.injA, self.expA = injA, expA
-        self.bhat = bhat = [injB(B_alg.basis_vec(j)) for j in range(nB)]
-        ahat = [injA(A_alg.basis_vec(i)) for i in range(nA)]
+        self.bhat = bhat = [injB({j: 1}) for j in range(nB)]
+        ahat = [injA({i: 1}) for i in range(nA)]
 
         G = pd.gram
         Ginv = la.inverse(G, nA, p)
@@ -742,7 +735,7 @@ class DerivedWeakHopf:
 
         with cl.holds("eps_S_invariant", "eps(S(b)) = eps(b)") as law:
             for j in law.over(range(nB)):
-                law.check((j,), B.e(S({j: 1})), eps_vec[j])
+                law.check((j,), B.e(B.s[j]), eps_vec[j])
 
         # Delta(1) = S^-1(f1) (x) f2 = S(f1) (x) f2, legs in B coordinates
         nV = len(pd.vhat)
@@ -773,7 +766,7 @@ class DerivedWeakHopf:
             for j in law.over(range(nB)):
                 inner = E_A(ctx.mul(bhat[j], e1, e2))
                 val = ctx.mul(w_inv, E_B(ctx.mul(e1, e2, inner)), w)
-                law.check((j,), expB(la.sscale(val, lam3, p)), S_inv({j: 1}))
+                law.check((j,), expB(la.sscale(val, lam3, p)), s_inv_rows[j])
 
         VB_sub = la.Subspace.from_vectors(nB, vB, p)
         WB = la.Subspace.from_vectors(
@@ -784,17 +777,16 @@ class DerivedWeakHopf:
         with cl.holds("double_twist",
                       "b = w S^-1(w S^-1(b) w^-1) w^-1") as law:
             for j in law.over(range(nB)):
-                b = {j: 1}
                 val = expB(ctx.mul(w, injB(S_inv(expB(
-                    ctx.mul(w, injB(S_inv(b)), w_inv)))), w_inv))
-                law.check((j,), val, b)
+                    ctx.mul(w, injB(s_inv_rows[j]), w_inv)))), w_inv))
+                law.check((j,), val, {j: 1})
 
         g = ctx.mul(injB(S(expB(w_inv))), w)
         g_inv = injB(ag.right_inverse(B_alg, expB(g)))
         with cl.holds("s_squared_conjugation",
                       "S^2(b) = g b g^-1, g = S(w^-1) w") as law:
             for j in law.over(range(nB)):
-                law.check((j,), S(S({j: 1})),
+                law.check((j,), S(B.s[j]),
                           expB(ctx.mul(g, bhat[j], g_inv)))
 
         with cl.holds("s_squared_counital", "S^2 = id on V and on W") as law:
@@ -831,6 +823,7 @@ class DerivedWeakHopf:
             for i, v in law.over(enumerate(vB)):
                 law.check((i,), ctx.mul(injB(v), e2), ctx.mul(injB(S(v)), e2))
 
+        em = B.eps_products  # eps(b_j b_k)
         with cl.holds("lemma_c",
                       "lambda^-1 E_A(e2 w b) w^-1 = eps(b 1(1)) 1(2)") as law:
             for j in law.over(range(nB)):
@@ -839,7 +832,7 @@ class DerivedWeakHopf:
                 rhs = {}
                 for kl, c in d1.items():
                     k, l = divmod(kl, nB)
-                    coef = c * B.e(B_alg.mul({j: 1}, {k: 1}))
+                    coef = c * em[j][k]
                     if coef != 0:
                         sadd_into(rhs, bhat[l], coef, p)
                 law.check((j,), lhs, rhs)
@@ -947,17 +940,15 @@ class DerivedWeakHopf:
                     acc, rhs = {}, {}
                     for (k, l), c in legs(j):
                         if target:
-                            sadd_into(acc, B_alg.mul({k: 1}, S({l: 1})), c, p)
+                            sadd_into(acc, B_alg.mul({k: 1}, B.s[l]), c, p)
                         else:
-                            sadd_into(acc, B_alg.mul(S({k: 1}), {l: 1}), c, p)
+                            sadd_into(acc, B_alg.mul(B.s[k], {l: 1}), c, p)
                     for kl, c in d1.items():
                         k, l = divmod(kl, nB)
                         if target:
-                            sadd_into(rhs, {l: 1},
-                                      c * B.e(B_alg.mul({k: 1}, {j: 1})), p)
+                            sadd_into(rhs, {l: 1}, c * em[k][j], p)
                         else:
-                            sadd_into(rhs, {k: 1},
-                                      c * B.e(B_alg.mul({j: 1}, {l: 1})), p)
+                            sadd_into(rhs, {k: 1}, c * em[j][l], p)
                     law.check((j,), acc, rhs)
 
         with cl.holds("eps_t_formula", "eps_t(b) = lambda^-1 E_A(b e2)") as law:
@@ -1096,7 +1087,7 @@ def action_B_on_M1(ctx, dw):
             for ai in law.over(range(nA)):
                 ma = M1.mul(m_in_M1[mi], a_in_M1[ai])
                 for j in law.over(range(nB)):
-                    lhs = MB.apply({j: 1}, ma)
+                    lhs = ag.apply_map(MB.act[j], ma, p)
                     rhs = {}
                     for kl, c in A.delta[ai].items():
                         k, l = divmod(kl, nA)
@@ -1126,7 +1117,7 @@ def action_B_on_M1(ctx, dw):
             lj = [(divmod(kl, nB), c) for kl, c in B.delta[j].items()]
             for x in law.over(range(M1.dim)):
                 for y in law.over(range(M1.dim)):
-                    xy = M1.mul(M1.basis_vec(x), M1.basis_vec(y))
+                    xy = dict(M1.table[x][y])
                     lhs = ag.apply_map(
                         E_M1,
                         ctx.mul(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2), p)
@@ -1172,14 +1163,13 @@ def _smash_iso(cl, sm, target, left, right, laws, inverse=None):
     with cl.holds("multiplicative", mult_text) as law:
         for i in law.over(range(sm.alg.dim)):
             for j in law.over(range(sm.alg.dim)):
-                lhs = ag.apply_map(iso, sm.alg.mul({i: 1}, {j: 1}), p)
+                lhs = ag.apply_map(iso, dict(sm.alg.table[i][j]), p)
                 rhs = target.mul(iso[i], iso[j])
                 law.check((i, j), lhs, rhs)
     if inverse is not None:
         with cl.holds("inverse_formula", inverse[0]) as law:
             for x in law.over(range(target.dim)):
-                law.check((x,), ag.apply_map(iso, inverse[1](x), p),
-                          target.basis_vec(x))
+                law.check((x,), ag.apply_map(iso, inverse[1](x), p), {x: 1})
     unit_h = sm.module.H.alg.unit_sparse()
     with cl.holds("tower_compatible", tower_text) as law:
         for x, leg in law.over(enumerate(left)):
@@ -1205,7 +1195,7 @@ def psi_iso(ctx, dw, MB, d2):
     def preimage(x):
         acc = {}
         for u, vB in zip(d2.us, vsB):
-            em = ag.apply_map(E_M1, ctx.mul(M2.basis_vec(x), u), ctx.p)
+            em = ag.apply_map(E_M1, ctx.mul({x: 1}, u), ctx.p)
             for xi, c in em.items():
                 for bi, cb in vB.items():
                     sadd_into(acc, q.proj_cols[xi * nB + bi], c * cb, ctx.p)
@@ -1268,7 +1258,7 @@ def action_A_on_M(ctx, dw, MB):
                     k, l = divmod(kl, nA)
                     term = A.alg.mulm({k: 1}, eta, sA[l])
                     sadd_into(lhs, term, c, p)
-                rhs = ag.apply_map(est, A.alg.mul({i: 1}, {i2: 1}), p)
+                rhs = ag.apply_map(est, dict(A.alg.table[i][i2]), p)
                 law.check((i, i2), lhs, rhs)
 
     inv = ac.invariants(MA)
@@ -1284,7 +1274,8 @@ def action_A_on_M(ctx, dw, MB):
         for ai in law.over(range(nA)):
             rho = {}
             for k in law.over(range(nB)):
-                img = ctx.t.embed(1, 2, MB.apply({k: 1}, a_in_M1[ai]))
+                img = ctx.t.embed(1, 2, ag.apply_map(MB.act[k], a_in_M1[ai],
+                                                     p))
                 try:
                     co = dw.expA(img)
                 except ag.NotClosed:  # b . a must lie in A

@@ -10,10 +10,16 @@ Comultiplication rows live on flat tensor indices: the coefficient of
 e_i (x) e_j in Delta(e_h) is delta[h][i*dim + j].  The dual pairing
 convention is <Delta(phi), h (x) g> = <phi, hg> with h the left factor.
 
+The laws read what is stored for a basis element: Delta(e_h) is
+``delta[h]``, S(e_h) is ``s[h]``, eps(e_h) is ``eps[h]`` and e_i e_j is the
+cell ``alg.table[i][j]`` (see `algebra`).
+
 The structure derived from a WeakHopf alone lives on the object, computed
 on first use and then shared by every caller: Delta(1) (`delta_one`), the
-sparse rows of eps_t and eps_s (`eps_rows`, both read off Delta(1)) and the
-verified counital data (`counital`, the CounitalData of counital()).
+scalars eps(e_i e_j) of every basis pair (`eps_products`), the sparse rows
+of eps_t and eps_s (`eps_rows`, both read off Delta(1) and eps_products)
+and the verified counital data (`counital`, the CounitalData of
+counital()).
 Like every stored row, Delta(1) is a sparse dict; its keys are in sorted
 order, so the laws that walk its legs meet them in index order and name
 the same first failing leg.
@@ -70,6 +76,13 @@ class WeakHopf:
         return dict(sorted(self.d(self.alg.unit_sparse()).items()))
 
     @cached_property
+    def eps_products(self):
+        """eps_products[i][j] = eps(e_i e_j), one scalar per basis pair,
+        read off the structure table; read-only like every stored row."""
+        return tuple(tuple(self.e(dict(cell)) for cell in row)
+                     for row in self.alg.table)
+
+    @cached_property
     def eps_rows(self):
         """(eps_t, eps_s) as sparse rows.
 
@@ -77,14 +90,14 @@ class WeakHopf:
         eps_s(h) = sum c_uv u eps(h v).
         """
         d = self.dim
-        table = self.alg.table
+        em = self.eps_products
         est = [{} for _ in range(d)]
         ess = [{} for _ in range(d)]
         for uv, c in self.delta_one.items():
             u, v = divmod(uv, d)
             for h in range(d):
-                sadd_into(est[h], {v: self.e(dict(table[u][h]))}, c, self.p)
-                sadd_into(ess[h], {u: self.e(dict(table[h][v]))}, c, self.p)
+                sadd_into(est[h], {v: em[u][h]}, c, self.p)
+                sadd_into(ess[h], {u: em[h][v]}, c, self.p)
         return tuple(est), tuple(ess)
 
     @cached_property
@@ -125,7 +138,7 @@ def coalgebra_checks(H):
     with cl.holds("coassociativity",
                   "(Delta (x) id)Delta = (id (x) Delta)Delta") as law:
         for h in law.over(range(d)):
-            dh = H.d(H.alg.basis_vec(h))
+            dh = H.delta[h]
             law.check((h,), ag.apply_tensor(H.delta, None, dh, d, d, H.p),
                       ag.apply_tensor(None, H.delta, dh, d, d * d, H.p))
     # eps applied to tensor leg 0, then to tensor leg 1, of each Delta(e_h)
@@ -134,7 +147,7 @@ def coalgebra_checks(H):
         with cl.holds(name, text) as law:
             for h in law.over(range(d)):
                 out = {}
-                for ij, c in H.d(H.alg.basis_vec(h)).items():
+                for ij, c in H.delta[h].items():
                     pair = divmod(ij, d)
                     v = c * H.eps[pair[leg]]
                     if v:
@@ -144,7 +157,7 @@ def coalgebra_checks(H):
                             out.pop(k, None)
                         else:
                             out[k] = w
-                law.check((h,), la.residues(out, H.p), H.alg.basis_vec(h))
+                law.check((h,), la.residues(out, H.p), {h: 1})
     return cl
 
 
@@ -158,18 +171,15 @@ def verify_axioms(H):
                   "Delta(hg) = Delta(h)Delta(g)") as law:
         for i in law.over(range(d)):
             for j in law.over(range(d)):
-                law.check((i, j),
-                          H.d(alg.mul(alg.basis_vec(i), alg.basis_vec(j))),
-                          ag.tensor_mul(alg, alg, H.d(alg.basis_vec(i)),
-                                        H.d(alg.basis_vec(j))))
+                law.check((i, j), H.d(dict(alg.table[i][j])),
+                          ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
 
-    em = [[H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j)))
-           for j in range(d)] for i in range(d)]
+    em = H.eps_products
     with cl.holds("eps_weak_multiplicative",
                   "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)") as law:
         for h in law.over(range(d)):
             for g in law.over(range(d)):
-                dg = H.d(alg.basis_vec(g))
+                dg = H.delta[g]
                 for f in law.over(range(d)):
                     lhs = 0
                     for l, c in alg.table[g][f]:
@@ -215,41 +225,38 @@ def verify_axioms(H):
         with cl.holds(name, text) as law:
             for h in law.over(range(d)):
                 lhs = {}
-                for ij, c in H.d(alg.basis_vec(h)).items():
-                    x, y = map(alg.basis_vec, divmod(ij, d))
-                    sadd_into(lhs, alg.mul(x, H.S(y)) if target else
-                              alg.mul(H.S(x), y), c, H.p)
+                for ij, c in H.delta[h].items():
+                    x, y = divmod(ij, d)
+                    sadd_into(lhs, alg.mul({x: 1}, H.s[y]) if target else
+                              alg.mul(H.s[x], {y: 1}), c, H.p)
                 law.check((h,), lhs, rows[h])
 
     with cl.holds("antipode_sandwich", "S(h1) h2 S(h3) = S(h)") as law:
         for h in law.over(range(d)):
             acc = {}
-            for t, c in ag.apply_tensor(H.delta, None, H.d(alg.basis_vec(h)),
+            for t, c in ag.apply_tensor(H.delta, None, H.delta[h],
                                         d, d, H.p).items():
                 i, jk = divmod(t, d * d)
                 j, k = divmod(jk, d)
-                term = alg.mulm(H.S(alg.basis_vec(i)), alg.basis_vec(j),
-                                H.S(alg.basis_vec(k)))
+                term = alg.mulm(H.s[i], {j: 1}, H.s[k])
                 sadd_into(acc, term, c, H.p)
-            law.check((h,), acc, H.S(alg.basis_vec(h)))
+            law.check((h,), acc, H.s[h])
 
     with cl.holds("s_anti_multiplicative", "S(hg) = S(g)S(h)") as law:
         for i in law.over(range(d)):
             for j in law.over(range(d)):
-                law.check((i, j),
-                          H.S(alg.mul(alg.basis_vec(i), alg.basis_vec(j))),
-                          alg.mul(H.S(alg.basis_vec(j)), H.S(alg.basis_vec(i))))
+                law.check((i, j), H.S(dict(alg.table[i][j])),
+                          alg.mul(H.s[j], H.s[i]))
 
     with cl.holds("s_anti_comultiplicative",
                   "Delta(S(h)) = S(h2) (x) S(h1)") as law:
         for h in law.over(range(d)):
             rhs = {}
-            for ij, c in H.d(alg.basis_vec(h)).items():
+            for ij, c in H.delta[h].items():
                 i, j = divmod(ij, d)
-                sadd_into(rhs, la.tensor_sparse(H.S(alg.basis_vec(j)),
-                                                H.S(alg.basis_vec(i)), d, H.p),
-                          c, H.p)
-            law.check((h,), H.d(H.S(alg.basis_vec(h))), rhs)
+                sadd_into(rhs, la.tensor_sparse(H.s[j], H.s[i], d, H.p), c,
+                          H.p)
+            law.check((h,), H.d(H.s[h]), rhs)
 
     cl.add("s_bijective", "S is bijective in finite dimension",
            la.rank(H.s, d, H.p) == d)
@@ -332,10 +339,8 @@ def counital(H):
     e_s = {}
     for uv, c in d1.items():
         u, v = divmod(uv, d)
-        sadd_into(e_t, la.tensor_sparse(H.S(alg.basis_vec(u)),
-                                        alg.basis_vec(v), d, H.p), c, H.p)
-        sadd_into(e_s, la.tensor_sparse(alg.basis_vec(u),
-                                        H.S(alg.basis_vec(v)), d, H.p), c, H.p)
+        sadd_into(e_t, la.tensor_sparse(H.s[u], {v: 1}, d, H.p), c, H.p)
+        sadd_into(e_s, la.tensor_sparse({u: 1}, H.s[v], d, H.p), c, H.p)
     cl.add("e_t_separates_Ht", "e_t = (S (x) id)Delta(1) is a separability "
            "idempotent for Ht", _separates(H, e_t, Ht))
     cl.add("e_s_separates_Hs", "e_s = (id (x) S)Delta(1) is a separability "
@@ -362,7 +367,7 @@ def _separates(H, e, sub):
     mu = {}
     for ij, c in e.items():
         i, j = divmod(ij, d)
-        sadd_into(mu, alg.mul(alg.basis_vec(i), alg.basis_vec(j)), c, H.p)
+        sadd_into(mu, dict(alg.table[i][j]), c, H.p)
     if mu != alg.unit_sparse():
         return False
     # Casimir over the subalgebra basis
@@ -423,13 +428,12 @@ def integrals(H):
     est, ess = H.eps_rows
     rows_l, rows_r = [], []
     for h in range(d):
-        eh = alg.basis_vec(h)
         eth, esh = est[h], ess[h]
         for j in range(d):
-            diff_l = alg.mul(eh, alg.basis_vec(j))
-            sadd_into(diff_l, alg.mul(eth, alg.basis_vec(j)), -1, H.p)
-            diff_r = alg.mul(alg.basis_vec(j), eh)
-            sadd_into(diff_r, alg.mul(alg.basis_vec(j), esh), -1, H.p)
+            diff_l = dict(alg.table[h][j])
+            sadd_into(diff_l, alg.mul(eth, {j: 1}), -1, H.p)
+            diff_r = dict(alg.table[j][h])
+            sadd_into(diff_r, alg.mul({j: 1}, esh), -1, H.p)
             rows_l.append((j, diff_l))
             rows_r.append((j, diff_r))
     left = kernel_of_column_maps(rows_l, d, H.p)
@@ -483,8 +487,8 @@ def is_hopf(H):
     alg = H.alg
     one2 = la.tensor_sparse(alg.unit_sparse(), alg.unit_sparse(), d, H.p)
     t1 = H.delta_one == one2
-    t2 = all(H.e(alg.mul(alg.basis_vec(i), alg.basis_vec(j))) ==
-             la.residue(H.e(alg.basis_vec(i)) * H.e(alg.basis_vec(j)), H.p)
+    em = H.eps_products
+    t2 = all(em[i][j] == la.residue(H.eps[i] * H.eps[j], H.p)
              for i in range(d) for j in range(d))
     Ht = la.Subspace.from_vectors(d, H.eps_rows[0], H.p)
     one_span = la.Subspace.from_vectors(d, [alg.unit_sparse()], H.p)

@@ -174,7 +174,7 @@ def test_negative_controls():
 def test_duality_dimension_checks(pipelines):
     H = gp.groupoid_algebra(gp.cyclic(2))
     one = corpus.field_algebra()
-    act = [[{0: H.e(H.alg.basis_vec(h))}] for h in range(H.dim)]
+    act = [[{0: H.e({h: 1})}] for h in range(H.dim)]
     Mk, _ = ac.make_module_algebra(H, one, act)
     cl1, _, sm2 = ac.duality_dimension_check(Mk)
     assert cl1.ok and sm2.alg.dim == 4

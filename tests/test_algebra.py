@@ -1,4 +1,6 @@
+import ast
 import copy
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -107,7 +109,7 @@ def test_right_inverse(p):
     x = {i: la.as_scalar(c, p) for i, c in enumerate((1, 2, 3, 4))}
     assert m2.mul(x, ag.right_inverse(m2, x)) == m2.unit_sparse()
     with pytest.raises(la.NoSolution):
-        ag.right_inverse(m2, m2.basis_vec(0))
+        ag.right_inverse(m2, {0: 1})
 
 
 def test_dual_bases_q2():
@@ -256,8 +258,8 @@ def test_expectation_not_left_linear_is_rejected():
 
 def fixes_small(incl, rows):
     E = ag.CondExpectation(incl, ag.map_rows(rows))
-    return all(E.E_small(incl.emb(incl.small.basis_vec(i)))
-               == incl.small.basis_vec(i) for i in range(incl.small.dim))
+    return all(E.E_small(incl.emb({i: 1}))
+               == {i: 1} for i in range(incl.small.dim))
 
 
 def accepted_by_triples(incl, rows):
@@ -267,14 +269,13 @@ def accepted_by_triples(incl, rows):
     E = ag.CondExpectation(incl, ag.map_rows(rows))
     small, big = incl.small, incl.big
     for a in range(small.dim):
-        ea = incl.emb(small.basis_vec(a))
+        ea = incl.emb({a: 1})
         for x in range(big.dim):
-            ex = big.basis_vec(x)
+            ex = {x: 1}
             for b in range(small.dim):
-                eb = incl.emb(small.basis_vec(b))
+                eb = incl.emb({b: 1})
                 lhs = E.E_small(big.mulm(ea, ex, eb))
-                rhs = small.mulm(small.basis_vec(a), E.E_small(ex),
-                                 small.basis_vec(b))
+                rhs = small.mulm({a: 1}, E.E_small(ex), {b: 1})
                 if lhs != rhs:
                     return False
     return True
@@ -337,7 +338,7 @@ def nondegeneracy_rank_dense(E):
     for x in range(big.dim):
         row = []
         for j in range(big.dim):
-            v = E.E_small(big.mul(big.basis_vec(x), big.basis_vec(j)))
+            v = E.E_small(big.mul({x: 1}, {j: 1}))
             row.extend(la.dense(v, small.dim))
         rows.append(la.sparse(row))
     return la.rank(rows, big.dim * small.dim, big.p)
@@ -383,7 +384,7 @@ def test_expectation_products_match_direct_products(p):
         for k, E in enumerate([cert.E] + [lvl.cert.E for lvl in levels]):
             big = E.incl.big
             assert big.p == p
-            want = [[E.E_small(big.mul(big.basis_vec(i), big.basis_vec(j)))
+            want = [[E.E_small(big.mul({i: 1}, {j: 1}))
                      for j in range(big.dim)] for i in range(big.dim)]
             assert [list(row) for row in E.products] == want, (name, k)
 
@@ -534,3 +535,63 @@ def test_sparse_associativity_on_random_unital_tables(dim, p, data):
         assert want is None
     except ag.NotAssociative as exc:
         assert exc.witness == want
+
+
+# ---------------------------------------------------------------------------
+# a basis element is its index: its product, image and action are stored
+
+def one_hot(node):
+    """A dict literal {k: 1}: a basis element rebuilt as a vector."""
+    return isinstance(node, ast.Dict) and len(node.keys) == 1 and \
+        node.keys[0] is not None and \
+        isinstance(node.values[0], ast.Constant) and node.values[0].value == 1
+
+
+def rebuilt_basis_uses(tree):
+    """(line, kind) of each place that rebuilds a basis element instead of
+    reading its stored cell or row: a product of two one-hot literals, a
+    stored map or action applied to one (``apply_map(rows, {k: 1})``,
+    ``.apply({h: 1}, {a: 1})``), and any use of the name basis_vec."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "attr", getattr(n.func, "id", None))
+            args = n.args
+            if name == "mul" and len(args) == 2 and all(map(one_hot, args)):
+                found.append((n.lineno, "mul"))
+            elif name == "apply_map" and len(args) >= 2 and one_hot(args[1]):
+                found.append((n.lineno, "apply_map"))
+            elif name == "apply" and len(args) == 2 and \
+                    all(map(one_hot, args)):
+                found.append((n.lineno, "apply"))
+        if "basis_vec" in (getattr(n, "id", None), getattr(n, "attr", None),
+                           getattr(n, "name", None)):
+            found.append((n.lineno, "basis_vec"))
+    return sorted(found)
+
+
+def test_scan_flags_rebuilt_basis_elements():
+    tree = ast.parse("a = alg.mul({i: 1}, {j: 1})\n"
+                     "b = ag.apply_map(H.s, {h: 1}, p)\n"
+                     "c = M.apply({h: 1}, {a: 1})\n"
+                     "d = alg.basis_vec(i)\n"
+                     "def basis_vec(self, i):\n"
+                     "    return {i: 1}\n"
+                     "e = apply_map(rows, {k: 1})\n"
+                     "f = alg.mul({i: 1}, x)\n"
+                     "g = M.apply(x, {a: 1})\n"
+                     "h = apply_map(rows, x, p)\n"
+                     "i = alg.mul({i: 2}, {j: 1})\n"
+                     "j = dict(alg.table[i][j])\n")
+    assert rebuilt_basis_uses(tree) == [
+        (1, "mul"), (2, "apply_map"), (3, "apply"), (4, "basis_vec"),
+        (5, "basis_vec"), (7, "apply_map")]
+
+
+def test_basis_elements_are_read_not_rebuilt():
+    """Products of basis elements are table cells, their images under a
+    stored map are its rows, and e_h . e_a is a row of the action."""
+    src = pathlib.Path(ag.__file__).parent
+    found = [(path.name,) + use for path in sorted(src.glob("*.py"))
+             for use in rebuilt_basis_uses(ast.parse(path.read_text()))]
+    assert found == []

@@ -1,8 +1,13 @@
 from fractions import Fraction as F
 
+import pytest
+
 from weakhopf import algebra as ag
+from weakhopf import corpus
 from weakhopf import groupoid as gp
 from weakhopf import linalg as la
+from weakhopf import specfile as sf
+from weakhopf import tower as tw
 from weakhopf import wha
 
 
@@ -86,7 +91,7 @@ def test_delta_one_rejects_a_bad_unit_coproduct():
     # k^2 (orthogonal idempotents e0, e1, unit e0 + e1) with the coalgebra
     # of k[x]/x^2: Delta(e0) = e0 (x) e0, Delta(e1) = e0 (x) e1 + e1 (x) e0
     one = F(1)
-    alg = ag.make_algebra([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+    alg = ag.make_algebra([[{0: 1}, {}], [{}, {1: 1}]], [1, 1])
     H = wha.make_weakhopf(alg, [{0: one}, {1: one, 2: one}], [1, 0],
                           [{0: one}, {1: one}])
     # by hand, (Delta (x) id)Delta(1) = e000 + e001 + e010 + e100, while
@@ -134,11 +139,11 @@ def test_integrals_are_ideals():
         assert wha.maschke_consistent(H, ints), name
         for r in ints.left.basis:
             for h in range(H.dim):
-                img = H.alg.mul(dict(r), H.alg.basis_vec(h))
+                img = H.alg.mul(dict(r), {h: 1})
                 assert ints.left.contains(img), name
         for r in ints.right.basis:
             for h in range(H.dim):
-                img = H.alg.mul(H.alg.basis_vec(h), dict(r))
+                img = H.alg.mul({h: 1}, dict(r))
                 assert ints.right.contains(img), name
 
 
@@ -161,3 +166,24 @@ def test_verify_axioms_over_prime_field():
     assert wha.counital(H).checks.ok
     # eps(2 g00 + 2 g11) = 4, returned as the residue 1 of F_3
     assert H.e({0: 2, 3: 2}) == 1
+
+
+
+@pytest.mark.parametrize("p", [None, 13, 65521])
+def test_eps_products_match_direct_products(p):
+    # kG and (kG)* of every corpus groupoid, and the derived A and B of
+    # q_in_q2 read back over the field, whose counits carry quarters: over
+    # F_65521 they are residues near p, so a missed reduction would show
+    Hs = {}
+    for name, G in gp.corpus().items():
+        Hs[name] = gp.groupoid_algebra(G, p)
+        Hs[name + "*"] = gp.groupoid_dual(G, Hs[name])
+    derived = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))[2]["derived"]
+    for name in ("A", "B"):
+        spec = sf.specfile_for(getattr(derived, name), name)
+        Hs[name] = sf.build(sf.SpecFile(spec.kind, name, p, spec.payload))
+    for name, H in Hs.items():
+        assert H.p == p
+        want = [[H.e(H.alg.mul({i: 1}, {j: 1})) for j in range(H.dim)]
+                for i in range(H.dim)]
+        assert [list(row) for row in H.eps_products] == want, name
