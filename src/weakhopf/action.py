@@ -4,7 +4,10 @@ Actions are stored as act[h] = sparse rows of the operator "e_h . (-)" on
 the module algebra.  Every constructed action is pushed through the module
 algebra axioms on full basis tuples; smash products verify well-definedness
 of the representative-level product against a spanning set of relation
-witnesses before trusting it.
+witnesses before trusting it.  Sums over the legs of Delta(e_h), as in
+h . a = h1 a S(h2), go through `linalg.legsum`, and a pairing with one leg
+reads a slice from `linalg.tslices`; the smash product's kernel keeps its
+own decoded legs of Delta, built once per smash product.
 """
 
 from __future__ import annotations
@@ -91,13 +94,11 @@ def verify_module_algebra(M):
 
     with cl.holds("measuring", "h . (ab) = (h1 . a)(h2 . b)") as law:
         for h in law.over(range(dH)):
-            legs = [divmod(uv, dH) + (c,) for uv, c in H.delta[h].items()]
             for a in law.over(range(dA)):
                 for b in law.over(range(dA)):
                     lhs = ag.apply_map(M.act[h], dict(A.table[a][b]), p)
-                    rhs = {}
-                    for u, v, c in legs:
-                        sadd_into(rhs, A.mul(acts[u][a], acts[v][b]), c, p)
+                    rhs = la.legsum(H.delta[h], dH, lambda u, v: A.mul(
+                        acts[u][a], acts[v][b]), p)
                     law.check((h, a, b), lhs, rhs)
 
     one_a = A.unit_sparse()
@@ -147,22 +148,10 @@ def trivial_action(H):
 
 def standard_action(H):
     """H* acting on H by phi . h = h1 <phi, h2>."""
-    d = H.dim
-    act = []
-    for k in range(d):
-        rows = []
-        for h in range(d):
-            out = {}
-            for uv, c in H.delta[h].items():
-                u, v = divmod(uv, d)
-                if v == k:
-                    w = out.get(u, 0) + c
-                    if w == 0:
-                        out.pop(u, None)
-                    else:
-                        out[u] = w
-            rows.append(out)
-        act.append(rows)
+    # phi_k . h = sum c_uv u over the legs c_uv u (x) e_k of Delta(h): the
+    # slice of Delta(h) at second leg k
+    cols = [la.tslices(dh, H.dim)[1] for dh in H.delta]
+    act = [[col.get(k, {}) for col in cols] for k in range(H.dim)]
     return make_module_algebra(wha.dual(H), H.alg, act)
 
 
@@ -176,11 +165,8 @@ def adjoint_action(H):
         rows = []
         for a in range(A_alg.dim):
             aa = inject({a: 1})
-            out = {}
-            for uv, c in H.delta[h].items():
-                u, v = divmod(uv, d)
-                term = H.alg.mulm({u: 1}, aa, H.s[v])
-                sadd_into(out, term, c, H.p)
+            out = la.legsum(H.delta[h], d, lambda u, v: H.alg.mulm(
+                {u: 1}, aa, H.s[v]), H.p)
             rows.append(express(out))
         act.append(rows)
     return make_module_algebra(H, A_alg, act)
@@ -222,17 +208,12 @@ def action_comodule_bridge(M):
     cl.add("comodule_unit", "rho(1) = (id (x) eps_t) rho(1)",
            r1 == ag.apply_tensor(None, est, r1, dH, dH, A.p))
 
+    # a0 <a1, e_h> is the slice of rho(a) at second leg h
     with cl.holds("bridge_roundtrip", "a0 <a1, h> recovers h . a") as law:
         for a in law.over(range(dA)):
+            cols = la.tslices(rho[a], dH)[1]
             for h in law.over(range(dH)):
-                got = {}
-                for jk, c in rho[a].items():
-                    j, k = divmod(jk, dH)
-                    if k == h:
-                        got[j] = got.get(j, 0) + c
-                got = {k: v for k, v in la.residues(got, A.p).items()
-                       if v != 0}
-                law.check((a, h), got, M.act[h][a])
+                law.check((a, h), cols.get(h, {}), M.act[h][a])
 
     rows = []
     for a in range(dA):
@@ -375,22 +356,16 @@ def smash(M):
 def smash_dual_action(M, sm):
     """H* acting on A # H by phi . (a # h) = a # (phi -> h)."""
     H = M.H
-    dH = H.dim
+    dH, p = H.dim, H.p
     q = sm.quotient
+    # phi_k -> e_h is the slice of Delta(h) at second leg k
+    cols = [la.tslices(dh, dH)[1] for dh in H.delta]
     act = []
     for k in range(dH):
-        rows = []
-        for i in range(q.dim):
-            amb = q.section({i: 1})
-            out = {}
-            for ah, c in amb.items():
-                a, h = divmod(ah, dH)
-                for uv, cdl in H.delta[h].items():
-                    u, v = divmod(uv, dH)
-                    if v == k:
-                        out[a * dH + u] = out.get(a * dH + u, 0) + c * cdl
-            rows.append(q.project(out))
-        act.append(rows)
+        act.append([q.project(la.legsum(
+            q.section({i: 1}), dH,
+            lambda a, h: la.tensor_sparse({a: 1}, cols[h].get(k, {}), dH, p),
+            p)) for i in range(q.dim)])
     return make_module_algebra(wha.dual(H), sm.alg, act)
 
 

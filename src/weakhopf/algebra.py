@@ -160,31 +160,6 @@ def compose_maps(first, second, p=None):
     return tuple(apply_map(second, r, p) for r in first)
 
 
-def section_of_inclusion(incl):
-    """Rows of a left inverse of the embedding, valid on its image."""
-    big = incl.big
-    img = embedded_image(incl)
-    # one equation per big coordinate k: sum_i c_i emb(e_i)_k = r_k
-    cols = [{} for _ in range(big.dim)]
-    for i, r in enumerate(incl.embed):
-        for k, x in r.items():
-            cols[k][i] = x
-    basis_in_small = [la.solve([(cols[k], r.get(k, 0))
-                                for k in range(big.dim)],
-                               incl.small.dim, big.p) for r in img.basis]
-
-    def unembed(x):
-        co = img.coords(x)
-        if co is None:
-            raise NotClosed("element outside the embedded image")
-        out = {}
-        for k, c in co.items():
-            sadd_into(out, basis_in_small[k], c, big.p)
-        return out
-
-    return unembed
-
-
 @dataclass(frozen=True)
 class Algebra:
     dim: int
@@ -470,24 +445,37 @@ def make_cond_expectation(incl, rows):
     E(a x b) = a E(x b) = a E(x) b, and b = 1 or a = 1 in the triple law
     gives the pair laws back (make_inclusion checks that 1_N embeds as 1_M).
     Both sides E(a e_x) and E(e_x a) are read from `E.products`, which is
-    built here, once per E, and kept for every later law on E.
+    built here, once per E, and kept for every later law on E; a E(x) and
+    E(x) a are read from row a and column a of the structure table of N.
     """
     rows = map_rows(rows, incl.big.p)
     E = CondExpectation(incl, rows)
     small, big = incl.small, incl.big
     emb = incl.embed
+    p = big.p
     for a in range(small.dim):
         if E.E_small(emb[a]) != {a: 1}:
             raise ValueError("E o embed != id at basis %d" % a)
+    table = small.table
+    cols = tuple(zip(*table))
     for x in range(big.dim):
         Ex = rows[x]
         for a in range(small.dim):
-            ea = {a: 1}
-            if E._E_xm(emb[a], x) != small.mul(ea, Ex):
+            if E._E_xm(emb[a], x) != _cell_sum(table[a], Ex, p):
                 raise ValueError("E not left N-linear at (%d, %d)" % (a, x))
-            if E._E_mx(x, emb[a]) != small.mul(Ex, ea):
+            if E._E_mx(x, emb[a]) != _cell_sum(cols[a], Ex, p):
                 raise ValueError("E not right N-linear at (%d, %d)" % (x, a))
     return E
+
+
+def _cell_sum(cells, x, p):
+    """sum_k x_k cells[k] over structure-table cells: e_a x when cells is
+    row a of the table, x e_a when it is column a."""
+    out = defaultdict(int)
+    for k, c in x.items():
+        for n, v in cells[k]:
+            out[n] += c * v
+    return {n: r for n, v in out.items() if (r := la.residue(v, p))}
 
 
 def embedded_image(incl):
@@ -710,7 +698,7 @@ def trace_of(trace, x, p=None):
     acc = 0
     for i, c in x.items():
         acc = acc + c * trace[i]
-    return la.residue(acc, p)
+    return la.as_scalar(acc, p)
 
 
 # ---------------------------------------------------------------------------

@@ -59,19 +59,19 @@ def jones_word(tower, word, level):
     return out
 
 
-def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
+def composite_idempotent(tower, n, prev=None):
     """f_n with its characterizing identities, verified on a full basis.
 
-    Requires the tower built to level 2n+1 of ambient dimension within the
-    budget (the identities themselves are dimension independent).  `prev`
+    Requires the tower built to level 2n+1 of ambient dimension within
+    DIM_BUDGET (the identities themselves are dimension independent).  `prev`
     is the CompositeData of f_{n-1}, built here when not given.
     """
     top = 2 * n + 1
     if len(tower.levels) < top:
         raise DimensionBudget("tower not built to level %d" % top)
-    if tower.alg(top).dim > dim_budget:
+    if tower.alg(top).dim > DIM_BUDGET:
         raise DimensionBudget("ambient dimension %d exceeds the budget %d"
-                              % (tower.alg(top).dim, dim_budget))
+                              % (tower.alg(top).dim, DIM_BUDGET))
     cl = CheckList("composite-idempotent")
     M_top = tower.alg(top)
     p = M_top.p
@@ -117,7 +117,7 @@ def composite_idempotent(tower, n, dim_budget=DIM_BUDGET, prev=None):
            == la.sscale(M_n.unit_sparse(), lam ** (n + 1), p))
 
     if n >= 1:
-        prev = prev or composite_idempotent(tower, n - 1, dim_budget)
+        prev = prev or composite_idempotent(tower, n - 1)
         prev_f_top = tower.embed(2 * n - 1, top, prev.f_n)
         shifted = shift_tau2(tower, prev_f_top, 2 * n - 1, level=top)
         head = jones_word(tower, list(range(n + 1, 0, -1)), top)
@@ -160,7 +160,7 @@ def _word_basis(tower, gens, level):
                     vals[cand] = val
                     new_frontier.append(cand)
         frontier = new_frontier
-    return words, vals, ech
+    return words, ech
 
 
 def shift_tau2(tower, element, n, level=None):
@@ -180,7 +180,7 @@ def shift_tau2(tower, element, n, level=None):
         raise DimensionBudget("tower too short for the shift target e_%d"
                               % (n + 2))
     gens = list(range(1, n + 1))
-    words, _, ech = _word_basis(tower, gens, level)
+    words, ech = _word_basis(tower, gens, level)
     kind, data = ech.insert(element)
     if kind == "kept":
         raise NotInTLSubalgebra(

@@ -22,6 +22,11 @@ walks the table cells, and tuples walk faster there.
 Systems go into elimination as sparse rows, through `solve`, `kernel`,
 `rank` and `inverse`; a `Subspace` decides membership by reading
 coordinates off its RREF basis, with no elimination at all.
+A flat tensor is a sparse dict on the indices i*n + j of e_i (x) e_j, n
+the dimension of the second factor: `tindex` encodes the index, and
+`legsum` (the Sweedler sum of a term over the legs) and `tslices` (the row
+and column slices) decode it, so that the callers that sum over legs never
+see the index format.
 
 Scalars over Q: an integral value is a plain `int` and any other value a
 `Fraction`, so the integer arithmetic that decides most identities skips
@@ -186,7 +191,41 @@ def svec(d):
 
 
 def tindex(i, j, dim2):
+    """The flat index of e_i (x) e_j, dim2 the dimension of the second
+    factor; `legsum` and `tslices` read it back."""
     return i * dim2 + j
+
+
+def legsum(t, n, term, p=None):
+    """The Sweedler sum of c * term(i, j) over the entries c e_i (x) e_j of
+    a flat tensor t, n the dimension of the second factor.
+
+    term returns a sparse vector; a one-key {k: 0}, a leg's zero scalar
+    factor, adds nothing.  Over F_p the sum is reduced once, at the end.
+    """
+    acc = {}
+    for ij, c in t.items():
+        i, j = divmod(ij, n)
+        for k, x in term(i, j).items():
+            v = acc.get(k, 0) + c * x
+            if v == 0:
+                acc.pop(k, None)
+            else:
+                acc[k] = v
+    return residues(acc, p)
+
+
+def tslices(t, n):
+    """The slices of a flat tensor t, n the dimension of the second factor:
+    (rows, cols) with rows[i] = {j: c} and cols[j] = {i: c} over its
+    entries c e_i (x) e_j, each keyed in the order t first meets the
+    index."""
+    rows, cols = {}, {}
+    for ij, c in t.items():
+        i, j = divmod(ij, n)
+        rows.setdefault(i, {})[j] = c
+        cols.setdefault(j, {})[i] = c
+    return rows, cols
 
 
 def tensor_sparse(a, b, dim2, p=None):

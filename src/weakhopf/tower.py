@@ -12,8 +12,15 @@ on B is solved from the duality pairing and then every identity of the
 derivation chain is re-verified one by one on full bases.  Each shared
 object is built once and read by every later stage: the context holds the
 embeddings of N, M and M1, the pairing the subalgebra V, and the derived
-structure the section of M1 in M2 with A and M inside M1.  One routine,
-`_smash_iso`, verifies both smash isomorphisms M1 # B -> M2 and M # A -> M1.
+structure A inside M1, read back from M2 through the verified E onto M1
+(E o embed = id).  One routine, `_smash_iso`, verifies both smash
+isomorphisms M1 # B -> M2 and M # A -> M1.
+
+The derivation is written in Sweedler notation, e.g.
+E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1); each such
+sum runs over the legs of a stored Delta row through `linalg.legsum`; a
+constant factor such as lambda^-1 rides on the legs (lambda^-1 Delta(b),
+scaled once), and a leg whose scalar factor is zero forms no product.
 """
 
 from __future__ import annotations
@@ -593,17 +600,15 @@ def pairing(ctx, d2, ep):
     M2 = ctx.M2
     p = ctx.p
     T = ctx.T
-    V_alg, injV, expV = ag.subalgebra(M2, ctx.V, "V")
+    V_alg, injV, _ = ag.subalgebra(M2, ctx.V, "V")
     f = ag.kanzaki_element(V_alg)
     nV = V_alg.dim
     vhat = [injV({i: 1}) for i in range(nV)]
 
-    s = {}
-    for ij, c in f.items():
-        i, j = divmod(ij, nV)
-        sadd_into(s, vhat[i], c * T(vhat[j]), p)
+    s_co = la.legsum(f, nV, lambda i, j: {i: T(vhat[j])}, p)
+    s = injV(s_co)
     try:
-        w_co = ag.right_inverse(V_alg, expV(s))
+        w_co = ag.right_inverse(V_alg, s_co)
     except la.NoSolution:
         raise SingularGram("f^(1) T(f^(2)) is not invertible in V")
     w = injV(w_co)
@@ -616,12 +621,8 @@ def pairing(ctx, d2, ep):
 
     with cl.holds("w_duality", "f1 T(v w f2) = v on V") as law:
         for k, v in law.over(enumerate(ctx.V.basis)):
-            acc = {}
-            for ij, c in f.items():
-                i, j = divmod(ij, nV)
-                acc_c = T(ctx.mul(v, w, vhat[j]))
-                if acc_c != 0:
-                    sadd_into(acc, vhat[i], c * acc_c, p)
+            acc = injV(la.legsum(f, nV, lambda i, j: {
+                i: T(ctx.mul(v, w, vhat[j]))}, p))
             law.check((k,), acc, v)
 
     lam2 = ctx.lam_inv * ctx.lam_inv
@@ -724,9 +725,6 @@ class DerivedWeakHopf:
         def S_inv(x_co):
             return ag.apply_map(s_inv_rows, x_co, p)
 
-        def legs(j):
-            return [(divmod(kl, nB), c) for kl, c in B.delta[j].items()]
-
         # eps(b) = lambda^-1 T(e2 w b)
         with cl.holds("eps_formula", "eps(b) = lambda^-1 T(e2 w b)") as law:
             for j in law.over(range(nB)):
@@ -742,14 +740,8 @@ class DerivedWeakHopf:
         vB = [expB(v) for v in pd.vhat]
 
         def first_leg_through(F):
-            out = {}
-            for ij, c in pd.f.items():
-                i, j = divmod(ij, nV)
-                for k, ck in F(vB[i]).items():
-                    for l, cl_ in vB[j].items():
-                        key = k * nB + l
-                        out[key] = out.get(key, 0) + c * ck * cl_
-            return {k: v for k, v in la.residues(out, p).items() if v != 0}
+            return la.legsum(pd.f, nV, lambda i, j: tensor_sparse(
+                F(vB[i]), vB[j], nB, p), p)
 
         d1 = B.delta_one
         cl.add("delta_one_formula", "Delta(1) = S^-1(f1) (x) f2",
@@ -805,12 +797,7 @@ class DerivedWeakHopf:
                               ag.tensor_mul(B_alg, B_alg, B.delta[j],
                                             la.tensor_sparse(v, one_B, nB, p)))
 
-        left_legs, right_legs = {}, {}
-        for kl, c in d1.items():
-            k, l = divmod(kl, nB)
-            left_legs.setdefault(l, {})[k] = c
-            right_legs.setdefault(k, {})[l] = c
-
+        right_legs, left_legs = la.tslices(d1, nB)
         with cl.holds("delta_one_legs", "Delta(1) lies in W (x) V") as law:
             for l, v in law.over(left_legs.items()):
                 law.check(("left", l), WB.contains(v), True)
@@ -829,12 +816,7 @@ class DerivedWeakHopf:
             for j in law.over(range(nB)):
                 lhs = la.sscale(ctx.mul(E_A(ctx.mul(e2, w, bhat[j])), w_inv),
                                 lam_inv, p)
-                rhs = {}
-                for kl, c in d1.items():
-                    k, l = divmod(kl, nB)
-                    coef = c * em[j][k]
-                    if coef != 0:
-                        sadd_into(rhs, bhat[l], coef, p)
+                rhs = injB(la.legsum(d1, nB, lambda k, l: {l: em[j][k]}, p))
                 law.check((j,), lhs, rhs)
 
         with cl.holds("lemma_d",
@@ -861,50 +843,38 @@ class DerivedWeakHopf:
         with cl.holds("pairing_slice",
                       "lambda^-1 E_B(e1 w b a) = <a, b1> w b2") as law:
             for j in law.over(range(nB)):
-                lj = legs(j)
                 for i in law.over(range(nA)):
                     lhs = la.sscale(E_B(ctx.mul(e1, w, bhat[j], ahat[i])),
                                     lam_inv, p)
-                    rhs = {}
-                    for (k, l), c in lj:
-                        coef = c * G[i].get(k, 0)
-                        if coef != 0:
-                            sadd_into(rhs, ctx.mul(w, bhat[l]), coef, p)
+                    rhs = ctx.mul(w, injB(la.legsum(
+                        B.delta[j], nB, lambda k, l: {l: G[i].get(k, 0)}, p)))
                     law.check((j, i), lhs, rhs)
 
+        # lambda^-1 Delta(b_j): the legs of the sums that carry lambda^-1
+        lam_delta = [la.sscale(r, lam_inv, p) for r in B.delta]
         with cl.holds("sweedler_recovery",
                       "lambda^-1 b2 E_A(e2 w b1) w^-1 = b") as law:
             for j in law.over(range(nB)):
-                acc = {}
-                for (k, l), c in legs(j):
-                    term = ctx.mul(bhat[l], E_A(ctx.mul(e2, w, bhat[k])),
-                                   w_inv)
-                    sadd_into(acc, term, c * lam_inv, p)
+                acc = la.legsum(lam_delta[j], nB, lambda k, l: ctx.mul(
+                    bhat[l], E_A(ctx.mul(e2, w, bhat[k])), w_inv), p)
                 law.check((j,), acc, bhat[j])
 
         with cl.holds("heart",
                       "w^-1 e1 w b = lambda^-1 b2 w^-1 E_A(e2 e1 w b1)") as law:
             for j in law.over(range(nB)):
                 lhs = ctx.mul(w_inv, e1, w, bhat[j])
-                rhs = {}
-                for (k, l), c in legs(j):
-                    term = ctx.mul(bhat[l], w_inv,
-                                   E_A(ctx.mul(e2, e1, w, bhat[k])))
-                    sadd_into(rhs, term, c * lam_inv, p)
+                rhs = la.legsum(lam_delta[j], nB, lambda k, l: ctx.mul(
+                    bhat[l], w_inv, E_A(ctx.mul(e2, e1, w, bhat[k]))), p)
                 law.check((j,), lhs, rhs)
 
         M1b = ctx.M1_in_M2
         with cl.holds("m1_slice",
                       "w^-1 x b = lambda^-1 b2 w^-1 E_M1(e2 x b1)") as law:
             for j in law.over(range(nB)):
-                lj = legs(j)
                 for i, x in law.over(enumerate(M1b)):
                     lhs = ctx.mul(w_inv, x, bhat[j])
-                    rhs = {}
-                    for (k, l), c in lj:
-                        term = ctx.mul(bhat[l], w_inv,
-                                       ctx.E_M1(ctx.mul(e2, x, bhat[k])))
-                        sadd_into(rhs, term, c * lam_inv, p)
+                    rhs = la.legsum(lam_delta[j], nB, lambda k, l: ctx.mul(
+                        bhat[l], w_inv, ctx.E_M1(ctx.mul(e2, x, bhat[k]))), p)
                     law.check((j, i), lhs, rhs)
 
         # E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1)
@@ -922,10 +892,8 @@ class DerivedWeakHopf:
                     e2wyx = ctx.mul(e2wy, M1b[x])
                     for j in law.over(range(nB)):
                         lhs = ctx.E_M1(ctx.mul(e2wyx, bhat[j]))
-                        rhs = {}
-                        for (k, l), c in legs(j):
-                            term = ctx.mul(q_tab[y][l], w_inv, q_tab[x][k])
-                            sadd_into(rhs, term, c * lam_inv, p)
+                        rhs = la.legsum(lam_delta[j], nB, lambda k, l: (
+                            ctx.mul(q_tab[y][l], w_inv, q_tab[x][k])), p)
                         law.check((y, x, j), lhs, rhs)
 
         # counital formulas
@@ -937,18 +905,14 @@ class DerivedWeakHopf:
                  "S(b1) b2 = 1(1) eps(b 1(2))")):
             with cl.holds(name, text) as law:
                 for j in law.over(range(nB)):
-                    acc, rhs = {}, {}
-                    for (k, l), c in legs(j):
-                        if target:
-                            sadd_into(acc, B_alg.mul({k: 1}, B.s[l]), c, p)
-                        else:
-                            sadd_into(acc, B_alg.mul(B.s[k], {l: 1}), c, p)
-                    for kl, c in d1.items():
-                        k, l = divmod(kl, nB)
-                        if target:
-                            sadd_into(rhs, {l: 1}, c * em[k][j], p)
-                        else:
-                            sadd_into(rhs, {k: 1}, c * em[j][l], p)
+                    if target:
+                        acc = la.legsum(B.delta[j], nB, lambda k, l: B_alg.mul(
+                            {k: 1}, B.s[l]), p)
+                        rhs = la.legsum(d1, nB, lambda k, l: {l: em[k][j]}, p)
+                    else:
+                        acc = la.legsum(B.delta[j], nB, lambda k, l: B_alg.mul(
+                            B.s[k], {l: 1}), p)
+                        rhs = la.legsum(d1, nB, lambda k, l: {k: em[j][l]}, p)
                     law.check((j,), acc, rhs)
 
         with cl.holds("eps_t_formula", "eps_t(b) = lambda^-1 E_A(b e2)") as law:
@@ -971,8 +935,8 @@ class DerivedWeakHopf:
         # up that factor), so it coincides with e2 w only when E_M(w) = 1.
         haar = ctx.mul(e2, injB(S_inv(expB(e2))))
         hB = expB(haar)
-        # the section of M1 in M2, and A inside M1, for the later stages too
-        self.unemb2 = unemb2 = ag.section_of_inclusion(ctx.lv2.cert.incl)
+        # A inside M1, for the later stages too: E_M1 is the identity on M1
+        unemb2 = ctx.lv2.cert.E.E_small
         self.a_in_M1 = [unemb2(a) for a in ahat]
         w_inv_M1 = unemb2(w_inv)
         w_M1 = unemb2(w)
@@ -1011,14 +975,11 @@ class DerivedWeakHopf:
             for i in law.over(range(nA)):
                 for k in law.over(range(nA)):
                     lhs = ag.apply_map(G, expA(ctx.mul(ahat[i], ahat[k])), p)
-                    rhs = {}
-                    for j in range(nB):
-                        acc = 0
-                        for (u, v_), c in legs(j):
-                            acc = acc + c * G[i].get(u, 0) * G[k].get(v_, 0)
-                        acc = la.residue(acc, p)
-                        if acc != 0:
-                            rhs[j] = acc
+                    # <a_i, b1><a_k, b2> = <a_i (x) a_k, Delta(b)>
+                    gik = tensor_sparse(G[i], G[k], nB, p)
+                    rhs = {j: v for j, dj in enumerate(B.delta) if (
+                        v := la.residue(sum(c * gik.get(uv, 0)
+                                            for uv, c in dj.items()), p))}
                     law.check((i, k), lhs, rhs)
 
         # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1
@@ -1035,18 +996,11 @@ class DerivedWeakHopf:
                                     c.witness))
 
         # open-question check: the right legs of Delta_A(1) lie in C_M(N)
-        right = {}
-        for kl, c in A.delta_one.items():
-            k, l = divmod(kl, nA)
-            right.setdefault(k, {})[l] = c
-
+        right = la.tslices(A.delta_one, nA)[0]
         with cl.holds("delta_one_A_legs",
                       "Delta_A(1) lies in A (x) C_M(N)") as law:
             for k, v in law.over(right.items()):
-                amb = {}
-                for l, c in v.items():
-                    sadd_into(amb, ahat[l], c, p)
-                law.check((k,), ctx.U.contains(amb), True)
+                law.check((k,), ctx.U.contains(injA(v)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,47 +1038,37 @@ def action_B_on_M1(ctx, dw):
 
     with cl.holds("standard_action_form", "b . (m a) = m <a2, b> a1") as law:
         for mi in law.over(range(ctx.M.dim)):
+            ma = [M1.mul(m_in_M1[mi], a) for a in a_in_M1]  # rows a -> m a
             for ai in law.over(range(nA)):
-                ma = M1.mul(m_in_M1[mi], a_in_M1[ai])
                 for j in law.over(range(nB)):
-                    lhs = ag.apply_map(MB.act[j], ma, p)
-                    rhs = {}
-                    for kl, c in A.delta[ai].items():
-                        k, l = divmod(kl, nA)
-                        coef = c * Gt[j].get(l, 0)
-                        if coef != 0:
-                            sadd_into(rhs, M1.mul(m_in_M1[mi], a_in_M1[k]),
-                                      coef, p)
-                    law.check((mi, ai, j), lhs, rhs)
+                    lhs = ag.apply_map(MB.act[j], ma[ai], p)
+                    a1 = la.legsum(A.delta[ai], nA,
+                                   lambda k, l: {k: Gt[j].get(l, 0)}, p)
+                    law.check((mi, ai, j), lhs, ag.apply_map(ma, a1, p))
 
     s_hat = [dw.injB(r) for r in B.s]  # S(e_l) in M2
     with cl.holds("conjugation_form", "b . x = b1 x S(b2)") as law:
         for j in law.over(range(nB)):
-            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j].items()]
             for x in law.over(range(M1.dim)):
                 lhs = ctx.t.embed(1, 2, MB.act[j][x])
-                rhs = {}
-                for (k, l), c in lj:
-                    term = ctx.mul(bhat[k], ctx.M1_in_M2[x], s_hat[l])
-                    sadd_into(rhs, term, c, p)
+                rhs = la.legsum(B.delta[j], nB, lambda k, l: ctx.mul(
+                    bhat[k], ctx.M1_in_M2[x], s_hat[l]), p)
                 law.check((j, x), lhs, rhs)
 
-    # measuring through the expectation
+    # measuring through the expectation, over the legs of lambda^-1 Delta(b)
+    lam_delta = [la.sscale(r, ctx.lam_inv, p) for r in B.delta]
     with cl.holds("expectation_measuring_form",
                   "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)"
                   ) as law:
         for j in law.over(range(nB)):
-            lj = [(divmod(kl, nB), c) for kl, c in B.delta[j].items()]
             for x in law.over(range(M1.dim)):
                 for y in law.over(range(M1.dim)):
                     xy = dict(M1.table[x][y])
                     lhs = ag.apply_map(
                         E_M1,
                         ctx.mul(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2), p)
-                    rhs = {}
-                    for (k, l), c in lj:
-                        sadd_into(rhs, M1.mul(r_tab[k][x], r_tab[l][y]),
-                                  c * ctx.lam_inv, p)
+                    rhs = la.legsum(lam_delta[j], nB, lambda k, l: M1.mul(
+                        r_tab[k][x], r_tab[l][y]), p)
                     law.check((j, x, y), lhs, rhs)
 
     inv = ac.invariants(MB)
@@ -1219,25 +1163,20 @@ def action_A_on_M(ctx, dw, MB):
     p = ctx.p
     M = ctx.M
     M1 = ctx.M1
-    unemb1 = ag.section_of_inclusion(ctx.lv1.cert.incl)
+    unemb1 = ctx.lv1.cert.E.E_small  # E_M, the identity on M inside M1
     a_in_M1, m_in_M1 = dw.a_in_M1, ctx.M_in_M1
     M_img = la.Subspace.from_vectors(M1.dim, m_in_M1, p)
 
     sA = A.s
+    s_in_M1 = [ag.apply_map(a_in_M1, r, p) for r in sA]  # S(a_l) in M1
     act = []
     # every row is built, so the law's loops do not stop at a failure
     with cl.holds("lands_in_M", "a1 m S(a2) lies in M") as law:
         for i in range(nA):
             rows = []
             for mi in range(M.dim):
-                out = {}
-                for kl, c in A.delta[i].items():
-                    k, l = divmod(kl, nA)
-                    right = {}
-                    for t_, ct in sA[l].items():
-                        sadd_into(right, a_in_M1[t_], ct, p)
-                    term = M1.mulm(a_in_M1[k], m_in_M1[mi], right)
-                    sadd_into(out, term, c, p)
+                out = la.legsum(A.delta[i], nA, lambda k, l: M1.mulm(
+                    a_in_M1[k], m_in_M1[mi], s_in_M1[l]), p)
                 inside = M_img.contains(out)
                 law.check((i, mi), inside, True)
                 rows.append(unemb1(out) if inside else {})
@@ -1253,11 +1192,8 @@ def action_A_on_M(ctx, dw, MB):
         for i in law.over(range(nA)):
             for i2 in law.over(range(nA)):
                 eta = est[i2]
-                lhs = {}
-                for kl, c in A.delta[i].items():
-                    k, l = divmod(kl, nA)
-                    term = A.alg.mulm({k: 1}, eta, sA[l])
-                    sadd_into(lhs, term, c, p)
+                lhs = la.legsum(A.delta[i], nA, lambda k, l: A.alg.mulm(
+                    {k: 1}, eta, sA[l]), p)
                 rhs = ag.apply_map(est, dict(A.alg.table[i][i2]), p)
                 law.check((i, i2), lhs, rhs)
 
@@ -1304,7 +1240,8 @@ def phi_iso(ctx, dw, MA):
          "phi(1 # 1) = 1", "phi((m#a)(m'#a')) = phi(m#a) phi(m'#a')",
          "phi(m # 1) = m recovers the inclusion M into M1"))
     HtA = la.Subspace.from_vectors(
-        ctx.M1.dim, [dw.unemb2(dw.injA(r)) for r in dw.A.counital.Ht.basis],
+        ctx.M1.dim, [ctx.lv2.cert.E.E_small(dw.injA(r))
+                     for r in dw.A.counital.Ht.basis],
         ctx.p)
     U_in_M1 = la.Subspace.from_vectors(
         ctx.M1.dim, [ctx.t.embed(0, 1, r)

@@ -7,8 +7,13 @@ suffices by multilinearity; Sweedler legs are never expanded symbolically),
 and failures are report entries rather than exceptions.
 
 Comultiplication rows live on flat tensor indices: the coefficient of
-e_i (x) e_j in Delta(e_h) is delta[h][i*dim + j].  The dual pairing
-convention is <Delta(phi), h (x) g> = <phi, hg> with h the left factor.
+e_i (x) e_j in Delta(e_h) is delta[h][i*dim + j].  A law in Sweedler
+notation sums over these legs with `linalg.legsum` (h1 S(h2) is
+``legsum(delta[h], dim, lambda i, j: e_i S(e_j))``) and splits Delta(1) or
+a separability idempotent into its slices with `linalg.tslices`; only the
+witness of the delta_one law and the transpose in `dual` decode the index
+themselves.  The dual pairing convention is <Delta(phi), h (x) g> =
+<phi, hg> with h the left factor.
 
 The laws read what is stored for a basis element: Delta(e_h) is
 ``delta[h]``, S(e_h) is ``s[h]``, eps(e_h) is ``eps[h]`` and e_i e_j is the
@@ -65,7 +70,7 @@ class WeakHopf:
         acc = 0
         for i, c in x.items():
             acc = acc + c * self.eps[i]
-        return la.residue(acc, self.p)
+        return la.as_scalar(acc, self.p)
 
     def et(self, x):
         return ag.apply_map(self.eps_rows[0], x, self.p)
@@ -89,16 +94,12 @@ class WeakHopf:
         With Delta(1) = sum c_uv u (x) v, eps_t(h) = sum c_uv eps(u h) v and
         eps_s(h) = sum c_uv u eps(h v).
         """
-        d = self.dim
-        em = self.eps_products
-        est = [{} for _ in range(d)]
-        ess = [{} for _ in range(d)]
-        for uv, c in self.delta_one.items():
-            u, v = divmod(uv, d)
-            for h in range(d):
-                sadd_into(est[h], {v: em[u][h]}, c, self.p)
-                sadd_into(ess[h], {u: em[h][v]}, c, self.p)
-        return tuple(est), tuple(ess)
+        d, p = self.dim, self.p
+        em, d1 = self.eps_products, self.delta_one
+        return (tuple(la.legsum(d1, d, lambda u, v: {v: em[u][h]}, p)
+                      for h in range(d)),
+                tuple(la.legsum(d1, d, lambda u, v: {u: em[h][v]}, p)
+                      for h in range(d)))
 
     @cached_property
     def counital(self):
@@ -117,16 +118,9 @@ def make_weakhopf(alg, delta, eps, s):
 
 def convolve(H, f_rows, g_rows):
     """Convolution product of two endomorphisms: h -> f(h1) g(h2)."""
-    d = H.dim
-    out = []
-    for h in range(d):
-        acc = {}
-        for ij, c in H.delta[h].items():
-            i, j = divmod(ij, d)
-            fi = ag.apply_map(f_rows, {i: c}, H.p)
-            sadd_into(acc, H.alg.mul(fi, g_rows[j]), 1, H.p)
-        out.append(acc)
-    return tuple(out)
+    return tuple(la.legsum(dh, H.dim,
+                           lambda i, j: H.alg.mul(f_rows[i], g_rows[j]), H.p)
+                 for dh in H.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +135,15 @@ def coalgebra_checks(H):
             dh = H.delta[h]
             law.check((h,), ag.apply_tensor(H.delta, None, dh, d, d, H.p),
                       ag.apply_tensor(None, H.delta, dh, d, d * d, H.p))
-    # eps applied to tensor leg 0, then to tensor leg 1, of each Delta(e_h)
-    for leg, name, text in ((0, "counit_left", "(eps (x) id)Delta = id"),
-                            (1, "counit_right", "(id (x) eps)Delta = id")):
+    eps = H.eps
+    for name, text, term in (
+            ("counit_left", "(eps (x) id)Delta = id",
+             lambda i, j: {j: eps[i]}),
+            ("counit_right", "(id (x) eps)Delta = id",
+             lambda i, j: {i: eps[j]})):
         with cl.holds(name, text) as law:
             for h in law.over(range(d)):
-                out = {}
-                for ij, c in H.delta[h].items():
-                    pair = divmod(ij, d)
-                    v = c * H.eps[pair[leg]]
-                    if v:
-                        k = pair[1 - leg]
-                        w = out.get(k, 0) + v
-                        if w == 0:
-                            out.pop(k, None)
-                        else:
-                            out[k] = w
-                law.check((h,), la.residues(out, H.p), {h: 1})
+                law.check((h,), la.legsum(H.delta[h], d, term, H.p), {h: 1})
     return cl
 
 
@@ -174,21 +160,30 @@ def verify_axioms(H):
                 law.check((i, j), H.d(dict(alg.table[i][j])),
                           ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
 
+    # eps(h g1) eps(g2 f) = eps(x1 f) with x1 = eps(h g1) g2, and the mirror
+    # eps(h g2) eps(g1 f) = eps(x2 f) with x2 = g1 eps(h g2); for every h at
+    # once, x1 is row h of (P (x) id)Delta(g) and x2 column h of
+    # (id (x) P)Delta(g), P the map e_u -> sum_h eps(e_h e_u) e_h
     em = H.eps_products
+    P = [{h: em[h][u] for h in range(d) if em[h][u]} for u in range(d)]
+    x1s = [la.tslices(ag.apply_tensor(P, None, dg, d, d, p), d)[0]
+           for dg in H.delta]
+    x2s = [la.tslices(ag.apply_tensor(None, P, dg, d, d, p), d)[1]
+           for dg in H.delta]
     with cl.holds("eps_weak_multiplicative",
                   "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)") as law:
         for h in law.over(range(d)):
+            emh = em[h]
             for g in law.over(range(d)):
-                dg = H.delta[g]
+                x1, x2 = x1s[g].get(h, {}), x2s[g].get(h, {})
                 for f in law.over(range(d)):
-                    lhs = 0
+                    lhs = r1 = r2 = 0
                     for l, c in alg.table[g][f]:
-                        lhs = lhs + c * em[h][l]
-                    r1 = r2 = 0
-                    for uv, c in dg.items():
-                        u, v = divmod(uv, d)
-                        r1 = r1 + c * em[h][u] * em[v][f]
-                        r2 = r2 + c * em[h][v] * em[u][f]
+                        lhs = lhs + c * emh[l]
+                    for v, c in x1.items():
+                        r1 = r1 + c * em[v][f]
+                    for u, c in x2.items():
+                        r2 = r2 + c * em[u][f]
                     if p is not None:
                         lhs, r1, r2 = (la.residue(lhs, p), la.residue(r1, p),
                                        la.residue(r2, p))
@@ -198,15 +193,14 @@ def verify_axioms(H):
     # With Delta(1) = sum c_uv u (x) v, the unit law (checked by
     # make_algebra) gives (Delta(1) (x) 1)(1 (x) Delta(1)) =
     # sum c_uv c_xy u (x) vx (x) y and its mirror sum c_uv c_xy u (x) xv (x) y.
-    t_left = ag.apply_tensor(H.delta, None, H.delta_one, d, d, H.p)
-    legs = [divmod(uv, d) + (c,) for uv, c in H.delta_one.items()]
-    prod1, prod2 = {}, {}
-    for u, v, a in legs:
-        for x, y, b in legs:
-            sadd_into(prod1, {(u * d + m) * d + y: w
-                              for m, w in alg.table[v][x]}, a * b, H.p)
-            sadd_into(prod2, {(u * d + m) * d + y: w
-                              for m, w in alg.table[x][v]}, a * b, H.p)
+    d1 = H.delta_one
+    t_left = ag.apply_tensor(H.delta, None, d1, d, d, p)
+    prod1 = la.legsum(d1, d, lambda u, v: la.legsum(
+        d1, d, lambda x, y: {(u * d + m) * d + y: w
+                             for m, w in alg.table[v][x]}, p), p)
+    prod2 = la.legsum(d1, d, lambda u, v: la.legsum(
+        d1, d, lambda x, y: {(u * d + m) * d + y: w
+                             for m, w in alg.table[x][v]}, p), p)
     # key by key, so that the witness is the first differing (u, m, y)
     with cl.holds("delta_one",
                   "(Delta (x) id)Delta(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) "
@@ -219,28 +213,24 @@ def verify_axioms(H):
                 law.check(where, t_left.get(key), prod2.get(key))
 
     est, ess = H.eps_rows
-    for target, name, text in ((True, "antipode_target", "h1 S(h2) = eps_t(h)"),
-                               (False, "antipode_source", "S(h1) h2 = eps_s(h)")):
-        rows = est if target else ess
-        with cl.holds(name, text) as law:
-            for h in law.over(range(d)):
-                lhs = {}
-                for ij, c in H.delta[h].items():
-                    x, y = divmod(ij, d)
-                    sadd_into(lhs, alg.mul({x: 1}, H.s[y]) if target else
-                              alg.mul(H.s[x], {y: 1}), c, H.p)
-                law.check((h,), lhs, rows[h])
+    with cl.holds("antipode_target", "h1 S(h2) = eps_t(h)") as law:
+        for h in law.over(range(d)):
+            law.check((h,), la.legsum(H.delta[h], d, lambda x, y: alg.mul(
+                {x: 1}, H.s[y]), H.p), est[h])
 
+    # S(h1) h2 of every basis element, read again by the sandwich law
+    s_left = [la.legsum(dh, d, lambda x, y: alg.mul(H.s[x], {y: 1}), H.p)
+              for dh in H.delta]
+    with cl.holds("antipode_source", "S(h1) h2 = eps_s(h)") as law:
+        for h in law.over(range(d)):
+            law.check((h,), s_left[h], ess[h])
+
+    # S(h1) h2 S(h3) = sum of c S(a1) a2 S(k) over the legs c a (x) k of
+    # Delta(h), the legs of (Delta (x) id)Delta(h) grouped by a
     with cl.holds("antipode_sandwich", "S(h1) h2 S(h3) = S(h)") as law:
         for h in law.over(range(d)):
-            acc = {}
-            for t, c in ag.apply_tensor(H.delta, None, H.delta[h],
-                                        d, d, H.p).items():
-                i, jk = divmod(t, d * d)
-                j, k = divmod(jk, d)
-                term = alg.mulm(H.s[i], {j: 1}, H.s[k])
-                sadd_into(acc, term, c, H.p)
-            law.check((h,), acc, H.s[h])
+            law.check((h,), la.legsum(H.delta[h], d, lambda a, k: alg.mul(
+                s_left[a], H.s[k]), H.p), H.s[h])
 
     with cl.holds("s_anti_multiplicative", "S(hg) = S(g)S(h)") as law:
         for i in law.over(range(d)):
@@ -251,11 +241,8 @@ def verify_axioms(H):
     with cl.holds("s_anti_comultiplicative",
                   "Delta(S(h)) = S(h2) (x) S(h1)") as law:
         for h in law.over(range(d)):
-            rhs = {}
-            for ij, c in H.delta[h].items():
-                i, j = divmod(ij, d)
-                sadd_into(rhs, la.tensor_sparse(H.s[j], H.s[i], d, H.p), c,
-                          H.p)
+            rhs = la.legsum(H.delta[h], d, lambda i, j: la.tensor_sparse(
+                H.s[j], H.s[i], d, H.p), H.p)
             law.check((h,), H.d(H.s[h]), rhs)
 
     cl.add("s_bijective", "S is bijective in finite dimension",
@@ -302,11 +289,7 @@ def counital(H):
     # second characterization from Delta(1): Ht = span of left-slices,
     # Hs = span of right-slices
     d1 = H.delta_one
-    rows_t, rows_s = {}, {}
-    for uv, c in d1.items():
-        u, v = divmod(uv, d)
-        rows_t.setdefault(u, {})[v] = c
-        rows_s.setdefault(v, {})[u] = c
+    rows_t, rows_s = la.tslices(d1, d)
     Ht2 = la.Subspace.from_vectors(d, list(rows_t.values()), H.p)
     Hs2 = la.Subspace.from_vectors(d, list(rows_s.values()), H.p)
     agree = Ht == Ht2 and Hs == Hs2
@@ -335,12 +318,10 @@ def counital(H):
                 law.check((a, b), H.S(alg.mul(r1, r2)),
                           alg.mul(H.S(r2), H.S(r1)))
 
-    e_t = {}
-    e_s = {}
-    for uv, c in d1.items():
-        u, v = divmod(uv, d)
-        sadd_into(e_t, la.tensor_sparse(H.s[u], {v: 1}, d, H.p), c, H.p)
-        sadd_into(e_s, la.tensor_sparse({u: 1}, H.s[v], d, H.p), c, H.p)
+    e_t = la.legsum(d1, d, lambda u, v: la.tensor_sparse(
+        H.s[u], {v: 1}, d, H.p), H.p)
+    e_s = la.legsum(d1, d, lambda u, v: la.tensor_sparse(
+        {u: 1}, H.s[v], d, H.p), H.p)
     cl.add("e_t_separates_Ht", "e_t = (S (x) id)Delta(1) is a separability "
            "idempotent for Ht", _separates(H, e_t, Ht))
     cl.add("e_s_separates_Hs", "e_s = (id (x) S)Delta(1) is a separability "
@@ -352,11 +333,7 @@ def _separates(H, e, sub):
     d = H.dim
     alg = H.alg
     # legs inside the subalgebra
-    left_slices, right_slices = {}, {}
-    for ij, c in e.items():
-        i, j = divmod(ij, d)
-        left_slices.setdefault(j, {})[i] = c
-        right_slices.setdefault(i, {})[j] = c
+    right_slices, left_slices = la.tslices(e, d)
     for v in left_slices.values():
         if not sub.contains(v):
             return False
@@ -364,10 +341,7 @@ def _separates(H, e, sub):
         if not sub.contains(v):
             return False
     # mu(e) = 1
-    mu = {}
-    for ij, c in e.items():
-        i, j = divmod(ij, d)
-        sadd_into(mu, dict(alg.table[i][j]), c, H.p)
+    mu = la.legsum(e, d, lambda i, j: dict(alg.table[i][j]), H.p)
     if mu != alg.unit_sparse():
         return False
     # Casimir over the subalgebra basis

@@ -45,9 +45,11 @@ def test_composite_expectation_values(deep_tower):
         assert got == la.sscale(unit, lam ** (n + 1)), n
 
 
-def test_budget_guard(deep_tower):
+def test_budget_guard(deep_tower, monkeypatch):
+    monkeypatch.setattr(cp, "DIM_BUDGET", 32)
     with pytest.raises(cp.DimensionBudget):
-        cp.composite_idempotent(deep_tower, 2, dim_budget=32)
+        cp.composite_idempotent(deep_tower, 2)
+    monkeypatch.undo()
     with pytest.raises(cp.DimensionBudget):
         cp.composite_idempotent(deep_tower, 3)
 

@@ -370,3 +370,114 @@ def test_only_srow_builds_pair_tuples():
              for fn, line in svec_uses(ast.parse(path.read_text()))]
     assert found and all(c[:2] == ("algebra.py", "_srow")
                          for c in found), found
+
+
+# ---------------------------------------------------------------------------
+# Sweedler sums: legsum and tslices read the flat tensor index
+
+def test_legsum_cancels_to_the_empty_vector():
+    # (1/2) e_0 (x) e_1 + (1/2) e_1 (x) e_0 on 2 x 2 indices
+    t = {la.tindex(0, 1, 2): F(1, 2), la.tindex(1, 0, 2): F(1, 2)}
+    got = la.legsum(t, 2, lambda i, j: {3: 1, 4: F(2, 3)} if i == 0
+                    else {3: -1, 4: F(-2, 3)})
+    assert got == {}
+    legs = []
+    assert la.legsum(t, 2, lambda i, j: legs.append((i, j)) or {j: i}) == \
+        {0: F(1, 2)}
+    assert legs == [(0, 1), (1, 0)]
+
+
+def test_legsum_reduces_over_f13():
+    # 5 e_0 (x) e_0 + 8 e_1 (x) e_1: the e_2 sums 5 + 8 = 13 vanish
+    t = {la.tindex(0, 0, 2): 5, la.tindex(1, 1, 2): 8}
+    got = la.legsum(t, 2, lambda i, j: {i: 7, 2: 1}, 13)
+    assert got == {0: 35 % 13, 1: 56 % 13}
+    assert all(type(c) is int and 0 <= c < 13 for c in got.values())
+
+
+def test_legsum_and_tslices_of_the_empty_tensor():
+    def term(i, j):
+        raise AssertionError("no leg to call the term on")
+
+    assert la.legsum({}, 3, term) == {}
+    assert la.legsum({}, 3, term, 13) == {}
+    assert la.tslices({}, 3) == ({}, {})
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_legsum_with_tensor_valued_terms(p):
+    # the flip e_i (x) e_j -> e_j (x) e_i, and a nested sum over both tensors
+    n = 3
+    t = {la.tindex(i, j, n): in_field(F(i - 2 * j + 1, j + 1), p)
+         for i in range(n) for j in range(n) if i != j + 1}
+    t = {k: c for k, c in t.items() if c}
+    flip = la.legsum(t, n, lambda i, j: {la.tindex(j, i, n): 1}, p)
+    assert flip == {la.tindex(k % n, k // n, n): c for k, c in t.items()}
+    nested = la.legsum(t, n, lambda i, j: la.legsum(
+        t, n, lambda k, l: la.tensor_sparse({i: 1}, {l: 1}, n, p), p), p)
+    direct = {}
+    for ij, a in t.items():
+        for kl, b in t.items():
+            la.sadd_into(direct, {la.tindex(ij // n, kl % n, n): 1}, a * b, p)
+    assert nested == direct
+
+
+def test_tslices_keep_the_order_of_the_tensor():
+    # keys 5, 1, 3 on 2 x 2 indices are (2, 1), (0, 1), (1, 1)
+    rows, cols = la.tslices({5: 1, 1: 2, 3: 3}, 2)
+    assert list(rows.items()) == [(2, {1: 1}), (0, {1: 2}), (1, {1: 3})]
+    assert list(cols.items()) == [(1, {2: 1, 0: 2, 1: 3})]
+    assert list(cols[1]) == [2, 0, 1]
+
+
+def divmod_calls(tree):
+    """{enclosing function: number of divmod calls}, innermost function,
+    "<module>" outside any."""
+    found = {}
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and \
+                    isinstance(child.func, ast.Name) and \
+                    child.func.id == "divmod":
+                found[fn] = found.get(fn, 0) + 1
+            walk(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    walk(tree, "<module>")
+    return found
+
+
+def test_scan_counts_divmod_per_function():
+    tree = ast.parse("def f(t):\n"
+                     "    return divmod(t, 3)\n"
+                     "def g():\n"
+                     "    def h(x):\n"
+                     "        return [divmod(k, 2) for k in x], divmod(x, 4)\n"
+                     "    return h\n"
+                     "q = divmod(7, 2)\n"
+                     "r = la.divmod(7, 2)\n")
+    assert divmod_calls(tree) == {"f": 1, "h": 2, "<module>": 1}
+
+
+# A Sweedler sum over a flat tensor goes through legsum or tslices; the
+# flat index is decoded inline only by the product kernels (the smash
+# product's precomputed legs and mul_amb) and by the code that reads back a
+# section column (basic_construction's reps, _smash_iso), transposes a
+# tensor (dual) or names a witness (verify_axioms' delta_one law).
+DIVMOD_ALLOWED = {
+    "action.py": {"smash": 1, "mul_amb": 2},
+    "tower.py": {"basic_construction": 1, "_smash_iso": 1},
+    "wha.py": {"dual": 1, "verify_axioms": 2},
+}
+
+
+def test_sweedler_sums_read_the_flat_index_through_legsum():
+    src = pathlib.Path(weakhopf.__file__).parent
+    extra = {}
+    for name, allowed in DIVMOD_ALLOWED.items():
+        for fn, count in divmod_calls(
+                ast.parse((src / name).read_text())).items():
+            if count > allowed.get(fn, 0):
+                extra[name, fn] = count
+    assert not extra, extra

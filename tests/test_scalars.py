@@ -112,21 +112,29 @@ def over(cert, p):
 
 def stored_scalars(p):
     """{object: its stored scalars} for kG and (kG)* of pair(3), M1 of
-    q2_in_m2 and the derived A and B of q_in_q2, built over Q or F_p."""
+    q2_in_m2, the traces of the q_in_q2 tower (the T0 of each Markov
+    certificate) and the derived A and B of q_in_q2 with the eps(e_i e_j)
+    table of B, built over Q or F_p."""
     G = gp.pair(3)
     kG = gp.groupoid_algebra(G, p)
     dual = gp.groupoid_dual(G, kG)
     level = tw.build_tower(over(corpus.ext_q2_m2(), p), 1).levels[0]
     E = level.cert.E
-    _, _, res, _ = tw.derive(tw.build_tower(over(corpus.ext_q_q2(), p), 2))
-    assert E.incl.big.p == res["derived"].B.p == dual.p == p
+    tower = tw.build_tower(over(corpus.ext_q_q2(), p), 2)
+    _, _, res, _ = tw.derive(tower)
+    B = res["derived"].B
+    assert E.incl.big.p == B.p == dual.p == p
     return {
         "kG": weakhopf_scalars(kG),
         "(kG)*": weakhopf_scalars(dual),
         "M1 of q2_in_m2": (algebra_scalars(E.incl.big) +
-                           row_scalars(E.incl.embed) + row_scalars(E.rows)),
+                           row_scalars(E.incl.embed) + row_scalars(E.rows) +
+                           list(level.cert.t0)),
+        "traces of q_in_q2": [x for k in range(3) for x in tower.trace(k)],
         "derived A": weakhopf_scalars(res["derived"].A),
-        "derived B": weakhopf_scalars(res["derived"].B),
+        "derived B": weakhopf_scalars(B),
+        "eps_products of derived B": [x for row in B.eps_products
+                                      for x in row],
     }
 
 
