@@ -72,7 +72,7 @@ def verify_module_algebra(M):
     """
     H, A = M.H, M.A
     p = A.p
-    cl = CheckList("module-algebra")
+    cl = CheckList()
     dH, dA = H.dim, A.dim
     acts = M.act
 
@@ -182,7 +182,7 @@ def action_comodule_bridge(M):
     H, A = M.H, M.A
     Hd = wha.dual(H)
     dH, dA = H.dim, A.dim
-    cl = CheckList("comodule-bridge")
+    cl = CheckList()
     rho = []
     for a in range(dA):
         out = {}
@@ -236,7 +236,6 @@ class Smash:
     quotient: la.Quotient
     alg: ag.Algebra
     include_A: tuple  # sparse rows A -> smash coords
-    include_H: tuple
     checks: CheckList
 
 
@@ -259,7 +258,7 @@ def smash(M):
     p = A.p
     dH, dA = H.dim, A.dim
     amb = dA * dH
-    cl = CheckList("smash")
+    cl = CheckList()
 
     one_a = A.unit_sparse()
     zt_acts = []
@@ -268,12 +267,11 @@ def smash(M):
         zt_acts.append((z, z_dot_one))
 
     # the stated right action a . z = a (z . 1) agrees with S^-1(z) . a
-    s_inv = la.inverse(H.s, H.dim, p)
     with cl.holds("right_Ht_action", "a . z = a (z . 1) = S^-1(z) . a") as law:
         for zi, (z, z1) in law.over(enumerate(zt_acts)):
             for a in law.over(range(dA)):
                 lhs = A.mul({a: 1}, z1)
-                rhs = M.apply(ag.apply_map(s_inv, z, p), {a: 1})
+                rhs = M.apply(ag.apply_map(H.s_inv, z, p), {a: 1})
                 law.check((zi, a), lhs, rhs)
 
     rel_vecs = []
@@ -348,9 +346,7 @@ def smash(M):
 
     inc_a = tuple(q.project(la.tensor_sparse(
         {a: 1}, H.alg.unit_sparse(), dH, p)) for a in range(dA))
-    inc_h = tuple(q.project(la.tensor_sparse(
-        one_a, {h: 1}, dH, p)) for h in range(dH))
-    return Smash(M, q, alg, inc_a, inc_h, cl)
+    return Smash(M, q, alg, inc_a, cl)
 
 
 def smash_dual_action(M, sm):
@@ -373,48 +369,33 @@ def duality_dimension_check(M):
     """dim((A#H)#H*) versus dim(End(A#H)_A), plus both center dimensions.
 
     The endomorphism algebra is computed concretely as the commutant of
-    right A-multiplication inside the full matrix algebra on A#H; the
+    right A-multiplication inside the full matrix algebra on A#H: the
+    centralizer of the matrices R_a of right multiplication by a, each with
+    entry (i, k), the coordinate of e_k in e_i a, at index i n + k.  The
     canonical map between the two sides is out of scope, only numerically
     checkable consequences are compared.
     """
-    cl = CheckList("duality-dimensions")
+    from weakhopf.corpus import matrix_algebra
+    cl = CheckList()
     sm = smash(M)
     dual_act, dual_cl = smash_dual_action(M, sm)
     cl.extend(dual_cl)
     sm2 = smash(dual_act)
-    n = sm.alg.dim
+    n, p = sm.alg.dim, M.A.p
 
-    # commutant of right multiplication
-    rmuls = [sm.alg.rmul_rows(x) for x in sm.include_A]
-    eqs = []
-    for ra in rmuls:
-        for i in range(n):
-            for j in range(n):
-                row = {}
-                for k, c in ra[i].items():
-                    row[k * n + j] = row.get(k * n + j, 0) + c
-                for v in range(n):
-                    c = ra[v].get(j)
-                    if c:
-                        key = i * n + v
-                        w = row.get(key, 0) - c
-                        if w == 0:
-                            row.pop(key, None)
-                        else:
-                            row[key] = w
-                if row:
-                    eqs.append(row)
-    commutant = la.kernel(eqs, n * n, M.A.p)
+    mat_alg = matrix_algebra(n, p)
+    rmuls = la.Subspace.from_vectors(n * n, [
+        {i * n + k: c for i, r in enumerate(sm.alg.rmul_rows(x))
+         for k, c in r.items()} for x in sm.include_A], p)
+    commutant = ag.centralizer(mat_alg, rmuls)
     end_dim = commutant.dim
     cl.add("duality_dimension", "dim((A#H)#H*) = dim(End(A#H)_A)",
            sm2.alg.dim == end_dim,
            witness="%d vs %d" % (sm2.alg.dim, end_dim))
 
-    from weakhopf.corpus import matrix_algebra
-    mat_alg = matrix_algebra(n, M.A.p)
     comm_alg, _, _ = ag.subalgebra(mat_alg, commutant, "End(A#H)_A")
-    z_end = ag.centralizer(comm_alg, la.Subspace.full(comm_alg.dim, M.A.p)).dim
-    z_smash = ag.centralizer(sm2.alg, la.Subspace.full(sm2.alg.dim, M.A.p)).dim
+    z_end = ag.centralizer(comm_alg, la.Subspace.full(comm_alg.dim, p)).dim
+    z_smash = ag.centralizer(sm2.alg, la.Subspace.full(sm2.alg.dim, p)).dim
     cl.add("duality_centers", "dim Z((A#H)#H*) = dim Z(End(A#H)_A)",
            z_smash == z_end, witness="%d vs %d" % (z_smash, z_end))
     return cl, sm, sm2

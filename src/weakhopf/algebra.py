@@ -348,10 +348,7 @@ def subalgebra(big, sub, name="subalgebra"):
     alg = make_algebra(table, unit, p=big.p)
 
     def inject(x):
-        out = {}
-        for i, c in x.items():
-            sadd_into(out, rows[i], c, big.p)
-        return out
+        return apply_map(rows, x, big.p)
 
     return alg, inject, express
 
@@ -378,6 +375,11 @@ class Inclusion:
     def emb(self, x):
         return apply_map(self.embed, x, self.big.p)
 
+    @cached_property
+    def image(self):
+        """The image of small in big, a Subspace built once."""
+        return Subspace.from_vectors(self.big.dim, self.embed, self.big.p)
+
 
 @dataclass(frozen=True)
 class CondExpectation:
@@ -397,11 +399,7 @@ class CondExpectation:
 
     def _E_mx(self, m, x):
         """E(e_m x) = sum_k x_k E(e_m e_k), read from `products`."""
-        row, p = self.products[m], self.incl.big.p
-        out = {}
-        for k, c in x.items():
-            sadd_into(out, row[k], c, p)
-        return out
+        return apply_map(self.products[m], x, self.incl.big.p)
 
     def _E_xm(self, x, m):
         """E(x e_m) = sum_k x_k E(e_k e_m), read from `products`."""
@@ -430,7 +428,7 @@ def make_inclusion(small, big, embed):
             rhs = big.mul(embed[i], embed[j])
             if lhs != rhs:
                 raise ValueError("embedding not multiplicative at (%d, %d)" % (i, j))
-    if embedded_image(incl).dim != small.dim:
+    if incl.image.dim != small.dim:
         raise ValueError("embedding not injective")
     return incl
 
@@ -476,10 +474,6 @@ def _cell_sum(cells, x, p):
         for n, v in cells[k]:
             out[n] += c * v
     return {n: r for n, v in out.items() if (r := la.residue(v, p))}
-
-
-def embedded_image(incl):
-    return Subspace.from_vectors(incl.big.dim, incl.embed, incl.big.p)
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +705,6 @@ class MarkovCertificate:
     trace: tuple  # functional on small
     lambda_inv: object
     U: Subspace  # centralizer of the embedded small algebra
-    symmetric: bool
-    strongly_separable: bool
-    symmetric_product: bool
-    weakly_irreducible: bool
     kanzaki: dict | None  # symmetric separability element of U (flat tensor)
     trace_duals: tuple | None  # dual bases of T0 restricted to U
     t0: tuple  # T0 = T o E as a functional on big
@@ -744,15 +734,15 @@ def nondegeneracy_rank(E):
 def certify_markov(incl, E, db, trace):
     """Verify every defining identity of a symmetric Markov extension.
 
-    Flags are set only when the corresponding identity holds on a full
-    basis; the CheckList records each with a witness on failure.  The laws
+    Every verdict is a named check of the certificate's CheckList, decided
+    on a full basis and recorded with a witness on failure.  The laws
     on E of a basis product read `E.products`: the dual bases, the trace
     property T0(e_i e_j) = T(E(e_i e_j)) (each value once, compared with
     its transpose), non-degeneracy and symmetry on C_M(N).
     """
     small, big = incl.small, incl.big
     trace = tuple(la.as_scalar(c, big.p) for c in trace)
-    cl = CheckList("markov-certificate")
+    cl = CheckList()
     verify_dual_bases(E, db)
     cl.add("dual_bases", "E(m x_i) y_i = m = x_i E(y_i m)", True)
 
@@ -787,7 +777,7 @@ def certify_markov(incl, E, db, trace):
     cl.add("E_nondegenerate", "E(xM) = 0 => x = 0",
            nondegeneracy_rank(E) == big.dim)
 
-    U = centralizer(big, embedded_image(incl))
+    U = centralizer(big, incl.image)
     sym, witness = is_symmetric(E, U)
     cl.add("symmetric", "E(ux) = E(xu) for u in C_M(N)", sym,
            witness=None if sym else str(witness[:2]))
@@ -812,11 +802,8 @@ def certify_markov(incl, E, db, trace):
         cl.add("T0_U_nondegenerate", "T0 restricted to C_M(N) non-degenerate",
                False, witness="centralizer algebra unavailable")
 
-    weakly = cl.get("U_kanzaki").passed and cl.get("T0_U_nondegenerate").passed
     return MarkovCertificate(
         E=E, dual_bases=db, trace=trace, lambda_inv=lam_inv, U=U,
-        symmetric=sym, strongly_separable=strongly,
-        symmetric_product=sym_prod, weakly_irreducible=weakly,
         kanzaki=kanz, trace_duals=tdu, t0=t0, checks=cl)
 
 

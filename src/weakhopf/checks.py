@@ -34,7 +34,6 @@ class VerificationError(AssertionError):
 
 @dataclass
 class CheckList:
-    title: str = ""
     items: list = field(default_factory=list)
 
     def add(self, name, law, passed, witness=None):

@@ -171,9 +171,7 @@ def cmd_tower(args):
                                "failed", False))
             return Report("tower %s" % spec.name, items)
         try:
-            _, _, _, full = tw.derive(t)
-            seen = {id(c) for c in t.checks.items}
-            items.extend(c for c in full.items if id(c) not in seen)
+            items.extend(tw.derive(t)[3].items)
         except (tw.Depth2Failure, tw.SingularGram) as exc:
             items.append(Check("depth2", "depth-2 condition holds", False,
                                str(exc)))

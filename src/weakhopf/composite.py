@@ -31,7 +31,6 @@ DIM_BUDGET = 64  # largest ambient dimension f_n is verified in
 
 @dataclass(frozen=True)
 class CompositeData:
-    n: int
     f_n: dict  # element of M_{2n+1}, top-level coords
     checks: CheckList
 
@@ -72,7 +71,7 @@ def composite_idempotent(tower, n, prev=None):
     if tower.alg(top).dim > DIM_BUDGET:
         raise DimensionBudget("ambient dimension %d exceeds the budget %d"
                               % (tower.alg(top).dim, DIM_BUDGET))
-    cl = CheckList("composite-idempotent")
+    cl = CheckList()
     M_top = tower.alg(top)
     p = M_top.p
     lam_inv = tower.base.lambda_inv
@@ -129,7 +128,7 @@ def composite_idempotent(tower, n, prev=None):
                "(e_2..e_{n+1})", recursive == f)
         cl.add("previous_level", "f_{n-1} checks", prev.checks.ok,
                witness="; ".join(c.name for c in prev.checks.failures()))
-    return CompositeData(n, f, cl)
+    return CompositeData(f, cl)
 
 
 def _word_basis(tower, gens, level):
@@ -256,8 +255,7 @@ def depth2_example(kind, n=None, p=None):
     tN = [_regular_trace(N, j) for j in range(N.dim)]
     norm = ag.trace_of(tuple(tN), N.unit_sparse(), p)
     trace = tuple(la.div(x, norm, p) for x in tN)
-    db = ag.find_dual_bases(E, within=ag.centralizer(
-        M, ag.embedded_image(incl)))
+    db = ag.find_dual_bases(E, within=ag.centralizer(M, incl.image))
     cert = ag.certify_markov(incl, E, db, trace)
     cert.checks.require()
 

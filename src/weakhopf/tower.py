@@ -1,7 +1,9 @@
 """Jones towers over symmetric Markov extensions and the depth-2 engine.
 
-basic_construction realizes the next tower level as the relative tensor
-square with its E-multiplication, then re-verifies the characterizing
+basic_construction realizes the next tower level on the relative tensor
+square, which build_tower computes first so that it can refuse a level
+over the appendix's dimension budget before building it, with its
+E-multiplication; it then re-verifies the characterizing
 properties (span, E(e) = lambda 1, the e x e contraction), certifies the
 new extension as a symmetric Markov extension, and checks the canonical
 anti-isomorphism between the first two relative commutants.
@@ -11,10 +13,13 @@ level M2, where all six centralizers live; the derived weak Hopf structure
 on B is solved from the duality pairing and then every identity of the
 derivation chain is re-verified one by one on full bases.  Each shared
 object is built once and read by every later stage: the context holds the
-embeddings of N, M and M1, the pairing the subalgebra V, and the derived
-structure A inside M1, read back from M2 through the verified E onto M1
-(E o embed = id).  One routine, `_smash_iso`, verifies both smash
-isomorphisms M1 # B -> M2 and M # A -> M1.
+embeddings of N, M and M1 (each inclusion its image, `incl.image`), the
+pairing the subalgebra V, and the derived structure lambda^-1 Delta(b) and
+A inside M1, read back from M2 through the verified E onto M1
+(E o embed = id); B keeps the inverse of its antipode (`WeakHopf.s_inv`)
+for the derivation and the smash product alike.  One routine,
+`_smash_iso`, verifies both smash isomorphisms M1 # B -> M2 and
+M # A -> M1, and reads the inclusion x -> x # 1 from the smash product.
 
 The derivation is written in Sweedler notation, e.g.
 E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1); each such
@@ -75,12 +80,14 @@ class Tower:
         return e if to is None else self.embed(k, to, e)
 
 
-def basic_construction(cert):
+def basic_construction(cert, q):
     """One step of the tower: M1 = M (x)_N M with the E-multiplication.
 
-    Verifies the characterizing properties, certifies M1/M as a symmetric
-    Markov extension with the composed trace, and checks the product
-    anti-isomorphism between C_M(N) and C_{M1}(M).
+    `q` is the relative tensor square `ag.relative_tensor_square(cert)`,
+    whose dimension is that of M1, so a caller can refuse a level before
+    building it.  Verifies the characterizing properties, certifies M1/M as
+    a symmetric Markov extension with the composed trace, and checks the
+    product anti-isomorphism between C_M(N) and C_{M1}(M).
     """
     M = cert.incl.big
     m = M.dim
@@ -89,8 +96,6 @@ def basic_construction(cert):
     lam = la.div(1, lam_inv, p)
     E = cert.E
     xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
-
-    q = ag.relative_tensor_square(cert)
     n1 = q.dim
 
     def cls(a, b):
@@ -121,7 +126,7 @@ def basic_construction(cert):
     ys1 = tuple(cls(M.unit_sparse(), y) for y in ys)
     db1 = ag.DualBases(xs1, ys1, lam_inv)
 
-    cl = CheckList("basic-construction")
+    cl = CheckList()
 
     lefts = [alg1.mul(embed_rows[a], e1) for a in range(m)]
     cl.add("span", "M1 = M e1 M", la.rank(
@@ -208,20 +213,26 @@ def build_tower(cert, depth, extra=0):
     """Iterate the basic construction and verify the cross-level relations.
 
     Builds `depth` levels, then up to `extra` more for the composite
-    idempotents, each only while the top level built so far is within their
-    dimension budget: dimensions grow up the tower, so every level past one
-    over the budget is over it too.
+    idempotents, each only within their dimension budget: the top level
+    built so far must be within it, and so must the relative tensor square
+    of that level, which has the dimension of the next one.  A level whose
+    square is over the budget is refused before its E-multiplication and
+    certification are built; dimensions grow up the tower, so every level
+    past it would be over the budget too.
     With at least two levels, checks the braid-like relations and all four
     Pimsner-Popa identities on full bases, and that the restricted trace of
     the top level is normalized.
     """
-    cl = CheckList("tower")
+    cl = CheckList()
     levels = []
     cur = cert
     for k in range(depth + extra):
         if k >= depth and cur.incl.big.dim > DIM_BUDGET:
             break
-        lvl = basic_construction(cur)
+        q = ag.relative_tensor_square(cur)
+        if k >= depth and q.dim > DIM_BUDGET:
+            break
+        lvl = basic_construction(cur, q)
         cl.add("level_%d" % (k + 1),
                "basic construction verified at level %d" % (k + 1),
                lvl.checks.ok,
@@ -289,8 +300,7 @@ class CentralizerLattice:
 
 @dataclass(frozen=True)
 class Depth2Data:
-    zs: tuple  # dual bases of E_M inside A (M1 coords)
-    ws: tuple
+    zs: tuple  # first legs of the dual bases of E_M inside A (M1 coords)
     us: tuple  # dual bases of E_M1 inside B (M2 coords)
     vs: tuple
 
@@ -361,7 +371,7 @@ def centralizers(tower):
 
 
 def _lattice(ctx):
-    cl = CheckList("centralizer-lattice")
+    cl = CheckList()
     cl.add("U_in_A", "C_M(N) contained in A", ctx.A.contains_subspace(ctx.U))
     cl.add("V_in_A", "V contained in A", ctx.A.contains_subspace(ctx.V))
     cl.add("V_in_B", "V contained in B", ctx.B.contains_subspace(ctx.V))
@@ -389,7 +399,7 @@ def depth2_check(ctx):
         dbB = ag.find_dual_bases(E_M1_cond, within=ctx.B)
     except ag.NoDualBases as exc:
         raise Depth2Failure("E_M1 within B", str(exc))
-    return Depth2Data(dbA.xs, dbA.ys, dbB.xs, dbB.ys)
+    return Depth2Data(dbA.xs, dbB.xs, dbB.ys)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +411,6 @@ class ExpectationPair:
 
     C: la.Subspace
     E_B_rows: tuple  # C coords -> M2 sparse
-    c_duals: tuple  # (c_i, d_i): dual bases of the trace on V (M2 sparse)
     checks: CheckList
 
     def E_B(self, x):
@@ -414,7 +423,7 @@ class ExpectationPair:
 
 def conditional_expectations(ctx, d2):
     """Build E_A, E_B and verify the whole depth-2 identity suite."""
-    cl = CheckList("expectations")
+    cl = CheckList()
     M2 = ctx.M2
     p = ctx.p
     lam, lam_inv = ctx.lam, ctx.lam_inv
@@ -450,8 +459,7 @@ def conditional_expectations(ctx, d2):
                 if coef != 0:
                     sadd_into(out, ctx.mul(di, vj), coef, p)
         ebays.append(out)
-    ep = ExpectationPair(C, ag.map_rows(ebays, p), (tuple(c_i), tuple(d_i)),
-                         cl)
+    ep = ExpectationPair(C, ag.map_rows(ebays, p), cl)
     E_B, E_A = ep.E_B, ctx.E_M1
 
     Ab, Bb, Cb = ctx.A.basis, ctx.B.basis, C.basis
@@ -594,9 +602,9 @@ class PairingData:
     checks: CheckList
 
 
-def pairing(ctx, d2, ep):
+def pairing(ctx):
     """The separability element of V, the unit w, and both Gram matrices."""
-    cl = CheckList("pairing")
+    cl = CheckList()
     M2 = ctx.M2
     p = ctx.p
     T = ctx.T
@@ -659,13 +667,13 @@ def pairing(ctx, d2, ep):
 class DerivedWeakHopf:
     """The weak Hopf structures carried by B and (through the pairing) A."""
 
-    def __init__(self, ctx, d2, ep, pd):
+    def __init__(self, ctx, ep, pd):
         self.ctx = ctx
         self.pd = pd
-        self.checks = CheckList("derived-weak-hopf")
-        self._build(d2, ep, pd)
+        self.checks = CheckList()
+        self._build(ep, pd)
 
-    def _build(self, d2, ep, pd):
+    def _build(self, ep, pd):
         ctx = self.ctx
         cl = self.checks
         M2 = ctx.M2
@@ -687,8 +695,11 @@ class DerivedWeakHopf:
         self.gram_inv = Ginv
 
         # Delta_B(b_j) = (G^-1 (x) G^-1) applied to <a_i a_k, b_j>, read
-        # through the transposed inverse G^-T = (G^T)^-1
-        Ginv_t = la.inverse(pd.gram_t, nB, p)
+        # through G^-T = (G^T)^-1, the transpose of G^-1
+        Ginv_t = [{} for _ in range(nB)]
+        for i, row in enumerate(Ginv):
+            for j, c in row.items():
+                Ginv_t[j][i] = c
         mid = ctx.mul(ctx.e2, ctx.e1, pd.w)
         P = [[ctx.mul(ahat[i], ahat[k], mid) for k in range(nA)]
              for i in range(nA)]
@@ -716,14 +727,10 @@ class DerivedWeakHopf:
         e1, e2 = ctx.e1, ctx.e2
         lam_inv = ctx.lam_inv
         E_A, E_B = ctx.E_M1, ep.E_B
-
-        def S(x_co):
-            return ag.apply_map(B.s, x_co, p)
-
-        s_inv_rows = la.inverse(B.s, nB, p)
+        S = B.S
 
         def S_inv(x_co):
-            return ag.apply_map(s_inv_rows, x_co, p)
+            return ag.apply_map(B.s_inv, x_co, p)
 
         # eps(b) = lambda^-1 T(e2 w b)
         with cl.holds("eps_formula", "eps(b) = lambda^-1 T(e2 w b)") as law:
@@ -758,7 +765,7 @@ class DerivedWeakHopf:
             for j in law.over(range(nB)):
                 inner = E_A(ctx.mul(bhat[j], e1, e2))
                 val = ctx.mul(w_inv, E_B(ctx.mul(e1, e2, inner)), w)
-                law.check((j,), expB(la.sscale(val, lam3, p)), s_inv_rows[j])
+                law.check((j,), expB(la.sscale(val, lam3, p)), B.s_inv[j])
 
         VB_sub = la.Subspace.from_vectors(nB, vB, p)
         WB = la.Subspace.from_vectors(
@@ -770,7 +777,7 @@ class DerivedWeakHopf:
                       "b = w S^-1(w S^-1(b) w^-1) w^-1") as law:
             for j in law.over(range(nB)):
                 val = expB(ctx.mul(w, injB(S_inv(expB(
-                    ctx.mul(w, injB(s_inv_rows[j]), w_inv)))), w_inv))
+                    ctx.mul(w, injB(B.s_inv[j]), w_inv)))), w_inv))
                 law.check((j,), val, {j: 1})
 
         g = ctx.mul(injB(S(expB(w_inv))), w)
@@ -850,8 +857,10 @@ class DerivedWeakHopf:
                         B.delta[j], nB, lambda k, l: {l: G[i].get(k, 0)}, p)))
                     law.check((j, i), lhs, rhs)
 
-        # lambda^-1 Delta(b_j): the legs of the sums that carry lambda^-1
-        lam_delta = [la.sscale(r, lam_inv, p) for r in B.delta]
+        # lambda^-1 Delta(b_j): the legs of the sums that carry lambda^-1,
+        # here and in the action of B on M1
+        self.lam_delta = lam_delta = [la.sscale(r, lam_inv, p)
+                                      for r in B.delta]
         with cl.holds("sweedler_recovery",
                       "lambda^-1 b2 E_A(e2 w b1) w^-1 = b") as law:
             for j in law.over(range(nB)):
@@ -1014,7 +1023,7 @@ def action_B_on_M1(ctx, dw):
     invariants = M are each checked exhaustively.
     """
     from weakhopf import action as ac
-    cl = CheckList("action-B-on-M1")
+    cl = CheckList()
     B = dw.B
     nB = B.dim
     p = ctx.p
@@ -1056,7 +1065,7 @@ def action_B_on_M1(ctx, dw):
                 law.check((j, x), lhs, rhs)
 
     # measuring through the expectation, over the legs of lambda^-1 Delta(b)
-    lam_delta = [la.sscale(r, ctx.lam_inv, p) for r in B.delta]
+    lam_delta = dw.lam_delta
     with cl.holds("expectation_measuring_form",
                   "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)"
                   ) as law:
@@ -1072,8 +1081,7 @@ def action_B_on_M1(ctx, dw):
                     law.check((j, x, y), lhs, rhs)
 
     inv = ac.invariants(MB)
-    M_in_M1 = la.Subspace.from_vectors(M1.dim, m_in_M1, p)
-    cl.add("invariants_are_M", "M1^B = M", inv == M_in_M1)
+    cl.add("invariants_are_M", "M1^B = M", inv == ctx.lv1.cert.incl.image)
     return MB, cl
 
 
@@ -1114,18 +1122,16 @@ def _smash_iso(cl, sm, target, left, right, laws, inverse=None):
         with cl.holds("inverse_formula", inverse[0]) as law:
             for x in law.over(range(target.dim)):
                 law.check((x,), ag.apply_map(iso, inverse[1](x), p), {x: 1})
-    unit_h = sm.module.H.alg.unit_sparse()
     with cl.holds("tower_compatible", tower_text) as law:
         for x, leg in law.over(enumerate(left)):
-            cls = q.project(la.tensor_sparse({x: 1}, unit_h, nR, p))
-            law.check((x,), ag.apply_map(iso, cls, p), leg)
+            law.check((x,), ag.apply_map(iso, sm.include_A[x], p), leg)
     return iso
 
 
 def psi_iso(ctx, dw, MB, d2):
     """psi: M1 # B -> M2, x # b -> x b, verified as an algebra isomorphism."""
     from weakhopf import action as ac
-    cl = CheckList("psi")
+    cl = CheckList()
     sm = ac.smash(MB)
     cl.extend(sm.checks)
     M2 = ctx.M2
@@ -1140,10 +1146,8 @@ def psi_iso(ctx, dw, MB, d2):
         acc = {}
         for u, vB in zip(d2.us, vsB):
             em = ag.apply_map(E_M1, ctx.mul({x: 1}, u), ctx.p)
-            for xi, c in em.items():
-                for bi, cb in vB.items():
-                    sadd_into(acc, q.proj_cols[xi * nB + bi], c * cb, ctx.p)
-        return acc
+            sadd_into(acc, tensor_sparse(em, vB, nB, ctx.p), 1, ctx.p)
+        return q.project(acc)
 
     psi = _smash_iso(
         cl, sm, M2, ctx.M1_in_M2, dw.bhat,
@@ -1157,7 +1161,7 @@ def psi_iso(ctx, dw, MB, d2):
 def action_A_on_M(ctx, dw, MB):
     """The action a . m = a1 m S(a2) of A on M, with N as invariants."""
     from weakhopf import action as ac
-    cl = CheckList("action-A-on-M")
+    cl = CheckList()
     A = dw.A
     nA = A.dim
     p = ctx.p
@@ -1165,7 +1169,7 @@ def action_A_on_M(ctx, dw, MB):
     M1 = ctx.M1
     unemb1 = ctx.lv1.cert.E.E_small  # E_M, the identity on M inside M1
     a_in_M1, m_in_M1 = dw.a_in_M1, ctx.M_in_M1
-    M_img = la.Subspace.from_vectors(M1.dim, m_in_M1, p)
+    M_img = ctx.lv1.cert.incl.image
 
     sA = A.s
     s_in_M1 = [ag.apply_map(a_in_M1, r, p) for r in sA]  # S(a_l) in M1
@@ -1198,8 +1202,7 @@ def action_A_on_M(ctx, dw, MB):
                 law.check((i, i2), lhs, rhs)
 
     inv = ac.invariants(MA)
-    N_in_M = ag.embedded_image(ctx.t.base.incl)
-    cl.add("invariants_are_N", "M^A = N", inv == N_in_M)
+    cl.add("invariants_are_N", "M^A = N", inv == ctx.t.base.incl.image)
 
     # the coaction of the B-action restricted to A is the comultiplication
     Ginv = dw.gram_inv
@@ -1217,13 +1220,7 @@ def action_A_on_M(ctx, dw, MB):
                 except ag.NotClosed:  # b . a must lie in A
                     law.check((ai, k), False, True)
                     continue
-                for t_, c in co.items():
-                    for i2, g in Ginv[k].items():
-                        v = c * g
-                        if v != 0:
-                            key = t_ * nA + i2
-                            rho[key] = rho.get(key, 0) + v
-            rho = {k: v for k, v in la.residues(rho, p).items() if v != 0}
+                sadd_into(rho, tensor_sparse(co, Ginv[k], nA, p), 1, p)
             law.check((ai,), rho, A.delta[ai])
     return MA, cl
 
@@ -1231,7 +1228,7 @@ def action_A_on_M(ctx, dw, MB):
 def phi_iso(ctx, dw, MA):
     """phi: M # A -> M1, m # a -> m a, verified as an algebra isomorphism."""
     from weakhopf import action as ac
-    cl = CheckList("phi")
+    cl = CheckList()
     sm = ac.smash(MA)
     cl.extend(sm.checks)
     phi = _smash_iso(
@@ -1254,17 +1251,18 @@ def phi_iso(ctx, dw, MA):
 def derive(tower):
     """Run the whole depth-2 pipeline on a tower built to M2.
 
-    Returns (ctx, lattice, results dict, combined CheckList)."""
+    Returns (ctx, lattice, results dict, CheckList).  The CheckList holds
+    the derivation's own checks, from the centralizer lattice on; the
+    tower's checks stay on `tower.checks`."""
     ctx, lat = centralizers(tower)
-    full = CheckList("derivation")
-    full.extend(tower.checks)
+    full = CheckList()
     full.extend(lat.checks)
     d2 = depth2_check(ctx)
     ep = conditional_expectations(ctx, d2)
     full.extend(ep.checks)
-    pd = pairing(ctx, d2, ep)
+    pd = pairing(ctx)
     full.extend(pd.checks)
-    dw = DerivedWeakHopf(ctx, d2, ep, pd)
+    dw = DerivedWeakHopf(ctx, ep, pd)
     full.extend(dw.checks)
     MB, cl_b = action_B_on_M1(ctx, dw)
     full.extend(cl_b)

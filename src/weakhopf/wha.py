@@ -22,9 +22,9 @@ cell ``alg.table[i][j]`` (see `algebra`).
 The structure derived from a WeakHopf alone lives on the object, computed
 on first use and then shared by every caller: Delta(1) (`delta_one`), the
 scalars eps(e_i e_j) of every basis pair (`eps_products`), the sparse rows
-of eps_t and eps_s (`eps_rows`, both read off Delta(1) and eps_products)
-and the verified counital data (`counital`, the CounitalData of
-counital()).
+of eps_t and eps_s (`eps_rows`, both read off Delta(1) and eps_products),
+the rows of S^-1 (`s_inv`) and the verified counital data (`counital`, the
+CounitalData of counital()).
 Like every stored row, Delta(1) is a sparse dict; its keys are in sorted
 order, so the laws that walk its legs meet them in index order and name
 the same first failing leg.
@@ -67,13 +67,15 @@ class WeakHopf:
         return ag.apply_map(self.s, x, self.p)
 
     def e(self, x):
-        acc = 0
-        for i, c in x.items():
-            acc = acc + c * self.eps[i]
-        return la.as_scalar(acc, self.p)
+        return ag.trace_of(self.eps, x, self.p)
 
     def et(self, x):
         return ag.apply_map(self.eps_rows[0], x, self.p)
+
+    @cached_property
+    def s_inv(self):
+        """The sparse rows of S^-1."""
+        return la.inverse(self.s, self.dim, self.p)
 
     @cached_property
     def delta_one(self):
@@ -127,7 +129,7 @@ def convolve(H, f_rows, g_rows):
 # the axiom engine
 
 def coalgebra_checks(H):
-    cl = CheckList("coalgebra")
+    cl = CheckList()
     d = H.dim
     with cl.holds("coassociativity",
                   "(Delta (x) id)Delta = (id (x) Delta)Delta") as law:
@@ -275,7 +277,7 @@ class CounitalData:
 
 def counital(H):
     """Counital maps and subalgebras, with every stated identity verified."""
-    cl = CheckList("counital")
+    cl = CheckList()
     d = H.dim
     alg = H.alg
     est, ess = H.eps_rows
@@ -391,12 +393,15 @@ def dual(H):
 class IntegralSpaces:
     left: la.Subspace
     right: la.Subspace
-    two_sided: la.Subspace
     normalized_left: dict | None
 
 
 def integrals(H):
-    """Left/right/two-sided integral spaces and a normalized left integral."""
+    """The left and right integral spaces and a normalized left integral.
+
+    The left integrals are the l with h l = eps_t(h) l, the right ones the
+    r with r h = r eps_s(h); a normalized left integral has eps_t(l) = 1.
+    """
     d = H.dim
     alg = H.alg
     est, ess = H.eps_rows
@@ -412,7 +417,6 @@ def integrals(H):
             rows_r.append((j, diff_r))
     left = kernel_of_column_maps(rows_l, d, H.p)
     right = kernel_of_column_maps(rows_r, d, H.p)
-    two = left.intersect(right)
 
     normalized = None
     if left.dim:
@@ -424,13 +428,11 @@ def integrals(H):
             row = {i: im[k] for i, im in enumerate(images) if k in im}
             eqs.append((row, one.get(k, 0)))
         try:
-            co = la.solve(eqs, left.dim, H.p)
-            normalized = {}
-            for i, c in co.items():
-                sadd_into(normalized, basis[i], c, H.p)
+            normalized = ag.apply_map(basis, la.solve(eqs, left.dim, H.p),
+                                      H.p)
         except la.NoSolution:
             normalized = None
-    return IntegralSpaces(left, right, two, normalized)
+    return IntegralSpaces(left, right, normalized)
 
 
 def maschke_consistent(H, ints):

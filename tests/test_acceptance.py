@@ -163,7 +163,7 @@ def test_negative_controls():
         assert rep.get(upstream).passed, upstream
 
     incl, E = corpus.skewed_expectation()
-    U = ag.centralizer(incl.big, ag.embedded_image(incl))
+    U = ag.centralizer(incl.big, incl.image)
     sym, witness = ag.is_symmetric(E, U)
     assert not sym and witness is not None
     _line("negative controls: M2(F2) rejected by kanzaki_element; the "

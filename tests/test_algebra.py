@@ -162,9 +162,18 @@ def test_markov_witness_text_ignores_the_scalar_type():
     assert witnesses == ["{0: 6, 3: 3}"] * 2
 
 
+def test_inclusion_image_is_the_span_of_the_embedding():
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2())
+    for name, cert in certs.items():
+        incl = cert.incl
+        assert incl.image == la.Subspace.from_vectors(
+            incl.big.dim, incl.embed, incl.big.p), name
+        assert incl.image is incl.image
+
+
 def test_skewed_expectation_not_symmetric():
     incl, E = corpus.skewed_expectation()
-    U = ag.centralizer(incl.big, ag.embedded_image(incl))
+    U = ag.centralizer(incl.big, incl.image)
     ok, witness = ag.is_symmetric(E, U)
     assert not ok
     assert witness is not None
@@ -194,8 +203,9 @@ def test_separability_without_symmetry_still_exists_m2_f2():
 def test_certificates_all_flags():
     for name, cert in corpus.standing_extensions().items():
         assert cert.checks.ok, (name, cert.checks.failures())
-        assert cert.symmetric and cert.strongly_separable
-        assert cert.symmetric_product and cert.weakly_irreducible
+        for check in ("symmetric", "strongly_separable",
+                      "symmetric_product", "U_kanzaki", "T0_U_nondegenerate"):
+            assert cert.checks.get(check).passed, (name, check)
 
 
 def test_expected_lambdas():
@@ -211,7 +221,7 @@ def test_nondegenerate_trace_implies_symmetric():
         small = cert.incl.small
         tdu = ag.trace_dual_bases(small, cert.trace)
         if tdu is not None:
-            assert cert.symmetric, name
+            assert cert.checks.get("symmetric").passed, name
 
 
 def test_casimir_shift():
@@ -297,7 +307,7 @@ def corpus_expectations():
     for name, cert in certs.items():
         out.append((name, cert.incl, cert.E.rows))
     for name, cert in corpus.standing_extensions().items():
-        lvl = tw.basic_construction(cert)
+        lvl = tw.basic_construction(cert, ag.relative_tensor_square(cert))
         out.append((name + ":M1", lvl.cert.incl, lvl.cert.E.rows))
     incl, E = corpus.skewed_expectation()
     out.append(("skewed", incl, E.rows))

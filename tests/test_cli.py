@@ -203,8 +203,22 @@ def test_groupoid_builds_kG_and_its_dual_once(pair2_file, monkeypatch):
 
 def test_derivation_builds_shared_objects_once(markov_file, monkeypatch):
     subalgebras = counting(monkeypatch, ag, "subalgebra")
+    inverses = counting(monkeypatch, la, "inverse")
     assert cli.main(["tower", markov_file, "--derive"]) == 0
     assert [args[2] for args in subalgebras].count("V") == 1
+    # no stored matrix is inverted twice: B's antipode, for one, once for
+    # the derivation and the smash product M1 # B together.  Equal rows of
+    # different objects can meet by coincidence: on q_in_q2 the antipodes
+    # of A and B have the same matrix
+    rows = [id(args[0]) for args in inverses]
+    assert rows and len(set(rows)) == len(rows)
+
+
+def test_derivation_builds_each_inclusion_image_once(markov_file,
+                                                     monkeypatch):
+    images = computed(monkeypatch, "image", ag.Inclusion)
+    assert cli.main(["tower", markov_file, "--derive"]) == 0
+    assert images and len({id(incl) for incl in images}) == len(images)
 
 
 def test_appendix_builds_each_f_n_once(markov_file, monkeypatch):
@@ -474,14 +488,24 @@ def test_derive_reports_are_pinned(tmp_path, capsys, name, field):
 
 def test_appendix_depth_stays_within_the_budget(tmp_path, capsys,
                                                 monkeypatch):
-    # s3_z2 levels measure 18, 54, 162, 486, ...: M3 is already past the
-    # budget of f_n, so f1 and f2 fail and no level above M3 is built
-    built = counting(monkeypatch, tw, "basic_construction")
-    path = extension_file(tmp_path, "s3_z2")
-    assert cli.main(["tower", path, "--depth", "3", "--appendix-fn", "2"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL f1  " in out and "FAIL f2  " in out
-    assert [args[0].incl.big.dim for args in built] == [6, 18, 54]
+    # s3_z2 levels measure 18, 54, 162, 486, ...: with --depth 3, M3 is
+    # already past the budget of f_n, so no level above it is built.
+    # q_in_m2 levels measure 16, 64, 256: M3 is refused from the dimension
+    # of its relative tensor square, before it is built, so f1 finds the
+    # tower too short
+    for name, depth, dims, f1_witness in (
+            ("s3_z2", ["--depth", "3"], [6, 18, 54],
+             "ambient dimension 162 exceeds the budget 64"),
+            ("q_in_m2", [], [4, 16], "tower not built to level 3")):
+        built = counting(monkeypatch, tw, "basic_construction")
+        path = extension_file(tmp_path, name)
+        assert cli.main(["tower", path] + depth + ["--appendix-fn", "2"]) \
+            == 1
+        out = capsys.readouterr().out
+        assert "FAIL f1  " in out and "FAIL f2  " in out
+        assert "witness: %s\n" % f1_witness in out
+        assert [args[0].incl.big.dim for args in built] == dims
+        monkeypatch.undo()
 
 
 # sha256 of the `tower --format machine` report of plain tower runs, each

@@ -341,3 +341,116 @@ def test_every_default_is_set_by_some_call():
         list(TESTS.glob("*.py")) +
         list(PERFBENCH.glob("*.py")))]
     assert unset_defaults(lib, callers) == []
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) \
+        == "dataclass"
+
+
+def dataclass_fields(tree):
+    """{(class, field): line} of each field of each @dataclass in the tree."""
+    return {(cls.name, node.target.id): node.lineno
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any(_is_dataclass(d) for d in cls.decorator_list)
+            for node in cls.body if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)}
+
+
+def unread_fields(tree, read):
+    """(line, "class.field") of each dataclass field of the tree whose name
+    is not in `read`."""
+    return sorted((line, "%s.%s" % key)
+                  for key, line in dataclass_fields(tree).items()
+                  if key[1] not in read)
+
+
+def test_scan_flags_an_unread_field():
+    lib = ast.parse("@dataclass(frozen=True)\n"
+                    "class K:\n"
+                    "    a: int\n"
+                    "    b: int = 0\n"
+                    "    c = 1\n"
+                    "@dataclasses.dataclass\n"
+                    "class L:\n"
+                    "    d: str\n"
+                    "class Plain:\n"
+                    "    e: int\n"
+                    "def f(k):\n"
+                    "    return k.a\n")
+    # a read on any object counts, an assignment or a keyword does not;
+    # c is a class attribute and Plain no dataclass
+    user = ast.parse("x.b = 2\nK(b=3)\n")
+    read = read_attributes([lib, user])
+    assert unread_fields(lib, read) == [(4, "K.b"), (8, "L.d")]
+
+
+def test_every_weakhopf_dataclass_field_is_read():
+    """A field that src, tests and the benchmark never read is state the
+    constructor fills for nothing."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read = read_attributes(list(trees.values()) + [
+        ast.parse(path.read_text()) for path in
+        sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))])
+    found = {}
+    for name, tree in trees.items():
+        bad = unread_fields(tree, read)
+        if bad:
+            found[name] = bad
+    assert not found, found
+
+
+# every scalar constructor takes the field, whether or not it needs it
+UNREAD_PARAMETERS_ALLOWED = {("scalar_zero", "p"), ("scalar_one", "p")}
+
+
+def unread_parameters(tree, allowed=frozenset()):
+    """(line, function, parameter) of each parameter that its function's
+    body never reads.
+
+    A read in a nested function or lambda counts.  Dunder methods are
+    exempt, since the protocol fixes their signatures, as are the
+    (function, parameter) pairs in `allowed`.
+    """
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTION_DEFS) or (
+                fn.name.startswith("__") and fn.name.endswith("__")):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            x for x in (a.vararg, a.kwarg) if x is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.extend((arg.lineno, fn.name, arg.arg) for arg in params
+                     if arg.arg not in read
+                     and (fn.name, arg.arg) not in allowed)
+    return sorted(found)
+
+
+def test_scan_flags_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *args, c=1, **kw):\n"
+                     "    return a + g(lambda: c)\n"
+                     "class K:\n"
+                     "    def __eq__(self, other):\n"
+                     "        return True\n"
+                     "    def m(self, x):\n"
+                     "        x = 2\n"
+                     "        return self\n"
+                     "def scalar_one(p=None):\n"
+                     "    return 1\n")
+    # an assignment to a parameter is no read of it
+    assert unread_parameters(tree, {("scalar_one", "p")}) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (6, "m", "x")]
+
+
+def test_every_weakhopf_parameter_is_read():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        bad = unread_parameters(ast.parse(path.read_text()),
+                                UNREAD_PARAMETERS_ALLOWED)
+        if bad:
+            found[path.name] = bad
+    assert not found, found

@@ -23,7 +23,9 @@ def pipelines(towers):
 def test_basic_construction_dims():
     for ext, dim in ((corpus.ext_q_q2, 4), (corpus.ext_q_m2, 16),
                      (corpus.ext_q2_m2, 8)):
-        assert tw.basic_construction(ext()).cert.incl.big.dim == dim
+        cert = ext()
+        lvl = tw.basic_construction(cert, ag.relative_tensor_square(cert))
+        assert lvl.cert.incl.big.dim == dim
 
 
 def test_basic_construction_checks(towers):
@@ -34,7 +36,8 @@ def test_basic_construction_checks(towers):
 
 
 def test_jones_idempotent_on_q2():
-    lvl = tw.basic_construction(corpus.ext_q_q2())
+    cert = corpus.ext_q_q2()
+    lvl = tw.basic_construction(cert, ag.relative_tensor_square(cert))
     e1 = lvl.e
     assert lvl.cert.incl.big.mul(e1, e1) == e1
     # E_M(e1) = lambda 1 with lambda = 1/2

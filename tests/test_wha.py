@@ -169,6 +169,20 @@ def test_verify_axioms_over_prime_field():
 
 
 
+@pytest.mark.parametrize("p", [None, 13])
+def test_s_inv_inverts_the_antipode(p):
+    # a groupoid algebra, where S^-1 = S, and the derived B of q_in_q2 read
+    # back over the field, where S^2(b) = g b g^-1
+    derived = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))[2]["derived"]
+    spec = sf.specfile_for(derived.B, "B")
+    for H in (gp.groupoid_algebra(gp.pair(2), p),
+              sf.build(sf.SpecFile(spec.kind, "B", p, spec.payload))):
+        ident = tuple({i: 1} for i in range(H.dim))
+        assert ag.compose_maps(H.s, H.s_inv, p) == ident
+        assert ag.compose_maps(H.s_inv, H.s, p) == ident
+        assert H.s_inv is H.s_inv
+
+
 @pytest.mark.parametrize("p", [None, 13, 65521])
 def test_eps_products_match_direct_products(p):
     # kG and (kG)* of every corpus groupoid, and the derived A and B of
