@@ -7,9 +7,11 @@ rationals by default, or a prime field F_p.  Everything is deterministic
 there is no floating point anywhere.
 
 Both fields share one eliminator: `Echelon` and `EchelonExpr` turn
-vectors into integer rows (rationals scaled by their common denominator,
-residues mod p as they are) and reduce them with the kernel in `_backend`,
-fraction-free over Q and in leading-1 form over F_p.
+sparse vectors into sparse integer rows (rationals scaled by their common
+denominator, residues mod p as they are), keep them keyed by pivot column
+and reduce them with the kernel in `_backend`, fraction-free over Q and in
+leading-1 form over F_p; elimination touches only the nonzeros.  This
+module is the kernel's one caller.
 Sparse vectors are plain dicts {index: scalar} with no stored zeros, and
 that is the one form of every vector, coordinate vector and linear-map row
 in the package, stored or passed: a `Subspace` basis, the coordinates
@@ -243,23 +245,17 @@ def tensor_sparse(a, b, dim2, p=None):
 # ---------------------------------------------------------------------------
 # echelon forms (integer-kernel backed, over Q or F_p)
 
-def _int_row(vec, width, p=None):
-    """A sparse vector -> (integer row of the given width, scale of the row).
+def _int_row(vec, p=None):
+    """A sparse vector -> (kernel row, scale of the row).
 
     Over Q the row is den * vec, den the lcm of the denominators; over F_p
     it holds the residues and the scale is 1.
     """
-    row = [0] * width
     if p is not None:
-        for i, c in vec.items():
-            row[i] = c
-        return row, 1
-    den = 1
-    for c in vec.values():
-        den = lcm(den, c.denominator)
-    for i, c in vec.items():
-        row[i] = c.numerator * (den // c.denominator)
-    return row, den
+        return {i: r for i, c in vec.items() if (r := c % p)}, 1
+    den = lcm(*[c.denominator for c in vec.values()])
+    return {i: c.numerator * (den // c.denominator)
+            for i, c in vec.items()}, den
 
 
 def _quot(a, b, p):
@@ -272,77 +268,68 @@ def _quot(a, b, p):
 class Echelon:
     """Incremental reduced echelon basis over Q (p=None) or F_p.
 
-    Rows live in a pivot zone of `ncols` columns; `aux` extra columns ride
-    along (augmented right-hand sides).
+    `rows` maps each pivot column to its kernel row.  Pivots lie among the
+    first `ncols` columns; entries at columns from `ncols` on ride along
+    (augmented right-hand sides).
     """
 
-    def __init__(self, ncols, p=None, aux=0):
+    def __init__(self, ncols, p=None):
         self.ncols = ncols
         self.p = p
-        self.aux = aux
-        self.rows = []
-        self.pivots = []
+        self.rows = {}
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return sorted(self.rows)
 
     def insert(self, vec):
         """Insert a sparse vector. True if rank grew."""
-        row, _ = _int_row(vec, self.ncols + self.aux, self.p)
-        return insert_row(self.rows, self.pivots, row, self.ncols, self.p) >= 0
+        row, _ = _int_row(vec, self.p)
+        return insert_row(self.rows, row, self.ncols, self.p) >= 0
 
     def insert_reduced(self, vec):
-        """Insert; on dependence the returned reduced row keeps its aux zone."""
-        row, _ = _int_row(vec, self.ncols + self.aux, self.p)
-        pos = insert_row(self.rows, self.pivots, row, self.ncols, self.p)
-        return pos, row
+        """Insert; on dependence the returned reduced row keeps its
+        augmented entries."""
+        row, _ = _int_row(vec, self.p)
+        return insert_row(self.rows, row, self.ncols, self.p), row
 
     def frac_rows(self):
-        """Canonical RREF rows (leading coefficient 1) as sparse dicts."""
-        p = self.p
-        out = []
-        for r, c in zip(self.rows, self.pivots):
-            lead = r[c]
-            out.append({i: _quot(x, lead, p) for i, x in enumerate(r) if x})
-        return out
+        """Canonical RREF rows (leading coefficient 1) as sparse dicts, in
+        pivot order."""
+        return [{i: _quot(r[i], r[c], self.p) for i in sorted(r)}
+                for c, r in sorted(self.rows.items())]
 
 
 class EchelonExpr:
     """Echelon that expresses each dependent insert over the kept ones.
 
     insert() returns ('kept', k) for the k-th independent vector, or
-    ('dep', coeffs) with vec == sum(coeffs[k] * kept_k).
+    ('dep', coeffs) with vec == sum(coeffs[k] * kept_k).  Column ncols + k
+    of a row records its coefficient on the k-th kept vector.
     """
 
     def __init__(self, ncols, p=None):
         self.ncols = ncols
         self.p = p
-        self.rows = []
-        self.pivots = []
+        self.rows = {}
         self.nkept = 0
 
     def insert(self, vec):
         p = self.p
-        row, den = _int_row(vec, self.ncols, p)
-        row.extend([0] * (self.nkept + 1))
-        row[-1] = den
-        for r in self.rows:
-            r.append(0)
-        pos = insert_row(self.rows, self.pivots, row, self.ncols, p)
-        if pos >= 0:
+        ncols = self.ncols
+        row, den = _int_row(vec, p)
+        aux = ncols + self.nkept
+        row[aux] = den
+        if insert_row(self.rows, row, ncols, p) >= 0:
             self.nkept += 1
             return ("kept", self.nkept - 1)
         # dependent: data zone zero, aux holds s*vec - sum(c_k * kept_k) = 0
-        s = row[self.ncols + self.nkept]
-        coeffs = {}
-        for k in range(self.nkept):
-            x = row[self.ncols + k]
-            if x:
-                coeffs[k] = _quot(-x, s, p)
-        for r in self.rows:
-            r.pop()
-        return ("dep", coeffs)
+        s = row.pop(aux)
+        return ("dep", {k - ncols: _quot(-row[k], s, p) for k in sorted(row)})
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +349,15 @@ def solve(equations, ncols, p=None):
     Returns the canonical solution as a sparse dict: zero at non-pivot
     coordinates.  Raises NoSolution when the system is inconsistent.
     """
-    ech = Echelon(ncols, p, aux=1)
+    ech = Echelon(ncols, p)
     for row, rhs in equations:
-        aug = dict(row)
-        if rhs != 0:
-            aug[ncols] = as_scalar(rhs, p)
+        aug = {**row, ncols: as_scalar(rhs, p)} if rhs != 0 else row
         pos, red = ech.insert_reduced(aug)
-        if pos < 0 and red[ncols] != 0:
+        if pos < 0 and ncols in red:
             raise NoSolution("inconsistent system")
-    return {c: _quot(r[ncols], r[c], p)
-            for r, c in zip(ech.rows, ech.pivots) if r[ncols]}
+    rows = ech.rows
+    return {c: _quot(rows[c][ncols], rows[c][c], p)
+            for c in ech.pivots if ncols in rows[c]}
 
 
 def kernel(rows, ncols, p=None):
@@ -382,14 +368,14 @@ def kernel(rows, ncols, p=None):
     ech = Echelon(ncols, p)
     for r in rows:
         ech.insert(r)
-    piv = set(ech.pivots)
+    pivots = ech.pivots
     frac = ech.frac_rows()
     vecs = []
     for f in range(ncols):
-        if f in piv:
+        if f in ech.rows:
             continue
         v = {f: 1}
-        for r, c in zip(frac, ech.pivots):
+        for r, c in zip(frac, pivots):
             x = r.get(f)
             if x:
                 v[c] = -x  # reduced by from_vectors below
@@ -403,16 +389,14 @@ def inverse(rows, n, p=None):
 
     Raises NoSolution when the matrix is singular.
     """
-    ech = Echelon(n, p, aux=n)
+    ech = Echelon(n, p)
     for i, r in enumerate(rows):
-        aug = dict(r)
-        aug[n + i] = 1
-        if ech.insert_reduced(aug)[0] < 0:
+        if not ech.insert({**r, n + i: 1}):
             raise NoSolution("singular matrix")
     inv = [None] * n
-    for r, c in zip(ech.rows, ech.pivots):
-        inv[c] = {j - n: _quot(x, r[c], p)
-                  for j, x in enumerate(r[n:], n) if x}
+    for c, r in ech.rows.items():
+        # full rank: r is zero at every other data column
+        inv[c] = {j - n: _quot(r[j], r[c], p) for j in sorted(r) if j != c}
     return tuple(inv)
 
 

@@ -461,6 +461,8 @@ def conditional_expectations(ctx, d2):
         ebays.append(out)
     ep = ExpectationPair(C, ag.map_rows(ebays, p), cl)
     E_B, E_A = ep.E_B, ctx.E_M1
+    # E_B(c_i) for the basis c_i of C is the stored row i
+    EBc = ep.E_B_rows
 
     Ab, Bb, Cb = ctx.A.basis, ctx.B.basis, C.basis
     with cl.holds("E_B_restricts_to_id", "E_B(b) = b on B") as law:
@@ -468,16 +470,16 @@ def conditional_expectations(ctx, d2):
             law.check((i,), E_B(b), b)
 
     with cl.holds("E_B_into_B", "E_B(C) lies in B") as law:
-        for i, c in law.over(enumerate(Cb)):
-            law.check((i,), ctx.B.contains(E_B(c)), True)
+        for i, ebc in law.over(enumerate(EBc)):
+            law.check((i,), ctx.B.contains(ebc), True)
 
     with cl.holds("E_B_bimodular", "E_B(b c b') = b E_B(c) b'") as law:
         for bi, b in law.over(enumerate(Bb)):
             for ci, c in law.over(enumerate(Cb)):
                 if law.check(("left", bi, ci), E_B(ctx.mul(b, c)),
-                             ctx.mul(b, E_B(c))):
+                             ctx.mul(b, EBc[ci])):
                     law.check(("right", bi, ci), E_B(ctx.mul(c, b)),
-                              ctx.mul(E_B(c), b))
+                              ctx.mul(EBc[ci], b))
 
     cl.add("E_B_of_e1", "E_B(e1) = lambda 1",
            E_B(ctx.e1) == la.sscale(M2.unit_sparse(), lam, p))
@@ -485,16 +487,17 @@ def conditional_expectations(ctx, d2):
     with cl.holds("E_B_trace_compatible", "T(E_B(c) b) = T(b c)") as law:
         for ci, c in law.over(enumerate(Cb)):
             for bi, b in law.over(enumerate(Bb)):
-                law.check((ci, bi), T(ctx.mul(E_B(c), b)), T(ctx.mul(b, c)))
+                law.check((ci, bi), T(ctx.mul(EBc[ci], b)),
+                          T(ctx.mul(b, c)))
 
     with cl.holds("E_B_preserves_T", "T o E_B = T on C") as law:
         for i, c in law.over(enumerate(Cb)):
-            law.check((i,), T(E_B(c)), T(c))
+            law.check((i,), T(EBc[i]), T(c))
 
     with cl.holds("commuting_square",
                   "E_A E_B = E_B E_A = T(c c_i) d_i") as law:
         for i, c in law.over(enumerate(Cb)):
-            lhs = E_A(E_B(c))
+            lhs = E_A(EBc[i])
             rhs = E_B(E_A(c))
             direct = {}
             for ci, di in zip(c_i, d_i):
@@ -577,7 +580,7 @@ def conditional_expectations(ctx, d2):
                     coef = T(ctx.mul(ctx.mul(di, vj), c))
                     if coef != 0:
                         sadd_into(alt, ctx.mul(uj, ci), coef, p)
-            law.check((i,), alt, E_B(c))
+            law.check((i,), alt, EBc[i])
 
     return ep
 
@@ -818,11 +821,13 @@ class DerivedWeakHopf:
                 law.check((i,), ctx.mul(injB(v), e2), ctx.mul(injB(S(v)), e2))
 
         em = B.eps_products  # eps(b_j b_k)
+        # E_A(e2 w b_k) w^-1 per k, here and in sweedler_recovery
+        e2w = ctx.mul(e2, w)
+        ea_w = [ctx.mul(E_A(ctx.mul(e2w, b)), w_inv) for b in bhat]
         with cl.holds("lemma_c",
                       "lambda^-1 E_A(e2 w b) w^-1 = eps(b 1(1)) 1(2)") as law:
             for j in law.over(range(nB)):
-                lhs = la.sscale(ctx.mul(E_A(ctx.mul(e2, w, bhat[j])), w_inv),
-                                lam_inv, p)
+                lhs = la.sscale(ea_w[j], lam_inv, p)
                 rhs = injB(la.legsum(d1, nB, lambda k, l: {l: em[j][k]}, p))
                 law.check((j,), lhs, rhs)
 
@@ -865,32 +870,39 @@ class DerivedWeakHopf:
                       "lambda^-1 b2 E_A(e2 w b1) w^-1 = b") as law:
             for j in law.over(range(nB)):
                 acc = la.legsum(lam_delta[j], nB, lambda k, l: ctx.mul(
-                    bhat[l], E_A(ctx.mul(e2, w, bhat[k])), w_inv), p)
+                    bhat[l], ea_w[k]), p)
                 law.check((j,), acc, bhat[j])
 
+        # per-index factors of the two slices below, so that each leg costs
+        # one product: b_l w^-1, E_A(e2 e1 w b_k), w^-1 x and E_M1(e2 x b_k)
+        bw = [ctx.mul(b, w_inv) for b in bhat]
+        ea_e1 = [E_A(ctx.mul(mid, b)) for b in bhat]  # mid = e2 e1 w
+        w_e1_w = ctx.mul(w_inv, e1, w)
         with cl.holds("heart",
                       "w^-1 e1 w b = lambda^-1 b2 w^-1 E_A(e2 e1 w b1)") as law:
             for j in law.over(range(nB)):
-                lhs = ctx.mul(w_inv, e1, w, bhat[j])
+                lhs = ctx.mul(w_e1_w, bhat[j])
                 rhs = la.legsum(lam_delta[j], nB, lambda k, l: ctx.mul(
-                    bhat[l], w_inv, E_A(ctx.mul(e2, e1, w, bhat[k]))), p)
+                    bw[l], ea_e1[k]), p)
                 law.check((j,), lhs, rhs)
 
         M1b = ctx.M1_in_M2
+        nM1 = len(M1b)
+        wx = [ctx.mul(w_inv, x) for x in M1b]
+        em1 = [[ctx.E_M1(ctx.mul(e2x, b)) for b in bhat]
+               for e2x in (ctx.mul(e2, x) for x in M1b)]
         with cl.holds("m1_slice",
                       "w^-1 x b = lambda^-1 b2 w^-1 E_M1(e2 x b1)") as law:
             for j in law.over(range(nB)):
-                for i, x in law.over(enumerate(M1b)):
-                    lhs = ctx.mul(w_inv, x, bhat[j])
+                for i in law.over(range(nM1)):
+                    lhs = ctx.mul(wx[i], bhat[j])
                     rhs = la.legsum(lam_delta[j], nB, lambda k, l: ctx.mul(
-                        bhat[l], w_inv, ctx.E_M1(ctx.mul(e2, x, bhat[k]))), p)
+                        bw[l], em1[i][k]), p)
                     law.check((j, i), lhs, rhs)
 
         # E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1)
-        nM1 = len(M1b)
-        q_tab = [[ctx.E_M1(ctx.mul(e2, w, M1b[x], bhat[k]))
+        q_tab = [[ctx.E_M1(ctx.mul(e2w, M1b[x], bhat[k]))
                   for k in range(nB)] for x in range(nM1)]
-        e2w = ctx.mul(e2, w)
 
         with cl.holds("expectation_measuring",
                       "E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 "

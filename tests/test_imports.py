@@ -1,6 +1,6 @@
 """Every name a weakhopf module imports, or a function assigns, is read,
 every attribute it sets on self is read, and every function it defines is
-referenced."""
+referenced; only linalg imports the row-reduction kernel."""
 
 import ast
 import pathlib
@@ -451,6 +451,53 @@ def test_every_weakhopf_parameter_is_read():
     for path in sorted(SRC.glob("*.py")):
         bad = unread_parameters(ast.parse(path.read_text()),
                                 UNREAD_PARAMETERS_ALLOWED)
+        if bad:
+            found[path.name] = bad
+    assert not found, found
+
+
+def backend_imports(tree):
+    """(line, name) of each name imported from the row-reduction kernel
+    `weakhopf._backend`; "_backend" when the module itself is imported."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in ("weakhopf._backend", "._backend"):
+                found.extend((node.lineno, a.name) for a in node.names)
+            elif module in ("weakhopf", "."):
+                found.extend((node.lineno, a.name) for a in node.names
+                             if a.name == "_backend")
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, "_backend") for a in node.names
+                         if a.name == "weakhopf._backend")
+    return sorted(found)
+
+
+def test_scan_flags_backend_imports():
+    tree = ast.parse("from weakhopf._backend import insert_row, BACKEND\n"
+                     "from weakhopf import _backend, linalg\n"
+                     "import weakhopf._backend as kernel\n"
+                     "from ._backend import reduce_row\n"
+                     "from . import _backend\n"
+                     "from weakhopf.linalg import solve\n"
+                     "import weakhopf\n")
+    assert backend_imports(tree) == [
+        (1, "BACKEND"), (1, "insert_row"), (2, "_backend"), (3, "_backend"),
+        (4, "reduce_row"), (5, "_backend")]
+
+
+def test_only_linalg_enters_the_kernel():
+    # linalg turns vectors into kernel rows; the package only reports the
+    # kernel's name
+    allowed = {"__init__.py": {"BACKEND"}}
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        bad = [(line, name)
+               for line, name in backend_imports(ast.parse(path.read_text()))
+               if name not in allowed.get(path.name, ())]
         if bad:
             found[path.name] = bad
     assert not found, found

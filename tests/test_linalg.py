@@ -1,6 +1,7 @@
 import ast
 import pathlib
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,142 @@ def test_quotient_from_projection_matches_quotient(p, entries, rank):
     got = la.quotient_from_projection(n, lambda c: la.sparse(cols[c]), p)
     assert got == la.quotient(n, la.kernel([la.sparse(r) for r in proj], n, p))
     assert got.dim == rank
+
+
+# wide sparse systems: rows 24-64 wide with 1-3 nonzeros each, so that
+# elimination fills rows in and expression tracking runs to high aux columns
+
+def gauss_jordan(rows, n, p=None):
+    """Dense reference Gauss-Jordan elimination of sparse rows of width n,
+    one row at a time: (pivots, the RREF rows with leading coefficient 1 as
+    sparse dicts, whether each row grew the rank)."""
+    red = {}  # pivot -> dense row, leading 1, zero at every other pivot
+    grew = []
+    for row in rows:
+        v = list(la.dense(row, n))
+        for c, r in red.items():
+            f = v[c]
+            if f != 0:
+                v = [la.residue(x - f * y, p) for x, y in zip(v, r)]
+        c = next((j for j, x in enumerate(v) if x != 0), None)
+        grew.append(c is not None)
+        if c is None:
+            continue
+        inv = la.div(1, v[c], p)
+        v = [la.residue(x * inv, p) for x in v]
+        for k, r in red.items():
+            f = r[c]
+            if f != 0:
+                red[k] = [la.residue(x - f * y, p) for x, y in zip(r, v)]
+        red[c] = v
+    pivots = sorted(red)
+    return pivots, [la.sparse(red[c]) for c in pivots], grew
+
+
+def combination(vecs, coeffs, p=None):
+    """sum(coeffs[k] * vecs[k]) as a sparse vector."""
+    acc = {}
+    for k, c in coeffs.items():
+        la.sadd_into(acc, vecs[k], c, p)
+    return acc
+
+
+nonzero = st.builds(F, st.integers(1, 6), st.integers(1, 4)) | st.builds(
+    F, st.integers(-6, -1), st.integers(1, 4))
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """(width, rows): up to 40 rows of width 24-64 with 1-3 nonzeros."""
+    n = draw(st.integers(24, 64))
+    k = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), nonzero,
+                                         min_size=1, max_size=3),
+                         min_size=k, max_size=k))
+    return n, rows
+
+
+def field_sparse(rows, p):
+    return [{i: in_field(x, p) for i, x in r.items()} for r in rows]
+
+
+@pytest.mark.parametrize("p", FIELDS, ids=["Q", "F13"])
+@settings(max_examples=40, deadline=None)
+@given(wide_sparse_rows(), st.lists(rationals, min_size=40, max_size=40),
+       st.booleans())
+def test_wide_sparse_rows_match_dense_gauss_jordan(p, shape, rhs, consistent):
+    n, rows = shape
+    vecs = field_sparse(rows, p)
+    pivots, ref, grew = gauss_jordan(vecs, n, p)
+    sub = la.Subspace.from_vectors(n, vecs, p)
+    assert list(sub.pivots) == pivots and list(sub.basis) == ref
+
+    # the kernel rows store no zero: primitive with a positive leading
+    # entry over Q, residues with a leading 1 over F_p
+    ech = la.Echelon(n, p)
+    for v in vecs:
+        ech.insert(v)
+    assert ech.pivots == pivots and ech.frac_rows() == ref
+    for c, r in ech.rows.items():
+        assert 0 not in r.values() and min(r) == c
+        if p is None:
+            assert r[c] > 0 and gcd(*r.values()) == 1
+        else:
+            assert r[c] == 1 and all(0 < x < p for x in r.values())
+
+    # a dependent insert is rebuilt from its coefficients on the kept ones
+    expr = la.EchelonExpr(n, p)
+    kept = []
+    for v, g in zip(vecs, grew):
+        kind, data = expr.insert(v)
+        assert (kind == "kept") == g
+        if kind == "kept":
+            assert data == len(kept)
+            kept.append(v)
+        else:
+            assert combination(kept, data, p) == v
+    assert all(0 not in r.values() for r in expr.rows.values())
+
+    # solve fails exactly when the reference system is inconsistent
+    if consistent:
+        x0 = {i: in_field(c, p) for i, c in enumerate(rhs) if i < n and c}
+        b = [la.residue(sum(c * x0.get(i, 0) for i, c in v.items()), p)
+             for v in vecs]
+    else:
+        b = [in_field(c, p) for c in rhs[:len(vecs)]]
+    aug = [{**v, n: c} if c != 0 else v
+           for v, c in zip(vecs, b)]
+    if n in gauss_jordan(aug, n + 1, p)[0]:
+        assert not consistent
+        with pytest.raises(la.NoSolution, match="inconsistent system"):
+            la.solve(zip(vecs, b), n, p)
+    else:
+        x = la.solve(zip(vecs, b), n, p)
+        assert [la.residue(sum(c * x.get(i, 0) for i, c in v.items()), p)
+                for v in vecs] == b
+
+
+@pytest.mark.parametrize("p", FIELDS, ids=["Q", "F13"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(24, 64).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.permutations(range(n)),
+    st.lists(nonzero, min_size=n, max_size=n),
+    st.lists(st.dictionaries(st.integers(1, n - 1), nonzero, max_size=2),
+             min_size=n, max_size=n))))
+def test_inverse_of_a_permuted_sparse_matrix(p, data):
+    rowperm, colperm, diag, above = data
+    n = len(diag)
+    # a triangular matrix with a nonzero diagonal and at most two entries
+    # above it per row, its rows and columns permuted
+    tri = [{i: diag[i], **{i + j: x for j, x in above[i].items() if i + j < n}}
+           for i in range(n)]
+    a = [None] * n
+    for i, r in enumerate(field_sparse(tri, p)):
+        a[rowperm[i]] = {colperm[j]: x for j, x in r.items()}
+    inv = la.inverse(a, n, p)
+    one = la.as_scalar(1, p)
+    assert [combination(a, r, p) for r in inv] == \
+        [{i: one} for i in range(n)]
 
 
 def test_backend_is_reported():
