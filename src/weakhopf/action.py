@@ -114,13 +114,15 @@ def verify_module_algebra(M):
 def invariants(M):
     """{a : h . a = eps_t(h) . a}, verified to be a unital subalgebra."""
     H, A = M.H, M.A
-    rows = []
+    d = A.dim
+    # the image of e_a holds h . e_a - eps_t(h) . e_a at offset h d
+    images = [{} for _ in range(d)]
     for h, eth in enumerate(H.eps_rows[0]):
-        for a in range(A.dim):
+        for a, im in enumerate(images):
             diff = dict(M.act[h][a])
             sadd_into(diff, M.apply(eth, {a: 1}), -1, A.p)
-            rows.append((a, diff))
-    sub = wha.kernel_of_column_maps(rows, A.dim, A.p)
+            im.update((h * d + k, c) for k, c in diff.items())
+    sub = la.kernel(images, A.p)
     if not sub.contains(A.unit_sparse()):
         raise AssertionError("invariants do not contain the unit")
     for r1 in sub.basis:
@@ -215,13 +217,13 @@ def action_comodule_bridge(M):
             for h in law.over(range(dH)):
                 law.check((a, h), cols.get(h, {}), M.act[h][a])
 
-    rows = []
+    images = []
     for a in range(dA):
         diff = dict(rho[a])
         et = ag.apply_tensor(None, est, rho[a], dH, dH, A.p)
         sadd_into(diff, et, -1, A.p)
-        rows.append((a, diff))
-    coinv = wha.kernel_of_column_maps(rows, dA, A.p)
+        images.append(diff)
+    coinv = la.kernel(images, A.p)
     cl.add("coinvariants_equal_invariants", "A^{co H*} = A^H",
            coinv == invariants(M))
     return C, cl

@@ -300,27 +300,24 @@ def _first_failure(alg, i):
 def centralizer(big, sub):
     """{x in big : xs = sx for every s in the subspace}, as echelon rows.
 
-    Each [e_j, s] = sum_k s_k (e_j e_k - e_k e_j) is read from the
-    structure table.
+    The kernel of x -> ([x, s])_s over the basis s of the subspace: the
+    image of e_j holds [e_j, s] = sum_k s_k (e_j e_k - e_k e_j), read from
+    the structure table, at offset i dim for the i-th basis element s.
     """
-    table, p = big.table, big.p
-    rows = []
-    for s in sub.basis:
-        cols = []
-        for j in range(big.dim):
-            col = defaultdict(int)
+    table, p, d = big.table, big.p, big.dim
+    images = []
+    for j in range(d):
+        im = defaultdict(int)
+        for si, s in enumerate(sub.basis):
+            off = si * d
             for k, c in s.items():
                 for n, v in table[j][k]:
-                    col[n] += c * v
+                    im[off + n] += c * v
                 for n, v in table[k][j]:
-                    col[n] -= c * v
-            cols.append({n: r for n, v in col.items()
-                         if (r := la.residue(v, p))})
-        for k in range(big.dim):
-            row = {j: cols[j][k] for j in range(big.dim) if k in cols[j]}
-            if row:
-                rows.append(row)
-    return la.kernel(rows, big.dim, big.p)
+                    im[off + n] -= c * v
+        images.append({n: r for n, v in im.items()
+                       if (r := la.residue(v, p))})
+    return la.kernel(images, p)
 
 
 def subalgebra(big, sub, name="subalgebra"):
@@ -355,12 +352,7 @@ def subalgebra(big, sub, name="subalgebra"):
 
 def right_inverse(alg, x):
     """The y with x y = 1 in alg, as sparse coords; raises la.NoSolution."""
-    # coordinate k of x y = sum_j y_j (x e_j)_k
-    eqs = [({}, u) for u in alg.unit]
-    for j, r in enumerate(alg.lmul_rows(x)):
-        for k, c in r.items():
-            eqs[k][0][j] = c
-    return la.solve(eqs, alg.dim, alg.p)
+    return la.solve(alg.lmul_rows(x), alg.unit_sparse(), alg.p)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +482,13 @@ def find_dual_bases(E, within=None):
     unknown), falling back to the plain system.  Raises NoDualBases when
     even that is infeasible.
 
-    Per basis element e_m, E(e_m c_a) and E(c_b e_m) are read from
-    `E.products` once per candidate and then multiplied with every partner
-    candidate, and each product c_a c_b is taken once for both
-    symmetric-product rows, so every equation of the system is still
-    written out.
+    The system is given by the images of its unknowns, the coefficients
+    t_ab of c_a (x) c_b.  Per basis element e_m, E(e_m c_a) and E(c_b e_m)
+    are read from `E.products` once per candidate and then multiplied with
+    every partner candidate, and each product c_a c_b is taken once for
+    both symmetric-product coordinates, so every equation of the system is
+    still written out.  The plain system is the same images with the
+    symmetric-product coordinates dropped.
     """
     big = E.incl.big
     p = big.p
@@ -504,54 +498,54 @@ def find_dual_bases(E, within=None):
     else:
         cands = within.basis
         prods = [[big.mul(x, y) for y in cands] for x in cands]
+    d = big.dim
     n = len(cands)
-    eqs = []
-    for m in range(big.dim):
+    # unknown ab = a n + b is the coefficient of c_a (x) c_b; its image holds
+    # the e_k coordinate of E(e_m c_a) c_b at 2 (m d + k) and that of
+    # c_a E(c_b e_m) at 2 (m d + k) + 1, and both sums are asked to be e_m
+    images = [{} for _ in range(n * n)]
+    rhs = {}
+    for m in range(d):
         # E(e_m c_a) and E(c_b e_m), each once per candidate
         e_mc = [E.incl.emb(E._E_mx(m, c)) for c in cands]
         e_cm = [E.incl.emb(E._E_xm(c, m)) for c in cands]
-        rows1 = [{} for _ in range(big.dim)]
-        rows2 = [{} for _ in range(big.dim)]
+        off = 2 * m * d
+        rhs[off + 2 * m] = rhs[off + 2 * m + 1] = 1
         for a in range(n):
             for b in range(n):
-                ab = a * n + b
+                im = images[a * n + b]
                 for k, v in big.mul(e_mc[a], cands[b]).items():
-                    rows1[k][ab] = v
+                    im[off + 2 * k] = v
                 for k, v in big.mul(cands[a], e_cm[b]).items():
-                    rows2[k][ab] = v
-        for k in range(big.dim):
-            tgt = 1 if k == m else 0
-            eqs.append((rows1[k], tgt))
-            eqs.append((rows2[k], tgt))
-    # adjoin lam at column n*n and ask for x_i y_i = lam 1 = y_i x_i
-    aug = list(eqs)
-    fwd = [dict() for _ in range(big.dim)]
-    bwd = [dict() for _ in range(big.dim)]
+                    im[off + 2 * k + 1] = v
+    # adjoin lam as unknown n*n and ask for x_i y_i = lam 1 = y_i x_i, the
+    # e_k coordinates at 2 (d d + k) and 2 (d d + k) + 1
+    sym = 2 * d * d
     for a in range(n):
         for b in range(n):
+            im = images[a * n + b]
             for k, v in prods[a][b].items():
-                fwd[k][a * n + b] = v
+                im[sym + 2 * k] = v
             for k, v in prods[b][a].items():
-                bwd[k][a * n + b] = v
-    for k in range(big.dim):
-        u = big.unit[k]
-        r1 = dict(fwd[k])
-        r2 = dict(bwd[k])
+                im[sym + 2 * k + 1] = v
+    lam = {}
+    for k, u in enumerate(big.unit):
         if u != 0:
-            r1[n * n] = -u
-            r2[n * n] = -u
-        aug.append((r1, 0))
-        aug.append((r2, 0))
+            lam[sym + 2 * k] = lam[sym + 2 * k + 1] = -u
     t = None
     try:
-        sol = la.solve(aug, n * n + 1, p)
+        sol = la.solve(images + [lam], rhs, p)
         if sol.pop(n * n, 0) != 0:
             t = sol
     except la.NoSolution:
         pass
     if t is None:
+        # the plain system: the same images without the symmetric product
+        for im in images:
+            for k in [k for k in im if k >= sym]:
+                del im[k]
         try:
-            t = la.solve(eqs, n * n, p)
+            t = la.solve(images, rhs, p)
         except la.NoSolution:
             raise NoDualBases("dual-bases system infeasible")
     xs, ys = [], []
@@ -600,61 +594,43 @@ def separability_element(A, symmetric=False, require_unique=False):
     """Solve for a separability element f in A (x) A.
 
     Casimir (a (x) 1) f = f (1 (x) a), mu(f) = 1, optionally flip-symmetric.
-    Returns the sparse tensor on flat indices i*dim+j.  Raises NotKanzaki
-    when infeasible, or when `require_unique` and the solution space is
+    The unknown f_ab, the coefficient of e_a (x) e_b, sits at the flat
+    index a dim + b, and its image is read from the structure table.
+    Returns the sparse tensor on those indices.  Raises NotKanzaki when
+    infeasible, or when `require_unique` and the solution space is
     positive-dimensional after normalization.
     """
-    n = A.dim
-    p = A.p
-    eqs = []
-    hom_rows = []
-    # Casimir: for each c and tensor coordinate (k, l),
-    #   sum_a f_{a l} (e_c e_a)_k  -  sum_b f_{k b} (e_b e_c)_l  =  0
-    prods = [[dict(cell) for cell in row] for row in A.table]
-    for c in range(n):
-        for k in range(n):
-            for l in range(n):
-                row = {}
-                for a in range(n):
-                    v = prods[c][a].get(k)
-                    if v:
-                        key = tindex(a, l, n)
-                        row[key] = row.get(key, 0) + v
-                for b in range(n):
-                    v = prods[b][c].get(l)
-                    if v:
-                        key = tindex(k, b, n)
-                        w = row.get(key, 0) - v
-                        if w == 0:
-                            row.pop(key, None)
-                        else:
-                            row[key] = w
-                if row:
-                    eqs.append((row, 0))
-                    hom_rows.append(row)
-    if symmetric:
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = {tindex(i, j, n): 1, tindex(j, i, n): -1}
-                eqs.append((row, 0))
-                hom_rows.append(row)
-    # normalization mu(f) = 1
-    mu_rows = [dict() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k, v in A.table[i][j]:
-                key = tindex(i, j, n)
-                mu_rows[k][key] = mu_rows[k].get(key, 0) + v
-    for k in range(n):
-        eqs.append((mu_rows[k], A.unit[k]))
-        hom_rows.append(mu_rows[k])
+    n, p, table = A.dim, A.p, A.table
+    nn = n * n
+    # the image of f_ab: the Casimir law for e_c at (c, k, l) -> c n^2 +
+    # k n + l, where f_ab adds (e_c e_a)_k at (c, k, b) and subtracts
+    # (e_b e_c)_l at (c, a, l); the flip law f_ab = f_ba for a < b at
+    # n^3 + tindex(a, b); the k-th coordinate of mu(f) at n^3 + n^2 + k
+    sym, mu = n * nn, n * nn + nn
+    images = []
+    for a in range(n):
+        for b in range(n):
+            im = defaultdict(int)
+            for c in range(n):
+                off = c * nn
+                for k, v in table[c][a]:
+                    im[off + k * n + b] += v
+                for l, v in table[b][c]:
+                    im[off + a * n + l] -= v
+            if symmetric and a != b:
+                im[sym + tindex(min(a, b), max(a, b), n)] = 1 if a < b else -1
+            for k, v in table[a][b]:
+                im[mu + k] = v
+            images.append({i: r for i, v in im.items()
+                           if (r := la.residue(v, p))})
+    rhs = {mu + k: u for k, u in enumerate(A.unit) if u != 0}
     try:
-        t = la.solve(eqs, n * n, p)
+        t = la.solve(images, rhs, p)
     except la.NoSolution:
         raise NotKanzaki("no %sseparability element" %
                          ("symmetric " if symmetric else ""))
     if require_unique:
-        ker_dim = n * n - la.rank(hom_rows, n * n, p)
+        ker_dim = nn - la.rank(images, mu + n, p)
         if ker_dim != 0:
             raise NotKanzaki("separability element not unique "
                              "(solution space dim %d)" % ker_dim)
@@ -673,15 +649,15 @@ def trace_dual_bases(A, trace):
     """
     n = A.dim
     # b_i is column i of the inverse Gram matrix t(e_i e_j): row i of the
-    # inverse of its transpose, whose row j holds t(e_i e_j) at i
-    gram_t = [{} for _ in range(n)]
+    # inverse of its transpose
+    gram = [{} for _ in range(n)]
     for i in range(n):
         for j in range(n):
             v = la.residue(sum(c * trace[k] for k, c in A.table[i][j]), A.p)
             if v != 0:
-                gram_t[j][i] = v
+                gram[i][j] = v
     try:
-        b_s = la.inverse(gram_t, n, A.p)
+        b_s = la.inverse(la.transpose(gram, n), n, A.p)
     except la.NoSolution:
         return None
     a_s = tuple({i: 1} for i in range(n))

@@ -200,20 +200,34 @@ def cmd_report(args):
     items = []
     pipeline = "report"
     try:
-        with open(args.file) as fh:
-            for line in fh:
+        with open(args.file, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 rec = json.loads(line)
-                if "pipeline" in rec:
+                if isinstance(rec, dict) and "pipeline" in rec:
                     pipeline = rec["pipeline"]
                     continue
-                items.append(Check(rec["name"], rec.get("law", ""),
-                                   bool(rec["passed"]), rec.get("witness")))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+                items.append(_record(rec, n))
+    except (OSError, ValueError, KeyError) as exc:
         raise sf.SpecFileError("unreadable report: %s" % exc)
     return Report(pipeline, items)
+
+
+def _record(rec, n):
+    """The Check of the identity record on line n of a machine report: a
+    JSON object with a string name, a string law if any, a boolean passed
+    and a string or null witness."""
+    if not isinstance(rec, dict):
+        raise ValueError("line %d: a record is a JSON object" % n)
+    law, witness = rec.get("law", ""), rec.get("witness")
+    if not (isinstance(rec["name"], str) and isinstance(law, str) and
+            isinstance(rec["passed"], bool) and
+            (witness is None or isinstance(witness, str))):
+        raise ValueError("line %d: malformed record %s"
+                         % (n, json.dumps(rec, sort_keys=True)))
+    return Check(rec["name"], law, rec["passed"], witness)
 
 
 def _count(text):

@@ -21,9 +21,14 @@ code that accumulates into a vector copies it first.  The one exception is
 `algebra.Algebra`, whose structure table keeps sorted (index, coeff) pair
 tuples (built by `svec`) and whose unit stays dense: the product kernel
 walks the table cells, and tuples walk faster there.
-Systems go into elimination as sparse rows, through `solve`, `kernel`,
-`rank` and `inverse`; a `Subspace` decides membership by reading
-coordinates off its RREF basis, with no elimination at all.
+A linear map is given by the images of its unknowns, row j the sparse
+image of e_j (the form `algebra.apply_map` reads), and so is a linear
+system: `solve` and `kernel` take the images of the unknowns, `rank` the
+vectors it measures, `inverse` the rows of a square matrix.  `transpose`
+is the package's one transposition; `solve` and `kernel` use it once, to
+turn the images into the equation rows they eliminate.  A `Subspace`
+decides membership by reading coordinates off its RREF basis, with no
+elimination at all.
 A flat tensor is a sparse dict on the indices i*n + j of e_i (x) e_j, n
 the dimension of the second factor: `tindex` encodes the index, and
 `legsum` (the Sweedler sum of a term over the legs) and `tslices` (the row
@@ -333,7 +338,24 @@ class EchelonExpr:
 
 
 # ---------------------------------------------------------------------------
-# systems of sparse rows
+# linear maps and systems
+
+def transpose(rows, n):
+    """The transpose of the matrix with sparse rows `rows` and n columns:
+    row k of the result holds rows[j][k] at j.  The package's one
+    transposition."""
+    out = [{} for _ in range(n)]
+    for j, r in enumerate(rows):
+        for k, c in r.items():
+            out[k][j] = c
+    return out
+
+
+def _height(vecs):
+    """The number of coordinates the sparse vectors reach: one past their
+    largest index."""
+    return 1 + max((max(v) for v in vecs if v), default=-1)
+
 
 def rank(vecs, ncols, p=None):
     """Rank of sparse vectors in ncols coordinates."""
@@ -343,31 +365,39 @@ def rank(vecs, ncols, p=None):
     return ech.rank
 
 
-def solve(equations, ncols, p=None):
-    """Exact solve from (sparse row, rhs scalar) pairs in ncols unknowns.
+def solve(images, rhs, p=None):
+    """The canonical x with sum_j x_j images[j] = rhs.
 
-    Returns the canonical solution as a sparse dict: zero at non-pivot
-    coordinates.  Raises NoSolution when the system is inconsistent.
+    images[j] is the sparse image of the j-th unknown, the form of every
+    stored map, and rhs a sparse vector.  Returns the solution as a sparse
+    dict, zero at non-pivot coordinates.  Raises NoSolution when rhs is not
+    in the span of the images.
     """
+    ncols = len(images)
     ech = Echelon(ncols, p)
-    for row, rhs in equations:
-        aug = {**row, ncols: as_scalar(rhs, p)} if rhs != 0 else row
-        pos, red = ech.insert_reduced(aug)
-        if pos < 0 and ncols in red:
-            raise NoSolution("inconsistent system")
+    for k, row in enumerate(transpose(images, _height([*images, rhs]))):
+        if k in rhs:
+            row[ncols] = rhs[k]
+        if row:
+            pos, red = ech.insert_reduced(row)
+            if pos < 0 and ncols in red:
+                raise NoSolution("inconsistent system")
     rows = ech.rows
     return {c: _quot(rows[c][ncols], rows[c][c], p)
             for c in ech.pivots if ncols in rows[c]}
 
 
-def kernel(rows, ncols, p=None):
-    """Null space of sparse rows in ncols unknowns, as a canonical Subspace.
+def kernel(images, p=None):
+    """The null space {x : sum_j x_j images[j] = 0} of the linear map with
+    the given sparse images of the unknowns, as a canonical Subspace.
 
-    No rows at all leave every unknown free: the full space.
+    Images that are all zero leave every unknown free: the full space.
     """
+    ncols = len(images)
     ech = Echelon(ncols, p)
-    for r in rows:
-        ech.insert(r)
+    for row in transpose(images, _height(images)):
+        if row:
+            ech.insert(row)
     pivots = ech.pivots
     frac = ech.frac_rows()
     vecs = []
@@ -455,17 +485,11 @@ class Subspace:
         return cs
 
     def intersect(self, other):
-        """Subspace intersection via the kernel of the stacked coordinates."""
+        """Subspace intersection, read off the kernel of the map
+        (x, y) -> sum x_i u_i - sum y_j v_j on the two bases u and v."""
         n1 = self.dim
-        # unknowns: coefficients on basis1 then basis2; rows: ambient coords
-        stacked = [{} for _ in range(self.ambient_dim)]
-        for i, r in enumerate(self.basis):
-            for k, x in r.items():
-                stacked[k][i] = x
-        for j, r in enumerate(other.basis):
-            for k, x in r.items():
-                stacked[k][n1 + j] = -x
-        ker = kernel(stacked, n1 + other.dim, self.p)
+        ker = kernel([*self.basis, *(sscale(r, -1, self.p)
+                                     for r in other.basis)], self.p)
         vecs = []
         for kr in ker.basis:
             v = {}

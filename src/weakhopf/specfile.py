@@ -86,9 +86,9 @@ def _is_prime(n):
 
 def load(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecFileError("%s: %s" % (path, exc))
     except OSError as exc:
         raise SpecFileError(str(exc))

@@ -641,14 +641,13 @@ def pairing(ctx):
     mid = ctx.mul(ctx.e2, ctx.e1, w)
     mid2 = ctx.mul(ctx.e1, ctx.e2, w)
     gram = [{} for _ in Ab]
-    gram_t = [{} for _ in Bb]
     gram2 = [{} for _ in Bb]
     for i, a in enumerate(Ab):
         amid = ctx.mul(a, mid)
         for j, b in enumerate(Bb):
             v = lam2 * T(ctx.mul(amid, b))
             if v != 0:
-                gram[i][j] = gram_t[j][i] = v
+                gram[i][j] = v
     for i, a in enumerate(Ab):
         for j, b in enumerate(Bb):
             v = lam2 * T(ctx.mul(b, mid2, a))
@@ -663,6 +662,7 @@ def pairing(ctx):
     if not (nd and nd2):
         raise SingularGram("duality pairing degenerate")
     w_inv = injV(ag.right_inverse(V_alg, w_co))
+    gram_t = la.transpose(gram, len(Bb))
     return PairingData(f, tuple(vhat), w, w_inv, *(
         ag.map_rows(g, p) for g in (gram, gram_t, gram2)), cl)
 
@@ -699,10 +699,7 @@ class DerivedWeakHopf:
 
         # Delta_B(b_j) = (G^-1 (x) G^-1) applied to <a_i a_k, b_j>, read
         # through G^-T = (G^T)^-1, the transpose of G^-1
-        Ginv_t = [{} for _ in range(nB)]
-        for i, row in enumerate(Ginv):
-            for j, c in row.items():
-                Ginv_t[j][i] = c
+        Ginv_t = la.transpose(Ginv, nB)
         mid = ctx.mul(ctx.e2, ctx.e1, pd.w)
         P = [[ctx.mul(ahat[i], ahat[k], mid) for k in range(nA)]
              for i in range(nA)]

@@ -11,9 +11,10 @@ e_i (x) e_j in Delta(e_h) is delta[h][i*dim + j].  A law in Sweedler
 notation sums over these legs with `linalg.legsum` (h1 S(h2) is
 ``legsum(delta[h], dim, lambda i, j: e_i S(e_j))``) and splits Delta(1) or
 a separability idempotent into its slices with `linalg.tslices`; only the
-witness of the delta_one law and the transpose in `dual` decode the index
-themselves.  The dual pairing convention is <Delta(phi), h (x) g> =
-<phi, hg> with h the left factor.
+witness of the delta_one law and `dual`, which cuts the transpose of Delta
+into the rows of its product table, decode the index themselves.  The
+dual pairing convention is <Delta(phi), h (x) g> = <phi, hg> with h the
+left factor.
 
 The laws read what is stored for a basis element: Delta(e_h) is
 ``delta[h]``, S(e_h) is ``s[h]``, eps(e_h) is ``eps[h]`` and e_i e_j is the
@@ -368,21 +369,12 @@ def dual(H):
     """
     d = H.dim
     alg = H.alg
-    table = [[{} for _ in range(d)] for _ in range(d)]
-    for h in range(d):
-        for ij, c in H.delta[h].items():
-            i, j = divmod(ij, d)
-            table[i][j][h] = c
-    delta_star = [{} for _ in range(d)]
-    for h in range(d):
-        for g in range(d):
-            for k, c in alg.table[h][g]:
-                delta_star[k][h * d + g] = c
+    prod = la.transpose(H.delta, d * d)  # row i d + j holds e_i* e_j*
+    table = [prod[i * d:(i + 1) * d] for i in range(d)]
+    delta_star = la.transpose([dict(cell) for row in alg.table
+                               for cell in row], d)
     eps_star = tuple(alg.unit)
-    s_star = [{} for _ in range(d)]
-    for h in range(d):
-        for k, c in H.s[h].items():
-            s_star[k][h] = c
+    s_star = la.transpose(H.s, d)
     alg_star = ag.make_algebra(table, H.eps, p=H.p)
     Hd = make_weakhopf(alg_star, delta_star, eps_star, s_star)
     verify_axioms(Hd).require()
@@ -405,7 +397,10 @@ def integrals(H):
     d = H.dim
     alg = H.alg
     est, ess = H.eps_rows
-    rows_l, rows_r = [], []
+    # the image of e_j holds h e_j - eps_t(h) e_j (left) and
+    # e_j h - e_j eps_s(h) (right) at offset h d, for every basis h
+    images_l = [{} for _ in range(d)]
+    images_r = [{} for _ in range(d)]
     for h in range(d):
         eth, esh = est[h], ess[h]
         for j in range(d):
@@ -413,23 +408,17 @@ def integrals(H):
             sadd_into(diff_l, alg.mul(eth, {j: 1}), -1, H.p)
             diff_r = dict(alg.table[j][h])
             sadd_into(diff_r, alg.mul({j: 1}, esh), -1, H.p)
-            rows_l.append((j, diff_l))
-            rows_r.append((j, diff_r))
-    left = kernel_of_column_maps(rows_l, d, H.p)
-    right = kernel_of_column_maps(rows_r, d, H.p)
+            images_l[j].update((h * d + k, c) for k, c in diff_l.items())
+            images_r[j].update((h * d + k, c) for k, c in diff_r.items())
+    left = la.kernel(images_l, H.p)
+    right = la.kernel(images_r, H.p)
 
     normalized = None
     if left.dim:
-        eqs = []
         basis = left.basis
-        images = [H.et(b) for b in basis]
-        one = alg.unit_sparse()
-        for k in range(d):
-            row = {i: im[k] for i, im in enumerate(images) if k in im}
-            eqs.append((row, one.get(k, 0)))
         try:
-            normalized = ag.apply_map(basis, la.solve(eqs, left.dim, H.p),
-                                      H.p)
+            normalized = ag.apply_map(basis, la.solve(
+                [H.et(b) for b in basis], alg.unit_sparse(), H.p), H.p)
         except la.NoSolution:
             normalized = None
     return IntegralSpaces(left, right, normalized)
@@ -443,18 +432,6 @@ def maschke_consistent(H, ints):
     except ag.NotKanzaki:
         separable = False
     return (ints.normalized_left is not None) == separable
-
-
-def kernel_of_column_maps(rows, d, p):
-    """rows: (input basis index j, sparse output) pairs; kernel in the j's."""
-    # rows come in blocks of d, one per basis element h; each
-    # (block, output coord) pair gives one linear equation in the j's
-    eqs = {}
-    for idx, (j, out) in enumerate(rows):
-        blk = idx // d
-        for k, c in out.items():
-            eqs.setdefault((blk, k), {})[j] = c
-    return la.kernel(list(eqs.values()), d, p)
 
 
 def is_hopf(H):

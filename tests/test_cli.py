@@ -255,6 +255,33 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert cli.main(["verify-wha", str(path2)]) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify-wha"], ["groupoid"], ["tower"],
+                                  ["report"]])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "bom16.json"
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]", "5", '"name"',
+    '{"name": "x", "law": "l", "passed": "false", "witness": null}',
+    '{"name": "x", "law": "l", "passed": 0, "witness": null}',
+    '{"name": 5, "law": "l", "passed": true, "witness": null}',
+    '{"name": "x", "law": ["l"], "passed": true, "witness": null}',
+    '{"name": "x", "law": "l", "passed": false, "witness": 3}',
+    '{"law": "l", "passed": true}'])
+def test_malformed_report_record_is_an_input_error(tmp_path, capsys, line):
+    path = tmp_path / "report.jsonl"
+    path.write_text('{"name": "ok", "law": "l", "passed": true, '
+                    '"witness": null}\n%s\n' % line)
+    assert cli.main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: unreadable report")
+
+
 @pytest.mark.parametrize("p, rc", [(0, 2), (1, 2), (6, 2), (9, 2), (15, 2),
                                    (13, 0), (561, 2), (41041, 2),
                                    (3215031751, 2), (2 ** 61 - 1, 0)])

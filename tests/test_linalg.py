@@ -53,34 +53,48 @@ def to_dense(rows, n, p=None):
 
 def test_solve_identity():
     b = {0: F(1), 1: F(2), 2: F(3)}
-    assert la.solve(zip(unit_rows(3), b.values()), 3) == b
+    assert la.solve(la.transpose(unit_rows(3), 3), b) == b
 
 
 def test_solve_scalar_inverse():
-    assert la.solve([({0: 2}, 1)], 1) == {0: F(1, 2)}
+    assert la.solve(la.transpose([{0: 2}], 1), {0: 1}) == {0: F(1, 2)}
 
 
 def test_solve_inconsistent():
-    for equations in ([({0: 1, 1: 1}, 0), ({0: 1, 1: 1}, 1)],
-                      [({}, 1)]):  # an empty row, a nonzero right-hand side
+    # the second system has an empty row and a nonzero right-hand side
+    for rows, rhs in (([{0: 1, 1: 1}, {0: 1, 1: 1}], {1: 1}),
+                      ([{}], {0: 1})):
         with pytest.raises(la.NoSolution, match="inconsistent system"):
-            la.solve(equations, 2)
+            la.solve(la.transpose(rows, 2), rhs)
 
 
 def test_solve_underdetermined_canonical():
     # free variables are pinned to zero
-    assert la.solve([({0: 1, 1: 1}, 5)], 3) == {0: 5}
+    assert la.solve(la.transpose([{0: 1, 1: 1}], 3), {0: 5}) == {0: 5}
 
 
 def test_kernel_zero_matrix_full():
-    assert la.kernel([{}, {}], 2) == la.Subspace.full(2)
+    assert la.kernel(la.transpose([{}, {}], 2)) == la.Subspace.full(2)
     # no equations at all leave every unknown free
     for p in FIELDS:
-        assert la.kernel([], 3, p) == la.Subspace.full(3, p)
+        assert la.kernel(la.transpose([], 3), p) == la.Subspace.full(3, p)
 
 
 def test_kernel_identity_trivial():
-    assert la.kernel(unit_rows(4), 4).dim == 0
+    assert la.kernel(la.transpose(unit_rows(4), 4)).dim == 0
+
+
+def test_solve_rhs_beyond_the_images():
+    # coordinate 2 of the right-hand side is reached by no image
+    for p in FIELDS:
+        with pytest.raises(la.NoSolution, match="inconsistent system"):
+            la.solve(unit_rows(2, p), {0: 1, 2: 1}, p)
+
+
+def test_kernel_of_zero_images_is_full():
+    for p in FIELDS:
+        assert la.kernel([{}, {}, {}], p) == la.Subspace.full(3, p)
+        assert la.kernel([], p) == la.Subspace.full(0, p)
 
 
 def test_quotient_trivial_relations():
@@ -107,7 +121,7 @@ def test_solve_reapplication(rows, x):
     for p in FIELDS:
         a = field_rows(rows, p)
         b = dense_apply(a, tuple(in_field(c, p) for c in x), p)
-        got = la.solve(zip(sparse_rows(rows, p), b), 3, p)
+        got = la.solve(la.transpose(sparse_rows(rows, p), 3), la.sparse(b), p)
         assert dense_apply(a, la.dense(got, 3), p) == b
 
 
@@ -125,8 +139,7 @@ def test_inverse_matches_solve_per_column(rows):
         one = la.as_scalar(1, p)
         # column i of the inverse solves a x = e_i
         for i in range(3):
-            col = la.solve([(r, one if k == i else 0)
-                            for k, r in enumerate(a)], 3, p)
+            col = la.solve(la.transpose(a, 3), {i: one}, p)
             assert col == {k: r[i] for k, r in enumerate(inv) if i in r}
         assert dense_matmul(field_rows(rows, p), to_dense(inv, 3, p), p) == \
             to_dense(unit_rows(3, p), 3, p)
@@ -140,7 +153,7 @@ def test_inverse_matches_solve_per_column(rows):
 def test_kernel_annihilates(rows):
     for p in FIELDS:
         a = field_rows(rows, p)
-        ker = la.kernel(sparse_rows(rows, p), 4, p)
+        ker = la.kernel(la.transpose(sparse_rows(rows, p), 4), p)
         zero = tuple(la.scalar_zero(p) for _ in a)
         for v in to_dense(ker.basis, 4, p):
             assert dense_apply(a, v, p) == zero
@@ -203,7 +216,8 @@ def test_quotient_from_projection_matches_quotient(p, entries, rank):
     assert dense_matmul(proj, proj, p) == proj
     cols = list(zip(*proj))
     got = la.quotient_from_projection(n, lambda c: la.sparse(cols[c]), p)
-    assert got == la.quotient(n, la.kernel([la.sparse(r) for r in proj], n, p))
+    assert got == la.quotient(n, la.kernel(
+        la.transpose([la.sparse(r) for r in proj], n), p))
     assert got.dim == rank
 
 
@@ -264,6 +278,17 @@ def field_sparse(rows, p):
     return [{i: in_field(x, p) for i, x in r.items()} for r in rows]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.dictionaries(st.integers(0, n - 1), nonzero, max_size=n),
+    max_size=6))))
+def test_transpose_is_an_involution(data):
+    n, rows = data
+    t = la.transpose(rows, n)
+    assert len(t) == n and all(0 not in r.values() for r in t)
+    assert la.transpose(t, len(rows)) == rows
+
+
 @pytest.mark.parametrize("p", FIELDS, ids=["Q", "F13"])
 @settings(max_examples=40, deadline=None)
 @given(wide_sparse_rows(), st.lists(rationals, min_size=40, max_size=40),
@@ -313,9 +338,9 @@ def test_wide_sparse_rows_match_dense_gauss_jordan(p, shape, rhs, consistent):
     if n in gauss_jordan(aug, n + 1, p)[0]:
         assert not consistent
         with pytest.raises(la.NoSolution, match="inconsistent system"):
-            la.solve(zip(vecs, b), n, p)
+            la.solve(la.transpose(vecs, n), la.sparse(b), p)
     else:
-        x = la.solve(zip(vecs, b), n, p)
+        x = la.solve(la.transpose(vecs, n), la.sparse(b), p)
         assert [la.residue(sum(c * x.get(i, 0) for i, c in v.items()), p)
                 for v in vecs] == b
 
@@ -359,7 +384,7 @@ def test_prime_field_arithmetic():
 
 
 def test_prime_field_solve():
-    got = la.solve([({0: 1, 1: 1}, 1), ({1: 1}, 1)], 2, 2)
+    got = la.solve(la.transpose([{0: 1, 1: 1}, {1: 1}], 2), {0: 1, 1: 1}, 2)
     assert got == {1: 1}
 
 
