@@ -38,11 +38,7 @@ class ModuleAlgebra:
             for ai, ac in a.items():
                 c = hc * ac
                 for k, v in rows[ai].items():
-                    w = out.get(k, 0) + c * v
-                    if w == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
+                    out[k] = out.get(k, 0) + c * v
         return la.residues(out, self.A.p)
 
 
@@ -314,12 +310,7 @@ def smash(M):
                     for m, l in ag.apply_map(ta, acts[u][b], p).items():
                         base, lc = m * dH, cc * l
                         for n, r in right:
-                            key = base + n
-                            s = out.get(key, 0) + lc * r
-                            if s == 0:
-                                out.pop(key, None)
-                            else:
-                                out[key] = s
+                            out[base + n] = out.get(base + n, 0) + lc * r
         return la.residues(out, p)
 
     # well-definedness against the relation witnesses

@@ -88,12 +88,9 @@ def apply_map(rows, x, p=None):
     out = {}
     for i, c in x.items():
         for j, v in rows[i].items():
-            w = out.get(j, 0) + c * v
-            if w == 0:
-                out.pop(j, None)
-            else:
-                out[j] = w
-    return out if p is None else la.residues(out, p)
+            out[j] = out.get(j, 0) + c * v
+    # a hot kernel: a Q sum with no zero is returned without the call
+    return out if p is None and all(out.values()) else la.residues(out, p)
 
 
 def apply_tensor(f, g, x, n, m, p=None):
@@ -109,12 +106,7 @@ def apply_tensor(f, g, x, n, m, p=None):
             base = k * m
             ca = c * a
             for l, b in (g[j] if g is not None else {j: 1}).items():
-                key = base + l
-                w = out.get(key, 0) + ca * b
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
+                out[base + l] = out.get(base + l, 0) + ca * b
     return la.residues(out, p)
 
 
@@ -132,12 +124,7 @@ def tensor_mul(A, B, x, y):
                 base = m * n
                 cv = c * v1
                 for m2, v2 in tj[l]:
-                    key = base + m2
-                    w = out.get(key, 0) + cv * v2
-                    if w == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
+                    out[base + m2] = out.get(base + m2, 0) + cv * v2
     return la.residues(out, A.p)
 
 
@@ -179,12 +166,10 @@ class Algebra:
                 if c == 0:
                     continue
                 for k, v in ti[j]:
-                    w = out.get(k, 0) + c * v
-                    if w == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
-        return out if self.p is None else la.residues(out, self.p)
+                    out[k] = out.get(k, 0) + c * v
+        # a hot kernel: a Q sum with no zero is returned without the call
+        p = self.p
+        return out if p is None and all(out.values()) else la.residues(out, p)
 
     def mulm(self, *xs):
         acc = xs[0]
@@ -196,14 +181,7 @@ class Algebra:
         return sparse(self.unit)
 
     def commutator(self, x, y):
-        out = self.mul(x, y)
-        for k, v in self.mul(y, x).items():
-            w = out.get(k, 0) - v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return la.residues(out, self.p)
+        return sadd_into(self.mul(x, y), self.mul(y, x), -1, self.p)
 
     def scalar_of(self, x):
         """If x is a multiple of the unit, return the multiplier, else None."""
@@ -281,7 +259,7 @@ def check_associative(alg):
             for key, a in holding[m]:
                 for n, b in cell:
                     diff[key + n] -= a * b
-        if any(la.residues(diff, p).values()):
+        if la.residues(diff, p):
             raise _first_failure(alg, i)
 
 
@@ -315,8 +293,7 @@ def centralizer(big, sub):
                     im[off + n] += c * v
                 for n, v in table[k][j]:
                     im[off + n] -= c * v
-        images.append({n: r for n, v in im.items()
-                       if (r := la.residue(v, p))})
+        images.append(la.residues(im, p))
     return la.kernel(images, p)
 
 
@@ -465,7 +442,7 @@ def _cell_sum(cells, x, p):
     for k, c in x.items():
         for n, v in cells[k]:
             out[n] += c * v
-    return {n: r for n, v in out.items() if (r := la.residue(v, p))}
+    return la.residues(out, p)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +598,7 @@ def separability_element(A, symmetric=False, require_unique=False):
                 im[sym + tindex(min(a, b), max(a, b), n)] = 1 if a < b else -1
             for k, v in table[a][b]:
                 im[mu + k] = v
-            images.append({i: r for i, v in im.items()
-                           if (r := la.residue(v, p))})
+            images.append(la.residues(im, p))
     rhs = {mu + k: u for k, u in enumerate(A.unit) if u != 0}
     try:
         t = la.solve(images, rhs, p)
@@ -650,12 +626,9 @@ def trace_dual_bases(A, trace):
     n = A.dim
     # b_i is column i of the inverse Gram matrix t(e_i e_j): row i of the
     # inverse of its transpose
-    gram = [{} for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = la.residue(sum(c * trace[k] for k, c in A.table[i][j]), A.p)
-            if v != 0:
-                gram[i][j] = v
+    gram = [la.residues({j: sum(c * trace[k] for k, c in cell)
+                         for j, cell in enumerate(row)}, A.p)
+            for row in A.table]
     try:
         b_s = la.inverse(la.transpose(gram, n), n, A.p)
     except la.NoSolution:

@@ -41,15 +41,18 @@ Fraction's normalisation; values, equality and hashing are those of the
 rationals either way.  Scalars over F_p: a plain `int` in [0, p).  The
 field is not carried by the scalar but by the object that holds it
 (`Algebra.p`, `WeakHopf.p`, `Subspace.p`, `Quotient.p`, `Echelon.p`), and
-the kernels that combine scalars (`sadd_into`, `sscale`, `tensor_sparse`
-here, `Algebra.mul`, `apply_map` and their kind in `algebra`) take that p
-and reduce mod p; other integer arithmetic on F_p values goes through
-`residue` or `residues`.  This module is the one place that reduces by the
-modulus.  `as_scalar` and `parse_scalar` bring values into the stored form
-(floats are refused, and over F_p any p-integral rational maps to its
-residue), and every constructor of a stored object passes its scalars
-through `as_scalar`.  `scalar_one` is a Fraction in both fields: it is
-the public constructor that callers divide.  Divide scalars with
+the kernels that combine scalars (`sadd_into`, `sscale`, `legsum`,
+`tensor_sparse` here, `Algebra.mul`, `apply_map` and their kind in
+`algebra`, `action` and `tower`) take that p.  Each accumulates plain sums
+and ends with `residues`, the one finisher of a computed sparse vector: it
+drops the zeros in both fields and over F_p reduces mod p.  `sadd_into`,
+which updates a vector in place, drops its zeros as it goes; a computed
+scalar goes through `residue`.  This module is the one place that reduces
+by the modulus.  `as_scalar` and `parse_scalar` bring values into the
+stored form (floats are refused, and over F_p any p-integral rational maps
+to its residue), and every constructor of a stored object passes its
+scalars through `as_scalar`.  `scalar_one` is a Fraction in both fields:
+it is the public constructor that callers divide.  Divide scalars with
 `div(a, b, p)`, never with `/`, which turns two ints into a float.
 """
 
@@ -117,10 +120,10 @@ def residue(x, p):
 
 
 def residues(d, p):
-    """A sparse vector of integer F_p sums reduced mod p, zeros dropped;
-    over Q (p None) d itself."""
+    """A computed sparse vector finished: zeros dropped and, over F_p, its
+    integer sums reduced mod p.  Over Q, d itself when it holds no zero."""
     if p is None:
-        return d
+        return d if all(d.values()) else {i: x for i, x in d.items() if x}
     return {i: r for i, x in d.items() if (r := x % p)}
 
 
@@ -208,17 +211,13 @@ def legsum(t, n, term, p=None):
     a flat tensor t, n the dimension of the second factor.
 
     term returns a sparse vector; a one-key {k: 0}, a leg's zero scalar
-    factor, adds nothing.  Over F_p the sum is reduced once, at the end.
+    factor, adds nothing.  `residues` finishes the sum once, at the end.
     """
     acc = {}
     for ij, c in t.items():
         i, j = divmod(ij, n)
         for k, x in term(i, j).items():
-            v = acc.get(k, 0) + c * x
-            if v == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = v
+            acc[k] = acc.get(k, 0) + c * x
     return residues(acc, p)
 
 
@@ -241,9 +240,7 @@ def tensor_sparse(a, b, dim2, p=None):
     for i, x in a.items():
         base = i * dim2
         for j, y in b.items():
-            v = x * y
-            if v != 0:
-                out[base + j] = v
+            out[base + j] = x * y
     return residues(out, p)
 
 
@@ -251,14 +248,18 @@ def tensor_sparse(a, b, dim2, p=None):
 # echelon forms (integer-kernel backed, over Q or F_p)
 
 def _int_row(vec, p=None):
-    """A sparse vector -> (kernel row, scale of the row).
+    """A sparse vector -> (kernel row, scale of the row), the row a fresh
+    dict of ints that the kernel may mutate.
 
-    Over Q the row is den * vec, den the lcm of the denominators; over F_p
-    it holds the residues and the scale is 1.
+    Over Q the row is den * vec, den the lcm of the denominators: the
+    numerators themselves when den is 1.  Over F_p it holds the residues
+    and the scale is 1.
     """
     if p is not None:
-        return {i: r for i, c in vec.items() if (r := c % p)}, 1
+        return residues(vec, p), 1
     den = lcm(*[c.denominator for c in vec.values()])
+    if den == 1:
+        return {i: c.numerator for i, c in vec.items()}, 1
     return {i: c.numerator * (den // c.denominator)
             for i, c in vec.items()}, den
 

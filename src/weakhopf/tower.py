@@ -640,19 +640,13 @@ def pairing(ctx):
     Ab, Bb = ctx.A.basis, ctx.B.basis
     mid = ctx.mul(ctx.e2, ctx.e1, w)
     mid2 = ctx.mul(ctx.e1, ctx.e2, w)
-    gram = [{} for _ in Ab]
-    gram2 = [{} for _ in Bb]
-    for i, a in enumerate(Ab):
+    gram = []
+    for a in Ab:
         amid = ctx.mul(a, mid)
-        for j, b in enumerate(Bb):
-            v = lam2 * T(ctx.mul(amid, b))
-            if v != 0:
-                gram[i][j] = v
-    for i, a in enumerate(Ab):
-        for j, b in enumerate(Bb):
-            v = lam2 * T(ctx.mul(b, mid2, a))
-            if v != 0:
-                gram2[j][i] = v
+        gram.append(la.residues({j: lam2 * T(ctx.mul(amid, b))
+                                 for j, b in enumerate(Bb)}, p))
+    gram2 = [la.residues({i: lam2 * T(ctx.mul(b, mid2, a))
+                          for i, a in enumerate(Ab)}, p) for b in Bb]
     nd = la.rank(gram, len(Bb), p) == ctx.A.dim == ctx.B.dim
     cl.add("pairing_nondegenerate",
            "<a, b> = lambda^-2 T(a e2 e1 w b) is non-degenerate", nd)
@@ -705,12 +699,8 @@ class DerivedWeakHopf:
              for i in range(nA)]
         delta_rows = []
         for j in range(nB):
-            R = {}
-            for i in range(nA):
-                for k in range(nA):
-                    c = lam2 * T(ctx.mul(P[i][k], bhat[j]))
-                    if c != 0:
-                        R[i * nA + k] = c
+            R = la.residues({i * nA + k: lam2 * T(ctx.mul(P[i][k], bhat[j]))
+                             for i in range(nA) for k in range(nA)}, p)
             delta_rows.append(ag.apply_tensor(Ginv_t, Ginv_t, R, nA, nB, p))
         eps_vec = [la.residue(lam2 * T(ctx.mul(mid, bhat[j])), p)
                    for j in range(nB)]
@@ -995,9 +985,9 @@ class DerivedWeakHopf:
                     lhs = ag.apply_map(G, expA(ctx.mul(ahat[i], ahat[k])), p)
                     # <a_i, b1><a_k, b2> = <a_i (x) a_k, Delta(b)>
                     gik = tensor_sparse(G[i], G[k], nB, p)
-                    rhs = {j: v for j, dj in enumerate(B.delta) if (
-                        v := la.residue(sum(c * gik.get(uv, 0)
-                                            for uv, c in dj.items()), p))}
+                    rhs = la.residues({j: sum(c * gik.get(uv, 0)
+                                              for uv, c in dj.items())
+                                       for j, dj in enumerate(B.delta)}, p)
                     law.check((i, k), lhs, rhs)
 
         # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1

@@ -109,13 +109,18 @@ class WeakHopf:
         """The verified CounitalData of H."""
         return counital(self)
 
+    @cached_property
+    def coalgebra_checks(self):
+        """The CheckList of the coalgebra laws of H, decided once; read-only
+        (`verify_axioms` starts from a copy of its items)."""
+        return coalgebra_checks(self)
+
 
 def make_weakhopf(alg, delta, eps, s):
     H = WeakHopf(alg, ag.map_rows(delta, alg.p),
                  tuple(la.as_scalar(c, alg.p) for c in eps),
                  ag.map_rows(s, alg.p))
-    cl = coalgebra_checks(H)
-    cl.require()
+    H.coalgebra_checks.require()
     return H
 
 
@@ -152,7 +157,7 @@ def coalgebra_checks(H):
 
 def verify_axioms(H):
     """Full axiom report: one entry per axiom, each on all basis tuples."""
-    cl = coalgebra_checks(H)
+    cl = CheckList(list(H.coalgebra_checks.items))
     alg = H.alg
     d, p = H.dim, H.p
 

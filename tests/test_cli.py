@@ -621,6 +621,15 @@ def test_verify_wha_runs_the_axiom_engine_once_per_object(pair2_file,
     assert len({id(args[0]) for args in runs}) == 3
 
 
+def test_verify_wha_decides_the_coalgebra_laws_once_per_object(pair2_file,
+                                                               monkeypatch):
+    # make_weakhopf requires the laws and verify_axioms reports them: one
+    # decision serves both
+    runs = counting(monkeypatch, wha, "coalgebra_checks")
+    assert cli.main(["verify-wha", pair2_file]) == 0
+    assert runs and len({id(args[0]) for args in runs}) == len(runs)
+
+
 def test_derivation_computes_weak_hopf_structure_once(markov_file,
                                                       monkeypatch):
     built = {name: computed(monkeypatch, name)

@@ -152,3 +152,30 @@ def test_scalar_one_divides_exactly():
     one = la.scalar_one()
     assert type(one) is Fraction
     assert one / (one + one) == Fraction(1, 2)
+
+
+def pops_to_none(tree):
+    """Line numbers of every ``<expr>.pop(<key>, None)``: the mark of a sum
+    that drops its zeros by hand instead of through `la.residues`."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "pop" and len(n.args) == 2
+                  and isinstance(n.args[1], ast.Constant)
+                  and n.args[1].value is None)
+
+
+def test_scan_flags_pop_to_none_only():
+    tree = ast.parse("a.pop(k, None)\nb.c.pop(i + 1, None)\nd.pop(k)\n"
+                     "e.pop(n * n, 0)\nf.pop()\npop(g, None)\n"
+                     "h[0].pop(k, None)\n")
+    assert pops_to_none(tree) == [1, 2, 7]
+
+
+def test_only_linalg_drops_zeros_by_hand():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = pops_to_none(ast.parse(path.read_text()))
+        if lines and path.name != "linalg.py":
+            found[path.name] = lines
+    assert not found, found
