@@ -89,8 +89,7 @@ def apply_map(rows, x, p=None):
     for i, c in x.items():
         for j, v in rows[i].items():
             out[j] = out.get(j, 0) + c * v
-    # a hot kernel: a Q sum with no zero is returned without the call
-    return out if p is None and all(out.values()) else la.residues(out, p)
+    return la.residues(out, p)
 
 
 def apply_tensor(f, g, x, n, m, p=None):
@@ -167,9 +166,7 @@ class Algebra:
                     continue
                 for k, v in ti[j]:
                     out[k] = out.get(k, 0) + c * v
-        # a hot kernel: a Q sum with no zero is returned without the call
-        p = self.p
-        return out if p is None and all(out.values()) else la.residues(out, p)
+        return la.residues(out, self.p)
 
     def mulm(self, *xs):
         acc = xs[0]

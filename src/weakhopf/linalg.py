@@ -248,18 +248,14 @@ def tensor_sparse(a, b, dim2, p=None):
 # echelon forms (integer-kernel backed, over Q or F_p)
 
 def _int_row(vec, p=None):
-    """A sparse vector -> (kernel row, scale of the row), the row a fresh
-    dict of ints that the kernel may mutate.
+    """A sparse vector -> (kernel row, scale of the row).
 
-    Over Q the row is den * vec, den the lcm of the denominators: the
-    numerators themselves when den is 1.  Over F_p it holds the residues
-    and the scale is 1.
+    Over Q the row is den * vec, den the lcm of the denominators; over F_p
+    it holds the residues and the scale is 1.
     """
     if p is not None:
         return residues(vec, p), 1
     den = lcm(*[c.denominator for c in vec.values()])
-    if den == 1:
-        return {i: c.numerator for i, c in vec.items()}, 1
     return {i: c.numerator * (den // c.denominator)
             for i, c in vec.items()}, den
 
