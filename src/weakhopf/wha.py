@@ -366,24 +366,48 @@ def _separates(H, e, sub):
 # ---------------------------------------------------------------------------
 # duals, integrals, the Hopf degeneration
 
+def _transpose(H):
+    """The dual's product table, coproduct, counit and antipode on the dual
+    basis, read off H: the product transposes Delta, the coproduct
+    transposes the product, the counit is the unit and the antipode
+    transposes S.  The dual's unit is eps."""
+    d = H.dim
+    prod = la.transpose(H.delta, d * d)  # row i d + j holds e_i* e_j*
+    return ([prod[i * d:(i + 1) * d] for i in range(d)],
+            la.transpose([dict(cell) for row in H.alg.table for cell in row],
+                         d),
+            H.alg.unit, la.transpose(H.s, d))
+
+
 def dual(H):
     """The dual weak Hopf algebra on the dual basis.
 
     Product transposes Delta, coproduct transposes the product, antipode
     transposes S; the result passes the axiom engine before returning.
     """
-    d = H.dim
-    alg = H.alg
-    prod = la.transpose(H.delta, d * d)  # row i d + j holds e_i* e_j*
-    table = [prod[i * d:(i + 1) * d] for i in range(d)]
-    delta_star = la.transpose([dict(cell) for row in alg.table
-                               for cell in row], d)
-    eps_star = tuple(alg.unit)
-    s_star = la.transpose(H.s, d)
-    alg_star = ag.make_algebra(table, H.eps, p=H.p)
-    Hd = make_weakhopf(alg_star, delta_star, eps_star, s_star)
+    table, delta_star, eps_star, s_star = _transpose(H)
+    Hd = make_weakhopf(ag.make_algebra(table, H.eps, p=H.p), delta_star,
+                       eps_star, s_star)
     verify_axioms(Hd).require()
     return Hd
+
+
+def involution_witness(H, Hd):
+    """None when the transpose of Hd = dual(H) is H's own product, Delta,
+    eps and S: the double dual then is H, matrix for matrix.  Otherwise the
+    first differing matrix and basis index, e.g. "s basis 2" or
+    "table basis (0, 1)"."""
+    table, *maps = _transpose(Hd)
+    for i, row in enumerate(H.alg.table):
+        for j, cell in enumerate(row):
+            if dict(cell) != table[i][j]:
+                return "table basis (%d, %d)" % (i, j)
+    for name, mine, back in zip(("delta", "eps", "s"), (H.delta, H.eps, H.s),
+                                maps):
+        for k, (a, b) in enumerate(zip(mine, back)):
+            if a != b:
+                return "%s basis %d" % (name, k)
+    return None
 
 
 @dataclass(frozen=True)

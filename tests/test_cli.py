@@ -1,4 +1,6 @@
+import argparse
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -616,9 +618,10 @@ def test_verify_wha_runs_the_axiom_engine_once_per_object(pair2_file,
                                                           monkeypatch):
     runs = counting(monkeypatch, wha, "verify_axioms")
     assert cli.main(["verify-wha", pair2_file]) == 0
-    # H, its dual and the dual of that, each verified once
-    assert len(runs) == 3
-    assert len({id(args[0]) for args in runs}) == 3
+    # H and its dual, each verified once; the dual of the dual is decided
+    # on the matrices, and when they match it is H, verified already
+    assert len(runs) == 2
+    assert len({id(args[0]) for args in runs}) == 2
 
 
 def test_verify_wha_decides_the_coalgebra_laws_once_per_object(pair2_file,
@@ -628,6 +631,55 @@ def test_verify_wha_decides_the_coalgebra_laws_once_per_object(pair2_file,
     runs = counting(monkeypatch, wha, "coalgebra_checks")
     assert cli.main(["verify-wha", pair2_file]) == 0
     assert runs and len({id(args[0]) for args in runs}) == len(runs)
+
+
+def test_groupoid_runs_the_axiom_engine_once_per_object(pair2_file,
+                                                        monkeypatch):
+    runs = counting(monkeypatch, wha, "verify_axioms")
+    laws = counting(monkeypatch, wha, "coalgebra_checks")
+    made = []
+    for module, name in ((gp, "groupoid_algebra"), (wha, "dual")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=getattr(module, name):
+                            made.append(fn(*args)) or made[-1])
+    assert cli.main(["groupoid", pair2_file, "--dual", "--integrals"]) == 0
+    # kG and its transpose dual; the dual built from its own formulas is
+    # compared with the transpose matrix for matrix
+    kG, transposed = made
+    assert [id(args[0]) for args in runs] == [id(kG), id(transposed)]
+    assert laws and len({id(args[0]) for args in laws}) == len(laws)
+
+
+def test_main_builds_its_parser_once(pair2_file, markov_file, monkeypatch,
+                                     capsys):
+    assert cli.main(["verify-wha", pair2_file]) == 0
+    inits = counting(monkeypatch, argparse.ArgumentParser, "__init__")
+    assert cli.main(["groupoid", pair2_file, "--dual"]) == 0
+    assert cli.main(["tower", markov_file, "--depth", "1"]) == 0
+    assert cli.main(["tower", markov_file, "--depth", "x"]) == 2
+    assert inits == []
+
+
+def test_main_carries_no_option_into_the_next_call(pair2_file, markov_file,
+                                                   capsys):
+    def run(*argv):
+        rc = cli.main(list(argv))
+        return rc, capsys.readouterr().out
+
+    def fresh(*argv):
+        cli._parser.cache_clear()
+        return run(*argv)
+
+    run("--format", "machine", "tower", markov_file, "--derive")
+    plain = run("tower", markov_file)
+    assert plain == fresh("tower", markov_file)
+    assert "derivation" not in plain[1] and "B_axiom" not in plain[1]
+    assert "pipeline: tower q_in_q2" in plain[1]
+    assert run("tower", markov_file, "--depth", "-1")[0] == 2
+    after_error = run("--format", "machine", "verify-wha", pair2_file)
+    assert after_error[0] == 0
+    assert after_error == fresh("--format", "machine", "verify-wha",
+                                pair2_file)
 
 
 def test_derivation_computes_weak_hopf_structure_once(markov_file,
@@ -680,36 +732,64 @@ def test_skewed_markov_failures_keep_their_first_witness(tmp_path, capsys,
     assert witnesses["T0_trace"] == witnesses["symmetric"] == "(1, 2)"
 
 
-@pytest.mark.parametrize("failing_call, stage", [
-    (1, "dual_axioms"), (2, "dual_involution")])
+def failing_dual(H):
+    """A wha.dual whose dual fails two of its axioms."""
+    raise VerificationError([
+        Check("antipode_target", "h1 S(h2) = eps_t(h)", True),
+        Check("antipode_sandwich", "S(h1) h2 S(h3) = S(h)", False,
+              "basis 1"),
+        Check("s_bijective", "S is bijective", False)])
+
+
+def machine_failures(out):
+    """The records of a machine report and its (name, witness) failures."""
+    records = [json.loads(line) for line in out.splitlines()]
+    return records, [(r["name"], r["witness"]) for r in records
+                     if r.get("passed") is False]
+
+
 def test_dual_failing_its_axioms_is_a_failed_entry(pair2_file, monkeypatch,
-                                                   capsys, failing_call,
-                                                   stage):
-    calls = []
-    dual = wha.dual
-
-    def failing_dual(H):
-        calls.append(H)
-        if len(calls) == failing_call:
-            raise VerificationError([
-                Check("antipode_target", "h1 S(h2) = eps_t(h)", True),
-                Check("antipode_sandwich", "S(h1) h2 S(h3) = S(h)", False,
-                      "basis 1"),
-                Check("s_bijective", "S is bijective", False)])
-        return dual(H)
-
+                                                   capsys):
     monkeypatch.setattr(wha, "dual", failing_dual)
     rc = cli.main(["--format", "machine", "verify-wha", pair2_file])
     assert rc == 1
-    records = [json.loads(line)
-               for line in capsys.readouterr().out.splitlines()]
-    failed = [(r["name"], r["witness"]) for r in records
-              if r.get("passed") is False]
-    assert failed == [(stage, "antipode_sandwich, s_bijective")]
+    records, failed = machine_failures(capsys.readouterr().out)
+    assert failed == [("dual_axioms", "antipode_sandwich, s_bijective")]
     assert records[-1]["failed"] == 1
-    assert [r["name"] for r in records[-3:-1]] == (
-        ["maschke", "dual_axioms"] if stage == "dual_axioms"
-        else ["dual_axioms", "dual_involution"])
+    assert [r["name"] for r in records[-3:-1]] == ["maschke", "dual_axioms"]
+
+
+def test_dual_not_transposing_back_fails_the_involution(pair2_file,
+                                                        monkeypatch, capsys):
+    # one more entry in row 0 of the dual's S, at column 2: the transpose of
+    # the dual differs from H in row 2 of S and nowhere else
+    dual = wha.dual
+
+    def skewed_dual(H):
+        Hd = dual(H)
+        s = list(Hd.s)
+        s[0] = {**s[0], 2: s[0].get(2, 0) + 1}
+        return dataclasses.replace(Hd, s=tuple(s))
+
+    monkeypatch.setattr(wha, "dual", skewed_dual)
+    rc = cli.main(["--format", "machine", "verify-wha", pair2_file])
+    assert rc == 1
+    records, failed = machine_failures(capsys.readouterr().out)
+    assert failed == [("dual_involution", "s basis 2")]
+    assert records[-1]["failed"] == 1
+    assert [r["name"] for r in records[-3:-1]] == ["dual_axioms",
+                                                    "dual_involution"]
+
+
+def test_derivation_failing_a_required_law_is_a_failed_entry(
+        markov_file, monkeypatch, capsys):
+    # tower._build requires B's dual to pass its axioms
+    monkeypatch.setattr(wha, "dual", failing_dual)
+    rc = cli.main(["--format", "machine", "tower", markov_file, "--derive"])
+    assert rc == 1
+    records, failed = machine_failures(capsys.readouterr().out)
+    assert failed == [("derivation", "antipode_sandwich, s_bijective")]
+    assert records[-2]["name"] == "derivation"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +128,33 @@ def test_dual_is_involution_on_corpus():
             Xdd = wha.dual(wha.dual(X))
             assert (Xdd.alg.table, Xdd.delta, Xdd.eps, Xdd.s) == \
                 (X.alg.table, X.delta, X.eps, X.s), name
+
+
+def test_involution_witness_names_the_first_differing_matrix():
+    H = pair2()
+    Hd = wha.dual(H)
+    assert wha.involution_witness(H, Hd) is None
+
+    def bump(row, k):
+        return {**row, k: row.get(k, 0) + 1}
+
+    # an entry of the dual's Delta at e_0 (x) e_1 is one of the product
+    # e_0* e_1* of its transpose, an entry of a product cell one of the
+    # transposed Delta, and the dual's unit is the transposed counit
+    table = [list(row) for row in Hd.alg.table]
+    table[0][0] = la.svec(bump(dict(table[0][0]), 3))
+    unit = list(Hd.alg.unit)
+    unit[1] += 1
+    faults = {
+        "table basis (0, 1)": dataclasses.replace(
+            Hd, delta=(bump(Hd.delta[0], 1),) + Hd.delta[1:]),
+        "delta basis 3": dataclasses.replace(Hd, alg=dataclasses.replace(
+            Hd.alg, table=tuple(map(tuple, table)))),
+        "eps basis 1": dataclasses.replace(Hd, alg=dataclasses.replace(
+            Hd.alg, unit=tuple(unit))),
+    }
+    for witness, X in faults.items():
+        assert wha.involution_witness(H, X) == witness
 
 
 def test_integrals_are_ideals():
