@@ -1,4 +1,4 @@
-"""Module algebras, comodule algebras, smash products.
+"""Module algebras, their invariants, smash products.
 
 Actions are stored as act[h] = sparse rows of the operator "e_h . (-)" on
 the module algebra.  Every constructed action is pushed through the module
@@ -40,13 +40,6 @@ class ModuleAlgebra:
                 for k, v in rows[ai].items():
                     out[k] = out.get(k, 0) + c * v
         return la.residues(out, self.A.p)
-
-
-@dataclass(frozen=True)
-class ComoduleAlgebra:
-    H: wha.WeakHopf  # the coacting weak Hopf algebra (H* for the bridge)
-    A: ag.Algebra
-    rho: tuple  # sparse rows A -> A (x) H
 
 
 def make_module_algebra(H, A, act):
@@ -168,61 +161,6 @@ def adjoint_action(H):
             rows.append(express(out))
         act.append(rows)
     return make_module_algebra(H, A_alg, act)
-
-
-def action_comodule_bridge(M):
-    """The right H*-comodule algebra equivalent to a left H-module algebra.
-
-    rho(a) = sum_h (e_h . a) (x) e^h.  Verifies the comodule-algebra axioms,
-    that bridging back recovers the action exactly, and that coinvariants
-    equal invariants.  Returns (ComoduleAlgebra, CheckList).
-    """
-    H, A = M.H, M.A
-    Hd = wha.dual(H)
-    dH, dA = H.dim, A.dim
-    cl = CheckList()
-    rho = []
-    for a in range(dA):
-        out = {}
-        for h in range(dH):
-            for k, v in M.act[h][a].items():
-                out[k * dH + h] = v
-        rho.append(out)
-    rho = tuple(rho)
-    C = ComoduleAlgebra(Hd, A, rho)
-
-    def rho_of(x):
-        return ag.apply_map(rho, x, A.p)
-
-    with cl.holds("comodule_multiplicative", "rho(ab) = a0 b0 (x) a1 b1") as law:
-        for a in law.over(range(dA)):
-            for b in law.over(range(dA)):
-                lhs = rho_of(dict(A.table[a][b]))
-                rhs = ag.tensor_mul(A, Hd.alg, rho[a], rho[b])
-                law.check((a, b), lhs, rhs)
-
-    est = Hd.eps_rows[0]
-    r1 = rho_of(A.unit_sparse())
-    cl.add("comodule_unit", "rho(1) = (id (x) eps_t) rho(1)",
-           r1 == ag.apply_tensor(None, est, r1, dH, dH, A.p))
-
-    # a0 <a1, e_h> is the slice of rho(a) at second leg h
-    with cl.holds("bridge_roundtrip", "a0 <a1, h> recovers h . a") as law:
-        for a in law.over(range(dA)):
-            cols = la.tslices(rho[a], dH)[1]
-            for h in law.over(range(dH)):
-                law.check((a, h), cols.get(h, {}), M.act[h][a])
-
-    images = []
-    for a in range(dA):
-        diff = dict(rho[a])
-        et = ag.apply_tensor(None, est, rho[a], dH, dH, A.p)
-        sadd_into(diff, et, -1, A.p)
-        images.append(diff)
-    coinv = la.kernel(images, A.p)
-    cl.add("coinvariants_equal_invariants", "A^{co H*} = A^H",
-           coinv == invariants(M))
-    return C, cl
 
 
 # ---------------------------------------------------------------------------

@@ -775,20 +775,3 @@ def relative_tensor_square(cert):
         return out
 
     return la.quotient_from_projection(n * n, pi_col, big.p)
-
-
-def casimir_shift_check(cert):
-    """x_i u (x) y_i = x_i (x) u y_i in M (x)_N M, for every basis u of U."""
-    big = cert.incl.big
-    n = big.dim
-    q = relative_tensor_square(cert)
-    for u in cert.U.basis:
-        lhs, rhs = {}, {}
-        for x, y in zip(cert.dual_bases.xs, cert.dual_bases.ys):
-            sadd_into(lhs, la.tensor_sparse(big.mul(x, u), y, n, big.p), 1,
-                      big.p)
-            sadd_into(rhs, la.tensor_sparse(x, big.mul(u, y), n, big.p), 1,
-                      big.p)
-        if q.project(lhs) != q.project(rhs):
-            return False
-    return True

@@ -203,91 +203,3 @@ def shift_tau2(tower, element, n, level=None):
         shifted_word = tuple(i + 2 for i in words[k])
         sadd_into(out, jones_word(tower, shifted_word, level), c, p)
     return out
-
-
-def _regular_trace(A, j):
-    """The trace of left multiplication by e_j on A."""
-    return la.residue(sum(c for k in range(A.dim)
-                          for i, c in A.table[j][k] if i == k), A.p)
-
-
-def depth2_example(kind, n=None, p=None):
-    """Certified depth-2 extensions built from a central N and Kanzaki U.
-
-    kind "tensor": M = N (x) U with E(n u) = lambda n t(u), t the trace of
-    the left regular representation of U and lambda^-1 = t(1).
-    kind "matrix": U = M_n over the given prime field or the rationals.
-    Returns the Markov certificate after asserting that depth2_check
-    succeeds on the tower and that the explicit centralizer-valued dual
-    bases of E_M verify the dual-bases identity.
-    """
-    from weakhopf import corpus, tower as tw
-    if kind == "matrix":
-        U = corpus.matrix_algebra(n, p)
-        N = corpus.field_algebra(p)
-    elif kind == "tensor":
-        N, U = n  # (N_alg, U_alg)
-    else:
-        raise ValueError("unknown example kind %r" % kind)
-
-    ZN = ag.centralizer(N, la.Subspace.full(N.dim, N.p))
-    if ZN.dim != 1:
-        raise ValueError("N is not central: dim Z(N) = %d" % ZN.dim)
-    ag.kanzaki_element(U)  # raises NotKanzaki for e.g. M_p over F_p
-
-    # regular-representation trace of U
-    p = U.p
-    t_reg = [_regular_trace(U, j) for j in range(U.dim)]
-    lam_inv = ag.trace_of(tuple(t_reg), U.unit_sparse(), p)
-    lam = la.div(1, lam_inv, p)
-
-    M = corpus.tensor_algebra(N, U)
-    nb = U.dim
-    embed = [{i * nb + j: c for j, c in la.sparse(U.unit).items()}
-             for i in range(N.dim)]
-    incl = ag.make_inclusion(N, M, embed)
-    E_rows = []
-    for i in range(N.dim):
-        for j in range(U.dim):
-            E_rows.append({i: lam * t_reg[j]} if t_reg[j] != 0 else {})
-    E = ag.make_cond_expectation(incl, E_rows)
-    # normalized regular trace on N
-    tN = [_regular_trace(N, j) for j in range(N.dim)]
-    norm = ag.trace_of(tuple(tN), N.unit_sparse(), p)
-    trace = tuple(la.div(x, norm, p) for x in tN)
-    db = ag.find_dual_bases(E, within=ag.centralizer(M, incl.image))
-    cert = ag.certify_markov(incl, E, db, trace)
-    cert.checks.require()
-
-    t = tw.build_tower(cert, 2)
-    ctx = tw.DepthTwoContext(t)
-    tw.depth2_check(ctx)  # raises Depth2Failure if the condition fails
-
-    # the explicit V-valued dual bases x'_i = x_j x_i e1 y_j,
-    # y'_i = x_k y_i e1 y_k are part of the sufficient-condition argument,
-    # whose hypothesis is Z(U) = Z(N); they genuinely fail outside it
-    # (U = Q^2 has Z(U) = U strictly bigger than Z(N) = Q), so they are
-    # verified exactly when the hypothesis holds
-    ZU = ag.centralizer(U, la.Subspace.full(U.dim, U.p))
-    if ZU.dim == ZN.dim:
-        xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
-        M1 = ctx.M1
-        e1 = t.levels[0].e
-        lift = lambda x: t.embed(0, 1, x)
-        xs1, ys1 = [], []
-        for i in range(len(xs)):
-            xp = {}
-            yp = {}
-            for j in range(len(xs)):
-                xp_term = M1.mulm(lift(M.mul(xs[j], xs[i])), e1, lift(ys[j]))
-                sadd_into(xp, xp_term, 1, p)
-                yp_term = M1.mulm(lift(M.mul(xs[j], ys[i])), e1, lift(ys[j]))
-                sadd_into(yp, yp_term, 1, p)
-            xs1.append(xp)
-            ys1.append(yp)
-        V1 = ctx.V1
-        if not all(V1.contains(v) for v in xs1 + ys1):
-            raise AssertionError("explicit dual bases are not in V")
-        db1 = ag.DualBases(tuple(xs1), tuple(ys1), None)
-        ag.verify_dual_bases(t.levels[0].cert.E, db1)
-    return cert

@@ -151,8 +151,11 @@ def groupoid_algebra(G, p=None):
 def groupoid_dual(G, H):
     """(kG)* built directly from its own formulas, on the p_g basis.
 
-    H is kG, groupoid_algebra(G, p); the result is verified to coincide,
-    matrix for matrix, with the transpose dual of H.
+    H is kG, groupoid_algebra(G, p).  The result is decided to coincide,
+    matrix for matrix, with the transpose dual of H by
+    `wha.involution_witness` (an AssertionError names the first differing
+    basis index), and then passes the axiom engine (a VerificationError
+    names the failed laws).
     """
     p = H.p
     n = len(G.morphisms)
@@ -173,10 +176,11 @@ def groupoid_dual(G, H):
     alg = ag.make_algebra(table, unit, labels=tuple("p_" + g for g in G.morphisms),
                           p=p)
     Hd = wha.make_weakhopf(alg, delta, eps, s)
-    transposed = wha.dual(H)
-    if (Hd.alg.table, Hd.delta, Hd.eps, Hd.s) != \
-            (transposed.alg.table, transposed.delta, transposed.eps, transposed.s):
-        raise AssertionError("explicit dual disagrees with the transpose dual")
+    witness = wha.involution_witness(H, Hd)
+    if witness is not None:
+        raise AssertionError("explicit dual disagrees with the transpose "
+                             "dual at %s" % witness)
+    wha.verify_axioms(Hd).require()
     return Hd
 
 

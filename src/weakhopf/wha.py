@@ -393,17 +393,18 @@ def dual(H):
 
 
 def involution_witness(H, Hd):
-    """None when the transpose of Hd = dual(H) is H's own product, Delta,
-    eps and S: the double dual then is H, matrix for matrix.  Otherwise the
-    first differing matrix and basis index, e.g. "s basis 2" or
-    "table basis (0, 1)"."""
+    """None when the transpose of Hd is H's own product, Delta, eps and S
+    and Hd's eps is H's unit: Hd then is dual(H) and the double dual is H,
+    matrix for matrix.  Otherwise the first differing matrix and basis
+    index, e.g. "s basis 2", "unit basis 0" or "table basis (0, 1)"."""
     table, *maps = _transpose(Hd)
     for i, row in enumerate(H.alg.table):
         for j, cell in enumerate(row):
             if dict(cell) != table[i][j]:
                 return "table basis (%d, %d)" % (i, j)
-    for name, mine, back in zip(("delta", "eps", "s"), (H.delta, H.eps, H.s),
-                                maps):
+    for name, mine, back in zip(("delta", "eps", "s", "unit"),
+                                (H.delta, H.eps, H.s, H.alg.unit),
+                                (*maps, Hd.eps)):
         for k, (a, b) in enumerate(zip(mine, back)):
             if a != b:
                 return "%s basis %d" % (name, k)

@@ -47,20 +47,6 @@ def test_adjoint_invariants_commutative_case():
     assert ac.invariants(M).dim == M.A.dim
 
 
-def test_bridge_recovers_delta_for_standard_action():
-    H = z2()
-    M, _ = ac.standard_action(H)
-    C, cl = ac.action_comodule_bridge(M)
-    assert cl.ok
-    assert C.rho == H.delta
-
-
-def test_bridge_on_trivial_action():
-    M, _ = ac.trivial_action(pair2())
-    C, cl = ac.action_comodule_bridge(M)
-    assert cl.ok, [c.name for c in cl.failures()]
-
-
 def test_smash_with_scalars_is_H():
     H = z2()
     M, cl = scalar_module(H)
@@ -185,7 +171,6 @@ def test_readers_mutate_no_stored_row(p):
         wha.is_hopf(X)
     gp.groupoid_integrals(G, H, gp.groupoid_dual(G, H))
     M2, _ = ac.adjoint_action(H)
-    assert ac.action_comodule_bridge(M)[1].ok
     assert ac.smash(M).checks.ok
     assert M2.act == M.act
     assert [name for name in before if before[name] != rows[name]] == []

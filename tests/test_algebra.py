@@ -224,11 +224,6 @@ def test_nondegenerate_trace_implies_symmetric():
             assert cert.checks.get("symmetric").passed, name
 
 
-def test_casimir_shift():
-    for name, cert in corpus.standing_extensions().items():
-        assert ag.casimir_shift_check(cert), name
-
-
 def test_relative_tensor_square_dims():
     assert ag.relative_tensor_square(corpus.ext_q_q2()).dim == 4
     assert ag.relative_tensor_square(corpus.ext_q2_m2()).dim == 8

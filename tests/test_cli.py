@@ -22,7 +22,7 @@ from weakhopf import linalg as la
 from weakhopf import specfile as sf
 from weakhopf import tower as tw
 from weakhopf import wha
-from weakhopf.checks import Check, VerificationError
+from weakhopf.checks import Check, CheckList, VerificationError
 
 
 @pytest.fixture()
@@ -198,7 +198,7 @@ def counting(monkeypatch, module, name):
 
 def test_groupoid_builds_kG_and_its_dual_once(pair2_file, monkeypatch):
     built = counting(monkeypatch, gp, "groupoid_algebra")
-    duals = counting(monkeypatch, wha, "dual")
+    duals = counting(monkeypatch, gp, "groupoid_dual")
     assert cli.main(["groupoid", pair2_file, "--dual", "--integrals"]) == 0
     assert (len(built), len(duals)) == (1, 1)
 
@@ -637,16 +637,17 @@ def test_groupoid_runs_the_axiom_engine_once_per_object(pair2_file,
                                                         monkeypatch):
     runs = counting(monkeypatch, wha, "verify_axioms")
     laws = counting(monkeypatch, wha, "coalgebra_checks")
+    duals = counting(monkeypatch, wha, "dual")
     made = []
-    for module, name in ((gp, "groupoid_algebra"), (wha, "dual")):
-        monkeypatch.setattr(module, name,
-                            lambda *args, fn=getattr(module, name):
+    for name in ("groupoid_algebra", "groupoid_dual"):
+        monkeypatch.setattr(gp, name, lambda *args, fn=getattr(gp, name):
                             made.append(fn(*args)) or made[-1])
     assert cli.main(["groupoid", pair2_file, "--dual", "--integrals"]) == 0
-    # kG and its transpose dual; the dual built from its own formulas is
-    # compared with the transpose matrix for matrix
-    kG, transposed = made
-    assert [id(args[0]) for args in runs] == [id(kG), id(transposed)]
+    # kG and the dual built from its own formulas, which is compared with
+    # the transpose of kG on the matrices: no transpose dual is built
+    kG, Hd = made
+    assert [id(args[0]) for args in runs] == [id(kG), id(Hd)]
+    assert duals == []
     assert laws and len({id(args[0]) for args in laws}) == len(laws)
 
 
@@ -779,6 +780,32 @@ def test_dual_not_transposing_back_fails_the_involution(pair2_file,
     assert records[-1]["failed"] == 1
     assert [r["name"] for r in records[-3:-1]] == ["dual_axioms",
                                                     "dual_involution"]
+
+
+def test_groupoid_dual_failing_its_axioms_is_one_line(pair2_file,
+                                                      monkeypatch, capsys):
+    # the explicit dual, the second object the command verifies, made to
+    # fail coassociativity: each failed entry names the law on its own line
+    verify = wha.verify_axioms
+    runs = []
+
+    def failing_on_the_dual(H):
+        runs.append(H)
+        if len(runs) == 1:
+            return verify(H)
+        return CheckList([Check("coassociativity", "(Delta (x) id)Delta = "
+                                "(id (x) Delta)Delta", False, "(0,)")])
+
+    monkeypatch.setattr(wha, "verify_axioms", failing_on_the_dual)
+    assert cli.main(["groupoid", pair2_file, "--dual", "--integrals"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS")] == [
+        "pipeline: groupoid pair2",
+        "FAIL dual_formulas  [the function-algebra dual matches the "
+        "transpose dual]  witness: coassociativity",
+        "FAIL integral_spans  [unit-indexed sums span the integral spaces]"
+        "  witness: coassociativity",
+        "%d passed, 2 failed" % (len(lines) - 4)]
 
 
 def test_derivation_failing_a_required_law_is_a_failed_entry(

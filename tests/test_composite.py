@@ -77,27 +77,3 @@ def test_shift_rejects_non_members(deep_tower):
     outsider = deep_tower.embed(0, 5, {0: F(1)})
     with pytest.raises(cp.NotInTLSubalgebra):
         cp.shift_tau2(deep_tower, outsider, 1)
-
-
-def test_depth2_example_q2():
-    cert = cp.depth2_example(
-        "tensor", (corpus.field_algebra(), corpus.diagonal_algebra(2)))
-    assert cert.checks.ok
-    assert cert.lambda_inv == 2
-
-
-def test_depth2_example_matrix():
-    cert = cp.depth2_example("matrix", 2)
-    assert cert.checks.ok
-    assert cert.lambda_inv == 4
-
-
-def test_depth2_example_rejects_non_kanzaki():
-    with pytest.raises(ag.NotKanzaki):
-        cp.depth2_example("matrix", 2, p=2)
-
-
-def test_depth2_example_rejects_noncentral_N():
-    with pytest.raises(ValueError):
-        cp.depth2_example(
-            "tensor", (corpus.diagonal_algebra(2), corpus.diagonal_algebra(2)))

@@ -53,6 +53,17 @@ def test_dual_matches_formula_corpus():
         assert wha.verify_axioms(Hd).ok, name
 
 
+def test_dual_disagreeing_with_the_transpose_names_the_basis():
+    G = gp.pair(2)
+    H = gp.groupoid_algebra(G)
+    # the explicit dual's S now sends p_g01 to itself, so the transpose of
+    # its S differs from kG's S in row 1 (g01 -> g10) and the dual is
+    # refused before its axioms are run
+    G.inverse["g01"] = "g01"
+    with pytest.raises(AssertionError, match="transpose dual at s basis 1$"):
+        gp.groupoid_dual(G, H)
+
+
 def test_dual_idempotent_basis():
     Hd = gp.groupoid_dual(gp.pair(2), gp.groupoid_algebra(gp.pair(2)))
     for g in range(4):

@@ -1,6 +1,7 @@
 """Every name a weakhopf module imports, or a function assigns, is read,
 every attribute it sets on self is read, and every function it defines is
-referenced; only linalg imports the row-reduction kernel."""
+referenced by the library or the benchmark, or listed with the reason it
+stays; only linalg imports the row-reduction kernel."""
 
 import ast
 import pathlib
@@ -220,17 +221,39 @@ def test_scan_flags_an_unreferenced_function():
     assert unreferenced_functions(lib, names) == [(3, "dead"), (10, "gone")]
 
 
+# Functions that only tests call, each with the reason it stays.  The
+# corpus module holds test inputs by design and is exempt as a whole.
+TEST_ONLY = {
+    "action.py": {
+        "trivial_action": "a module algebra of the acceptance suite",
+        "standard_action": "a module algebra of the acceptance suite",
+        "adjoint_action": "a module algebra of the acceptance suite",
+        "duality_dimension_check": "decides test_duality_dimension_checks, "
+        "with its helper smash_dual_action, until the shifted psi_iso "
+        "makes M2 # B' = M3 a literal isomorphism",
+    },
+    "wha.py": {
+        "is_hopf": "decides the Szymanski degeneration acceptance test",
+    },
+}
+
+
 def test_every_weakhopf_function_is_referenced():
+    """A function that no library code and no benchmark job calls is a
+    verdict no command reaches: it is wired in, deleted, or listed in
+    TEST_ONLY with its reason, and a listed one that gains a caller
+    leaves the list."""
     paths = sorted(SRC.glob("*.py"))
     trees = {path.name: ast.parse(path.read_text()) for path in paths}
     names = referenced_names(list(trees.values()) + [
-        ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))])
+        ast.parse(path.read_text())
+        for path in sorted(PERFBENCH.glob("*.py"))])
     found = {}
     for name, tree in trees.items():
-        bad = unreferenced_functions(tree, names)
-        if bad:
+        bad = {fn for _, fn in unreferenced_functions(tree, names)}
+        if bad and name != "corpus.py":
             found[name] = bad
-    assert not found, found
+    assert found == {name: set(fns) for name, fns in TEST_ONLY.items()}
 
 
 FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)

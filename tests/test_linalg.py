@@ -625,21 +625,18 @@ def test_scan_counts_divmod_per_function():
 # A Sweedler sum over a flat tensor goes through legsum or tslices; the
 # flat index is decoded inline only by the product kernels (the smash
 # product's precomputed legs and mul_amb) and by the code that reads back a
-# section column (basic_construction's reps, _smash_iso), transposes a
-# tensor (dual) or names a witness (verify_axioms' delta_one law).
+# section column (basic_construction's reps, _smash_iso) or names a
+# witness (verify_axioms' delta_one law).  Each allowance is the exact
+# count in the code, so one that outlives its divmod fails too.
 DIVMOD_ALLOWED = {
     "action.py": {"smash": 1, "mul_amb": 2},
     "tower.py": {"basic_construction": 1, "_smash_iso": 1},
-    "wha.py": {"dual": 1, "verify_axioms": 2},
+    "wha.py": {"verify_axioms": 2},
 }
 
 
 def test_sweedler_sums_read_the_flat_index_through_legsum():
     src = pathlib.Path(weakhopf.__file__).parent
-    extra = {}
-    for name, allowed in DIVMOD_ALLOWED.items():
-        for fn, count in divmod_calls(
-                ast.parse((src / name).read_text())).items():
-            if count > allowed.get(fn, 0):
-                extra[name, fn] = count
-    assert not extra, extra
+    found = {name: divmod_calls(ast.parse((src / name).read_text()))
+             for name in DIVMOD_ALLOWED}
+    assert found == DIVMOD_ALLOWED

@@ -87,6 +87,29 @@ def test_depth2_succeeds(pipelines):
         assert len(d2.zs) >= 1 and len(d2.us) >= 1, name
 
 
+def test_explicit_dual_bases_of_E_M1_lie_in_V(pipelines):
+    # Q in M2 has Z(U) = Z(N), so the dual bases (x_i, y_i) of E give dual
+    # bases of E_M1 inside V = C_M1(M): x'_i = x_j x_i e1 y_j and
+    # y'_i = x_j y_i e1 y_j
+    ctx = pipelines["q_in_m2"][0]
+    t = ctx.t
+    M, db = t.base.incl.big, t.base.dual_bases
+    e1 = t.levels[0].e
+
+    def primed(v):
+        out = {}
+        for x, y in zip(db.xs, db.ys):
+            la.sadd_into(out, ctx.M1.mulm(t.embed(0, 1, M.mul(x, v)), e1,
+                                          t.embed(0, 1, y)), 1, ctx.p)
+        return out
+
+    xs1 = tuple(primed(x) for x in db.xs)
+    ys1 = tuple(primed(y) for y in db.ys)
+    assert all(ctx.V1.contains(v) for v in xs1 + ys1)
+    assert ag.verify_dual_bases(t.levels[0].cert.E,
+                                ag.DualBases(xs1, ys1, None))
+
+
 def test_depth2_fails_when_constrained_wrongly():
     cert = corpus.ext_q_m2()
     t = tw.build_tower(cert, 2)

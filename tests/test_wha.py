@@ -140,11 +140,14 @@ def test_involution_witness_names_the_first_differing_matrix():
 
     # an entry of the dual's Delta at e_0 (x) e_1 is one of the product
     # e_0* e_1* of its transpose, an entry of a product cell one of the
-    # transposed Delta, and the dual's unit is the transposed counit
+    # transposed Delta, the dual's unit is the transposed counit and the
+    # dual's counit is H's unit
     table = [list(row) for row in Hd.alg.table]
     table[0][0] = la.svec(bump(dict(table[0][0]), 3))
     unit = list(Hd.alg.unit)
     unit[1] += 1
+    eps = list(Hd.eps)
+    eps[2] += 1
     faults = {
         "table basis (0, 1)": dataclasses.replace(
             Hd, delta=(bump(Hd.delta[0], 1),) + Hd.delta[1:]),
@@ -152,6 +155,7 @@ def test_involution_witness_names_the_first_differing_matrix():
             Hd.alg, table=tuple(map(tuple, table)))),
         "eps basis 1": dataclasses.replace(Hd, alg=dataclasses.replace(
             Hd.alg, unit=tuple(unit))),
+        "unit basis 2": dataclasses.replace(Hd, eps=tuple(eps)),
     }
     for witness, X in faults.items():
         assert wha.involution_witness(H, X) == witness
