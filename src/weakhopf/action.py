@@ -36,9 +36,11 @@ class ModuleAlgebra:
         for hi, hc in h.items():
             rows = self.act[hi]
             for ai, ac in a.items():
-                c = hc * ac
-                for k, v in rows[ai].items():
-                    out[k] = out.get(k, 0) + c * v
+                row = rows[ai]
+                if row:
+                    c = hc * ac
+                    for k, v in row.items():
+                        out[k] = out.get(k, 0) + c * v
         return la.residues(out, self.A.p)
 
 

@@ -161,11 +161,11 @@ class Algebra:
         for i, a in x.items():
             ti = table[i]
             for j, b in y.items():
-                c = a * b
-                if c == 0:
-                    continue
-                for k, v in ti[j]:
-                    out[k] = out.get(k, 0) + c * v
+                cell = ti[j]
+                if cell:
+                    c = a * b
+                    for k, v in cell:
+                        out[k] = out.get(k, 0) + c * v
         return la.residues(out, self.p)
 
     def mulm(self, *xs):

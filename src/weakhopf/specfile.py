@@ -182,6 +182,8 @@ def parse_algebra(payload, p, where="algebra"):
     if labels is not None and not isinstance(labels, list):
         raise SpecFileError("%s.labels: expected a list, got %r"
                             % (where, labels))
+    if labels is not None and len(labels) != dim:
+        raise SpecFileError("%s.labels: wrong length" % where)
     try:
         return ag.make_algebra(table, unit, labels=labels, p=p)
     except (ag.NotAssociative, ag.BadUnit) as exc:

@@ -85,9 +85,11 @@ def basic_construction(cert, q):
 
     `q` is the relative tensor square `ag.relative_tensor_square(cert)`,
     whose dimension is that of M1, so a caller can refuse a level before
-    building it.  Verifies the characterizing properties, certifies M1/M as
-    a symmetric Markov extension with the composed trace, and checks the
-    product anti-isomorphism between C_M(N) and C_{M1}(M).
+    building it.  Each cell of the table on the section representatives is
+    decided, and each e_a E(e_b e_c) is formed once per (a, b, c).
+    Verifies the characterizing properties, certifies M1/M as a symmetric
+    Markov extension with the composed trace, and checks the product
+    anti-isomorphism between C_M(N) and C_{M1}(M).
     """
     M = cert.incl.big
     m = M.dim
@@ -106,12 +108,11 @@ def basic_construction(cert, q):
 
     # (a (x) b)(c (x) d) = a E(b c) (x) d, with E(e_b e_c) embedded in M
     mids = [[E.incl.emb(v) for v in row] for row in E.products]
+    cs = {c for c, _ in reps}
     table = []
     for (a, b) in reps:
-        row = []
-        for (c, d) in reps:
-            row.append(cls(M.mul({a: 1}, mids[b][c]), {d: 1}))
-        table.append(row)
+        left = {c: M.mul({a: 1}, mids[b][c]) for c in cs}
+        table.append([cls(left[c], {d: 1}) for (c, d) in reps])
     unit = {}
     for x, y in zip(xs, ys):
         sadd_into(unit, cls(x, y), 1, p)

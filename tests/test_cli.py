@@ -355,6 +355,21 @@ def test_bad_markov_payload_is_an_input_error(markov_file, tmp_path, key,
     assert cli.main(["tower", str(path)]) == 2
 
 
+@pytest.mark.parametrize("labels, rc", [(["a"], 2), (["a", "b", "c"], 2),
+                                        (["a", "b"], 0)])
+def test_labels_name_every_basis_vector(markov_file, tmp_path, capsys,
+                                        labels, rc):
+    with open(markov_file) as fh:
+        raw = json.load(fh)
+    assert raw["payload"]["big"]["dim"] == 2
+    raw["payload"]["big"]["labels"] = labels
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["tower", str(path)]) == rc
+    err = capsys.readouterr().err
+    assert ("markov.big.labels: wrong length" in err) == (rc == 2)
+
+
 @pytest.mark.parametrize("raw", [5, [1], "kind name field payload"])
 def test_spec_must_be_an_object(tmp_path, raw):
     path = tmp_path / "bad.json"
@@ -806,6 +821,8 @@ def test_groupoid_dual_failing_its_axioms_is_one_line(pair2_file,
         "FAIL integral_spans  [unit-indexed sums span the integral spaces]"
         "  witness: coassociativity",
         "%d passed, 2 failed" % (len(lines) - 4)]
+    # kG and its explicit dual, each verified once
+    assert len(runs) == 2
 
 
 def test_derivation_failing_a_required_law_is_a_failed_entry(

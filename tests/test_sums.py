@@ -15,17 +15,32 @@ from weakhopf import algebra as ag
 from weakhopf import corpus
 from weakhopf import groupoid as gp
 from weakhopf import linalg as la
+from weakhopf import tower as tw
 
 FIELDS = [None, 13]
 Q_SCALARS = [1, -1, 2, -2, F(1, 2), F(-3, 2)]
 
 
+# M1 of the index-4 extension Q in M2: a tower table of dimension 16 whose
+# 64 nonempty cells of 256 each hold one entry 1/2
+M1 = tw.build_tower(corpus.ext_q_m2(), 1).levels[0].cert.incl.big
+
+
+def reduced(alg, p):
+    """A rational algebra with p-integral structure constants, mod p."""
+    table = [[{k: la.as_scalar(c, p) for k, c in cell} for cell in row]
+             for row in alg.table]
+    return ag.make_algebra(table, [la.as_scalar(c, p) for c in alg.unit],
+                           p=p)
+
+
 def algebras(p):
     """{name: (algebra, a ModuleAlgebra over kG's dual acting on it or
-    None)} for M2 and kG of pair(2)."""
+    None)} for M2, kG of pair(2) and M1 (over F_p, its reduction mod p)."""
     kG = gp.groupoid_algebra(gp.pair(2), p)
     module, _ = ac.standard_action(kG)
-    return {"M2": (corpus.matrix_algebra(2, p), None), "kG": (kG.alg, module)}
+    return {"M2": (corpus.matrix_algebra(2, p), None), "kG": (kG.alg, module),
+            "M1": (M1 if p is None else reduced(M1, p), None)}
 
 
 BUILT = {p: algebras(p) for p in FIELDS}
@@ -77,7 +92,7 @@ def dense_map(rows, x, m):
 
 
 SETTINGS = settings(max_examples=40, deadline=None)
-CASES = [(p, name) for p in FIELDS for name in ("M2", "kG")]
+CASES = [(p, name) for p in FIELDS for name in ("M2", "kG", "M1")]
 
 
 @pytest.mark.parametrize("p, name", CASES)

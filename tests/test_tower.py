@@ -28,6 +28,25 @@ def test_basic_construction_dims():
         assert lvl.cert.incl.big.dim == dim
 
 
+def test_basic_construction_forms_each_left_factor_once(monkeypatch):
+    # M2 = M1 (x)_M M1 for Q in M2 (dimension 64): 1,901 Algebra.mul calls
+    # with e_a E(e_b e_c) formed once per (a, b, c); 5,485 when it was
+    # formed again for every d of the row (a (x) b)(c (x) d)
+    cert = tw.build_tower(corpus.ext_q_m2(), 1).levels[0].cert
+    q = ag.relative_tensor_square(cert)
+    mul = ag.Algebra.mul
+    calls = []
+
+    def counting(alg, x, y):
+        calls.append(alg)
+        return mul(alg, x, y)
+
+    monkeypatch.setattr(ag.Algebra, "mul", counting)
+    lvl = tw.basic_construction(cert, q)
+    assert lvl.cert.incl.big.dim == 64 and lvl.checks.ok
+    assert len(calls) <= 1901
+
+
 def test_basic_construction_checks(towers):
     for name, t in towers.items():
         for lvl in t.levels:
