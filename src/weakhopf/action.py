@@ -7,7 +7,9 @@ of the representative-level product against a spanning set of relation
 witnesses before trusting it.  Sums over the legs of Delta(e_h), as in
 h . a = h1 a S(h2), go through `linalg.legsum`, and a pairing with one leg
 reads a slice from `linalg.tslices`; the smash product's kernel keeps its
-own decoded legs of Delta, built once per smash product.
+own decoded legs of Delta, built once per smash product, and the measuring
+law keeps, per (h, a), the legs of Delta(e_h) whose first leg acts nonzero
+on e_a, so that no b sums a leg that is zero by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ class ModuleAlgebra:
                 if row:
                     c = hc * ac
                     for k, v in row.items():
-                        out[k] = out.get(k, 0) + c * v
+                        t = c * v
+                        o = out.get(k)
+                        out[k] = t if o is None else o + t
         return la.residues(out, self.A.p)
 
 
@@ -85,11 +89,18 @@ def verify_module_algebra(M):
 
     with cl.holds("measuring", "h . (ab) = (h1 . a)(h2 . b)") as law:
         for h in law.over(range(dH)):
+            firsts = la.tslices(H.delta[h], dH)[0]  # u -> {v: c_uv}
             for a in law.over(range(dA)):
+                # the legs c_uv e_u (x) e_v of Delta(e_h) with e_u . e_a
+                # nonzero: only they add to (h1 . a)(h2 . b) for any b
+                live = [(acts[u][a], c, acts[v]) for u, vs in firsts.items()
+                        if acts[u][a] for v, c in vs.items()]
                 for b in law.over(range(dA)):
                     lhs = ag.apply_map(M.act[h], dict(A.table[a][b]), p)
-                    rhs = la.legsum(H.delta[h], dH, lambda u, v: A.mul(
-                        acts[u][a], acts[v][b]), p)
+                    rhs = {}
+                    for ua, c, av in live:
+                        if av[b]:
+                            sadd_into(rhs, A.mul(ua, av[b]), c, p)
                     law.check((h, a, b), lhs, rhs)
 
     one_a = A.unit_sparse()
@@ -250,7 +261,9 @@ def smash(M):
                     for m, l in ag.apply_map(ta, acts[u][b], p).items():
                         base, lc = m * dH, cc * l
                         for n, r in right:
-                            out[base + n] = out.get(base + n, 0) + lc * r
+                            t = lc * r
+                            o = out.get(base + n)
+                            out[base + n] = t if o is None else o + t
         return la.residues(out, p)
 
     # well-definedness against the relation witnesses

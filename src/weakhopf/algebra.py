@@ -27,6 +27,17 @@ Linear maps between based spaces are stored as tuples of sparse rows:
 sorted ``((index, coeff), ...)`` tuple of e_i e_j, which the product
 kernels walk faster than a dict, and the unit is a dense tuple.
 
+Every sum is seeded with its first term: the kernels (`Algebra.mul`,
+`apply_map`, `apply_tensor`, `tensor_mul`, `_cell_sum`, `centralizer`)
+write ``o = out.get(k); out[k] = t if o is None else o + t`` and end with
+`la.residues`, and a scalar sum goes through `la.scalar_sum`.  Over Q,
+``0 + Fraction`` goes through Fraction's reflected dispatch at the cost of
+a real Fraction add, and most entries have one term.  An empty cell or a
+zero vector forms nothing: `Algebra.mul` and `apply_map` return {} on an
+empty input, `E.products` applies E only to nonempty cells, and no trace,
+product or class is formed of a value that is zero by construction.  No
+case of a law is skipped: every law is still decided on every basis tuple.
+
 A basis element is its index.  The product of two basis elements is read
 from ``table[i][j]`` (walked as pairs where it is only summed, ``dict(cell)``
 where a vector is compared or passed on), and the image of e_i under a
@@ -85,10 +96,14 @@ class NotKanzaki(Exception):
 
 def apply_map(rows, x, p=None):
     """Apply a sparse-rows linear map to a sparse vector."""
+    if not x:
+        return {}
     out = {}
     for i, c in x.items():
         for j, v in rows[i].items():
-            out[j] = out.get(j, 0) + c * v
+            t = c * v
+            o = out.get(j)
+            out[j] = t if o is None else o + t
     return la.residues(out, p)
 
 
@@ -105,7 +120,9 @@ def apply_tensor(f, g, x, n, m, p=None):
             base = k * m
             ca = c * a
             for l, b in (g[j] if g is not None else {j: 1}).items():
-                out[base + l] = out.get(base + l, 0) + ca * b
+                t = ca * b
+                o = out.get(base + l)
+                out[base + l] = t if o is None else o + t
     return la.residues(out, p)
 
 
@@ -123,7 +140,9 @@ def tensor_mul(A, B, x, y):
                 base = m * n
                 cv = c * v1
                 for m2, v2 in tj[l]:
-                    out[base + m2] = out.get(base + m2, 0) + cv * v2
+                    t = cv * v2
+                    o = out.get(base + m2)
+                    out[base + m2] = t if o is None else o + t
     return la.residues(out, A.p)
 
 
@@ -156,6 +175,8 @@ class Algebra:
 
     def mul(self, x, y):
         """Product of sparse vectors."""
+        if not x or not y:
+            return {}
         out = {}
         table = self.table
         for i, a in x.items():
@@ -165,12 +186,16 @@ class Algebra:
                 if cell:
                     c = a * b
                     for k, v in cell:
-                        out[k] = out.get(k, 0) + c * v
+                        t = c * v
+                        o = out.get(k)
+                        out[k] = t if o is None else o + t
         return la.residues(out, self.p)
 
     def mulm(self, *xs):
         acc = xs[0]
         for y in xs[1:]:
+            if not acc:
+                return {}
             acc = self.mul(acc, y)
         return acc
 
@@ -209,8 +234,8 @@ def make_algebra(structure, unit, labels=None, p=None):
     d^2 and the law is the same.
     """
     dim = len(structure)
-    table = tuple(tuple(_srow(structure[i][j].items(), p)
-                        for j in range(dim)) for i in range(dim))
+    table = tuple(tuple(_srow(cell.items(), p) if cell else ()
+                        for cell in row) for row in structure)
     unit = tuple(la.as_scalar(c, p) for c in unit)
     alg = Algebra(dim, table, unit, tuple(labels) if labels else None, p)
     ud = alg.unit_sparse()
@@ -282,14 +307,18 @@ def centralizer(big, sub):
     table, p, d = big.table, big.p, big.dim
     images = []
     for j in range(d):
-        im = defaultdict(int)
+        im = {}
         for si, s in enumerate(sub.basis):
             off = si * d
             for k, c in s.items():
                 for n, v in table[j][k]:
-                    im[off + n] += c * v
+                    t = c * v
+                    o = im.get(off + n)
+                    im[off + n] = t if o is None else o + t
                 for n, v in table[k][j]:
-                    im[off + n] -= c * v
+                    t = c * v
+                    o = im.get(off + n)
+                    im[off + n] = -t if o is None else o - t
         images.append(la.residues(im, p))
     return la.kernel(images, p)
 
@@ -360,8 +389,8 @@ class CondExpectation:
         """products[i][j] = E(e_i e_j), a sparse dict in small coordinates
         per basis pair of big; read-only (see the module docstring)."""
         p = self.incl.big.p
-        return tuple(tuple(apply_map(self.rows, dict(cell), p) for cell in row)
-                     for row in self.incl.big.table)
+        return tuple(tuple(apply_map(self.rows, dict(cell), p) if cell else {}
+                           for cell in row) for row in self.incl.big.table)
 
     def _E_mx(self, m, x):
         """E(e_m x) = sum_k x_k E(e_m e_k), read from `products`."""
@@ -372,7 +401,8 @@ class CondExpectation:
         table, p = self.products, self.incl.big.p
         out = {}
         for k, c in x.items():
-            sadd_into(out, table[k][m], c, p)
+            if v := table[k][m]:
+                sadd_into(out, v, c, p)
         return out
 
 
@@ -390,7 +420,8 @@ def make_inclusion(small, big, embed):
         raise ValueError("inclusion does not preserve the unit")
     for i in range(small.dim):
         for j in range(small.dim):
-            lhs = incl.emb(dict(small.table[i][j]))
+            cell = small.table[i][j]
+            lhs = incl.emb(dict(cell)) if cell else {}
             rhs = big.mul(embed[i], embed[j])
             if lhs != rhs:
                 raise ValueError("embedding not multiplicative at (%d, %d)" % (i, j))
@@ -435,10 +466,12 @@ def make_cond_expectation(incl, rows):
 def _cell_sum(cells, x, p):
     """sum_k x_k cells[k] over structure-table cells: e_a x when cells is
     row a of the table, x e_a when it is column a."""
-    out = defaultdict(int)
+    out = {}
     for k, c in x.items():
         for n, v in cells[k]:
-            out[n] += c * v
+            t = c * v
+            o = out.get(n)
+            out[n] = t if o is None else o + t
     return la.residues(out, p)
 
 
@@ -545,8 +578,10 @@ def verify_dual_bases(E, db):
         em = {m: 1}
         acc1, acc2 = {}, {}
         for x, y in zip(db.xs, db.ys):
-            sadd_into(acc1, big.mul(E.incl.emb(E._E_mx(m, x)), y), 1, big.p)
-            sadd_into(acc2, big.mul(x, E.incl.emb(E._E_xm(y, m))), 1, big.p)
+            if ex := E._E_mx(m, x):
+                sadd_into(acc1, big.mul(E.incl.emb(ex), y), 1, big.p)
+            if ey := E._E_xm(y, m):
+                sadd_into(acc2, big.mul(x, E.incl.emb(ey)), 1, big.p)
         if acc1 != em or acc2 != em:
             raise NoDualBases("dual bases fail re-verification at basis %d" % m)
     return True
@@ -584,13 +619,15 @@ def separability_element(A, symmetric=False, require_unique=False):
     images = []
     for a in range(n):
         for b in range(n):
-            im = defaultdict(int)
+            im = {}
             for c in range(n):
                 off = c * nn
                 for k, v in table[c][a]:
-                    im[off + k * n + b] += v
+                    o = im.get(off + k * n + b)
+                    im[off + k * n + b] = v if o is None else o + v
                 for l, v in table[b][c]:
-                    im[off + a * n + l] -= v
+                    o = im.get(off + a * n + l)
+                    im[off + a * n + l] = -v if o is None else o - v
             if symmetric and a != b:
                 im[sym + tindex(min(a, b), max(a, b), n)] = 1 if a < b else -1
             for k, v in table[a][b]:
@@ -623,8 +660,8 @@ def trace_dual_bases(A, trace):
     n = A.dim
     # b_i is column i of the inverse Gram matrix t(e_i e_j): row i of the
     # inverse of its transpose
-    gram = [la.residues({j: sum(c * trace[k] for k, c in cell)
-                         for j, cell in enumerate(row)}, A.p)
+    gram = [la.residues({j: la.scalar_sum(c * trace[k] for k, c in cell)
+                         for j, cell in enumerate(row) if cell}, A.p)
             for row in A.table]
     try:
         b_s = la.inverse(la.transpose(gram, n), n, A.p)
@@ -635,10 +672,7 @@ def trace_dual_bases(A, trace):
 
 
 def trace_of(trace, x, p=None):
-    acc = 0
-    for i, c in x.items():
-        acc = acc + c * trace[i]
-    return la.as_scalar(acc, p)
+    return la.as_scalar(la.scalar_sum(c * trace[i] for i, c in x.items()), p)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +747,7 @@ def certify_markov(incl, E, db, trace):
 
     t0 = tuple(trace_of(trace, r, big.p) for r in E.rows)
     # T0(e_i e_j) = T(E(e_i e_j)), each once, compared with its transpose
-    t0_pairs = [[trace_of(trace, v, big.p) for v in row]
+    t0_pairs = [[trace_of(trace, v, big.p) if v else 0 for v in row]
                 for row in E.products]
     with cl.holds("T0_trace", "T0(ab) = T0(ba), T0 = T o E") as law:
         for i in law.over(range(big.dim)):
@@ -770,8 +804,9 @@ def relative_tensor_square(cert):
         a, b = divmod(c, n)
         out = {}
         for ebx, y in zip(e_bx[b], ys):
-            left = big.mul({a: 1}, ebx)
-            sadd_into(out, la.tensor_sparse(left, y, n, big.p), 1, big.p)
+            # e_a E(e_b x_i), summed from row a of the structure table
+            if left := _cell_sum(big.table[a], ebx, big.p):
+                sadd_into(out, la.tensor_sparse(left, y, n, big.p), 1, big.p)
         return out
 
     return la.quotient_from_projection(n * n, pi_col, big.p)

@@ -43,17 +43,19 @@ field is not carried by the scalar but by the object that holds it
 (`Algebra.p`, `WeakHopf.p`, `Subspace.p`, `Quotient.p`, `Echelon.p`), and
 the kernels that combine scalars (`sadd_into`, `sscale`, `legsum`,
 `tensor_sparse` here, `Algebra.mul`, `apply_map` and their kind in
-`algebra`, `action` and `tower`) take that p.  Each accumulates plain sums
-and ends with `residues`, the one finisher of a computed sparse vector: it
-drops the zeros in both fields and over F_p reduces mod p.  `sadd_into`,
-which updates a vector in place, drops its zeros as it goes; a computed
-scalar goes through `residue`.  This module is the one place that reduces
-by the modulus.  `as_scalar` and `parse_scalar` bring values into the
-stored form (floats are refused, and over F_p any p-integral rational maps
-to its residue), and every constructor of a stored object passes its
-scalars through `as_scalar`.  `scalar_one` is a Fraction in both fields:
-it is the public constructor that callers divide.  Divide scalars with
-`div(a, b, p)`, never with `/`, which turns two ints into a float.
+`algebra`, `action` and `tower`) take that p.  Each accumulates plain sums,
+seeding every entry with its first term (`scalar_sum` does the same for a
+scalar), and ends with `residues`, the one finisher of a computed sparse
+vector: it drops the zeros in both fields and over F_p reduces mod p.
+`sadd_into`, which updates a vector in place, drops its zeros as it goes;
+a computed scalar goes through `residue`.  This module is the one place
+that reduces by the modulus.  `as_scalar` and `parse_scalar` bring values
+into the stored form (floats are refused, and over F_p any p-integral
+rational maps to its residue), and every constructor of a stored object
+passes its scalars through `as_scalar`.  `scalar_one` is a Fraction in
+both fields: it is the public constructor that callers divide.  Divide
+scalars with `div(a, b, p)`, never with `/`, which turns two ints into a
+float.
 """
 
 from __future__ import annotations
@@ -146,6 +148,13 @@ def div(a, b, p=None):
         raise ZeroDivisionError("division by zero in F_%d" % p) from None
 
 
+def scalar_sum(terms):
+    """The sum of scalar terms seeded with the first (the int 0 when there
+    is none), so that no term is added to the int 0."""
+    terms = iter(terms)
+    return sum(terms, next(terms, 0))
+
+
 def format_vector(d):
     """A sparse vector as text, "{0: 1, 3: -1/2}"."""
     return "{%s}" % ", ".join("%d: %s" % (i, c) for i, c in sorted(d.items()))
@@ -167,16 +176,25 @@ def dense(d, n):
 
 
 def sadd_into(acc, d, c=1, p=None):
-    """acc += c*d, dropping zeros; over F_p each touched entry is reduced."""
+    """acc += c*d, dropping zeros; over F_p each touched entry is reduced.
+
+    Over Q an entry new to acc is seeded with its term c*x, not added to
+    the int 0, and c = 1 forms no product: a Fraction meeting an int goes
+    through Fraction's reflected dispatch at the cost of a real Fraction
+    add.  acc stays zero-free even where d holds a zero.
+    """
     if c == 0:
         return acc
     if p is None:
+        one = c == 1
         for i, x in d.items():
-            v = acc.get(i, 0) + c * x
-            if v == 0:
-                acc.pop(i, None)
-            else:
+            t = x if one else c * x
+            o = acc.get(i)
+            v = t if o is None else o + t
+            if v:
                 acc[i] = v
+            else:
+                acc.pop(i, None)
         return acc
     for i, x in d.items():
         v = (acc.get(i, 0) + c * x) % p
@@ -211,13 +229,17 @@ def legsum(t, n, term, p=None):
     a flat tensor t, n the dimension of the second factor.
 
     term returns a sparse vector; a one-key {k: 0}, a leg's zero scalar
-    factor, adds nothing.  `residues` finishes the sum once, at the end.
+    factor, adds nothing.  Each entry of the sum is seeded with its first
+    term, as in every sparse kernel, and `residues` finishes the sum once,
+    at the end.
     """
     acc = {}
     for ij, c in t.items():
         i, j = divmod(ij, n)
         for k, x in term(i, j).items():
-            acc[k] = acc.get(k, 0) + c * x
+            v = c * x
+            o = acc.get(k)
+            acc[k] = v if o is None else o + v
     return residues(acc, p)
 
 
@@ -290,6 +312,8 @@ class Echelon:
 
     def insert(self, vec):
         """Insert a sparse vector. True if rank grew."""
+        if not vec:
+            return False
         row, _ = _int_row(vec, self.p)
         return insert_row(self.rows, row, self.ncols, self.p) >= 0
 
@@ -321,6 +345,8 @@ class EchelonExpr:
         self.nkept = 0
 
     def insert(self, vec):
+        if not vec:
+            return ("dep", {})
         p = self.p
         ncols = self.ncols
         row, den = _int_row(vec, p)

@@ -86,7 +86,9 @@ def basic_construction(cert, q):
     `q` is the relative tensor square `ag.relative_tensor_square(cert)`,
     whose dimension is that of M1, so a caller can refuse a level before
     building it.  Each cell of the table on the section representatives is
-    decided, and each e_a E(e_b e_c) is formed once per (a, b, c).
+    decided, and each e_a E(e_b e_c) is formed once per (a, b, c), only
+    where E(e_b e_c) is nonzero; a cell whose factor e_a E(e_b e_c) is zero
+    is the empty cell, with no class formed.
     Verifies the characterizing properties, certifies M1/M as a symmetric
     Markov extension with the composed trace, and checks the product
     anti-isomorphism between C_M(N) and C_{M1}(M).
@@ -111,8 +113,9 @@ def basic_construction(cert, q):
     cs = {c for c, _ in reps}
     table = []
     for (a, b) in reps:
-        left = {c: M.mul({a: 1}, mids[b][c]) for c in cs}
-        table.append([cls(left[c], {d: 1}) for (c, d) in reps])
+        left = {c: M.mul({a: 1}, mids[b][c]) for c in cs if mids[b][c]}
+        table.append([cls(left[c], {d: 1}) if left.get(c) else {}
+                      for (c, d) in reps])
     unit = {}
     for x, y in zip(xs, ys):
         sadd_into(unit, cls(x, y), 1, p)
@@ -986,9 +989,9 @@ class DerivedWeakHopf:
                     lhs = ag.apply_map(G, expA(ctx.mul(ahat[i], ahat[k])), p)
                     # <a_i, b1><a_k, b2> = <a_i (x) a_k, Delta(b)>
                     gik = tensor_sparse(G[i], G[k], nB, p)
-                    rhs = la.residues({j: sum(c * gik.get(uv, 0)
-                                              for uv, c in dj.items())
-                                       for j, dj in enumerate(B.delta)}, p)
+                    rhs = la.residues({j: la.scalar_sum(
+                        c * gik[uv] for uv, c in dj.items() if uv in gik)
+                        for j, dj in enumerate(B.delta)}, p)
                     law.check((i, k), lhs, rhs)
 
         # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1

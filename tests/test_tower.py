@@ -47,6 +47,37 @@ def test_basic_construction_forms_each_left_factor_once(monkeypatch):
     assert len(calls) <= 1901
 
 
+def test_tower_forms_nothing_on_a_known_zero(monkeypatch):
+    # building the tower of Q in M2 to level 2: 1,634 Algebra.mul and 3,411
+    # apply_map calls with no product, E value or class formed of an empty
+    # cell or zero vector; 3,698 and 7,867 when each was formed anyway
+    cert = corpus.ext_q_m2()
+    mul, apply_map = ag.Algebra.mul, ag.apply_map
+    calls = {"mul": 0, "apply_map": 0}
+
+    def counting_mul(alg, x, y):
+        calls["mul"] += 1
+        return mul(alg, x, y)
+
+    def counting_map(rows, x, p=None):
+        calls["apply_map"] += 1
+        return apply_map(rows, x, p)
+
+    monkeypatch.setattr(ag.Algebra, "mul", counting_mul)
+    monkeypatch.setattr(ag, "apply_map", counting_map)
+    t = tw.build_tower(cert, 2)
+    assert t.checks.ok
+    assert calls["mul"] <= 1634 and calls["apply_map"] <= 3411
+
+    # E.products applies E once per nonempty cell of M2: 512 of 4,096
+    E = t.levels[1].cert.E
+    fresh = ag.CondExpectation(E.incl, E.rows)
+    calls["apply_map"] = 0
+    assert fresh.products == E.products
+    nonempty = sum(1 for row in E.incl.big.table for cell in row if cell)
+    assert calls["apply_map"] == nonempty == 512
+
+
 def test_basic_construction_checks(towers):
     for name, t in towers.items():
         for lvl in t.levels:
