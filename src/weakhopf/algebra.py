@@ -660,15 +660,20 @@ def trace_dual_bases(A, trace):
     n = A.dim
     # b_i is column i of the inverse Gram matrix t(e_i e_j): row i of the
     # inverse of its transpose
-    gram = [la.residues({j: la.scalar_sum(c * trace[k] for k, c in cell)
-                         for j, cell in enumerate(row) if cell}, A.p)
-            for row in A.table]
     try:
-        b_s = la.inverse(la.transpose(gram, n), n, A.p)
+        b_s = la.inverse(la.transpose(trace_form(A, trace), n), n, A.p)
     except la.NoSolution:
         return None
     a_s = tuple({i: 1} for i in range(n))
     return a_s, b_s
+
+
+def trace_form(A, trace):
+    """The Gram matrix of a functional on A as sparse rows: row i holds
+    t(e_i e_j) at j, read off the nonempty cells of A's table."""
+    return [la.residues({j: la.scalar_sum(c * trace[k] for k, c in cell)
+                         for j, cell in enumerate(row) if cell}, A.p)
+            for row in A.table]
 
 
 def trace_of(trace, x, p=None):

@@ -1,10 +1,11 @@
 """Built-in example algebras, extensions and negative controls.
 
 These feed the test suite, the CLI round-trip checks and the README
-examples.  The three certified extensions here are the standing tower
-inputs: the ground field inside the diagonal plane (index 2), the ground
-field inside the 2x2 matrix algebra (index 4), and the diagonal plane
-inside the 2x2 matrix algebra (index 2).
+examples.  The three certified extensions of `standing_extensions` are the
+standing tower inputs: the ground field inside the diagonal plane (index
+2), the ground field inside the 2x2 matrix algebra (index 4), and the
+diagonal plane inside the 2x2 matrix algebra (index 2); `ext_q_q3` adds
+the ground field inside the diagonal 3-space (index 3).
 """
 
 from fractions import Fraction
@@ -78,6 +79,15 @@ def ext_q_q2():
     trace = (F(1),)
     db = ag.find_dual_bases(E)
     return ag.certify_markov(incl, E, db, trace)
+
+
+def ext_q_q3():
+    """Ground field inside the diagonal 3-space; E = mean, index 3."""
+    F = Fraction
+    incl = ag.make_inclusion(field_algebra(), diagonal_algebra(3),
+                             [{0: F(1), 1: F(1), 2: F(1)}])
+    E = ag.make_cond_expectation(incl, [{0: F(1, 3)}] * 3)
+    return ag.certify_markov(incl, E, ag.find_dual_bases(E), (F(1),))
 
 
 def ext_q_m2():

@@ -8,18 +8,24 @@ properties (span, E(e) = lambda 1, the e x e contraction), certifies the
 new extension as a symmetric Markov extension, and checks the canonical
 anti-isomorphism between the first two relative commutants.
 
-The depth-2 machinery keeps every element in the coordinates of the top
-level M2, where all six centralizers live; the derived weak Hopf structure
-on B is solved from the duality pairing and then every identity of the
-derivation chain is re-verified one by one on full bases.  Each shared
-object is built once and read by every later stage: the context holds the
-embeddings of N, M and M1 (each inclusion its image, `incl.image`), the
-pairing the subalgebra V, and the derived structure lambda^-1 Delta(b) and
-A inside M1, read back from M2 through the verified E onto M1
-(E o embed = id); B keeps the inverse of its antipode (`WeakHopf.s_inv`)
-for the derivation and the smash product alike.  One routine,
-`_smash_iso`, verifies both smash isomorphisms M1 # B -> M2 and
-M # A -> M1, and reads the inclusion x -> x # 1 from the smash product.
+The depth-2 machinery keeps its elements in the coordinates of the top
+level M2, where all six centralizers live.  A trace T(x y) is read as x
+against the covector T(e_m y) of y, built once per y from the trace form
+of M2, and <a a', b> as the Gram rows at A's table cell of a a', so no
+product is formed for either.  The measuring laws through E_M1 are decided
+in M1, whose embedding in M2 is verified multiplicative and injective:
+their left sides are read through M1's table from the E_M1 tables the laws
+build.  The derived weak Hopf structure on B is solved from the duality
+pairing and every identity of the derivation chain is re-verified on full
+bases.  Each shared object is built once and read by every later stage:
+the context holds the embeddings of N, M and M1 (each inclusion its image,
+`incl.image`) and the covectors of B's basis, the pairing the subalgebra
+V, and the derived structure lambda^-1 Delta(b) and A inside M1, read back
+from M2 through the verified E onto M1 (E o embed = id); B keeps the
+inverse of its antipode (`WeakHopf.s_inv`) for the derivation and the
+smash product alike.  One routine, `_smash_iso`, verifies both smash
+isomorphisms M1 # B -> M2 and M # A -> M1, and reads the inclusion
+x -> x # 1 from the smash product.
 
 The derivation is written in Sweedler notation, e.g.
 E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1); each such
@@ -31,6 +37,7 @@ scaled once), and a leg whose scalar factor is zero forms no product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
@@ -361,8 +368,24 @@ class DepthTwoContext:
         return self.t.embed(1, 2, ag.apply_map(self.lv2.cert.E.rows, x,
                                                self.p))
 
-    def T(self, x):
-        return ag.trace_of(self.T2, x, self.p)
+    def T(self, x, tau=None):
+        """T(x); T(x y) when tau is the covector cov(y)."""
+        return ag.trace_of(self.T2 if tau is None else tau, x, self.p)
+
+    @cached_property
+    def trace_form(self):
+        """Row k holds T(e_m e_k) at m, read once off M2's nonempty cells."""
+        return la.transpose(ag.trace_form(self.M2, self.T2), self.M2.dim)
+
+    def cov(self, y):
+        """The covector tau[m] = T(e_m y) of y, dense over M2: T(x y) is then
+        read as T(x, tau), with no product formed in M2."""
+        return la.dense(ag.apply_map(self.trace_form, y, self.p), self.M2.dim)
+
+    @cached_property
+    def cov_B(self):
+        """The covector of each basis element of B."""
+        return [self.cov(b) for b in self.B.basis]
 
     def mul(self, *xs):
         return self.M2.mulm(*xs)
@@ -446,22 +469,25 @@ def conditional_expectations(ctx, d2):
 
     with cl.holds("V_trace_duals", "c_i T(d_i v) = v on V") as law:
         for k, v in law.over(enumerate(ctx.V.basis)):
+            tv = ctx.cov(v)
             acc = {}
             for ci, di in zip(c_i, d_i):
-                sadd_into(acc, ci, T(ctx.mul(di, v)), p)
+                sadd_into(acc, ci, T(di, tv), p)
             law.check((k,), acc, v)
 
-    # E_B(c) = T(c u_j c_i) d_i v_j on the C basis
+    # E_B(c) = T(c u_j c_i) d_i v_j on the C basis; u_j c_i and d_i v_j are
+    # formed once per (j, i), for this formula and the second one below
+    uc = [ctx.mul(uj, ci) for uj in us for ci in c_i]
+    dv = [ctx.mul(di, vj) for vj in vs for di in d_i]
+    cov_uc = [ctx.cov(x) for x in uc]
     C = ctx.C
     ebays = []
     for c in C.basis:
         out = {}
-        for uj, vj in zip(us, vs):
-            cu = ctx.mul(c, uj)
-            for ci, di in zip(c_i, d_i):
-                coef = T(ctx.mul(cu, ci))
-                if coef != 0:
-                    sadd_into(out, ctx.mul(di, vj), coef, p)
+        for tau, x in zip(cov_uc, dv):
+            coef = T(c, tau)
+            if coef != 0:
+                sadd_into(out, x, coef, p)
         ebays.append(out)
     ep = ExpectationPair(C, ag.map_rows(ebays, p), cl)
     E_B, E_A = ep.E_B, ctx.E_M1
@@ -488,34 +514,36 @@ def conditional_expectations(ctx, d2):
     cl.add("E_B_of_e1", "E_B(e1) = lambda 1",
            E_B(ctx.e1) == la.sscale(M2.unit_sparse(), lam, p))
 
+    cov_B, cov_C = ctx.cov_B, [ctx.cov(c) for c in Cb]
     with cl.holds("E_B_trace_compatible", "T(E_B(c) b) = T(b c)") as law:
         for ci, c in law.over(enumerate(Cb)):
             for bi, b in law.over(enumerate(Bb)):
-                law.check((ci, bi), T(ctx.mul(EBc[ci], b)),
-                          T(ctx.mul(b, c)))
+                law.check((ci, bi), T(EBc[ci], cov_B[bi]), T(b, cov_C[ci]))
 
     with cl.holds("E_B_preserves_T", "T o E_B = T on C") as law:
         for i, c in law.over(enumerate(Cb)):
             law.check((i,), T(EBc[i]), T(c))
 
+    cov_ci = [ctx.cov(ci) for ci in c_i]
     with cl.holds("commuting_square",
                   "E_A E_B = E_B E_A = T(c c_i) d_i") as law:
         for i, c in law.over(enumerate(Cb)):
             lhs = E_A(EBc[i])
             rhs = E_B(E_A(c))
             direct = {}
-            for ci, di in zip(c_i, d_i):
-                sadd_into(direct, di, T(ctx.mul(c, ci)), p)
+            for tau, di in zip(cov_ci, d_i):
+                sadd_into(direct, di, T(c, tau), p)
             if law.check((i,), lhs, rhs):
                 law.check((i,), lhs, direct)
 
     # symmetric square: AB = BA = C, and A (x)_V B = C as vector spaces
-    spanAB = la.Subspace.from_vectors(
-        M2.dim, [ctx.mul(a, b) for a in Ab for b in Bb], p)
+    ab = [ctx.mul(a, b) for a in Ab for b in Bb]
+    spanAB = la.Subspace.from_vectors(M2.dim, ab, p)
     spanBA = la.Subspace.from_vectors(
         M2.dim, [ctx.mul(b, a) for a in Ab for b in Bb], p)
     cl.add("symmetric_square_spans", "AB = BA = C",
-           spanAB == C and spanBA == C)
+           spanAB == C and spanBA == C,
+           witness="dim AB %d, BA %d, C %d" % (spanAB.dim, spanBA.dim, C.dim))
 
     nA, nB = ctx.A.dim, ctx.B.dim
     rel = []  # (a v) (x) b - a (x) (v b) in A (x) B coordinates
@@ -529,61 +557,55 @@ def conditional_expectations(ctx, d2):
                 if vec:
                     rel.append(vec)
     qAB = la.quotient(nA * nB, la.Subspace.from_vectors(nA * nB, rel, p))
-    rk = la.rank([ctx.mul(Ab[c // nB], Bb[c % nB]) for c in qAB.section_cols],
-                 M2.dim, p)
+    rk = la.rank([ab[c] for c in qAB.section_cols], M2.dim, p)
     cl.add("relative_tensor_AB", "A (x)_V B = C as vector spaces",
            qAB.dim == C.dim and rk == C.dim,
            witness="dim %d vs %d, rank %d" % (qAB.dim, C.dim, rk))
 
-    # Pimsner-Popa identities for E_A and E_B; mul(e, c) = e c for the
-    # left identities, c e for the right ones
+    # c e2, e2 c, c e1 and e1 c, formed once for the Pimsner-Popa identities
+    # (mul(e, x) = e x on the left, x e on the right) and the spans below
+    e1, e2 = ctx.e1, ctx.e2
+    ce2, e2c = [ctx.mul(c, e2) for c in Cb], [ctx.mul(e2, c) for c in Cb]
+    ce1, e1c = [ctx.mul(c, e1) for c in Cb], [ctx.mul(e1, c) for c in Cb]
+
     def flip(x, y):
         return ctx.mul(y, x)
 
-    for name, text, e, E, mul in (
-            ("pp_e2_left", "lambda^-1 e2 E_A(e2 c) = e2 c", ctx.e2, E_A, ctx.mul),
-            ("pp_e2_right", "lambda^-1 E_A(c e2) e2 = c e2", ctx.e2, E_A, flip),
-            ("pp_e1_left", "lambda^-1 e1 E_B(e1 c) = e1 c", ctx.e1, E_B, ctx.mul),
-            ("pp_e1_right", "lambda^-1 E_B(c e1) e1 = c e1", ctx.e1, E_B, flip)):
+    for name, text, e, E, mul, ecs in (
+            ("pp_e2_left", "lambda^-1 e2 E_A(e2 c) = e2 c", e2, E_A, ctx.mul, e2c),
+            ("pp_e2_right", "lambda^-1 E_A(c e2) e2 = c e2", e2, E_A, flip, ce2),
+            ("pp_e1_left", "lambda^-1 e1 E_B(e1 c) = e1 c", e1, E_B, ctx.mul, e1c),
+            ("pp_e1_right", "lambda^-1 E_B(c e1) e1 = c e1", e1, E_B, flip, ce1)):
         with cl.holds(name, text) as law:
-            for i, c in law.over(enumerate(Cb)):
-                ec = mul(e, c)
+            for i, ec in law.over(enumerate(ecs)):
                 law.check((i,), la.sscale(mul(e, E(ec)), lam_inv, p), ec)
 
     # span consequences
-    def span_eq(vecs1, vecs2):
+    def span_eq(name, text, vecs1, vecs2):
         s1 = la.Subspace.from_vectors(M2.dim, vecs1, p)
         s2 = la.Subspace.from_vectors(M2.dim, vecs2, p)
-        return s1 == s2
+        cl.add(name, text, s1 == s2, witness="dim %d vs %d" % (s1.dim, s2.dim))
 
-    cl.add("Ce2_eq_Ae2", "C e2 = A e2",
-           span_eq([ctx.mul(c, ctx.e2) for c in Cb],
-                   [ctx.mul(a, ctx.e2) for a in Ab]))
-    cl.add("e2C_eq_e2A", "e2 C = e2 A",
-           span_eq([ctx.mul(ctx.e2, c) for c in Cb],
-                   [ctx.mul(ctx.e2, a) for a in Ab]))
-    cl.add("Ce1_eq_Be1", "C e1 = B e1",
-           span_eq([ctx.mul(c, ctx.e1) for c in Cb],
-                   [ctx.mul(b, ctx.e1) for b in Bb]))
-    cl.add("e1C_eq_e1B", "e1 C = e1 B",
-           span_eq([ctx.mul(ctx.e1, c) for c in Cb],
-                   [ctx.mul(ctx.e1, b) for b in Bb]))
+    ae2, be1 = [ctx.mul(a, e2) for a in Ab], [ctx.mul(b, e1) for b in Bb]
+    span_eq("Ce2_eq_Ae2", "C e2 = A e2", ce2, ae2)
+    span_eq("e2C_eq_e2A", "e2 C = e2 A", e2c, [ctx.mul(e2, a) for a in Ab])
+    span_eq("Ce1_eq_Be1", "C e1 = B e1", ce1, be1)
+    span_eq("e1C_eq_e1B", "e1 C = e1 B", e1c, [ctx.mul(e1, b) for b in Bb])
 
-    for name, text, X, e in (("C_is_Ae2A", "C = A e2 A", Ab, ctx.e2),
-                             ("C_is_Be1B", "C = B e1 B", Bb, ctx.e1)):
-        xes = [ctx.mul(x, e) for x in X]
-        cl.add(name, text, la.rank((ctx.mul(xe, x2) for xe in xes
-                                    for x2 in X), M2.dim, p) == C.dim)
+    for name, text, X, xes in (("C_is_Ae2A", "C = A e2 A", Ab, ae2),
+                               ("C_is_Be1B", "C = B e1 B", Bb, be1)):
+        rk = la.rank((ctx.mul(xe, x2) for xe in xes for x2 in X), M2.dim, p)
+        cl.add(name, text, rk == C.dim,
+               witness="rank %d vs dim C %d" % (rk, C.dim))
 
     # the second trace formula for E_B
     with cl.holds("E_B_alternative", "E_B(c) = u_j c_i T(d_i v_j c)") as law:
         for i, c in law.over(enumerate(Cb)):
             alt = {}
-            for uj, vj in zip(us, vs):
-                for ci, di in zip(c_i, d_i):
-                    coef = T(ctx.mul(ctx.mul(di, vj), c))
-                    if coef != 0:
-                        sadd_into(alt, ctx.mul(uj, ci), coef, p)
+            for x, y in zip(dv, uc):
+                coef = T(x, cov_C[i])
+                if coef != 0:
+                    sadd_into(alt, y, coef, p)
             law.check((i,), alt, EBc[i])
 
     return ep
@@ -634,23 +656,23 @@ def pairing(ctx):
         for i, vh in law.over(enumerate(vhat)):
             law.check((i,), M2.commutator(w, vh), {})
 
+    cov_wv = [ctx.cov(ctx.mul(w, vh)) for vh in vhat]
     with cl.holds("w_duality", "f1 T(v w f2) = v on V") as law:
         for k, v in law.over(enumerate(ctx.V.basis)):
-            acc = injV(la.legsum(f, nV, lambda i, j: {
-                i: T(ctx.mul(v, w, vhat[j]))}, p))
+            acc = injV(la.legsum(f, nV, lambda i, j: {i: T(v, cov_wv[j])}, p))
             law.check((k,), acc, v)
 
     lam2 = ctx.lam_inv * ctx.lam_inv
     Ab, Bb = ctx.A.basis, ctx.B.basis
     mid = ctx.mul(ctx.e2, ctx.e1, w)
     mid2 = ctx.mul(ctx.e1, ctx.e2, w)
-    gram = []
-    for a in Ab:
-        amid = ctx.mul(a, mid)
-        gram.append(la.residues({j: lam2 * T(ctx.mul(amid, b))
-                                 for j, b in enumerate(Bb)}, p))
-    gram2 = [la.residues({i: lam2 * T(ctx.mul(b, mid2, a))
-                          for i, a in enumerate(Ab)}, p) for b in Bb]
+    gram = [la.residues({j: lam2 * T(amid, tau)
+                         for j, tau in enumerate(ctx.cov_B)}, p)
+            for amid in (ctx.mul(a, mid) for a in Ab)]
+    cov_A = [ctx.cov(a) for a in Ab]
+    gram2 = [la.residues({i: lam2 * T(bmid, tau)
+                          for i, tau in enumerate(cov_A)}, p)
+             for bmid in (ctx.mul(b, mid2) for b in Bb)]
     nd = la.rank(gram, len(Bb), p) == ctx.A.dim == ctx.B.dim
     cl.add("pairing_nondegenerate",
            "<a, b> = lambda^-2 T(a e2 e1 w b) is non-degenerate", nd)
@@ -680,7 +702,6 @@ class DerivedWeakHopf:
         M2 = ctx.M2
         p = ctx.p
         T = ctx.T
-        lam2 = ctx.lam_inv * ctx.lam_inv
         nB = ctx.B.dim
         nA = ctx.A.dim
 
@@ -695,19 +716,16 @@ class DerivedWeakHopf:
         Ginv = la.inverse(G, nA, p)
         self.gram_inv = Ginv
 
+        # <a_i a_k, b_j> = sum_l (a_i a_k)_l <a_l, b_j>, the row of G at
+        # each cell of A's table (row i nA + k); eps(b_j) = <1, b_j>
+        pairs = [ag.apply_map(G, dict(cell), p) for row in A_alg.table
+                 for cell in row]
+        eps_vec = la.dense(ag.apply_map(G, A_alg.unit_sparse(), p), nB)
         # Delta_B(b_j) = (G^-1 (x) G^-1) applied to <a_i a_k, b_j>, read
         # through G^-T = (G^T)^-1, the transpose of G^-1
         Ginv_t = la.transpose(Ginv, nB)
-        mid = ctx.mul(ctx.e2, ctx.e1, pd.w)
-        P = [[ctx.mul(ahat[i], ahat[k], mid) for k in range(nA)]
-             for i in range(nA)]
-        delta_rows = []
-        for j in range(nB):
-            R = la.residues({i * nA + k: lam2 * T(ctx.mul(P[i][k], bhat[j]))
-                             for i in range(nA) for k in range(nA)}, p)
-            delta_rows.append(ag.apply_tensor(Ginv_t, Ginv_t, R, nA, nB, p))
-        eps_vec = [la.residue(lam2 * T(ctx.mul(mid, bhat[j])), p)
-                   for j in range(nB)]
+        delta_rows = [ag.apply_tensor(Ginv_t, Ginv_t, R, nA, nB, p)
+                      for R in la.transpose(pairs, nB)]
         # S(b_j) = G2^-1 G e_j: column j of G through the second inverse
         s_rows = ag.compose_maps(pd.gram_t, la.inverse(pd.gram2, nA, p), p)
         B = wha.make_weakhopf(B_alg, delta_rows, eps_vec, s_rows)
@@ -727,10 +745,11 @@ class DerivedWeakHopf:
             return ag.apply_map(B.s_inv, x_co, p)
 
         # eps(b) = lambda^-1 T(e2 w b)
+        e2w = ctx.mul(e2, w)
         with cl.holds("eps_formula", "eps(b) = lambda^-1 T(e2 w b)") as law:
             for j in law.over(range(nB)):
                 law.check((j,), eps_vec[j],
-                          la.residue(lam_inv * T(ctx.mul(e2, w, bhat[j])), p))
+                          la.residue(lam_inv * T(e2w, ctx.cov_B[j]), p))
 
         with cl.holds("eps_S_invariant", "eps(S(b)) = eps(b)") as law:
             for j in law.over(range(nB)):
@@ -813,7 +832,6 @@ class DerivedWeakHopf:
 
         em = B.eps_products  # eps(b_j b_k)
         # E_A(e2 w b_k) w^-1 per k, here and in sweedler_recovery
-        e2w = ctx.mul(e2, w)
         ea_w = [ctx.mul(E_A(ctx.mul(e2w, b)), w_inv) for b in bhat]
         with cl.holds("lemma_c",
                       "lambda^-1 E_A(e2 w b) w^-1 = eps(b 1(1)) 1(2)") as law:
@@ -843,12 +861,13 @@ class DerivedWeakHopf:
                S(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
 
         # Prop: lambda^-1 E_B(e1 w b a) = <a, b1> w b2 and the recovery identity
+        e1w = ctx.mul(e1, w)
         with cl.holds("pairing_slice",
                       "lambda^-1 E_B(e1 w b a) = <a, b1> w b2") as law:
             for j in law.over(range(nB)):
+                e1wb = ctx.mul(e1w, bhat[j])
                 for i in law.over(range(nA)):
-                    lhs = la.sscale(E_B(ctx.mul(e1, w, bhat[j], ahat[i])),
-                                    lam_inv, p)
+                    lhs = la.sscale(E_B(ctx.mul(e1wb, ahat[i])), lam_inv, p)
                     rhs = ctx.mul(w, injB(la.legsum(
                         B.delta[j], nB, lambda k, l: {l: G[i].get(k, 0)}, p)))
                     law.check((j, i), lhs, rhs)
@@ -867,7 +886,8 @@ class DerivedWeakHopf:
         # per-index factors of the two slices below, so that each leg costs
         # one product: b_l w^-1, E_A(e2 e1 w b_k), w^-1 x and E_M1(e2 x b_k)
         bw = [ctx.mul(b, w_inv) for b in bhat]
-        ea_e1 = [E_A(ctx.mul(mid, b)) for b in bhat]  # mid = e2 e1 w
+        mid = ctx.mul(e2, e1, w)
+        ea_e1 = [E_A(ctx.mul(mid, b)) for b in bhat]
         w_e1_w = ctx.mul(w_inv, e1, w)
         with cl.holds("heart",
                       "w^-1 e1 w b = lambda^-1 b2 w^-1 E_A(e2 e1 w b1)") as law:
@@ -892,20 +912,23 @@ class DerivedWeakHopf:
                     law.check((j, i), lhs, rhs)
 
         # E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1)
-        q_tab = [[ctx.E_M1(ctx.mul(e2w, M1b[x], bhat[k]))
-                  for k in range(nB)] for x in range(nM1)]
-
+        # in M1: q[k][x] = E_M1(e2 w x b_k), read at the cell of y x
+        M1 = ctx.M1
+        unemb2 = ctx.lv2.cert.E.E_small  # E_M1, the identity on M1 in M2
+        w_inv_M1 = unemb2(w_inv)
+        e2wx = [ctx.mul(e2w, x) for x in M1b]
+        q = [[unemb2(ctx.mul(v, b)) for v in e2wx] for b in bhat]
+        qw = [[M1.mul(v, w_inv_M1) for v in row] for row in q]
         with cl.holds("expectation_measuring",
                       "E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 "
                       "E_M1(e2 w x b1)") as law:
             for y in law.over(range(nM1)):
-                e2wy = ctx.mul(e2w, M1b[y])
                 for x in law.over(range(nM1)):
-                    e2wyx = ctx.mul(e2wy, M1b[x])
+                    yx = dict(M1.table[y][x])
                     for j in law.over(range(nB)):
-                        lhs = ctx.E_M1(ctx.mul(e2wyx, bhat[j]))
+                        lhs = ag.apply_map(q[j], yx, p)
                         rhs = la.legsum(lam_delta[j], nB, lambda k, l: (
-                            ctx.mul(q_tab[y][l], w_inv, q_tab[x][k])), p)
+                            M1.mul(qw[l][y], q[k][x])), p)
                         law.check((y, x, j), lhs, rhs)
 
         # counital formulas
@@ -947,10 +970,8 @@ class DerivedWeakHopf:
         # up that factor), so it coincides with e2 w only when E_M(w) = 1.
         haar = ctx.mul(e2, injB(S_inv(expB(e2))))
         hB = expB(haar)
-        # A inside M1, for the later stages too: E_M1 is the identity on M1
-        unemb2 = ctx.lv2.cert.E.E_small
+        # A inside M1, for the later stages too
         self.a_in_M1 = [unemb2(a) for a in ahat]
-        w_inv_M1 = unemb2(w_inv)
         w_M1 = unemb2(w)
         E_M = ctx.lv1.cert.E.rows
         EMw_inv = ctx.t.embed(0, 2, ag.apply_map(E_M, w_inv_M1, p))
@@ -986,7 +1007,7 @@ class DerivedWeakHopf:
                       "<a a', b> = <a, b1><a', b2> identifies A with B*") as law:
             for i in law.over(range(nA)):
                 for k in law.over(range(nA)):
-                    lhs = ag.apply_map(G, expA(ctx.mul(ahat[i], ahat[k])), p)
+                    lhs = pairs[i * nA + k]
                     # <a_i, b1><a_k, b2> = <a_i (x) a_k, Delta(b)>
                     gik = tensor_sparse(G[i], G[k], nB, p)
                     rhs = la.residues({j: la.scalar_sum(
@@ -1033,11 +1054,12 @@ def action_B_on_M1(ctx, dw):
     bhat = dw.bhat
     M1 = ctx.M1
 
-    # r_tab[j][x] = E_M1(b_j x e2), M1 coords
+    # b_k x, formed once for r_tab[j][x] = E_M1(b_j x e2) (M1 coords) and
+    # for the conjugation form
     E_M1 = ctx.lv2.cert.E.rows
-    r_tab = [[ag.apply_map(E_M1,
-                           ctx.mul(bhat[j], ctx.M1_in_M2[x], ctx.e2), p)
-              for x in range(M1.dim)] for j in range(nB)]
+    bx = [[ctx.mul(b, x) for x in ctx.M1_in_M2] for b in bhat]
+    r_tab = [[ag.apply_map(E_M1, ctx.mul(v, ctx.e2), p) for v in row]
+             for row in bx]
     act = [[la.sscale(r, ctx.lam_inv, p) for r in row] for row in r_tab]
     MB, mcl = ac.make_module_algebra(B, M1, act)
     cl.extend(mcl)
@@ -1064,10 +1086,11 @@ def action_B_on_M1(ctx, dw):
             for x in law.over(range(M1.dim)):
                 lhs = ctx.t.embed(1, 2, MB.act[j][x])
                 rhs = la.legsum(B.delta[j], nB, lambda k, l: ctx.mul(
-                    bhat[k], ctx.M1_in_M2[x], s_hat[l]), p)
+                    bx[k][x], s_hat[l]), p)
                 law.check((j, x), lhs, rhs)
 
-    # measuring through the expectation, over the legs of lambda^-1 Delta(b)
+    # measuring through the expectation, over the legs of lambda^-1 Delta(b);
+    # E_M1 is linear, so the left side is r_tab[j] read at M1's cell of x y
     lam_delta = dw.lam_delta
     with cl.holds("expectation_measuring_form",
                   "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)"
@@ -1075,10 +1098,7 @@ def action_B_on_M1(ctx, dw):
         for j in law.over(range(nB)):
             for x in law.over(range(M1.dim)):
                 for y in law.over(range(M1.dim)):
-                    xy = dict(M1.table[x][y])
-                    lhs = ag.apply_map(
-                        E_M1,
-                        ctx.mul(bhat[j], ctx.t.embed(1, 2, xy), ctx.e2), p)
+                    lhs = ag.apply_map(r_tab[j], dict(M1.table[x][y]), p)
                     rhs = la.legsum(lam_delta[j], nB, lambda k, l: M1.mul(
                         r_tab[k][x], r_tab[l][y]), p)
                     law.check((j, x, y), lhs, rhs)

@@ -493,9 +493,10 @@ def extension_file(tmp_path, name):
 # each extension, recorded before the depth-2 pipeline was refactored to
 # build each shared object once (the first three) and before the smash
 # product read its basis tables (q_in_m2, index 4, and the non-depth-2
-# control s3_z2): the refactors keep every byte.  The same bytes come out
-# over F_13 and over the large prime 65521, where residues near p show a
-# missed reduction mod p
+# control s3_z2), and before the derivation read its traces against
+# covectors (q_in_q3, index 3): the refactors keep every byte.  The same
+# bytes come out over F_13 and over the large prime 65521, where residues
+# near p show a missed reduction mod p
 DERIVE_DIGESTS = {
     "q_in_q2": (0,
         "7e95dfcff4404f0ce077814268f80a8dae29dd93742a3deeb4d61a189f466180"),
@@ -507,8 +508,11 @@ DERIVE_DIGESTS = {
         "872333cde23356db52161788b8ec55bdc5b6c0abe9604d637161fe3618a02a8e"),
     "s3_z2": (1,
         "980b57225e7b08bc20a4a2a3d3f99487fa47e4a5be76137e3a547ac1f103d509"),
+    "q_in_q3": (0,
+        "5a24ba4ffe93b2655f233f5647fa918ebce01c06c79fcdfffb9d4ff0563390b5"),
 }
-EXTENSIONS = {"q_in_q2": corpus.ext_q_q2, "q2_in_m2": corpus.ext_q2_m2,
+EXTENSIONS = {"q_in_q2": corpus.ext_q_q2, "q_in_q3": corpus.ext_q_q3,
+              "q2_in_m2": corpus.ext_q2_m2,
               "trivial_m2": corpus.ext_trivial_m2, "q_in_m2": corpus.ext_q_m2,
               "s3_z2": corpus.ext_s3_z2}
 
@@ -518,7 +522,8 @@ EXTENSIONS = {"q_in_q2": corpus.ext_q_q2, "q2_in_m2": corpus.ext_q2_m2,
     ("q_in_q2", "prime 13"), ("q_in_m2", None), ("q_in_m2", "prime 13"),
     ("s3_z2", None), ("s3_z2", "prime 13"), ("q_in_q2", "prime 65521"),
     ("q2_in_m2", "prime 65521"), ("q_in_m2", "prime 65521"),
-    ("s3_z2", "prime 65521")])
+    ("s3_z2", "prime 65521"), ("q_in_q3", None), ("q_in_q3", "prime 13"),
+    ("q_in_q3", "prime 65521")])
 def test_derive_reports_are_pinned(tmp_path, capsys, name, field):
     path = extension_file(tmp_path, name)
     if field is not None:
@@ -528,6 +533,45 @@ def test_derive_reports_are_pinned(tmp_path, capsys, name, field):
         == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_table_read_laws_keep_their_witnesses_under_delta_cop(
+        tmp_path, capsys, monkeypatch):
+    # B's Delta replaced by Delta^cop on q_in_m2 over F_13: the laws read
+    # from covectors and E_M1 tables fail where they failed when each side
+    # was formed in M2, with the same witnesses (recorded before)
+    make = wha.make_weakhopf
+    made = []
+
+    def cop(alg, delta, eps, s):
+        if not made:  # the first weak Hopf algebra of a derivation is B
+            n = alg.dim
+            delta = [{ij % n * n + ij // n: c for ij, c in r.items()}
+                     for r in delta]
+        made.append(alg)
+        return make(alg, delta, eps, s)
+
+    monkeypatch.setattr(wha, "make_weakhopf", cop)
+    path = with_field(extension_file(tmp_path, "q_in_m2"), tmp_path,
+                      "prime 13")
+    assert cli.main(["--format", "machine", "tower", path, "--derive"]) == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [(r["name"], r["witness"]) for r in records
+            if "name" in r and not r["passed"]] == [
+        ("delta_one_formula", None), ("delta_one_symmetric", None),
+        ("delta_right_V", "(0, 0)"), ("delta_one_legs", "(left, 0)"),
+        ("lemma_c", "basis 0"), ("lemma_d", "(0, 1)"),
+        ("pairing_slice", "(0, 1)"), ("sweedler_recovery", "basis 0"),
+        ("heart", "basis 0"), ("m1_slice", "(0, 0)"),
+        ("expectation_measuring", "(0, 0, 0)"), ("eps_t_formula", "basis 0"),
+        ("Ht_is_V", None), ("Hs_is_W", None),
+        ("gram_algebra_iso", "(0, 1)"), ("measuring", "(0, 0, 0)"),
+        ("conjugation_form", "(0, 0)"),
+        ("expectation_measuring_form", "(0, 0, 0)"),
+        ("right_Ht_action", "(0, 2)"), ("dimension", "0 vs 64"),
+        ("bijective", None), ("unital", None),
+        ("inverse_formula", "basis 0"), ("tower_compatible", "basis 0")]
 
 
 def test_appendix_depth_stays_within_the_budget(tmp_path, capsys,

@@ -7,6 +7,8 @@ import ast
 import pathlib
 from fractions import Fraction
 
+import pytest
+
 import weakhopf
 from weakhopf import algebra as ag
 from weakhopf import corpus
@@ -146,6 +148,26 @@ def test_stored_rationals_are_ints_or_proper_fractions():
                for name, xs in scalars.items()}
         assert not any(bad.values()), (p, bad)
         assert all(scalars.values())
+
+
+@pytest.mark.parametrize("p", [None, 13])
+@pytest.mark.parametrize("ext", [corpus.ext_q2_m2, corpus.ext_q_q3])
+def test_covector_reads_the_trace_of_the_product(ext, p):
+    # T(x y) read as x against the covector of y forms no product in M2;
+    # it must equal T(M2.mul(x, y)) on every basis pair of M2 and on sparse
+    # non-basis vectors, in the stored scalar form
+    ctx = tw.DepthTwoContext(tw.build_tower(over(ext(), p), 2))
+    M2, n = ctx.M2, ctx.M2.dim
+    vecs = [{i: 1} for i in range(n)] + [
+        M2.unit_sparse(), ctx.e1, ctx.e2,
+        {0: la.as_scalar(-2, p), n - 1: la.as_scalar(Fraction(1, 2), p)},
+        {1: la.as_scalar(3, p), n // 2: la.as_scalar(Fraction(-5, 3), p)}]
+    form = stored_form if p is None else residue_form(p)
+    for y in vecs:
+        tau = ctx.cov(y)
+        for x in vecs:
+            got = ctx.T(x, tau)
+            assert got == ctx.T(M2.mul(x, y)) and form(got), (x, y)
 
 
 def test_scalar_one_divides_exactly():

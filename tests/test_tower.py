@@ -78,6 +78,24 @@ def test_tower_forms_nothing_on_a_known_zero(monkeypatch):
     assert calls["apply_map"] == nonempty == 512
 
 
+def test_derivation_reads_traces_and_measuring_laws_from_tables(monkeypatch):
+    # deriving the diagonal plane in M2: 1,607 Algebra.mul calls on M2, each
+    # T(x y) read against a covector of y and the measuring laws decided in
+    # M1; 2,776 when each was formed as a product in M2
+    t = tw.build_tower(corpus.ext_q2_m2(), 2)
+    M2 = t.alg(2)
+    mul = ag.Algebra.mul
+    calls = []
+
+    def counting(alg, x, y):
+        calls.append(alg is M2)
+        return mul(alg, x, y)
+
+    monkeypatch.setattr(ag.Algebra, "mul", counting)
+    assert tw.derive(t)[3].ok
+    assert sum(calls) <= 1607
+
+
 def test_basic_construction_checks(towers):
     for name, t in towers.items():
         for lvl in t.levels:
