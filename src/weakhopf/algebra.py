@@ -13,8 +13,8 @@ extensions.
 Each conditional expectation keeps one read-only table,
 ``E.products[i][j] = E(e_i e_j)`` in small coordinates, built once on first
 use.  The laws that take E of a product with a basis element read it
-(N-linearity, dual bases, symmetry, non-degeneracy, the trace T0 = T o E,
-the relative tensor square and the basic construction's E-multiplication).
+(N-linearity, dual bases, symmetry, the trace T0 = T o E, the relative
+tensor square and the basic construction's E-multiplication).
 E is linear, so E(e_m x) = sum_k x_k E(e_m e_k) is the value that the
 product-then-E computation gives, and each law is still decided on every
 basis tuple, in the same order and with the same witness.  The table is
@@ -328,23 +328,23 @@ def subalgebra(big, sub, name="subalgebra"):
 
     Returns (algebra, inject, express): inject maps subalgebra coords into
     the ambient, express goes back (raising NotClosed off the subspace).
+    A subspace that is not closed is refused with NotClosed naming the
+    first basis pair (i, j) whose product leaves it, or the unit.
     """
     n = sub.dim
     rows = sub.basis
 
-    def express(x):
+    def express(x, where="element"):
         co = sub.coords(x)
         if co is None:
-            raise NotClosed("%s: element leaves the subspace" % name)
+            if isinstance(where, tuple):
+                where = "the product of basis pair (%d, %d)" % where
+            raise NotClosed("%s: %s leaves the subspace" % (name, where))
         return co
 
-    table = []
-    for i in range(n):
-        trow = []
-        for j in range(n):
-            trow.append(express(big.mul(rows[i], rows[j])))
-        table.append(trow)
-    unit = dense(express(big.unit_sparse()), n)
+    table = [[express(big.mul(rows[i], rows[j]), (i, j)) for j in range(n)]
+             for i in range(n)]
+    unit = dense(express(big.unit_sparse(), "the unit"), n)
     alg = make_algebra(table, unit, p=big.p)
 
     def inject(x):
@@ -487,58 +487,15 @@ def find_dual_bases(E, within=None):
     for a representative that also satisfies the symmetric product identity
     x_i y_i = y_i x_i in k1 (linear once the scalar is adjoined as an
     unknown), falling back to the plain system.  Raises NoDualBases when
-    even that is infeasible.
-
-    The system is given by the images of its unknowns, the coefficients
-    t_ab of c_a (x) c_b.  Per basis element e_m, E(e_m c_a) and E(c_b e_m)
-    are read from `E.products` once per candidate and then multiplied with
-    every partner candidate, and each product c_a c_b is taken once for
-    both symmetric-product coordinates, so every equation of the system is
-    still written out.  The plain system is the same images with the
-    symmetric-product coordinates dropped.
+    even that is infeasible.  The system is that of `_dual_bases_system`;
+    the plain system is the same images with the symmetric-product
+    coordinates dropped.
     """
     big = E.incl.big
     p = big.p
-    if within is None:
-        cands = [{i: 1} for i in range(big.dim)]
-        prods = [[dict(cell) for cell in row] for row in big.table]
-    else:
-        cands = within.basis
-        prods = [[big.mul(x, y) for y in cands] for x in cands]
     d = big.dim
+    cands, images, lam, rhs = _dual_bases_system(E, within)
     n = len(cands)
-    # unknown ab = a n + b is the coefficient of c_a (x) c_b; its image holds
-    # the e_k coordinate of E(e_m c_a) c_b at 2 (m d + k) and that of
-    # c_a E(c_b e_m) at 2 (m d + k) + 1, and both sums are asked to be e_m
-    images = [{} for _ in range(n * n)]
-    rhs = {}
-    for m in range(d):
-        # E(e_m c_a) and E(c_b e_m), each once per candidate
-        e_mc = [E.incl.emb(E._E_mx(m, c)) for c in cands]
-        e_cm = [E.incl.emb(E._E_xm(c, m)) for c in cands]
-        off = 2 * m * d
-        rhs[off + 2 * m] = rhs[off + 2 * m + 1] = 1
-        for a in range(n):
-            for b in range(n):
-                im = images[a * n + b]
-                for k, v in big.mul(e_mc[a], cands[b]).items():
-                    im[off + 2 * k] = v
-                for k, v in big.mul(cands[a], e_cm[b]).items():
-                    im[off + 2 * k + 1] = v
-    # adjoin lam as unknown n*n and ask for x_i y_i = lam 1 = y_i x_i, the
-    # e_k coordinates at 2 (d d + k) and 2 (d d + k) + 1
-    sym = 2 * d * d
-    for a in range(n):
-        for b in range(n):
-            im = images[a * n + b]
-            for k, v in prods[a][b].items():
-                im[sym + 2 * k] = v
-            for k, v in prods[b][a].items():
-                im[sym + 2 * k + 1] = v
-    lam = {}
-    for k, u in enumerate(big.unit):
-        if u != 0:
-            lam[sym + 2 * k] = lam[sym + 2 * k + 1] = -u
     t = None
     try:
         sol = la.solve(images + [lam], rhs, p)
@@ -548,6 +505,7 @@ def find_dual_bases(E, within=None):
         pass
     if t is None:
         # the plain system: the same images without the symmetric product
+        sym = 2 * d * d
         for im in images:
             for k in [k for k in im if k >= sym]:
                 del im[k]
@@ -570,6 +528,68 @@ def find_dual_bases(E, within=None):
         sadd_into(s, big.mul(x, y), 1, p)
     lam = big.scalar_of(s)
     return DualBases(db.xs, db.ys, lam)
+
+
+def _dual_bases_system(E, within):
+    """(cands, images, lam, rhs): the dual-bases system of
+    `find_dual_bases`.
+
+    Unknown ab = a n + b is the coefficient t_ab of c_a (x) c_b; its image
+    holds the e_k coordinate of E(e_m c_a) c_b at 2 (m d + k) and that of
+    c_a E(c_b e_m) at 2 (m d + k) + 1, and both sums are asked to be e_m.
+    E takes values in the small algebra, so with E(e_m c_a) read from
+    `E.products` in small coordinates, E(e_m c_a) c_b is the combination
+    of the products emb(e_z) c_b weighted by its coordinates, and
+    c_a E(c_b e_m) that of the c_a emb(e_z): each product is formed once
+    per (z, candidate), and every equation of the system is still written
+    out.  The symmetric product x_i y_i = lam 1 = y_i x_i takes the e_k
+    coordinates at 2 (d d + k) and 2 (d d + k) + 1, with each c_a c_b
+    formed once for both; `lam` is the image of the scalar lam, adjoined
+    as unknown n n.
+    """
+    big = E.incl.big
+    p = big.p
+    if within is None:
+        cands = [{i: 1} for i in range(big.dim)]
+        prods = [[dict(cell) for cell in row] for row in big.table]
+    else:
+        cands = within.basis
+        prods = [[big.mul(x, y) for y in cands] for x in cands]
+    d = big.dim
+    n = len(cands)
+    emb = E.incl.embed
+    zc = [[big.mul(ez, c) for ez in emb] for c in cands]  # [b][z]
+    cz = [[big.mul(c, ez) for ez in emb] for c in cands]  # [a][z]
+    images = [{} for _ in range(n * n)]
+    rhs = {}
+    for m in range(d):
+        off = 2 * m * d
+        rhs[off + 2 * m] = rhs[off + 2 * m + 1] = 1
+        for a, c in enumerate(cands):
+            if e_mc := E._E_mx(m, c):
+                for b in range(n):
+                    im = images[a * n + b]
+                    for k, v in apply_map(zc[b], e_mc, p).items():
+                        im[off + 2 * k] = v
+        for b, c in enumerate(cands):
+            if e_cm := E._E_xm(c, m):
+                for a in range(n):
+                    im = images[a * n + b]
+                    for k, v in apply_map(cz[a], e_cm, p).items():
+                        im[off + 2 * k + 1] = v
+    sym = 2 * d * d
+    for a in range(n):
+        for b in range(n):
+            im = images[a * n + b]
+            for k, v in prods[a][b].items():
+                im[sym + 2 * k] = v
+            for k, v in prods[b][a].items():
+                im[sym + 2 * k + 1] = v
+    lam = {}
+    for k, u in enumerate(big.unit):
+        if u != 0:
+            lam[sym + 2 * k] = lam[sym + 2 * k + 1] = -u
+    return cands, images, lam, rhs
 
 
 def verify_dual_bases(E, db):
@@ -685,12 +705,21 @@ def trace_of(trace, x, p=None):
 
 @dataclass(frozen=True)
 class MarkovCertificate:
+    """The verdicts of `certify_markov` and the objects it built.
+
+    `U_alg` is the centralizer C_M(N) as an algebra on the basis `U.basis`
+    and `kanzaki` its symmetric separability element; on the first tower
+    level they are the subalgebra V = C_M1(M) and its Kanzaki element,
+    which the derivation's duality pairing reads.
+    """
+
     E: CondExpectation
     dual_bases: DualBases
     trace: tuple  # functional on small
     lambda_inv: object
     U: Subspace  # centralizer of the embedded small algebra
-    kanzaki: dict | None  # symmetric separability element of U (flat tensor)
+    U_alg: Algebra | None  # U as an algebra on the basis U.basis
+    kanzaki: dict | None  # separability element of U_alg, flat tensor
     trace_duals: tuple | None  # dual bases of T0 restricted to U
     t0: tuple  # T0 = T o E as a functional on big
     checks: CheckList
@@ -700,22 +729,6 @@ class MarkovCertificate:
         return self.E.incl
 
 
-def nondegeneracy_rank(E):
-    """Rank of x -> (E(x e_j))_j; E is (left) non-degenerate iff it is dim M.
-
-    Each row is a sparse vector on dim M x dim N columns, column
-    j dim N + k holding the e_k coordinate of E(x e_j).
-    """
-    small, big = E.incl.small, E.incl.big
-    rows = []
-    for products_x in E.products:
-        row = {}
-        for j, v in enumerate(products_x):
-            row.update((j * small.dim + k, c) for k, c in v.items())
-        rows.append(row)
-    return la.rank(rows, big.dim * small.dim, big.p)
-
-
 def certify_markov(incl, E, db, trace):
     """Verify every defining identity of a symmetric Markov extension.
 
@@ -723,7 +736,11 @@ def certify_markov(incl, E, db, trace):
     on a full basis and recorded with a witness on failure.  The laws
     on E of a basis product read `E.products`: the dual bases, the trace
     property T0(e_i e_j) = T(E(e_i e_j)) (each value once, compared with
-    its transpose), non-degeneracy and symmetry on C_M(N).
+    its transpose) and symmetry on C_M(N).  Non-degeneracy follows from the
+    dual bases, which are verified first (NoDualBases otherwise): every x
+    is E(x x_i) y_i, so E(xM) = 0 gives x = 0 [KN].  C_M(N) is kept as an
+    algebra (`U_alg`) with its Kanzaki element for the next level's
+    derivation.
     """
     small, big = incl.small, incl.big
     trace = tuple(la.as_scalar(c, big.p) for c in trace)
@@ -759,8 +776,8 @@ def certify_markov(incl, E, db, trace):
             for j in law.over(range(big.dim)):
                 law.check((i, j), t0_pairs[i][j], t0_pairs[j][i])
 
-    cl.add("E_nondegenerate", "E(xM) = 0 => x = 0",
-           nondegeneracy_rank(E) == big.dim)
+    # x = E(x x_i) y_i for every x, by the dual bases verified above
+    cl.add("E_nondegenerate", "E(xM) = 0 => x = 0", True)
 
     U = centralizer(big, incl.image)
     sym, witness = is_symmetric(E, U)
@@ -789,7 +806,7 @@ def certify_markov(incl, E, db, trace):
 
     return MarkovCertificate(
         E=E, dual_bases=db, trace=trace, lambda_inv=lam_inv, U=U,
-        kanzaki=kanz, trace_duals=tdu, t0=t0, checks=cl)
+        U_alg=U_alg, kanzaki=kanz, trace_duals=tdu, t0=t0, checks=cl)
 
 
 def relative_tensor_square(cert):

@@ -19,11 +19,14 @@ build.  The derived weak Hopf structure on B is solved from the duality
 pairing and every identity of the derivation chain is re-verified on full
 bases.  Each shared object is built once and read by every later stage:
 the context holds the embeddings of N, M and M1 (each inclusion its image,
-`incl.image`) and the covectors of B's basis, the pairing the subalgebra
-V, and the derived structure lambda^-1 Delta(b) and A inside M1, read back
-from M2 through the verified E onto M1 (E o embed = id); B keeps the
-inverse of its antipode (`WeakHopf.s_inv`) for the derivation and the
-smash product alike.  One routine, `_smash_iso`, verifies both smash
+`incl.image`) and the covectors of B's basis; the pairing reads the
+subalgebra V = C_M1(M) and its Kanzaki element from the level-1
+certificate, which built them; the derived structure holds
+lambda^-1 Delta(b) and A inside M1, read back from M2 through the verified
+E onto M1 (E o embed = id); B keeps the inverse of its antipode
+(`WeakHopf.s_inv`) for the derivation and the smash product alike.  The
+structure of B* is read off B's transposed matrices and carried to A, so
+the axiom engine runs on B and A and on no B*.  One routine, `_smash_iso`, verifies both smash
 isomorphisms M1 # B -> M2 and M # A -> M1, and reads the inclusion
 x -> x # 1 from the smash product.
 
@@ -621,7 +624,7 @@ class SingularGram(Exception):
 @dataclass(frozen=True)
 class PairingData:
     f: dict  # symmetric separability element of V, flat V-basis tensor
-    vhat: tuple  # the basis of the subalgebra V, M2 sparse
+    vhat: tuple  # the basis of V: the level-1 certificate's U, M2 sparse
     w: dict  # M2 sparse, the trace-normalizing unit of Z(V)
     w_inv: dict
     # Gram matrices as sparse rows; <a_i, b_j> = lambda^-2 T(a_i e2 e1 w b_j)
@@ -637,10 +640,16 @@ def pairing(ctx):
     M2 = ctx.M2
     p = ctx.p
     T = ctx.T
-    V_alg, injV, _ = ag.subalgebra(M2, ctx.V, "V")
-    f = ag.kanzaki_element(V_alg)
+    # V = C_M1(M) is the centralizer the level-1 certificate induced as an
+    # algebra and whose Kanzaki element it solved; M1 embeds in M2
+    # multiplicatively, so both carry over on the embedded basis
+    cert1 = ctx.lv1.cert
+    V_alg, f = cert1.U_alg, cert1.kanzaki
     nV = V_alg.dim
-    vhat = [injV({i: 1}) for i in range(nV)]
+    vhat = [ctx.t.embed(1, 2, r) for r in cert1.U.basis]
+
+    def injV(x):
+        return ag.apply_map(vhat, x, p)
 
     s_co = la.legsum(f, nV, lambda i, j: {i: T(vhat[j])}, p)
     s = injV(s_co)
@@ -1015,12 +1024,16 @@ class DerivedWeakHopf:
                         for j, dj in enumerate(B.delta)}, p)
                     law.check((i, k), lhs, rhs)
 
-        # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1
-        Bd = wha.dual(B)
-        deltaA = [ag.apply_tensor(Ginv, Ginv, ag.apply_map(Bd.delta, G[i], p),
+        # kappa: A coords -> B* coords is a -> a G, its inverse a -> a G^-1.
+        # Delta, eps and S of B* are read off B's transposed matrices; no B*
+        # is built: the dual of a weak Hopf algebra is one [BNS],
+        # gram_algebra_iso decides that kappa is multiplicative, and A, which
+        # carries the transported structure, passes the axiom engine below
+        _, delta_d, eps_d, s_d = wha.transpose(B)
+        deltaA = [ag.apply_tensor(Ginv, Ginv, ag.apply_map(delta_d, G[i], p),
                                   nB, nA, p) for i in range(nA)]
-        epsA = [Bd.e(G[i]) for i in range(nA)]
-        sA = [ag.apply_map(Ginv, ag.apply_map(Bd.s, G[i], p), p)
+        epsA = [ag.trace_of(eps_d, G[i], p) for i in range(nA)]
+        sA = [ag.apply_map(Ginv, ag.apply_map(s_d, G[i], p), p)
               for i in range(nA)]
         A = wha.make_weakhopf(A_alg, deltaA, epsA, sA)
         self.A = A

@@ -237,6 +237,18 @@ def test_subalgebra_requires_closure():
         ag.subalgebra(m2, not_closed)
 
 
+def test_not_closed_names_the_basis_pair_or_the_unit():
+    # span(e01, e10): e01 e01 = 0 stays, e01 e10 = e00 leaves; span(e00) is
+    # closed under the product but misses the unit e00 + e11
+    m2 = corpus.matrix_algebra(2)
+    with pytest.raises(ag.NotClosed, match=r"^V: the product of basis pair "
+                       r"\(0, 1\) leaves the subspace$"):
+        ag.subalgebra(m2, la.Subspace.from_vectors(4, [{1: 1}, {2: 1}]), "V")
+    with pytest.raises(ag.NotClosed, match="^e00: the unit leaves the "
+                       "subspace$"):
+        ag.subalgebra(m2, la.Subspace.from_vectors(4, [{0: 1}]), "e00")
+
+
 # ---------------------------------------------------------------------------
 # the conditional-expectation laws: pair form against the triple form
 
@@ -349,18 +361,25 @@ def nondegeneracy_rank_dense(E):
     return la.rank(rows, big.dim * small.dim, big.p)
 
 
-def test_nondegeneracy_rank_matches_dense_rank():
-    ranks = []
-    for name, incl, rows in corpus_expectations():
-        E = ag.CondExpectation(incl, ag.map_rows(rows))
-        ranks.append(ag.nondegeneracy_rank(E))
-        assert ranks[-1] == nondegeneracy_rank_dense(E), name
-        assert ranks[-1] == incl.big.dim, name
-    # a degenerate E on Q in Q^2: E(e1 M) = 0
+def test_verified_dual_bases_make_E_nondegenerate():
+    # certify_markov reads E_nondegenerate off the dual bases it verifies:
+    # x = E(x x_i) y_i.  The dense rank is full on every corpus certificate
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2(),
+                 trivial_m2=corpus.ext_trivial_m2(), q_in_q3=corpus.ext_q_q3())
+    for name, cert in corpus.standing_extensions().items():
+        certs[name + ":M1"] = tw.basic_construction(
+            cert, ag.relative_tensor_square(cert)).cert
+    for name, cert in certs.items():
+        assert cert.checks.get("E_nondegenerate").passed, name
+        assert nondegeneracy_rank_dense(cert.E) == cert.incl.big.dim, name
+    # a degenerate E on Q in Q^2, E(e1 M) = 0, has no dual bases: it is
+    # refused before certify_markov
     incl = ag.make_inclusion(corpus.field_algebra(),
                              corpus.diagonal_algebra(2), [{0: F(1), 1: F(1)}])
     E = ag.CondExpectation(incl, ag.map_rows([{0: F(1)}, {}]))
-    assert ag.nondegeneracy_rank(E) == nondegeneracy_rank_dense(E) == 1
+    assert nondegeneracy_rank_dense(E) == 1
+    with pytest.raises(ag.NoDualBases):
+        ag.find_dual_bases(E)
 
 
 def over_field(cert, p):
@@ -392,6 +411,80 @@ def test_expectation_products_match_direct_products(p):
             want = [[E.E_small(big.mul({i: 1}, {j: 1}))
                      for j in range(big.dim)] for i in range(big.dim)]
             assert [list(row) for row in E.products] == want, (name, k)
+
+
+def dual_bases_system_by_products(E, within):
+    """The former construction of `ag._dual_bases_system`: two products in
+    big per (m, a, b), E(e_m c_a) c_b and c_a E(c_b e_m), with E embedded
+    in big first."""
+    big = E.incl.big
+    p = big.p
+    if within is None:
+        cands = [{i: 1} for i in range(big.dim)]
+        prods = [[dict(cell) for cell in row] for row in big.table]
+    else:
+        cands = within.basis
+        prods = [[big.mul(x, y) for y in cands] for x in cands]
+    d, n = big.dim, len(cands)
+    images = [{} for _ in range(n * n)]
+    rhs = {}
+    for m in range(d):
+        e_mc = [E.incl.emb(E._E_mx(m, c)) for c in cands]
+        e_cm = [E.incl.emb(E._E_xm(c, m)) for c in cands]
+        off = 2 * m * d
+        rhs[off + 2 * m] = rhs[off + 2 * m + 1] = 1
+        for a in range(n):
+            for b in range(n):
+                im = images[a * n + b]
+                for k, v in big.mul(e_mc[a], cands[b]).items():
+                    im[off + 2 * k] = v
+                for k, v in big.mul(cands[a], e_cm[b]).items():
+                    im[off + 2 * k + 1] = v
+    sym = 2 * d * d
+    for a in range(n):
+        for b in range(n):
+            im = images[a * n + b]
+            for k, v in prods[a][b].items():
+                im[sym + 2 * k] = v
+            for k, v in prods[b][a].items():
+                im[sym + 2 * k + 1] = v
+    lam = {}
+    for k, u in enumerate(big.unit):
+        if u != 0:
+            lam[sym + 2 * k] = lam[sym + 2 * k + 1] = -u
+    return cands, images, lam, rhs
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_dual_bases_system_matches_the_product_construction(p, monkeypatch):
+    # E within None (the base), A1 (E_M) and B (E_M1) of every corpus
+    # extension: the same images, and the same dual bases and lambda^-1 or
+    # the same NoDualBases from find_dual_bases under either construction
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2(),
+                 trivial_m2=corpus.ext_trivial_m2(), q_in_q3=corpus.ext_q_q3())
+    systems = (ag._dual_bases_system, dual_bases_system_by_products)
+    infeasible = []
+    for name, cert in certs.items():
+        if p is not None:
+            cert = over_field(cert, p)
+        ctx = tw.DepthTwoContext(tw.build_tower(cert, 2))
+        for half, E, within in (("None", cert.E, None),
+                                ("A1", ctx.lv1.cert.E, ctx.A1),
+                                ("B", ctx.lv2.cert.E, ctx.B)):
+            assert systems[0](E, within) == systems[1](E, within), (name, half)
+            found = []
+            for system in systems:
+                monkeypatch.setattr(ag, "_dual_bases_system", system)
+                try:
+                    db = ag.find_dual_bases(E, within)
+                    found.append((db.xs, db.ys, db.lambda_inv))
+                except ag.NoDualBases:
+                    found.append(None)
+            assert found[0] == found[1], (name, half)
+            if found[0] is None:
+                infeasible.append((name, half))
+    # s3_z2 is not depth 2: its A1 system is infeasible
+    assert ("s3_z2", "A1") in infeasible
 
 
 def stored_rows(t):

@@ -203,17 +203,48 @@ def test_groupoid_builds_kG_and_its_dual_once(pair2_file, monkeypatch):
     assert (len(built), len(duals)) == (1, 1)
 
 
+def derivations(monkeypatch):
+    """Record the results dict of every tw.derive."""
+    results = []
+    derive = tw.derive
+
+    def recording(t):
+        out = derive(t)
+        results.append(out[2])
+        return out
+
+    monkeypatch.setattr(tw, "derive", recording)
+    return results
+
+
 def test_derivation_builds_shared_objects_once(markov_file, monkeypatch):
     subalgebras = counting(monkeypatch, ag, "subalgebra")
     inverses = counting(monkeypatch, la, "inverse")
+    results = derivations(monkeypatch)
     assert cli.main(["tower", markov_file, "--derive"]) == 0
-    assert [args[2] for args in subalgebras].count("V") == 1
+    # V and its Kanzaki element are those of the level-1 certificate
+    assert "V" not in [args[2] for args in subalgebras]
+    ctx, pd = results[0]["ctx"], results[0]["pairing"]
+    assert pd.f is ctx.lv1.cert.kanzaki
     # no stored matrix is inverted twice: B's antipode, for one, once for
     # the derivation and the smash product M1 # B together.  Equal rows of
     # different objects can meet by coincidence: on q_in_q2 the antipodes
     # of A and B have the same matrix
     rows = [id(args[0]) for args in inverses]
     assert rows and len(set(rows)) == len(rows)
+
+
+def test_derivation_runs_the_axiom_engine_on_B_and_A_only(markov_file,
+                                                          monkeypatch):
+    # the structure of B* is read off B's transposed matrices and carried to
+    # A: no B* is built or verified
+    runs = counting(monkeypatch, wha, "verify_axioms")
+    duals = counting(monkeypatch, wha, "dual")
+    results = derivations(monkeypatch)
+    assert cli.main(["tower", markov_file, "--derive"]) == 0
+    dw = results[0]["derived"]
+    assert [id(args[0]) for args in runs] == [id(dw.B), id(dw.A)]
+    assert duals == []
 
 
 def test_derivation_builds_each_inclusion_image_once(markov_file,
@@ -793,7 +824,8 @@ def test_skewed_markov_failures_keep_their_first_witness(tmp_path, capsys,
 
 
 def failing_dual(H):
-    """A wha.dual whose dual fails two of its axioms."""
+    """A wha.dual whose dual fails two of its axioms; also a stand-in for a
+    make_weakhopf whose result fails them."""
     raise VerificationError([
         Check("antipode_target", "h1 S(h2) = eps_t(h)", True),
         Check("antipode_sandwich", "S(h1) h2 S(h3) = S(h)", False,
@@ -871,10 +903,22 @@ def test_groupoid_dual_failing_its_axioms_is_one_line(pair2_file,
 
 def test_derivation_failing_a_required_law_is_a_failed_entry(
         markov_file, monkeypatch, capsys):
-    # tower._build requires B's dual to pass its axioms
-    monkeypatch.setattr(wha, "dual", failing_dual)
+    # tower._build requires make_weakhopf to accept A: the second weak Hopf
+    # algebra it makes, A after B, raises the failure of two laws
+    make = wha.make_weakhopf
+    made = []
+
+    def failing_for_A(alg, delta, eps, s):
+        made.append(alg)
+        if len(made) == 2:
+            failing_dual(None)
+        return make(alg, delta, eps, s)
+
+    monkeypatch.setattr(wha, "make_weakhopf", failing_for_A)
+    results = derivations(monkeypatch)
     rc = cli.main(["--format", "machine", "tower", markov_file, "--derive"])
     assert rc == 1
+    assert len(made) == 2 and results == []
     records, failed = machine_failures(capsys.readouterr().out)
     assert failed == [("derivation", "antipode_sandwich, s_bijective")]
     assert records[-2]["name"] == "derivation"

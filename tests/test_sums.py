@@ -369,15 +369,12 @@ def test_scan_counts_zero_seeded_sums_per_function():
 # with the int 0 is allowed only where every scalar is an int: the
 # eliminator's integer rows (`_backend._combine`), the F_p branch of
 # `sadd_into`, and `check_associative` on the table scaled to integers.
-# The one other site is `verify_axioms`' law eps(hgf) = eps(h g1) eps(g2 f):
-# its d^3 sums have one or two terms and are mostly ints, and seeding them
-# through `la.scalar_sum` made groupoid-wha 15% slower.  Each allowance is
-# the exact count in the code, so one that outlives its site fails too.
+# Each allowance is the exact count in the code, so one that outlives its
+# site fails too.
 ZERO_SEEDED_ALLOWED = {
     "_backend.py": {"_combine": 1},
     "algebra.py": {"check_associative": 1},
     "linalg.py": {"sadd_into": 1},
-    "wha.py": {"verify_axioms": 3},
 }
 
 
