@@ -41,7 +41,7 @@ Fraction's normalisation; values, equality and hashing are those of the
 rationals either way.  Scalars over F_p: a plain `int` in [0, p).  The
 field is not carried by the scalar but by the object that holds it
 (`Algebra.p`, `WeakHopf.p`, `Subspace.p`, `Quotient.p`, `Echelon.p`), and
-the kernels that combine scalars (`sadd_into`, `sscale`, `legsum`,
+the kernels that combine scalars (`sadd_into`, `sscale`, `legsum`, `termsum`,
 `tensor_sparse` here, `Algebra.mul`, `apply_map` and their kind in
 `algebra`, `action` and `tower`) take that p.  Each accumulates plain sums,
 seeding every entry with its first term (`scalar_sum` does the same for a
@@ -240,6 +240,15 @@ def legsum(t, n, term, p=None):
             v = c * x
             o = acc.get(k)
             acc[k] = v if o is None else o + v
+    return residues(acc, p)
+
+
+def termsum(terms, p=None):
+    """Sum (index, scalar) terms into a sparse vector, as legsum does."""
+    acc = {}
+    for k, t in terms:
+        o = acc.get(k)
+        acc[k] = t if o is None else o + t
     return residues(acc, p)
 
 

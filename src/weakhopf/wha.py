@@ -9,16 +9,18 @@ and failures are report entries rather than exceptions.
 Comultiplication rows live on flat tensor indices: the coefficient of
 e_i (x) e_j in Delta(e_h) is delta[h][i*dim + j].  A law in Sweedler
 notation sums over these legs with `linalg.legsum` (h1 S(h2) is
-``legsum(delta[h], dim, lambda i, j: e_i S(e_j))``) and splits Delta(1) or
-a separability idempotent into its slices with `linalg.tslices`; only the
-witness of the delta_one law and `dual`, which cuts the transpose of Delta
-into the rows of its product table, decode the index themselves.  The
-dual pairing convention is <Delta(phi), h (x) g> = <phi, hg> with h the
-left factor.
+``legsum(delta[h], dim, lambda i, j: e_i S(e_j))``) or reads them as slices
+from `linalg.tslices`; only the witness of the delta_one law decodes the
+index itself.  The dual pairing convention is <Delta(phi), h (x) g> =
+<phi, hg> with h the left factor.
 
 The laws read what is stored for a basis element: Delta(e_h) is
 ``delta[h]``, S(e_h) is ``s[h]``, eps(e_h) is ``eps[h]`` and e_i e_j is the
-cell ``alg.table[i][j]`` (see `algebra`).
+cell ``alg.table[i][j]`` (see `algebra`).  delta_multiplicative and
+s_anti_multiplicative join the legs of Delta(e_i) or S(e_i) to the nonempty
+cells in one sum of lhs - rhs per row i over nonzero terms (`_rows_hold`);
+a row that differs is rescanned pair by pair for its first differing
+(i, j).  The Delta(1) products of delta_one walk the same cells.
 
 The structure derived from a WeakHopf alone lives on the object, computed
 on first use and then shared by every caller: Delta(1) (`delta_one`), the
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
@@ -87,7 +90,7 @@ class WeakHopf:
     def eps_products(self):
         """eps_products[i][j] = eps(e_i e_j), one scalar per basis pair,
         read off the structure table; read-only like every stored row."""
-        return tuple(tuple(self.e(dict(cell)) for cell in row)
+        return tuple(tuple(self.e(dict(cell)) if cell else 0 for cell in row)
                      for row in self.alg.table)
 
     @cached_property
@@ -95,14 +98,15 @@ class WeakHopf:
         """(eps_t, eps_s) as sparse rows.
 
         With Delta(1) = sum c_uv u (x) v, eps_t(h) = sum c_uv eps(u h) v and
-        eps_s(h) = sum c_uv u eps(h v).
+        eps_s(h) = sum c_uv u eps(h v), in one pass over the legs of Delta(1)
+        and the nonzero eps(e_u e_h), eps(e_h e_v).
         """
         d, p = self.dim, self.p
-        em, d1 = self.eps_products, self.delta_one
-        return (tuple(la.legsum(d1, d, lambda u, v: {v: em[u][h]}, p)
-                      for h in range(d)),
-                tuple(la.legsum(d1, d, lambda u, v: {u: em[h][v]}, p)
-                      for h in range(d)))
+        em = [la.sparse(row) for row in self.eps_products]
+        rows, cols = la.tslices(self.delta_one, d)
+        return tuple(tuple(la.transpose([ag.apply_map(m, sl.get(k, {}), p)
+                                         for k in range(d)], d))
+                     for m, sl in ((em, cols), (la.transpose(em, d), rows)))
 
     @cached_property
     def counital(self):
@@ -161,12 +165,21 @@ def verify_axioms(H):
     alg = H.alg
     d, p = H.dim, H.p
 
+    # Delta(e_i)Delta(e_j) = sum (e_a e_x) (x) (e_b e_y) over the legs
+    # a (x) b of Delta(e_i) and x (x) y of Delta(e_j): the nonempty cells
+    # (a, x) of each row a meet the legs of every Delta(e_j) indexed by x
+    table, dd = alg.table, d * d
+    row_cells = [{x: c for x, c in enumerate(row) if c} for row in table]
+    legs = [la.tslices(dh, d)[0] for dh in H.delta]
+    by_x = la.transpose(legs, d)
     with cl.holds("delta_multiplicative",
                   "Delta(hg) = Delta(h)Delta(g)") as law:
-        for i in law.over(range(d)):
-            for j in law.over(range(d)):
-                law.check((i, j), H.d(dict(alg.table[i][j])),
-                          ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
+        _rows_hold(law, H, H.delta, dd, lambda i: (
+            (j * dd + m * d + n, -s * u * c * w)
+            for a, brow in legs[i].items() for x, cax in row_cells[a].items()
+            for j, yrow in by_x[x].items() for b, s in brow.items()
+            for y, u in yrow.items() for m, c in cax for n, w in table[b][y]),
+            lambda i, j: ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
 
     # eps(h g1) eps(g2 f) = eps(x1 f) with x1 = eps(h g1) g2, and the mirror
     # eps(h g2) eps(g1 f) = eps(x2 f) with x2 = g1 eps(h g2); for every h at
@@ -199,20 +212,23 @@ def verify_axioms(H):
     # With Delta(1) = sum c_uv u (x) v, the unit law (checked by
     # make_algebra) gives (Delta(1) (x) 1)(1 (x) Delta(1)) =
     # sum c_uv c_xy u (x) vx (x) y and its mirror sum c_uv c_xy u (x) xv (x) y.
+    # Both walk the nonempty cells (v, x), resp. (x, v), against the column
+    # slice of Delta(1) at v and its row slice at x.
+    col_cells = la.transpose(row_cells, d)
     d1 = H.delta_one
     t_left = ag.apply_tensor(H.delta, None, d1, d, d, p)
-    prod1 = la.legsum(d1, d, lambda u, v: la.legsum(
-        d1, d, lambda x, y: {(u * d + m) * d + y: w
-                             for m, w in alg.table[v][x]}, p), p)
-    prod2 = la.legsum(d1, d, lambda u, v: la.legsum(
-        d1, d, lambda x, y: {(u * d + m) * d + y: w
-                             for m, w in alg.table[x][v]}, p), p)
-    # key by key, so that the witness is the first differing (u, m, y)
+    rows, cols = la.tslices(d1, d)
+    prod1, prod2 = (la.termsum(
+        (((u * d + m) * d + y, cu * w * cy) for v, col in cols.items()
+         for x, cell in cells[v].items() if x in rows for u, cu in col.items()
+         for m, w in cell for y, cy in rows[x].items()), p)
+        for cells in (row_cells, col_cells))
+    # key by key where they differ: the witness is the first (u, m, y)
     with cl.holds("delta_one",
                   "(Delta (x) id)Delta(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) "
                   "= (1 (x) Delta(1))(Delta(1) (x) 1)") as law:
-        for key in law.over(sorted(t_left.keys() | prod1.keys() |
-                                   prod2.keys())):
+        for key in law.over(() if t_left == prod1 == prod2 else sorted(
+                t_left.keys() | prod1.keys() | prod2.keys())):
             um, y = divmod(key, d)
             where = divmod(um, d) + (y,)
             if law.check(where, t_left.get(key), prod1.get(key)):
@@ -238,11 +254,15 @@ def verify_axioms(H):
             law.check((h,), la.legsum(H.delta[h], d, lambda a, k: alg.mul(
                 s_left[a], H.s[k]), H.p), H.s[h])
 
+    # S(e_j)S(e_i) = sum S_jx S_iy e_x e_y over the nonempty cells (x, y),
+    # with the rows of S indexed by their keys x
+    s_by_x = la.transpose(H.s, d)
     with cl.holds("s_anti_multiplicative", "S(hg) = S(g)S(h)") as law:
-        for i in law.over(range(d)):
-            for j in law.over(range(d)):
-                law.check((i, j), H.S(dict(alg.table[i][j])),
-                          alg.mul(H.s[j], H.s[i]))
+        _rows_hold(law, H, H.s, d, lambda i: (
+            (j * d + n, -a * b * w) for y, b in H.s[i].items()
+            for x, cell in col_cells[y].items() for j, a in s_by_x[x].items()
+            for n, w in cell),
+            lambda i, j: alg.mul(H.s[j], H.s[i]))
 
     with cl.holds("s_anti_comultiplicative",
                   "Delta(S(h)) = S(h2) (x) S(h1)") as law:
@@ -263,6 +283,22 @@ def verify_axioms(H):
            "eps_s * S = S = S * eps_t in the convolution algebra",
            conv_l == H.s == conv_r)
     return cl
+
+
+def _rows_hold(law, H, f, width, minus_rhs, rhs):
+    """Decide f(e_i e_j) = rhs(i, j), f the rows of Delta or S, by one sum
+    of lhs - rhs per row i keyed by j width + output index, over nonzero
+    terms only (f of the cells e_i e_j, and minus_rhs(i)): a pair with no
+    term is 0 = 0.  A row that differs is rescanned pair by pair for its
+    first differing (i, j), as in `ag.check_associative`."""
+    table, p = H.alg.table, H.p
+    for i in law.over(range(H.dim)):
+        lhs = ((j * width + o, c * w) for j, cell in enumerate(table[i])
+               for m, c in cell for o, w in f[m].items())
+        if la.termsum(chain(lhs, minus_rhs(i)), p):
+            for j in law.over(range(H.dim)):
+                law.check((i, j), ag.apply_map(f, dict(table[i][j]), p),
+                          rhs(i, j))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,31 @@ def test_adjoint_invariants_commutative_case():
     assert ac.invariants(M).dim == M.A.dim
 
 
+def test_invariants_name_the_unit_or_the_pair_that_leaves_them():
+    # kZ2 (basis e, g) acting with e as the identity; eps_t(h) = eps(h) 1,
+    # so the invariants are the vectors that g fixes
+    H = z2()
+
+    def module(A, g_rows):
+        ident = tuple({a: 1} for a in range(A.dim))
+        return ac.ModuleAlgebra(H, A, (ident, g_rows))
+
+    # on k^2, g fixing e0 and killing e1 leaves k e0, without the unit
+    k2 = ag.make_algebra([[{0: 1}, {}], [{}, {1: 1}]], [1, 1])
+    with pytest.raises(ag.NotClosed) as exc:
+        ac.invariants(module(k2, ({0: 1}, {})))
+    assert str(exc.value) == "invariants: the unit leaves the subspace"
+    # on k^3, g = id + phi(-) e0 with phi(x) = x0 - 2 x1 + x2 fixes the
+    # span of (1, 0, -1) and (0, 1, 2), which holds the unit (1, 1, 1) but
+    # not (1, 0, -1)^2 = (1, 0, 1)
+    k3 = ag.make_algebra([[{0: 1}, {}, {}], [{}, {1: 1}, {}],
+                          [{}, {}, {2: 1}]], [1, 1, 1])
+    with pytest.raises(ag.NotClosed) as exc:
+        ac.invariants(module(k3, ({0: 2}, {0: -2, 1: 1}, {0: 1, 2: 1})))
+    assert str(exc.value) == ("invariants: the product of basis pair "
+                              "(0, 0) leaves the subspace")
+
+
 def test_smash_with_scalars_is_H():
     H = z2()
     M, cl = scalar_module(H)

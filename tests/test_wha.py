@@ -10,6 +10,7 @@ from weakhopf import linalg as la
 from weakhopf import specfile as sf
 from weakhopf import tower as tw
 from weakhopf import wha
+from weakhopf.checks import CheckList
 
 
 def z2():
@@ -233,3 +234,161 @@ def test_eps_products_match_direct_products(p):
         want = [[H.e(H.alg.mul({i: 1}, {j: 1})) for j in range(H.dim)]
                 for i in range(H.dim)]
         assert [list(row) for row in H.eps_products] == want, name
+
+
+# verify_axioms decides delta_multiplicative, s_anti_multiplicative and the
+# Delta(1) products of delta_one in one pass over nonzero terms, and builds
+# eps_rows in one pass over the legs of Delta(1).  The per-pair
+# formulations they replaced are kept here as references.  Every other law
+# reads the same stored data and eps_rows, so equal eps_rows and equal
+# entries for these three laws mean equal reports.
+REWRITTEN = ("delta_multiplicative", "delta_one", "s_anti_multiplicative")
+
+
+def reference_checks(H):
+    cl = CheckList()
+    alg, d, p = H.alg, H.dim, H.p
+    with cl.holds("delta_multiplicative",
+                  "Delta(hg) = Delta(h)Delta(g)") as law:
+        for i in law.over(range(d)):
+            for j in law.over(range(d)):
+                law.check((i, j), H.d(dict(alg.table[i][j])),
+                          ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
+    d1 = H.delta_one
+    t_left = ag.apply_tensor(H.delta, None, d1, d, d, p)
+    prod1 = la.legsum(d1, d, lambda u, v: la.legsum(
+        d1, d, lambda x, y: {(u * d + m) * d + y: w
+                             for m, w in alg.table[v][x]}, p), p)
+    prod2 = la.legsum(d1, d, lambda u, v: la.legsum(
+        d1, d, lambda x, y: {(u * d + m) * d + y: w
+                             for m, w in alg.table[x][v]}, p), p)
+    with cl.holds("delta_one",
+                  "(Delta (x) id)Delta(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) "
+                  "= (1 (x) Delta(1))(Delta(1) (x) 1)") as law:
+        for key in law.over(sorted(t_left.keys() | prod1.keys() |
+                                   prod2.keys())):
+            um, y = divmod(key, d)
+            where = divmod(um, d) + (y,)
+            if law.check(where, t_left.get(key), prod1.get(key)):
+                law.check(where, t_left.get(key), prod2.get(key))
+    with cl.holds("s_anti_multiplicative", "S(hg) = S(g)S(h)") as law:
+        for i in law.over(range(d)):
+            for j in law.over(range(d)):
+                law.check((i, j), H.S(dict(alg.table[i][j])),
+                          alg.mul(H.s[j], H.s[i]))
+    return cl
+
+
+def reference_eps_rows(H):
+    d, p = H.dim, H.p
+    em, d1 = H.eps_products, H.delta_one
+    return (tuple(la.legsum(d1, d, lambda u, v: {v: em[u][h]}, p)
+                  for h in range(d)),
+            tuple(la.legsum(d1, d, lambda u, v: {u: em[h][v]}, p)
+                  for h in range(d)))
+
+
+def rewritten_entries(H):
+    return [c for c in wha.verify_axioms(H).items if c.name in REWRITTEN]
+
+
+def corpus_inputs():
+    """kG and (kG)* of every corpus groupoid, over Q and over F_13."""
+    out = {}
+    for p in (None, 13):
+        for name, G in gp.corpus().items():
+            H = gp.groupoid_algebra(G, p)
+            out[name, p] = H
+            out[name + "*", p] = gp.groupoid_dual(G, H)
+    return out
+
+
+def mutants(H):
+    """One entry of S, eps or Delta changed at each basis element k."""
+    d, p = H.dim, H.p
+
+    def bumped(rows, k, key):
+        rows = [dict(r) for r in rows]
+        rows[k][key] = rows[k].get(key, 0) + 1
+        return ag.map_rows(rows, p)
+
+    for k in range(d):
+        yield "s", k, dataclasses.replace(H, s=bumped(H.s, k, (k + 1) % d))
+        yield "s0", k, dataclasses.replace(
+            H, s=H.s[:k] + ({},) + H.s[k + 1:])
+        eps = list(H.eps)
+        eps[k] = la.as_scalar(eps[k] + 1, p)
+        yield "eps", k, dataclasses.replace(H, eps=tuple(eps))
+        yield "delta", k, dataclasses.replace(
+            H, delta=bumped(H.delta, k, k * d + (k + 1) % d))
+
+
+def test_one_pass_laws_match_the_per_pair_references():
+    failed = set()
+    for key, H in corpus_inputs().items():
+        assert rewritten_entries(H) == reference_checks(H).items, key
+        assert all(c.passed for c in rewritten_entries(H)), key
+        assert H.eps_rows == reference_eps_rows(H), key
+        for kind, k, X in mutants(H):
+            ref = reference_checks(X).items
+            assert rewritten_entries(X) == ref, (key, kind, k)
+            assert X.eps_rows == reference_eps_rows(X), (key, kind, k)
+            failed.update(c.name for c in ref if not c.passed)
+    # the sweep has teeth: each rewritten law fails on some mutant
+    assert failed == set(REWRITTEN)
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_group_table_with_the_dual_coalgebra_fails_delta_multiplicative(p):
+    # kG's product with the Delta, eps and S of (kG)*: a coalgebra, but
+    # Delta is not multiplicative
+    for name in ("z3", "pair3"):
+        G = gp.corpus()[name]
+        H = gp.groupoid_algebra(G, p)
+        Hd = gp.groupoid_dual(G, H)
+        X = wha.WeakHopf(H.alg, Hd.delta, Hd.eps, Hd.s)
+        rep = wha.verify_axioms(X)
+        for law in ("coassociativity", "counit_left", "counit_right"):
+            assert rep.get(law).passed, (name, law)
+        assert not rep.get("delta_multiplicative").passed, name
+        assert rewritten_entries(X) == reference_checks(X).items, name
+        assert X.eps_rows == reference_eps_rows(X), name
+
+
+def test_product_laws_form_no_per_pair_product(monkeypatch):
+    # on every passing corpus input, (k pair3)* among them: no
+    # Delta(h)Delta(g) through tensor_mul, no legsum inside a legsum (the
+    # old Delta(1) products) and no row rescanned pair by pair, which would
+    # hide a one-pass sum that differs where the law holds
+    calls = {"tensor_mul": 0, "nested legsum": 0, "rescan": 0}
+    depth = [0]
+    tensor_mul, legsum, rows_hold = ag.tensor_mul, la.legsum, wha._rows_hold
+
+    def counted_tensor_mul(*args):
+        calls["tensor_mul"] += 1
+        return tensor_mul(*args)
+
+    def counted_legsum(*args):
+        calls["nested legsum"] += depth[0] > 0
+        depth[0] += 1
+        try:
+            return legsum(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_rows_hold(law, H, f, width, minus_rhs, rhs):
+        def counted_rhs(i, j):
+            calls["rescan"] += 1
+            return rhs(i, j)
+        return rows_hold(law, H, f, width, minus_rhs, counted_rhs)
+
+    monkeypatch.setattr(ag, "tensor_mul", counted_tensor_mul)
+    monkeypatch.setattr(la, "legsum", counted_legsum)
+    monkeypatch.setattr(wha, "_rows_hold", counted_rows_hold)
+    inputs = corpus_inputs()
+    assert ("pair3*", None) in inputs
+    for key, H in inputs.items():
+        # a fresh object, so that eps_rows is built inside verify_axioms
+        assert wha.verify_axioms(dataclasses.replace(H)).ok, key
+        assert calls == {"tensor_mul": 0, "nested legsum": 0,
+                         "rescan": 0}, key
