@@ -16,11 +16,13 @@ index itself.  The dual pairing convention is <Delta(phi), h (x) g> =
 
 The laws read what is stored for a basis element: Delta(e_h) is
 ``delta[h]``, S(e_h) is ``s[h]``, eps(e_h) is ``eps[h]`` and e_i e_j is the
-cell ``alg.table[i][j]`` (see `algebra`).  delta_multiplicative and
-s_anti_multiplicative join the legs of Delta(e_i) or S(e_i) to the nonempty
-cells in one sum of lhs - rhs per row i over nonzero terms (`_rows_hold`);
-a row that differs is rescanned pair by pair for its first differing
-(i, j).  The Delta(1) products of delta_one walk the same cells.
+cell ``alg.table[i][j]`` (see `algebra`).  delta_multiplicative,
+s_anti_multiplicative and eps_weak_multiplicative join the legs of
+Delta(e_i), S(e_i) or Delta(e_g) to the nonempty cells in one sum of
+lhs - rhs per row over nonzero terms (`_differing_rows`); a row that
+differs is rescanned pair by pair for its first differing tuple.
+antipode_unique sums both convolutions per h over the same legs and
+cells, and the Delta(1) products of delta_one walk the same cells.
 
 The structure derived from a WeakHopf alone lives on the object, computed
 on first use and then shared by every caller: Delta(1) (`delta_one`), the
@@ -128,13 +130,6 @@ def make_weakhopf(alg, delta, eps, s):
     return H
 
 
-def convolve(H, f_rows, g_rows):
-    """Convolution product of two endomorphisms: h -> f(h1) g(h2)."""
-    return tuple(la.legsum(dh, H.dim,
-                           lambda i, j: H.alg.mul(f_rows[i], g_rows[j]), H.p)
-                 for dh in H.delta)
-
-
 # ---------------------------------------------------------------------------
 # the axiom engine
 
@@ -174,12 +169,16 @@ def verify_axioms(H):
     by_x = la.transpose(legs, d)
     with cl.holds("delta_multiplicative",
                   "Delta(hg) = Delta(h)Delta(g)") as law:
-        _rows_hold(law, H, H.delta, dd, lambda i: (
-            (j * dd + m * d + n, -s * u * c * w)
-            for a, brow in legs[i].items() for x, cax in row_cells[a].items()
-            for j, yrow in by_x[x].items() for b, s in brow.items()
-            for y, u in yrow.items() for m, c in cax for n, w in table[b][y]),
-            lambda i, j: ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
+        for i in _differing_rows(law, H, H.delta, dd, lambda i: (
+                (j * dd + m * d + n, -s * u * c * w)
+                for a, brow in legs[i].items()
+                for x, cax in row_cells[a].items()
+                for j, yrow in by_x[x].items() for b, s in brow.items()
+                for y, u in yrow.items() for m, c in cax
+                for n, w in table[b][y])):
+            for j in law.over(range(d)):
+                law.check((i, j), H.d(dict(table[i][j])),
+                          ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
 
     # eps(h g1) eps(g2 f) = eps(x1 f) with x1 = eps(h g1) g2, and the mirror
     # eps(h g2) eps(g1 f) = eps(x2 f) with x2 = g1 eps(h g2); for every h at
@@ -187,24 +186,36 @@ def verify_axioms(H):
     # (id (x) P)Delta(g), P the map e_u -> sum_h eps(e_h e_u) e_h.  Per
     # (h, g) the three sides are rows over f, each a combination of the rows
     # eps(e_l e_f) of eps_products: eps((hg)f) from the cell of hg (equal to
-    # eps(h(gf)) by associativity), eps(x1 f) and eps(x2 f).  A row that
-    # differs is rescanned for its first f, the witness (h, g, f)
+    # eps(h(gf)) by associativity), eps(x1 f) and eps(x2 f).  Per h one sum
+    # holds lhs - r1 at g d + f and r1 - r2 at d^2 + g d + f; a row h where
+    # it differs is rescanned for its first (g, f), the witness (h, g, f)
     em = H.eps_products
     P = [{h: em[h][u] for h in range(d) if em[h][u]} for u in range(d)]
-    x1s = [la.tslices(ag.apply_tensor(P, None, dg, d, d, p), d)[0]
-           for dg in H.delta]
-    x2s = [la.tslices(ag.apply_tensor(None, P, dg, d, d, p), d)[1]
-           for dg in H.delta]
+    x1s = la.transpose([la.tslices(ag.apply_tensor(P, None, dg, d, d, p),
+                                   d)[0] for dg in H.delta], d)
+    x2s = la.transpose([la.tslices(ag.apply_tensor(None, P, dg, d, d, p),
+                                   d)[1] for dg in H.delta], d)
     em_rows = [la.sparse(row) for row in em]
+
+    def minus_rhs(h):
+        for g, x1 in x1s[h].items():
+            for u, c in x1.items():
+                for f, w in em_rows[u].items():
+                    t = c * w
+                    yield g * d + f, -t
+                    yield dd + g * d + f, t
+        for g, x2 in x2s[h].items():
+            for u, c in x2.items():
+                for f, w in em_rows[u].items():
+                    yield dd + g * d + f, -c * w
+
     with cl.holds("eps_weak_multiplicative",
                   "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)") as law:
-        for h in law.over(range(d)):
+        for h in _differing_rows(law, H, em_rows, d, minus_rhs):
             for g in law.over(range(d)):
-                lhs = ag.apply_map(em_rows, dict(alg.table[h][g]), p)
-                r1 = ag.apply_map(em_rows, x1s[g].get(h, {}), p)
-                r2 = ag.apply_map(em_rows, x2s[g].get(h, {}), p)
-                if lhs == r1 == r2:
-                    continue
+                lhs = ag.apply_map(em_rows, dict(table[h][g]), p)
+                r1 = ag.apply_map(em_rows, x1s[h].get(g, {}), p)
+                r2 = ag.apply_map(em_rows, x2s[h].get(g, {}), p)
                 for f in law.over(range(d)):
                     if law.check((h, g, f), lhs.get(f), r1.get(f)):
                         law.check((h, g, f), lhs.get(f), r2.get(f))
@@ -258,11 +269,13 @@ def verify_axioms(H):
     # with the rows of S indexed by their keys x
     s_by_x = la.transpose(H.s, d)
     with cl.holds("s_anti_multiplicative", "S(hg) = S(g)S(h)") as law:
-        _rows_hold(law, H, H.s, d, lambda i: (
-            (j * d + n, -a * b * w) for y, b in H.s[i].items()
-            for x, cell in col_cells[y].items() for j, a in s_by_x[x].items()
-            for n, w in cell),
-            lambda i, j: alg.mul(H.s[j], H.s[i]))
+        for i in _differing_rows(law, H, H.s, d, lambda i: (
+                (j * d + n, -a * b * w) for y, b in H.s[i].items()
+                for x, cell in col_cells[y].items()
+                for j, a in s_by_x[x].items() for n, w in cell)):
+            for j in law.over(range(d)):
+                law.check((i, j), H.S(dict(table[i][j])),
+                          alg.mul(H.s[j], H.s[i]))
 
     with cl.holds("s_anti_comultiplicative",
                   "Delta(S(h)) = S(h2) (x) S(h1)") as law:
@@ -276,29 +289,40 @@ def verify_axioms(H):
 
     # uniqueness of the antipode, certified through the convolution algebra:
     # any S' obeying the axioms satisfies S' = S'*id*S' = S'*(id*S)
-    # = (S'*id)*S = eps_s*S, and eps_s*S = S pins it to this S.
-    conv_l = convolve(H, ess, H.s)
-    conv_r = convolve(H, H.s, est)
+    # = (S'*id)*S = eps_s*S, and eps_s*S = S pins it to this S.  Per h one
+    # sum holds (eps_s*S)(h) - S(h) at m and (S*eps_t)(h) - S(h) at d + m,
+    # f(a) g(b) summed over the legs a (x) b of Delta(e_h) and the cells
+    # of f(a) x g(b)
+    def conv_minus_s(h):
+        for off, f, g in ((0, ess, H.s), (d, H.s, est)):
+            for m, w in H.s[h].items():
+                yield off + m, -w
+            for a, brow in legs[h].items():
+                for x, u in f[a].items():
+                    for b, c in brow.items():
+                        for y, v in g[b].items():
+                            for m, w in table[x][y]:
+                                yield off + m, c * u * v * w
+
     cl.add("antipode_unique",
            "eps_s * S = S = S * eps_t in the convolution algebra",
-           conv_l == H.s == conv_r)
+           not any(la.termsum(conv_minus_s(h), p) for h in range(d)))
     return cl
 
 
-def _rows_hold(law, H, f, width, minus_rhs, rhs):
-    """Decide f(e_i e_j) = rhs(i, j), f the rows of Delta or S, by one sum
-    of lhs - rhs per row i keyed by j width + output index, over nonzero
-    terms only (f of the cells e_i e_j, and minus_rhs(i)): a pair with no
-    term is 0 = 0.  A row that differs is rescanned pair by pair for its
-    first differing (i, j), as in `ag.check_associative`."""
+def _differing_rows(law, H, f, width, minus_rhs):
+    """The rows i where the law f(e_i e_j) = rhs(i, j) fails, f the rows of
+    a map such as Delta or S: per row one sum of lhs - rhs keyed by
+    j width + output index, over nonzero terms only (f of the cells e_i e_j,
+    and minus_rhs(i)), so a pair with no term is 0 = 0.  The caller rescans
+    each row yielded pair by pair for its first differing tuple, as
+    `ag.check_associative` does."""
     table, p = H.alg.table, H.p
     for i in law.over(range(H.dim)):
         lhs = ((j * width + o, c * w) for j, cell in enumerate(table[i])
                for m, c in cell for o, w in f[m].items())
         if la.termsum(chain(lhs, minus_rhs(i)), p):
-            for j in law.over(range(H.dim)):
-                law.check((i, j), ag.apply_map(f, dict(table[i][j]), p),
-                          rhs(i, j))
+            yield i
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +513,27 @@ def integrals(H):
 
 
 def maschke_consistent(H, ints):
-    """Maschke: a normalized left integral exists iff H is separable."""
+    """Maschke (Boehm-Nill-Szlachanyi): a normalized left integral exists
+    iff H is separable.
+
+    A normalized left integral l gives the candidate f = l1 (x) S(l2),
+    decided by `_separates` on the full basis: mu(f) = 1 and the Casimir
+    law (e_c (x) 1) f = f (1 (x) e_c) for every c, the equations that
+    `ag.separability_element` solves.  Only when there is no l, or f
+    fails, does that d^2-unknown solve decide separability.
+    """
+    l, d, p = ints.normalized_left, H.dim, H.p
+    if l is not None:
+        f = la.legsum(H.d(l), d, lambda i, j: la.tensor_sparse(
+            {i: 1}, H.s[j], d, p), p)
+        if _separates(H, f, la.Subspace.full(d, p)):
+            return True
     try:
         ag.separability_element(H.alg)
         separable = True
     except ag.NotKanzaki:
         separable = False
-    return (ints.normalized_left is not None) == separable
+    return (l is not None) == separable
 
 
 def is_hopf(H):

@@ -129,6 +129,18 @@ def test_corrupted_antipode_fails_sandwich(bad_antipode_file, capsys):
         assert "FAIL %s " % upstream not in out
 
 
+def test_verify_wha_of_an_inseparable_group_algebra(tmp_path, capsys):
+    # kZ2 over F_2 has no normalized left integral and is not separable:
+    # Maschke holds, decided by the separability solve
+    path = tmp_path / "z2.json"
+    sf.dump(sf.specfile_for(gp.cyclic(2), "z2"), path)
+    f2 = with_field(str(path), tmp_path, "prime 2")
+    assert cli.main(["--format", "machine", "verify-wha", f2]) == 0
+    verdicts = machine_verdicts(capsys.readouterr().out)
+    assert ("maschke", True) in verdicts
+    assert all(passed for _, passed in verdicts)
+
+
 def test_trivial_algebra_passes(tmp_path):
     spec = sf.specfile_for(corpus.field_algebra(), "k")
     path = tmp_path / "k.json"

@@ -1,9 +1,13 @@
 import dataclasses
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
 from weakhopf import algebra as ag
+from weakhopf import cli
 from weakhopf import corpus
 from weakhopf import groupoid as gp
 from weakhopf import linalg as la
@@ -236,13 +240,22 @@ def test_eps_products_match_direct_products(p):
         assert [list(row) for row in H.eps_products] == want, name
 
 
-# verify_axioms decides delta_multiplicative, s_anti_multiplicative and the
-# Delta(1) products of delta_one in one pass over nonzero terms, and builds
-# eps_rows in one pass over the legs of Delta(1).  The per-pair
-# formulations they replaced are kept here as references.  Every other law
-# reads the same stored data and eps_rows, so equal eps_rows and equal
-# entries for these three laws mean equal reports.
-REWRITTEN = ("delta_multiplicative", "delta_one", "s_anti_multiplicative")
+# verify_axioms decides delta_multiplicative, eps_weak_multiplicative,
+# s_anti_multiplicative and antipode_unique in one sum per row over nonzero
+# terms, and the Delta(1) products of delta_one in one pass over their
+# cells, and builds eps_rows in one pass over the legs of Delta(1).  The
+# per-pair formulations they replaced are kept here as references.  Every
+# other law reads the same stored data and eps_rows, so equal eps_rows and
+# equal entries for these laws mean equal reports.
+REWRITTEN = ("delta_multiplicative", "eps_weak_multiplicative", "delta_one",
+             "s_anti_multiplicative", "antipode_unique")
+
+
+def convolve(H, f_rows, g_rows):
+    """Convolution product of two endomorphisms: h -> f(h1) g(h2)."""
+    return tuple(la.legsum(dh, H.dim,
+                           lambda i, j: H.alg.mul(f_rows[i], g_rows[j]), H.p)
+                 for dh in H.delta)
 
 
 def reference_checks(H):
@@ -254,6 +267,25 @@ def reference_checks(H):
             for j in law.over(range(d)):
                 law.check((i, j), H.d(dict(alg.table[i][j])),
                           ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
+    em = H.eps_products
+    P = [{h: em[h][u] for h in range(d) if em[h][u]} for u in range(d)]
+    x1s = [la.tslices(ag.apply_tensor(P, None, dg, d, d, p), d)[0]
+           for dg in H.delta]
+    x2s = [la.tslices(ag.apply_tensor(None, P, dg, d, d, p), d)[1]
+           for dg in H.delta]
+    em_rows = [la.sparse(row) for row in em]
+    with cl.holds("eps_weak_multiplicative",
+                  "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)") as law:
+        for h in law.over(range(d)):
+            for g in law.over(range(d)):
+                lhs = ag.apply_map(em_rows, dict(alg.table[h][g]), p)
+                r1 = ag.apply_map(em_rows, x1s[g].get(h, {}), p)
+                r2 = ag.apply_map(em_rows, x2s[g].get(h, {}), p)
+                if lhs == r1 == r2:
+                    continue
+                for f in law.over(range(d)):
+                    if law.check((h, g, f), lhs.get(f), r1.get(f)):
+                        law.check((h, g, f), lhs.get(f), r2.get(f))
     d1 = H.delta_one
     t_left = ag.apply_tensor(H.delta, None, d1, d, d, p)
     prod1 = la.legsum(d1, d, lambda u, v: la.legsum(
@@ -276,6 +308,10 @@ def reference_checks(H):
             for j in law.over(range(d)):
                 law.check((i, j), H.S(dict(alg.table[i][j])),
                           alg.mul(H.s[j], H.s[i]))
+    est, ess = H.eps_rows
+    cl.add("antipode_unique",
+           "eps_s * S = S = S * eps_t in the convolution algebra",
+           convolve(H, ess, H.s) == H.s == convolve(H, H.s, est))
     return cl
 
 
@@ -358,11 +394,13 @@ def test_group_table_with_the_dual_coalgebra_fails_delta_multiplicative(p):
 def test_product_laws_form_no_per_pair_product(monkeypatch):
     # on every passing corpus input, (k pair3)* among them: no
     # Delta(h)Delta(g) through tensor_mul, no legsum inside a legsum (the
-    # old Delta(1) products) and no row rescanned pair by pair, which would
-    # hide a one-pass sum that differs where the law holds
-    calls = {"tensor_mul": 0, "nested legsum": 0, "rescan": 0}
+    # old Delta(1) products), no convolution through Algebra.mul and no row
+    # rescanned pair by pair, which would hide a one-pass sum that differs
+    # where the law holds
+    calls = {"tensor_mul": 0, "nested legsum": 0, "mul": 0, "rescan": 0}
     depth = [0]
-    tensor_mul, legsum, rows_hold = ag.tensor_mul, la.legsum, wha._rows_hold
+    tensor_mul, legsum = ag.tensor_mul, la.legsum
+    mul, differing_rows = ag.Algebra.mul, wha._differing_rows
 
     def counted_tensor_mul(*args):
         calls["tensor_mul"] += 1
@@ -376,19 +414,109 @@ def test_product_laws_form_no_per_pair_product(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted_rows_hold(law, H, f, width, minus_rhs, rhs):
-        def counted_rhs(i, j):
-            calls["rescan"] += 1
-            return rhs(i, j)
-        return rows_hold(law, H, f, width, minus_rhs, counted_rhs)
+    def counted_mul(*args):
+        calls["mul"] += 1
+        return mul(*args)
 
-    monkeypatch.setattr(ag, "tensor_mul", counted_tensor_mul)
-    monkeypatch.setattr(la, "legsum", counted_legsum)
-    monkeypatch.setattr(wha, "_rows_hold", counted_rows_hold)
+    def counted_differing_rows(*args):
+        for i in differing_rows(*args):
+            calls["rescan"] += 1
+            yield i
+
     inputs = corpus_inputs()
     assert ("pair3*", None) in inputs
+    monkeypatch.setattr(ag, "tensor_mul", counted_tensor_mul)
+    monkeypatch.setattr(la, "legsum", counted_legsum)
+    monkeypatch.setattr(ag.Algebra, "mul", counted_mul)
+    monkeypatch.setattr(wha, "_differing_rows", counted_differing_rows)
     for key, H in inputs.items():
         # a fresh object, so that eps_rows is built inside verify_axioms
         assert wha.verify_axioms(dataclasses.replace(H)).ok, key
+        # antipode_target, antipode_source and antipode_sandwich multiply
+        # once per leg of Delta(e_h); the two convolutions of
+        # antipode_unique would add two more per leg
+        legs = sum(map(len, H.delta))
         assert calls == {"tensor_mul": 0, "nested legsum": 0,
-                         "rescan": 0}, key
+                         "mul": 3 * legs, "rescan": 0}, key
+        calls["mul"] = 0
+
+
+def counted_solve(monkeypatch):
+    """The algebras `ag.separability_element` is called on from now on."""
+    calls = []
+    solve = ag.separability_element
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return solve(A, *args, **kwargs)
+
+    monkeypatch.setattr(ag, "separability_element", counted)
+    return calls
+
+
+def solve_separable(A):
+    try:
+        ag.separability_element(A)
+    except ag.NotKanzaki:
+        return False
+    return True
+
+
+def test_maschke_reads_the_normalized_integral(monkeypatch):
+    # kG and (kG)* over Q and over F_13 are separable, and the candidate
+    # l1 (x) S(l2) of their normalized left integral l says so, with the
+    # verdict of the solve and without running it
+    inputs = corpus_inputs()
+    separable = {key: solve_separable(H.alg) for key, H in inputs.items()}
+    calls = counted_solve(monkeypatch)
+    for key, H in inputs.items():
+        ints = wha.integrals(H)
+        assert ints.normalized_left is not None and separable[key], key
+        assert wha.maschke_consistent(H, ints), key
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_maschke_solves_without_a_normalized_integral(monkeypatch, n):
+    # kZn over F_n is not separable and has no normalized left integral
+    H = gp.groupoid_algebra(gp.cyclic(n), p=n)
+    ints = wha.integrals(H)
+    assert ints.normalized_left is None and not solve_separable(H.alg)
+    calls = counted_solve(monkeypatch)
+    assert wha.maschke_consistent(H, ints)
+    assert calls == [H.alg]
+
+
+@pytest.mark.parametrize("p, verdict", [(None, True), (3, False)])
+def test_maschke_solves_when_the_candidate_fails(monkeypatch, p, verdict):
+    # the unit of kZ3 is no left integral, and its candidate 1 (x) 1 fails
+    # the Casimir law; the solve then decides: kZ3 is separable over Q and
+    # not over F_3, where a normalized integral would contradict Maschke
+    H = gp.groupoid_algebra(gp.cyclic(3), p)
+    ints = wha.integrals(H)
+    one = H.alg.unit_sparse()
+    assert not ints.left.contains(one)
+    calls = counted_solve(monkeypatch)
+    fake = dataclasses.replace(ints, normalized_left=one)
+    assert wha.maschke_consistent(H, fake) == verdict
+    assert calls == [H.alg]
+
+
+def test_verify_wha_on_the_corpus_runs_no_separability_solve(monkeypatch,
+                                                            tmp_path):
+    # every corpus kG and (kG)* over Q and over F_13, through spec files
+    paths = []
+    for (name, p), H in corpus_inputs().items():
+        spec = sf.specfile_for(H, name)
+        path = tmp_path / ("%s-%s.json" % (name, p))
+        sf.dump(sf.SpecFile(spec.kind, name, p, spec.payload), path)
+        paths.append(str(path))
+    calls = counted_solve(monkeypatch)
+    for path in paths:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["--format", "machine", "verify-wha", path]) == 0
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert {"name": "maschke", "passed": True} in [
+            {k: r.get(k) for k in ("name", "passed")} for r in records], path
+    assert calls == []
