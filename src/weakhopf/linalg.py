@@ -503,18 +503,20 @@ class Subspace:
 
     def coords(self, vec):
         """Sparse coordinates of vec in the RREF basis, or None if not a
-        member.
+        member."""
+        cs, rest = self.split(vec)
+        return None if rest else cs
 
-        RREF makes this a direct read-off at the pivot columns.
-        """
+    def split(self, vec):
+        """(cs, rest): the coordinates cs of vec, a direct read-off at the
+        pivot columns by RREF, and rest = vec - sum cs_k basis_k, which is
+        {} iff vec is a member."""
         cs = {k: c for k, piv in enumerate(self.pivots)
               if (c := vec.get(piv, 0))}
-        chk = dict(vec)
+        rest = dict(vec)
         for k, c in cs.items():
-            sadd_into(chk, self.basis[k], -c, self.p)
-        if chk:
-            return None
-        return cs
+            sadd_into(rest, self.basis[k], -c, self.p)
+        return cs, rest
 
     def intersect(self, other):
         """Subspace intersection, read off the kernel of the map

@@ -444,10 +444,12 @@ class ExpectationPair:
     checks: CheckList
 
     def E_B(self, x):
-        """E_B of an M2 element of C; NotClosed outside C."""
-        co = self.C.coords(x)
-        if co is None:
-            raise ag.NotClosed("E_B applied outside C")
+        """E_B of an M2 element of C; outside C, NotClosed names the first
+        M2 basis element left in x after reducing it by C's basis."""
+        co, rest = self.C.split(x)
+        if rest:
+            raise ag.NotClosed("E_B applied outside C: M2 basis %d is left "
+                               "after reducing by C" % min(rest))
         return ag.apply_map(self.E_B_rows, co, self.C.p)
 
 

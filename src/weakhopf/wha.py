@@ -23,13 +23,18 @@ lhs - rhs per row over nonzero terms (`_differing_rows`); a row that
 differs is rescanned pair by pair for its first differing tuple.
 antipode_unique sums both convolutions per h over the same legs and
 cells, and the Delta(1) products of delta_one walk the same cells.
+coassociativity and the counit laws take one sum per h over the legs of
+Delta(e_h) and the rows of Delta or eps; the integral equations read
+h e_j, eps_t(h) e_j and e_j eps_s(h) off the cells, and the Casimir law
+of a separability idempotent joins its legs to the cells in one sum per
+basis element of the subalgebra.
 
 The structure derived from a WeakHopf alone lives on the object, computed
-on first use and then shared by every caller: Delta(1) (`delta_one`), the
-scalars eps(e_i e_j) of every basis pair (`eps_products`), the sparse rows
-of eps_t and eps_s (`eps_rows`, both read off Delta(1) and eps_products),
-the rows of S^-1 (`s_inv`) and the verified counital data (`counital`, the
-CounitalData of counital()).
+on first use and then shared by every caller: the legs of each Delta(e_h)
+(`legs`), Delta(1) (`delta_one`), the scalars eps(e_i e_j) of every basis
+pair (`eps_products`), the sparse rows of eps_t and eps_s (`eps_rows`,
+both read off Delta(1) and eps_products), the rows of S^-1 (`s_inv`) and
+the verified counital data (`counital`, the CounitalData of counital()).
 Like every stored row, Delta(1) is a sparse dict; its keys are in sorted
 order, so the laws that walk its legs meet them in index order and name
 the same first failing leg.
@@ -44,7 +49,6 @@ from itertools import chain
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf.checks import CheckList
-from weakhopf.linalg import sadd_into
 
 
 class EquivalenceViolation(AssertionError):
@@ -82,6 +86,11 @@ class WeakHopf:
     def s_inv(self):
         """The sparse rows of S^-1."""
         return la.inverse(self.s, self.dim, self.p)
+
+    @cached_property
+    def legs(self):
+        """legs[h][a] = {b: c} over the legs c e_a (x) e_b of Delta(e_h)."""
+        return tuple(la.tslices(dh, self.dim)[0] for dh in self.delta)
 
     @cached_property
     def delta_one(self):
@@ -134,23 +143,44 @@ def make_weakhopf(alg, delta, eps, s):
 # the axiom engine
 
 def coalgebra_checks(H):
+    """The coalgebra laws, decided per h in one sum over the legs
+    c e_a (x) e_b of Delta(e_h): (Delta (x) id)Delta(h) -
+    (id (x) Delta)Delta(h) at the flat triple, read off the rows Delta(e_a)
+    and Delta(e_b), and (eps (x) id)Delta(h) - h and (id (x) eps)Delta(h) - h
+    in two bands from d^3 on.  The h where the sum differs are rescanned,
+    law by law, for the first witness."""
     cl = CheckList()
-    d = H.dim
+    d, p, delta, eps = H.dim, H.p, H.delta, H.eps
+    dd = d * d
+    d3 = dd * d
+
+    def terms(h):
+        yield d3 + h, -1
+        yield d3 + d + h, -1
+        for a, brow in H.legs[h].items():
+            for b, c in brow.items():
+                yield d3 + b, c * eps[a]
+                yield d3 + d + a, c * eps[b]
+                for k, w in delta[a].items():
+                    yield k * d + b, c * w
+                for k, w in delta[b].items():
+                    yield a * dd + k, -c * w
+
+    hs = [h for h in range(d) if la.termsum(terms(h), p)]
     with cl.holds("coassociativity",
                   "(Delta (x) id)Delta = (id (x) Delta)Delta") as law:
-        for h in law.over(range(d)):
-            dh = H.delta[h]
-            law.check((h,), ag.apply_tensor(H.delta, None, dh, d, d, H.p),
-                      ag.apply_tensor(None, H.delta, dh, d, d * d, H.p))
-    eps = H.eps
+        for h in law.over(hs):
+            dh = delta[h]
+            law.check((h,), ag.apply_tensor(delta, None, dh, d, d, p),
+                      ag.apply_tensor(None, delta, dh, d, dd, p))
     for name, text, term in (
             ("counit_left", "(eps (x) id)Delta = id",
              lambda i, j: {j: eps[i]}),
             ("counit_right", "(id (x) eps)Delta = id",
              lambda i, j: {i: eps[j]})):
         with cl.holds(name, text) as law:
-            for h in law.over(range(d)):
-                law.check((h,), la.legsum(H.delta[h], d, term, H.p), {h: 1})
+            for h in law.over(hs):
+                law.check((h,), la.legsum(delta[h], d, term, p), {h: 1})
     return cl
 
 
@@ -163,9 +193,8 @@ def verify_axioms(H):
     # Delta(e_i)Delta(e_j) = sum (e_a e_x) (x) (e_b e_y) over the legs
     # a (x) b of Delta(e_i) and x (x) y of Delta(e_j): the nonempty cells
     # (a, x) of each row a meet the legs of every Delta(e_j) indexed by x
-    table, dd = alg.table, d * d
+    table, dd, legs = alg.table, d * d, H.legs
     row_cells = [{x: c for x, c in enumerate(row) if c} for row in table]
-    legs = [la.tslices(dh, d)[0] for dh in H.delta]
     by_x = la.transpose(legs, d)
     with cl.holds("delta_multiplicative",
                   "Delta(hg) = Delta(h)Delta(g)") as law:
@@ -396,29 +425,27 @@ def counital(H):
 
 
 def _separates(H, e, sub):
-    d = H.dim
-    alg = H.alg
-    # legs inside the subalgebra
-    right_slices, left_slices = la.tslices(e, d)
-    for v in left_slices.values():
-        if not sub.contains(v):
-            return False
-    for v in right_slices.values():
-        if not sub.contains(v):
-            return False
-    # mu(e) = 1
-    mu = la.legsum(e, d, lambda i, j: dict(alg.table[i][j]), H.p)
-    if mu != alg.unit_sparse():
+    """True iff the flat tensor e is a separability idempotent for sub: its
+    legs lie in sub, mu(e) = 1 and (z (x) 1)e = e(1 (x) z) for every basis
+    z of sub.  Over the legs c e_a (x) e_b of e, the unit law (decided by
+    make_algebra) gives (z (x) 1)e = sum c (z e_a) (x) e_b and
+    e(1 (x) z) = sum c e_a (x) (e_b z): per z, one sum of their difference
+    reads z e_a off the cells (x, a) and e_b z off the cells (b, y)."""
+    d, p, table = H.dim, H.p, H.alg.table
+    rows, cols = la.tslices(e, d)
+    if not all(map(sub.contains, chain(rows.values(), cols.values()))):
         return False
-    # Casimir over the subalgebra basis
-    for z in sub.basis:
-        ze = ag.tensor_mul(alg, alg,
-                           la.tensor_sparse(z, alg.unit_sparse(), d, H.p), e)
-        ez = ag.tensor_mul(alg, alg, e,
-                           la.tensor_sparse(alg.unit_sparse(), z, d, H.p))
-        if ze != ez:
-            return False
-    return True
+    if la.termsum(((m, c * w) for a, brow in rows.items()
+                   for b, c in brow.items() for m, w in table[a][b]),
+                  p) != H.alg.unit_sparse():
+        return False
+    return not any(la.termsum(chain(
+        ((m * d + b, c * u * w) for a, brow in rows.items()
+         for x, u in z.items() for m, w in table[x][a]
+         for b, c in brow.items()),
+        ((a * d + n, -c * u * w) for b, acol in cols.items()
+         for y, u in z.items() for n, w in table[b][y]
+         for a, c in acol.items())), p) for z in sub.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +508,25 @@ def integrals(H):
 
     The left integrals are the l with h l = eps_t(h) l, the right ones the
     r with r h = r eps_s(h); a normalized left integral has eps_t(l) = 1.
+    Both equations are read off the structure table and the rows of eps_t
+    and eps_s, with no product per basis pair.
     """
-    d = H.dim
-    alg = H.alg
+    d, p, alg = H.dim, H.p, H.alg
     est, ess = H.eps_rows
+
     # the image of e_j holds h e_j - eps_t(h) e_j (left) and
-    # e_j h - e_j eps_s(h) (right) at offset h d, for every basis h
-    images_l = [{} for _ in range(d)]
-    images_r = [{} for _ in range(d)]
-    for h in range(d):
-        eth, esh = est[h], ess[h]
-        for j in range(d):
-            diff_l = dict(alg.table[h][j])
-            sadd_into(diff_l, alg.mul(eth, {j: 1}), -1, H.p)
-            diff_r = dict(alg.table[j][h])
-            sadd_into(diff_r, alg.mul({j: 1}, esh), -1, H.p)
-            images_l[j].update((h * d + k, c) for k, c in diff_l.items())
-            images_r[j].update((h * d + k, c) for k, c in diff_r.items())
-    left = la.kernel(images_l, H.p)
-    right = la.kernel(images_r, H.p)
+    # e_j h - e_j eps_s(h) (right) at offset h d, for every basis h.  With
+    # row[u] the cell e_u e_j (left) or e_j e_u (right), both are
+    # row[h] - sum_u eps(h)_u row[u]: one sum over nonempty cells per j
+    def images(cells, eps):
+        return [la.termsum(chain(
+            ((h * d + m, w) for h, cell in enumerate(row) for m, w in cell),
+            ((h * d + m, -c * w) for h, eh in enumerate(eps)
+             for u, c in eh.items() for m, w in row[u])), p)
+            for row in cells]
+
+    left = la.kernel(images(list(zip(*alg.table)), est), p)
+    right = la.kernel(images(alg.table, ess), p)
 
     normalized = None
     if left.dim:

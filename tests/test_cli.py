@@ -116,6 +116,19 @@ def bad_antipode_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def bad_coproduct_file(tmp_path):
+    spec = sf.specfile_for(gp.groupoid_algebra(gp.pair(2)), "bad")
+    # Delta(g01) += g00 (x) g01: coassociativity and both counit laws fail
+    # at basis 1, so the spec is refused with their witnesses
+    rows = [list(r) for r in spec.payload["delta"]]
+    rows[1][1] = "1"
+    path = tmp_path / "bad-delta.json"
+    sf.dump(sf.SpecFile("weak-hopf", "bad", None,
+                        dict(spec.payload, delta=rows)), path)
+    return str(path)
+
+
 def test_corrupted_antipode_fails_sandwich(bad_antipode_file, capsys):
     rc = cli.main(["verify-wha", bad_antipode_file])
     assert rc == 1
@@ -671,12 +684,16 @@ def test_tower_reports_are_pinned(tmp_path, capsys, run, field):
 # sha256 of the machine report of verify-wha and groupoid runs on pair2,
 # recorded before the weak Hopf layer kept Delta(1), eps_t, eps_s and the
 # counital data on the object: the same bytes over Q, over F_13 and over
-# F_65521
+# F_65521.  A refused spec writes no report; its digest covers the input
+# error on stderr, which names the witness of every failing coalgebra law
+# (recorded before those laws were read off the legs in one sum)
 WHA_DIGESTS = {
     ("verify-wha",):
         "f8b8582e7801a0fbc262a51659ccfb648cd06b51b3e3d023ff75cc4cbdc96057",
     ("verify-wha", "bad antipode"):
         "039366840dce929d6105ddc363c03cb6a1084bae874f5e7b39aaf831410fd398",
+    ("verify-wha", "bad coproduct"):
+        "322a4e6d8eb7808956e463eb8e10df94acb2374280f6a448cff92b78d675d136",
     ("groupoid",):
         "3cc47f3964369c91327f30459d8ee29e7ae4d9b3bd08da232c507383126c3f16",
     ("groupoid", "--dual"):
@@ -690,16 +707,19 @@ WHA_DIGESTS = {
 
 @pytest.mark.parametrize("field", [None, "prime 13", "prime 65521"])
 @pytest.mark.parametrize("run", sorted(WHA_DIGESTS), ids=" ".join)
-def test_wha_reports_are_pinned(pair2_file, bad_antipode_file, tmp_path,
-                                capsys, run, field):
+def test_wha_reports_are_pinned(pair2_file, bad_antipode_file,
+                                bad_coproduct_file, tmp_path, capsys, run,
+                                field):
     command, flags = run[0], [f for f in run[1:] if f.startswith("--")]
-    path = bad_antipode_file if "bad antipode" in run else pair2_file
+    path, want = {"bad antipode": (bad_antipode_file, 1),
+                  "bad coproduct": (bad_coproduct_file, 2)}.get(
+                      run[-1], (pair2_file, 0))
     if field is not None:
         path = with_field(path, tmp_path, field)
     rc = cli.main(["--format", "machine", command, path] + flags)
-    assert rc == (1 if "bad antipode" in run else 0)
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == WHA_DIGESTS[run]
+    assert rc == want
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == WHA_DIGESTS[run]
 
 
 def computed(monkeypatch, name, owner=wha.WeakHopf):

@@ -205,6 +205,19 @@ def test_E_B_of_e1_value():
     assert val == la.sscale(ctx.M2.unit_sparse(), F(1, 2))
 
 
+def test_E_B_outside_C_names_the_basis_element_left(pipelines):
+    # q2 in M2: C is spanned by the M2 basis elements 0 2 4 6 9 11 13 15;
+    # the images of M are (e_0 + e_6), (e_1 + e_7), ... scaled by 2
+    ctx, _, res, _ = pipelines["q2_in_m2"]
+    ep = res["expectations"]
+    assert ep.E_B(ctx.M_in_M2[0]) == ag.apply_map(ep.E_B_rows, {0: 2, 3: 2})
+    for x, left in ((ctx.M_in_M2[1], 1), (ctx.M1_in_M2[3], 7),
+                    ({0: 1, 5: 3, 9: 1}, 5)):
+        with pytest.raises(ag.NotClosed, match=r"^E_B applied outside C: "
+                           r"M2 basis %d is left after reducing by C$" % left):
+            ep.E_B(x)
+
+
 def test_pairing_rank(pipelines):
     for name, (ctx, lat, res, full) in pipelines.items():
         pd = res["pairing"]

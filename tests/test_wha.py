@@ -502,15 +502,20 @@ def test_maschke_solves_when_the_candidate_fails(monkeypatch, p, verdict):
     assert calls == [H.alg]
 
 
-def test_verify_wha_on_the_corpus_runs_no_separability_solve(monkeypatch,
-                                                            tmp_path):
-    # every corpus kG and (kG)* over Q and over F_13, through spec files
+def corpus_spec_files(tmp_path):
+    """Spec files of every corpus kG and (kG)*, over Q and over F_13."""
     paths = []
     for (name, p), H in corpus_inputs().items():
         spec = sf.specfile_for(H, name)
         path = tmp_path / ("%s-%s.json" % (name, p))
         sf.dump(sf.SpecFile(spec.kind, name, p, spec.payload), path)
         paths.append(str(path))
+    return paths
+
+
+def test_verify_wha_on_the_corpus_runs_no_separability_solve(monkeypatch,
+                                                            tmp_path):
+    paths = corpus_spec_files(tmp_path)
     calls = counted_solve(monkeypatch)
     for path in paths:
         out = io.StringIO()
@@ -520,3 +525,162 @@ def test_verify_wha_on_the_corpus_runs_no_separability_solve(monkeypatch,
         assert {"name": "maschke", "passed": True} in [
             {k: r.get(k) for k in ("name", "passed")} for r in records], path
     assert calls == []
+
+
+# integrals, the coalgebra laws and _separates read the stored tables in one
+# sum; the per-pair formulations they replaced are kept here as references
+def reference_integrals(H):
+    d, p, alg = H.dim, H.p, H.alg
+    est, ess = H.eps_rows
+    images_l = [{} for _ in range(d)]
+    images_r = [{} for _ in range(d)]
+    for h in range(d):
+        for j in range(d):
+            diff_l = dict(alg.table[h][j])
+            la.sadd_into(diff_l, alg.mul(est[h], {j: 1}), -1, p)
+            diff_r = dict(alg.table[j][h])
+            la.sadd_into(diff_r, alg.mul({j: 1}, ess[h]), -1, p)
+            images_l[j].update((h * d + k, c) for k, c in diff_l.items())
+            images_r[j].update((h * d + k, c) for k, c in diff_r.items())
+    left = la.kernel(images_l, p)
+    normalized = None
+    if left.dim:
+        try:
+            normalized = ag.apply_map(left.basis, la.solve(
+                [H.et(b) for b in left.basis], alg.unit_sparse(), p), p)
+        except la.NoSolution:
+            pass
+    return wha.IntegralSpaces(left, la.kernel(images_r, p), normalized)
+
+
+def reference_coalgebra_checks(H):
+    cl = CheckList()
+    d, p = H.dim, H.p
+    with cl.holds("coassociativity",
+                  "(Delta (x) id)Delta = (id (x) Delta)Delta") as law:
+        for h in law.over(range(d)):
+            dh = H.delta[h]
+            law.check((h,), ag.apply_tensor(H.delta, None, dh, d, d, p),
+                      ag.apply_tensor(None, H.delta, dh, d, d * d, p))
+    for name, text, term in (
+            ("counit_left", "(eps (x) id)Delta = id",
+             lambda i, j: {j: H.eps[i]}),
+            ("counit_right", "(id (x) eps)Delta = id",
+             lambda i, j: {i: H.eps[j]})):
+        with cl.holds(name, text) as law:
+            for h in law.over(range(d)):
+                law.check((h,), la.legsum(H.delta[h], d, term, p), {h: 1})
+    return cl
+
+
+def reference_separates(H, e, sub):
+    d, p, alg = H.dim, H.p, H.alg
+    rows, cols = la.tslices(e, d)
+    if not all(sub.contains(v) for v in [*cols.values(), *rows.values()]):
+        return False
+    one = alg.unit_sparse()
+    if la.legsum(e, d, lambda i, j: dict(alg.table[i][j]), p) != one:
+        return False
+    return all(ag.tensor_mul(alg, alg, la.tensor_sparse(z, one, d, p), e)
+               == ag.tensor_mul(alg, alg, e, la.tensor_sparse(one, z, d, p))
+               for z in sub.basis)
+
+
+def coalgebra_mutants(H):
+    """Delta(e_k) replaced by its flip or by Delta(e_k+1), and eps changed
+    at k: zeroed (or set to 1 where it is 0), or swapped with eps[k+1]."""
+    d, p = H.dim, H.p
+    for k in range(d):
+        row = ({(ij % d) * d + ij // d: c for ij, c in H.delta[k].items()},
+               H.delta[(k + 1) % d])
+        for kind, r in zip(("delta_flip", "delta_row"), row):
+            yield kind, k, dataclasses.replace(
+                H, delta=H.delta[:k] + (r,) + H.delta[k + 1:])
+        eps = list(H.eps)
+        eps[k] = 0 if eps[k] else 1
+        yield "eps_zero", k, dataclasses.replace(H, eps=tuple(eps))
+        eps = list(H.eps)
+        eps[k], eps[(k + 1) % d] = eps[(k + 1) % d], eps[k]
+        yield "eps_swap", k, dataclasses.replace(H, eps=tuple(eps))
+
+
+def test_coalgebra_laws_and_integrals_match_the_per_pair_references():
+    failed = set()
+    for key, H in corpus_inputs().items():
+        assert wha.coalgebra_checks(H).ok, key
+        assert wha.integrals(H) == reference_integrals(H), key
+        for kind, k, X in [*mutants(H), *coalgebra_mutants(H)]:
+            ref = reference_coalgebra_checks(X).items
+            # the same verdicts and the same first witness, "basis h"
+            assert wha.coalgebra_checks(X).items == ref, (key, kind, k)
+            assert wha.integrals(X) == reference_integrals(X), (key, kind, k)
+            failed.update(c.name for c in ref if not c.passed)
+    assert failed == {"coassociativity", "counit_left", "counit_right"}
+
+
+def test_separates_matches_the_tensor_mul_casimir_loop():
+    for key, H in corpus_inputs().items():
+        d, p = H.dim, H.p
+        cd, full = H.counital, la.Subspace.full(d, p)
+        l = wha.integrals(H).normalized_left
+        f = la.legsum(H.d(l), d, lambda i, j: la.tensor_sparse(
+            {i: 1}, H.s[j], d, p), p)
+        # e_t with its first leg doubled: mu(e_t) = 1 no longer holds
+        first = min(cd.e_t)
+        bad = {**cd.e_t, first: la.as_scalar(2 * cd.e_t[first], p)}
+        one = la.tensor_sparse(H.alg.unit_sparse(), H.alg.unit_sparse(),
+                               d, p)
+        cases = [(cd.e_t, cd.Ht, True), (cd.e_s, cd.Hs, True),
+                 (f, full, True), (bad, cd.Ht, False),
+                 # 1 (x) 1 fails the Casimir law (e_c (x) 1 != 1 (x) e_c)
+                 (one, full, d == 1)]
+        for n, (e, sub, verdict) in enumerate(cases):
+            assert wha._separates(H, e, sub) == verdict, (key, n)
+            assert reference_separates(H, e, sub) == verdict, (key, n)
+
+
+def test_verify_wha_forms_no_product_in_integrals_or_separates(monkeypatch,
+                                                              tmp_path):
+    # the integral equations read the cells and the Casimir law joins the
+    # legs of e to the cells: inside wha.integrals and wha._separates no
+    # Algebra.mul and no ag.tensor_mul runs.  The coalgebra laws of a
+    # passing input are decided by their one sum, with no per-h rescan
+    # through apply_tensor or legsum
+    paths = corpus_spec_files(tmp_path)
+    entered = {"integrals": 0, "_separates": 0, "coalgebra_checks": 0}
+    inside = []
+    products = {}
+
+    def stage(name, fn):
+        def wrapper(*args):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def product(name, fn):
+        def wrapper(*args):
+            if inside:
+                key = (inside[-1], name)
+                products[key] = products.get(key, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in entered:
+        monkeypatch.setattr(wha, name, stage(name, getattr(wha, name)))
+    monkeypatch.setattr(ag.Algebra, "mul", product("mul", ag.Algebra.mul))
+    for owner, name in ((ag, "tensor_mul"), (ag, "apply_tensor"),
+                        (la, "legsum")):
+        monkeypatch.setattr(owner, name, product(name, getattr(owner, name)))
+    for path in paths:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["--format", "machine", "verify-wha", path]) == 0
+    # every stage ran on every input (H and its dual; e_t, e_s and the
+    # Maschke candidate), and formed no product
+    assert entered["integrals"] >= len(paths)
+    assert entered["_separates"] >= 3 * len(paths)
+    assert entered["coalgebra_checks"] >= 2 * len(paths)
+    assert products == {}
