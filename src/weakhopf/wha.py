@@ -147,8 +147,8 @@ def coalgebra_checks(H):
     c e_a (x) e_b of Delta(e_h): (Delta (x) id)Delta(h) -
     (id (x) Delta)Delta(h) at the flat triple, read off the rows Delta(e_a)
     and Delta(e_b), and (eps (x) id)Delta(h) - h and (id (x) eps)Delta(h) - h
-    in two bands from d^3 on.  The h where the sum differs are rescanned,
-    law by law, for the first witness."""
+    in two bands from d^3 on.  Each law reads its own band, so the first h
+    whose band is nonzero is its witness."""
     cl = CheckList()
     d, p, delta, eps = H.dim, H.p, H.delta, H.eps
     dd = d * d
@@ -166,21 +166,17 @@ def coalgebra_checks(H):
                 for k, w in delta[b].items():
                     yield a * dd + k, -c * w
 
-    hs = [h for h in range(d) if la.termsum(terms(h), p)]
-    with cl.holds("coassociativity",
-                  "(Delta (x) id)Delta = (id (x) Delta)Delta") as law:
-        for h in law.over(hs):
-            dh = delta[h]
-            law.check((h,), ag.apply_tensor(delta, None, dh, d, d, p),
-                      ag.apply_tensor(None, delta, dh, d, dd, p))
-    for name, text, term in (
-            ("counit_left", "(eps (x) id)Delta = id",
-             lambda i, j: {j: eps[i]}),
-            ("counit_right", "(id (x) eps)Delta = id",
-             lambda i, j: {i: eps[j]})):
+    # the nonzero sums, in order of h: an h with none holds every law
+    diffs = {h: s for h in range(d) if (s := la.termsum(terms(h), p))}
+    for name, text, lo, hi in (
+            ("coassociativity", "(Delta (x) id)Delta = (id (x) Delta)Delta",
+             0, d3),
+            ("counit_left", "(eps (x) id)Delta = id", d3, d3 + d),
+            ("counit_right", "(id (x) eps)Delta = id", d3 + d, d3 + 2 * d)):
         with cl.holds(name, text) as law:
-            for h in law.over(hs):
-                law.check((h,), la.legsum(delta[h], d, term, p), {h: 1})
+            for h in law.over(diffs):
+                law.check((h,), {k: v for k, v in diffs[h].items()
+                                 if lo <= k < hi}, {})
     return cl
 
 
