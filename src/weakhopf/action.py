@@ -281,12 +281,12 @@ def smash(M):
             sj = q.section({j: 1})
             row.append(q.project(mul_amb(si, sj)))
         table.append(row)
-    unit = q.project(la.tensor_sparse(one_a, H.alg.unit_sparse(), dH, p))
+    one_h = H.alg.unit_sparse()
+    unit = q.project_legs([(one_a, one_h)], dH)
     alg = ag.make_algebra(table, la.dense(unit, n), p=p)
     cl.add("associative_unital", "A#H is associative with unit 1#1", True)
 
-    inc_a = tuple(q.project(la.tensor_sparse(
-        {a: 1}, H.alg.unit_sparse(), dH, p)) for a in range(dA))
+    inc_a = tuple(q.project_legs([({a: 1}, one_h)], dH) for a in range(dA))
     return Smash(M, q, alg, inc_a, cl)
 
 

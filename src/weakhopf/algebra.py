@@ -28,7 +28,7 @@ sorted ``((index, coeff), ...)`` tuple of e_i e_j, which the product
 kernels walk faster than a dict, and the unit is a dense tuple.
 
 Every sum is seeded with its first term: the kernels (`Algebra.mul`,
-`apply_map`, `apply_tensor`, `tensor_mul`, `_cell_sum`, `centralizer`)
+`apply_map`, `apply_tensor`, `tensor_mul`, `cell_sum`, `centralizer`)
 write ``o = out.get(k); out[k] = t if o is None else o + t`` and end with
 `la.residues`, and a scalar sum goes through `la.scalar_sum`.  Over Q,
 ``0 + Fraction`` goes through Fraction's reflected dispatch at the cost of
@@ -228,23 +228,33 @@ def make_algebra(structure, unit, labels=None, p=None):
     """Build an Algebra after verifying the unit law and associativity.
 
     `structure` is a dim x dim table of sparse dicts, cell [i][j] holding
-    e_i e_j.  `check_associative` decides every basis triple on the table
-    times d, the lcm of its denominators (over F_p, on the residues): both
-    sides of the law are quadratic in the table, so they scale by the same
-    d^2 and the law is the same.
+    e_i e_j.  The unit law is one sum: (2 i + side) dim + n holds
+    (u e_i - e_i)_n on the left side and (e_i u - e_i)_n on the right, read
+    from row k and column k of the table for each unit coordinate u_k, so
+    its least nonzero key names the first failing (i, side).
+    `check_associative` decides every basis triple on the table times d,
+    the lcm of its denominators (over F_p, on the residues): both sides of
+    the law are quadratic in the table, so they scale by the same d^2 and
+    the law is the same.
     """
     dim = len(structure)
     table = tuple(tuple(_srow(cell.items(), p) if cell else ()
                         for cell in row) for row in structure)
     unit = tuple(la.as_scalar(c, p) for c in unit)
     alg = Algebra(dim, table, unit, tuple(labels) if labels else None, p)
-    ud = alg.unit_sparse()
-    for i in range(dim):
-        ei = {i: 1}
-        if alg.mul(ud, ei) != ei:
-            raise BadUnit(i, "left")
-        if alg.mul(ei, ud) != ei:
-            raise BadUnit(i, "right")
+    diff = {(2 * i + side) * dim + i: -1
+            for i in range(dim) for side in (0, 1)}
+    for k, u in alg.unit_sparse().items():
+        for i, row in enumerate(table):
+            for side, cell in ((0, table[k][i]), (1, row[k])):
+                off = (2 * i + side) * dim
+                for n, v in cell:
+                    t = u * v
+                    o = diff.get(off + n)
+                    diff[off + n] = t if o is None else o + t
+    if diff := la.residues(diff, p):
+        i2 = min(diff) // dim
+        raise BadUnit(i2 // 2, ("left", "right")[i2 % 2])
     check_associative(alg)
     return alg
 
@@ -439,31 +449,53 @@ def make_cond_expectation(incl, rows):
     triples.  The two forms agree: by associativity the pair laws give
     E(a x b) = a E(x b) = a E(x) b, and b = 1 or a = 1 in the triple law
     gives the pair laws back (make_inclusion checks that 1_N embeds as 1_M).
-    Both sides E(a e_x) and E(e_x a) are read from `E.products`, which is
-    built here, once per E, and kept for every later law on E; a E(x) and
-    E(x) a are read from row a and column a of the structure table of N.
+    Each basis a of N is one sum over every x: (2 x + side) dim N + n holds
+    E(a e_x) - a E(x) for the left side and E(e_x a) - E(x) a for the
+    right, so its least nonzero key names the first failing (x, side) of a,
+    and the least (x, a, side) over the failing a is the witness.
+    E(a e_x) and E(e_x a) are read from row k and column k of `E.products`
+    for each coordinate k of a in M; that table is built here, once per E,
+    and kept for every later law on E.  a E(x) and E(x) a are read from
+    row a and column a of the structure table of N.
     """
     rows = map_rows(rows, incl.big.p)
     E = CondExpectation(incl, rows)
-    small, big = incl.small, incl.big
-    emb = incl.embed
-    p = big.p
+    small, emb, p = incl.small, incl.embed, incl.big.p
     for a in range(small.dim):
         if E.E_small(emb[a]) != {a: 1}:
             raise ValueError("E o embed != id at basis %d" % a)
-    table = small.table
-    cols = tuple(zip(*table))
-    for x in range(big.dim):
-        Ex = rows[x]
-        for a in range(small.dim):
-            if E._E_xm(emb[a], x) != _cell_sum(table[a], Ex, p):
-                raise ValueError("E not left N-linear at (%d, %d)" % (a, x))
-            if E._E_mx(x, emb[a]) != _cell_sum(cols[a], Ex, p):
-                raise ValueError("E not right N-linear at (%d, %d)" % (x, a))
+    n, table, prods = small.dim, small.table, E.products
+    first = []  # (x, a, side) of each failing a
+    for a, ea in enumerate(emb):
+        diff = {}
+        for k, c in ea.items():
+            for x, prow in enumerate(prods):
+                for side, v in ((0, prods[k][x]), (1, prow[k])):
+                    off = (2 * x + side) * n
+                    for i, w in v.items():
+                        t = c * w
+                        o = diff.get(off + i)
+                        diff[off + i] = t if o is None else o + t
+        for x, Ex in enumerate(rows):
+            for j, c in Ex.items():
+                for side, cell in ((0, table[a][j]), (1, table[j][a])):
+                    off = (2 * x + side) * n
+                    for i, w in cell:
+                        t = c * w
+                        o = diff.get(off + i)
+                        diff[off + i] = -t if o is None else o - t
+        if diff := la.residues(diff, p):
+            x2 = min(diff) // n
+            first.append((x2 // 2, a, x2 % 2))
+    if first:
+        x, a, side = min(first)
+        if side:
+            raise ValueError("E not right N-linear at (%d, %d)" % (x, a))
+        raise ValueError("E not left N-linear at (%d, %d)" % (a, x))
     return E
 
 
-def _cell_sum(cells, x, p):
+def cell_sum(cells, x, p):
     """sum_k x_k cells[k] over structure-table cells: e_a x when cells is
     row a of the table, x e_a when it is column a."""
     out = {}
@@ -593,17 +625,32 @@ def _dual_bases_system(E, within):
 
 
 def verify_dual_bases(E, db):
-    big = E.incl.big
+    """Decide E(e_m x_i) y_i = e_m = x_i E(y_i e_m) for every basis m of big.
+
+    E(e_m x_i) and E(y_i e_m) are read in small coordinates from row m and
+    column m of `E.products`, and the products emb(e_z) y_i and
+    x_i emb(e_z) are formed once per (z, i): each side for e_m is one
+    `apply_map` over them, on the index i dim N + z.  Raises NoDualBases at
+    the first failing m.
+    """
+    big, p = E.incl.big, E.incl.big.p
+    emb, n, prods = E.incl.embed, E.incl.small.dim, E.products
+    cols = tuple(zip(*prods))
+    zy = [big.mul(ez, y) for y in db.ys for ez in emb]  # at i n + z
+    xz = [big.mul(x, ez) for x in db.xs for ez in emb]
     for m in range(big.dim):
         em = {m: 1}
-        acc1, acc2 = {}, {}
-        for x, y in zip(db.xs, db.ys):
-            if ex := E._E_mx(m, x):
-                sadd_into(acc1, big.mul(E.incl.emb(ex), y), 1, big.p)
-            if ey := E._E_xm(y, m):
-                sadd_into(acc2, big.mul(x, E.incl.emb(ey)), 1, big.p)
-        if acc1 != em or acc2 != em:
-            raise NoDualBases("dual bases fail re-verification at basis %d" % m)
+        for vs, cells, formed in ((db.xs, prods[m], zy), (db.ys, cols[m], xz)):
+            co = {}
+            for i, v in enumerate(vs):
+                for k, c in v.items():
+                    for z, w in cells[k].items():
+                        t = c * w
+                        o = co.get(i * n + z)
+                        co[i * n + z] = t if o is None else o + t
+            if apply_map(formed, co, p) != em:
+                raise NoDualBases("dual bases fail re-verification at basis "
+                                  "%d" % m)
     return True
 
 
@@ -809,26 +856,64 @@ def certify_markov(incl, E, db, trace):
         U_alg=U_alg, kanzaki=kanz, trace_duals=tdu, t0=t0, checks=cl)
 
 
+def pimsner_popa(cl, k, E, e, lam_inv):
+    """Add the Pimsner-Popa identities of e = e_k in big to cl, decided on
+    every basis x with no product formed per x.
+
+    The right identity x e = lambda^-1 E(x e) e reads x e from row x of the
+    table and E(x e) from row x of `E.products`, in small coordinates, and
+    combines lambda^-1 emb(e_z) e, formed once per basis z of small; the
+    left identity e x = lambda^-1 e E(e x) reads the columns and combines
+    lambda^-1 e emb(e_z).
+    """
+    big, p, prods = E.incl.big, E.incl.big.p, E.products
+    tab = big.table
+    for right in (True, False):
+        ze = [la.sscale(big.mul(ez, e) if right else big.mul(e, ez), lam_inv,
+                        p) for ez in E.incl.embed]
+        with cl.holds(
+                "pimsner_popa_%s_e%d" % ("right" if right else "left", k),
+                ("x e%d = lambda^-1 E(x e%d) e%d" if right else
+                 "e%d x = lambda^-1 e%d E(e%d x)") % (k, k, k)) as law:
+            for x in law.over(range(big.dim)):
+                # row x (column x) of the table and of E.products, read at
+                # the support of e
+                cells = {j: tab[x][j] if right else tab[j][x] for j in e}
+                down = {j: prods[x][j] if right else prods[j][x] for j in e}
+                law.check((x,), cell_sum(cells, e, p), apply_map(
+                    ze, apply_map(down, e, p), p))
+
+
 def relative_tensor_square(cert):
     """M (x)_N M as a canonical Quotient of M (x) M.
 
     Uses the projection a (x) b -> a E(b x_i) (x) y_i, whose kernel is
-    exactly the N-balancing relations; E(e_b x_i) is read from
-    `E.products` once per (b, i) and shared by every a."""
+    exactly the N-balancing relations.  The tensor
+    t_b = E(e_b x_i) (x) y_i, with E(e_b x_i) read from `E.products` and
+    embedded in M, is summed once per b and shared by every a; the image of
+    e_a (x) e_b is then (e_a (x) 1) t_b, summed straight from row a of the
+    structure table into the flat index and finished once."""
     big = cert.incl.big
-    n = big.dim
+    n, p = big.dim, big.p
     E = cert.E
     xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
-    # E(e_b x_i), embedded in big, once per (b, i)
-    e_bx = [[E.incl.emb(E._E_mx(b, x)) for x in xs] for b in range(n)]
+    # t_b by the rows {k: {j: coeff}} of its legs e_k (x) e_j
+    t = [la.tslices(la.termsum(((k * n + j, u * w) for x, y in zip(xs, ys)
+                                for k, u in E.incl.emb(E._E_mx(b, x)).items()
+                                for j, w in y.items()), p), n)[0].items()
+         for b in range(n)]
 
     def pi_col(c):
         a, b = divmod(c, n)
+        cells = big.table[a]
         out = {}
-        for ebx, y in zip(e_bx[b], ys):
-            # e_a E(e_b x_i), summed from row a of the structure table
-            if left := _cell_sum(big.table[a], ebx, big.p):
-                sadd_into(out, la.tensor_sparse(left, y, n, big.p), 1, big.p)
-        return out
+        for k, row in t[b]:
+            for l, v in cells[k]:
+                base = l * n
+                for j, w in row.items():
+                    u = v * w
+                    o = out.get(base + j)
+                    out[base + j] = u if o is None else o + u
+        return la.residues(out, p)
 
-    return la.quotient_from_projection(n * n, pi_col, big.p)
+    return la.quotient_from_projection(n * n, pi_col, p)

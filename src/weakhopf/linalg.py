@@ -565,6 +565,24 @@ class Quotient:
     def section(self, coords):
         return {self.section_cols[i]: x for i, x in coords.items()}
 
+    def project_legs(self, legs, dim2):
+        """The class of the sum of a (x) b over the pairs (a, b) of `legs`,
+        dim2 the dimension of the second factor: sum a_i b_j
+        proj_cols[i dim2 + j], with no Kronecker vector formed and no
+        product by a coefficient 1."""
+        cols, out = self.proj_cols, {}
+        for a, b in legs:
+            for i, x in a.items():
+                base = i * dim2
+                for j, y in b.items():
+                    c = x * y
+                    one = c == 1
+                    for k, v in cols[base + j].items():
+                        t = v if one else c * v
+                        o = out.get(k)
+                        out[k] = t if o is None else o + t
+        return residues(out, self.p)
+
 
 def quotient(ambient_dim, relations):
     """Quotient of k^n by an echelonized relations subspace."""

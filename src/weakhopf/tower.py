@@ -95,10 +95,13 @@ def basic_construction(cert, q):
 
     `q` is the relative tensor square `ag.relative_tensor_square(cert)`,
     whose dimension is that of M1, so a caller can refuse a level before
-    building it.  Each cell of the table on the section representatives is
-    decided, and each e_a E(e_b e_c) is formed once per (a, b, c), only
-    where E(e_b e_c) is nonzero; a cell whose factor e_a E(e_b e_c) is zero
-    is the empty cell, with no class formed.
+    building it.  The class of a sum of a (x) b is read off the quotient's
+    projections of the coordinate pairs (`Quotient.project_legs`), with no
+    Kronecker vector formed.  Each cell of the table on the section
+    representatives is decided, and each e_a E(e_b e_c) is read from row a
+    of M's table once per (a, b, c), only where E(e_b e_c) is nonzero; a
+    cell whose factor e_a E(e_b e_c) is zero is the empty cell, with no
+    class formed.
     Verifies the characterizing properties, certifies M1/M as a symmetric
     Markov extension with the composed trace, and checks the product
     anti-isomorphism between C_M(N) and C_{M1}(M).
@@ -112,8 +115,8 @@ def basic_construction(cert, q):
     xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
     n1 = q.dim
 
-    def cls(a, b):
-        return q.project(tensor_sparse(a, b, m, p))
+    def cls(*legs):
+        return q.project_legs(legs, m)
 
     # section representatives are single coordinate pairs (a, b)
     reps = [divmod(c, m) for c in q.section_cols]
@@ -123,21 +126,20 @@ def basic_construction(cert, q):
     cs = {c for c, _ in reps}
     table = []
     for (a, b) in reps:
-        left = {c: M.mul({a: 1}, mids[b][c]) for c in cs if mids[b][c]}
-        table.append([cls(left[c], {d: 1}) if left.get(c) else {}
+        left = {c: ag.cell_sum(M.table[a], mids[b][c], p)
+                for c in cs if mids[b][c]}
+        table.append([cls((left[c], {d: 1})) if left.get(c) else {}
                       for (c, d) in reps])
-    unit = {}
-    for x, y in zip(xs, ys):
-        sadd_into(unit, cls(x, y), 1, p)
-    alg1 = ag.make_algebra(table, la.dense(unit, n1), p=p)
+    alg1 = ag.make_algebra(table, la.dense(cls(*zip(xs, ys)), n1), p=p)
 
-    e1 = cls(M.unit_sparse(), M.unit_sparse())
-    embed_rows = ag.map_rows(
-        [_embed_vec(M, xs, ys, cls, {a: 1}) for a in range(m)], p)
+    e1 = cls((M.unit_sparse(), M.unit_sparse()))
+    embed_rows = ag.map_rows([cls(*((ag.cell_sum(M.table[a], x, p), y)
+                                    for x, y in zip(xs, ys)))
+                              for a in range(m)], p)
     E_down = ag.map_rows(
         [la.sscale(dict(M.table[a][b]), lam, p) for (a, b) in reps], p)
-    xs1 = tuple(la.sscale(cls(x, M.unit_sparse()), lam_inv, p) for x in xs)
-    ys1 = tuple(cls(M.unit_sparse(), y) for y in ys)
+    xs1 = tuple(la.sscale(cls((x, M.unit_sparse())), lam_inv, p) for x in xs)
+    ys1 = tuple(cls((M.unit_sparse(), y)) for y in ys)
     db1 = ag.DualBases(xs1, ys1, lam_inv)
 
     cl = CheckList()
@@ -174,13 +176,8 @@ def basic_construction(cert, q):
     # phi: C_M(N) -> C_M1(M), u -> x_i u e1 y_i, an anti-isomorphism
     U = cert.U
     V = cert1.U
-    phi_rows = []
-    for u in U.basis:
-        img = {}
-        for x, y in zip(xs, ys):
-            sadd_into(img, cls(M.mul(x, u), y), 1, p)
-        phi_rows.append(img)
-    phi = ag.map_rows(phi_rows, p)
+    phi = ag.map_rows([cls(*((M.mul(x, u), y) for x, y in zip(xs, ys)))
+                       for u in U.basis], p)
     with cl.holds("phi_into_V", "phi(U) lies in C_M1(M)") as law:
         for i, rw in law.over(enumerate(phi)):
             law.check((i,), V.contains(rw), True)
@@ -216,13 +213,6 @@ def basic_construction(cert, q):
     return TowerLevel(q, e1, phi, cert1, cl)
 
 
-def _embed_vec(M, xs, ys, cls, v):
-    out = {}
-    for x, y in zip(xs, ys):
-        sadd_into(out, cls(M.mul(v, x), y), 1, M.p)
-    return out
-
-
 def build_tower(cert, depth, extra=0):
     """Iterate the basic construction and verify the cross-level relations.
 
@@ -233,9 +223,10 @@ def build_tower(cert, depth, extra=0):
     square is over the budget is refused before its E-multiplication and
     certification are built; dimensions grow up the tower, so every level
     past it would be over the budget too.
-    With at least two levels, checks the braid-like relations and all four
-    Pimsner-Popa identities on full bases, and that the restricted trace of
-    the top level is normalized.
+    With at least two levels, checks the braid-like relations and the
+    Pimsner-Popa identities of every level on full bases
+    (`ag.pimsner_popa`), and that the restricted trace of the top level is
+    normalized.
     """
     cl = CheckList()
     levels = []
@@ -270,26 +261,8 @@ def build_tower(cert, depth, extra=0):
                "e%d e%d e%d = lambda e%d" % (k + 1, k, k + 1, k + 1),
                top.mulm(ek1, ek, ek1) == la.sscale(ek1, lam, p))
 
-    for k in range(1, depth + 1):
-        lvl = levels[k - 1]
-        incl = lvl.cert.incl
-        top = incl.big
-        ek = lvl.e
-        # mul(x, e) = x e for the right identity, e x for the left one
-        for name, text, mul in (
-                ("pimsner_popa_right_e%d" % k,
-                 "x e%d = lambda^-1 E(x e%d) e%d" % (k, k, k), top.mul),
-                ("pimsner_popa_left_e%d" % k,
-                 "e%d x = lambda^-1 e%d E(e%d x)" % (k, k, k),
-                 lambda x, e: top.mul(e, x))):
-            with cl.holds(name, text) as law:
-                for x in law.over(range(top.dim)):
-                    xe = mul({x: 1}, ek)
-                    down = ag.apply_map(incl.embed,
-                                        ag.apply_map(lvl.cert.E.rows, xe, p),
-                                        p)
-                    law.check((x,),
-                              mul(la.sscale(down, cert.lambda_inv, p), ek), xe)
+    for k, lvl in enumerate(levels, 1):
+        ag.pimsner_popa(cl, k, lvl.cert.E, lvl.e, cert.lambda_inv)
 
     if depth >= 2:
         t2 = t.trace(2)

@@ -348,6 +348,143 @@ def test_pair_form_agrees_with_triple_form():
     assert {(True, True), (True, False)} <= verdicts
 
 
+def bimodularity_by_pairs(incl, rows):
+    """The former per-pair loop of `make_cond_expectation`: the text of its
+    first failure, in the order (x, a, left then right), or None."""
+    E = ag.CondExpectation(incl, ag.map_rows(rows, incl.big.p))
+    small, emb, p = incl.small, incl.embed, incl.big.p
+    table = small.table
+    cols = tuple(zip(*table))
+    for a in range(small.dim):
+        if E.E_small(emb[a]) != {a: 1}:
+            return "E o embed != id at basis %d" % a
+    for x in range(incl.big.dim):
+        Ex = E.rows[x]
+        for a in range(small.dim):
+            if E._E_xm(emb[a], x) != ag.cell_sum(table[a], Ex, p):
+                return "E not left N-linear at (%d, %d)" % (a, x)
+            if E._E_mx(x, emb[a]) != ag.cell_sum(cols[a], Ex, p):
+                return "E not right N-linear at (%d, %d)" % (x, a)
+    return None
+
+
+def refusal(incl, rows):
+    try:
+        ag.make_cond_expectation(incl, rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def tower_certs(p):
+    """{name: certificate} of the corpus extensions and of the levels of
+    the q_in_q2, q2_in_m2 and s3_z2 towers, over Q or F_p."""
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2(),
+                 trivial_m2=corpus.ext_trivial_m2(), q_in_q3=corpus.ext_q_q3())
+    if p is not None:
+        certs = {name: over_field(cert, p) for name, cert in certs.items()}
+    for name, depth in (("q_in_q2", 3), ("q2_in_m2", 2), ("s3_z2", 2)):
+        for k, lvl in enumerate(tw.build_tower(certs[name], depth).levels, 1):
+            certs["%s:M%d" % (name, k)] = lvl.cert
+    return certs
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_bimodularity_names_the_first_pair_of_the_pair_loop(p):
+    # E rows with one or two entries shifted: the same refusal text, so the
+    # same first (x, a, side), as the per-pair loop
+    rng = random.Random(11)
+    texts = set()
+    for name, cert in tower_certs(p).items():
+        incl, rows = cert.incl, cert.E.rows
+        assert refusal(incl, rows) is None
+        assert bimodularity_by_pairs(incl, rows) is None, name
+        for trial in range(8):
+            bad = [{k: la.as_scalar(c, p) for k, c in r.items()}
+                   for r in perturbed(rows, incl.small.dim, rng)]
+            want = bimodularity_by_pairs(incl, bad)
+            assert refusal(incl, bad) == want, (name, trial)
+            texts.add(want and want.split(" at ")[0])
+    assert {"E not left N-linear", "E not right N-linear"} <= texts
+
+
+def dual_bases_by_products(E, db):
+    """The former loop of `verify_dual_bases`, two products in big per
+    (m, i): the first failing basis m, or None."""
+    big, p = E.incl.big, E.incl.big.p
+    for m in range(big.dim):
+        acc1, acc2 = {}, {}
+        for x, y in zip(db.xs, db.ys):
+            if ex := E._E_mx(m, x):
+                la.sadd_into(acc1, big.mul(E.incl.emb(ex), y), 1, p)
+            if ey := E._E_xm(y, m):
+                la.sadd_into(acc2, big.mul(x, E.incl.emb(ey)), 1, p)
+        if acc1 != {m: 1} or acc2 != {m: 1}:
+            return m
+    return None
+
+
+def dual_bases_failure(E, db):
+    try:
+        ag.verify_dual_bases(E, db)
+    except ag.NoDualBases as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_dual_bases_fail_at_the_basis_of_the_product_loop(p):
+    # each y_i rescaled by 2 in turn: NoDualBases at the same basis m
+    failing = 0
+    for name, cert in tower_certs(p).items():
+        E, db = cert.E, cert.dual_bases
+        assert dual_bases_by_products(E, db) is None
+        assert dual_bases_failure(E, db) is None, name
+        two = la.as_scalar(2, p)
+        for i in range(len(db.ys)):
+            ys = list(db.ys)
+            ys[i] = la.sscale(ys[i], two, p)
+            bad = ag.DualBases(db.xs, tuple(ys), None)
+            m = dual_bases_by_products(E, bad)
+            assert dual_bases_failure(E, bad) == (
+                None if m is None else
+                "dual bases fail re-verification at basis %d" % m), (name, i)
+            failing += m is not None
+    assert failing
+
+
+def unit_law_by_products(alg):
+    """The former unit law of `make_algebra`, two products per basis
+    element: the first failing (i, side), or None."""
+    ud = alg.unit_sparse()
+    for i in range(alg.dim):
+        ei = {i: 1}
+        if alg.mul(ud, ei) != ei:
+            return i, "left"
+        if alg.mul(ei, ud) != ei:
+            return i, "right"
+    return None
+
+
+def test_unit_law_fails_at_the_element_of_the_product_loop():
+    # each unit coordinate shifted by 1 in turn: the same BadUnit witness
+    sides = set()
+    for name, alg in corpus_algebras():
+        structure = [[dict(cell) for cell in row] for row in alg.table]
+        assert unit_law_by_products(alg) is None, name
+        for k in range(alg.dim):
+            unit = list(alg.unit)
+            unit[k] = la.residue(unit[k] + 1, alg.p)
+            want = unit_law_by_products(
+                ag.Algebra(alg.dim, alg.table, tuple(unit), None, alg.p))
+            with pytest.raises(ag.BadUnit) as info:
+                ag.make_algebra(structure, unit, p=alg.p)
+            assert info.value.witness == want, (name, k)
+            assert str(info.value) == "unit fails on e%d (%s)" % want
+            sides.add(want[1])
+    assert sides == {"left", "right"}
+
+
 def nondegeneracy_rank_dense(E):
     """The former check: rank of the dense dim M x (dim M dim N) matrix."""
     small, big = E.incl.small, E.incl.big

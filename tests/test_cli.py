@@ -654,7 +654,10 @@ def test_appendix_depth_stays_within_the_budget(tmp_path, capsys,
 
 # sha256 of the `tower --format machine` report of plain tower runs, each
 # exiting 0, recorded before the conditional expectations kept their
-# E(e_i e_j) table: the same bytes over Q and over F_65521
+# E(e_i e_j) table: the same bytes over Q and over F_65521.  A refused spec
+# writes no report; its digest covers the input error on stderr, which
+# names the first basis pair where E is not N-linear (recorded before
+# those laws were read off E's table in one sum per basis row)
 TOWER_DIGESTS = {
     ("q_in_q2", "--depth", "5", "--appendix-fn", "2"):
         "236c14773581fbc7caf9619b999cab99ce8722f83d1263706a3263845d4656d1",
@@ -666,19 +669,36 @@ TOWER_DIGESTS = {
         "18811e69cb8ea5780cb30dfc85f22d0b314bafc688b9fb55323e7488457b3548",
     ("trivial_m2", "--depth", "3"):
         "22064d9a4d6b78ff9911da4f3c5938dc980fd25d78b628298afe16534eb29edc",
+    ("q2_in_m2", "--depth", "2", "not left N-linear"):
+        "7dc7a00822f2fa611a099ac24a528d8533859cf8de259b6c59a1bef958fb5d2f",
 }
+
+
+def not_left_linear_file(tmp_path):
+    """q2_in_m2 with E(e10) = d0: E(e00 e10) = 0 != d0 E(e10), so E is not
+    left N-linear at (0, 2) and the spec is refused."""
+    with open(extension_file(tmp_path, "q2_in_m2")) as fh:
+        raw = json.load(fh)
+    raw["payload"]["expectation"][2] = ["1", "0"]
+    path = tmp_path / "not-left-linear.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 @pytest.mark.parametrize("field", [None, "prime 65521"])
 @pytest.mark.parametrize("run", sorted(TOWER_DIGESTS), ids=" ".join)
 def test_tower_reports_are_pinned(tmp_path, capsys, run, field):
-    path = extension_file(tmp_path, run[0])
+    flags = [f for f in run[1:] if not f.startswith("not ")]
+    if run[-1] == "not left N-linear":
+        path, want = not_left_linear_file(tmp_path), 2
+    else:
+        path, want = extension_file(tmp_path, run[0]), 0
     if field is not None:
         path = with_field(path, tmp_path, field)
-    assert cli.main(["--format", "machine", "tower", path] + list(run[1:])) \
-        == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == TOWER_DIGESTS[run]
+    assert cli.main(["--format", "machine", "tower", path] + flags) == want
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == \
+        TOWER_DIGESTS[run]
 
 
 # sha256 of the machine report of verify-wha and groupoid runs on pair2,

@@ -217,9 +217,9 @@ def test_cell_sums_and_traces_are_finished(p, name, data):
     a = data.draw(st.integers(0, n - 1))
     trace = data.draw(st.lists(scalars(p), min_size=n, max_size=n))
     cols = tuple(zip(*alg.table))
-    assert_finished(ag._cell_sum(alg.table[a], x, p),
+    assert_finished(ag.cell_sum(alg.table[a], x, p),
                     finished(dense_mul(alg, {a: 1}, x), p), p)
-    assert_finished(ag._cell_sum(cols[a], x, p),
+    assert_finished(ag.cell_sum(cols[a], x, p),
                     finished(dense_mul(alg, x, {a: 1}), p), p)
     want = sum(c * trace[i] for i, c in x.items())
     got = ag.trace_of(trace, x, p)
@@ -268,7 +268,7 @@ def test_zero_terms_and_empty_inputs_form_nothing(p):
         x = {0: one}
         for got in (alg.mul({}, x), alg.mul(x, {}), alg.mulm(x, {}, x),
                     ag.apply_map(alg.lmul_rows(x), {}, p),
-                    ag._cell_sum(alg.table[0], {}, p)):
+                    ag.cell_sum(alg.table[0], {}, p)):
             assert got == {}
         # an empty product is a new dict, never an input passed through
         empty = {}

@@ -1,10 +1,15 @@
+import dataclasses
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
 from weakhopf import algebra as ag
+from weakhopf import cli
 from weakhopf import corpus
 from weakhopf import linalg as la
+from weakhopf import specfile as sf
 from weakhopf import tower as tw
 from weakhopf import wha
 
@@ -134,6 +139,121 @@ def test_tower_relations(towers):
                     "pimsner_popa_left_e1", "pimsner_popa_right_e2",
                     "pimsner_popa_left_e2", "restricted_trace_normalized"):
             assert t.checks.get(law).passed, (name, law)
+
+
+def over_field(cert, p):
+    """The certified extension of `cert` rebuilt from its spec over F_p."""
+    if p is None:
+        return cert
+    spec = sf.specfile_for((cert.incl, cert.E, cert.trace), "ext")
+    incl, E, trace = sf.build(sf.SpecFile(spec.kind, spec.name, p,
+                                          spec.payload))
+    return ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
+
+
+def pimsner_popa_by_products(t):
+    """The former per-x loop of `build_tower`, products in M_k for every
+    basis x: {identity: witness of its first failing x, or None}."""
+    out = {}
+    lam_inv = t.base.lambda_inv
+    for k, lvl in enumerate(t.levels, 1):
+        incl, ek = lvl.cert.incl, lvl.e
+        top, p = incl.big, incl.big.p
+        for name, mul in (("pimsner_popa_right_e%d" % k, top.mul),
+                          ("pimsner_popa_left_e%d" % k,
+                           lambda x, e: top.mul(e, x))):
+            out[name] = None
+            for x in range(top.dim):
+                xe = mul({x: 1}, ek)
+                down = ag.apply_map(incl.embed, ag.apply_map(
+                    lvl.cert.E.rows, xe, p), p)
+                if mul(la.sscale(down, lam_inv, p), ek) != xe:
+                    out[name] = "basis %d" % x
+                    break
+    return out
+
+
+def pimsner_popa_verdicts(t):
+    return {c.name: c.witness for c in t.checks.items
+            if c.name.startswith("pimsner_popa")}
+
+
+PP_TOWERS = (("q_in_q2", corpus.ext_q_q2, 3), ("q2_in_m2", corpus.ext_q2_m2, 2),
+             ("s3_z2", corpus.ext_s3_z2, 2))
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_pimsner_popa_sums_match_the_product_loop(p, monkeypatch):
+    # every identity holds on the corpus towers; with each Jones idempotent
+    # doubled, x (2e) = 2 x e but lambda^-1 E(x 2e) 2e = 4 x e, so both
+    # sides of every level fail, at the first x of the per-x loop
+    for name, ext, depth in PP_TOWERS:
+        t = tw.build_tower(over_field(ext(), p), depth)
+        want = pimsner_popa_by_products(t)
+        assert len(want) == 2 * depth
+        assert pimsner_popa_verdicts(t) == want == dict.fromkeys(want), name
+    build = tw.basic_construction
+
+    def doubled(cert, q):
+        lvl = build(cert, q)
+        return dataclasses.replace(lvl, e=la.sscale(lvl.e, 2, cert.incl.big.p))
+
+    monkeypatch.setattr(tw, "basic_construction", doubled)
+    for name, ext, depth in PP_TOWERS:
+        t = tw.build_tower(over_field(ext(), p), depth)
+        want = pimsner_popa_by_products(t)
+        assert None not in want.values(), name
+        assert pimsner_popa_verdicts(t) == want, name
+
+
+def test_passing_tower_forms_no_kronecker_vector_or_per_basis_product(
+        tmp_path, monkeypatch):
+    # `tower q_in_m2 --depth 2`: the classes of the basic construction and
+    # the projection of the relative tensor square are read off the
+    # quotient and the table with no tensor_sparse (858 Kronecker vectors
+    # when each class projected one); N-linearity reads E's table with no
+    # Algebra.mul; the Pimsner-Popa sums form emb(e_z) e and e emb(e_z)
+    # once per basis z of M_{k-1}, 2 (4 + 16) products, and none per basis
+    # x of M_k (two per x and side when each case was formed, 320 in all)
+    cert = corpus.ext_q_m2()
+    path = tmp_path / "q_in_m2.json"
+    sf.dump(sf.specfile_for((cert.incl, cert.E, cert.trace), "q_in_m2"), path)
+    stages = ((tw, "basic_construction"), (ag, "relative_tensor_square"),
+              (ag, "make_cond_expectation"), (ag, "pimsner_popa"))
+    entered = {name: 0 for _, name in stages}
+    inside, calls = [], {}
+
+    def stage(name, fn):
+        def wrapper(*args):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if inside:
+                calls[inside[-1], name] = calls.get((inside[-1], name), 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for owner, name in stages:
+        monkeypatch.setattr(owner, name, stage(name, getattr(owner, name)))
+    kron = counted("tensor_sparse", la.tensor_sparse)
+    monkeypatch.setattr(la, "tensor_sparse", kron)
+    monkeypatch.setattr(tw, "tensor_sparse", kron)
+    monkeypatch.setattr(ag.Algebra, "mul", counted("mul", ag.Algebra.mul))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["tower", str(path), "--depth", "2"]) == 0
+    assert entered == {"basic_construction": 2, "relative_tensor_square": 2,
+                       "make_cond_expectation": 3, "pimsner_popa": 2}
+    for name in ("basic_construction", "relative_tensor_square"):
+        assert (name, "tensor_sparse") not in calls
+    assert ("make_cond_expectation", "mul") not in calls
+    assert calls[("pimsner_popa", "mul")] == 2 * (4 + 16)
 
 
 def test_lattice_dims(pipelines):
