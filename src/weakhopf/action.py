@@ -2,14 +2,13 @@
 
 Actions are stored as act[h] = sparse rows of the operator "e_h . (-)" on
 the module algebra.  Every constructed action is pushed through the module
-algebra axioms on full basis tuples; smash products verify well-definedness
-of the representative-level product against a spanning set of relation
-witnesses before trusting it.  Sums over the legs of Delta(e_h), as in
-h . a = h1 a S(h2), go through `linalg.legsum`, and a pairing with one leg
-reads a slice from `linalg.tslices`; the smash product's kernel keeps its
-own decoded legs of Delta, built once per smash product, and the measuring
-law keeps, per (h, a), the legs of Delta(e_h) whose first leg acts nonzero
-on e_a, so that no b sums a leg that is zero by construction.
+algebra axioms on full basis tuples, and the ModuleAlgebra keeps their
+verdicts, which a smash product reads beside the premises of its
+well-definedness.  Sums over the legs of Delta(e_h), as in
+h . a = h1 a S(h2), go through `linalg.legsum` or read slices from
+`linalg.tslices`; the smash product's kernel keeps its own decoded legs of
+Delta.  A measuring law f(ab) = f1(a) f2(b) is one keyed sum per map f
+(`measuring_failure`), read off the stored rows and the product table.
 """
 
 from __future__ import annotations
@@ -23,15 +22,12 @@ from weakhopf.checks import CheckList
 from weakhopf.linalg import sadd_into
 
 
-class WellDefinednessFailure(ValueError):
-    """The smash product does not respect the balancing relations."""
-
-
 @dataclass(frozen=True)
 class ModuleAlgebra:
     H: wha.WeakHopf
     A: ag.Algebra
     act: tuple  # act[h]: sparse rows A -> A
+    checks: CheckList | None = None  # the module-algebra verdicts
 
     def apply(self, h, a):
         out = {}
@@ -55,9 +51,8 @@ def make_module_algebra(H, A, act):
     (ModuleAlgebra, CheckList).
     """
     act = tuple(ag.map_rows(rows, A.p) for rows in act)
-    M = ModuleAlgebra(H, A, act)
-    cl = verify_module_algebra(M)
-    return M, cl
+    cl = verify_module_algebra(ModuleAlgebra(H, A, act))
+    return ModuleAlgebra(H, A, act, cl), cl
 
 
 def verify_module_algebra(M):
@@ -89,19 +84,8 @@ def verify_module_algebra(M):
 
     with cl.holds("measuring", "h . (ab) = (h1 . a)(h2 . b)") as law:
         for h in law.over(range(dH)):
-            firsts = la.tslices(H.delta[h], dH)[0]  # u -> {v: c_uv}
-            for a in law.over(range(dA)):
-                # the legs c_uv e_u (x) e_v of Delta(e_h) with e_u . e_a
-                # nonzero: only they add to (h1 . a)(h2 . b) for any b
-                live = [(acts[u][a], c, acts[v]) for u, vs in firsts.items()
-                        if acts[u][a] for v, c in vs.items()]
-                for b in law.over(range(dA)):
-                    lhs = ag.apply_map(M.act[h], dict(A.table[a][b]), p)
-                    rhs = {}
-                    for ua, c, av in live:
-                        if av[b]:
-                            sadd_into(rhs, A.mul(ua, av[b]), c, p)
-                    law.check((h, a, b), lhs, rhs)
+            ab = measuring_failure(A, acts[h], H.legs[h], acts, acts)
+            law.fails_at(ab and (h,) + ab)
 
     one_a = A.unit_sparse()
     est = H.eps_rows[0]
@@ -111,6 +95,43 @@ def verify_module_algebra(M):
             rhs = M.apply(est[h], one_a)
             law.check((h,), lhs, rhs)
     return cl
+
+
+def measuring_failure(alg, f, legs, left, right):
+    """The first basis pair (a, b) where f(e_a e_b) differs from the sum of
+    c left[u][a] right[v][b] over legs = {u: {v: c}}, or None; f, left[u]
+    and right[v] are sparse rows on alg.  One sum keyed (a dim + b) dim + n
+    reads f at the cells and joins left[u][a] to sum_v c right[v][b] at the
+    cells of their entries, so its least key names the first pair.
+    """
+    table, d, p = alg.table, alg.dim, alg.p
+    acc = {}
+    for a, row in enumerate(table):
+        for b, cell in enumerate(row):
+            off = (a * d + b) * d
+            for k, c in cell:
+                for n, w in f[k].items():
+                    t = w if c == 1 else c * w
+                    o = acc.get(off + n)
+                    acc[off + n] = t if o is None else o + t
+    for u, vs in legs.items():
+        ru = [{} for _ in range(d)]  # minus r_u
+        for v, c in vs.items():
+            for b, vb in enumerate(right[v]):
+                sadd_into(ru[b], vb, -c, p)
+        for a, ua in enumerate(left[u]):
+            for b, rb in (enumerate(ru) if ua else ()):
+                off = (a * d + b) * d
+                for m, x in (ua.items() if rb else ()):
+                    row = table[m]
+                    for l, y in rb.items():
+                        t = x * y
+                        for n, w in row[l]:
+                            tw = t if w == 1 else t * w
+                            o = acc.get(off + n)
+                            acc[off + n] = tw if o is None else o + tw
+    key = min(la.residues(acc, p), default=None)
+    return None if key is None else (key // d // d, key // d % d)
 
 
 def invariants(M):
@@ -186,17 +207,27 @@ class Smash:
 def smash(M):
     """The smash product A # H on A (x)_{Ht} H.
 
-    Balancing relations: (a . z) (x) h - a (x) (z h) with a . z = a (z . 1);
-    the product (a # h)(b # g) = a (h1 . b) # h2 g is computed on
-    representatives and verified well-defined on a spanning set of relation
-    witnesses, then associativity and the unit law are re-verified on the
-    quotient basis by construction of the quotient algebra.
-
-    The product reads tables built once per call: the legs of Delta(e_h)
-    from H.delta, e_u . e_b from M.act, and e_a w and e_v e_g from the
-    product tables of A and H.  Every relation witness is still multiplied
-    with every section column on both sides, and every pair of section
-    columns is multiplied for the table.
+    The relations r = (a . z) (x) h - a (x) (z h), a . z = a (z . 1) and z
+    in the basis of Ht, span R; (a # h)(b # g) = a (h1 . b) # h2 g on
+    representatives is well defined on the quotient, R R included, when
+    r y = 0 and y r lies in R for y = b (x) g.  Both follow from premises
+    decided here on full bases, (i) Delta(z h) = (z (x) 1) Delta(h),
+    (i') Delta(h z) = Delta(h)(z (x) 1), (ii) z . c = (z . 1) c and
+    (iv) eps_t(h1) h2 = h, from the laws (iii) h . 1 = eps_t(h) . 1
+    (unit_axiom), module_associative and measuring of M.checks, and from
+    coassociativity, which make_weakhopf requires [BNS; Nikshych 2000].
+    Left: r y = a (z.1)(h1 . b) (x) h2 g - a ((zh)1 . b) (x) (zh)2 g = 0,
+    as (i), module_associative and (ii) give a (z . (h1 . b)) (x) h2 g and
+    then the first term for the second.
+    Right: y r = b (g1 . (a (z.1))) (x) g2 h - b (g1 . a) (x) g2 z h.  By
+    measuring, module_associative and (iii) the first term is
+    b (g1 . a)(eps_t(g2 z) . 1) (x) g3 h = b (g1 . a) (x) eps_t(g2 z) g3 h
+    modulo R, eps_t(g2 z) lying in Ht; (i') and coassociativity give
+    g1 (x) (g2 z)1 (x) (g2 z)2 = g1 (x) g2 z (x) g3, so by (iv) it is the
+    second term.  A failure fails `well_defined`, its witness the premise
+    and tuple, "(ii, 2, 5)" for z 2 and c 5, or the law and its witness;
+    the table, read off Delta, M.act and the tables of A and H, is built
+    all the same, for make_algebra to decide.
     """
     H, A = M.H, M.A
     p = A.p
@@ -205,10 +236,7 @@ def smash(M):
     cl = CheckList()
 
     one_a = A.unit_sparse()
-    zt_acts = []
-    for z in H.counital.Ht.basis:
-        z_dot_one = M.apply(z, one_a)
-        zt_acts.append((z, z_dot_one))
+    zt_acts = [(z, M.apply(z, one_a)) for z in H.counital.Ht.basis]
 
     # the stated right action a . z = a (z . 1) agrees with S^-1(z) . a
     with cl.holds("right_Ht_action", "a . z = a (z . 1) = S^-1(z) . a") as law:
@@ -220,14 +248,12 @@ def smash(M):
 
     rel_vecs = []
     for z, z1 in zt_acts:
+        zh = [H.alg.mul(z, {h: 1}) for h in range(dH)]
         for a in range(dA):
             az = A.mul({a: 1}, z1)
-            for h in range(dH):
-                vec = la.tensor_sparse(az, {h: 1}, dH, p)
-                zh = H.alg.mul(z, {h: 1})
-                sadd_into(vec, la.tensor_sparse({a: 1}, zh, dH, p), -1, p)
-                if vec:
-                    rel_vecs.append(vec)
+            rel_vecs.extend(filter(None, (sadd_into(
+                la.tensor_sparse(az, {h: 1}, dH, p), la.tensor_sparse(
+                    {a: 1}, zh[h], dH, p), -1, p) for h in range(dH))))
     relations = la.Subspace.from_vectors(amb, rel_vecs, p)
     q = la.quotient(amb, relations)
 
@@ -261,16 +287,8 @@ def smash(M):
                             out[base + n] = t if o is None else o + t
         return la.residues(out, p)
 
-    # well-definedness against the relation witnesses
-    for r in relations.basis:
-        for c in q.section_cols:
-            if q.project(mul_amb(r, {c: 1})):
-                raise WellDefinednessFailure(
-                    "left product of a relation witness is nonzero")
-            if q.project(mul_amb({c: 1}, r)):
-                raise WellDefinednessFailure(
-                    "right product of a relation witness is nonzero")
-    cl.add("well_defined", "(a#h)(b#g) respects the Ht-balancing", True)
+    cl.add("well_defined", "(a#h)(b#g) respects the Ht-balancing",
+           (wd := _balancing_failure(M)) is None, wd)
 
     n = q.dim
     table = []
@@ -288,6 +306,38 @@ def smash(M):
 
     inc_a = tuple(q.project_legs([({a: 1}, one_h)], dH) for a in range(dA))
     return Smash(M, q, alg, inc_a, cl)
+
+
+def _balancing_failure(M):
+    """The first failing case of a premise of `smash`, as the witness
+    "(premise, index, ...)", or the first failing law of M, or None."""
+    H, A, p = M.H, M.A, M.A.p
+    Ha, dH, est = H.alg, H.dim, H.eps_rows[0]
+
+    def cases():  # (where, lhs, rhs), in the order of the witness
+        for zi, z in enumerate(H.counital.Ht.basis):
+            # the legs c e_u (x) e_v of Delta(h) times z: zh[u] (x) c e_v
+            for name, zh in (("i", [Ha.mul(z, {h: 1}) for h in range(dH)]),
+                             ("i'", [Ha.mul({h: 1}, z) for h in range(dH)])):
+                for h, legs in enumerate(H.legs):
+                    yield (name, zi, h), H.d(zh[h]), la.termsum(((
+                        k * dH + v, x * c) for u, vs in legs.items()
+                        for k, x in zh[u].items() for v, c in vs.items()), p)
+            z1 = M.apply(z, A.unit_sparse())
+            for c in range(A.dim):
+                yield ("ii", zi, c), M.apply(z, {c: 1}), A.mul(z1, {c: 1})
+        for h, dh in enumerate(H.delta):
+            yield ("iv", h), la.legsum(dh, dH, lambda u, v: Ha.mul(
+                est[u], {v: 1}), p), {h: 1}
+
+    for where, lhs, rhs in cases():
+        if lhs != rhs:
+            return "(%s)" % ", ".join(map(str, where))
+    if M.checks is None:
+        return "the module-algebra laws are not decided"
+    return next(("%s %s" % (c.name, c.witness) for c in M.checks.items
+                 if c.name in ("module_associative", "measuring", "unit_axiom")
+                 and not c.passed), None)
 
 
 def smash_dual_action(M, sm):

@@ -521,7 +521,7 @@ def find_dual_bases(E, within=None):
     unknown), falling back to the plain system.  Raises NoDualBases when
     even that is infeasible.  The system is that of `_dual_bases_system`;
     the plain system is the same images with the symmetric-product
-    coordinates dropped.
+    coordinates dropped.  Callers decide the bases by `verify_dual_bases`.
     """
     big = E.incl.big
     p = big.p
@@ -553,13 +553,10 @@ def find_dual_bases(E, within=None):
         if y:
             xs.append(cands[a])
             ys.append(y)
-    db = DualBases(tuple(xs), tuple(ys), None)
-    verify_dual_bases(E, db)  # re-verify Eq on the full basis before returning
     s = {}
     for x, y in zip(xs, ys):
         sadd_into(s, big.mul(x, y), 1, p)
-    lam = big.scalar_of(s)
-    return DualBases(db.xs, db.ys, lam)
+    return DualBases(tuple(xs), tuple(ys), big.scalar_of(s))
 
 
 def _dual_bases_system(E, within):

@@ -4,9 +4,9 @@ Every verification stage appends Check records (name, defining law, result,
 witness on failure) to a CheckList; the CLI renders these directly and exit
 status is derived from them.  Failures are report entries, never silent.
 
-A law checked on basis tuples goes through CheckList.holds, the one way to
-do so: it stops at the first tuple where the two sides differ and records
-that tuple as the witness.
+A law checked on basis tuples goes through CheckList.holds: it stops at
+the first tuple where the two sides differ, or takes it from the least key
+of a keyed sum (``law.fails_at``), and records that tuple as the witness.
 """
 
 from __future__ import annotations
@@ -100,6 +100,10 @@ class _Law:
                 yield item
                 if self.witness is not None:
                     return
+
+    def fails_at(self, where):
+        """The first failing tuple of a case decided elsewhere, or None."""
+        return where is None or self.check(where, True, False)
 
     def check(self, where, lhs, rhs):
         """One case; the first with lhs != rhs fails the law at `where`."""

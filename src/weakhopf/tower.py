@@ -12,23 +12,23 @@ The depth-2 machinery keeps its elements in the coordinates of the top
 level M2, where all six centralizers live.  A trace T(x y) is read as x
 against the covector T(e_m y) of y, built once per y from the trace form
 of M2, and <a a', b> as the Gram rows at A's table cell of a a', so no
-product is formed for either.  The measuring laws through E_M1 are decided
-in M1, whose embedding in M2 is verified multiplicative and injective:
-their left sides are read through M1's table from the E_M1 tables the laws
-build.  The derived weak Hopf structure on B is solved from the duality
-pairing and every identity of the derivation chain is re-verified on full
-bases.  Each shared object is built once and read by every later stage:
-the context holds the embeddings of N, M and M1 (each inclusion its image,
-`incl.image`) and the covectors of B's basis; the pairing reads the
-subalgebra V = C_M1(M) and its Kanzaki element from the level-1
-certificate, which built them; the derived structure holds
-lambda^-1 Delta(b) and A inside M1, read back from M2 through the verified
-E onto M1 (E o embed = id); B keeps the inverse of its antipode
+product is formed for either.  The two measuring laws through E_M1 are
+decided in M1, whose embedding in M2 is verified multiplicative and
+injective, as one keyed sum per map (`action.measuring_failure`) over the
+E_M1 tables they build, with no product formed per case.  The derived weak
+Hopf structure on B is solved from the duality pairing and every identity
+of the derivation chain is re-verified on full bases.  Each shared object
+is built once and read by every later stage: the context holds the
+embeddings of N, M and M1 (each inclusion its image, `incl.image`) and the
+covectors of B's basis; the pairing reads the subalgebra V = C_M1(M) and
+its Kanzaki element from the level-1 certificate, which built them; the
+derived structure holds A inside M1, read back from M2 through the
+verified E onto M1 (E o embed = id); B keeps the inverse of its antipode
 (`WeakHopf.s_inv`) for the derivation and the smash product alike.  The
 structure of B* is read off B's transposed matrices and carried to A, so
-the axiom engine runs on B and A and on no B*.  One routine, `_smash_iso`, verifies both smash
-isomorphisms M1 # B -> M2 and M # A -> M1, and reads the inclusion
-x -> x # 1 from the smash product.
+the axiom engine runs on B and A and on no B*.  One routine, `_smash_iso`,
+verifies both smash isomorphisms M1 # B -> M2 and M # A -> M1, and reads
+the inclusion x -> x # 1 from the smash product.
 
 The derivation is written in Sweedler notation, e.g.
 E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1); each such
@@ -395,11 +395,13 @@ def depth2_check(ctx):
     E_M = ctx.lv1.cert.E  # conditional expectation M1 -> M
     try:
         dbA = ag.find_dual_bases(E_M, within=ctx.A1)
+        ag.verify_dual_bases(E_M, dbA)
     except ag.NoDualBases as exc:
         raise Depth2Failure("E_M within A", str(exc))
     E_M1_cond = ctx.lv2.cert.E
     try:
         dbB = ag.find_dual_bases(E_M1_cond, within=ctx.B)
+        ag.verify_dual_bases(E_M1_cond, dbB)
     except ag.NoDualBases as exc:
         raise Depth2Failure("E_M1 within B", str(exc))
     return Depth2Data(dbA.xs, dbB.xs, dbB.ys)
@@ -681,6 +683,7 @@ class DerivedWeakHopf:
         self._build(ep, pd)
 
     def _build(self, ep, pd):
+        from weakhopf import action as ac
         ctx = self.ctx
         cl = self.checks
         M2 = ctx.M2
@@ -856,10 +859,8 @@ class DerivedWeakHopf:
                         B.delta[j], nB, lambda k, l: {l: G[i].get(k, 0)}, p)))
                     law.check((j, i), lhs, rhs)
 
-        # lambda^-1 Delta(b_j): the legs of the sums that carry lambda^-1,
-        # here and in the action of B on M1
-        self.lam_delta = lam_delta = [la.sscale(r, lam_inv, p)
-                                      for r in B.delta]
+        # lambda^-1 Delta(b_j): the legs of the sums that carry lambda^-1
+        lam_delta = [la.sscale(r, lam_inv, p) for r in B.delta]
         with cl.holds("sweedler_recovery",
                       "lambda^-1 b2 E_A(e2 w b1) w^-1 = b") as law:
             for j in law.over(range(nB)):
@@ -906,14 +907,10 @@ class DerivedWeakHopf:
         with cl.holds("expectation_measuring",
                       "E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 "
                       "E_M1(e2 w x b1)") as law:
-            for y in law.over(range(nM1)):
-                for x in law.over(range(nM1)):
-                    yx = dict(M1.table[y][x])
-                    for j in law.over(range(nB)):
-                        lhs = ag.apply_map(q[j], yx, p)
-                        rhs = la.legsum(lam_delta[j], nB, lambda k, l: (
-                            M1.mul(qw[l][y], q[k][x])), p)
-                        law.check((y, x, j), lhs, rhs)
+            # per b_j, f = q[j] on pairs (y, x): the least (y, x, j) fails
+            law.fails_at(min((yx + (j,) for j, dj in enumerate(lam_delta) if (
+                yx := ac.measuring_failure(M1, q[j], la.tslices(dj, nB)[1],
+                                           qw, q))), default=None))
 
         # counital formulas
         est, ess = B.eps_rows
@@ -1077,19 +1074,13 @@ def action_B_on_M1(ctx, dw):
                     bx[k][x], s_hat[l]), p)
                 law.check((j, x), lhs, rhs)
 
-    # measuring through the expectation, over the legs of lambda^-1 Delta(b);
-    # E_M1 is linear, so the left side is r_tab[j] read at M1's cell of x y
-    lam_delta = dw.lam_delta
+    # per b_j, f = r_tab[j] against lambda^-1 E_M1(b1 x e2) = b1 . x
     with cl.holds("expectation_measuring_form",
                   "E_M1(b x y e2) = lambda^-1 E_M1(b1 x e2) E_M1(b2 y e2)"
                   ) as law:
         for j in law.over(range(nB)):
-            for x in law.over(range(M1.dim)):
-                for y in law.over(range(M1.dim)):
-                    lhs = ag.apply_map(r_tab[j], dict(M1.table[x][y]), p)
-                    rhs = la.legsum(lam_delta[j], nB, lambda k, l: M1.mul(
-                        r_tab[k][x], r_tab[l][y]), p)
-                    law.check((j, x, y), lhs, rhs)
+            xy = ac.measuring_failure(M1, r_tab[j], B.legs[j], MB.act, r_tab)
+            law.fails_at(xy and (j,) + xy)
 
     inv = ac.invariants(MB)
     cl.add("invariants_are_M", "M1^B = M", inv == ctx.lv1.cert.incl.image)

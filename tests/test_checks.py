@@ -49,3 +49,22 @@ def test_an_exception_in_the_block_records_nothing():
         with cl.holds("boom", "1 / 0") as law:
             law.check((0,), 1 / 0, 0)
     assert cl.items == []
+
+
+def test_a_tuple_decided_elsewhere_is_the_witness():
+    # the least key of a keyed sum names the failing tuple; None passes,
+    # and a failure stops the loop like a mismatch does
+    cl = CheckList()
+    drawn = []
+    with cl.holds("sum", "lhs - rhs = 0") as law:
+        for h in law.over(range(5)):
+            drawn.append(h)
+            law.fails_at((h, 4, 1) if h == 2 else None)
+    with cl.holds("single", "lhs - rhs = 0") as law:
+        law.fails_at((7,))
+    with cl.holds("none", "lhs - rhs = 0") as law:
+        law.fails_at(None)
+    assert drawn == [0, 1, 2]
+    assert [(c.name, c.passed, c.witness) for c in cl.items] == [
+        ("sum", False, "(2, 4, 1)"), ("single", False, "basis 7"),
+        ("none", True, None)]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from weakhopf import action as ac
 from weakhopf import algebra as ag
+from weakhopf import checks
 from weakhopf import cli
 from weakhopf import composite as cp
 from weakhopf import corpus
@@ -519,8 +521,8 @@ def test_tower_non_depth2_fails_at_depth2_stage(tmp_path, capsys):
     ("conditional_expectations", ag.NotClosed("E_B applied outside C")),
     ("pairing", ag.NotKanzaki("no symmetric separability element")),
     ("DerivedWeakHopf", la.NoSolution("singular matrix")),
-    ("psi_iso", ac.WellDefinednessFailure("relation 0 not respected")),
-], ids=["NotClosed", "NotKanzaki", "NoSolution", "WellDefinednessFailure"])
+    ("psi_iso", ag.NotAssociative(0, 1, 2, {}, {0: 1})),
+], ids=["NotClosed", "NotKanzaki", "NoSolution", "NotAssociative"])
 def test_derivation_stage_exception_is_a_failed_entry(markov_file, monkeypatch,
                                                       capsys, stage, exc):
     def fail(*args):
@@ -625,7 +627,8 @@ def test_table_read_laws_keep_their_witnesses_under_delta_cop(
         ("gram_algebra_iso", "(0, 1)"), ("measuring", "(0, 0, 0)"),
         ("conjugation_form", "(0, 0)"),
         ("expectation_measuring_form", "(0, 0, 0)"),
-        ("right_Ht_action", "(0, 2)"), ("dimension", "0 vs 64"),
+        ("right_Ht_action", "(0, 2)"), ("well_defined", "(ii, 0, 2)"),
+        ("dimension", "0 vs 64"),
         ("bijective", None), ("unital", None),
         ("inverse_formula", "basis 0"), ("tower_compatible", "basis 0")]
 
@@ -1037,3 +1040,46 @@ def test_mutated_specs_end_with_a_defined_outcome(tmp_path_factory, spec,
         assert rc in (0, 1, 2), (path, value, cmd)
         for line in out.getvalue().splitlines():
             json.loads(line)
+
+
+def test_derive_forms_no_product_for_the_balancing_or_measuring(
+        tmp_path, capsys, monkeypatch):
+    # a passing q_in_q2 derivation: the smash kernel mul_amb runs once per
+    # cell of each smash table (the relation loop multiplied every relation
+    # by every section column on both sides as well), and the three
+    # measuring laws call no Algebra.mul
+    smashed, open_laws, in_laws = [], [], []
+    smash, mul = ac.smash, ag.Algebra.mul
+    enter, leave = checks._Law.__enter__, checks._Law.__exit__
+
+    def law_enter(self):
+        open_laws.append(self.name)
+        return enter(self)
+
+    def law_exit(self, *exc):
+        open_laws.pop()
+        return leave(self, *exc)
+
+    def counted_mul(self, x, y):
+        if set(open_laws) & {"measuring", "expectation_measuring",
+                             "expectation_measuring_form"}:
+            in_laws.append(open_laws[-1])
+        return mul(self, x, y)
+
+    monkeypatch.setattr(ac, "smash", lambda M: smashed.append(smash(M))
+                        or smashed[-1])
+    monkeypatch.setattr(checks._Law, "__enter__", law_enter)
+    monkeypatch.setattr(checks._Law, "__exit__", law_exit)
+    monkeypatch.setattr(ag.Algebra, "mul", counted_mul)
+    kernel = []
+    sys.setprofile(lambda frame, event, arg: kernel.append(1) if (
+        event == "call" and frame.f_code.co_name == "mul_amb") else None)
+    try:
+        rc = cli.main(["tower", extension_file(tmp_path, "q_in_q2"),
+                       "--derive"])
+    finally:
+        sys.setprofile(None)
+    assert rc == 0 and "FAIL" not in capsys.readouterr().out
+    assert [sm.alg.dim for sm in smashed] == [8, 4]
+    assert len(kernel) == 8 * 8 + 4 * 4
+    assert in_laws == []

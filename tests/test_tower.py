@@ -391,3 +391,105 @@ def test_non_depth2_counterexample():
     ctx = tw.DepthTwoContext(t)
     with pytest.raises(tw.Depth2Failure):
         tw.depth2_check(ctx)
+
+
+# ---------------------------------------------------------------------------
+# references: the former per-case loops of the two measuring laws through
+# E_M1, each side formed with M1.mul and legsum
+
+def expectation_measuring_by_cases(ctx, dw):
+    """The first (y, x, j) where E_M1(e2 w y x b_j) differs from
+    lambda^-1 E_M1(e2 w y b_j2) w^-1 E_M1(e2 w x b_j1), in M1, or None."""
+    p, M1, nB = ctx.p, ctx.M1, dw.B.dim
+    unemb2 = ctx.lv2.cert.E.E_small
+    e2w = ctx.mul(ctx.e2, dw.pd.w)
+    w_inv_M1 = unemb2(dw.pd.w_inv)
+    q = [[unemb2(ctx.mul(e2w, x, b)) for x in ctx.M1_in_M2]
+         for b in dw.bhat]
+    qw = [[M1.mul(v, w_inv_M1) for v in row] for row in q]
+    lam_delta = [la.sscale(r, ctx.lam_inv, p) for r in dw.B.delta]
+    for y in range(M1.dim):
+        for x in range(M1.dim):
+            yx = dict(M1.table[y][x])
+            for j in range(nB):
+                lhs = ag.apply_map(q[j], yx, p)
+                rhs = la.legsum(lam_delta[j], nB, lambda k, l: (
+                    M1.mul(qw[l][y], q[k][x])), p)
+                if lhs != rhs:
+                    return y, x, j
+    return None
+
+
+def expectation_measuring_form_by_cases(ctx, dw):
+    """The first (j, x, y) where E_M1(b_j x y e2) differs from
+    lambda^-1 E_M1(b_j1 x e2) E_M1(b_j2 y e2), in M1, or None."""
+    p, M1, nB = ctx.p, ctx.M1, dw.B.dim
+    E_M1 = ctx.lv2.cert.E.rows
+    r_tab = [[ag.apply_map(E_M1, ctx.mul(b, x, ctx.e2), p)
+              for x in ctx.M1_in_M2] for b in dw.bhat]
+    lam_delta = [la.sscale(r, ctx.lam_inv, p) for r in dw.B.delta]
+    for j in range(nB):
+        for x in range(M1.dim):
+            for y in range(M1.dim):
+                lhs = ag.apply_map(r_tab[j], dict(M1.table[x][y]), p)
+                rhs = la.legsum(lam_delta[j], nB, lambda k, l: M1.mul(
+                    r_tab[k][x], r_tab[l][y]), p)
+                if lhs != rhs:
+                    return j, x, y
+    return None
+
+
+def derive_with_b_delta(monkeypatch, cert, mutate):
+    """tw.derive on the tower of cert, with the rows of B's Delta passed
+    through mutate(rows, dim B); B, the first weak Hopf algebra of a
+    derivation, is bundled without its coalgebra checks."""
+    make, made = wha.make_weakhopf, []
+
+    def bundle(alg, delta, eps, s):
+        if made:
+            return make(alg, delta, eps, s)
+        made.append(alg)
+        return wha.WeakHopf(alg, ag.map_rows(mutate(delta, alg.dim), alg.p),
+                            tuple(la.as_scalar(c, alg.p) for c in eps),
+                            ag.map_rows(s, alg.p))
+
+    monkeypatch.setattr(wha, "make_weakhopf", bundle)
+    out = tw.derive(tw.build_tower(cert, 2))
+    monkeypatch.undo()
+    return out
+
+
+B_DELTA_MUTANTS = {
+    "delta_cop": lambda rows, n: [{ij % n * n + ij // n: c
+                                   for ij, c in r.items()} for r in rows],
+    "row_3_doubled": lambda rows, n: [{k: 2 * c for k, c in r.items()}
+                                      if j == 3 else r
+                                      for j, r in enumerate(rows)]}
+
+
+def test_expectation_measuring_laws_match_their_per_case_loops(
+        pipelines, monkeypatch):
+    # the corpus derivations, and q_in_m2 over F_13 with B's Delta
+    # replaced by Delta^cop or with its row 3 doubled: each law names the
+    # first tuple that its per-case loop finds, (0, 0, 0) or later
+    runs = dict(pipelines)
+    cert = corpus.ext_q_m2()
+    spec = sf.specfile_for((cert.incl, cert.E, cert.trace), "q_in_m2")
+    incl, E, trace = sf.build(sf.SpecFile(spec.kind, spec.name, 13,
+                                          spec.payload))
+    cert = ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
+    for name, mutate in B_DELTA_MUTANTS.items():
+        runs[name] = derive_with_b_delta(monkeypatch, cert, mutate)
+    found = {}
+    for name, (ctx, _, res, full) in runs.items():
+        dw = res["derived"]
+        refs = (expectation_measuring_by_cases(ctx, dw),
+                expectation_measuring_form_by_cases(ctx, dw))
+        found[name] = tuple(full.get(law).witness for law in (
+            "expectation_measuring", "expectation_measuring_form"))
+        assert found[name] == tuple(
+            None if w is None else "(%d, %d, %d)" % w for w in refs), name
+    assert found == {"q_in_q2": (None, None), "q_in_m2": (None, None),
+                     "q2_in_m2": (None, None),
+                     "delta_cop": ("(0, 0, 0)", "(0, 0, 0)"),
+                     "row_3_doubled": ("(0, 0, 3)", "(3, 4, 2)")}
