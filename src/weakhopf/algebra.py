@@ -265,8 +265,9 @@ def check_associative(alg):
 
     Per row i, both sides go into one map of d^2 (lhs - rhs) keyed by
     (j, k, n), summed over nonzero cells only, so a triple with no term is
-    zero on both sides; over F_p the sums are compared mod p.  A failing
-    row is rescanned with `Algebra.mul` for the witness.
+    zero on both sides; over F_p the sums are compared mod p.  No two
+    triples share a key, so the least nonzero key of the first failing row
+    names the first failing (j, k), and only its two sides are formed.
     """
     dim, p = alg.dim, alg.p
     d = 1 if p else lcm(*(c.denominator for row in alg.table
@@ -291,20 +292,12 @@ def check_associative(alg):
             for key, a in holding[m]:
                 for n, b in cell:
                     diff[key + n] -= a * b
-        if la.residues(diff, p):
-            raise _first_failure(alg, i)
-
-
-def _first_failure(alg, i):
-    """NotAssociative at the first failing (j, k) of row i."""
-    table = alg.table
-    for j in range(alg.dim):
-        eij = dict(table[i][j])
-        for k in range(alg.dim):
-            lhs = alg.mul(eij, {k: 1})
-            rhs = alg.mul({i: 1}, dict(table[j][k]))
-            if lhs != rhs:
-                return NotAssociative(i, j, k, lhs, rhs)
+        if diff := la.residues(diff, p):
+            jk = min(diff) // dim
+            j, k = jk // dim, jk % dim
+            raise NotAssociative(i, j, k, alg.mul(dict(alg.table[i][j]),
+                                                  {k: 1}),
+                                 alg.mul({i: 1}, dict(alg.table[j][k])))
 
 
 def centralizer(big, sub):

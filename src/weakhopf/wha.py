@@ -19,10 +19,11 @@ The laws read what is stored for a basis element: Delta(e_h) is
 cell ``alg.table[i][j]`` (see `algebra`).  delta_multiplicative,
 s_anti_multiplicative and eps_weak_multiplicative join the legs of
 Delta(e_i), S(e_i) or Delta(e_g) to the nonempty cells in one sum of
-lhs - rhs per row over nonzero terms (`_differing_rows`); a row that
-differs is rescanned pair by pair for its first differing tuple.
-antipode_unique sums both convolutions per h over the same legs and
-cells, and the Delta(1) products of delta_one walk the same cells.
+lhs - rhs per row over nonzero terms (`_first_failing_case`), keyed
+so that no two cases share a key: the least key of the first row that
+differs names the first failing tuple.  antipode_unique sums both
+convolutions per h over the same legs and cells, and the Delta(1)
+products of delta_one walk the same cells.
 coassociativity and the counit laws take one sum per h over the legs of
 Delta(e_h) and the rows of Delta or eps; the integral equations read
 h e_j, eps_t(h) e_j and e_j eps_s(h) off the cells, and the Casimir law
@@ -147,7 +148,7 @@ def coalgebra_checks(H):
     c e_a (x) e_b of Delta(e_h): (Delta (x) id)Delta(h) -
     (id (x) Delta)Delta(h) at the flat triple, read off the rows Delta(e_a)
     and Delta(e_b), and (eps (x) id)Delta(h) - h and (id (x) eps)Delta(h) - h
-    in two bands from d^3 on.  Each law reads its own band, so the first h
+    in two bands from d^3 on.  Each law reads its own band, so the least h
     whose band is nonzero is its witness."""
     cl = CheckList()
     d, p, delta, eps = H.dim, H.p, H.delta, H.eps
@@ -174,9 +175,8 @@ def coalgebra_checks(H):
             ("counit_left", "(eps (x) id)Delta = id", d3, d3 + d),
             ("counit_right", "(id (x) eps)Delta = id", d3 + d, d3 + 2 * d)):
         with cl.holds(name, text) as law:
-            for h in law.over(diffs):
-                law.check((h,), {k: v for k, v in diffs[h].items()
-                                 if lo <= k < hi}, {})
+            law.fails_at(next(((h,) for h, s in diffs.items()
+                               if any(lo <= k < hi for k in s)), None))
     return cl
 
 
@@ -194,16 +194,14 @@ def verify_axioms(H):
     by_x = la.transpose(legs, d)
     with cl.holds("delta_multiplicative",
                   "Delta(hg) = Delta(h)Delta(g)") as law:
-        for i in _differing_rows(law, H, H.delta, dd, lambda i: (
-                (j * dd + m * d + n, -s * u * c * w)
-                for a, brow in legs[i].items()
-                for x, cax in row_cells[a].items()
-                for j, yrow in by_x[x].items() for b, s in brow.items()
-                for y, u in yrow.items() for m, c in cax
-                for n, w in table[b][y])):
-            for j in law.over(range(d)):
-                law.check((i, j), H.d(dict(table[i][j])),
-                          ag.tensor_mul(alg, alg, H.delta[i], H.delta[j]))
+        row = _first_failing_case(H, H.delta, dd, lambda i: (
+            (j * dd + m * d + n, -s * u * c * w)
+            for a, brow in legs[i].items()
+            for x, cax in row_cells[a].items()
+            for j, yrow in by_x[x].items() for b, s in brow.items()
+            for y, u in yrow.items() for m, c in cax
+            for n, w in table[b][y]))
+        law.fails_at(row and row[:2])
 
     # eps(h g1) eps(g2 f) = eps(x1 f) with x1 = eps(h g1) g2, and the mirror
     # eps(h g2) eps(g1 f) = eps(x2 f) with x2 = g1 eps(h g2); for every h at
@@ -212,8 +210,8 @@ def verify_axioms(H):
     # (h, g) the three sides are rows over f, each a combination of the rows
     # eps(e_l e_f) of eps_products: eps((hg)f) from the cell of hg (equal to
     # eps(h(gf)) by associativity), eps(x1 f) and eps(x2 f).  Per h one sum
-    # holds lhs - r1 at g d + f and r1 - r2 at d^2 + g d + f; a row h where
-    # it differs is rescanned for its first (g, f), the witness (h, g, f)
+    # holds lhs - r1 at g d + f and r1 - r2 at d^2 + g d + f: the witness
+    # (h, g, f) names the first failing one of the two
     em = H.eps_products
     P = [{h: em[h][u] for h in range(d) if em[h][u]} for u in range(d)]
     x1s = la.transpose([la.tslices(ag.apply_tensor(P, None, dg, d, d, p),
@@ -236,14 +234,7 @@ def verify_axioms(H):
 
     with cl.holds("eps_weak_multiplicative",
                   "eps(hgf) = eps(h g1)eps(g2 f) = eps(h g2)eps(g1 f)") as law:
-        for h in _differing_rows(law, H, em_rows, d, minus_rhs):
-            for g in law.over(range(d)):
-                lhs = ag.apply_map(em_rows, dict(table[h][g]), p)
-                r1 = ag.apply_map(em_rows, x1s[h].get(g, {}), p)
-                r2 = ag.apply_map(em_rows, x2s[h].get(g, {}), p)
-                for f in law.over(range(d)):
-                    if law.check((h, g, f), lhs.get(f), r1.get(f)):
-                        law.check((h, g, f), lhs.get(f), r2.get(f))
+        law.fails_at(_first_failing_case(H, em_rows, d, minus_rhs))
 
     # With Delta(1) = sum c_uv u (x) v, the unit law (checked by
     # make_algebra) gives (Delta(1) (x) 1)(1 (x) Delta(1)) =
@@ -294,13 +285,11 @@ def verify_axioms(H):
     # with the rows of S indexed by their keys x
     s_by_x = la.transpose(H.s, d)
     with cl.holds("s_anti_multiplicative", "S(hg) = S(g)S(h)") as law:
-        for i in _differing_rows(law, H, H.s, d, lambda i: (
-                (j * d + n, -a * b * w) for y, b in H.s[i].items()
-                for x, cell in col_cells[y].items()
-                for j, a in s_by_x[x].items() for n, w in cell)):
-            for j in law.over(range(d)):
-                law.check((i, j), H.S(dict(table[i][j])),
-                          alg.mul(H.s[j], H.s[i]))
+        row = _first_failing_case(H, H.s, d, lambda i: (
+            (j * d + n, -a * b * w) for y, b in H.s[i].items()
+            for x, cell in col_cells[y].items()
+            for j, a in s_by_x[x].items() for n, w in cell))
+        law.fails_at(row and row[:2])
 
     with cl.holds("s_anti_comultiplicative",
                   "Delta(S(h)) = S(h2) (x) S(h1)") as law:
@@ -329,25 +318,29 @@ def verify_axioms(H):
                             for m, w in table[x][y]:
                                 yield off + m, c * u * v * w
 
-    cl.add("antipode_unique",
-           "eps_s * S = S = S * eps_t in the convolution algebra",
-           not any(la.termsum(conv_minus_s(h), p) for h in range(d)))
+    with cl.holds("antipode_unique", "eps_s * S = S = S * eps_t in the "
+                  "convolution algebra") as law:
+        for h in law.over(range(d)):
+            law.check((h,), la.termsum(conv_minus_s(h), p), {})
     return cl
 
 
-def _differing_rows(law, H, f, width, minus_rhs):
-    """The rows i where the law f(e_i e_j) = rhs(i, j) fails, f the rows of
-    a map such as Delta or S: per row one sum of lhs - rhs keyed by
-    j width + output index, over nonzero terms only (f of the cells e_i e_j,
-    and minus_rhs(i)), so a pair with no term is 0 = 0.  The caller rescans
-    each row yielded pair by pair for its first differing tuple, as
-    `ag.check_associative` does."""
-    table, p = H.alg.table, H.p
-    for i in law.over(range(H.dim)):
+def _first_failing_case(H, f, width, minus_rhs):
+    """The first (i, j, o) where the law f(e_i e_j) = rhs(i, j) fails at
+    output index o, or None; f holds the rows of a map such as Delta or S.
+    Per row one sum of lhs - rhs keyed by j width + o, over nonzero terms
+    only (f of the cells e_i e_j, and minus_rhs(i)), so a pair with no term
+    is 0 = 0.  minus_rhs may hold a second equation of each case one band
+    up, at d width + j width + o; no two cases share a key mod d width, so
+    the least one names the first failing (j, o) of the row."""
+    table, p, d = H.alg.table, H.p, H.dim
+    for i in range(d):
         lhs = ((j * width + o, c * w) for j, cell in enumerate(table[i])
                for m, c in cell for o, w in f[m].items())
-        if la.termsum(chain(lhs, minus_rhs(i)), p):
-            yield i
+        if diff := la.termsum(chain(lhs, minus_rhs(i)), p):
+            jo = min(k % (d * width) for k in diff)
+            return i, jo // width, jo % width
+    return None
 
 
 # ---------------------------------------------------------------------------

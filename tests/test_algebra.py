@@ -25,14 +25,25 @@ def test_diagonal_product():
     assert q2.mul({0: F(2)}, {0: F(3)}) == {0: F(6)}
 
 
-def test_rejects_non_associative():
+def test_rejects_non_associative(monkeypatch):
     # basis 1, a, b with a*a = b, a*b = 0, b*a = a: (aa)a = a but a(aa) = 0
     bad = [[{0: F(1)}, {1: F(1)}, {2: F(1)}],
            [{1: F(1)}, {2: F(1)}, {}],
            [{2: F(1)}, {1: F(1)}, {}]]
+    products = []
+    mul = ag.Algebra.mul
+
+    def counted_mul(*args):
+        products.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(ag.Algebra, "mul", counted_mul)
     with pytest.raises(ag.NotAssociative) as exc:
         ag.make_algebra(bad, (F(1), F(0), F(0)))
     assert exc.value.witness == (1, 1, 1, {1: 1}, {})
+    # the least key of the failing row's sum names (1, 1, 1): only its two
+    # sides are multiplied, for the witness
+    assert len(products) == 2
 
 
 def unital(products, dim, p=None):

@@ -1,7 +1,8 @@
 """Every name a weakhopf module imports, or a function assigns, is read,
 every attribute it sets on self is read, and every function it defines is
 referenced by the library or the benchmark, or listed with the reason it
-stays; only linalg imports the row-reduction kernel."""
+stays; only linalg imports the row-reduction kernel, and no law on basis
+tuples is recorded without its witness."""
 
 import ast
 import pathlib
@@ -521,6 +522,50 @@ def test_only_linalg_enters_the_kernel():
         bad = [(line, name)
                for line, name in backend_imports(ast.parse(path.read_text()))
                if name not in allowed.get(path.name, ())]
+        if bad:
+            found[path.name] = bad
+    assert not found, found
+
+
+def witnessless_laws(tree):
+    """(line, name) of each ``*.add(name, law, passed)`` call whose passed
+    is any(...) or all(...) over a comprehension, or its negation: a law
+    decided on basis tuples and recorded with no tuple where it fails."""
+    found = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call) and
+                getattr(n.func, "attr", None) == "add"):
+            continue
+        passed = n.args[2] if len(n.args) > 2 else next(
+            (k.value for k in n.keywords if k.arg == "passed"), None)
+        while isinstance(passed, ast.UnaryOp) and \
+                isinstance(passed.op, ast.Not):
+            passed = passed.operand
+        if isinstance(passed, ast.Call) and \
+                getattr(passed.func, "id", None) in ("any", "all") and \
+                len(passed.args) == 1 and \
+                isinstance(passed.args[0], (ast.GeneratorExp, ast.ListComp)):
+            found.append((n.lineno, getattr(n.args[0], "value", None)))
+    return sorted(found)
+
+
+def test_scan_flags_a_law_recorded_without_a_witness():
+    tree = ast.parse("cl.add('a', 'x = y', not any(f(h) for h in r))\n"
+                     "cl.add('b', 'x = y', all([g(h) for h in r]))\n"
+                     "cl.add('c', 'x = y', ok, 'basis 0')\n"
+                     "cl.add('d', 'x = y', passed=any(v for v in w))\n"
+                     "cl.add('e', 'x = y', all((1, 2)))\n"
+                     "seen.add(any(v for v in w))\n")
+    # a set's add takes one argument; a tuple is no comprehension
+    assert witnessless_laws(tree) == [(1, "a"), (2, "b"), (4, "d")]
+
+
+def test_every_basis_tuple_law_names_its_witness():
+    """A law decided by any() or all() over its cases records no case; it
+    goes through CheckList.holds, which names the first failing one."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        bad = witnessless_laws(ast.parse(path.read_text()))
         if bad:
             found[path.name] = bad
     assert not found, found
