@@ -141,6 +141,20 @@ def group_algebra(elements, compose, unit_element, p=None):
                            labels=tuple(str(g) for g in elements), p=p)
 
 
+def group_extension(elements, compose, unit, sub, p=None):
+    """kH inside kG, H the subgroup `sub` of the group on `elements`:
+    E(g) = g on H and 0 off it, and the trace delta_e on kH, certified as
+    a symmetric Markov extension of index |G : H|."""
+    big = group_algebra(elements, compose, unit, p)
+    small = group_algebra(sub, compose, unit, p)
+    incl = ag.make_inclusion(small, big, [{elements.index(h): 1}
+                                          for h in sub])
+    E = ag.make_cond_expectation(incl, [{sub.index(g): 1} if g in sub
+                                        else {} for g in elements])
+    trace = [int(h == unit) for h in sub]
+    return ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
+
+
 def ext_s3_z2():
     """Q[Z2] inside Q[S3]: a certified symmetric Markov extension of index 3
     whose tower is NOT depth 2 (the subgroup is not normal).
@@ -149,28 +163,9 @@ def ext_s3_z2():
     relations all pass, depth2_check fails.
     """
     from itertools import permutations
-    F = Fraction
-    elems = sorted(permutations((0, 1, 2)))
-    idx = {g: i for i, g in enumerate(elems)}
-    compose = lambda g, h: tuple(g[h[i]] for i in range(3))
-    big = group_algebra(elems, compose, (0, 1, 2))
-    swap = (1, 0, 2)
-    small = group_algebra(("e", "s"),
-                          lambda a, b: "e" if a == b else "s", "e")
-    incl = ag.make_inclusion(small, big, [{idx[(0, 1, 2)]: F(1)},
-                                          {idx[swap]: F(1)}])
-    erows = []
-    for g in elems:
-        if g == (0, 1, 2):
-            erows.append({0: F(1)})
-        elif g == swap:
-            erows.append({1: F(1)})
-        else:
-            erows.append({})
-    E = ag.make_cond_expectation(incl, erows)
-    trace = (F(1), F(0))
-    db = ag.find_dual_bases(E)
-    return ag.certify_markov(incl, E, db, trace)
+    return group_extension(sorted(permutations((0, 1, 2))),
+                           lambda g, h: tuple(g[i] for i in h), (0, 1, 2),
+                           [(0, 1, 2), (1, 0, 2)])
 
 
 def standing_extensions():

@@ -6,7 +6,12 @@ over the appendix's dimension budget before building it, with its
 E-multiplication; it then re-verifies the characterizing
 properties (span, E(e) = lambda 1, the e x e contraction), certifies the
 new extension as a symmetric Markov extension, and checks the canonical
-anti-isomorphism between the first two relative commutants.
+anti-isomorphism between the first two relative commutants.  Each level's
+basis is s [e_a (x) e_b] over the section representatives, s the lcm of
+the denominators of the table's classes: its coordinates are the
+quotient's section coordinates divided by s, so over Q its structure
+constants are integers and E's denominators do not compound up the tower;
+over F_p, s = 1.
 
 The depth-2 machinery keeps its elements in the coordinates of the top
 level M2, where all six centralizers live.  A trace T(x y) is read as x
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
@@ -57,6 +63,7 @@ class TowerLevel:
     cert.incl.big, cert.incl.embed and cert.E.rows."""
 
     quotient: la.Quotient
+    s: int  # M_k coordinates are the quotient's section coordinates / s
     e: dict  # Jones idempotent, own coords
     phi: tuple  # sparse rows: prev centralizer coords -> this level
     cert: ag.MarkovCertificate  # certification of this/previous
@@ -101,7 +108,11 @@ def basic_construction(cert, q):
     representatives is decided, and each e_a E(e_b e_c) is read from row a
     of M's table once per (a, b, c), only where E(e_b e_c) is nonzero; a
     cell whose factor e_a E(e_b e_c) is zero is the empty cell, with no
-    class formed.
+    class formed.  M1's basis is s [e_a (x) e_b], s the lcm of the
+    denominators of those classes (1 over F_p): the table is the classes
+    times s, so integral over Q; every other element (the unit, e1, the
+    embedding rows, the dual bases, phi) is its class divided by s; and
+    E(s e_a (x) e_b) = lambda s e_a e_b.
     Verifies the characterizing properties, certifies M1/M as a symmetric
     Markov extension with the composed trace, and checks the product
     anti-isomorphism between C_M(N) and C_{M1}(M).
@@ -115,9 +126,6 @@ def basic_construction(cert, q):
     xs, ys = cert.dual_bases.xs, cert.dual_bases.ys
     n1 = q.dim
 
-    def cls(*legs):
-        return q.project_legs(legs, m)
-
     # section representatives are single coordinate pairs (a, b)
     reps = [divmod(c, m) for c in q.section_cols]
 
@@ -128,17 +136,30 @@ def basic_construction(cert, q):
     for (a, b) in reps:
         left = {c: ag.cell_sum(M.table[a], mids[b][c], p)
                 for c in cs if mids[b][c]}
-        table.append([cls((left[c], {d: 1})) if left.get(c) else {}
-                      for (c, d) in reps])
+        table.append([q.project_legs(((left[c], {d: 1}),), m)
+                      if left.get(c) else {} for (c, d) in reps])
+    # on the basis s [e_a (x) e_b] the cells are the classes times s, ints
+    s = lcm(*(x.denominator for row in table for cell in row
+              for x in cell.values()))
+    if s > 1:
+        table = [[{k: x.numerator * (s // x.denominator)
+                   for k, x in cell.items()} for cell in row]
+                 for row in table]
+
+    def cls(*legs):
+        return {k: la.div(x, s, p)
+                for k, x in q.project_legs(legs, m).items()}
+
     alg1 = ag.make_algebra(table, la.dense(cls(*zip(xs, ys)), n1), p=p)
 
     e1 = cls((M.unit_sparse(), M.unit_sparse()))
     embed_rows = ag.map_rows([cls(*((ag.cell_sum(M.table[a], x, p), y)
                                     for x, y in zip(xs, ys)))
                               for a in range(m)], p)
+    lam_s = la.div(s, lam_inv, p)
     E_down = ag.map_rows(
-        [la.sscale(dict(M.table[a][b]), lam, p) for (a, b) in reps], p)
-    xs1 = tuple(la.sscale(cls((x, M.unit_sparse())), lam_inv, p) for x in xs)
+        [la.sscale(dict(M.table[a][b]), lam_s, p) for (a, b) in reps], p)
+    xs1 = tuple(cls((la.sscale(x, lam_inv, p), M.unit_sparse())) for x in xs)
     ys1 = tuple(cls((M.unit_sparse(), y)) for y in ys)
     db1 = ag.DualBases(xs1, ys1, lam_inv)
 
@@ -210,7 +231,7 @@ def basic_construction(cert, q):
             law.check((i,), ag.trace_of(t1, phi[i], p),
                       ag.trace_of(t0, U.basis[i], p))
 
-    return TowerLevel(q, e1, phi, cert1, cl)
+    return TowerLevel(q, s, e1, phi, cert1, cl)
 
 
 def build_tower(cert, depth, extra=0):
@@ -1145,11 +1166,8 @@ def psi_iso(ctx, dw, MB, d2):
     E_M1 = ctx.lv2.cert.E.rows
 
     def preimage(x):
-        acc = {}
-        for u, vB in zip(d2.us, vsB):
-            em = ag.apply_map(E_M1, ctx.mul({x: 1}, u), ctx.p)
-            sadd_into(acc, tensor_sparse(em, vB, nB, ctx.p), 1, ctx.p)
-        return q.project(acc)
+        ems = [ag.apply_map(E_M1, ctx.mul({x: 1}, u), ctx.p) for u in d2.us]
+        return q.project_legs(zip(ems, vsB), nB)
 
     psi = _smash_iso(
         cl, sm, M2, ctx.M1_in_M2, dw.bhat,

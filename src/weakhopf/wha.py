@@ -406,35 +406,44 @@ def counital(H):
         H.s[u], {v: 1}, d, H.p), H.p)
     e_s = la.legsum(d1, d, lambda u, v: la.tensor_sparse(
         {u: 1}, H.s[v], d, H.p), H.p)
+    fail_t, fail_s = _separates(H, e_t, Ht), _separates(H, e_s, Hs)
     cl.add("e_t_separates_Ht", "e_t = (S (x) id)Delta(1) is a separability "
-           "idempotent for Ht", _separates(H, e_t, Ht))
+           "idempotent for Ht", fail_t is None, witness=fail_t)
     cl.add("e_s_separates_Hs", "e_s = (id (x) S)Delta(1) is a separability "
-           "idempotent for Hs", _separates(H, e_s, Hs))
+           "idempotent for Hs", fail_s is None, witness=fail_s)
     return CounitalData(est, ess, Ht, Hs, e_t, e_s, cl)
 
 
 def _separates(H, e, sub):
-    """True iff the flat tensor e is a separability idempotent for sub: its
-    legs lie in sub, mu(e) = 1 and (z (x) 1)e = e(1 (x) z) for every basis
-    z of sub.  Over the legs c e_a (x) e_b of e, the unit law (decided by
-    make_algebra) gives (z (x) 1)e = sum c (z e_a) (x) e_b and
-    e(1 (x) z) = sum c e_a (x) (e_b z): per z, one sum of their difference
-    reads z e_a off the cells (x, a) and e_b z off the cells (b, y)."""
+    """None iff the flat tensor e is a separability idempotent for sub,
+    else the first condition it fails, as the witness text: a leg outside
+    sub (row a of e is its second leg beside e_a, column b its first leg
+    beside e_b; rows first, each side in index order), mu(e) != 1, or the
+    first basis z of sub with (z (x) 1)e != e(1 (x) z).  Over the legs
+    c e_a (x) e_b of e, the unit law (decided by make_algebra) gives
+    (z (x) 1)e = sum c (z e_a) (x) e_b and e(1 (x) z) = sum c e_a (x) (e_b z):
+    per z, one sum of their difference reads z e_a off the cells (x, a) and
+    e_b z off the cells (b, y)."""
     d, p, table = H.dim, H.p, H.alg.table
     rows, cols = la.tslices(e, d)
-    if not all(map(sub.contains, chain(rows.values(), cols.values()))):
-        return False
+    for side, legs in (("row", rows), ("column", cols)):
+        for k in sorted(legs):
+            if not sub.contains(legs[k]):
+                return "%s %d of e lies outside the subalgebra" % (side, k)
     if la.termsum(((m, c * w) for a, brow in rows.items()
                    for b, c in brow.items() for m, w in table[a][b]),
                   p) != H.alg.unit_sparse():
-        return False
-    return not any(la.termsum(chain(
-        ((m * d + b, c * u * w) for a, brow in rows.items()
-         for x, u in z.items() for m, w in table[x][a]
-         for b, c in brow.items()),
-        ((a * d + n, -c * u * w) for b, acol in cols.items()
-         for y, u in z.items() for n, w in table[b][y]
-         for a, c in acol.items())), p) for z in sub.basis)
+        return "mu(e) != 1"
+    for i, z in enumerate(sub.basis):
+        if la.termsum(chain(
+                ((m * d + b, c * u * w) for a, brow in rows.items()
+                 for x, u in z.items() for m, w in table[x][a]
+                 for b, c in brow.items()),
+                ((a * d + n, -c * u * w) for b, acol in cols.items()
+                 for y, u in z.items() for n, w in table[b][y]
+                 for a, c in acol.items())), p):
+            return "(z (x) 1)e != e(1 (x) z) at z = basis %d" % i
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +551,7 @@ def maschke_consistent(H, ints):
     if l is not None:
         f = la.legsum(H.d(l), d, lambda i, j: la.tensor_sparse(
             {i: 1}, H.s[j], d, p), p)
-        if _separates(H, f, la.Subspace.full(d, p)):
+        if _separates(H, f, la.Subspace.full(d, p)) is None:
             return True
     try:
         ag.separability_element(H.alg)

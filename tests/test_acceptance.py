@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (run pytest with -s to see them);
 time budgets are asserted alongside the exact identities.
 """
 
+import itertools
 import time
 from fractions import Fraction as F
 
@@ -115,6 +116,35 @@ def test_section4_theorems(pipelines):
     _line("invariants of the two actions are M and N, and psi: M1#B -> M2, "
           "phi: M#A -> M1 are unit-preserving bijective algebra "
           "isomorphisms (exhaustive pairs)", True)
+
+
+def test_group_extensions_have_depth_2_iff_the_subgroup_is_normal():
+    # kH in kG over F_13, E(g) = g on H and 0 off it: the normal Z2 in Z4
+    # and A3 in S3 derive with every check passing, while Z2 in S3 is
+    # certified and builds its tower but has no dual bases of E_M inside A
+    s3 = sorted(itertools.permutations(range(3)))
+
+    def perm(g, h):
+        return tuple(g[i] for i in h)
+
+    cases = (("Z2 in Z4", [0, 1, 2, 3], lambda a, b: (a + b) % 4, 0, [0, 2],
+              True),
+             ("A3 in S3", s3, perm, (0, 1, 2),
+              [(0, 1, 2), (1, 2, 0), (2, 0, 1)], True),
+             ("Z2 in S3", s3, perm, (0, 1, 2), [(0, 1, 2), (1, 0, 2)],
+              False))
+    for name, elements, compose, unit, sub, normal in cases:
+        cert = corpus.group_extension(elements, compose, unit, sub, 13)
+        t = tw.build_tower(cert, 2)
+        assert cert.checks.ok and t.checks.ok, name
+        if normal:
+            ok = tw.derive(t)[3].ok
+        else:
+            with pytest.raises(tw.Depth2Failure, match="E_M within A"):
+                tw.derive(t)
+            ok = True
+        _line("%s over F_13 %s depth 2" % (name, "has" if normal else
+                                           "fails"), ok)
 
 
 def test_degeneration_hopf_case():

@@ -315,29 +315,17 @@ def over_field(cert, p):
     return ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
 
 
-def group_extension(elements, compose, unit, sub, p):
-    """kH in kG over F_p: E(g) = g on H and 0 off it, the trace delta_e."""
-    big = corpus.group_algebra(elements, compose, unit, p)
-    small = corpus.group_algebra(sub, compose, unit, p)
-    incl = ag.make_inclusion(small, big, [{elements.index(h): 1}
-                                          for h in sub])
-    E = ag.make_cond_expectation(incl, [{sub.index(g): 1} if g in sub
-                                        else {} for g in elements])
-    trace = [int(h == unit) for h in sub]
-    return ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
-
-
 def z2_in_z4():
-    return group_extension([0, 1, 2, 3], lambda a, b: (a + b) % 4, 0,
-                           [0, 2], 13)
+    return corpus.group_extension([0, 1, 2, 3], lambda a, b: (a + b) % 4,
+                                  0, [0, 2], 13)
 
 
 def a3_in_s3():
     s3 = sorted(itertools.permutations(range(3)))
     a3 = [g for g in s3 if sum(g[i] > g[j] for i, j in
                                itertools.combinations(range(3), 2)) % 2 == 0]
-    return group_extension(s3, lambda g, h: tuple(g[i] for i in h),
-                           (0, 1, 2), a3, 13)
+    return corpus.group_extension(s3, lambda g, h: tuple(g[i] for i in h),
+                                  (0, 1, 2), a3, 13)
 
 
 DERIVATIONS = {"q_in_q2": corpus.ext_q_q2, "q_in_m2": corpus.ext_q_m2,

@@ -115,8 +115,9 @@ def over(cert, p):
 def stored_scalars(p):
     """{object: its stored scalars} for kG and (kG)* of pair(3), M1 of
     q2_in_m2, the traces of the q_in_q2 tower (the T0 of each Markov
-    certificate) and the derived A and B of q_in_q2 with the eps(e_i e_j)
-    table of B, built over Q or F_p."""
+    certificate), the dual bases, Jones idempotent, embedding and phi of
+    each of its levels, and the derived A and B of q_in_q2 with the
+    eps(e_i e_j) table of B, built over Q or F_p."""
     G = gp.pair(3)
     kG = gp.groupoid_algebra(G, p)
     dual = gp.groupoid_dual(G, kG)
@@ -133,6 +134,9 @@ def stored_scalars(p):
                            row_scalars(E.incl.embed) + row_scalars(E.rows) +
                            list(level.cert.t0)),
         "traces of q_in_q2": [x for k in range(3) for x in tower.trace(k)],
+        "levels of q_in_q2": [x for lvl in tower.levels for r in (
+            *lvl.cert.dual_bases.xs, *lvl.cert.dual_bases.ys, lvl.e,
+            *lvl.cert.incl.embed, *lvl.phi) for x in r.values()],
         "derived A": weakhopf_scalars(res["derived"].A),
         "derived B": weakhopf_scalars(B),
         "eps_products of derived B": [x for row in B.eps_products

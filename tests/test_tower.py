@@ -2,6 +2,7 @@ import dataclasses
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -206,6 +207,50 @@ def test_pimsner_popa_sums_match_the_product_loop(p, monkeypatch):
         assert pimsner_popa_verdicts(t) == want, name
 
 
+def denominator(scalars):
+    return lcm(*(c.denominator for c in scalars))
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_every_level_keeps_an_integral_table(p):
+    # M_k is on the basis s [e_a (x) e_b], s the lcm of the denominators of
+    # the table's classes: over Q every cell holds ints (on the classes
+    # themselves, q_in_q2 had denominators 2, 4, 32, 1024 and 2^21 from M1
+    # to M5), and over F_p s = 1, so the table is that of the classes
+    for name, ext, depth in (("q_in_q2", corpus.ext_q_q2, 5),
+                             ("q2_in_m2", corpus.ext_q2_m2, 2),
+                             ("s3_z2", corpus.ext_s3_z2, 2)):
+        t = tw.build_tower(over_field(ext(), p), depth)
+        assert t.checks.ok, name
+        for k, lvl in enumerate(t.levels, 1):
+            cells = [c for row in t.alg(k).table for cell in row
+                     for _, c in cell]
+            assert all(type(c) is int for c in cells), (name, k)
+            assert p is None or lvl.s == 1, (name, k)
+        if p is None and name == "q_in_q2":
+            assert [lvl.s for lvl in t.levels] == [2, 1, 2, 1, 2]
+            # the rows of E down from M2 ... M5 keep denominator 2 (4, 8,
+            # 64 and 2048 on the classes)
+            assert [denominator(c for r in lvl.cert.E.rows
+                                for c in r.values())
+                    for lvl in t.levels[1:]] == [2, 1, 2, 1]
+
+
+def test_level_coordinates_are_the_class_coordinates_over_s():
+    # e_k = [1 (x) 1] / s and row a of the embedding is [e_a x_i (x) y_i] / s
+    # in the section coordinates of the quotient
+    t = tw.build_tower(corpus.ext_q_q2(), 3)
+    for k, lvl in enumerate(t.levels, 1):
+        M, cert = t.alg(k - 1), (t.base if k == 1 else t.levels[k - 2].cert)
+        one = M.unit_sparse()
+        q, s, m = lvl.quotient, lvl.s, M.dim
+        assert la.sscale(lvl.e, s) == q.project_legs([(one, one)], m), k
+        for a, row in enumerate(lvl.cert.incl.embed):
+            legs = [(M.mul({a: 1}, x), y) for x, y in
+                    zip(cert.dual_bases.xs, cert.dual_bases.ys)]
+            assert la.sscale(row, s) == q.project_legs(legs, m), (k, a)
+
+
 def test_passing_tower_forms_no_kronecker_vector_or_per_basis_product(
         tmp_path, monkeypatch):
     # `tower q_in_m2 --depth 2`: the classes of the basic construction and
@@ -327,10 +372,13 @@ def test_E_B_of_e1_value():
 
 def test_E_B_outside_C_names_the_basis_element_left(pipelines):
     # q2 in M2: C is spanned by the M2 basis elements 0 2 4 6 9 11 13 15;
-    # the images of M are (e_0 + e_6), (e_1 + e_7), ... scaled by 2
+    # M2's basis is 2 [e_a (x) e_b] (s = 2), so the images of M are
+    # e_0 + e_6, e_1 + e_7, e_8 + e_14 and e_9 + e_15
     ctx, _, res, _ = pipelines["q2_in_m2"]
     ep = res["expectations"]
-    assert ep.E_B(ctx.M_in_M2[0]) == ag.apply_map(ep.E_B_rows, {0: 2, 3: 2})
+    assert ctx.lv2.s == 2
+    assert ctx.M_in_M2[0] == {0: 1, 6: 1}
+    assert ep.E_B(ctx.M_in_M2[0]) == ag.apply_map(ep.E_B_rows, {0: 1, 3: 1})
     for x, left in ((ctx.M_in_M2[1], 1), (ctx.M1_in_M2[3], 7),
                     ({0: 1, 5: 3, 9: 1}, 5)):
         with pytest.raises(ag.NotClosed, match=r"^E_B applied outside C: "

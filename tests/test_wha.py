@@ -634,8 +634,39 @@ def test_separates_matches_the_tensor_mul_casimir_loop():
                  # 1 (x) 1 fails the Casimir law (e_c (x) 1 != 1 (x) e_c)
                  (one, full, d == 1)]
         for n, (e, sub, verdict) in enumerate(cases):
-            assert wha._separates(H, e, sub) == verdict, (key, n)
+            assert (wha._separates(H, e, sub) is None) == verdict, (key, n)
             assert reference_separates(H, e, sub) == verdict, (key, n)
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_separates_names_the_first_condition_that_fails(p):
+    # kG of the pair groupoid on two objects: Ht is spanned by e_0 and e_3
+    # and e_t = e_0 (x) e_0 + e_3 (x) e_3 (flat keys 0 and 15)
+    H = gp.groupoid_algebra(gp.pair(2), p)
+    cd = H.counital
+    d, one = H.dim, H.alg.unit_sparse()
+    assert cd.Ht.basis == ({0: 1}, {3: 1}) and cd.e_t == {0: 1, 15: 1}
+    assert wha._separates(H, cd.e_t, cd.Ht) is None
+    for e, witness in (
+            # 2 e_t: its legs lie in Ht, but mu(2 e_t) = 2
+            (la.sscale(cd.e_t, 2, p), "mu(e) != 1"),
+            # + e_0 (x) e_1: the second leg beside e_0 leaves Ht
+            ({**cd.e_t, 1: 1}, "row 0 of e lies outside the subalgebra"),
+            # + e_1 (x) e_0: only the first leg beside e_0 leaves Ht
+            ({**cd.e_t, 4: 1}, "column 0 of e lies outside the subalgebra"),
+            # 1 (x) 1: mu = 1, and e_0 (x) 1 != 1 (x) e_0
+            (la.tensor_sparse(one, one, d, p),
+             "(z (x) 1)e != e(1 (x) z) at z = basis 0")):
+        assert wha._separates(H, e, cd.Ht) == witness
+        assert not reference_separates(H, e, cd.Ht)
+    # the counital laws record it: kZ2 with S(e_0) = e_0 + e_1 moves the
+    # first leg of e_t beside e_0 out of Ht, and the second of e_s out of Hs
+    _, _, X = next(mutants(gp.groupoid_algebra(gp.cyclic(2), p)))
+    checks = wha.counital(X).checks
+    assert [checks.get(name).witness for name in (
+        "e_t_separates_Ht", "e_s_separates_Hs")] == [
+        "column 0 of e lies outside the subalgebra",
+        "row 0 of e lies outside the subalgebra"]
 
 
 def test_verify_wha_forms_no_product_in_integrals_or_separates(monkeypatch,
