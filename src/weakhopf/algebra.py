@@ -31,8 +31,8 @@ Every sum is seeded with its first term: the kernels (`Algebra.mul`,
 `apply_map`, `apply_tensor`, `tensor_mul`, `cell_sum`, `centralizer`)
 write ``o = out.get(k); out[k] = t if o is None else o + t`` and end with
 `la.residues`, and a scalar sum goes through `la.scalar_sum`.  Over Q,
-``0 + Fraction`` goes through Fraction's reflected dispatch at the cost of
-a real Fraction add, and most entries have one term.  An empty cell or a
+``0 + x`` on a `la.Rational` x is a reflected Python call that builds a
+new Rational, and most entries have one term.  An empty cell or a
 zero vector forms nothing: `Algebra.mul` and `apply_map` return {} on an
 empty input, `E.products` applies E only to nonempty cells, and no trace,
 product or class is formed of a value that is zero by construction.  No

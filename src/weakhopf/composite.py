@@ -75,7 +75,6 @@ def composite_idempotent(tower, n, prev=None):
     M_top = tower.alg(top)
     p = M_top.p
     lam_inv = tower.base.lambda_inv
-    lam = la.div(1, lam_inv, p)
 
     word = []
     for r in range(n + 1):
@@ -113,7 +112,8 @@ def composite_idempotent(tower, n, prev=None):
 
     cl.add("composite_expectation", "F_{M_n}(f_n) = lambda^{n+1} 1",
            ag.apply_map(F_Mn, f, p)
-           == la.sscale(M_n.unit_sparse(), lam ** (n + 1), p))
+           == la.sscale(M_n.unit_sparse(),
+                        la.div(1, lam_inv ** (n + 1), p), p))
 
     if n >= 1:
         prev = prev or composite_idempotent(tower, n - 1)

@@ -36,33 +36,36 @@ and column slices) decode it, so that the callers that sum over legs never
 see the index format.
 
 Scalars over Q: an integral value is a plain `int` and any other value a
-`Fraction`, so the integer arithmetic that decides most identities skips
-Fraction's normalisation; values, equality and hashing are those of the
-rationals either way.  Scalars over F_p: a plain `int` in [0, p).  The
-field is not carried by the scalar but by the object that holds it
-(`Algebra.p`, `WeakHopf.p`, `Subspace.p`, `Quotient.p`, `Echelon.p`), and
-the kernels that combine scalars (`sadd_into`, `sscale`, `legsum`, `termsum`,
-`tensor_sparse` here, `Algebra.mul`, `apply_map` and their kind in
-`algebra`, `action` and `tower`) take that p.  Each accumulates plain sums,
-seeding every entry with its first term (`scalar_sum` does the same for a
-scalar), and ends with `residues`, the one finisher of a computed sparse
-vector: it drops the zeros in both fields and over F_p reduces mod p.
-`sadd_into`, which updates a vector in place, drops its zeros as it goes;
-a computed scalar goes through `residue`.  This module is the one place
-that reduces by the modulus.  `as_scalar` and `parse_scalar` bring values
-into the stored form (floats are refused, and over F_p any p-integral
-rational maps to its residue), and every constructor of a stored object
-passes its scalars through `as_scalar`.  `scalar_one` is a Fraction in
-both fields: it is the public constructor that callers divide.  Divide
-scalars with `div(a, b, p)`, never with `/`, which turns two ints into a
-float.
+`Rational`, the Fraction subclass whose + - * with an int or a Rational
+run on its integer numerator and denominator and give an int when the
+result is integral.  So the arithmetic that decides the identities never
+goes through stdlib Fraction's operators; values, equality, hashing and
+text are Fraction's either way.  Scalars over F_p: a plain `int` in
+[0, p).  The field is not carried by the scalar but by the object that
+holds it (`Algebra.p`, `WeakHopf.p`, `Subspace.p`, `Quotient.p`,
+`Echelon.p`), and the kernels that combine scalars (`sadd_into`, `sscale`,
+`legsum`, `termsum`, `tensor_sparse` here, `Algebra.mul`, `apply_map` and
+their kind in `algebra`, `action` and `tower`) take that p.  Each
+accumulates plain sums, seeding every entry with its first term
+(`scalar_sum` does the same for a scalar), and ends with `residues`, the
+one finisher of a computed sparse vector: it drops the zeros in both
+fields and over F_p reduces mod p.  `sadd_into`, which updates a vector in
+place, drops its zeros as it goes; a computed scalar goes through
+`residue`.  This module is the one place that reduces by the modulus.
+`as_scalar` and `parse_scalar` bring values into the stored form (floats
+are refused, and over F_p any p-integral rational maps to its residue),
+and every constructor of a stored object passes its scalars through
+`as_scalar`; this module and `corpus` are the only ones that make a stdlib
+Fraction.  `scalar_one` is a Fraction in both fields: it is the public
+constructor that callers divide.  Divide scalars with `div(a, b, p)`,
+never with `/`, which turns two ints into a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from weakhopf._backend import insert_row
 
@@ -80,9 +83,91 @@ class NoSolution(Exception):
 # ---------------------------------------------------------------------------
 # scalars
 
-def _qnorm(x):
-    """An int or Fraction as a Q scalar: int when integral, else Fraction."""
-    return x.numerator if x.denominator == 1 else x
+class Rational(Fraction):
+    """A non-integral Q scalar, always with denominator > 1.
+
+    Its + - * with an int or a Rational run on the integer numerator and
+    denominator, reduced as Fraction reduces them, and give an int when the
+    result is integral; any other operand goes to Fraction's own operator.
+    str, repr, hash and == are Fraction's.
+    """
+
+    __slots__ = ()
+
+    def __repr__(a):
+        return "Fraction(%s, %s)" % (a._numerator, a._denominator)
+
+    def __neg__(a):
+        return _reduced(-a._numerator, a._denominator)
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _reduced(a._numerator + b * a._denominator, a._denominator)
+        if type(b) is Rational:
+            return _sum(a._numerator, a._denominator,
+                        b._numerator, b._denominator)
+        return Fraction.__add__(a, b)
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _reduced(a._numerator - b * a._denominator, a._denominator)
+        if type(b) is Rational:
+            return _sum(a._numerator, a._denominator,
+                        -b._numerator, b._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _reduced(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        na, da = a._numerator, a._denominator
+        if type(b) is int:
+            g = gcd(b, da)
+            return _reduced(na * (b // g), da // g)
+        if type(b) is Rational:
+            nb, db = b._numerator, b._denominator
+            g1, g2 = gcd(na, db), gcd(nb, da)
+            return _reduced((na // g1) * (nb // g2), (da // g2) * (db // g1))
+        return Fraction.__mul__(a, b)
+
+    __radd__, __rmul__ = __add__, __mul__  # commutative
+
+
+_new = object.__new__
+
+
+def _reduced(n, d):
+    """n/d, in lowest terms with d > 0, as a Q scalar."""
+    if d == 1:
+        return n
+    r = _new(Rational)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db, each in lowest terms with a positive denominator, as a
+    Q scalar, reduced as Fraction adds."""
+    g = gcd(da, db)
+    if g == 1:
+        return _reduced(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return _reduced(t // g2, s * (db // g2))
+
+
+def _ratio(n, d):
+    """n/d of two ints as a Q scalar; ZeroDivisionError when d is 0."""
+    if not d:
+        raise ZeroDivisionError("Fraction(%s, 0)" % n)
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return _reduced(n // g, d // g)
 
 
 def scalar_zero(p=None):
@@ -96,20 +181,25 @@ def scalar_one(p=None):
     return Q1
 
 
+_STORED = (int, Rational)
+
+
 def as_scalar(x, p=None):
     """An exact value in the stored form of its field (floats are refused).
 
     Over F_p any p-integral rational maps to its residue; a denominator
     divisible by p raises ValueError.
     """
+    if p is None and type(x) in _STORED:
+        return x
     if isinstance(x, float):
         raise TypeError("inexact scalar %r: write it as an integer or a "
                         "Fraction" % x)
-    if p is None:
-        return _qnorm(x if isinstance(x, (int, Fraction)) else Fraction(x))
-    if isinstance(x, int):
+    if p is not None and isinstance(x, int):
         return x % p
     x = Fraction(x)
+    if p is None:
+        return _reduced(x.numerator, x.denominator)
     if x.denominator % p == 0:
         raise ValueError("denominator of %s not invertible mod %d" % (x, p))
     return x.numerator * pow(x.denominator, -1, p) % p
@@ -141,7 +231,7 @@ def parse_scalar(text, p=None):
 def div(a, b, p=None):
     """The exact quotient a / b of two scalars of the field."""
     if p is None:
-        return _qnorm(Fraction(a) / b)
+        return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
     try:
         return a * pow(b, -1, p) % p
     except ValueError:  # b is 0 mod p
@@ -179,9 +269,9 @@ def sadd_into(acc, d, c=1, p=None):
     """acc += c*d, dropping zeros; over F_p each touched entry is reduced.
 
     Over Q an entry new to acc is seeded with its term c*x, not added to
-    the int 0, and c = 1 forms no product: a Fraction meeting an int goes
-    through Fraction's reflected dispatch at the cost of a real Fraction
-    add.  acc stays zero-free even where d holds a zero.
+    the int 0, and c = 1 forms no product: ``0 + x`` or ``1 * x`` on a
+    Rational x is a reflected Python call that builds a new Rational.  acc
+    stays zero-free even where d holds a zero.
     """
     if c == 0:
         return acc
@@ -294,7 +384,7 @@ def _int_row(vec, p=None):
 def _quot(a, b, p):
     """The scalar a/b of two integers, in Q or in F_p."""
     if p is None:
-        return a // b if a % b == 0 else Fraction(a, b)
+        return _ratio(a, b)
     return a * pow(b, -1, p) % p
 
 

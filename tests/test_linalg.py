@@ -427,11 +427,49 @@ def test_integral_rationals_are_ints():
               la.scalar_zero()):
         assert type(x) is int
     for x in (la.as_scalar(F(1, 2)), la.parse_scalar("2/4"), la.div(1, 2)):
-        assert x == F(1, 2) and type(x) is F
+        assert x == F(1, 2) and type(x) is la.Rational
+    half = la.as_scalar(F(1, 2))
+    for x, want in ((half + -half, 0), (half - half, 0), (half * 2, 1)):
+        assert type(x) is int and x == want
+
+
+# operands of each kind: a stored int, a stored Rational, a stdlib Fraction
+OPERANDS = {
+    "int": st.integers(-40, 40),
+    "Rational": st.builds(F, st.integers(-40, 40), st.integers(2, 12))
+    .filter(lambda x: x.denominator > 1).map(la.as_scalar),
+    "Fraction": st.builds(F, st.integers(-40, 40), st.integers(1, 12)),
+}
+
+
+def assert_is_fraction(x, value):
+    """x is value, with Fraction's ==, hash, str and repr; a stored result
+    is an int when integral and otherwise a Rational in lowest terms."""
+    assert x == value and hash(x) == hash(value)
+    if type(x) is la.Rational:
+        assert x.denominator > 1 and gcd(x.numerator, x.denominator) == 1
+        assert str(x) == str(value) and repr(x) == repr(value)
+    elif type(x) is not F:
+        assert type(x) is int and value.denominator == 1
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("left", OPERANDS)
+@pytest.mark.parametrize("right", OPERANDS)
+@given(data=st.data())
+def test_rational_arithmetic_is_fractions(left, right, data):
+    a, b = data.draw(OPERANDS[left]), data.draw(OPERANDS[right])
+    stored = F not in (type(a), type(b))
+    for got, want in ((a + b, F(a) + F(b)), (a - b, F(a) - F(b)),
+                      (a * b, F(a) * F(b)), (-a, -F(a))):
+        assert_is_fraction(got, want)
+        assert type(got) is not F or not stored
 
 
 def test_div_is_exact_in_both_fields():
     assert la.div(1, 3) == F(1, 3)
+    assert repr(la.div(3, -6)) == repr(la.div(F(-1, 3), F(2, 3))) == \
+        "Fraction(-1, 2)"
     assert la.div(1, 2, 13) == la.div(14, 2, 13) == la.div(1, 15, 13) == 7
     with pytest.raises(ZeroDivisionError):
         la.div(1, 0)

@@ -80,8 +80,46 @@ def test_only_linalg_reduces_by_the_modulus():
     assert not found, found
 
 
+def fraction_sources(tree):
+    """Line numbers of every ``fractions`` import and every call of a name
+    or attribute ``Fraction``: the places a stdlib Fraction is made."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import) and any(
+                a.name.split(".")[0] == "fractions" for a in n.names):
+            found.add(n.lineno)
+        elif isinstance(n, ast.ImportFrom) and n.module == "fractions":
+            found.add(n.lineno)
+        elif isinstance(n, ast.Call) and (
+                (isinstance(n.func, ast.Name) and n.func.id == "Fraction") or
+                (isinstance(n.func, ast.Attribute) and
+                 n.func.attr == "Fraction")):
+            found.add(n.lineno)
+    return sorted(found)
+
+
+def test_scan_flags_fraction_construction_and_import():
+    tree = ast.parse("from fractions import Fraction\nimport fractions\n"
+                     "a = Fraction(1, 2)\nb = fractions.Fraction(3)\n"
+                     "c = la.Fraction(1)\nd = 'Fraction(1, 2)'\n"
+                     "e = isinstance(f, la.Rational)\ng = h.denominator\n"
+                     "import fractions as fr, math\n")
+    assert fraction_sources(tree) == [1, 2, 3, 4, 5, 9]
+
+
+def test_only_linalg_and_corpus_make_fractions():
+    # the kernels meet only int and la.Rational; corpus inputs pass
+    # through la.as_scalar
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = fraction_sources(ast.parse(path.read_text()))
+        if lines and path.name not in ("linalg.py", "corpus.py"):
+            found[path.name] = lines
+    assert not found, found
+
+
 def stored_form(x):
-    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    return type(x) is int or (type(x) is la.Rational and x.denominator > 1)
 
 
 def residue_form(p):
