@@ -197,7 +197,6 @@ def adjoint_action(H):
 
 @dataclass(frozen=True)
 class Smash:
-    module: ModuleAlgebra
     quotient: la.Quotient
     alg: ag.Algebra
     include_A: tuple  # sparse rows A -> smash coords
@@ -254,23 +253,20 @@ def smash(M):
             rel_vecs.extend(filter(None, (sadd_into(
                 la.tensor_sparse(az, {h: 1}, dH, p), la.tensor_sparse(
                     {a: 1}, zh[h], dH, p), -1, p) for h in range(dH))))
-    relations = la.Subspace.from_vectors(amb, rel_vecs, p)
-    q = la.quotient(amb, relations)
+    q = la.quotient(la.Subspace.from_vectors(amb, rel_vecs, p))
 
     # (a # h)(b # g) = sum c_uv e_a (e_u . e_b) # e_v e_g over the legs
-    # (u, v, c_uv) of Delta(e_h); lmul[a], the table row of e_a as sparse
-    # rows, is the map w -> e_a w
+    # (u, v, c_uv) of Delta(e_h); e_a w is read off row a of A's table
     legs = [[divmod(uv, dH) + (c,) for uv, c in row.items()]
             for row in H.delta]
     acts = M.act
-    lmul = [[dict(cell) for cell in row] for row in A.table]
-    htab = H.alg.table
+    atab, htab = A.table, H.alg.table
 
     def mul_amb(x, y):
         out = {}
         for ah, c in x.items():
             a, h = divmod(ah, dH)
-            ta = lmul[a]
+            ta = atab[a]
             for bg, e in y.items():
                 b, g = divmod(bg, dH)
                 ce = c * e
@@ -279,7 +275,7 @@ def smash(M):
                     if not right:
                         continue
                     cc = ce * cuv
-                    for m, l in ag.apply_map(ta, acts[u][b], p).items():
+                    for m, l in ag.cell_sum(ta, acts[u][b], p).items():
                         base, lc = m * dH, cc * l
                         for n, r in right:
                             t = lc * r
@@ -305,7 +301,7 @@ def smash(M):
     cl.add("associative_unital", "A#H is associative with unit 1#1", True)
 
     inc_a = tuple(q.project_legs([({a: 1}, one_h)], dH) for a in range(dA))
-    return Smash(M, q, alg, inc_a, cl)
+    return Smash(q, alg, inc_a, cl)
 
 
 def _balancing_failure(M):

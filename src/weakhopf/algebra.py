@@ -644,18 +644,6 @@ def verify_dual_bases(E, db):
     return True
 
 
-def is_symmetric(E, U):
-    """E(ux) = E(xu) on every basis pair; witness on failure."""
-    big = E.incl.big
-    for ui, u in enumerate(U.basis):
-        for j in range(big.dim):
-            lhs = E._E_xm(u, j)
-            rhs = E._E_mx(j, u)
-            if lhs != rhs:
-                return False, (ui, j, lhs, rhs)
-    return True, None
-
-
 def separability_element(A, symmetric=False, require_unique=False):
     """Solve for a separability element f in A (x) A.
 
@@ -817,9 +805,10 @@ def certify_markov(incl, E, db, trace):
     cl.add("E_nondegenerate", "E(xM) = 0 => x = 0", True)
 
     U = centralizer(big, incl.image)
-    sym, witness = is_symmetric(E, U)
-    cl.add("symmetric", "E(ux) = E(xu) for u in C_M(N)", sym,
-           witness=None if sym else str(witness[:2]))
+    with cl.holds("symmetric", "E(ux) = E(xu) for u in C_M(N)") as law:
+        for ui, u in law.over(enumerate(U.basis)):
+            for j in law.over(range(big.dim)):
+                law.check((ui, j), E._E_xm(u, j), E._E_mx(j, u))
 
     kanz = None
     try:

@@ -135,31 +135,27 @@ def _word_basis(tower, gens, level):
     """Deterministic word basis of the algebra generated by 1 and the e_i.
 
     Breadth-first over words in the given generators, keeping a word when
-    its evaluation grows the span.  Returns (words, EchelonExpr) so that
-    membership queries can reuse the expression tracker.
+    its evaluation grows the span, which an `Echelon` decides.  Returns the
+    kept words and their values; the values are independent, so an element
+    of their span has one expression over them (`shift_tau2` solves for
+    it).
     """
     alg = tower.alg(level)
-    ech = la.EchelonExpr(alg.dim, alg.p)
-    words = []
-    vals = {}
-    kind, _ = ech.insert(alg.unit_sparse())
-    assert kind == "kept"
-    words.append(())
-    vals[()] = alg.unit_sparse()
-    frontier = [()]
+    ech = la.Echelon(alg.dim, alg.p)
+    words, vals = [()], [alg.unit_sparse()]
+    ech.insert(vals[0])
+    frontier = [0]  # the words kept in the last round, by index
     while frontier:
         new_frontier = []
-        for wd in frontier:
+        for k in frontier:
             for i in gens:
-                cand = wd + (i,)
-                val = alg.mul(vals[wd], tower.jones(i, level))
-                kind, _ = ech.insert(val)
-                if kind == "kept":
-                    words.append(cand)
-                    vals[cand] = val
-                    new_frontier.append(cand)
+                val = alg.mul(vals[k], tower.jones(i, level))
+                if ech.insert(val):
+                    new_frontier.append(len(words))
+                    words.append(words[k] + (i,))
+                    vals.append(val)
         frontier = new_frontier
-    return words, ech
+    return words, vals
 
 
 def shift_tau2(tower, element, n, level=None):
@@ -179,11 +175,12 @@ def shift_tau2(tower, element, n, level=None):
         raise DimensionBudget("tower too short for the shift target e_%d"
                               % (n + 2))
     gens = list(range(1, n + 1))
-    words, ech = _word_basis(tower, gens, level)
-    kind, data = ech.insert(element)
-    if kind == "kept":
+    words, vals = _word_basis(tower, gens, level)
+    try:
+        data = la.solve(vals, element, p)
+    except la.NoSolution:
         raise NotInTLSubalgebra(
-            "element is independent of the e-word span")
+            "element is independent of the e-word span") from None
     # shifted generators satisfy the same relations
     for i in range(3, n + 3):
         ei = tower.jones(i, level)

@@ -6,12 +6,16 @@ rationals by default, or a prime field F_p.  Everything is deterministic
 (leftmost-nonzero pivoting, canonical reduced echelon bases) and exact;
 there is no floating point anywhere.
 
-Both fields share one eliminator: `Echelon` and `EchelonExpr` turn
-sparse vectors into sparse integer rows (rationals scaled by their common
-denominator, residues mod p as they are), keep them keyed by pivot column
-and reduce them with the kernel in `_backend`, fraction-free over Q and in
-leading-1 form over F_p; elimination touches only the nonzeros.  This
-module is the kernel's one caller.
+Both fields share one eliminator: `Echelon` turns sparse vectors into
+sparse integer rows (rationals scaled by their common denominator,
+residues mod p as they are), keeps them keyed by pivot column and reduces
+them with the kernel in `_backend`, fraction-free over Q and in leading-1
+form over F_p; elimination touches only the nonzeros.  This module is the
+kernel's one caller.  Columns past the pivot zone ride along as an
+augmented zone that carries combinations: `solve` puts the right-hand side
+there, `inverse` the identity, and `quotient_from_projection` a 1 in a
+column of its own per kept vector, so that a dependent insert reduces to
+its expression over the kept ones.
 Sparse vectors are plain dicts {index: scalar} with no stored zeros, and
 that is the one form of every vector, coordinate vector and linear-map row
 in the package, stored or passed: a `Subspace` basis, the coordinates
@@ -70,10 +74,6 @@ from math import gcd, lcm
 from weakhopf._backend import insert_row
 
 Q1 = Fraction(1)
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class NoSolution(Exception):
@@ -369,16 +369,15 @@ def tensor_sparse(a, b, dim2, p=None):
 # echelon forms (integer-kernel backed, over Q or F_p)
 
 def _int_row(vec, p=None):
-    """A sparse vector -> (kernel row, scale of the row).
+    """A sparse vector -> its kernel row.
 
     Over Q the row is den * vec, den the lcm of the denominators; over F_p
-    it holds the residues and the scale is 1.
+    it holds the residues.
     """
     if p is not None:
-        return residues(vec, p), 1
+        return residues(vec, p)
     den = lcm(*[c.denominator for c in vec.values()])
-    return {i: c.numerator * (den // c.denominator)
-            for i, c in vec.items()}, den
+    return {i: c.numerator * (den // c.denominator) for i, c in vec.items()}
 
 
 def _quot(a, b, p):
@@ -393,7 +392,7 @@ class Echelon:
 
     `rows` maps each pivot column to its kernel row.  Pivots lie among the
     first `ncols` columns; entries at columns from `ncols` on ride along
-    (augmented right-hand sides).
+    (augmented right-hand sides or combinations).
     """
 
     def __init__(self, ncols, p=None):
@@ -413,13 +412,13 @@ class Echelon:
         """Insert a sparse vector. True if rank grew."""
         if not vec:
             return False
-        row, _ = _int_row(vec, self.p)
-        return insert_row(self.rows, row, self.ncols, self.p) >= 0
+        return insert_row(self.rows, _int_row(vec, self.p), self.ncols,
+                          self.p) >= 0
 
     def insert_reduced(self, vec):
         """Insert; on dependence the returned reduced row keeps its
         augmented entries."""
-        row, _ = _int_row(vec, self.p)
+        row = _int_row(vec, self.p)
         return insert_row(self.rows, row, self.ncols, self.p), row
 
     def frac_rows(self):
@@ -427,36 +426,6 @@ class Echelon:
         pivot order."""
         return [{i: _quot(r[i], r[c], self.p) for i in sorted(r)}
                 for c, r in sorted(self.rows.items())]
-
-
-class EchelonExpr:
-    """Echelon that expresses each dependent insert over the kept ones.
-
-    insert() returns ('kept', k) for the k-th independent vector, or
-    ('dep', coeffs) with vec == sum(coeffs[k] * kept_k).  Column ncols + k
-    of a row records its coefficient on the k-th kept vector.
-    """
-
-    def __init__(self, ncols, p=None):
-        self.ncols = ncols
-        self.p = p
-        self.rows = {}
-        self.nkept = 0
-
-    def insert(self, vec):
-        if not vec:
-            return ("dep", {})
-        p = self.p
-        ncols = self.ncols
-        row, den = _int_row(vec, p)
-        aux = ncols + self.nkept
-        row[aux] = den
-        if insert_row(self.rows, row, ncols, p) >= 0:
-            self.nkept += 1
-            return ("kept", self.nkept - 1)
-        # dependent: data zone zero, aux holds s*vec - sum(c_k * kept_k) = 0
-        s = row.pop(aux)
-        return ("dep", {k - ncols: _quot(-row[k], s, p) for k in sorted(row)})
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +643,13 @@ class Quotient:
         return residues(out, self.p)
 
 
-def quotient(ambient_dim, relations):
-    """Quotient of k^n by an echelonized relations subspace."""
-    if relations.ambient_dim != ambient_dim:
-        raise DimensionMismatch("relations live in the wrong ambient space")
-    p = relations.p
+def quotient(relations):
+    """Quotient of k^n by an echelonized relations subspace of k^n."""
+    n, p = relations.ambient_dim, relations.p
     piv = set(relations.pivots)
-    section = tuple(c for c in range(ambient_dim) if c not in piv)
+    section = tuple(c for c in range(n) if c not in piv)
     index = {c: i for i, c in enumerate(section)}
-    proj = [None] * ambient_dim
+    proj = [None] * n
     for c in section:
         proj[c] = {index[c]: 1}
     for pc, row in zip(relations.pivots, relations.basis):
@@ -690,7 +657,7 @@ def quotient(ambient_dim, relations):
         # minus that tail
         proj[pc] = {index[j]: residue(-x, p) for j, x in row.items()
                     if j != pc}
-    return Quotient(ambient_dim, relations, section, tuple(proj), p)
+    return Quotient(n, relations, section, tuple(proj), p)
 
 
 def quotient_from_projection(ambient_dim, pi_col, p=None):
@@ -701,37 +668,31 @@ def quotient_from_projection(ambient_dim, pi_col, p=None):
     Produces exactly the canonical Quotient of `quotient()` without
     echelonizing the relations: a column c is a pivot of the relations
     precisely when its image depends on the images of later columns, so the
-    canonical section is found by a right-to-left independence scan, and the
-    RREF rows of the relations are read off the coset representatives.
+    canonical section is found by a right-to-left independence scan.  A
+    zero image makes e_c a relation with no insert.  Any other image goes
+    into an `Echelon` with a 1 in the augmented column of the next kept
+    vector; when it depends on the kept images, those columns of its
+    reduced row hold its expression over them, which is the RREF relation
+    row of c.  The relation rows go to `quotient`.
     """
-    ech = EchelonExpr(ambient_dim, p)
+    ech = Echelon(ambient_dim, p)
     kept = []  # columns, in right-to-left discovery order
-    exprs = [None] * ambient_dim
+    rows = {}  # pivot column -> RREF relation row
     for c in range(ambient_dim - 1, -1, -1):
-        kind, data = ech.insert(pi_col(c))
-        if kind == "kept":
-            kept.append(c)
-        else:
-            exprs[c] = data
-    section = tuple(sorted(kept))
-    index = {c: i for i, c in enumerate(section)}
-    remap = {k: index[c] for k, c in enumerate(kept)}
-    proj = [None] * ambient_dim
-    for i, c in enumerate(section):
-        proj[c] = {i: 1}
-    rel_rows = []
-    rel_pivots = []
-    for c in range(ambient_dim):
-        if exprs[c] is None:
+        image = pi_col(c)
+        if not image:
+            rows[c] = {c: 1}
             continue
-        coords = {remap[k]: v for k, v in exprs[c].items()}
-        proj[c] = coords
-        row = {c: 1}
-        for i, v in coords.items():
-            fcol = section[i]
-            assert fcol > c, "canonical section violated"
-            row[fcol] = residue(-v, p)
-        rel_pivots.append(c)
-        rel_rows.append(row)
-    relations = Subspace(ambient_dim, tuple(rel_pivots), tuple(rel_rows), p)
-    return Quotient(ambient_dim, relations, section, tuple(proj), p)
+        aux = ambient_dim + len(kept)
+        pos, red = ech.insert_reduced({**image, aux: 1})
+        if pos >= 0:
+            kept.append(c)
+            continue
+        # dependent: s pi(e_c) + sum_k red[n + k] pi(e_kept[k]) = 0, with
+        # s = red[aux] and n = ambient_dim
+        s = red.pop(aux)
+        rows[c] = {c: 1, **{kept[k - ambient_dim]: _quot(x, s, p)
+                            for k, x in sorted(red.items())}}
+    pivots = sorted(rows)
+    return quotient(Subspace(ambient_dim, tuple(pivots),
+                             tuple(rows[c] for c in pivots), p))

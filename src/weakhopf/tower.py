@@ -557,7 +557,7 @@ def conditional_expectations(ctx, d2):
                 sadd_into(vec, tensor_sparse({i: 1}, vb_co[j], nB, p), -1, p)
                 if vec:
                     rel.append(vec)
-    qAB = la.quotient(nA * nB, la.Subspace.from_vectors(nA * nB, rel, p))
+    qAB = la.quotient(la.Subspace.from_vectors(nA * nB, rel, p))
     rk = la.rank([ab[c] for c in qAB.section_cols], M2.dim, p)
     cl.add("relative_tensor_AB", "A (x)_V B = C as vector spaces",
            qAB.dim == C.dim and rk == C.dim,

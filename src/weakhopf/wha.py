@@ -348,8 +348,6 @@ def _first_failing_case(H, f, width, minus_rhs):
 
 @dataclass(frozen=True)
 class CounitalData:
-    eps_t: tuple  # sparse rows
-    eps_s: tuple
     Ht: la.Subspace
     Hs: la.Subspace
     e_t: dict  # separability idempotent of Ht, flat tensor
@@ -411,7 +409,7 @@ def counital(H):
            "idempotent for Ht", fail_t is None, witness=fail_t)
     cl.add("e_s_separates_Hs", "e_s = (id (x) S)Delta(1) is a separability "
            "idempotent for Hs", fail_s is None, witness=fail_s)
-    return CounitalData(est, ess, Ht, Hs, e_t, e_s, cl)
+    return CounitalData(Ht, Hs, e_t, e_s, cl)
 
 
 def _separates(H, e, sub):

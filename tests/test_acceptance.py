@@ -193,9 +193,9 @@ def test_negative_controls():
         assert rep.get(upstream).passed, upstream
 
     incl, E = corpus.skewed_expectation()
-    U = ag.centralizer(incl.big, incl.image)
-    sym, witness = ag.is_symmetric(E, U)
-    assert not sym and witness is not None
+    sym = ag.certify_markov(incl, E, ag.find_dual_bases(E),
+                            (F(1),)).checks.get("symmetric")
+    assert not sym.passed and sym.witness == "(1, 2)"
     _line("negative controls: M2(F2) rejected by kanzaki_element; the "
           "mutated antipode fails exactly the sandwich axiom; the skewed "
           "expectation fails symmetry with a witness", True)

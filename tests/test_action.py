@@ -246,8 +246,7 @@ def balancing_quotient(M):
             r = la.tensor_sparse(A.mul({a: 1}, z1), {h: 1}, d, p)
             rels.append(la.sadd_into(r, la.tensor_sparse(
                 {a: 1}, H.alg.mul(z, {h: 1}), d, p), -1, p))
-    return la.quotient(A.dim * d, la.Subspace.from_vectors(A.dim * d, rels,
-                                                           p))
+    return la.quotient(la.Subspace.from_vectors(A.dim * d, rels, p))
 
 
 def relation_loop(M, q):

@@ -156,9 +156,8 @@ def test_dual_bases_infeasible_within():
 
 
 def test_is_symmetric_diag_projection():
-    cert = corpus.ext_q2_m2()
-    ok, witness = ag.is_symmetric(cert.E, cert.U)
-    assert ok and witness is None
+    sym = corpus.ext_q2_m2().checks.get("symmetric")
+    assert sym.passed and sym.witness is None
 
 
 def test_markov_witness_text_ignores_the_scalar_type():
@@ -184,10 +183,10 @@ def test_inclusion_image_is_the_span_of_the_embedding():
 
 def test_skewed_expectation_not_symmetric():
     incl, E = corpus.skewed_expectation()
-    U = ag.centralizer(incl.big, incl.image)
-    ok, witness = ag.is_symmetric(E, U)
-    assert not ok
-    assert witness is not None
+    sym = ag.certify_markov(incl, E, ag.find_dual_bases(E),
+                            (F(1),)).checks.get("symmetric")
+    assert not sym.passed
+    assert sym.witness == "(1, 2)"
 
 
 def test_kanzaki_q2():

@@ -1,8 +1,8 @@
 """Every name a weakhopf module imports, or a function assigns, is read,
-every attribute it sets on self is read, and every function it defines is
-referenced by the library or the benchmark, or listed with the reason it
-stays; only linalg imports the row-reduction kernel, and no law on basis
-tuples is recorded without its witness."""
+every attribute it sets on self is read, and every function it defines,
+and every dataclass field, is referenced by the library or the benchmark,
+or listed with the reason it stays; only linalg imports the row-reduction
+kernel, and no law on basis tuples is recorded without its witness."""
 
 import ast
 import pathlib
@@ -390,6 +390,34 @@ def unread_fields(tree, read):
                   if key[1] not in read)
 
 
+def library_unread_fields(lib, others):
+    """{file: {"class.field"}} of the dataclass fields of the library trees
+    `lib` ({file: tree}) whose name neither they nor the trees `others`
+    read; a field is matched by name, on any object."""
+    read = read_attributes([*lib.values(), *others])
+    found = {}
+    for name, tree in lib.items():
+        bad = {field for _, field in unread_fields(tree, read)}
+        if bad:
+            found[name] = bad
+    return found
+
+
+def test_scan_flags_a_field_only_tests_read():
+    lib = {"a.py": ast.parse("@dataclass(frozen=True)\n"
+                             "class K:\n"
+                             "    x: int\n"
+                             "    y: int\n"
+                             "    z: int\n"),
+           "b.py": ast.parse("def f(k):\n"
+                             "    return k.x\n")}
+    bench = ast.parse("k.y\n")
+    # a read in another library file or in the benchmark counts, a read
+    # that only a test makes does not
+    assert library_unread_fields(lib, [bench]) == {"a.py": {"K.z"}}
+    assert library_unread_fields(lib, [bench, ast.parse("k.z\n")]) == {}
+
+
 def test_scan_flags_an_unread_field():
     lib = ast.parse("@dataclass(frozen=True)\n"
                     "class K:\n"
@@ -413,17 +441,45 @@ def test_scan_flags_an_unread_field():
 def test_every_weakhopf_dataclass_field_is_read():
     """A field that src, tests and the benchmark never read is state the
     constructor fills for nothing."""
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
-    read = read_attributes(list(trees.values()) + [
+    lib = {path.name: ast.parse(path.read_text())
+           for path in sorted(SRC.glob("*.py"))}
+    found = library_unread_fields(lib, [
         ast.parse(path.read_text()) for path in
         sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))])
-    found = {}
-    for name, tree in trees.items():
-        bad = unread_fields(tree, read)
-        if bad:
-            found[name] = bad
     assert not found, found
+
+
+# Dataclass fields that only tests read, each with the reason it stays.
+TEST_ONLY_FIELDS = {
+    "linalg.py": {
+        "Quotient.relations": "the relations a quotient was built from; "
+        "tests rebuild the smash balancing loop on them and check that no "
+        "derivation mutates them",
+    },
+    "tower.py": {
+        "Depth2Data.zs": "the dual-bases legs of the A half of depth 2, "
+        "which test_tower requires to be nonempty beside us and vs",
+    },
+    "wha.py": {
+        "CounitalData.e_t": "the separability idempotent of Ht that "
+        "counital() decides; test_wha mutates it to exercise _separates",
+        "CounitalData.e_s": "the separability idempotent of Hs that "
+        "counital() decides; test_wha checks _separates on it",
+    },
+}
+
+
+def test_every_weakhopf_dataclass_field_is_read_by_the_library():
+    """A field that no library code and no benchmark job reads decides no
+    verdict: it is read, deleted, or listed in TEST_ONLY_FIELDS with its
+    reason, and a listed one that gains a reader leaves the list."""
+    lib = {path.name: ast.parse(path.read_text())
+           for path in sorted(SRC.glob("*.py"))}
+    found = library_unread_fields(lib, [
+        ast.parse(path.read_text())
+        for path in sorted(PERFBENCH.glob("*.py"))])
+    assert found == {name: set(fields)
+                     for name, fields in TEST_ONLY_FIELDS.items()}
 
 
 # every scalar constructor takes the field, whether or not it needs it

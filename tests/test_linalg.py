@@ -98,14 +98,14 @@ def test_kernel_of_zero_images_is_full():
 
 
 def test_quotient_trivial_relations():
-    q = la.quotient(3, la.Subspace.from_vectors(3, []))
+    q = la.quotient(la.Subspace.from_vectors(3, []))
     assert q.dim == 3
     assert q.project({1: F(2)}) == {1: F(2)}
 
 
 def test_quotient_plane_by_line():
     rel = la.Subspace.from_vectors(2, [{0: F(1), 1: F(-1)}])
-    q = la.quotient(2, rel)
+    q = la.quotient(rel)
     assert q.dim == 1
     # the two coordinates agree in the quotient
     assert q.project({0: F(1)}) == q.project({1: F(1)})
@@ -168,7 +168,7 @@ def test_quotient_properties(rel_rows):
         one = la.as_scalar(1, p)
         rel = la.Subspace.from_vectors(
             4, [la.sparse(r) for r in field_rows(rel_rows, p)], p)
-        q = la.quotient(4, rel)
+        q = la.quotient(rel)
         assert q.dim == 4 - rel.dim
         # project annihilates exactly the relations
         for r in rel.basis:
@@ -199,8 +199,8 @@ def test_echelon_deterministic_and_canonical(rows):
 @pytest.mark.parametrize("p", FIELDS, ids=["Q", "F13"])
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=12, max_size=12),
-       st.integers(0, 4))
-def test_quotient_from_projection_matches_quotient(p, entries, rank):
+       st.integers(0, 4), st.lists(st.integers(0, 4), max_size=3))
+def test_quotient_from_projection_matches_quotient(p, entries, rank, gaps):
     n = 4
     one, zero = la.as_scalar(1, p), la.scalar_zero(p)
     # T = L U with unit triangular factors is invertible over every field
@@ -216,8 +216,24 @@ def test_quotient_from_projection_matches_quotient(p, entries, rank):
     assert dense_matmul(proj, proj, p) == proj
     cols = list(zip(*proj))
     got = la.quotient_from_projection(n, lambda c: la.sparse(cols[c]), p)
-    assert got == la.quotient(n, la.kernel(
+    assert got == la.quotient(la.kernel(
         la.transpose([la.sparse(r) for r in proj], n), p))
+    assert got.dim == rank
+
+    # the same projection with a zero column inserted before coordinate g
+    # for each g in gaps (before none when g is n): zero images among
+    # nonzero ones
+    live, m = [], 0  # the coordinate of each coordinate of proj
+    for g in range(n + 1):
+        m += gaps.count(g)
+        if g < n:
+            live.append(m)
+            m += 1
+    padded = [{} for _ in range(m)]
+    for c, col in enumerate(cols):
+        padded[live[c]] = {live[i]: x for i, x in la.sparse(col).items()}
+    got = la.quotient_from_projection(m, padded.__getitem__, p)
+    assert got == la.quotient(la.kernel(padded, p))
     assert got.dim == rank
 
 
@@ -313,18 +329,13 @@ def test_wide_sparse_rows_match_dense_gauss_jordan(p, shape, rhs, consistent):
         else:
             assert r[c] == 1 and all(0 < x < p for x in r.values())
 
-    # a dependent insert is rebuilt from its coefficients on the kept ones
-    expr = la.EchelonExpr(n, p)
+    # a dependent vector is rebuilt from its solution over the kept ones
     kept = []
     for v, g in zip(vecs, grew):
-        kind, data = expr.insert(v)
-        assert (kind == "kept") == g
-        if kind == "kept":
-            assert data == len(kept)
+        if g:
             kept.append(v)
         else:
-            assert combination(kept, data, p) == v
-    assert all(0 not in r.values() for r in expr.rows.values())
+            assert combination(kept, la.solve(kept, v, p), p) == v
 
     # solve fails exactly when the reference system is inconsistent
     if consistent:
