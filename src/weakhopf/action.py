@@ -47,12 +47,12 @@ class ModuleAlgebra:
 def make_module_algebra(H, A, act):
     """Bundle and fully verify a module-algebra structure.
 
-    act[h][a] is the image of e_a under e_h, as a sparse dict.  Returns
-    (ModuleAlgebra, CheckList).
+    act[h][a] is the image of e_a under e_h, as a sparse dict.  Returns the
+    ModuleAlgebra; its `checks` hold the verdicts.
     """
     act = tuple(ag.map_rows(rows, A.p) for rows in act)
     cl = verify_module_algebra(ModuleAlgebra(H, A, act))
-    return ModuleAlgebra(H, A, act, cl), cl
+    return ModuleAlgebra(H, A, act, cl)
 
 
 def verify_module_algebra(M):
@@ -365,8 +365,8 @@ def duality_dimension_check(M):
     from weakhopf.corpus import matrix_algebra
     cl = CheckList()
     sm = smash(M)
-    dual_act, dual_cl = smash_dual_action(M, sm)
-    cl.extend(dual_cl)
+    dual_act = smash_dual_action(M, sm)
+    cl.extend(dual_act.checks)
     sm2 = smash(dual_act)
     n, p = sm.alg.dim, M.A.p
 

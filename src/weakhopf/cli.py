@@ -180,7 +180,7 @@ def cmd_tower(args):
                                "failed", False))
             return Report("tower %s" % spec.name, items)
         try:
-            items.extend(tw.derive(t)[3].items)
+            items.extend(tw.derive(t)[2].items)
         except (tw.Depth2Failure, tw.SingularGram) as exc:
             items.append(Check("depth2", "depth-2 condition holds", False,
                                str(exc)))

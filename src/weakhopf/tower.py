@@ -35,6 +35,13 @@ the axiom engine runs on B and A and on no B*.  One routine, `_smash_iso`,
 verifies both smash isomorphisms M1 # B -> M2 and M # A -> M1, and reads
 the inclusion x -> x # 1 from the smash product.
 
+`derive` runs the stages of the main theorem in report order: the
+centralizer lattice, depth 2, E_A and E_B, the pairing, `DerivedWeakHopf`
+(B's structure, B's identities, the E_M1-valued laws, the counital formulas
+and integrals, A through the Gram matrix), the action of B on M1, psi, the
+action of A on M and phi.  Every stage appends its laws to the one CheckList
+that `derive` passes it and returns only its own objects.
+
 The derivation is written in Sweedler notation, e.g.
 E_M1(e2 w y x b) = lambda^-1 E_M1(e2 w y b2) w^-1 E_M1(e2 w x b1); each such
 sum runs over the legs of a stored Delta row through `linalg.legsum`; a
@@ -44,10 +51,11 @@ scaled once), and a leg whose scalar factor is zero forms no product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import lcm
 
+from weakhopf import action as ac
 from weakhopf import algebra as ag
 from weakhopf import linalg as la
 from weakhopf import wha
@@ -296,17 +304,6 @@ def build_tower(cert, depth, extra=0):
 # the depth-2 context: everything in M2 coordinates
 
 @dataclass(frozen=True)
-class CentralizerLattice:
-    U: la.Subspace
-    V: la.Subspace
-    W: la.Subspace
-    A: la.Subspace
-    B: la.Subspace
-    C: la.Subspace
-    checks: CheckList
-
-
-@dataclass(frozen=True)
 class Depth2Data:
     zs: tuple  # first legs of the dual bases of E_M inside A (M1 coords)
     us: tuple  # dual bases of E_M1 inside B (M2 coords)
@@ -388,14 +385,8 @@ class DepthTwoContext:
         return self.M2.mulm(*xs)
 
 
-def centralizers(tower):
+def _lattice(cl, ctx):
     """The six-centralizer lattice, with every inclusion verified in M2."""
-    ctx = DepthTwoContext(tower)
-    return ctx, _lattice(ctx)
-
-
-def _lattice(ctx):
-    cl = CheckList()
     cl.add("U_in_A", "C_M(N) contained in A", ctx.A.contains_subspace(ctx.U))
     cl.add("V_in_A", "V contained in A", ctx.A.contains_subspace(ctx.V))
     cl.add("V_in_B", "V contained in B", ctx.B.contains_subspace(ctx.V))
@@ -408,7 +399,6 @@ def _lattice(ctx):
     cl.add("phi_anti_iso", "U anti-isomorphic to V via x_i u e1 y_i",
            ctx.lv1.checks.get("phi_antimultiplicative").passed
            and ctx.lv1.checks.get("phi_bijective").passed)
-    return CentralizerLattice(ctx.U, ctx.V, ctx.W, ctx.A, ctx.B, ctx.C, cl)
 
 
 def depth2_check(ctx):
@@ -437,7 +427,6 @@ class ExpectationPair:
 
     C: la.Subspace
     E_B_rows: tuple  # C coords -> M2 sparse
-    checks: CheckList
 
     def E_B(self, x):
         """E_B of an M2 element of C; outside C, NotClosed names the first
@@ -449,9 +438,8 @@ class ExpectationPair:
         return ag.apply_map(self.E_B_rows, co, self.C.p)
 
 
-def conditional_expectations(ctx, d2):
+def conditional_expectations(cl, ctx, d2):
     """Build E_A, E_B and verify the whole depth-2 identity suite."""
-    cl = CheckList()
     M2 = ctx.M2
     p = ctx.p
     lam, lam_inv = ctx.lam, ctx.lam_inv
@@ -490,7 +478,7 @@ def conditional_expectations(ctx, d2):
             if coef != 0:
                 sadd_into(out, x, coef, p)
         ebays.append(out)
-    ep = ExpectationPair(C, ag.map_rows(ebays, p), cl)
+    ep = ExpectationPair(C, ag.map_rows(ebays, p))
     E_B, E_A = ep.E_B, ctx.E_M1
     # E_B(c_i) for the basis c_i of C is the stored row i
     EBc = ep.E_B_rows
@@ -629,12 +617,10 @@ class PairingData:
     gram: tuple  # row i holds <a_i, b_j> at j
     gram_t: tuple  # its transpose: row j holds <a_i, b_j> at i
     gram2: tuple  # row j holds the second pairing lambda^-2 T(b_j e1 e2 w a_i)
-    checks: CheckList
 
 
-def pairing(ctx):
+def pairing(cl, ctx):
     """The separability element of V, the unit w, and both Gram matrices."""
-    cl = CheckList()
     M2 = ctx.M2
     p = ctx.p
     T = ctx.T
@@ -691,38 +677,35 @@ def pairing(ctx):
     w_inv = injV(ag.right_inverse(V_alg, w_co))
     gram_t = la.transpose(gram, len(Bb))
     return PairingData(f, tuple(vhat), w, w_inv, *(
-        ag.map_rows(g, p) for g in (gram, gram_t, gram2)), cl)
+        ag.map_rows(g, p) for g in (gram, gram_t, gram2)))
 
 
 class DerivedWeakHopf:
-    """The weak Hopf structures carried by B and (through the pairing) A."""
+    """The weak Hopf structures carried by B and (through the pairing) A,
+    built by five stages that append their laws to `cl` in report order."""
 
-    def __init__(self, ctx, ep, pd):
+    def __init__(self, cl, ctx, ep, pd):
         self.ctx = ctx
         self.pd = pd
-        self.checks = CheckList()
-        self._build(ep, pd)
+        A_alg, pairs = self._structure_of_B(cl)
+        VB, WB, e2w, ea_w = self._identities_of_B(cl, ep)
+        w_inv_M1 = self._E_M1_laws(cl, ep, e2w, ea_w)
+        self._counitals_and_integrals(cl, VB, WB, w_inv_M1)
+        self._A_through_gram(cl, A_alg, pairs)
 
-    def _build(self, ep, pd):
-        from weakhopf import action as ac
-        ctx = self.ctx
-        cl = self.checks
-        M2 = ctx.M2
-        p = ctx.p
-        T = ctx.T
-        nB = ctx.B.dim
-        nA = ctx.A.dim
-
-        B_alg, injB, expB = ag.subalgebra(M2, ctx.B, "B")
-        A_alg, injA, expA = ag.subalgebra(M2, ctx.A, "A")
+    def _structure_of_B(self, cl):
+        """B solved from the pairing; returns A's algebra and <a_i a_k, ->."""
+        ctx, pd, p = self.ctx, self.pd, self.ctx.p
+        nB, nA = ctx.B.dim, ctx.A.dim
+        B_alg, injB, expB = ag.subalgebra(ctx.M2, ctx.B, "B")
+        A_alg, injA, expA = ag.subalgebra(ctx.M2, ctx.A, "A")
         self.injB, self.expB = injB, expB
         self.injA, self.expA = injA, expA
-        self.bhat = bhat = [injB({j: 1}) for j in range(nB)]
-        ahat = [injA({i: 1}) for i in range(nA)]
+        self.bhat = [injB({j: 1}) for j in range(nB)]
+        self.ahat = [injA({i: 1}) for i in range(nA)]
 
         G = pd.gram
-        Ginv = la.inverse(G, nA, p)
-        self.gram_inv = Ginv
+        Ginv = self.gram_inv = la.inverse(G, nA, p)
 
         # <a_i a_k, b_j> = sum_l (a_i a_k)_l <a_l, b_j>, the row of G at
         # each cell of A's table (row i nA + k); eps(b_j) = <1, b_j>
@@ -736,18 +719,18 @@ class DerivedWeakHopf:
                       for R in la.transpose(pairs, nB)]
         # S(b_j) = G2^-1 G e_j: column j of G through the second inverse
         s_rows = ag.compose_maps(pd.gram_t, la.inverse(pd.gram2, nA, p), p)
-        B = wha.make_weakhopf(B_alg, delta_rows, eps_vec, s_rows)
-        self.B = B
-        for c in wha.verify_axioms(B).items:
-            cl.items.append(type(c)("B_axiom_" + c.name, c.law, c.passed,
-                                    c.witness))
+        self.B = wha.make_weakhopf(B_alg, delta_rows, eps_vec, s_rows)
+        cl.items.extend(replace(c, name="B_axiom_" + c.name)
+                        for c in wha.verify_axioms(self.B).items)
+        return A_alg, pairs
 
-        # support tables
-        w, w_inv = pd.w, pd.w_inv
-        e1, e2 = ctx.e1, ctx.e2
-        lam_inv = ctx.lam_inv
-        E_A, E_B = ctx.E_M1, ep.E_B
-        S = B.S
+    def _identities_of_B(self, cl, ep):
+        """eps_formula ... s_e2; returns V and W inside B, e2 w and the
+        factors E_A(e2 w b_k) w^-1."""
+        ctx, pd, B, p, nB = self.ctx, self.pd, self.B, self.ctx.p, self.B.dim
+        B_alg, injB, expB, bhat = B.alg, self.injB, self.expB, self.bhat
+        w, w_inv, e1, e2, lam_inv = pd.w, pd.w_inv, ctx.e1, ctx.e2, ctx.lam_inv
+        E_A, E_B, S = ctx.E_M1, ep.E_B, B.S
 
         def S_inv(x_co):
             return ag.apply_map(B.s_inv, x_co, p)
@@ -756,12 +739,12 @@ class DerivedWeakHopf:
         e2w = ctx.mul(e2, w)
         with cl.holds("eps_formula", "eps(b) = lambda^-1 T(e2 w b)") as law:
             for j in law.over(range(nB)):
-                law.check((j,), eps_vec[j],
-                          la.residue(lam_inv * T(e2w, ctx.cov_B[j]), p))
+                law.check((j,), B.eps[j],
+                          la.residue(lam_inv * ctx.T(e2w, ctx.cov_B[j]), p))
 
         with cl.holds("eps_S_invariant", "eps(S(b)) = eps(b)") as law:
             for j in law.over(range(nB)):
-                law.check((j,), B.e(B.s[j]), eps_vec[j])
+                law.check((j,), B.e(B.s[j]), B.eps[j])
 
         # Delta(1) = S^-1(f1) (x) f2 = S(f1) (x) f2, legs in B coordinates
         nV = len(pd.vhat)
@@ -788,7 +771,7 @@ class DerivedWeakHopf:
                 val = ctx.mul(w_inv, E_B(ctx.mul(e1, e2, inner)), w)
                 law.check((j,), expB(la.sscale(val, lam3, p)), B.s_inv[j])
 
-        VB_sub = la.Subspace.from_vectors(nB, vB, p)
+        VB = la.Subspace.from_vectors(nB, vB, p)
         WB = la.Subspace.from_vectors(
             nB, [expB(r) for r in ctx.W.basis], p)
         s_of_V = la.Subspace.from_vectors(nB, [S(v) for v in vB], p)
@@ -830,7 +813,7 @@ class DerivedWeakHopf:
             for l, v in law.over(left_legs.items()):
                 law.check(("left", l), WB.contains(v), True)
             for k, v in law.over(right_legs.items()):
-                law.check(("right", k), VB_sub.contains(v), True)
+                law.check(("right", k), VB.contains(v), True)
 
         cl.add("s_inv_e2", "S^-1(e2) = w^-1 e2 w",
                S_inv(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
@@ -867,6 +850,13 @@ class DerivedWeakHopf:
 
         cl.add("s_e2", "S(e2) = w^-1 e2 w",
                S(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
+        return VB, WB, e2w, ea_w
+
+    def _E_M1_laws(self, cl, ep, e2w, ea_w):
+        """pairing_slice ... expectation_measuring; returns w^-1 in M1."""
+        ctx, B, G, bhat = self.ctx, self.B, self.pd.gram, self.bhat
+        p, nB, w, w_inv = ctx.p, B.dim, self.pd.w, self.pd.w_inv
+        e1, e2, lam_inv, E_A = ctx.e1, ctx.e2, ctx.lam_inv, ctx.E_M1
 
         # Prop: lambda^-1 E_B(e1 w b a) = <a, b1> w b2 and the recovery identity
         e1w = ctx.mul(e1, w)
@@ -874,9 +864,9 @@ class DerivedWeakHopf:
                       "lambda^-1 E_B(e1 w b a) = <a, b1> w b2") as law:
             for j in law.over(range(nB)):
                 e1wb = ctx.mul(e1w, bhat[j])
-                for i in law.over(range(nA)):
-                    lhs = la.sscale(E_B(ctx.mul(e1wb, ahat[i])), lam_inv, p)
-                    rhs = ctx.mul(w, injB(la.legsum(
+                for i, a in law.over(enumerate(self.ahat)):
+                    lhs = la.sscale(ep.E_B(ctx.mul(e1wb, a)), lam_inv, p)
+                    rhs = ctx.mul(w, self.injB(la.legsum(
                         B.delta[j], nB, lambda k, l: {l: G[i].get(k, 0)}, p)))
                     law.check((j, i), lhs, rhs)
 
@@ -932,8 +922,14 @@ class DerivedWeakHopf:
             law.fails_at(min((yx + (j,) for j, dj in enumerate(lam_delta) if (
                 yx := ac.measuring_failure(M1, q[j], la.tslices(dj, nB)[1],
                                            qw, q))), default=None))
+        return w_inv_M1
 
-        # counital formulas
+    def _counitals_and_integrals(self, cl, VB, WB, w_inv_M1):
+        """counital_target_formula ... dims_match; keeps A inside M1."""
+        ctx, B, p, nB = self.ctx, self.B, self.ctx.p, self.B.dim
+        B_alg, injB, expB, bhat = B.alg, self.injB, self.expB, self.bhat
+        S = B.S
+        w, e2, d1, em = self.pd.w, ctx.e2, B.delta_one, B.eps_products
         est, ess = B.eps_rows
 
         for target, name, text in (
@@ -955,7 +951,8 @@ class DerivedWeakHopf:
         with cl.holds("eps_t_formula", "eps_t(b) = lambda^-1 E_A(b e2)") as law:
             for j in law.over(range(nB)):
                 lhs = est[j]
-                rhs = expB(la.sscale(E_A(ctx.mul(bhat[j], e2)), lam_inv, p))
+                rhs = expB(la.sscale(ctx.E_M1(ctx.mul(bhat[j], e2)),
+                                     ctx.lam_inv, p))
                 law.check((j,), lhs, rhs)
 
         # integrals: e2 is a normalized left integral, l = e2 w is Haar
@@ -970,10 +967,11 @@ class DerivedWeakHopf:
         # Haar integral from its defining expression l = e2 S^-1(e2); this
         # equals E_M(w^-1) e2 w exactly (the contraction through E_M picks
         # up that factor), so it coincides with e2 w only when E_M(w) = 1.
-        haar = ctx.mul(e2, injB(S_inv(expB(e2))))
+        haar = ctx.mul(e2, injB(ag.apply_map(B.s_inv, expB(e2), p)))
         hB = expB(haar)
         # A inside M1, for the later stages too
-        self.a_in_M1 = [unemb2(a) for a in ahat]
+        unemb2 = ctx.lv2.cert.E.E_small  # E_M1, the identity on M1 in M2
+        self.a_in_M1 = [unemb2(a) for a in self.ahat]
         w_M1 = unemb2(w)
         E_M = ctx.lv1.cert.E.rows
         EMw_inv = ctx.t.embed(0, 2, ag.apply_map(E_M, w_inv_M1, p))
@@ -999,12 +997,16 @@ class DerivedWeakHopf:
                ag.apply_map(est, e2wB, p) == expB(EMw))
 
         cl.add("Ht_is_V", "the target counital subalgebra of B is V",
-               B.counital.Ht == VB_sub)
+               B.counital.Ht == VB)
         cl.add("Hs_is_W", "the source counital subalgebra of B is W",
                B.counital.Hs == WB)
-        cl.add("dims_match", "dim A = dim B", nA == nB)
+        cl.add("dims_match", "dim A = dim B", ctx.A.dim == nB)
 
-        # the dual structure on A, transported through the Gram matrix
+    def _A_through_gram(self, cl, A_alg, pairs):
+        """A as B* through the Gram matrix, put through the axiom engine."""
+        ctx, B, G, Ginv = self.ctx, self.B, self.pd.gram, self.gram_inv
+        p, nB, nA = ctx.p, ctx.B.dim, ctx.A.dim
+
         with cl.holds("gram_algebra_iso",
                       "<a a', b> = <a, b1><a', b2> identifies A with B*") as law:
             for i in law.over(range(nA)):
@@ -1028,32 +1030,28 @@ class DerivedWeakHopf:
         epsA = [ag.trace_of(eps_d, G[i], p) for i in range(nA)]
         sA = [ag.apply_map(Ginv, ag.apply_map(s_d, G[i], p), p)
               for i in range(nA)]
-        A = wha.make_weakhopf(A_alg, deltaA, epsA, sA)
-        self.A = A
-        for c in wha.verify_axioms(A).items:
-            cl.items.append(type(c)("A_axiom_" + c.name, c.law, c.passed,
-                                    c.witness))
+        self.A = A = wha.make_weakhopf(A_alg, deltaA, epsA, sA)
+        cl.items.extend(replace(c, name="A_axiom_" + c.name)
+                        for c in wha.verify_axioms(A).items)
 
         # open-question check: the right legs of Delta_A(1) lie in C_M(N)
         right = la.tslices(A.delta_one, nA)[0]
         with cl.holds("delta_one_A_legs",
                       "Delta_A(1) lies in A (x) C_M(N)") as law:
             for k, v in law.over(right.items()):
-                law.check((k,), ctx.U.contains(injA(v)), True)
+                law.check((k,), ctx.U.contains(self.injA(v)), True)
 
 
 # ---------------------------------------------------------------------------
 # section-4: actions and the two smash-product isomorphisms
 
-def action_B_on_M1(ctx, dw):
+def action_B_on_M1(cl, ctx, dw):
     """The action b . x = lambda^-1 E_M1(b x e2) of B on M1.
 
     Verified as a module algebra; the pairing characterization on M A, the
     conjugation formula b . x = b1 x S(b2), the measuring identity, and
     invariants = M are each checked exhaustively.
     """
-    from weakhopf import action as ac
-    cl = CheckList()
     B = dw.B
     nB = B.dim
     p = ctx.p
@@ -1067,8 +1065,8 @@ def action_B_on_M1(ctx, dw):
     r_tab = [[ag.apply_map(E_M1, ctx.mul(v, ctx.e2), p) for v in row]
              for row in bx]
     act = [[la.sscale(r, ctx.lam_inv, p) for r in row] for row in r_tab]
-    MB, mcl = ac.make_module_algebra(B, M1, act)
-    cl.extend(mcl)
+    MB = ac.make_module_algebra(B, M1, act)
+    cl.extend(MB.checks)
 
     # characterization b . (m a) = m <a2, b> a1 on M x A basis pairs
     A = dw.A
@@ -1105,7 +1103,7 @@ def action_B_on_M1(ctx, dw):
 
     inv = ac.invariants(MB)
     cl.add("invariants_are_M", "M1^B = M", inv == ctx.lv1.cert.incl.image)
-    return MB, cl
+    return MB
 
 
 def _smash_iso(cl, sm, target, left, right, laws, inverse=None):
@@ -1151,10 +1149,8 @@ def _smash_iso(cl, sm, target, left, right, laws, inverse=None):
     return iso
 
 
-def psi_iso(ctx, dw, MB, d2):
+def psi_iso(cl, ctx, dw, MB, d2):
     """psi: M1 # B -> M2, x # b -> x b, verified as an algebra isomorphism."""
-    from weakhopf import action as ac
-    cl = CheckList()
     sm = ac.smash(MB)
     cl.extend(sm.checks)
     M2 = ctx.M2
@@ -1175,13 +1171,11 @@ def psi_iso(ctx, dw, MB, d2):
          "psi(1 # 1) = 1", "psi((x#b)(y#b')) = psi(x#b) psi(y#b')",
          "psi(x # 1) = x recovers the inclusion M1 into M2"),
         inverse=("x -> E_M1(x u_j) # v_j inverts psi", preimage))
-    return sm, psi, cl
+    return sm, psi
 
 
-def action_A_on_M(ctx, dw, MB):
+def action_A_on_M(cl, ctx, dw, MB):
     """The action a . m = a1 m S(a2) of A on M, with N as invariants."""
-    from weakhopf import action as ac
-    cl = CheckList()
     A = dw.A
     nA = A.dim
     p = ctx.p
@@ -1205,8 +1199,8 @@ def action_A_on_M(ctx, dw, MB):
                 law.check((i, mi), inside, True)
                 rows.append(unemb1(out) if inside else {})
             act.append(rows)
-    MA, mcl = ac.make_module_algebra(A, M, act)
-    cl.extend(mcl)
+    MA = ac.make_module_algebra(A, M, act)
+    cl.extend(MA.checks)
 
     # eps_t is a module map from the regular to the adjoint action
     est = A.eps_rows[0]
@@ -1242,13 +1236,11 @@ def action_A_on_M(ctx, dw, MB):
                     continue
                 sadd_into(rho, tensor_sparse(co, Ginv[k], nA, p), 1, p)
             law.check((ai,), rho, A.delta[ai])
-    return MA, cl
+    return MA
 
 
-def phi_iso(ctx, dw, MA):
+def phi_iso(cl, ctx, dw, MA):
     """phi: M # A -> M1, m # a -> m a, verified as an algebra isomorphism."""
-    from weakhopf import action as ac
-    cl = CheckList()
     sm = ac.smash(MA)
     cl.extend(sm.checks)
     phi = _smash_iso(
@@ -1265,34 +1257,27 @@ def phi_iso(ctx, dw, MA):
                      for r in ctx.t.base.U.basis], ctx.p)
     cl.add("Ht_A_is_U", "the target counital subalgebra of A is C_M(N)",
            HtA == U_in_M1)
-    return sm, phi, cl
+    return sm, phi
 
 
 def derive(tower):
     """Run the whole depth-2 pipeline on a tower built to M2.
 
-    Returns (ctx, lattice, results dict, CheckList).  The CheckList holds
-    the derivation's own checks, from the centralizer lattice on; the
-    tower's checks stay on `tower.checks`."""
-    ctx, lat = centralizers(tower)
-    full = CheckList()
-    full.extend(lat.checks)
+    Returns (ctx, results dict, CheckList).  The CheckList, the one every
+    stage appends to, holds the derivation's own checks, from the
+    centralizer lattice on; the tower's checks stay on `tower.checks`."""
+    ctx = DepthTwoContext(tower)
+    cl = CheckList()
+    _lattice(cl, ctx)
     d2 = depth2_check(ctx)
-    ep = conditional_expectations(ctx, d2)
-    full.extend(ep.checks)
-    pd = pairing(ctx)
-    full.extend(pd.checks)
-    dw = DerivedWeakHopf(ctx, ep, pd)
-    full.extend(dw.checks)
-    MB, cl_b = action_B_on_M1(ctx, dw)
-    full.extend(cl_b)
-    smB, psi, cl_psi = psi_iso(ctx, dw, MB, d2)
-    full.extend(cl_psi)
-    MA, cl_a = action_A_on_M(ctx, dw, MB)
-    full.extend(cl_a)
-    smA, phi, cl_phi = phi_iso(ctx, dw, MA)
-    full.extend(cl_phi)
-    results = {"ctx": ctx, "lattice": lat, "depth2": d2, "expectations": ep,
-               "pairing": pd, "derived": dw, "action_B": MB, "smash_B": smB,
-               "psi": psi, "action_A": MA, "smash_A": smA, "phi": phi}
-    return ctx, lat, results, full
+    ep = conditional_expectations(cl, ctx, d2)
+    pd = pairing(cl, ctx)
+    dw = DerivedWeakHopf(cl, ctx, ep, pd)
+    MB = action_B_on_M1(cl, ctx, dw)
+    smB, psi = psi_iso(cl, ctx, dw, MB, d2)
+    MA = action_A_on_M(cl, ctx, dw, MB)
+    smA, phi = phi_iso(cl, ctx, dw, MA)
+    results = {"depth2": d2, "expectations": ep, "pairing": pd,
+               "derived": dw, "action_B": MB, "smash_B": smB, "psi": psi,
+               "action_A": MA, "smash_A": smA, "phi": phi}
+    return ctx, results, cl

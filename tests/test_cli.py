@@ -231,13 +231,13 @@ def test_groupoid_builds_kG_and_its_dual_once(pair2_file, monkeypatch):
 
 
 def derivations(monkeypatch):
-    """Record the results dict of every tw.derive."""
+    """Record the (ctx, results dict) of every tw.derive."""
     results = []
     derive = tw.derive
 
     def recording(t):
         out = derive(t)
-        results.append(out[2])
+        results.append(out[:2])
         return out
 
     monkeypatch.setattr(tw, "derive", recording)
@@ -251,7 +251,8 @@ def test_derivation_builds_shared_objects_once(markov_file, monkeypatch):
     assert cli.main(["tower", markov_file, "--derive"]) == 0
     # V and its Kanzaki element are those of the level-1 certificate
     assert "V" not in [args[2] for args in subalgebras]
-    ctx, pd = results[0]["ctx"], results[0]["pairing"]
+    ctx, res = results[0]
+    pd = res["pairing"]
     assert pd.f is ctx.lv1.cert.kanzaki
     # no stored matrix is inverted twice: B's antipode, for one, once for
     # the derivation and the smash product M1 # B together.  Equal rows of
@@ -269,7 +270,7 @@ def test_derivation_runs_the_axiom_engine_on_B_and_A_only(markov_file,
     duals = counting(monkeypatch, wha, "dual")
     results = derivations(monkeypatch)
     assert cli.main(["tower", markov_file, "--derive"]) == 0
-    dw = results[0]["derived"]
+    dw = results[0][1]["derived"]
     assert [id(args[0]) for args in runs] == [id(dw.B), id(dw.A)]
     assert duals == []
 
@@ -835,16 +836,13 @@ def test_derivation_computes_weak_hopf_structure_once(markov_file,
     built = {name: computed(monkeypatch, name)
              for name in ("delta_one", "eps_rows")}
     counitals = counting(monkeypatch, wha, "counital")
-    derived = []
-    make = tw.DerivedWeakHopf
-    monkeypatch.setattr(tw, "DerivedWeakHopf",
-                        lambda *args: derived.append(make(*args)) or
-                        derived[-1])
+    results = derivations(monkeypatch)
     assert cli.main(["tower", markov_file, "--derive"]) == 0
     for name, objects in built.items():
         assert objects, name
         assert len({id(H) for H in objects}) == len(objects), name
-    dw, = derived
+    (_, res), = results
+    dw = res["derived"]
     assert [id(args[0]) for args in counitals] == [id(dw.B), id(dw.A)]
 
 

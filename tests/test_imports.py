@@ -625,3 +625,37 @@ def test_every_basis_tuple_law_names_its_witness():
         if bad:
             found[path.name] = bad
     assert not found, found
+
+
+def checklist_makers(tree):
+    """Sorted names of the functions that call CheckList(); a call outside
+    every function counts under None."""
+    return sorted({caller for call, caller in calls_with_callers(tree)
+                   if _called_name(call) == "CheckList"}, key=str)
+
+
+def test_scan_flags_the_functions_that_make_a_checklist():
+    tree = ast.parse("cl = CheckList()\n"
+                     "def derive(t):\n"
+                     "    cl = CheckList()\n"
+                     "    stage(cl, t)\n"
+                     "    return cl\n"
+                     "def stage(cl, t):\n"
+                     "    cl.add('a', 'x = y', True)\n"
+                     "class K:\n"
+                     "    def __init__(self):\n"
+                     "        self.checks = checks.CheckList()\n"
+                     "def outer():\n"
+                     "    def inner():\n"
+                     "        return CheckList([])\n"
+                     "    return inner\n")
+    # a method counts under its own name, a nested function under its own
+    assert checklist_makers(tree) == [None, "__init__", "derive", "inner"]
+
+
+def test_the_derivation_stages_share_one_checklist():
+    """Only the tower's two builders and `derive` make a CheckList: every
+    stage of the derivation appends to the one `derive` passes it."""
+    tree = ast.parse((SRC / "tower.py").read_text())
+    assert checklist_makers(tree) == ["basic_construction", "build_tower",
+                                      "derive"]

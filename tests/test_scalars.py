@@ -162,7 +162,7 @@ def stored_scalars(p):
     level = tw.build_tower(over(corpus.ext_q2_m2(), p), 1).levels[0]
     E = level.cert.E
     tower = tw.build_tower(over(corpus.ext_q_q2(), p), 2)
-    _, _, res, _ = tw.derive(tower)
+    _, res, _ = tw.derive(tower)
     B = res["derived"].B
     assert E.incl.big.p == B.p == dual.p == p
     return {

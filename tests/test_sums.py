@@ -43,7 +43,7 @@ def algebras(p):
     """{name: (algebra, a ModuleAlgebra over kG's dual acting on it or
     None)} for M2, kG of pair(2) and M1 (over F_p, its reduction mod p)."""
     kG = gp.groupoid_algebra(gp.pair(2), p)
-    module, _ = ac.standard_action(kG)
+    module = ac.standard_action(kG)
     return {"M2": (corpus.matrix_algebra(2, p), None), "kG": (kG.alg, module),
             "M1": (M1 if p is None else reduced(M1, p), None)}
 

@@ -210,7 +210,7 @@ def test_verify_axioms_over_prime_field():
 def test_s_inv_inverts_the_antipode(p):
     # a groupoid algebra, where S^-1 = S, and the derived B of q_in_q2 read
     # back over the field, where S^2(b) = g b g^-1
-    derived = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))[2]["derived"]
+    derived = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))[1]["derived"]
     spec = sf.specfile_for(derived.B, "B")
     for H in (gp.groupoid_algebra(gp.pair(2), p),
               sf.build(sf.SpecFile(spec.kind, "B", p, spec.payload))):
@@ -229,7 +229,7 @@ def test_eps_products_match_direct_products(p):
     for name, G in gp.corpus().items():
         Hs[name] = gp.groupoid_algebra(G, p)
         Hs[name + "*"] = gp.groupoid_dual(G, Hs[name])
-    derived = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))[2]["derived"]
+    derived = tw.derive(tw.build_tower(corpus.ext_q_q2(), 2))[1]["derived"]
     for name in ("A", "B"):
         spec = sf.specfile_for(getattr(derived, name), name)
         Hs[name] = sf.build(sf.SpecFile(spec.kind, name, p, spec.payload))
