@@ -177,7 +177,7 @@ def standard_action(H):
 
 def adjoint_action(H):
     """H acting on the centralizer of Hs by h . a = h1 a S(h2)."""
-    cen = ag.centralizer(H.alg, H.counital.Hs)
+    cen = ag.centralizer(H.alg, H.counital.Hs.basis)
     A_alg, inject, express = ag.subalgebra(H.alg, cen, "C_H(Hs)")
     d = H.dim
     act = []
@@ -371,9 +371,8 @@ def duality_dimension_check(M):
     n, p = sm.alg.dim, M.A.p
 
     mat_alg = matrix_algebra(n, p)
-    rmuls = la.Subspace.from_vectors(n * n, [
-        {i * n + k: c for i, r in enumerate(sm.alg.rmul_rows(x))
-         for k, c in r.items()} for x in sm.include_A], p)
+    rmuls = [{i * n + k: c for i, r in enumerate(sm.alg.rmul_rows(x))
+              for k, c in r.items()} for x in sm.include_A]
     commutant = ag.centralizer(mat_alg, rmuls)
     end_dim = commutant.dim
     cl.add("duality_dimension", "dim((A#H)#H*) = dim(End(A#H)_A)",
@@ -381,8 +380,8 @@ def duality_dimension_check(M):
            witness="%d vs %d" % (sm2.alg.dim, end_dim))
 
     comm_alg, _, _ = ag.subalgebra(mat_alg, commutant, "End(A#H)_A")
-    z_end = ag.centralizer(comm_alg, la.Subspace.full(comm_alg.dim, p)).dim
-    z_smash = ag.centralizer(sm2.alg, la.Subspace.full(sm2.alg.dim, p)).dim
+    z_end, z_smash = (ag.centralizer(alg, [{g: 1} for g in alg.generators]
+                                     ).dim for alg in (comm_alg, sm2.alg))
     cl.add("duality_centers", "dim Z((A#H)#H*) = dim Z(End(A#H)_A)",
            z_smash == z_end, witness="%d vs %d" % (z_smash, z_end))
     return cl, sm, sm2

@@ -1,11 +1,18 @@
 """Finite-dimensional unital associative algebras over an exact field.
 
 An Algebra is a basis, a structure-constant table and a unit vector;
-construction verifies associativity and the unit law on every basis tuple.
-Associativity is decided on an integer copy of the table (over Q scaled by
-the lcm of its denominators, which scales both sides of the law by the
-same nonzero square; over F_p the residues), summing only the nonzero
-terms of each side, so every triple is decided exactly.
+construction verifies the unit law on every basis element and
+associativity on every basis triple.  Associativity is decided on an
+integer copy of the table (over Q scaled by the lcm of its denominators,
+which scales both sides of the law by the same nonzero square; over F_p
+the residues), summing only the nonzero terms of each side.
+Laws whose passing elements form a subalgebra are decided on
+`Algebra.generators`, a generating set of basis elements, which decides
+them for every basis element: associativity through the middle nucleus,
+the multiplicativity of an inclusion, the N-linearity of a conditional
+expectation and the centralizer of an embedded algebra (`_by_generators`,
+`centralizer`).  When a generator fails, every basis element is scanned,
+so a failure names the same first tuple as the full scan.
 On top of that sit inclusions, conditional expectations, dual-bases
 solvers, Kanzaki separability and the certification of symmetric Markov
 extensions.
@@ -173,6 +180,40 @@ class Algebra:
     labels: tuple | None = None
     p: int | None = None
 
+    @cached_property
+    def generators(self):
+        """Basis indices that generate the algebra, in index order.
+
+        A closure walk over the table: an index is picked when no
+        left-normed word in the indices picked before it reaches it, a word
+        being a picked index or a reached index times a picked one.  A
+        word whose table cell holds the one term c e_k reaches k, for then
+        e_k = c^-1 (word) lies in the subalgebra the picked indices
+        generate; a cell of several terms reaches nothing.  Once every
+        index is picked or reached, that subalgebra is the whole algebra.
+        On a monomial table (every nonempty cell one term: group and
+        groupoid algebras, matrix units, every tower level) this is a small
+        set; on a table with no one-term cell it is the full basis.
+        """
+        table = self.table
+        reached, words, gens = [False] * self.dim, [], []
+        for g in range(self.dim):
+            if reached[g]:
+                continue
+            reached[g] = True
+            gens.append(g)
+            # every word so far times g, and g times every generator
+            todo = [(w, g) for w in words] + [(g, h) for h in gens]
+            words.append(g)
+            while todo:
+                w, h = todo.pop()
+                cell = table[w][h]
+                if len(cell) == 1 and not reached[k := cell[0][0]]:
+                    reached[k] = True
+                    words.append(k)
+                    todo.extend((k, h2) for h2 in gens)
+        return tuple(gens)
+
     def mul(self, x, y):
         """Product of sparse vectors."""
         if not x or not y:
@@ -263,11 +304,18 @@ def check_associative(alg):
     """Raise NotAssociative at the first basis triple (i, j, k) where
     (e_i e_j) e_k != e_i (e_j e_k).
 
-    Per row i, both sides go into one map of d^2 (lhs - rhs) keyed by
-    (j, k, n), summed over nonzero cells only, so a triple with no term is
-    zero on both sides; over F_p the sums are compared mod p.  No two
-    triples share a key, so the least nonzero key of the first failing row
-    names the first failing (j, k), and only its two sides are formed.
+    The law is decided by the middle factor: the g with (x g) y = x (g y)
+    for all x, y form the middle nucleus, a subalgebra by the Teichmüller
+    identity (Schafer, An Introduction to Nonassociative Algebras, 1966),
+    so A is associative as soon as every generator of `Algebra.generators`
+    is in it, and `_by_generators` scans every middle index only when one
+    is not.  Each middle index g is one sum on the table times d, the lcm
+    of its denominators (over F_p, on the residues): both sides of the law
+    are quadratic in the table, so they scale by the same d^2 and the law
+    is the same.  `_middle_failure` keys it by (i, k, n), so its least
+    nonzero key names the first failing (i, k) of g, and the least failing
+    (i, g, k) over the basis is the first failing triple; only its two
+    sides are formed.
     """
     dim, p = alg.dim, alg.p
     d = 1 if p else lcm(*(c.denominator for row in alg.table
@@ -275,43 +323,72 @@ def check_associative(alg):
     rows = [[(j, [(n, c if p else c.numerator * (d // c.denominator))
                   for n, c in cell])
              for j, cell in enumerate(row) if cell] for row in alg.table]
-    holding = [[] for _ in range(dim)]  # m -> (key of (j, k, 0), coeff)
-    for j, row in enumerate(rows):
-        for k, cell in row:
-            for m, c in cell:
-                holding[m].append(((j * dim + k) * dim, c))
-    for i in range(dim):
-        diff = defaultdict(int)  # (j, k, n) -> d^2 (lhs - rhs)_n
-        for j, cell in rows[i]:
-            for l, a in cell:
-                for k, lcell in rows[l]:
-                    key = (j * dim + k) * dim
-                    for n, b in lcell:
-                        diff[key + n] += a * b
-        for m, cell in rows[i]:
-            for key, a in holding[m]:
-                for n, b in cell:
+    cols = [[] for _ in range(dim)]  # cols[j]: the (i, cell) of column j
+    for i, row in enumerate(rows):
+        for j, cell in row:
+            cols[j].append((i, cell))
+    if ijk := _by_generators(alg, lambda g: _middle_failure(rows, cols, g,
+                                                           dim, p)):
+        i, j, k = ijk
+        raise NotAssociative(i, j, k, alg.mul(dict(alg.table[i][j]), {k: 1}),
+                             alg.mul({i: 1}, dict(alg.table[j][k])))
+
+
+def _middle_failure(rows, cols, g, dim, p):
+    """The least (i, g, k) with (e_i e_g) e_k != e_i (e_g e_k), or None,
+    on the integer table of `check_associative` by nonempty rows and
+    columns: one map of d^2 (lhs - rhs) keyed by (i, k, n), summed over
+    nonempty cells only, so a pair with no term is zero on both sides; over
+    F_p the sums are compared mod p."""
+    diff = defaultdict(int)  # (i, k, n) -> d^2 (lhs - rhs)_n
+    for i, cell in cols[g]:
+        for l, a in cell:
+            for k, lcell in rows[l]:
+                key = (i * dim + k) * dim
+                for n, b in lcell:
+                    diff[key + n] += a * b
+    for k, cell in rows[g]:
+        for m, a in cell:
+            for i, mcell in cols[m]:
+                key = (i * dim + k) * dim
+                for n, b in mcell:
                     diff[key + n] -= a * b
-        if diff := la.residues(diff, p):
-            jk = min(diff) // dim
-            j, k = jk // dim, jk % dim
-            raise NotAssociative(i, j, k, alg.mul(dict(alg.table[i][j]),
-                                                  {k: 1}),
-                                 alg.mul({i: 1}, dict(alg.table[j][k])))
+    if diff := la.residues(diff, p):
+        i, k = divmod(min(diff) // dim, dim)
+        return i, g, k
+    return None
 
 
-def centralizer(big, sub):
-    """{x in big : xs = sx for every s in the subspace}, as echelon rows.
+def _by_generators(alg, failure):
+    """The least failure(a) over the basis of alg, or None if there is none.
 
-    The kernel of x -> ([x, s])_s over the basis s of the subspace: the
-    image of e_j holds [e_j, s] = sum_k s_k (e_j e_k - e_k e_j), read from
-    the structure table, at offset i dim for the i-th basis element s.
+    failure(a) is the least failing case of a law at basis element a, or
+    None.  The law must be one whose passing elements form a subalgebra:
+    then it holds on the whole algebra when it holds on
+    `alg.generators`, and only when a generator fails is every basis
+    element scanned, so that the witness is that of the full scan.
+    """
+    if all(failure(g) is None for g in alg.generators):
+        return None
+    return min(w for a in range(alg.dim) if (w := failure(a)) is not None)
+
+
+def centralizer(big, elements):
+    """{x in big : xs = sx for every s of `elements`}, as echelon rows.
+
+    The kernel of x -> ([x, s])_s over the sparse vectors s: the image of
+    e_j holds [e_j, s] = sum_k s_k (e_j e_k - e_k e_j), read from the
+    structure table, at offset i dim for the i-th element s.  The s that
+    commute with a given x form a subalgebra, so the centralizer of a
+    subalgebra is that of any set that generates it: pass the images of
+    the generators of an embedded algebra (`Inclusion.generators`), or the
+    basis of a subspace.
     """
     table, p, d = big.table, big.p, big.dim
     images = []
     for j in range(d):
         im = {}
-        for si, s in enumerate(sub.basis):
+        for si, s in enumerate(elements):
             off = si * d
             for k, c in s.items():
                 for n, v in table[j][k]:
@@ -378,6 +455,12 @@ class Inclusion:
         """The image of small in big, a Subspace built once."""
         return Subspace.from_vectors(self.big.dim, self.embed, self.big.p)
 
+    @property
+    def generators(self):
+        """The images of the generators of small, which generate the image
+        as an algebra: the embedding is multiplicative."""
+        return [self.embed[g] for g in self.small.generators]
+
 
 @dataclass(frozen=True)
 class CondExpectation:
@@ -417,17 +500,29 @@ class DualBases:
 
 
 def make_inclusion(small, big, embed):
+    """The inclusion of small in big by the rows `embed`, verified unital,
+    multiplicative and injective.
+
+    Multiplicativity emb(e_i e_j) = emb(e_i) emb(e_j) is decided for the
+    generators i of small and every j (`_by_generators`): both algebras are
+    associative, so the a with emb(a b) = emb(a) emb(b) for all b form a
+    subalgebra, and it holds on every basis pair when it holds there.  A
+    failure names the first failing pair (i, j) of the full scan.
+    """
     embed = map_rows(embed, big.p)
     incl = Inclusion(small, big, embed)
     if incl.emb(small.unit_sparse()) != big.unit_sparse():
         raise ValueError("inclusion does not preserve the unit")
-    for i in range(small.dim):
-        for j in range(small.dim):
-            cell = small.table[i][j]
-            lhs = incl.emb(dict(cell)) if cell else {}
-            rhs = big.mul(embed[i], embed[j])
-            if lhs != rhs:
-                raise ValueError("embedding not multiplicative at (%d, %d)" % (i, j))
+
+    def failure(i):
+        for j, cell in enumerate(small.table[i]):
+            if (incl.emb(dict(cell)) if cell else {}) != big.mul(embed[i],
+                                                                 embed[j]):
+                return i, j
+        return None
+
+    if ij := _by_generators(small, failure):
+        raise ValueError("embedding not multiplicative at (%d, %d)" % ij)
     if incl.image.dim != small.dim:
         raise ValueError("embedding not injective")
     return incl
@@ -445,7 +540,11 @@ def make_cond_expectation(incl, rows):
     Each basis a of N is one sum over every x: (2 x + side) dim N + n holds
     E(a e_x) - a E(x) for the left side and E(e_x a) - E(x) a for the
     right, so its least nonzero key names the first failing (x, side) of a,
-    and the least (x, a, side) over the failing a is the witness.
+    and the least (x, a, side) over the failing a is the witness.  The a
+    for which both laws hold form a subalgebra, since M and N are
+    associative and the embedding multiplicative (E(a a' x) = a E(a' x) =
+    a a' E(x), and on the right alike), so the sums run for the generators
+    of N (`_by_generators`), and for every a only when one of them fails.
     E(a e_x) and E(e_x a) are read from row k and column k of `E.products`
     for each coordinate k of a in M; that table is built here, once per E,
     and kept for every later law on E.  a E(x) and E(x) a are read from
@@ -458,10 +557,10 @@ def make_cond_expectation(incl, rows):
         if E.E_small(emb[a]) != {a: 1}:
             raise ValueError("E o embed != id at basis %d" % a)
     n, table, prods = small.dim, small.table, E.products
-    first = []  # (x, a, side) of each failing a
-    for a, ea in enumerate(emb):
+
+    def failure(a):
         diff = {}
-        for k, c in ea.items():
+        for k, c in emb[a].items():
             for x, prow in enumerate(prods):
                 for side, v in ((0, prods[k][x]), (1, prow[k])):
                     off = (2 * x + side) * n
@@ -479,9 +578,11 @@ def make_cond_expectation(incl, rows):
                         diff[off + i] = -t if o is None else o - t
         if diff := la.residues(diff, p):
             x2 = min(diff) // n
-            first.append((x2 // 2, a, x2 % 2))
-    if first:
-        x, a, side = min(first)
+            return x2 // 2, a, x2 % 2
+        return None
+
+    if xas := _by_generators(small, failure):
+        x, a, side = xas
         if side:
             raise ValueError("E not right N-linear at (%d, %d)" % (x, a))
         raise ValueError("E not left N-linear at (%d, %d)" % (a, x))
@@ -761,7 +862,9 @@ def certify_markov(incl, E, db, trace):
     on a full basis and recorded with a witness on failure.  The laws
     on E of a basis product read `E.products`: the dual bases, the trace
     property T0(e_i e_j) = T(E(e_i e_j)) (each value once, compared with
-    its transpose) and symmetry on C_M(N).  Non-degeneracy follows from the
+    its transpose, at the pairs where either is nonzero) and symmetry on
+    C_M(N), the kernel of the commutators with the images of the generators
+    of N (`Inclusion.generators`).  Non-degeneracy follows from the
     dual bases, which are verified first (NoDualBases otherwise): every x
     is E(x x_i) y_i, so E(xM) = 0 gives x = 0 [KN].  C_M(N) is kept as an
     algebra (`U_alg`) with its Kanzaki element for the next level's
@@ -793,18 +896,24 @@ def certify_markov(incl, E, db, trace):
            trace_of(trace, one_small, big.p) == 1)
 
     t0 = tuple(trace_of(trace, r, big.p) for r in E.rows)
-    # T0(e_i e_j) = T(E(e_i e_j)), each once, compared with its transpose
-    t0_pairs = [[trace_of(trace, v, big.p) if v else 0 for v in row]
-                for row in E.products]
+    # T0(e_i e_j) = T(E(e_i e_j)), each once, at the nonzero cells of
+    # E.products; a pair (i, j) with both values zero holds as 0 = 0, so the
+    # pairs visited, in order, are those where either side is nonzero
+    t0_pairs = {}
+    for i, row in enumerate(E.products):
+        for j, v in enumerate(row):
+            if v and (t := trace_of(trace, v, big.p)):
+                t0_pairs[i, j] = t
     with cl.holds("T0_trace", "T0(ab) = T0(ba), T0 = T o E") as law:
-        for i in law.over(range(big.dim)):
-            for j in law.over(range(big.dim)):
-                law.check((i, j), t0_pairs[i][j], t0_pairs[j][i])
+        for i, j in law.over(sorted({*t0_pairs,
+                                     *(ij[::-1] for ij in t0_pairs)})):
+            law.check((i, j), t0_pairs.get((i, j), 0),
+                      t0_pairs.get((j, i), 0))
 
     # x = E(x x_i) y_i for every x, by the dual bases verified above
     cl.add("E_nondegenerate", "E(xM) = 0 => x = 0", True)
 
-    U = centralizer(big, incl.image)
+    U = centralizer(big, incl.generators)
     with cl.holds("symmetric", "E(ux) = E(xu) for u in C_M(N)") as law:
         for ui, u in law.over(enumerate(U.basis)):
             for j in law.over(range(big.dim)):

@@ -449,10 +449,16 @@ def _height(vecs):
 
 
 def rank(vecs, ncols, p=None):
-    """Rank of sparse vectors in ncols coordinates."""
+    """Rank of sparse vectors in ncols coordinates.
+
+    Stops drawing vectors once the rank is ncols: every pivot lies among
+    the ncols columns, so no later vector can raise it, and a lazy
+    iterator of products forms none past that point."""
     ech = Echelon(ncols, p)
     for v in vecs:
         ech.insert(v)
+        if ech.rank == ncols:
+            break
     return ech.rank
 
 

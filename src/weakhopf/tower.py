@@ -116,14 +116,19 @@ def basic_construction(cert, q):
     representatives is decided, and each e_a E(e_b e_c) is read from row a
     of M's table once per (a, b, c), only where E(e_b e_c) is nonzero; a
     cell whose factor e_a E(e_b e_c) is zero is the empty cell, with no
-    class formed.  M1's basis is s [e_a (x) e_b], s the lcm of the
-    denominators of those classes (1 over F_p): the table is the classes
-    times s, so integral over Q; every other element (the unit, e1, the
-    embedding rows, the dual bases, phi) is its class divided by s; and
-    E(s e_a (x) e_b) = lambda s e_a e_b.
+    class formed and not visited again.  M1's basis is s [e_a (x) e_b], s
+    the lcm of the denominators of those classes (1 over F_p), read from
+    the nonempty cells: the table is the classes times s, so integral over
+    Q, and only the nonempty cells are rescaled; every other element (the
+    unit, e1, the embedding rows, the dual bases, phi) is its class
+    divided by s; and E(s e_a (x) e_b) = lambda s e_a e_b.
     Verifies the characterizing properties, certifies M1/M as a symmetric
     Markov extension with the composed trace, and checks the product
-    anti-isomorphism between C_M(N) and C_{M1}(M).
+    anti-isomorphism between C_M(N) and C_{M1}(M).  M1's associativity,
+    the multiplicativity of M in M1, E's N-linearity and C_{M1}(M) are
+    decided on generators (`Algebra.generators`), few on a monomial table
+    such as every corpus tower level's; the span law's `la.rank` stops
+    forming products once the rank is dim M1.
     """
     M = cert.incl.big
     m = M.dim
@@ -137,22 +142,30 @@ def basic_construction(cert, q):
     # section representatives are single coordinate pairs (a, b)
     reps = [divmod(c, m) for c in q.section_cols]
 
-    # (a (x) b)(c (x) d) = a E(b c) (x) d, with E(e_b e_c) embedded in M
+    # (a (x) b)(c (x) d) = a E(b c) (x) d, with E(e_b e_c) embedded in M;
+    # only the columns (c, d) where a E(e_b e_c) is nonzero are visited
     mids = [[E.incl.emb(v) for v in row] for row in E.products]
-    cs = {c for c, _ in reps}
-    table = []
-    for (a, b) in reps:
-        left = {c: ag.cell_sum(M.table[a], mids[b][c], p)
-                for c in cs if mids[b][c]}
-        table.append([q.project_legs(((left[c], {d: 1}),), m)
-                      if left.get(c) else {} for (c, d) in reps])
+    at = {}  # c -> the (column, d) of each representative (c, d)
+    for col, (c, d) in enumerate(reps):
+        at.setdefault(c, []).append((col, d))
+    table, filled = [], []  # filled: the (row, column) of nonempty cells
+    for r, (a, b) in enumerate(reps):
+        row = [{}] * n1
+        for c, cols in at.items():
+            if mids[b][c] and (left := ag.cell_sum(M.table[a], mids[b][c],
+                                                   p)):
+                for col, d in cols:
+                    if cell := q.project_legs(((left, {d: 1}),), m):
+                        row[col] = cell
+                        filled.append((r, col))
+        table.append(row)
     # on the basis s [e_a (x) e_b] the cells are the classes times s, ints
-    s = lcm(*(x.denominator for row in table for cell in row
-              for x in cell.values()))
+    s = lcm(*(x.denominator for r, col in filled
+              for x in table[r][col].values()))
     if s > 1:
-        table = [[{k: x.numerator * (s // x.denominator)
-                   for k, x in cell.items()} for cell in row]
-                 for row in table]
+        for r, col in filled:
+            table[r][col] = {k: x.numerator * (s // x.denominator)
+                             for k, x in table[r][col].items()}
 
     def cls(*legs):
         return {k: la.div(x, s, p)
@@ -336,26 +349,27 @@ class DepthTwoContext:
         self.T2 = tower.trace(2)
 
         m2 = self.M2.dim
-        N_in_M = base.incl.embed
-        self.N_in_M2 = [tower.embed(0, 2, x) for x in N_in_M]
         self.M_in_M1 = self.lv1.cert.incl.embed
         self.M_in_M2 = [tower.embed(1, 2, x) for x in self.M_in_M1]
         self.M1_in_M2 = self.lv2.cert.incl.embed
 
-        nsub = la.Subspace.from_vectors(m2, self.N_in_M2, self.p)
-        msub = la.Subspace.from_vectors(m2, self.M_in_M2, self.p)
+        # each centralizer is that of the images of the generators of N or
+        # of M, which generate the embedded algebra (`ag.centralizer`)
+        N_gens = base.incl.generators
         self.U = la.Subspace.from_vectors(
             m2, [tower.embed(0, 2, r) for r in base.U.basis], self.p)
-        self.A1 = ag.centralizer(self.M1, la.Subspace.from_vectors(
-            self.M1.dim, [tower.embed(0, 1, x) for x in N_in_M], self.p))
+        self.A1 = ag.centralizer(self.M1,
+                                 [tower.embed(0, 1, x) for x in N_gens])
         self.A = la.Subspace.from_vectors(
             m2, [tower.embed(1, 2, r) for r in self.A1.basis], self.p)
         self.V1 = self.lv1.cert.U  # C_M1(M), M1 coords
         self.V = la.Subspace.from_vectors(
             m2, [tower.embed(1, 2, r) for r in self.V1.basis], self.p)
         self.W = self.lv2.cert.U  # C_M2(M1)
-        self.B = ag.centralizer(self.M2, msub)
-        self.C = ag.centralizer(self.M2, nsub)
+        self.B = ag.centralizer(self.M2, [self.M_in_M2[g]
+                                          for g in self.M.generators])
+        self.C = ag.centralizer(self.M2, [tower.embed(0, 2, x)
+                                          for x in N_gens])
 
     # conditional expectations as M2-endomorphisms (landing in embedded images)
     def E_M1(self, x):
@@ -617,6 +631,7 @@ class PairingData:
     gram: tuple  # row i holds <a_i, b_j> at j
     gram_t: tuple  # its transpose: row j holds <a_i, b_j> at i
     gram2: tuple  # row j holds the second pairing lambda^-2 T(b_j e1 e2 w a_i)
+    e2e1w: dict  # M2 sparse, the product e2 e1 w of the first pairing
 
 
 def pairing(cl, ctx):
@@ -677,7 +692,7 @@ def pairing(cl, ctx):
     w_inv = injV(ag.right_inverse(V_alg, w_co))
     gram_t = la.transpose(gram, len(Bb))
     return PairingData(f, tuple(vhat), w, w_inv, *(
-        ag.map_rows(g, p) for g in (gram, gram_t, gram2)))
+        ag.map_rows(g, p) for g in (gram, gram_t, gram2)), mid)
 
 
 class DerivedWeakHopf:
@@ -690,7 +705,7 @@ class DerivedWeakHopf:
         A_alg, pairs = self._structure_of_B(cl)
         VB, WB, e2w, ea_w = self._identities_of_B(cl, ep)
         w_inv_M1 = self._E_M1_laws(cl, ep, e2w, ea_w)
-        self._counitals_and_integrals(cl, VB, WB, w_inv_M1)
+        self._counitals_and_integrals(cl, VB, WB, e2w, w_inv_M1)
         self._A_through_gram(cl, A_alg, pairs)
 
     def _structure_of_B(self, cl):
@@ -815,8 +830,9 @@ class DerivedWeakHopf:
             for k, v in law.over(right_legs.items()):
                 law.check(("right", k), VB.contains(v), True)
 
-        cl.add("s_inv_e2", "S^-1(e2) = w^-1 e2 w",
-               S_inv(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
+        s_inv_e2 = S_inv(expB(e2))
+        w_e2_w = expB(ctx.mul(w_inv, e2, w))  # for s_e2 too
+        cl.add("s_inv_e2", "S^-1(e2) = w^-1 e2 w", s_inv_e2 == w_e2_w)
         with cl.holds("v_e2", "v e2 = S(v) e2 for v in V") as law:
             for i, v in law.over(enumerate(vB)):
                 law.check((i,), ctx.mul(injB(v), e2), ctx.mul(injB(S(v)), e2))
@@ -848,8 +864,7 @@ class DerivedWeakHopf:
                 dj = B.delta[j]
                 law.check((j,), ag.tensor_mul(B_alg, B_alg, dj, d1), dj)
 
-        cl.add("s_e2", "S(e2) = w^-1 e2 w",
-               S(expB(e2)) == expB(ctx.mul(w_inv, e2, w)))
+        cl.add("s_e2", "S(e2) = w^-1 e2 w", S(expB(e2)) == w_e2_w)
         return VB, WB, e2w, ea_w
 
     def _E_M1_laws(self, cl, ep, e2w, ea_w):
@@ -882,8 +897,7 @@ class DerivedWeakHopf:
         # per-index factors of the two slices below, so that each leg costs
         # one product: b_l w^-1, E_A(e2 e1 w b_k), w^-1 x and E_M1(e2 x b_k)
         bw = [ctx.mul(b, w_inv) for b in bhat]
-        mid = ctx.mul(e2, e1, w)
-        ea_e1 = [E_A(ctx.mul(mid, b)) for b in bhat]
+        ea_e1 = [E_A(ctx.mul(self.pd.e2e1w, b)) for b in bhat]
         w_e1_w = ctx.mul(w_inv, e1, w)
         with cl.holds("heart",
                       "w^-1 e1 w b = lambda^-1 b2 w^-1 E_A(e2 e1 w b1)") as law:
@@ -924,7 +938,7 @@ class DerivedWeakHopf:
                                            qw, q))), default=None))
         return w_inv_M1
 
-    def _counitals_and_integrals(self, cl, VB, WB, w_inv_M1):
+    def _counitals_and_integrals(self, cl, VB, WB, e2w, w_inv_M1):
         """counital_target_formula ... dims_match; keeps A inside M1."""
         ctx, B, p, nB = self.ctx, self.B, self.ctx.p, self.B.dim
         B_alg, injB, expB, bhat = B.alg, self.injB, self.expB, self.bhat
@@ -978,7 +992,7 @@ class DerivedWeakHopf:
         EMw = ctx.t.embed(0, 2, ag.apply_map(E_M, w_M1, p))
         cl.add("haar_form", "e2 S^-1(e2) = e2 w^-1 e2 w = E_M(w^-1) e2 w",
                haar == ctx.mul(EMw_inv, e2, w))
-        e2wB = expB(ctx.mul(e2, w))
+        e2wB = expB(e2w)
 
         with cl.holds("haar_two_sided", "l = e2 S^-1(e2) and e2 w are "
                       "two-sided integrals") as law:

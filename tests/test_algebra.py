@@ -3,6 +3,7 @@ import copy
 import pathlib
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -97,7 +98,7 @@ def test_rejects_bad_unit():
 
 def test_center_of_matrix_algebra():
     m2 = corpus.matrix_algebra(2)
-    cen = ag.centralizer(m2, la.Subspace.full(4))
+    cen = ag.centralizer(m2, la.Subspace.full(4).basis)
     assert cen.dim == 1
     assert cen.contains({0: F(1), 3: F(1)})
 
@@ -105,13 +106,13 @@ def test_center_of_matrix_algebra():
 def test_centralizer_of_scalars_is_everything():
     m2 = corpus.matrix_algebra(2)
     ones = la.Subspace.from_vectors(4, [{0: F(1), 3: F(1)}])
-    assert ag.centralizer(m2, ones) == la.Subspace.full(4)
+    assert ag.centralizer(m2, ones.basis) == la.Subspace.full(4)
 
 
 def test_centralizer_of_diagonal():
     m2 = corpus.matrix_algebra(2)
     diag = la.Subspace.from_vectors(4, [{0: F(1)}, {3: F(1)}])
-    assert ag.centralizer(m2, diag) == diag
+    assert ag.centralizer(m2, diag.basis) == diag
 
 
 @pytest.mark.parametrize("p", [None, 13], ids=["Q", "F13"])
@@ -780,6 +781,160 @@ def test_sparse_associativity_on_random_unital_tables(dim, p, data):
         assert want is None
     except ag.NotAssociative as exc:
         assert exc.witness == want
+
+
+# ---------------------------------------------------------------------------
+# laws decided on a generating set: associativity, multiplicativity of an
+# embedding and N-linearity of E each hold on a subalgebra, so they are
+# decided on `Algebra.generators`, and a failure names the full scan's case
+
+def word_span(alg):
+    """The span of the left-normed words in the generators, grown by
+    multiplying its basis on the right by each generator until it stops
+    growing."""
+    gens = [{g: 1} for g in alg.generators]
+    span = la.Subspace.from_vectors(alg.dim, gens, alg.p)
+    while True:
+        grown = la.Subspace.from_vectors(alg.dim, [*span.basis, *(
+            alg.mul(v, g) for v in span.basis for g in gens)], alg.p)
+        if grown == span:
+            return span
+        span = grown
+
+
+def test_generators_generate_every_corpus_algebra():
+    small = 0
+    for name, alg in corpus_algebras():
+        gens = alg.generators
+        assert gens == tuple(sorted(set(gens))) and gens[0] == 0, name
+        assert word_span(alg).dim == alg.dim, name
+        small += len(gens) < alg.dim
+    assert small > 0
+
+
+def test_a_cell_of_several_terms_reaches_nothing():
+    # Q^2 on the basis 1, 1 + f: (1 + f)^2 = -1 + 2 (1 + f) has two terms,
+    # so 1 + f is a generator; so is each idempotent of a diagonal algebra
+    alg = unital({(1, 1): {0: "-1", 1: "2"}}, 2)
+    assert alg.generators == (0, 1)
+    assert corpus.diagonal_algebra(3).generators == (0, 1, 2)
+
+
+def group(name):
+    """(multiplication table, order) of Z_n, Z2 x Z2 or S3, the identity
+    at index 0."""
+    if name.startswith("Z") and name[1:].isdigit():
+        n = int(name[1:])
+        return [[(a + b) % n for b in range(n)] for a in range(n)], n
+    if name == "Z2xZ2":
+        return [[a ^ b for b in range(4)] for a in range(4)], 4
+    perms = sorted(permutations(range(3)))
+    index = {q: i for i, q in enumerate(perms)}
+    return [[index[tuple(a[b[i]] for i in range(3))] for b in perms]
+            for a in perms], 6
+
+
+GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z2xZ2", "S3"]
+SIGNS = [1, -1, F(1, 2), F(-1, 2)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(GROUPS), st.sampled_from([None, 13]), st.data())
+def test_associativity_on_random_monomial_tables(name, p, data):
+    # e_g e_h = f(g) f(h) / f(gh) e_gh, associative, then up to three
+    # cells dropped or multiplied by a sign in {-1, 1/2, -1/2}
+    mult, n = group(name)
+    f = data.draw(st.lists(st.sampled_from(SIGNS), min_size=n, max_size=n))
+    coeff = {(g, h): F(f[g]) * f[h] / f[mult[g][h]]
+             for g in range(n) for h in range(n)}
+    changes = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.sampled_from([0, -1, F(1, 2), F(-1, 2)])), max_size=3))
+    for g, h, c in changes:
+        coeff[g, h] *= c
+    table = tuple(tuple(((mult[g][h], la.as_scalar(coeff[g, h], p)),)
+                        if coeff[g, h] else () for h in range(n))
+                  for g in range(n))
+    unit = (la.as_scalar(1, p),) + (0,) * (n - 1)
+    alg = ag.Algebra(n, table, unit, None, p)
+    if n > 2 and all(c for _, _, c in changes):
+        assert len(alg.generators) < n  # the law is decided on them
+    assert associativity_witness(alg) == associativity_by_triples(alg)
+
+
+def inclusion_refusal_by_pairs(small, big, embed):
+    """The former checks of `make_inclusion`, multiplicativity on every
+    basis pair: the text of the first failure, or None."""
+    p = big.p
+    embed = ag.map_rows(embed, p)
+    if ag.apply_map(embed, small.unit_sparse(), p) != big.unit_sparse():
+        return "inclusion does not preserve the unit"
+    for i in range(small.dim):
+        for j in range(small.dim):
+            cell = small.table[i][j]
+            lhs = ag.apply_map(embed, dict(cell), p) if cell else {}
+            if lhs != big.mul(embed[i], embed[j]):
+                return "embedding not multiplicative at (%d, %d)" % (i, j)
+    if la.rank(embed, big.dim, p) != small.dim:
+        return "embedding not injective"
+    return None
+
+
+def inclusion_refusal(small, big, embed):
+    try:
+        ag.make_inclusion(small, big, embed)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_embedding_names_the_first_pair_of_the_full_scan(p):
+    # one row of the embedding shifted, off the unit's support: the same
+    # refusal as the scan of every basis pair.  Its row is always a
+    # generator: the rows before it pass, and a row that is not a
+    # generator lies in the subalgebra that the generators before it
+    # generate, where the law holds once it holds on them
+    rng = random.Random(3)
+    rows_at = set()
+    for name, cert in tower_certs(p).items():
+        small, big, embed = cert.incl.small, cert.incl.big, cert.incl.embed
+        off_unit = [i for i in range(small.dim) if i not in
+                    small.unit_sparse()]
+        if not off_unit:
+            continue
+        for trial in range(6):
+            bad = list(embed)
+            i = rng.choice(off_unit)
+            row = dict(bad[i])
+            k = rng.randrange(big.dim)
+            row[k] = la.residue(row.get(k, 0) + rng.choice((-1, 1, 2)), p)
+            bad[i] = la.residues(row, p)
+            want = inclusion_refusal_by_pairs(small, big, bad)
+            assert inclusion_refusal(small, big, bad) == want, (name, trial)
+            if want and "multiplicative" in want:
+                rows_at.add(int(want.split("(")[1].split(",")[0])
+                            in small.generators)
+    assert rows_at == {True}
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_linearity_names_the_first_case_of_the_full_scan(p):
+    # E rows shifted: the same refusal as the per-pair loop over every
+    # basis a of N, and left failures at an a that is not a generator
+    rng = random.Random(17)
+    left_at = set()
+    for name, cert in tower_certs(p).items():
+        incl, rows = cert.incl, cert.E.rows
+        for trial in range(8):
+            bad = [{k: la.as_scalar(c, p) for k, c in r.items()}
+                   for r in perturbed(rows, incl.small.dim, rng)]
+            want = bimodularity_by_pairs(incl, bad)
+            assert refusal(incl, bad) == want, (name, trial)
+            if want and "not left" in want:
+                a = int(want.split("(")[1].split(",")[0])
+                left_at.add(a in incl.small.generators)
+    assert left_at == {True, False}
 
 
 # ---------------------------------------------------------------------------

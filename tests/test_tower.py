@@ -152,6 +152,38 @@ def over_field(cert, p):
     return ag.certify_markov(incl, E, ag.find_dual_bases(E), trace)
 
 
+def test_a_dim_64_level_is_generated_by_15_basis_elements():
+    # M4 of the diagonal plane in M2: 512 one-term cells of 4,096; the laws
+    # of its construction run on 15 generators, not on the full basis
+    M4 = tw.build_tower(corpus.ext_q2_m2(), 4).alg(4)
+    assert (M4.dim, len(M4.generators)) == (64, 15)
+
+
+@pytest.mark.parametrize("p", [None, 13])
+def test_centralizers_of_generators_are_those_of_the_images(p):
+    # each centralizer of an embedded algebra is the kernel of the
+    # commutators with the images of its generators; on every corpus tower
+    # to depth 3 it equals the kernel over the whole image
+    certs = dict(corpus.standing_extensions(), s3_z2=corpus.ext_s3_z2(),
+                 trivial_m2=corpus.ext_trivial_m2(), q_in_q3=corpus.ext_q_q3())
+    fewer = 0
+    for name, cert in certs.items():
+        t = tw.build_tower(over_field(cert, p), 3)
+        for k, c in enumerate([t.base] + [lvl.cert for lvl in t.levels]):
+            incl = c.incl
+            assert c.U == ag.centralizer(incl.big, incl.image.basis), (name, k)
+            fewer += len(incl.generators) < incl.small.dim
+        ctx = tw.DepthTwoContext(t)
+        N_in_M = t.base.incl.embed
+        for got, big, images in (
+                (ctx.A1, ctx.M1, [t.embed(0, 1, x) for x in N_in_M]),
+                (ctx.B, ctx.M2, ctx.M_in_M2),
+                (ctx.C, ctx.M2, [t.embed(0, 2, x) for x in N_in_M])):
+            span = la.Subspace.from_vectors(big.dim, images, p)
+            assert got == ag.centralizer(big, span.basis), name
+    assert fewer > 0
+
+
 def pimsner_popa_by_products(t):
     """The former per-x loop of `build_tower`, products in M_k for every
     basis x: {identity: witness of its first failing x, or None}."""
